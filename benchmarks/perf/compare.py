@@ -5,9 +5,12 @@ better). The gate fails when a fresh run regresses more than the
 threshold (default 30%) below the baseline — loose enough to absorb
 runner noise, tight enough to catch an accidental O(n) -> O(n^2).
 
-Reports whose ``mode`` differs between baseline and fresh (e.g. a
-committed full-mode report diffed against a ``--smoke`` CI run) are
-reported but not gated: the workloads are not comparable.
+A report file is either one flat report carrying its ``mode``, or one
+section per mode (``{"full": {...}, "smoke": {...}}``, as
+``bench_ftsearch.py`` writes). Only like modes are compared: a metric
+whose baseline and fresh run share no mode (e.g. a committed full-mode
+report diffed against a ``--smoke`` CI run) is reported but not gated —
+the workloads are not comparable.
 
 Usage::
 
@@ -29,10 +32,6 @@ from typing import Any, Optional
 # lacks it; each metric is gated independently.
 HEADLINE = {
     "BENCH_ftsearch": [
-        (
-            "fast_nodes_per_sec",
-            lambda report: report.get("fast_nodes_per_sec"),
-        ),
         (
             "vector_nodes_per_sec",
             lambda report: report.get("vector_nodes_per_sec"),
@@ -126,6 +125,27 @@ def _load(path: Path) -> Optional[dict[str, Any]]:
         return None
 
 
+def _row(benchmark: str, metric: str, status: str) -> dict[str, Any]:
+    return {
+        "benchmark": benchmark,
+        "metric": metric,
+        "baseline": None,
+        "fresh": None,
+        "delta": None,
+        "status": status,
+    }
+
+
+def _by_mode(report: dict[str, Any]) -> dict[Optional[str], dict[str, Any]]:
+    """A report file as ``{mode: flat report}`` (one entry when flat)."""
+    if "mode" in report or not all(
+        isinstance(section, dict) and section.get("mode") == mode
+        for mode, section in report.items()
+    ):
+        return {report.get("mode"): report}
+    return dict(report)
+
+
 def compare_reports(
     baseline_dir: Path, fresh_dir: Path, threshold: float
 ) -> tuple[list[dict[str, Any]], list[str]]:
@@ -136,45 +156,38 @@ def compare_reports(
         name = f"{stem}.json"
         baseline = _load(baseline_dir / name)
         fresh = _load(fresh_dir / name)
-        for label, extract in metrics:
-            row: dict[str, Any] = {
-                "benchmark": stem,
-                "metric": label,
-                "baseline": None,
-                "fresh": None,
-                "delta": None,
-                "status": "missing",
-            }
-            if baseline is None or fresh is None:
-                row["status"] = (
-                    "no baseline" if baseline is None else "no fresh run"
-                )
+        if baseline is None or fresh is None:
+            status = "no baseline" if baseline is None else "no fresh run"
+            rows.extend(_row(stem, label, status) for label, _ in metrics)
+            continue
+        baseline_modes = _by_mode(baseline)
+        fresh_modes = _by_mode(fresh)
+        shared = [mode for mode in baseline_modes if mode in fresh_modes]
+        if not shared:
+            status = (
+                f"skipped (mode {'/'.join(map(repr, baseline_modes))} vs"
+                f" {'/'.join(map(repr, fresh_modes))})"
+            )
+            rows.extend(_row(stem, label, status) for label, _ in metrics)
+            continue
+        for mode in shared:
+            title = stem if len(baseline_modes) == 1 else f"{stem}[{mode}]"
+            for label, extract in metrics:
+                row = _row(title, label, "ok")
+                row["baseline"] = extract(baseline_modes[mode])
+                row["fresh"] = extract(fresh_modes[mode])
                 rows.append(row)
-                continue
-            row["baseline"] = extract(baseline)
-            row["fresh"] = extract(fresh)
-            if baseline.get("mode") != fresh.get("mode"):
-                row["status"] = (
-                    f"skipped (mode {baseline.get('mode')!r} vs"
-                    f" {fresh.get('mode')!r})"
-                )
-                rows.append(row)
-                continue
-            if not row["baseline"] or row["fresh"] is None:
-                row["status"] = "skipped (metric missing)"
-                rows.append(row)
-                continue
-            delta = (row["fresh"] - row["baseline"]) / row["baseline"]
-            row["delta"] = delta
-            if delta < -threshold:
-                row["status"] = f"REGRESSION (> {threshold:.0%} slower)"
-                failures.append(
-                    f"{stem}: {label} fell {-delta:.1%}"
-                    f" ({row['baseline']:.1f} -> {row['fresh']:.1f})"
-                )
-            else:
-                row["status"] = "ok"
-            rows.append(row)
+                if not row["baseline"] or row["fresh"] is None:
+                    row["status"] = "skipped (metric missing)"
+                    continue
+                delta = (row["fresh"] - row["baseline"]) / row["baseline"]
+                row["delta"] = delta
+                if delta < -threshold:
+                    row["status"] = f"REGRESSION (> {threshold:.0%} slower)"
+                    failures.append(
+                        f"{title}: {label} fell {-delta:.1%}"
+                        f" ({row['baseline']:.1f} -> {row['fresh']:.1f})"
+                    )
     return rows, failures
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FTSearch, FTSearchConfig, OptimizationProblem
-from repro.core.optimizer import SearchOutcome
+from repro.core import FTSearchConfig, OptimizationProblem
+from repro.core.optimizer import ReferenceFTSearch, SearchOutcome
 from repro.experiments.report import format_table
 from repro.workloads import ClusterParams, GeneratorParams, generate_application
 
@@ -23,7 +23,9 @@ def solve(deployment, hungry_first):
     config = FTSearchConfig(
         time_limit=60.0, hungry_configs_first=hungry_first
     )
-    result = FTSearch(
+    # The claim is about the paper's depth-first visit order, so it is
+    # tested on the reference oracle, not the block engine.
+    result = ReferenceFTSearch(
         OptimizationProblem(deployment, ic_target=0.5), config
     ).run()
     assert result.outcome is SearchOutcome.OPTIMAL

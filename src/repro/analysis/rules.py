@@ -707,7 +707,8 @@ _CORE_FENCED_PREFIXES = ("repro.core",)
 #:   optimizer package's ``__init__`` deliberately does not import it.
 #: * ``repro.core.optimizer.ftsearch`` dispatches to the driver from a
 #:   function-local import inside ``ft_search`` (executed only when a
-#:   caller explicitly passes ``jobs=``), never at module import time.
+#:   caller explicitly passes ``jobs`` above 1), never at module import
+#:   time.
 _R7_AUDITED_EXCEPTIONS: dict[str, tuple[str, ...]] = {
     "repro.core.optimizer.parallel": (
         "repro.experiments",

@@ -105,7 +105,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         seed_incumbent=True,
         jobs=args.jobs,
     )
-    engine = "serial" if args.jobs is None else f"jobs={args.jobs}"
+    jobs = args.jobs or 1
+    engine = "in-process" if jobs == 1 else f"pool({jobs})"
     print(
         f"FT-Search [{engine}]: {result.outcome.value}"
         f" ({result.stats.nodes_expanded} nodes, {result.elapsed:.2f}s)"
@@ -904,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "parallel search workers (1 = vectorized in-process;"
-            " default: serial fast core)"
+            "search worker processes (default and 1: the block"
+            " engine in-process, no pool)"
         ),
     )
     optimize.add_argument("--out", required=True)

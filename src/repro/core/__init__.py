@@ -47,7 +47,6 @@ from repro.core.ic import (
     internal_completeness,
 )
 from repro.core.optimizer import (
-    FTSearch,
     FTSearchConfig,
     JointResult,
     OptimizationProblem,
@@ -97,7 +96,6 @@ __all__ = [
     "static_replication",
     "non_replicated",
     "greedy_deactivation",
-    "FTSearch",
     "FTSearchConfig",
     "ft_search",
     "OptimizationProblem",

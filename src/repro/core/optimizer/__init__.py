@@ -6,7 +6,7 @@ branch-and-bound algorithm of Sec. 4.5, including the four pruning rules
 per-rule pruning statistics behind Fig. 6.
 """
 
-from repro.core.optimizer.ftsearch import FTSearch, FTSearchConfig, ft_search
+from repro.core.optimizer.ftsearch import FTSearchConfig, ft_search
 from repro.core.optimizer.outcomes import SearchOutcome, SearchResult
 from repro.core.optimizer.placement_search import JointResult, joint_optimize
 from repro.core.optimizer.problem import OptimizationProblem, StrategyEvaluation
@@ -15,7 +15,6 @@ from repro.core.optimizer.stats import PruneRule, SearchStats
 from repro.core.optimizer.vector import VectorFTSearch
 
 __all__ = [
-    "FTSearch",
     "FTSearchConfig",
     "ReferenceFTSearch",
     "VectorFTSearch",

@@ -33,21 +33,24 @@ The search is *anytime*: it keeps the best solution found so far and, on
 budget expiry, returns it (outcome SOL) or, when the space was exhausted,
 proves optimality (BST) or infeasibility (NUL).
 
-Implementation note — this module holds the *fast core*: all per-node
-state lives in flat, integer-indexed lists precomputed by ``_prepare``
-(the variable order is ``config_pos * n_pes + pe_pos``, so ``depth_of``
-is plain arithmetic), descent is an explicit iterative loop rather than
-recursion, and domain values are small integer codes ordered through
-shared constant tuples. The original recursive, dict-keyed implementation
-is retained verbatim in :mod:`repro.core.optimizer.reference` as the
-behavioural oracle: both cores must produce identical outcomes, costs,
-node/value counters, and per-rule prune statistics.
+Implementation note — the package keeps one production engine and one
+oracle. This module owns what they share: the run configuration
+(:class:`FTSearchConfig`), the clean full-assignment evaluator every
+recorded cost/IC passes through (:func:`_replay_assignment`), the
+warm-start evaluator, and :class:`SearchLayout` — the flat per-depth view
+of one problem (the variable order is ``config_pos * n_pes + pe_pos``, so
+a depth's configuration and PE position are plain arithmetic) that the
+block-vectorized engine of :mod:`repro.core.optimizer.vector` advances
+over. :func:`ft_search` always runs that engine. The original recursive,
+dict-keyed implementation is retained verbatim in
+:mod:`repro.core.optimizer.reference` as the behavioural oracle: the
+block engine must return the same outcome, optimal cost, IC and strategy;
+node counts and per-rule prune statistics are engine-specific.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -62,32 +65,29 @@ from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import OptimizationError, ReproError
 
-__all__ = ["FTSearchConfig", "FTSearch", "ft_search"]
+__all__ = ["FTSearchConfig", "SearchLayout", "Seed", "ft_search"]
 
 # Domain values for one (PE, configuration) variable: activation states of
 # (replica 0, replica 1). The all-inactive state is excluded by Eq. 12.
-# The fast core encodes them as integers; code 0 must stay "both active"
-# (the value DOM removes), codes 1/2 are the single-replica values.
+# The block engine encodes them as integers; code 0 must stay "both
+# active" (the value DOM removes), codes 1/2 are the single-replica values.
 _BOTH = (True, True)
 _ONLY_0 = (True, False)
 _ONLY_1 = (False, True)
 _VALUE_TUPLES = (_BOTH, _ONLY_0, _ONLY_1)
 _CODE_OF_VALUE = {_BOTH: 0, _ONLY_0: 1, _ONLY_1: 2}
 
-# The four possible per-node value orderings ("both" first unless DOM
-# excluded it; then the single whose host is less loaded).
-_ORDER_B01 = (0, 1, 2)
-_ORDER_B10 = (0, 2, 1)
-_ORDER_01 = (1, 2)
-_ORDER_10 = (2, 1)
-
-# PruneRule <-> flat counter index (the fast core counts prunes in plain
-# lists and rebuilds the SearchStats dicts once at the end of the run).
+# PruneRule <-> flat counter index (the block engine counts prunes in
+# plain lists and rebuilds the SearchStats dicts once at the end).
 _RULES = (PruneRule.CPU, PruneRule.COMPLETENESS, PruneRule.COST,
           PruneRule.DOMAIN)
 _CPU_I, _COMPL_I, _COST_I, _DOM_I = 0, 1, 2, 3
 
 _REL_EPS = 1e-9
+
+# One PE position's COMPL walk (see SearchLayout): (position, preds) per
+# later PE, preds as (code, ref, selectivity).
+_RestPlan = tuple[tuple[int, tuple[tuple[int, int, float], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,14 @@ class FTSearchConfig:
     many nodes. Unusable warm starts (wrong shape, infeasible here) are
     silently ignored.
 
-    ``jobs`` selects the engine. ``None`` (the default) runs this
-    module's scalar fast core — bit-identical to the reference oracle.
-    Any integer >= 1 routes the search through the vectorized engine
-    (:mod:`repro.core.optimizer.vector`), with ``jobs > 1`` splitting
-    the root frontier across that many worker processes
-    (:mod:`repro.core.optimizer.parallel`). The vectorized engines pin
-    *optimal cost and strategy* equality against the scalar cores; node
-    counts and prune statistics are engine-specific.
+    ``jobs`` is how many processes run the search. ``None`` and ``1``
+    mean the same thing — the block engine in the calling process, with
+    no pool and no environment lookup, so node counts and prune
+    statistics are deterministic. ``jobs > 1`` splits the root frontier
+    of the same engine across that many worker processes
+    (:mod:`repro.core.optimizer.parallel`).
 
-    ``shared_bound`` (parallel engine only) shares the incumbent cost
+    ``shared_bound`` (``jobs > 1`` only) shares the incumbent cost
     bound across workers so prunes compound. Sharing never changes what
     is returned — only node counts, which become timing-dependent; set
     it to False for bitwise-reproducible parallel statistics.
@@ -204,7 +202,7 @@ def _evaluate_warm_start(
     evaluation both engines use when *recording* a best solution — so the
     values installed as the incumbent are bit-identical to what a cold
     search records for the same assignment. Shared verbatim by both
-    engines so warm-started fast and reference runs stay bit-identical.
+    engines so warm-started runs start from a bit-identical incumbent.
     """
     warm = config.warm_start
     assert warm is not None
@@ -323,105 +321,82 @@ def _replay_assignment(
     return host_load, ic, cost
 
 
-class _BudgetExpired(Exception):
-    """Internal signal: unwind the recursion, the budget is spent.
+@dataclass(frozen=True)
+class Seed:
+    """The pre-search incumbent (greedy seed and/or warm start).
 
-    Only the retained reference implementation raises this; the fast
-    core's iterative loop breaks out with a flag instead.
+    ``codes`` is None — and the costs infinite — when no incumbent was
+    installed.
     """
 
+    objective: float
+    cost: float
+    ic: float
+    codes: Optional[tuple[int, ...]]
 
-class FTSearch:
-    """One FT-Search run over a fixed :class:`OptimizationProblem`."""
+
+class SearchLayout:
+    """Flat per-depth view of one problem, for the block engine.
+
+    Depth ``d`` of the variable order is configuration
+    ``config_order[d // n_pes]`` and PE position ``d % n_pes``. Data that
+    varies with the configuration (loads, source inflows, bounds) is
+    indexed by depth; structure that does not (predecessor lists, the
+    COMPL rest-plan, host slots) is indexed by PE position, because the
+    engine's per-row state only ever spans the configuration being
+    assigned.
+    """
 
     def __init__(
-        self,
-        problem: OptimizationProblem,
-        config: FTSearchConfig | None = None,
-        progress: Optional[SearchProgress] = None,
+        self, problem: OptimizationProblem, config: FTSearchConfig
     ) -> None:
-        """``progress`` is an optional
-        :class:`repro.obs.progress.SearchProgress` collector; it receives
-        one call per expanded node and periodic snapshots keyed on the
-        deterministic node counter, so attaching it never changes what
-        the search returns.
-        """
-        if problem.deployment.replication_factor != 2:
+        deployment = problem.deployment
+        if deployment.replication_factor != 2:
             raise OptimizationError(
                 "FT-Search only supports two-fold replication (k=2), got"
-                f" k={problem.deployment.replication_factor}"
+                f" k={deployment.replication_factor}"
             )
-        self._problem = problem
-        self._config = config or FTSearchConfig()
-        self._progress = progress
-        self._prepare()
-
-    # ------------------------------------------------------------------
-    # Static problem data
-    # ------------------------------------------------------------------
-
-    def _prepare(self) -> None:
-        deployment = self._problem.deployment
+        self.problem = problem
+        self.config = config
         descriptor = deployment.descriptor
         graph = descriptor.graph
         space = descriptor.configuration_space
-        self._rate_table = RateTable(descriptor)
+        self.rate_table = RateTable(descriptor)
+        rate_table = self.rate_table
 
-        self._pes: tuple[str, ...] = graph.pes
-        self._pe_pos = {pe: i for i, pe in enumerate(self._pes)}
-        self._config_order: tuple[int, ...] = space.sorted_by_total_rate(
-            descending=self._config.hungry_configs_first
+        pes = graph.pes
+        pe_pos = {pe: i for i, pe in enumerate(pes)}
+        n_pes = len(pes)
+        n_configs = len(space)
+        config_order = space.sorted_by_total_rate(
+            descending=config.hungry_configs_first
         )
-        self._n_configs = len(space)
-        self._prob = [space[c].probability for c in range(self._n_configs)]
+        prob = [space[c].probability for c in range(n_configs)]
 
         # Variable order: most resource-hungry configuration first, PEs in
-        # topological order within each configuration. Because the order
-        # is exactly config_pos * n_pes + pe_pos, depth_of is arithmetic.
-        n_pes = len(self._pes)
-        self._vars: list[tuple[int, str]] = [
-            (c, pe) for c in self._config_order for pe in self._pes
+        # topological order within each configuration.
+        self.vars: list[tuple[int, str]] = [
+            (c, pe) for c in config_order for pe in pes
         ]
-        self._n_vars = len(self._vars)
-        config_pos = {c: i for i, c in enumerate(self._config_order)}
-
-        def depth_of(c: int, pe: str) -> int:
-            return config_pos[c] * n_pes + self._pe_pos[pe]
-
-        # Per-(PE, config) CPU load of one active replica, and hosts.
-        load = {
-            (pe, c): self._rate_table.replica_load(pe, c)
-            for pe in self._pes
-            for c in range(self._n_configs)
-        }
-        hosts_of = {
-            pe: (
-                deployment.host_of(ReplicaId(pe, 0)),
-                deployment.host_of(ReplicaId(pe, 1)),
-            )
-            for pe in self._pes
-        }
-        self._hosts = tuple(deployment.hosts)
-        host_index = {h.name: i for i, h in enumerate(self._hosts)}
-        capacity = {h.name: h.capacity for h in self._hosts}
+        self.n_pes = n_pes
+        self.n_vars = len(self.vars)
+        self.n_hosts = len(deployment.hosts)
 
         # Predecessor structure split by kind, with selectivities for the
         # Delta-hat recursion and plain sums for the FIC integrand.
-        pe_preds: dict[str, list[tuple[str, float]]] = {}
+        pe_preds: list[tuple[tuple[int, float], ...]] = []
         source_inflow_sel: dict[tuple[str, int], float] = {}
         source_inflow_sum: dict[tuple[str, int], float] = {}
-        pe_succs: dict[str, list[str]] = {pe: [] for pe in self._pes}
-        for pe in self._pes:
-            preds: list[tuple[str, float]] = []
+        for pe in pes:
+            preds: list[tuple[int, float]] = []
             for edge in graph.pe_input_edges(pe):
                 selectivity = descriptor.selectivity(edge.tail, pe)
-                if edge.tail in self._pe_pos:
-                    preds.append((edge.tail, selectivity))
-                    pe_succs[edge.tail].append(pe)
+                if edge.tail in pe_pos:
+                    preds.append((pe_pos[edge.tail], selectivity))
                 else:  # source predecessor: Delta-hat equals Delta
-                    for c in range(self._n_configs):
+                    for c in range(n_configs):
                         key = (pe, c)
-                        rate = self._rate_table.rate(edge.tail, c)
+                        rate = rate_table.rate(edge.tail, c)
                         source_inflow_sel[key] = (
                             source_inflow_sel.get(key, 0.0)
                             + selectivity * rate
@@ -429,701 +404,191 @@ class FTSearch:
                         source_inflow_sum[key] = (
                             source_inflow_sum.get(key, 0.0) + rate
                         )
-            pe_preds[pe] = preds
-        has_source_pred = {
-            pe: any(
-                source_inflow_sum.get((pe, c), 0.0) > 0.0
-                for c in range(self._n_configs)
-            )
-            for pe in self._pes
-        }
+            pe_preds.append(tuple(preds))
+        #: Per PE position: (predecessor position, selectivity) pairs.
+        self.pe_preds = pe_preds
 
         # BIC per configuration (probability-weighted) and in total.
-        self._bic_c = [
-            self._prob[c] * self._rate_table.total_pe_input_rate(c)
-            for c in range(self._n_configs)
+        bic_c = [
+            prob[c] * rate_table.total_pe_input_rate(c)
+            for c in range(n_configs)
         ]
-        self._bic = sum(self._bic_c)
-        if self._bic <= 0:
+        self.bic = sum(bic_c)
+        if self.bic <= 0:
             raise OptimizationError(
                 "BIC is zero: the application processes no tuples, the IC"
                 " constraint is undefined"
             )
-        self._fic_target = self._problem.ic_target * self._bic
+        self.ic_target = problem.ic_target
+        #: The IC goal as a FIC mass, with the search's epsilon applied.
+        self.fic_thresh = problem.ic_target * self.bic - _REL_EPS * self.bic
 
-        # COST bound: minimum (single-replica) cost of each variable, with
-        # suffix sums over the variable order for O(1) lower bounds.
-        min_cost = [
-            self._prob[c] * load[(pe, c)] for (c, pe) in self._vars
+        # Per-depth data: load and cost of one active replica, source
+        # inflows, whether DOM may ever exclude the variable.
+        self.d_load = [rate_table.replica_load(pe, c) for c, pe in self.vars]
+        self.d_prob = [prob[c] for c, _ in self.vars]
+        #: prob[c] * load — the single-replica (minimum) cost of a variable.
+        self.d_prob_load = [
+            p * load for p, load in zip(self.d_prob, self.d_load)
         ]
-        self._suffix_min_cost = [0.0] * (self._n_vars + 1)
-        for d in range(self._n_vars - 1, -1, -1):
-            self._suffix_min_cost[d] = (
-                self._suffix_min_cost[d + 1] + min_cost[d]
+        self.d_src_sel = [
+            source_inflow_sel.get((pe, c), 0.0) for c, pe in self.vars
+        ]
+        self.d_src_sum = [
+            source_inflow_sum.get((pe, c), 0.0) for c, pe in self.vars
+        ]
+        #: DOM never excludes a variable fed by a live source, nor one
+        #: with no in-graph predecessor to go dead.
+        self.d_dom_exempt = [
+            self.d_src_sum[d] > 0.0 or not pe_preds[d % n_pes]
+            for d in range(self.n_vars)
+        ]
+
+        # COST bound: suffix sums of the minimum cost over the variable
+        # order, for O(1) lower bounds.
+        self.suffix_min_cost = [0.0] * (self.n_vars + 1)
+        for d in range(self.n_vars - 1, -1, -1):
+            self.suffix_min_cost[d] = (
+                self.suffix_min_cost[d + 1] + self.d_prob_load[d]
             )
 
-        # BIC contribution of whole configurations ordered after a given
-        # position in the variable order (for the COMPL upper bound).
-        suffix_bic_by_config: list[float] = [0.0] * (
-            len(self._config_order) + 1
-        )
-        for i in range(len(self._config_order) - 1, -1, -1):
-            c = self._config_order[i]
+        # COMPL bound: BIC of the whole configurations ordered after the
+        # one a depth belongs to.
+        suffix_bic_by_config = [0.0] * (n_configs + 1)
+        for i in range(n_configs - 1, -1, -1):
             suffix_bic_by_config[i] = (
-                suffix_bic_by_config[i + 1] + self._bic_c[c]
+                suffix_bic_by_config[i + 1] + bic_c[config_order[i]]
             )
-
-        # ---- Flat per-depth arrays (the fast core's working set) -----
-        # For every depth d, with (c, pe) = vars[d]:
-        #   load/cost of one replica, flat host-load indices and
-        #   effective capacities of the two hosts, source inflows, and
-        #   predecessor lists as (pred_depth, selectivity) pairs.
-        n_configs = self._n_configs
-        self._d_load = [load[(pe, c)] for (c, pe) in self._vars]
-        self._d_prob = [self._prob[c] for (c, pe) in self._vars]
-        self._d_prob_load = min_cost  # prob[c] * load, same product
-        self._d_h0 = [0] * self._n_vars
-        self._d_h1 = [0] * self._n_vars
-        self._d_cap0 = [0.0] * self._n_vars
-        self._d_cap1 = [0.0] * self._n_vars
-        self._d_src_sel = [0.0] * self._n_vars
-        self._d_src_sum = [0.0] * self._n_vars
-        self._d_preds: list[tuple[tuple[int, float], ...]] = (
-            [()] * self._n_vars
-        )
-        self._d_pred_depths: list[tuple[int, ...]] = [()] * self._n_vars
-        self._d_succs: list[tuple[int, ...]] = [()] * self._n_vars
-        self._d_dom_source = [False] * self._n_vars
-        self._d_suffix_bic = [0.0] * self._n_vars
-        one_minus_eps = 1 - _REL_EPS
-        for d, (c, pe) in enumerate(self._vars):
-            host0, host1 = hosts_of[pe]
-            self._d_h0[d] = host_index[host0] * n_configs + c
-            self._d_h1[d] = host_index[host1] * n_configs + c
-            self._d_cap0[d] = capacity[host0] * one_minus_eps
-            self._d_cap1[d] = capacity[host1] * one_minus_eps
-            self._d_src_sel[d] = source_inflow_sel.get((pe, c), 0.0)
-            self._d_src_sum[d] = source_inflow_sum.get((pe, c), 0.0)
-            self._d_preds[d] = tuple(
-                (depth_of(c, pred), selectivity)
-                for pred, selectivity in pe_preds[pe]
-            )
-            self._d_pred_depths[d] = tuple(
-                pd for pd, _ in self._d_preds[d]
-            )
-            self._d_succs[d] = tuple(
-                depth_of(c, succ) for succ in pe_succs[pe]
-            )
-            self._d_dom_source[d] = (
-                has_source_pred[pe] and self._d_src_sum[d] > 0.0
-            )
-            self._d_suffix_bic[d] = suffix_bic_by_config[d // n_pes + 1]
-
-        # COMPL rest-plan: for every depth, the walk over the remaining
-        # PEs of the same configuration in topological order. Each entry
-        # is (var_depth, pe_pos, src_sel, src_sum, preds) with preds as
-        # (code, ref, selectivity): code 0 reads the candidate value's
-        # Delta-hat, code 1 reads the walk's own upper bound at pe
-        # position ref, code 2 reads the assigned Delta-hat at depth ref.
-        self._d_rest: list[tuple] = [()] * self._n_vars
-        for d, (c, pe) in enumerate(self._vars):
-            position = self._pe_pos[pe]
-            entries = []
-            for pos in range(position + 1, n_pes):
-                rest_pe = self._pes[pos]
-                preds = []
-                for pred, selectivity in pe_preds[rest_pe]:
-                    pred_pos = self._pe_pos[pred]
-                    if pred_pos == position:
-                        preds.append((0, 0, selectivity))
-                    elif pred_pos > position:
-                        preds.append((1, pred_pos, selectivity))
-                    else:
-                        preds.append(
-                            (2, depth_of(c, pred), selectivity)
-                        )
-                entries.append((
-                    depth_of(c, rest_pe),
-                    pos,
-                    source_inflow_sel.get((rest_pe, c), 0.0),
-                    source_inflow_sum.get((rest_pe, c), 0.0),
-                    tuple(preds),
-                ))
-            self._d_rest[d] = tuple(entries)
-
-        # Effective capacity per flat (host, config) index, for the leaf
-        # CPU check when the CPU rule is disabled.
-        self._cap_flat = [
-            host.capacity * one_minus_eps
-            for host in self._hosts
-            for _ in range(n_configs)
+        self.d_suffix_bic = [
+            suffix_bic_by_config[d // n_pes + 1] for d in range(self.n_vars)
         ]
 
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
+        # Host slots and effective capacities of each PE's two replicas.
+        one_minus_eps = 1 - _REL_EPS
+        host_index = {h.name: i for i, h in enumerate(deployment.hosts)}
+        self.host_caps = [
+            h.capacity * one_minus_eps for h in deployment.hosts
+        ]
+        self.pe_h0 = [
+            host_index[deployment.host_of(ReplicaId(pe, 0))] for pe in pes
+        ]
+        self.pe_h1 = [
+            host_index[deployment.host_of(ReplicaId(pe, 1))] for pe in pes
+        ]
 
-    def run(self) -> SearchResult:
-        """Execute the search and classify the outcome."""
-        n_vars = self._n_vars
-        self._start = time.monotonic()
-        self._deadline = (
-            None
-            if self._config.time_limit is None
-            else self._start + self._config.time_limit
-        )
-
-        # Mutable search state.
-        self._assigned: list[int] = [-1] * n_vars  # value code or -1
-        self._delta_hat: list[float] = [0.0] * n_vars
-        self._host_load: list[float] = (
-            [0.0] * (len(self._hosts) * self._n_configs)
-        )
-        self._dom_excluded: list[bool] = [False] * n_vars
-        self._prune_counts = [0, 0, 0, 0]
-        self._prune_heights = [0, 0, 0, 0]
-        self._solutions_found = 0
-
-        self._best_cost = math.inf
-        self._best_objective = math.inf
-        self._best_assignment: Optional[list[int]] = None
-        self._best_ic = 0.0
-        self._best_time: Optional[float] = None
-        self._first_cost: Optional[float] = None
-        self._first_time: Optional[float] = None
-
-        if self._config.seed_incumbent:
-            self._install_greedy_incumbent()
-        if self._config.warm_start is not None:
-            self._install_warm_incumbent()
-
-        exhausted, nodes, values_tried = self._search()
-        if self._progress is not None:
-            self._progress.finish(
-                nodes, self._incumbent_cost(), self._prunes_by_name()
-            )
-
-        stats = SearchStats(
-            nodes_expanded=nodes,
-            values_tried=values_tried,
-            solutions_found=self._solutions_found,
-            depth=n_vars,
-        )
-        for i, rule in enumerate(_RULES):
-            stats.prune_counts[rule] = self._prune_counts[i]
-            stats.prune_height_sums[rule] = self._prune_heights[i]
-        self._stats = stats
-
-        elapsed = time.monotonic() - self._start
-        strategy = None
-        if self._best_assignment is not None:
-            strategy = self._build_strategy(self._best_assignment)
-
-        if strategy is not None:
-            outcome = (
-                SearchOutcome.OPTIMAL if exhausted else SearchOutcome.FEASIBLE
-            )
-        else:
-            outcome = (
-                SearchOutcome.INFEASIBLE if exhausted else SearchOutcome.TIMEOUT
-            )
-        return SearchResult(
-            outcome=outcome,
-            strategy=strategy,
-            best_cost=self._best_cost if strategy is not None else math.inf,
-            best_ic=self._best_ic,
-            first_solution_cost=self._first_cost,
-            first_solution_time=self._first_time,
-            best_solution_time=self._best_time,
-            elapsed=elapsed,
-            stats=stats,
-        )
+        # COMPL rest-plan: for every PE position, the walk over the later
+        # PEs in topological order. Each entry is (position, preds) with
+        # preds as (code, ref, selectivity): code 0 reads the candidate
+        # value's Delta-hat, code 1 the walk's own upper bound at
+        # position ref, code 2 the assigned Delta-hat at position ref.
+        self.pe_rest: list[_RestPlan] = []
+        for position in range(n_pes):
+            entries = []
+            for rest_pos in range(position + 1, n_pes):
+                plan = []
+                for pred_pos, selectivity in pe_preds[rest_pos]:
+                    if pred_pos == position:
+                        plan.append((0, 0, selectivity))
+                    elif pred_pos > position:
+                        plan.append((1, pred_pos, selectivity))
+                    else:
+                        plan.append((2, pred_pos, selectivity))
+                entries.append((rest_pos, tuple(plan)))
+            self.pe_rest.append(tuple(entries))
 
     # ------------------------------------------------------------------
-    # Progress telemetry helpers
+    # Clean evaluation of full assignments
     # ------------------------------------------------------------------
 
-    def _incumbent_cost(self) -> Optional[float]:
-        """The best cost found so far, None while no incumbent exists."""
-        return None if math.isinf(self._best_cost) else self._best_cost
+    def objective(self, cost: float, ic: float) -> float:
+        """Cost, plus the soft-IC deficit term in penalty mode."""
+        penalty = self.config.penalty_weight
+        if penalty is None:
+            return cost
+        return cost + penalty * max(0.0, self.ic_target - ic)
 
-    def _prunes_by_name(self) -> dict[str, int]:
-        """Current prune counts keyed by rule name (for snapshots)."""
-        return {
-            rule.value: self._prune_counts[i]
-            for i, rule in enumerate(_RULES)
-        }
+    def replay(self, codes: tuple[int, ...]) -> tuple[float, float]:
+        """``(ic, cost)`` of a full assignment, via the shared clean
+        evaluator — a pure function of the assignment."""
+        _, ic, cost = _replay_assignment(
+            self.problem,
+            self.rate_table,
+            self.vars,
+            [_VALUE_TUPLES[code] for code in codes],
+        )
+        return ic, cost
+
+    def build_strategy(self, codes: tuple[int, ...]) -> ActivationStrategy:
+        activations: dict[tuple[ReplicaId, int], bool] = {}
+        for (c, pe), code in zip(self.vars, codes):
+            value = _VALUE_TUPLES[code]
+            activations[(ReplicaId(pe, 0), c)] = value[0]
+            activations[(ReplicaId(pe, 1), c)] = value[1]
+        return ActivationStrategy(
+            self.problem.deployment,
+            activations,
+            name=f"L{self.ic_target:g}",
+        )
 
     # ------------------------------------------------------------------
     # Incumbent seeding
     # ------------------------------------------------------------------
 
-    def _install_greedy_incumbent(self) -> None:
-        """Try the greedy-deactivation strategy as an initial incumbent.
+    def seed(self) -> Seed:
+        """Evaluate the configured greedy and warm-start incumbents.
 
-        When the GRD strategy (CPU-feasible by construction) also happens
-        to satisfy the IC target, it becomes the starting best solution:
-        the search is anytime-safe from the first node and COST pruning
-        bites immediately. Failures are silently ignored — seeding is a
-        pure accelerator.
+        The greedy-deactivation strategy (CPU-feasible by construction)
+        seeds when it also meets the IC target; the warm start seeds when
+        it is feasible for *this* problem and strictly better than the
+        greedy seed (the strict-improvement rule the recorder uses).
+        Both go through the clean replay, so the installed cost/IC are
+        what a search would record for the same assignment. Unusable
+        seeds are silently ignored — seeding is a pure accelerator.
         """
+        seed = Seed(math.inf, math.inf, 0.0, None)
+        if self.config.seed_incumbent:
+            codes = self._greedy_codes()
+            if codes is not None:
+                ic, cost = self.replay(codes)
+                if (
+                    self.config.penalty_weight is not None
+                    or ic >= self.ic_target
+                ):
+                    seed = Seed(self.objective(cost, ic), cost, ic, codes)
+        if self.config.warm_start is not None:
+            payload = _evaluate_warm_start(
+                self.problem, self.config, self.rate_table, self.vars
+            )
+            if payload is not None:
+                values, ic, cost, objective = payload
+                if seed.codes is None or (
+                    objective < seed.objective * (1 - _REL_EPS)
+                ):
+                    seed = Seed(
+                        objective,
+                        cost,
+                        ic,
+                        tuple(_CODE_OF_VALUE[v] for v in values),
+                    )
+        return seed
+
+    def _greedy_codes(self) -> Optional[tuple[int, ...]]:
         from repro.core.baselines import greedy_deactivation
 
         try:
             strategy = greedy_deactivation(
-                self._problem.deployment, self._rate_table
+                self.problem.deployment, self.rate_table
             )
         except OptimizationError:
-            return
-        values = [
-            (
-                strategy.is_active(ReplicaId(pe, 0), c),
-                strategy.is_active(ReplicaId(pe, 1), c),
-            )
-            for (c, pe) in self._vars
-        ]
-        # Evaluate through the shared clean replay (same float path as
-        # recorded solutions and warm starts).
-        _, ic, cost = _replay_assignment(
-            self._problem, self._rate_table, self._vars, values
-        )
-        deficit = max(0.0, self._problem.ic_target - ic)
-        if self._config.penalty_weight is None and deficit > 0:
-            return
-        if self._config.penalty_weight is None:
-            objective = cost
-        else:
-            objective = cost + self._config.penalty_weight * deficit
-        self._best_cost = cost
-        self._best_objective = objective
-        self._best_ic = ic
-        self._best_assignment = [_CODE_OF_VALUE[v] for v in values]
-        self._best_time = 0.0
-
-    def _install_warm_incumbent(self) -> None:
-        """Try the ``warm_start`` strategy as the initial incumbent.
-
-        Installed only when feasible for *this* problem and strictly
-        better than any incumbent already seeded (the strict-improvement
-        rule the in-search recorder uses), so seeding order never leaves
-        a worse incumbent in place.
-        """
-        payload = _evaluate_warm_start(
-            self._problem, self._config, self._rate_table, self._vars
-        )
-        if payload is None:
-            return
-        values, ic, cost, objective = payload
-        if self._best_assignment is not None and not (
-            objective < self._best_objective * (1 - _REL_EPS)
-        ):
-            return
-        self._best_cost = cost
-        self._best_objective = objective
-        self._best_ic = ic
-        self._best_assignment = [_CODE_OF_VALUE[v] for v in values]
-        self._best_time = 0.0
-
-    # ------------------------------------------------------------------
-    # The iterative descent (hot loop)
-    # ------------------------------------------------------------------
-
-    def _search(self) -> tuple[bool, int, int]:
-        """Run the depth-first descent; returns (exhausted, nodes, values).
-
-        This is the recursive reference `_descend` unrolled into one
-        loop: the search path is always depth 0..n_vars, so the "stack"
-        is a set of flat per-depth arrays (pending value order/index and
-        the undo record of the applied value). Everything hot is bound to
-        locals; all per-node data comes from the integer-indexed arrays
-        built in ``_prepare``.
-        """
-        # Static per-depth data.
-        n_vars = self._n_vars
-        d_load = self._d_load
-        d_prob = self._d_prob
-        d_prob_load = self._d_prob_load
-        d_h0, d_h1 = self._d_h0, self._d_h1
-        d_cap0, d_cap1 = self._d_cap0, self._d_cap1
-        d_src_sel, d_src_sum = self._d_src_sel, self._d_src_sum
-        d_preds = self._d_preds
-        d_rest = self._d_rest
-        d_suffix_bic = self._d_suffix_bic
-        suffix_min_cost = self._suffix_min_cost
-        bic = self._bic
-        fic_target_thresh = self._fic_target - _REL_EPS * bic
-        ic_target = self._problem.ic_target
-        one_minus_eps = 1 - _REL_EPS
-        monotonic = time.monotonic
-
-        # Budgets and modes.
-        config = self._config
-        node_limit = config.node_limit
-        deadline = self._deadline
-        penalty = config.penalty_weight
-        disabled = config.disabled_rules
-        cpu_on = PruneRule.CPU not in disabled
-        compl_on = PruneRule.COMPLETENESS not in disabled
-        cost_on = PruneRule.COST not in disabled
-        dom_on = PruneRule.DOMAIN not in disabled
-        need_fic_upper = penalty is not None or compl_on
-        compl_prune_on = penalty is None and compl_on
-
-        # Mutable search state.
-        assigned = self._assigned
-        delta_hat = self._delta_hat
-        host_load = self._host_load
-        dom_excluded = self._dom_excluded
-        prune_counts = self._prune_counts
-        prune_heights = self._prune_heights
-        upper_by_pos = [0.0] * len(self._pes)  # COMPL walk scratch
-
-        # Per-depth frames: pending values and the applied-value undo log.
-        f_values: list[tuple] = [()] * n_vars
-        f_idx = [0] * n_vars
-        ap_v = [0] * n_vars
-        ap_fic = [0.0] * n_vars
-        ap_cost = [0.0] * n_vars
-        ap_trail: list[Optional[list[int]]] = [None] * n_vars
-
-        fic_assigned = 0.0
-        cost_assigned = 0.0
-        best_thresh = (
-            self._best_cost if penalty is None else self._best_objective
-        ) * one_minus_eps
-
-        progress = self._progress
-        nodes = 0
-        values_tried = 0
-        expired = False
-        depth = 0
-        entering = True
-
-        while True:
-            if entering:
-                # --- Node entry: count, budget check, value order -----
-                nodes += 1
-                if node_limit is not None and nodes > node_limit:
-                    expired = True
-                    break
-                if (
-                    deadline is not None
-                    and not nodes & 63
-                    and monotonic() > deadline
-                ):
-                    expired = True
-                    break
-                if progress is not None and progress.on_node(nodes, depth):
-                    progress.snapshot(
-                        nodes,
-                        self._incumbent_cost(),
-                        self._prunes_by_name(),
-                    )
-                if host_load[d_h0[depth]] <= host_load[d_h1[depth]]:
-                    values = _ORDER_01 if dom_excluded[depth] else _ORDER_B01
-                else:
-                    values = _ORDER_10 if dom_excluded[depth] else _ORDER_B10
-                f_values[depth] = values
-                idx = 0
-                entering = False
-            else:
-                values = f_values[depth]
-                idx = f_idx[depth]
-
-            # Per-node constants, hoisted out of the value loop.
-            height = n_vars - depth
-            h0 = d_h0[depth]
-            h1 = d_h1[depth]
-            load = d_load[depth]
-            cap0 = d_cap0[depth]
-            cap1 = d_cap1[depth]
-            preds = d_preds[depth]
-            rest = d_rest[depth]
-            suffix_bic = d_suffix_bic[depth]
-            prob_c = d_prob[depth]
-            prob_load = d_prob_load[depth]
-            min_cost_rest = suffix_min_cost[depth + 1]
-            n_values = len(values)
-            # Both single-replica values contribute Delta-hat 0, so their
-            # COMPL upper bound is the same float — compute it once per
-            # node visit (the sibling descent restores all state exactly).
-            fic_upper_single: Optional[float] = None
-            descend = False
-
-            while idx < n_values:
-                v = values[idx]
-                idx += 1
-                values_tried += 1
-
-                # --- CPU pruning (Eq. 11, strict inequality) ----------
-                if cpu_on and (
-                    (v != 2 and host_load[h0] + load >= cap0)
-                    or (v != 1 and host_load[h1] + load >= cap1)
-                ):
-                    prune_counts[_CPU_I] += 1
-                    prune_heights[_CPU_I] += height
-                    continue
-
-                # --- Delta-hat and FIC contribution of this value -----
-                if v == 0:
-                    dh = d_src_sel[depth]
-                    plain = d_src_sum[depth]
-                    for pd, sel in preds:
-                        x = delta_hat[pd]
-                        dh += sel * x
-                        plain += x
-                    fic_contrib = d_prob[depth] * plain
-                else:
-                    dh = 0.0
-                    fic_contrib = 0.0
-
-                # --- COMPL pruning (IC upper bound) -------------------
-                if need_fic_upper:
-                    if v != 0 and fic_upper_single is not None:
-                        fic_upper = fic_upper_single
-                    else:
-                        # Walk the rest of this configuration assuming
-                        # full replication except where DOM excluded it;
-                        # whole configurations not yet started add their
-                        # full BIC.
-                        total = 0.0
-                        for vd, pos, isel, isum, rest_preds in rest:
-                            if dom_excluded[vd]:
-                                upper_by_pos[pos] = 0.0
-                                continue
-                            for code, ref, sel in rest_preds:
-                                if code == 0:
-                                    x = dh
-                                elif code == 1:
-                                    x = upper_by_pos[ref]
-                                else:
-                                    x = delta_hat[ref]
-                                isel += sel * x
-                                isum += x
-                            upper_by_pos[pos] = isel
-                            total += prob_c * isum
-                        # Group (total + suffix) exactly like the
-                        # reference helper so the float result is
-                        # bit-identical.
-                        total += suffix_bic
-                        fic_upper = fic_assigned + fic_contrib + total
-                        if v != 0:
-                            fic_upper_single = fic_upper
-                    if compl_prune_on and fic_upper < fic_target_thresh:
-                        prune_counts[_COMPL_I] += 1
-                        prune_heights[_COMPL_I] += height
-                        continue
-
-                # --- COST pruning (cost lower bound) ------------------
-                value_cost = prob_load * 2 if v == 0 else prob_load
-                if cost_on:
-                    cost_lower = (
-                        cost_assigned
-                        + value_cost
-                        + min_cost_rest
-                    )
-                    if penalty is None:
-                        bound = cost_lower
-                    else:
-                        ic_upper = fic_upper / bic
-                        if ic_upper > 1.0:
-                            ic_upper = 1.0
-                        deficit = ic_target - ic_upper
-                        if deficit < 0.0:
-                            deficit = 0.0
-                        bound = cost_lower + penalty * deficit
-                    if bound >= best_thresh:
-                        prune_counts[_COST_I] += 1
-                        prune_heights[_COST_I] += height
-                        continue
-
-                # --- Accept the value ---------------------------------
-                assigned[depth] = v
-                delta_hat[depth] = dh
-                if v != 2:
-                    host_load[h0] += load
-                if v != 1:
-                    host_load[h1] += load
-                fic_assigned += fic_contrib
-                cost_assigned += value_cost
-                trail: Optional[list[int]] = None
-                if dom_on and dh == 0.0:
-                    trail = []
-                    self._propagate_domain(depth, trail)
-
-                if depth + 1 == n_vars:
-                    # Leaf: record, undo in place, try the next value.
-                    self._record_solution(fic_assigned, cost_assigned)
-                    best_thresh = (
-                        self._best_cost
-                        if penalty is None
-                        else self._best_objective
-                    ) * one_minus_eps
-                    if trail:
-                        for sd in trail:
-                            dom_excluded[sd] = False
-                    if v != 2:
-                        host_load[h0] -= load
-                    if v != 1:
-                        host_load[h1] -= load
-                    fic_assigned -= fic_contrib
-                    cost_assigned -= value_cost
-                    assigned[depth] = -1
-                    delta_hat[depth] = 0.0
-                    continue
-
-                # Interior node: push the frame and descend.
-                f_idx[depth] = idx
-                ap_v[depth] = v
-                ap_fic[depth] = fic_contrib
-                ap_cost[depth] = value_cost
-                ap_trail[depth] = trail
-                depth += 1
-                descend = True
-                break
-
-            if descend:
-                entering = True
-                continue
-
-            # Node exhausted: backtrack (undo the parent's applied value).
-            if depth == 0:
-                break
-            depth -= 1
-            v = ap_v[depth]
-            trail = ap_trail[depth]
-            if trail:
-                for sd in trail:
-                    dom_excluded[sd] = False
-            load = d_load[depth]
-            if v != 2:
-                host_load[d_h0[depth]] -= load
-            if v != 1:
-                host_load[d_h1[depth]] -= load
-            fic_assigned -= ap_fic[depth]
-            cost_assigned -= ap_cost[depth]
-            assigned[depth] = -1
-            delta_hat[depth] = 0.0
-
-        return not expired, nodes, values_tried
-
-    # ------------------------------------------------------------------
-    # Domain propagation
-    # ------------------------------------------------------------------
-
-    def _propagate_domain(self, depth: int, trail: list[int]) -> None:
-        """Forward domain propagation (DOM, Sec. 4.5).
-
-        The variable at ``depth`` just became dead in its configuration
-        (its Delta-hat is zero under the pessimistic model). For every
-        successor whose predecessors are now *all* incapable of
-        delivering tuples, full replication cannot improve IC ("no
-        replication forwarding"), so remove the "both active" value from
-        its domain; recurse, because the exclusion makes the successor
-        dead as well. Recursion depth is bounded by the PE count of one
-        configuration, so the explicit-stack treatment of the main
-        descent is unnecessary here.
-        """
-        assigned = self._assigned
-        delta_hat = self._delta_hat
-        dom_excluded = self._dom_excluded
-        n_vars = self._n_vars
-        for sd in self._d_succs[depth]:
-            if assigned[sd] != -1:
-                continue
-            if dom_excluded[sd]:
-                continue
-            if self._d_dom_source[sd]:
-                continue
-            dead = True
-            for pd in self._d_pred_depths[sd]:
-                if assigned[pd] == -1:
-                    if not dom_excluded[pd]:
-                        dead = False
-                        break
-                elif delta_hat[pd] > 0.0:
-                    dead = False
-                    break
-            if not dead:
-                continue
-            dom_excluded[sd] = True
-            trail.append(sd)
-            self._prune_counts[_DOM_I] += 1
-            self._prune_heights[_DOM_I] += n_vars - sd
-            self._propagate_domain(sd, trail)
-
-    # ------------------------------------------------------------------
-    # Solutions
-    # ------------------------------------------------------------------
-
-    def _record_solution(
-        self, fic_assigned: float, cost_assigned: float
-    ) -> None:
-        disabled = self._config.disabled_rules
-        # With pruning rules disabled, the constraints they enforced
-        # during descent must hold at the leaf instead.
-        if PruneRule.CPU in disabled:
-            cap_flat = self._cap_flat
-            for i, load in enumerate(self._host_load):
-                if load >= cap_flat[i]:
-                    return
-        if (
-            PruneRule.COMPLETENESS in disabled
-            and self._config.penalty_weight is None
-            and fic_assigned < self._fic_target - _REL_EPS * self._bic
-        ):
-            return
-
-        # Clamp float residue from the incremental +=/-= bookkeeping.
-        ic = max(0.0, fic_assigned / self._bic)
-        cost = cost_assigned
-        if self._config.penalty_weight is None:
-            objective = cost
-        else:
-            deficit = max(0.0, self._problem.ic_target - ic)
-            objective = cost + self._config.penalty_weight * deficit
-
-        self._solutions_found += 1
-        now = time.monotonic() - self._start
-        if self._first_cost is None:
-            self._first_cost = cost
-            self._first_time = now
-        if objective < self._best_objective * (1 - _REL_EPS) or (
-            self._best_assignment is None
-        ):
-            # Re-evaluate the accepted leaf cleanly: the incremental
-            # accumulators carry path-dependent float residue, and the
-            # *recorded* best must be a pure function of the assignment
-            # (the warm-start contract). Solutions that improve the best
-            # are rare, so the O(n_vars) replay is off the hot path.
-            _, ic, cost = _replay_assignment(
-                self._problem,
-                self._rate_table,
-                self._vars,
-                [_VALUE_TUPLES[v] for v in self._assigned],
-            )
-            if self._config.penalty_weight is None:
-                objective = cost
-            else:
-                deficit = max(0.0, self._problem.ic_target - ic)
-                objective = cost + self._config.penalty_weight * deficit
-            self._best_objective = objective
-            self._best_cost = cost
-            self._best_ic = ic
-            self._best_assignment = self._assigned.copy()
-            self._best_time = now
-
-    def _build_strategy(
-        self, assignment: list[int]
-    ) -> ActivationStrategy:
-        activations: dict[tuple[ReplicaId, int], bool] = {}
-        for depth, (c, pe) in enumerate(self._vars):
-            value = _VALUE_TUPLES[assignment[depth]]
-            activations[(ReplicaId(pe, 0), c)] = value[0]
-            activations[(ReplicaId(pe, 1), c)] = value[1]
-        name = f"L{self._problem.ic_target:g}"
-        return ActivationStrategy(
-            self._problem.deployment, activations, name=name
+            return None
+        return tuple(
+            _CODE_OF_VALUE[
+                (
+                    strategy.is_active(ReplicaId(pe, 0), c),
+                    strategy.is_active(ReplicaId(pe, 1), c),
+                )
+            ]
+            for c, pe in self.vars
         )
 
 
@@ -1140,12 +605,11 @@ def ft_search(
     jobs: Optional[int] = None,
     shared_bound: bool = True,
 ) -> SearchResult:
-    """Convenience wrapper: build and run the configured engine.
+    """Convenience wrapper: configure and run the block engine.
 
-    ``jobs=None`` runs the scalar fast core (the oracle-equivalent
-    default); ``jobs >= 1`` dispatches to the vectorized/parallel
-    engines, which pin optimal cost and strategy — but not node counts —
-    against the scalar cores.
+    ``jobs=None`` and ``jobs=1`` run it in this process; ``jobs > 1``
+    fans the same engine out over worker processes. Optimal cost and
+    strategy equal the reference oracle's either way.
     """
     config = FTSearchConfig(
         time_limit=time_limit,
@@ -1158,8 +622,10 @@ def ft_search(
         jobs=jobs,
         shared_bound=shared_bound,
     )
-    if config.jobs is None:
-        return FTSearch(problem, config, progress=progress).run()
-    from repro.core.optimizer.parallel import parallel_ft_search
+    if (config.jobs or 1) > 1:
+        from repro.core.optimizer.parallel import parallel_ft_search
 
-    return parallel_ft_search(problem, config, progress=progress)
+        return parallel_ft_search(problem, config, progress=progress)
+    from repro.core.optimizer.vector import VectorFTSearch
+
+    return VectorFTSearch(problem, config, progress).run()

@@ -1,7 +1,10 @@
 """Multi-process FT-Search: subtree parallelism with a shared bound.
 
 The paper ran FT-Search as a fork-join parallel branch-and-bound. This
-driver reproduces that shape on the experiment fabric's process pool:
+driver reproduces that shape by fanning the block engine
+(:mod:`repro.core.optimizer.vector`) out over the experiment fabric's
+process pool — ``ft_search(jobs > 1)`` lands here; ``jobs`` of ``None``
+or 1 never does, and never starts a pool:
 
 1. **Split.** The vectorized engine expands the root level-synchronously
    until the frontier holds at least ``_SPLIT_FACTOR * jobs`` same-depth
@@ -26,7 +29,8 @@ driver reproduces that shape on the experiment fabric's process pool:
    bound can only remove work, never a near-optimal candidate — which is
    why sharing changes node counts (timing-dependent) but never the
    returned cost or strategy. ``FTSearchConfig.shared_bound=False``
-   disables the channel for bitwise-reproducible statistics.
+   disables the channel for bitwise-reproducible statistics. The
+   driver disarms the bound when a run ends, however it ends.
 
 3. **Merge.** Per-task candidate sets are folded in rank-lexicographic
    order — the global scalar DFS order, regardless of which worker
@@ -50,8 +54,12 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.core.optimizer.ftsearch import FTSearchConfig
 from repro.core.optimizer.outcomes import SearchResult
 from repro.core.optimizer.problem import OptimizationProblem
-from repro.core.optimizer.vector import RawSearch, VectorFTSearch
-from repro.experiments.parallel import PersistentPool, resolve_jobs
+from repro.core.optimizer.vector import (
+    BLOCK_ROWS,
+    RawSearch,
+    VectorFTSearch,
+)
+from repro.experiments.parallel import PersistentPool
 
 if TYPE_CHECKING:  # import only for annotations: keeps layering flat
     from repro.obs.progress import SearchProgress
@@ -180,20 +188,25 @@ def parallel_ft_search(
     config: Optional[FTSearchConfig] = None,
     progress: Optional["SearchProgress"] = None,
     *,
-    block_rows: int = 4096,
+    block_rows: int = BLOCK_ROWS,
 ) -> SearchResult:
-    """Run the vectorized FT-Search with ``config.jobs`` workers.
+    """Run the block engine with ``config.jobs`` workers.
 
-    ``jobs=1`` runs the vectorized engine in-process (no pool, no shared
-    state); ``jobs>1`` splits the root frontier into subtree tasks and
-    fans them out over the persistent pool. Either way the result's
-    optimal cost and strategy equal the scalar engines' on the same
-    instance — only node counts and prune statistics are
-    engine-specific, and with ``shared_bound`` they additionally vary
-    run to run.
+    Splits the root frontier into subtree tasks and fans them out over
+    the persistent pool (``jobs`` of ``None`` or 1: the plain in-process
+    run, no pool, no shared state). Either way the result's optimal cost
+    and strategy equal the oracle's on the same instance; node counts
+    and prune statistics are the engine's own, and with ``shared_bound``
+    they additionally vary run to run. A worker that dies mid-search
+    surfaces as :class:`~repro.errors.ExperimentError`; the pool re-forks
+    on the next search.
     """
     config = config or FTSearchConfig()
-    jobs = resolve_jobs(config.jobs)
+    jobs = config.jobs or 1
+    if jobs == 1:
+        return VectorFTSearch(
+            problem, config, progress, block_rows=block_rows
+        ).run()
     start = time.monotonic()
     deadline = (
         None if config.time_limit is None else start + config.time_limit
@@ -207,13 +220,6 @@ def parallel_ft_search(
     engine = VectorFTSearch(
         problem, config, part0, block_rows=block_rows
     )
-
-    if jobs == 1:
-        raw = engine.search(deadline=deadline)
-        result = engine.build_result([raw])
-        if progress is not None and part0 is not None:
-            progress.absorb(part0)
-        return result
 
     prefixes, split_raw = engine.split_frontier(
         max(2, _SPLIT_FACTOR * jobs)
@@ -260,7 +266,11 @@ def parallel_ft_search(
         )
         for chunk in chunks
     ]
-    outputs = session.pool.map(_run_subtree, tasks)
+    try:
+        outputs = session.pool.map(_run_subtree, tasks)
+    finally:
+        # However the run ended, its incumbent must not outlive it.
+        session.bound.reset(math.inf)
 
     raws = [split_raw] + [raw for raw, _ in outputs]
     # Progress is finalized by hand below (merge in task order), so the

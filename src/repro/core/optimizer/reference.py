@@ -1,14 +1,15 @@
 """The retained reference implementation of FT-Search.
 
-This is the original recursive, dict-keyed FT-Search core, kept verbatim
-as the behavioural oracle for the optimized iterative core in
-:mod:`repro.core.optimizer.ftsearch`. The two implementations must agree
-*exactly* — same outcome, best cost/IC, node and value counters, and
-per-rule prune statistics — which
-``tests/optimizer/test_ftsearch_equivalence.py`` asserts on seeded random
-instances and ``benchmarks/perf/bench_ftsearch.py`` uses to measure the
-speedup. Keep this module slow-but-obvious; performance work belongs in
-the fast core only.
+This is the original recursive, dict-keyed FT-Search core — the paper's
+depth-first search, one node per step — kept verbatim as the behavioural
+oracle for the block-vectorized production engine in
+:mod:`repro.core.optimizer.vector`. The two must agree on outcome, best
+cost/IC and strategy (``tests/optimizer/test_ftsearch_equivalence.py``
+asserts that over a seeded corpus and a generated one); node counts and
+prune statistics are this module's own, and because they are statistics
+of the paper's DFS order the Fig. 4-6 study
+(:mod:`repro.experiments.ftsearch_study`) runs on this engine. Keep this
+module slow-but-obvious; performance work belongs in the block engine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ if TYPE_CHECKING:  # import only for annotations: keeps the core light
 from repro.core.deployment import ReplicaId
 from repro.core.optimizer.ftsearch import (
     FTSearchConfig,
-    _BudgetExpired,
     _evaluate_warm_start,
     _replay_assignment,
 )
@@ -45,6 +45,10 @@ _ONLY_1 = (False, True)
 _REL_EPS = 1e-9
 
 
+class _BudgetExpired(Exception):
+    """Internal signal: unwind the recursion, the budget is spent."""
+
+
 class ReferenceFTSearch:
     """One reference FT-Search run over a fixed :class:`OptimizationProblem`."""
 
@@ -55,10 +59,10 @@ class ReferenceFTSearch:
         progress: Optional[SearchProgress] = None,
     ) -> None:
         """``progress`` is an optional
-        :class:`repro.obs.progress.SearchProgress`; the hook sits at the
-        same traversal point as in the fast core (node entry, after the
-        budget check), so for the same instance the two engines produce
-        bit-identical snapshot series.
+        :class:`repro.obs.progress.SearchProgress`; the hook sits at
+        node entry, after the budget check, and snapshots are keyed on
+        the deterministic node counter, so attaching it never changes
+        what the search returns.
         """
         if problem.deployment.replication_factor != 2:
             raise OptimizationError(
@@ -326,8 +330,8 @@ class ReferenceFTSearch:
         """Try the ``warm_start`` strategy as the initial incumbent.
 
         Same shared evaluation helper and strict-improvement install rule
-        as the fast core, so warm-started runs of the two engines stay
-        bit-identical.
+        as the block engine's layout, so warm-started runs of the two
+        engines start from a bit-identical incumbent.
         """
         payload = _evaluate_warm_start(
             self._problem, self._config, self._rate_table, self._vars
@@ -653,7 +657,7 @@ class ReferenceFTSearch:
             self._best_assignment is None
         ):
             # Re-evaluate the accepted leaf cleanly (same contract and
-            # same shared helper as the fast core): the recorded best
+            # same shared helper as the block engine): the recorded best
             # must be a pure function of the assignment, free of the
             # incremental accumulators' path-dependent float residue.
             assignment = [

@@ -1,19 +1,25 @@
 """Vectorized FT-Search: block-at-a-time branch-and-bound over numpy.
 
-The scalar fast core (:mod:`repro.core.optimizer.ftsearch`) expands one
-node per Python-interpreter step. This engine expands *blocks* of nodes:
-a block is a set of same-depth partial assignments stored as row-parallel
-numpy arrays over the scalar core's flat per-depth layout, and one
-``_advance`` call applies the Δ(x,c) rate recurrences (Eq. 3-6), the
-Eq. 11 per-host capacity checks, and all four pruning rules to every row
-of the block at once. Blocks are kept on a LIFO stack and split to a
-bounded row count, so exploration stays depth-first *in blocks*: the
-search reaches leaves (and therefore a COST incumbent) after ~n_vars
-advances, and peak memory is bounded by ``block_rows`` rows per depth.
+The production engine. The paper's search (and the retained oracle,
+:mod:`repro.core.optimizer.reference`) expands one node per step; this
+engine expands *blocks* of nodes: a block is a set of same-depth partial
+assignments stored as row-parallel numpy arrays over the flat layout of
+:class:`~repro.core.optimizer.ftsearch.SearchLayout`, and one ``_advance``
+call applies the Δ(x,c) rate recurrences (Eq. 3-6), the Eq. 11 per-host
+capacity checks, and all four pruning rules to every row of the block at
+once. Blocks are kept on a LIFO stack and split to a bounded row count,
+so exploration stays depth-first *in blocks*: the search reaches leaves
+(and therefore a COST incumbent) after ~n_vars advances, and the stack
+holds at most a few ``BLOCK_ROWS``-row blocks per depth.
+
+A row is kept small because the stack, not one advance, is what stays
+resident: every recurrence and every rule only reads the configuration
+being assigned, so a row carries Δ-hat, DOM exclusions and host loads
+for that configuration alone (they restart at zero when the next
+configuration begins), plus one byte per variable of path.
 
 Equality contract — this engine pins *optimal cost and strategy* against
-the scalar cores, not node counts. Two deliberate departures make that
-work:
+the oracle, not node counts. Two deliberate departures make that work:
 
 * **Banded pruning.** The scalar DFS prunes with ``bound >= best*(1-eps)``
   because its value ordering guarantees the incumbent it keeps is the
@@ -21,12 +27,12 @@ work:
   leaves in block order, so it prunes against the slightly looser
   ``best*(1+band)`` and keeps every leaf within the band as a candidate.
 * **Rank fold.** Every row carries a per-depth *rank*: the position its
-  value would have taken in the scalar engine's dynamic value order
+  value would have taken in the scalar DFS's dynamic value order
   (host-load comparison plus DOM exclusion). Folding the surviving
   candidates in rank-lexicographic order with the scalar strict-
   improvement rule (< best*(1-eps)) reproduces the scalar tie-break, and
   the winning assignment is re-evaluated through ``_replay_assignment``
-  so the reported cost/IC are bit-identical to the scalar engines'.
+  so the reported cost/IC are bit-identical to the oracle's.
 
 The per-row float recurrences use a fixed elementwise operation order
 (no variable-order reductions), so every row's state is independent of
@@ -51,10 +57,9 @@ from repro.core.optimizer.ftsearch import (
     _DOM_I,
     _REL_EPS,
     _RULES,
-    _VALUE_TUPLES,
-    FTSearch,
     FTSearchConfig,
-    _replay_assignment,
+    SearchLayout,
+    Seed,
 )
 from repro.core.optimizer.outcomes import SearchOutcome, SearchResult
 from repro.core.optimizer.problem import OptimizationProblem
@@ -63,18 +68,36 @@ from repro.core.optimizer.stats import PruneRule, SearchStats
 if TYPE_CHECKING:  # import only for annotations: keeps the core light
     from repro.obs.progress import SearchProgress
 
-__all__ = ["BoundChannel", "Candidate", "RawSearch", "VectorFTSearch"]
+__all__ = [
+    "BLOCK_ROWS",
+    "BoundChannel",
+    "Candidate",
+    "RawSearch",
+    "VectorFTSearch",
+]
+
+# Rows advanced per step, and so the size of the blocks the stack holds.
+# Small on purpose: a search keeps up to a few blocks per depth resident
+# between advances, and that — not the work inside one advance — is what
+# moves a process's peak RSS (docs/performance.md has the measured
+# trade-off against speed). A constant, never a function of the host:
+# where a node-limited search stops — hence its incumbent — depends on it.
+BLOCK_ROWS = 256
 
 # Relative slack for the candidate band (see module docstring). Wider
 # than _REL_EPS so float residue in the blockwise accumulators can never
-# prune a leaf the scalar engine's strict rule would have kept.
+# prune a leaf the scalar DFS's strict rule would have kept.
 _BAND_EPS = 4e-9
 
-# A near-optimal leaf: (raw objective, rank bytes, assignment codes
-# bytes). Rank bytes compare lexicographically exactly like the per-depth
-# rank vector, so sorting candidates by the middle field restores the
-# scalar engine's DFS visit order — including across subtree tasks.
-Candidate = tuple[float, bytes, bytes]
+# One path byte per assigned variable: ``rank << 2 | value code``.
+# Siblings have distinct ranks, so path bytes compare lexicographically
+# exactly like the per-depth rank vector.
+_CODE_MASK = 3
+
+# A near-optimal leaf: (raw objective, path bytes). Sorting candidates by
+# path restores the scalar DFS visit order — including across subtree
+# tasks.
+Candidate = tuple[float, bytes]
 
 
 class BoundChannel(Protocol):
@@ -101,11 +124,13 @@ class _Block:
     """One stack entry: row-parallel state of same-depth search nodes."""
 
     depth: int
-    codes: np.ndarray  # (R, n_vars) int8, assigned value codes
-    rank: np.ndarray  # (R, n_vars) uint8, scalar value-order position
-    host_load: np.ndarray  # (R, n_hosts * n_configs) float64
-    delta_hat: np.ndarray  # (R, n_vars) float64
-    excluded: np.ndarray  # (R, n_vars) bool, DOM exclusions
+    path: np.ndarray  # (R, n_vars) uint8, rank << 2 | value code
+    # State of the configuration being assigned, by host / PE position:
+    host_load: np.ndarray  # (R, n_hosts) float64
+    delta_hat: np.ndarray  # (R, n_pes) float64
+    excluded: np.ndarray  # (R, n_pes) bool, DOM exclusions
+    # A finished configuration broke Eq. 11 (only with the CPU rule off).
+    overloaded: np.ndarray  # (R,) bool
     fic: np.ndarray  # (R,) float64, assigned FIC mass
     cost: np.ndarray  # (R,) float64, assigned cost
 
@@ -115,11 +140,11 @@ class _Block:
     def slice(self, lo: int, hi: int) -> "_Block":
         return _Block(
             depth=self.depth,
-            codes=self.codes[lo:hi],
-            rank=self.rank[lo:hi],
+            path=self.path[lo:hi],
             host_load=self.host_load[lo:hi],
             delta_hat=self.delta_hat[lo:hi],
             excluded=self.excluded[lo:hi],
+            overloaded=self.overloaded[lo:hi],
             fic=self.fic[lo:hi],
             cost=self.cost[lo:hi],
         )
@@ -147,16 +172,6 @@ class RawSearch:
     first_raw_time: Optional[float]
 
 
-@dataclass(frozen=True)
-class _Seed:
-    """The pre-search incumbent (greedy seed and/or warm start)."""
-
-    objective: float
-    cost: float
-    ic: float
-    codes: Optional[tuple[int, ...]]
-
-
 class VectorFTSearch:
     """One vectorized FT-Search run over a fixed problem.
 
@@ -166,8 +181,8 @@ class VectorFTSearch:
     replayed into one multi-row block, so a task amortizes the per-level
     vector overhead across all its subtrees. ``bound`` is an optional
     :class:`BoundChannel` polled between blocks. ``block_rows`` caps the
-    rows advanced per step (memory/latency trade-off; correctness never
-    depends on it).
+    rows advanced per step; optimal cost and strategy never depend on
+    it, a node-limited search's incumbent does.
     """
 
     def __init__(
@@ -178,7 +193,7 @@ class VectorFTSearch:
         *,
         roots: Optional[Sequence[bytes]] = None,
         bound: Optional[BoundChannel] = None,
-        block_rows: int = 4096,
+        block_rows: int = BLOCK_ROWS,
     ) -> None:
         if block_rows < 1:
             raise ValueError(
@@ -189,13 +204,8 @@ class VectorFTSearch:
                 raise ValueError("roots must be non-empty when given")
             if len({len(root) for root in roots}) != 1:
                 raise ValueError("all roots must share one depth")
-        # The scalar engine is the layout donor: its _prepare builds the
-        # flat per-depth arrays (and validates k=2); this engine only
-        # adds row-parallel state on top.
-        donor = FTSearch(problem, config)
-        self._donor = donor
-        self._problem = problem
-        self._config = donor._config
+        self._config = config or FTSearchConfig()
+        self._layout = SearchLayout(problem, self._config)
         self._progress = progress
         self._roots = (
             None if roots is None else [bytes(root) for root in roots]
@@ -203,39 +213,11 @@ class VectorFTSearch:
         self._bound = bound
         self._block_rows = block_rows
         self._last_parent = np.zeros(0, np.intp)
+        self._n_vars = self._layout.n_vars
+        self._cap_row = np.asarray(self._layout.host_caps)
 
-        self._n_vars: int = donor._n_vars
-        self._n_slots: int = len(donor._hosts) * donor._n_configs
-        self._d_load: list[float] = donor._d_load
-        self._d_prob: list[float] = donor._d_prob
-        self._d_prob_load: list[float] = donor._d_prob_load
-        self._d_h0: list[int] = donor._d_h0
-        self._d_h1: list[int] = donor._d_h1
-        self._d_cap0: list[float] = donor._d_cap0
-        self._d_cap1: list[float] = donor._d_cap1
-        self._d_src_sel: list[float] = donor._d_src_sel
-        self._d_src_sum: list[float] = donor._d_src_sum
-        self._d_preds = donor._d_preds
-        self._d_pred_depths = donor._d_pred_depths
-        self._d_rest = donor._d_rest
-        self._d_suffix_bic: list[float] = donor._d_suffix_bic
-        self._d_dom_source: list[bool] = donor._d_dom_source
-        self._suffix_min_cost: list[float] = donor._suffix_min_cost
-        self._bic: float = donor._bic
-        self._fic_thresh: float = donor._fic_target - _REL_EPS * donor._bic
-        self._ic_target: float = problem.ic_target
-        self._cap_row = np.asarray(donor._cap_flat)
-        n_pes = len(donor._pes)
-        # Unassigned depths of the same configuration, in increasing
-        # order — the DOM recompute span after assigning depth d.
-        self._d_config_rest: list[tuple[int, ...]] = [
-            tuple(range(d + 1, (d // n_pes + 1) * n_pes))
-            for d in range(self._n_vars)
-        ]
-
-        config_obj = self._config
-        disabled = config_obj.disabled_rules
-        self._penalty = config_obj.penalty_weight
+        disabled = self._config.disabled_rules
+        self._penalty = self._config.penalty_weight
         self._cpu_on = PruneRule.CPU not in disabled
         self._compl_on = PruneRule.COMPLETENESS not in disabled
         self._cost_on = PruneRule.COST not in disabled
@@ -243,44 +225,11 @@ class VectorFTSearch:
         self._need_fic_upper = self._penalty is not None or self._compl_on
         self._compl_prune_on = self._penalty is None and self._compl_on
 
-        self._seed = self._install_seed()
+        self._seed = self._layout.seed()
         self._reset_counters()
 
-    # ------------------------------------------------------------------
-    # Seeding (delegated to the scalar engine's installers)
-    # ------------------------------------------------------------------
-
-    def _install_seed(self) -> _Seed:
-        """Evaluate the greedy/warm incumbents via the donor engine.
-
-        Runs the scalar engine's own installers against zeroed incumbent
-        state, so the seed objective/cost/IC are bit-identical to what a
-        scalar run starts from (both go through _replay_assignment).
-        """
-        donor = self._donor
-        donor._best_cost = math.inf
-        donor._best_objective = math.inf
-        donor._best_ic = 0.0
-        donor._best_assignment = None
-        donor._best_time = None
-        if self._config.seed_incumbent:
-            donor._install_greedy_incumbent()
-        if self._config.warm_start is not None:
-            donor._install_warm_incumbent()
-        codes = (
-            None
-            if donor._best_assignment is None
-            else tuple(donor._best_assignment)
-        )
-        return _Seed(
-            objective=donor._best_objective,
-            cost=donor._best_cost,
-            ic=donor._best_ic,
-            codes=codes,
-        )
-
     @property
-    def seed(self) -> _Seed:
+    def seed(self) -> Seed:
         return self._seed
 
     def _reset_counters(self) -> None:
@@ -373,14 +322,12 @@ class VectorFTSearch:
             if block.depth > 0 and block.rows() >= min_rows:
                 order = np.lexsort(
                     [
-                        block.rank[:, d]
+                        block.path[:, d]
                         for d in range(block.depth - 1, -1, -1)
                     ]
                 )
-                prefixes = [
-                    block.codes[row, : block.depth].tobytes()
-                    for row in order
-                ]
+                codes = block.path[:, : block.depth] & _CODE_MASK
+                prefixes = [codes[row].tobytes() for row in order]
                 break
             block = self._advance(block)
         else:
@@ -400,7 +347,7 @@ class VectorFTSearch:
         )
 
     def run(self) -> SearchResult:
-        """Execute the search and build a scalar-compatible result."""
+        """Execute the search and classify the outcome."""
         raw = self.search()
         return self.build_result([raw])
 
@@ -413,41 +360,28 @@ class VectorFTSearch:
     ) -> tuple[Optional[tuple[int, ...]], float, float, float]:
         """Fold candidates in rank order; returns (codes, obj, cost, ic).
 
-        Replays the scalar engine's recorder over the candidate leaves in
+        Replays the scalar DFS's recorder over the candidate leaves in
         DFS (rank-lexicographic) order, starting from the seed incumbent:
         a candidate is accepted only on strict improvement, and every
-        accepted candidate is re-evaluated through _replay_assignment so
-        the final cost/IC are clean functions of the assignment.
+        accepted candidate is re-evaluated through the layout's clean
+        replay so the final cost/IC are pure functions of the assignment.
         """
+        layout = self._layout
         seed = self._seed
         best_codes = seed.codes
         best_objective = seed.objective
         best_cost = seed.cost
         best_ic = seed.ic
-        for raw_objective, _, code_bytes in sorted(
+        for raw_objective, path in sorted(
             candidates, key=lambda cand: cand[1]
         ):
             if best_codes is not None and not (
                 raw_objective < best_objective * (1 - _REL_EPS)
             ):
                 continue
-            codes = tuple(
-                int(code) for code in np.frombuffer(code_bytes, np.int8)
-            )
-            values = [_VALUE_TUPLES[code] for code in codes]
-            _, ic, cost = _replay_assignment(
-                self._problem, self._donor._rate_table, self._donor._vars,
-                values,
-            )
-            if self._penalty is None:
-                objective = cost
-            else:
-                deficit = max(0.0, self._ic_target - ic)
-                objective = cost + self._penalty * deficit
-            best_codes = codes
-            best_objective = objective
-            best_cost = cost
-            best_ic = ic
+            best_codes = tuple(byte & _CODE_MASK for byte in path)
+            best_ic, best_cost = layout.replay(best_codes)
+            best_objective = layout.objective(best_cost, best_ic)
         return best_codes, best_objective, best_cost, best_ic
 
     def build_result(self, raws: Sequence[RawSearch]) -> SearchResult:
@@ -495,7 +429,7 @@ class VectorFTSearch:
         strategy = (
             None
             if codes is None
-            else self._donor._build_strategy(list(codes))
+            else self._layout.build_strategy(codes)
         )
         if strategy is not None:
             outcome = (
@@ -536,16 +470,16 @@ class VectorFTSearch:
         Counters and progress are snapshotted around the replay: the
         parallel driver already counted these rows in its split phase.
         """
-        n = self._n_vars
+        layout = self._layout
         roots = self._roots
         rows = 1 if roots is None else len(roots)
         block = _Block(
             depth=0,
-            codes=np.zeros((rows, n), np.int8),
-            rank=np.zeros((rows, n), np.uint8),
-            host_load=np.zeros((rows, self._n_slots)),
-            delta_hat=np.zeros((rows, n)),
-            excluded=np.zeros((rows, n), bool),
+            path=np.zeros((rows, self._n_vars), np.uint8),
+            host_load=np.zeros((rows, layout.n_hosts)),
+            delta_hat=np.zeros((rows, layout.n_pes)),
+            excluded=np.zeros((rows, layout.n_pes), bool),
+            overloaded=np.zeros(rows, bool),
             fic=np.zeros(rows),
             cost=np.zeros(rows),
         )
@@ -554,7 +488,7 @@ class VectorFTSearch:
         depth = len(roots[0])
         if depth == 0:
             return block.slice(0, 1)
-        desired = np.frombuffer(b"".join(roots), np.int8).reshape(
+        desired = np.frombuffer(b"".join(roots), np.uint8).reshape(
             rows, depth
         )
         saved = (
@@ -618,6 +552,7 @@ class VectorFTSearch:
         row carries bit-identical state to the split-phase row it
         reproduces.
         """
+        layout = self._layout
         depth = block.depth
         rows = block.rows()
         self._nodes += rows
@@ -636,28 +571,29 @@ class VectorFTSearch:
             )
 
         height = self._n_vars - depth
-        h0 = self._d_h0[depth]
-        h1 = self._d_h1[depth]
-        load = self._d_load[depth]
-        prob_load = self._d_prob_load[depth]
-        min_cost_rest = self._suffix_min_cost[depth + 1]
+        pos = depth % layout.n_pes
+        h0 = layout.pe_h0[pos]
+        h1 = layout.pe_h1[pos]
+        load = layout.d_load[depth]
+        prob_load = layout.d_prob_load[depth]
+        min_cost_rest = layout.suffix_min_cost[depth + 1]
         host_load = block.host_load
         delta_hat = block.delta_hat
         excluded = block.excluded
-        excluded_d = excluded[:, depth]
+        excluded_d = excluded[:, pos]
         load0 = host_load[:, h0]
         load1 = host_load[:, h1]
 
         # Δ-hat of the "both active" value (Eq. 3-6 recurrence) and its
         # FIC contribution, for all rows at once. The predecessor terms
-        # accumulate in the same fixed order as the scalar loop.
-        dh_both = np.full(rows, self._d_src_sel[depth])
-        plain = np.full(rows, self._d_src_sum[depth])
-        for pred_depth, selectivity in self._d_preds[depth]:
-            x = delta_hat[:, pred_depth]
+        # accumulate in the same fixed order as the oracle's loop.
+        dh_both = np.full(rows, layout.d_src_sel[depth])
+        plain = np.full(rows, layout.d_src_sum[depth])
+        for pred_pos, selectivity in layout.pe_preds[pos]:
+            x = delta_hat[:, pred_pos]
             dh_both = dh_both + selectivity * x
             plain = plain + x
-        contrib_both = self._d_prob[depth] * plain
+        contrib_both = layout.d_prob[depth] * plain
 
         valid0 = ~excluded_d
         valid1 = np.ones(rows, bool)
@@ -670,8 +606,8 @@ class VectorFTSearch:
 
         # CPU rule (Eq. 11, strict inequality on both hosts).
         if self._cpu_on:
-            fits0 = load0 + load < self._d_cap0[depth]
-            fits1 = load1 + load < self._d_cap1[depth]
+            fits0 = load0 + load < layout.host_caps[h0]
+            fits1 = load1 + load < layout.host_caps[h1]
             self._count_prunes(
                 _CPU_I,
                 height,
@@ -690,12 +626,12 @@ class VectorFTSearch:
             total0, total_single = self._walk(
                 depth, dh_both, delta_hat, excluded
             )
-            suffix = self._d_suffix_bic[depth]
+            suffix = layout.d_suffix_bic[depth]
             fic_upper0 = block.fic + contrib_both + (total0 + suffix)
             fic_upper_single = block.fic + (total_single + suffix)
             if self._compl_prune_on:
-                keeps0 = fic_upper0 >= self._fic_thresh
-                keeps_single = fic_upper_single >= self._fic_thresh
+                keeps0 = fic_upper0 >= layout.fic_thresh
+                keeps_single = fic_upper_single >= layout.fic_thresh
                 self._count_prunes(
                     _COMPL_I,
                     height,
@@ -718,13 +654,13 @@ class VectorFTSearch:
                 assert fic_upper_single is not None
                 bound0 = bound0 + self._penalty * np.maximum(
                     0.0,
-                    self._ic_target
-                    - np.minimum(1.0, fic_upper0 / self._bic),
+                    layout.ic_target
+                    - np.minimum(1.0, fic_upper0 / layout.bic),
                 )
                 bound_single = bound_single + self._penalty * np.maximum(
                     0.0,
-                    self._ic_target
-                    - np.minimum(1.0, fic_upper_single / self._bic),
+                    layout.ic_target
+                    - np.minimum(1.0, fic_upper_single / layout.bic),
                 )
             keeps0 = bound0 < threshold
             keeps_single = bound_single < threshold
@@ -751,50 +687,58 @@ class VectorFTSearch:
         self._last_parent = parent
         child = _Block(
             depth=depth + 1,
-            codes=block.codes[parent],
-            rank=block.rank[parent],
+            path=block.path[parent],
             host_load=host_load[parent],
             delta_hat=delta_hat[parent],
             excluded=excluded[parent],
-            fic=block.fic[parent].copy(),
-            cost=block.cost[parent].copy(),
+            overloaded=block.overloaded[parent],
+            fic=block.fic[parent],
+            cost=block.cost[parent],
         )
         g0 = slice(0, n0)
         g1 = slice(n0, n0 + n1)
         g2 = slice(n0 + n1, total)
-        child.codes[g0, depth] = 0
-        child.codes[g1, depth] = 1
-        child.codes[g2, depth] = 2
 
-        # Rank: the position each value takes in the scalar engine's
-        # dynamic order — "both" first unless DOM-excluded, then the
-        # single replica on the less-loaded host.
+        # Path byte ``rank << 2 | code``: the rank is the position the
+        # value takes in the scalar DFS's dynamic order — "both" first
+        # (rank 0, code 0: the zero byte already there) unless
+        # DOM-excluded, then the single replica on the less-loaded host.
         less_loaded0 = load0 <= load1
-        rank1 = np.where(
+        byte1 = np.where(
             excluded_d,
-            np.where(less_loaded0, 0, 1),
-            np.where(less_loaded0, 1, 2),
-        ).astype(np.uint8)
-        rank2 = np.where(
+            np.where(less_loaded0, 0 << 2 | 1, 1 << 2 | 1),
+            np.where(less_loaded0, 1 << 2 | 1, 2 << 2 | 1),
+        )
+        byte2 = np.where(
             excluded_d,
-            np.where(less_loaded0, 1, 0),
-            np.where(less_loaded0, 2, 1),
-        ).astype(np.uint8)
-        child.rank[g1, depth] = rank1[rows1]
-        child.rank[g2, depth] = rank2[rows2]
+            np.where(less_loaded0, 1 << 2 | 2, 0 << 2 | 2),
+            np.where(less_loaded0, 2 << 2 | 2, 1 << 2 | 2),
+        )
+        child.path[g1, depth] = byte1[rows1]
+        child.path[g2, depth] = byte2[rows2]
 
         child.host_load[g0, h0] += load
         child.host_load[g0, h1] += load
         child.host_load[g1, h0] += load
         child.host_load[g2, h1] += load
-        child.delta_hat[g0, depth] = dh_both[rows0]
+        child.delta_hat[g0, pos] = dh_both[rows0]
         child.fic[g0] += contrib_both[rows0]
         child.cost[g0] += 2 * prob_load
         child.cost[g1] += prob_load
         child.cost[g2] += prob_load
 
-        if self._dom_on:
-            self._propagate_domain(child, depth)
+        if pos + 1 == layout.n_pes:
+            # Configuration complete: with the CPU rule off its Eq. 11
+            # check is due now, and the next one starts from zero.
+            if not self._cpu_on:
+                child.overloaded |= (
+                    child.host_load >= self._cap_row
+                ).any(axis=1)
+            child.host_load = np.zeros_like(child.host_load)
+            child.delta_hat = np.zeros_like(child.delta_hat)
+            child.excluded = np.zeros_like(child.excluded)
+        elif self._dom_on:
+            self._propagate_domain(child, pos)
         return child
 
     def _count_prunes(self, rule: int, height: int, count: int) -> None:
@@ -811,22 +755,27 @@ class VectorFTSearch:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The COMPL rest-of-configuration walk, row-parallel.
 
-        Mirrors the scalar walk exactly: one pass per remaining PE of
-        the depth's configuration in topological order, carrying the
-        per-position upper bounds; returns the walk totals for the
-        "both" value and for the single-replica values (whose candidate
-        Δ-hat is zero).
+        One pass per remaining PE of the depth's configuration in
+        topological order, assuming full replication except where DOM
+        excluded it and carrying the per-position upper bounds; returns
+        the walk totals for the "both" value and for the single-replica
+        values (whose candidate Δ-hat is zero).
         """
-        rest = self._d_rest[depth]
+        layout = self._layout
+        pos = depth % layout.n_pes
+        base = depth - pos
+        rest = layout.pe_rest[pos]
         rows = len(dh_both)
         total_both = np.zeros(rows)
         total_single = np.zeros(rows)
         if not rest:
             return total_both, total_single
-        prob_c = self._d_prob[depth]
+        prob_c = layout.d_prob[depth]
         upper_both: dict[int, np.ndarray] = {}
         upper_single: dict[int, np.ndarray] = {}
-        for var_depth, position, init_sel, init_sum, preds in rest:
+        for position, preds in rest:
+            init_sel = layout.d_src_sel[base + position]
+            init_sum = layout.d_src_sum[base + position]
             sel_both = np.full(rows, init_sel)
             sum_both = np.full(rows, init_sum)
             sel_single = np.full(rows, init_sel)
@@ -852,61 +801,59 @@ class VectorFTSearch:
                     sum_both = sum_both + x
                     sel_single = sel_single + selectivity * x
                     sum_single = sum_single + x
-            dead = excluded[:, var_depth]
+            dead = excluded[:, position]
             upper_both[position] = np.where(dead, 0.0, sel_both)
             upper_single[position] = np.where(dead, 0.0, sel_single)
             total_both += np.where(dead, 0.0, prob_c * sum_both)
             total_single += np.where(dead, 0.0, prob_c * sum_single)
         return total_both, total_single
 
-    def _propagate_domain(self, child: _Block, depth: int) -> None:
+    def _propagate_domain(self, child: _Block, pos: int) -> None:
         """DOM: recompute exclusions over the rest of the configuration.
 
-        A variable is dead when every predecessor is dead (assigned with
-        Δ-hat zero, or unassigned and excluded); processing the
-        remaining depths in increasing order reaches the same fixpoint
-        as the scalar engine's recursive propagation. Variables with
-        live source inflow or no in-graph predecessors are never
-        excluded (the scalar engine only reaches successors of dead
-        variables).
+        Forward domain propagation (Sec. 4.5): a variable is dead when
+        every predecessor is dead (assigned with Δ-hat zero, or
+        unassigned and excluded); full replication of a dead variable
+        cannot improve IC ("no replication forwarding"), so "both
+        active" leaves its domain. Processing the positions after
+        ``pos`` in increasing order reaches the fixpoint of the recursive
+        formulation. Variables with live source inflow or no in-graph
+        predecessors are never excluded.
         """
-        span = self._d_config_rest[depth]
-        if not span:
-            return
+        layout = self._layout
         excluded = child.excluded
         delta_hat = child.delta_hat
-        height_base = self._n_vars
-        for succ_depth in span:
-            preds = self._d_pred_depths[succ_depth]
-            if self._d_dom_source[succ_depth] or not preds:
+        base = child.depth - 1 - pos
+        for succ_pos in range(pos + 1, layout.n_pes):
+            succ_depth = base + succ_pos
+            if layout.d_dom_exempt[succ_depth]:
                 continue
             dead = np.ones(child.rows(), bool)
-            for pred_depth in preds:
-                if pred_depth <= depth:
-                    dead &= delta_hat[:, pred_depth] == 0.0
+            for pred_pos, _ in layout.pe_preds[succ_pos]:
+                if pred_pos <= pos:
+                    dead &= delta_hat[:, pred_pos] == 0.0
                 else:
-                    dead &= excluded[:, pred_depth]
-            fresh = dead & ~excluded[:, succ_depth]
+                    dead &= excluded[:, pred_pos]
+            fresh = dead & ~excluded[:, succ_pos]
             count = int(fresh.sum())
             if count:
                 self._count_prunes(
-                    _DOM_I, height_base - succ_depth, count
+                    _DOM_I, self._n_vars - succ_depth, count
                 )
-                excluded[:, succ_depth] |= fresh
+                excluded[:, succ_pos] |= fresh
 
     def _fold_leaves(self, block: _Block) -> None:
         """Collect near-optimal leaves and tighten the raw incumbent."""
+        layout = self._layout
         objective = block.cost
-        feasible = np.ones(block.rows(), bool)
         # Constraints normally enforced en route move to the leaves when
-        # their rule is disabled — same contract as the scalar recorder.
-        if not self._cpu_on:
-            feasible &= (block.host_load < self._cap_row).all(axis=1)
+        # their rule is disabled — same contract as the oracle's recorder.
+        feasible = ~block.overloaded
         if not self._compl_on and self._penalty is None:
-            feasible &= block.fic >= self._fic_thresh
+            feasible &= block.fic >= layout.fic_thresh
         if self._penalty is not None:
-            ic = np.maximum(0.0, block.fic / self._bic)
-            deficit = np.maximum(0.0, self._ic_target - ic)
+            ic = np.maximum(0.0, block.fic / layout.bic)
+            deficit = np.maximum(0.0, layout.ic_target - ic)
             objective = block.cost + self._penalty * deficit
         objective = np.where(feasible, objective, math.inf)
         self._solutions_found += int(feasible.sum())
@@ -930,13 +877,7 @@ class VectorFTSearch:
         for row in keep:
             obj = float(objective[row])
             if obj <= band:
-                self._candidates.append(
-                    (
-                        obj,
-                        block.rank[row].tobytes(),
-                        block.codes[row].tobytes(),
-                    )
-                )
+                self._candidates.append((obj, block.path[row].tobytes()))
         self._candidates = [
             cand for cand in self._candidates if cand[0] <= band
         ]

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.optimizer import (
+    FTSearchConfig,
     OptimizationProblem,
     PruneRule,
+    ReferenceFTSearch,
     SearchOutcome,
     SearchResult,
     SearchStats,
-    ft_search,
 )
 from repro.errors import DeploymentError, WorkloadError
 from repro.experiments.parallel import resolve_jobs, run_tasks
@@ -132,17 +133,21 @@ def _instance_task(
     task: tuple[int, StudyScale],
 ) -> Optional[list[StudyRun]]:
     """Pool worker: one study instance — generate it (None when the seed
-    defeats the placement) and run FT-Search for every IC target."""
+    defeats the placement) and run FT-Search for every IC target.
+
+    The study reports first-solution ratios and per-rule prune shares
+    and heights — statistics of the paper's depth-first visit order — so
+    it runs the reference oracle, not the block engine."""
     seed, scale = task
     app = _study_instance(seed, scale)
     if app is None:
         return None
     runs = []
     for target in scale.ic_targets:
-        result = ft_search(
+        result = ReferenceFTSearch(
             OptimizationProblem(app.deployment, ic_target=target),
-            time_limit=scale.time_limit,
-        )
+            FTSearchConfig(time_limit=scale.time_limit),
+        ).run()
         runs.append(_to_run(app, target, result))
     return runs
 

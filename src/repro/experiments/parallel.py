@@ -33,6 +33,7 @@ import os
 import time
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from repro.errors import ExperimentError
@@ -296,15 +297,32 @@ class PersistentPool:
         tasks: Sequence[_T],
         profile: Optional[FabricProfile] = None,
     ) -> list[_R]:
-        """Run ``worker`` over ``tasks`` on the live pool, in order."""
+        """Run ``worker`` over ``tasks`` on the live pool, in order.
+
+        A worker process dying mid-batch breaks the executor for good:
+        it is discarded (the next call re-forks) and the failure surfaces
+        as :class:`ExperimentError`, never a half-result.
+        """
         tasks = list(tasks)
         if not tasks:
             return []
-        if profile is None:
-            return list(self._ensure().map(worker, tasks))
+        call: Callable[[_T], Any] = (
+            worker
+            if profile is None
+            else functools.partial(_timed_call, worker)
+        )
         submitted = time.monotonic()
-        timed = functools.partial(_timed_call, worker)
-        outputs = list(self._ensure().map(timed, tasks))
+        try:
+            outputs = list(self._ensure().map(call, tasks))
+        except BrokenProcessPool as exc:
+            self.close()
+            raise ExperimentError(
+                f"a pool worker died running"
+                f" {getattr(worker, '__name__', repr(worker))} over"
+                f" {len(tasks)} task(s); the pool was discarded"
+            ) from exc
+        if profile is None:
+            return outputs
         wall = time.monotonic() - submitted
         return _fold_timings(profile, outputs, self.jobs, submitted, wall)
 

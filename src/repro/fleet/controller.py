@@ -189,9 +189,9 @@ class FleetController:
         *consecutive* out-of-contract observations trigger a re-plan.
         Searches run under ``node_limit`` with no wall-clock limit, so
         every decision is independent of host speed. ``search_jobs``
-        selects the parallel FT-Search engine for admissions and
-        re-plans; the default (``None``) keeps the serial fast core,
-        whose node statistics are deterministic."""
+        above 1 fans admission and re-plan searches out over worker
+        processes; the default (``None``, same as 1) searches
+        in-process, with deterministic node statistics."""
         if sustain_checks < 1:
             raise ModelError(
                 f"sustain_checks must be >= 1, got {sustain_checks}"

@@ -10,10 +10,10 @@ to either search engine and every N expanded nodes it records a
 cost, and a depth histogram.
 
 Snapshot points are keyed on the engines' deterministic node counters
-(never the wall clock), so the snapshot series from the fast core and
-from ``ReferenceFTSearch`` are bit-identical for the same instance, and
-both are stable across machines — this is pinned by the equivalence
-tests.
+(never the wall clock), so an engine's snapshot series for an instance
+repeats byte for byte, from run to run and across machines. (The block
+engine and ``ReferenceFTSearch`` visit nodes in different orders, so
+their series differ from each other.)
 
 This module deliberately imports nothing from the rest of ``repro`` so
 the optimizer core can depend on it without layering cycles; prune

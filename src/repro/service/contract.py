@@ -189,9 +189,10 @@ class Provisioner:
 
     ``search_time_limit`` and ``node_limit`` bound the FT-Search run;
     fleet scenarios use ``search_time_limit=None`` with a node limit so
-    results are independent of host speed. ``search_jobs`` selects the
-    parallel engine (``None`` keeps the serial fast core — the fleet
-    default, whose node statistics are deterministic). With a ``store``
+    results are independent of host speed. ``search_jobs`` above 1 fans
+    the search out over that many worker processes (``None`` and 1 both
+    run it in-process — the fleet default, whose node statistics are
+    deterministic). With a ``store``
     attached, provisioning first consults the :class:`~repro.fleet.store
     .StrategyStore` and every fresh search result (including infeasible
     proofs) is written back, so repeated provisioning of identical
@@ -220,12 +221,14 @@ class Provisioner:
         """Identifies the search configuration inside store keys, so a
         record is only reused by an identically-configured search.
 
-        The engine choice is part of the signature only when parallel
-        search is on: serial and parallel runs return the same cost and
-        strategy, but cached node counts would silently change meaning
-        (parallel counts vary run to run under the shared bound).
+        The worker count is part of the signature only when parallel
+        search is on (``None`` and 1 are the same in-process run):
+        in-process and parallel runs return the same cost and strategy,
+        but cached node counts would silently change meaning (parallel
+        counts vary run to run under the shared bound).
         """
-        jobs_part = "" if self._jobs is None else f":jobs={self._jobs}"
+        jobs = self._jobs or 1
+        jobs_part = "" if jobs == 1 else f":jobs={jobs}"
         return (
             f"ftsearch:time={self._time_limit}:nodes={self._node_limit}"
             f"{jobs_part}:seed=1"

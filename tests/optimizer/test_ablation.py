@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     FTSearchConfig,
-    FTSearch,
     OptimizationProblem,
     PruneRule,
     SearchOutcome,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     FTSearchConfig,
-    FTSearch,
     Host,
     OptimizationProblem,
     PruneRule,
@@ -148,7 +147,7 @@ class TestPipelineSearch:
         )
         problem = OptimizationProblem(deployment, ic_target=0.5)
         with pytest.raises(OptimizationError, match="k=2"):
-            FTSearch(problem)
+            ft_search(problem)
 
     def test_bad_config_rejected(self):
         with pytest.raises(OptimizationError):

@@ -1,47 +1,97 @@
-"""Property test: the fast FT-Search core is behaviour-identical to the
-reference implementation.
+"""The equivalence corpus: the block engine against the reference oracle.
 
-The optimised core (:class:`repro.core.optimizer.ftsearch.FTSearch`)
-replaces the reference's dict lookups with flat integer-indexed arrays
-and its recursion with an iterative loop, but it must remain an exact
-re-expression of the same search: identical outcomes, identical best
-cost/IC (bit-for-bit — the float operation order is preserved), and
-identical node / value / prune counters, so the Fig. 4-6 statistics are
-unchanged. This module checks that over a corpus of seeded random
-instances, including runs with each pruning rule disabled.
+The production engine (:class:`repro.core.optimizer.VectorFTSearch`)
+explores the tree block by block, prunes against a banded incumbent and
+restores the depth-first tie-break by a rank fold; the oracle
+(:class:`repro.core.optimizer.ReferenceFTSearch`) is the paper's
+recursive search. They must agree on *what* is returned — outcome, best
+cost and IC bit for bit, and the strategy — on every instance and in
+every mode: default, each pruning rule disabled, penalty objective,
+greedy-seeded, warm-started, reversed configuration order, and (for the
+anytime contract) under a node budget. Node counts and prune statistics
+are engine-specific and not compared.
+
+Two corpora drive the check: seeded random instances (every seed its own
+test id, and the same instance under every ``PYTHONHASHSEED``), and a
+Hypothesis property over generated graphs, profiles, rate distributions
+and clusters.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import (
+    ApplicationDescriptor,
+    ApplicationGraph,
+    ConfigurationSpace,
+    EdgeProfile,
+)
 from repro.core.optimizer import (
-    FTSearch,
     FTSearchConfig,
     OptimizationProblem,
     PruneRule,
     ReferenceFTSearch,
+    SearchOutcome,
+    VectorFTSearch,
 )
-from tests.support import random_deployment, random_descriptor
+from repro.core.optimizer.vector import BLOCK_ROWS
+from tests.support import GIGA, random_deployment, random_descriptor
 
 #: Seeds 0..N-1 drive instance generation; every seed is its own test id
 #: so a divergence names the instance that produced it.
 N_INSTANCES = 50
 
+#: ``(n_pes range, max extra edges)`` of the corpus's two size classes.
+#: "toy" instances exhaust in one block, so every mode (including all
+#: rules disabled, 3^n_vars leaves) is affordable; "mid" ones make the
+#: engine split, stack and re-order blocks.
+SIZES = {"toy": ((3, 5), 3), "mid": ((6, 8), 4)}
 
-def _problem(seed: int) -> OptimizationProblem:
+#: ``(mode, seed)`` of the corpus cases on which the engines return
+#: *different co-optimal strategies* at bit-equal cost and IC. Every one
+#: is a replica swap — the same number of active replicas for every
+#: (PE, configuration), a different choice of *which* — on hosts of equal
+#: capacity, where that choice is made by ``load(h0) <= load(h1)`` on
+#: equal loads: the oracle's loads carry the float residue of the path it
+#: backtracked along, the block engine's rows carry none. Pinned so that
+#: a new divergence fails instead of being waved through (18 of the 166
+#: cases a nightly sweep runs); a canonical, history-free tie-break in
+#: both engines (ROADMAP item 3) empties this set.
+KNOWN_TIES = frozenset({
+    ("default", 24), ("default", 37), ("default", 44),
+    ("penalty", 22), ("penalty", 33),
+    ("seeded", 44),
+    ("reversed", 11), ("reversed", 33),
+    ("mid-default", 5), ("mid-default", 10), ("mid-default", 34),
+    ("mid-default", 43), ("mid-default", 44), ("mid-default", 48),
+    ("mid-penalty", 0), ("mid-penalty", 17), ("mid-penalty", 34),
+    ("mid-seeded", 34),
+})
+
+
+def _problem(seed: int, size: str = "toy") -> OptimizationProblem:
+    (low, high), extra_edges = SIZES[size]
     rng = random.Random(seed)
     descriptor = random_descriptor(
         rng,
-        n_pes=rng.randint(3, 5),
-        n_configs=rng.choice((2, 2, 3)),
-        max_extra_edges=3,
+        n_pes=rng.randint(low, high),
+        n_configs=rng.choice((2, 2, 3)) if size == "toy" else 2,
+        max_extra_edges=extra_edges,
     )
     deployment = random_deployment(
         rng, descriptor, n_hosts=rng.randint(2, 3),
-        headroom=rng.uniform(0.9, 1.4),
+        headroom=rng.uniform(1.3, 2.4),
     )
     return OptimizationProblem(
         deployment, ic_target=rng.choice((0.3, 0.5, 0.6, 0.7, 0.9))
@@ -58,76 +108,282 @@ def _activation_matrix(strategy):
     )
 
 
-def assert_equivalent(problem: OptimizationProblem, config: FTSearchConfig):
-    fast = FTSearch(problem, config).run()
-    ref = ReferenceFTSearch(problem, config).run()
+def assert_same_optimum(
+    result,
+    oracle,
+    problem: OptimizationProblem,
+    ties: str = "never",
+    config: FTSearchConfig = FTSearchConfig(time_limit=None),
+) -> None:
+    """Outcome, cost, IC and strategy equality — the engines' contract.
 
-    assert fast.outcome is ref.outcome
-    # Bit-for-bit: the fast core preserves the reference's float
-    # operation order, so == (not approx) is the contract.
-    assert fast.best_cost == ref.best_cost
-    assert fast.best_ic == ref.best_ic
-    assert fast.first_solution_cost == ref.first_solution_cost
-    assert _activation_matrix(fast.strategy) == _activation_matrix(
-        ref.strategy
+    ``ties`` says what a strategy difference at bit-equal cost means:
+    ``"never"`` (the default) — a failure; ``"pinned"`` — expected, the
+    case is in :data:`KNOWN_TIES` (and agreeing strategies mean the pin
+    is stale); ``"allowed"`` — tolerated (generated instances, which
+    cannot be pinned). A tolerated strategy must still replay,
+    independently (as a warm start under the run's ``config``), to the
+    oracle's exact cost and IC.
+    """
+    assert ties in ("never", "pinned", "allowed")
+    assert result.outcome is oracle.outcome
+    assert result.best_cost == oracle.best_cost
+    assert result.best_ic == oracle.best_ic
+    ours = _activation_matrix(result.strategy)
+    theirs = _activation_matrix(oracle.strategy)
+    if ours == theirs:
+        assert ties != "pinned", "stale KNOWN_TIES entry: strategies agree"
+        return
+    assert ties != "never", "co-optimal strategies diverged: a new tie"
+    assert ours is not None and theirs is not None
+    seeded = VectorFTSearch(
+        problem, dataclasses.replace(config, warm_start=result.strategy)
+    )
+    assert seeded.seed.cost == oracle.best_cost
+    assert seeded.seed.ic == oracle.best_ic
+
+
+def assert_equivalent(
+    problem: OptimizationProblem,
+    config: FTSearchConfig,
+    ties: str = "never",
+) -> None:
+    """Run both engines on ``problem`` and compare what they return."""
+    oracle = ReferenceFTSearch(problem, config).run()
+    assert_same_optimum(
+        VectorFTSearch(problem, config).run(), oracle, problem, ties, config
     )
 
-    assert fast.stats.nodes_expanded == ref.stats.nodes_expanded
-    assert fast.stats.values_tried == ref.stats.values_tried
-    assert fast.stats.solutions_found == ref.stats.solutions_found
-    assert fast.stats.depth == ref.stats.depth
-    for rule in PruneRule:
-        assert fast.stats.prune_counts[rule] == ref.stats.prune_counts[rule]
-        assert (
-            fast.stats.prune_height_sums[rule]
-            == ref.stats.prune_height_sums[rule]
-        )
+
+def ties_for(mode: str, seed: int) -> str:
+    return "pinned" if (mode, seed) in KNOWN_TIES else "never"
+
+
+def check_corpus_case(
+    mode: str, seed: int, size: str = "toy", **config
+) -> None:
+    """One corpus case: ``mode`` labels the configuration in
+    :data:`KNOWN_TIES`, ``config`` is what it means."""
+    assert_equivalent(
+        _problem(seed, size),
+        FTSearchConfig(time_limit=None, **config),
+        ties_for(mode, seed),
+    )
+
+
+# ----------------------------------------------------------------------
+# The seeded corpus
+# ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_equivalent_on_random_instances(seed):
-    assert_equivalent(_problem(seed), FTSearchConfig(time_limit=None))
+    check_corpus_case("default", seed)
 
 
 @pytest.mark.parametrize("rule", list(PruneRule))
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 7))
 def test_equivalent_with_rule_disabled(seed, rule):
-    config = FTSearchConfig(
-        time_limit=None, disabled_rules=frozenset({rule})
+    check_corpus_case(
+        f"no-{rule.value}", seed, disabled_rules=frozenset({rule})
     )
-    assert_equivalent(_problem(seed), config)
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_with_all_rules_disabled(seed):
-    config = FTSearchConfig(
-        time_limit=None, disabled_rules=frozenset(PruneRule)
+    check_corpus_case(
+        "no-rules", seed, disabled_rules=frozenset(PruneRule)
     )
-    assert_equivalent(_problem(seed), config)
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_in_penalty_mode(seed):
-    config = FTSearchConfig(time_limit=None, penalty_weight=1.0e8)
-    assert_equivalent(_problem(seed), config)
+    check_corpus_case("penalty", seed, penalty_weight=1.0e8)
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_with_seed_incumbent(seed):
-    config = FTSearchConfig(time_limit=None, seed_incumbent=True)
-    assert_equivalent(_problem(seed), config)
+    check_corpus_case("seeded", seed, seed_incumbent=True)
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_without_hungry_order(seed):
-    config = FTSearchConfig(time_limit=None, hungry_configs_first=False)
-    assert_equivalent(_problem(seed), config)
+    check_corpus_case("reversed", seed, hungry_configs_first=False)
+
+
+@pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
+def test_equivalent_with_warm_start(seed):
+    """Warm-started from the oracle's optimum, both engines return it
+    again and the block engine expands no more nodes than cold."""
+    problem = _problem(seed)
+    cold = VectorFTSearch(problem, FTSearchConfig(time_limit=None)).run()
+    if cold.strategy is None:
+        pytest.skip("instance infeasible")
+    config = FTSearchConfig(time_limit=None, warm_start=cold.strategy)
+    assert_equivalent(problem, config, ties_for("warm", seed))
+    warm = VectorFTSearch(problem, config).run()
+    assert warm.stats.nodes_expanded <= cold.stats.nodes_expanded
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
 @pytest.mark.parametrize("node_limit", (1, 37, 500))
 def test_equivalent_under_node_budget(seed, node_limit):
-    """Truncated searches must stop at the same node with the same
-    partial statistics (the anytime contract)."""
-    config = FTSearchConfig(time_limit=None, node_limit=node_limit)
-    assert_equivalent(_problem(seed), config)
+    """The anytime contract under truncation. *Where* a budget stops a
+    search is engine-specific (the block engine checks it between
+    blocks), so a truncated run is held to what any anytime search owes:
+    a run that finished anyway equals the oracle's; one that did not
+    says so, overshoots by less than one block, and returns — if
+    anything — a feasible strategy no cheaper than the optimum."""
+    problem = _problem(seed)
+    optimum = ReferenceFTSearch(
+        problem, FTSearchConfig(time_limit=None)
+    ).run()
+    capped = VectorFTSearch(
+        problem, FTSearchConfig(time_limit=None, node_limit=node_limit)
+    ).run()
+    assert capped.stats.nodes_expanded < node_limit + BLOCK_ROWS
+    if capped.outcome.is_proof:
+        assert_same_optimum(
+            capped, optimum, problem, ties_for("default", seed)
+        )
+        return
+    assert capped.outcome is (
+        SearchOutcome.TIMEOUT
+        if capped.strategy is None
+        else SearchOutcome.FEASIBLE
+    )
+    if capped.strategy is not None:
+        assert optimum.strategy is not None
+        assert capped.best_cost >= optimum.best_cost * (1 - 1e-9)
+        assert capped.best_ic >= problem.ic_target - 1e-9
+
+
+# ----------------------------------------------------------------------
+# The corpus is a corpus: one instance per seed, whatever the hash seed
+# ----------------------------------------------------------------------
+
+_DIGEST_SCRIPT = """
+from repro.core.optimizer import FTSearchConfig, VectorFTSearch
+from tests.optimizer.test_ftsearch_equivalence import N_INSTANCES, _problem
+for seed in range(N_INSTANCES):
+    result = VectorFTSearch(
+        _problem(seed), FTSearchConfig(time_limit=None)
+    ).run()
+    print(seed, repr(result.best_cost), result.stats.nodes_expanded)
+"""
+
+
+def _corpus_digest(hash_seed: str) -> str:
+    root = Path(__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_corpus_is_the_same_under_every_hash_seed():
+    """Set iteration order follows PYTHONHASHSEED; the generator must
+    not. Two processes with different hash seeds produce the same
+    per-seed (best cost, node count), and most instances are feasible
+    (an all-NUL corpus would compare empty results)."""
+    digest = _corpus_digest("0")
+    assert digest == _corpus_digest("4242")
+    lines = digest.splitlines()
+    assert len(lines) == N_INSTANCES
+    feasible = sum(" inf " not in line for line in lines)
+    assert feasible >= N_INSTANCES // 2
+
+
+# ----------------------------------------------------------------------
+# Generated instances (Hypothesis): graphs, profiles, rates, clusters
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def problems(draw) -> OptimizationProblem:
+    """A generated problem: a connected DAG of 2-5 PEs behind one source
+    (every PE fed by an earlier PE or the source, extra forward edges on
+    top), drawn selectivities and CPU costs, a 2-3 level source-rate
+    distribution, and a balanced two-fold deployment on 2-3 hosts whose
+    headroom and IC target span infeasible to comfortable."""
+    n_pes = draw(st.integers(2, 5))
+    pes = [f"pe{i}" for i in range(n_pes)]
+    edges = {("src", pes[0])}
+    for i in range(1, n_pes):
+        feeder = draw(st.integers(-1, i - 1))
+        edges.add(("src" if feeder < 0 else pes[feeder], pes[i]))
+    for i, j in draw(
+        st.lists(
+            st.tuples(st.integers(0, n_pes - 1), st.integers(0, n_pes - 1)),
+            max_size=4,
+        )
+    ):
+        if i != j:
+            edges.add((pes[min(i, j)], pes[max(i, j)]))
+    with_successor = {tail for tail, _ in edges}
+    edges |= {(pe, "sink") for pe in pes if pe not in with_successor}
+    graph = ApplicationGraph.build(["src"], pes, ["sink"], sorted(edges))
+
+    profiles = {
+        (tail, head): EdgeProfile(
+            selectivity=draw(st.floats(0.25, 2.0)),
+            cpu_cost=draw(st.floats(0.005, 0.05)) * GIGA,
+        )
+        for tail, head in sorted(edges)
+        if head != "sink"
+    }
+    levels = draw(
+        st.lists(
+            st.tuples(st.floats(1.0, 20.0), st.floats(0.1, 1.0)),
+            min_size=2,
+            max_size=3,
+            unique_by=lambda level: level[0],
+        )
+    )
+    total = sum(weight for _, weight in levels)
+    space = ConfigurationSpace.from_source_rates(
+        {"src": [(rate, weight / total) for rate, weight in sorted(levels)]}
+    )
+    descriptor = ApplicationDescriptor(
+        graph, profiles, space, name="generated"
+    )
+    deployment = random_deployment(
+        random.Random(0),
+        descriptor,
+        n_hosts=draw(st.integers(2, 3)),
+        headroom=draw(st.floats(0.8, 3.0)),
+    )
+    return OptimizationProblem(
+        deployment, ic_target=draw(st.floats(0.05, 0.95))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=problems(),
+    disabled=st.sets(st.sampled_from(list(PruneRule)), max_size=1),
+    penalty=st.sampled_from((None, 1.0e8)),
+    seeded=st.booleans(),
+)
+def test_equivalent_on_generated_instances(
+    problem: OptimizationProblem,
+    disabled: set,
+    penalty: Optional[float],
+    seeded: bool,
+):
+    assert_equivalent(
+        problem,
+        FTSearchConfig(
+            time_limit=None,
+            disabled_rules=frozenset(disabled),
+            penalty_weight=penalty,
+            seed_incumbent=seeded,
+        ),
+        ties="allowed",
+    )

@@ -1,12 +1,14 @@
-"""The parallel/vectorized FT-Search engines vs the scalar oracles.
+"""The block engine beyond one block, and its multi-process driver.
 
-The vector engine (``jobs=1``) and the multi-process driver
-(``jobs>1``) promise *cost and strategy* equality against the scalar
-cores on every instance — node counts and prune statistics are
-engine-specific, and under the shared incumbent bound they additionally
-vary run to run. This suite pins that contract over the equivalence
-corpus, plus the shared-bound tighten-only invariant, warm-start
-interaction, budget handling, and configuration validation.
+The in-process engine and the pool driver (``jobs>1``) promise *cost
+and strategy* equality against the reference oracle on every instance —
+node counts and prune statistics are engine-specific, and under the
+shared incumbent bound they additionally vary run to run. The corpus
+and its checker live in ``test_ftsearch_equivalence``; this suite runs
+its mid-size slice (instances big enough that blocks split and stack),
+the pool driver over it, and pins the shared-bound tighten-only
+invariant, warm-start interaction, budget handling, configuration
+validation, and what happens when a worker dies.
 
 Tier-1 runs sample the corpus; set ``REPRO_NIGHTLY=1`` (the scheduled
 CI workflow does) to sweep every seed.
@@ -22,25 +24,27 @@ import random
 import pytest
 
 from repro.core.optimizer import (
-    FTSearch,
     FTSearchConfig,
+    OptimizationProblem,
     PruneRule,
     ReferenceFTSearch,
     SearchOutcome,
     VectorFTSearch,
     ft_search,
+    parallel,
 )
 from repro.core.optimizer.parallel import (
     SharedBound,
     parallel_ft_search,
     shutdown,
 )
-from repro.core.optimizer import OptimizationProblem
-from repro.errors import OptimizationError
+from repro.errors import ExperimentError, OptimizationError
 from tests.optimizer.test_ftsearch_equivalence import (
     N_INSTANCES,
-    _activation_matrix,
     _problem,
+    assert_same_optimum,
+    check_corpus_case,
+    ties_for,
 )
 from tests.support import random_deployment, random_descriptor
 
@@ -71,79 +75,41 @@ def _rich_problem() -> OptimizationProblem:
     return OptimizationProblem(deployment, ic_target=0.6)
 
 
-def assert_same_optimum(result, oracle, problem=None):
-    """Cost/strategy equality — the parallel engines' contract.
-
-    On a bit-equal cost tie the scalar engines break the tie through
-    their dynamic value ordering, whose host-load comparisons carry
-    path-history float residue a block engine cannot observe, so the
-    returned strategy may legitimately be a different *co-optimal*
-    one. That case is accepted — but only after an independent
-    warm-start replay (when ``problem`` is given) proves the returned
-    strategy really achieves the oracle's exact cost and IC.
-    """
-    assert result.outcome is oracle.outcome
-    assert result.best_cost == oracle.best_cost
-    assert result.best_ic == oracle.best_ic
-    ours = _activation_matrix(result.strategy)
-    theirs = _activation_matrix(oracle.strategy)
-    if ours == theirs:
-        return
-    assert ours is not None and theirs is not None
-    if problem is not None:
-        seeded = VectorFTSearch(
-            problem,
-            FTSearchConfig(time_limit=None, warm_start=result.strategy),
-        )
-        assert seeded.seed.cost == oracle.best_cost
-        assert seeded.seed.ic == oracle.best_ic
-
-
 class TestVectorEqualsReference:
+    """The corpus's mid-size slice: 6-8 PEs, tens of thousands of
+    nodes, so the engine splits blocks at ``BLOCK_ROWS`` and works a
+    real stack (toy instances exhaust inside one block)."""
+
     @pytest.mark.parametrize("seed", VECTOR_SEEDS)
     def test_default_config(self, seed):
-        problem = _problem(seed)
-        config = FTSearchConfig(time_limit=None)
-        oracle = ReferenceFTSearch(problem, config).run()
-        assert_same_optimum(
-            VectorFTSearch(problem, config).run(), oracle, problem
-        )
+        check_corpus_case("mid-default", seed, size="mid")
 
     @pytest.mark.parametrize("rule", list(PruneRule))
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_each_rule_disabled(self, seed, rule):
-        problem = _problem(seed)
-        config = FTSearchConfig(
-            time_limit=None, disabled_rules=frozenset({rule})
-        )
-        oracle = ReferenceFTSearch(problem, config).run()
-        assert_same_optimum(
-            VectorFTSearch(problem, config).run(), oracle, problem
+        # Toy-sized: a disabled rule leaves the oracle up to 3^n_vars
+        # leaves to visit.
+        check_corpus_case(
+            f"no-{rule.value}", seed, disabled_rules=frozenset({rule})
         )
 
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_penalty_mode(self, seed):
-        problem = _problem(seed)
-        config = FTSearchConfig(time_limit=None, penalty_weight=1.0e8)
-        oracle = ReferenceFTSearch(problem, config).run()
-        assert_same_optimum(
-            VectorFTSearch(problem, config).run(), oracle, problem
+        check_corpus_case(
+            "mid-penalty", seed, size="mid", penalty_weight=1.0e8
         )
 
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_seeded_incumbent(self, seed):
-        problem = _problem(seed)
-        config = FTSearchConfig(time_limit=None, seed_incumbent=True)
-        oracle = ReferenceFTSearch(problem, config).run()
-        assert_same_optimum(
-            VectorFTSearch(problem, config).run(), oracle, problem
+        check_corpus_case(
+            "mid-seeded", seed, size="mid", seed_incumbent=True
         )
 
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_tiny_blocks_change_nothing(self, seed):
         """Correctness never depends on the block-row budget (node
         counts may: splitting finds incumbents in a different order)."""
-        problem = _problem(seed)
+        problem = _problem(seed, "mid")
         config = FTSearchConfig(time_limit=None)
         baseline = VectorFTSearch(problem, config).run()
         tiny = VectorFTSearch(problem, config, block_rows=3).run()
@@ -161,7 +127,11 @@ class TestParallelEqualsSerial:
             problem, FTSearchConfig(time_limit=None, seed_incumbent=True)
         ).run()
         assert_same_optimum(
-            parallel_ft_search(problem, config), oracle, problem
+            parallel_ft_search(problem, config),
+            oracle,
+            problem,
+            ties_for("seeded", seed),
+            config,
         )
 
     @pytest.mark.parametrize("seed", POOL_SEEDS)
@@ -276,6 +246,19 @@ class TestBudgetsAndValidation:
         )
         assert capped.stats.nodes_expanded < full.stats.nodes_expanded
 
+    def test_default_jobs_never_start_a_pool(self, monkeypatch):
+        """``jobs=None`` is ``jobs=1``: in-process, whatever the
+        fabric's environment default says — same result, same counters,
+        no pool session."""
+        shutdown()
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        problem = _rich_problem()
+        default = ft_search(problem, time_limit=None)
+        one = ft_search(problem, time_limit=None, jobs=1)
+        assert parallel._SESSION is None
+        assert_same_optimum(default, one, problem)
+        assert default.stats == one.stats
+
     @pytest.mark.parametrize("jobs", (0, -3))
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(OptimizationError):
@@ -321,7 +304,38 @@ class TestSplitAndFold:
         prefixes, raw = engine.split_frontier(10 ** 9)
         assert prefixes == []
         result = engine.build_result([raw])
-        oracle = FTSearch(
+        oracle = ReferenceFTSearch(
             problem, FTSearchConfig(time_limit=None)
         ).run()
         assert_same_optimum(result, oracle, problem)
+
+
+def _die(task):
+    """A subtree worker that takes its whole process down."""
+    os._exit(1)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_is_a_typed_error_and_the_pool_recovers(
+        self, monkeypatch
+    ):
+        problem = _rich_problem()
+        config = FTSearchConfig(time_limit=None, jobs=2)
+        expected = parallel_ft_search(problem, config)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(parallel, "_run_subtree", _die)
+            with pytest.raises(ExperimentError, match=r"_die over \d+ task"):
+                parallel_ft_search(problem, config)
+        session = parallel._SESSION
+        assert session is not None
+        # The broken executor is gone with its processes, and the bound
+        # does not carry the dead run's incumbent into the next one.
+        assert not session.pool.started
+        assert multiprocessing.active_children() == []
+        assert math.isinf(session.bound.get())
+
+        again = parallel_ft_search(problem, config)
+        assert_same_optimum(again, expected, problem)
+        shutdown()
+        assert multiprocessing.active_children() == []

@@ -21,11 +21,11 @@ import random
 import pytest
 
 from repro.core.optimizer import (
-    FTSearch,
     FTSearchConfig,
     OptimizationProblem,
     ReferenceFTSearch,
     SearchOutcome,
+    VectorFTSearch,
     ft_search,
 )
 from repro.core.strategy import ActivationStrategy
@@ -40,7 +40,7 @@ SEEDS = range(0, 50, 3)
 
 
 def _cold(problem):
-    return FTSearch(problem, FTSearchConfig(time_limit=None)).run()
+    return VectorFTSearch(problem, FTSearchConfig(time_limit=None)).run()
 
 
 class TestWarmEqualsCold:
@@ -50,7 +50,7 @@ class TestWarmEqualsCold:
         cold = _cold(problem)
         if cold.strategy is None:
             pytest.skip("instance infeasible")
-        warm = FTSearch(
+        warm = VectorFTSearch(
             problem,
             FTSearchConfig(time_limit=None, warm_start=cold.strategy),
         ).run()
@@ -88,7 +88,7 @@ class TestWarmEqualsCold:
         problem = _problem(seed)
         cold = _cold(problem)
         warm_seed = ActivationStrategy.all_active(problem.deployment)
-        warm = FTSearch(
+        warm = VectorFTSearch(
             problem,
             FTSearchConfig(time_limit=None, warm_start=warm_seed),
         ).run()
@@ -103,8 +103,8 @@ class TestWarmEqualsCold:
 class TestEngineEquivalenceWarm:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_engines_bit_identical_with_warm_start(self, seed):
-        """Both engines, warm-started with the same incumbent, stay
-        bit-identical in every counter (the PR 1 oracle contract)."""
+        """Both engines, warm-started with the same incumbent, return
+        the same outcome, cost, IC and strategy."""
         problem = _problem(seed)
         cold = _cold(problem)
         if cold.strategy is None:
@@ -128,7 +128,7 @@ class TestEngineEquivalenceWarm:
     @pytest.mark.parametrize("seed", range(0, 50, 11))
     def test_engines_bit_identical_warm_penalty_mode(self, seed):
         problem = _problem(seed)
-        cold = FTSearch(
+        cold = VectorFTSearch(
             problem,
             FTSearchConfig(time_limit=None, penalty_weight=1.0e8),
         ).run()
@@ -157,7 +157,7 @@ class TestUnusableWarmStartsIgnored:
         other_desc = random_descriptor(rng, n_pes=7, n_configs=2)
         other_dep = random_deployment(rng, other_desc, n_hosts=3)
         foreign = ActivationStrategy.all_active(other_dep)
-        warm = FTSearch(
+        warm = VectorFTSearch(
             problem, FTSearchConfig(time_limit=None, warm_start=foreign)
         ).run()
         assert warm.best_cost == cold.best_cost
@@ -179,7 +179,7 @@ class TestUnusableWarmStartsIgnored:
                 ic_target=min(1.0, cold.best_ic + 0.05),
             )
             cold_hard = _cold(harder)
-            warm_hard = FTSearch(
+            warm_hard = VectorFTSearch(
                 harder,
                 FTSearchConfig(time_limit=None, warm_start=cold.strategy),
             ).run()

@@ -299,14 +299,32 @@ class TestSLAReport:
 
 class TestParallelSearchProvisioning:
     def test_jobs_kept_out_of_signature_by_default(self, provider_hosts):
-        serial = Provisioner(provider_hosts, search_time_limit=None)
-        assert ":jobs=" not in serial._search_signature()
+        """``None`` and 1 are the same in-process run, keyed the same."""
+        default = Provisioner(provider_hosts, search_time_limit=None)
+        one = Provisioner(
+            provider_hosts, search_time_limit=None, search_jobs=1
+        )
+        assert ":jobs=" not in default._search_signature()
+        assert one._search_signature() == default._search_signature()
 
     def test_jobs_tag_store_signature(self, provider_hosts):
         parallel = Provisioner(
             provider_hosts, search_time_limit=None, search_jobs=2
         )
         assert ":jobs=2" in parallel._search_signature()
+
+    def test_default_provision_never_starts_a_pool(
+        self, pipeline_contract, provider_hosts, monkeypatch
+    ):
+        from repro.core.optimizer import parallel
+
+        parallel.shutdown()
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        provisioned, _ = Provisioner(
+            provider_hosts, search_time_limit=None
+        ).try_provision(pipeline_contract)
+        assert provisioned is not None
+        assert parallel._SESSION is None
 
     def test_parallel_provision_matches_serial(
         self, pipeline_contract, provider_hosts
@@ -317,14 +335,14 @@ class TestParallelSearchProvisioning:
             provider_hosts, search_time_limit=None
         ).provision(pipeline_contract)
         try:
-            vectored = Provisioner(
-                provider_hosts, search_time_limit=None, search_jobs=1
+            pooled = Provisioner(
+                provider_hosts, search_time_limit=None, search_jobs=2
             ).provision(pipeline_contract)
         finally:
             shutdown()
-        assert vectored.search.best_cost == serial.search.best_cost
-        assert vectored.search.best_ic == serial.search.best_ic
-        assert vectored.fare == serial.fare
+        assert pooled.search.best_cost == serial.search.best_cost
+        assert pooled.search.best_ic == serial.search.best_ic
+        assert pooled.fare == serial.fare
 
     def test_serial_and_parallel_records_do_not_collide(
         self, pipeline_contract, provider_hosts
@@ -340,7 +358,7 @@ class TestParallelSearchProvisioning:
                 provider_hosts,
                 search_time_limit=None,
                 store=store,
-                search_jobs=1,
+                search_jobs=2,
             )
             assert not parallel.provision(pipeline_contract).from_cache
         finally:

@@ -55,7 +55,9 @@ def random_descriptor(
     graph = ApplicationGraph.build(["src"], pes, ["sink"], sorted(edges))
 
     profiles = {}
-    for tail, head in edges:
+    # Sorted: set order follows PYTHONHASHSEED, and the draws below must
+    # land on the same edges in every process.
+    for tail, head in sorted(edges):
         if head == "sink":
             continue
         profiles[(tail, head)] = EdgeProfile(
