@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.fleet.dataplane import DataplaneParams
-from repro.fleet.scenario import run_fleet_dataplane
+from repro.driver import run_tenants
 from repro.obs import EventLog, LogHistogram, MetricsRegistry
 from repro.obs.slo import NullAvailability, SloEngine
 
@@ -124,7 +124,7 @@ def bench_dataplane_slo(spec: dict) -> dict:
     for label, slo in (("slo_on", True), ("slo_off", False)):
         params = dataclasses.replace(base, slo=slo)
         start = time.perf_counter()
-        summary, _ = run_fleet_dataplane(params, jobs=spec["jobs"])
+        summary, _ = run_tenants(params, jobs=spec["jobs"])
         seconds = time.perf_counter() - start
         assert summary["ok"], f"dataplane violations ({label})"
         tuples = summary["totals"]["input"] + summary["totals"]["processed"]

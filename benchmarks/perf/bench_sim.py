@@ -16,7 +16,7 @@ tenant):
   run-commit regime, no fallback windows, the upper bound on what
   interval batching buys.
 * **Dataplane fleet** — the 10k-tenant diurnal fleet scenario run
-  through :func:`repro.fleet.scenario.run_fleet_dataplane` over the
+  through :func:`repro.driver.run_tenants` over the
   process fabric in batched mode, asserting the fleet-wide invariant
   verdict (``ok``: conservation holds for every replica of every
   tenant and every tenant produced output).
@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 
 from repro.fleet.dataplane import DataplaneParams, build_tenant_platform
-from repro.fleet.scenario import run_fleet_dataplane
+from repro.driver import run_tenants
 
 OUT_PATH = Path(__file__).parent / "BENCH_sim.json"
 
@@ -169,7 +169,7 @@ def bench_steady_state(spec: dict) -> dict:
 def bench_dataplane_fleet(spec: dict) -> dict:
     params = DataplaneParams(tenants=spec["tenants"], batching=True)
     start = time.perf_counter()
-    summary, _digests = run_fleet_dataplane(params, jobs=spec["jobs"])
+    summary, _digests = run_tenants(params, jobs=spec["jobs"])
     elapsed = time.perf_counter() - start
     assert summary["ok"], summary["violations"]
     tuples = summary["totals"]["input"] + summary["totals"]["processed"]

@@ -61,21 +61,17 @@ class EmitSite:
 
 @dataclass(frozen=True)
 class SchemaDef:
-    """One ``EVENT_SCHEMA`` entry: an event type and its required fields.
-
-    ``types`` maps field names to declared type tags for the typed
-    (dict-literal) schema form; it is ``None`` for the legacy
-    ``frozenset({...})`` form, which declares field names only.
-    """
+    """One ``EVENT_SCHEMA`` entry: an event type, its required fields
+    and (``types``) the declared type tag of each."""
 
     file: str
     line: int
     event_type: str
     fields: frozenset[str]
-    types: Optional[tuple[tuple[str, str], ...]] = None
+    types: tuple[tuple[str, str], ...]
 
     def type_map(self) -> dict[str, str]:
-        return dict(self.types) if self.types is not None else {}
+        return dict(self.types)
 
 
 @dataclass
@@ -193,30 +189,6 @@ def _collect_emit_sites(facts: FileFacts) -> None:
         )
 
 
-def _frozenset_literal_fields(node: ast.expr) -> Optional[frozenset[str]]:
-    """The string elements of ``frozenset({...})`` / ``{...}`` / ``set()``."""
-    if isinstance(node, ast.Call) and node.args:
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else None
-        if name in ("frozenset", "set"):
-            return _frozenset_literal_fields(node.args[0])
-    if isinstance(node, ast.Call) and not node.args:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("frozenset", "set"):
-            return frozenset()
-    if isinstance(node, ast.Set):
-        values = []
-        for element in node.elts:
-            if not (
-                isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            ):
-                return None
-            values.append(element.value)
-        return frozenset(values)
-    return None
-
-
 def _typed_literal_fields(
     node: ast.expr,
 ) -> Optional[tuple[tuple[str, str], ...]]:
@@ -237,9 +209,9 @@ def _typed_literal_fields(
 
 
 def _collect_schema_defs(facts: FileFacts) -> None:
-    """Parse ``EVENT_SCHEMA`` literals, in either declaration form:
-    typed ``{"type": {"field": "tag", ...}, ...}`` dict entries or the
-    legacy ``{"type": frozenset({...}), ...}`` field-name sets."""
+    """Parse ``EVENT_SCHEMA`` literals: ``{"type": {"field": "tag",
+    ...}, ...}``. An entry that is not such a dict literal declares
+    nothing, so its emitters are flagged as undeclared."""
     for node in ast.walk(facts.tree):
         value: Optional[ast.expr] = None
         target_name: Optional[str] = None
@@ -260,17 +232,14 @@ def _collect_schema_defs(facts: FileFacts) -> None:
             ):
                 continue
             types = _typed_literal_fields(entry)
-            if types is not None:
-                fields = frozenset(name for name, _tag in types)
-            else:
-                parsed = _frozenset_literal_fields(entry)
-                fields = parsed if parsed is not None else frozenset()
+            if types is None:
+                continue
             facts.schema_defs.append(
                 SchemaDef(
                     file=facts.file,
                     line=key.lineno,
                     event_type=key.value,
-                    fields=fields,
+                    fields=frozenset(name for name, _tag in types),
                     types=types,
                 )
             )

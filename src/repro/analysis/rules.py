@@ -34,10 +34,11 @@ R10           fabric-hygiene         functions submitted to ``run_tasks`` /
 
 Scoping: R1, R2, R3, R4, R5, R8, R9 and R10 apply to every scanned
 file; R6 applies only to sim-path modules (``repro.sim``,
-``repro.dsps``, ``repro.laar``, ``repro.chaos``, ``repro.fleet``,
-``repro.obs``). R7 covers the sim path *and* ``repro.core``: the
-deterministic core is imported by every sim-path module, so a
-process-bearing import there would breach the fence transitively. The
+``repro.dsps``, ``repro.laar``, ``repro.chaos``, ``repro.elastic``,
+``repro.fleet``, ``repro.obs``). R7 covers the sim path *and*
+``repro.core``: the deterministic core is imported by every sim-path
+module, so a process-bearing import there would breach the fence
+transitively. The
 parallel-search driver is the one audited exception (see
 ``_R7_AUDITED_EXCEPTIONS``) — exact modules only, each reviewed so that
 importing its parent package never executes the cleared import.
@@ -100,6 +101,7 @@ SIM_PATH_PREFIXES = (
     "repro.dsps",
     "repro.laar",
     "repro.chaos",
+    "repro.elastic",
     "repro.fleet",
     "repro.obs",
 )
@@ -229,7 +231,7 @@ def _check_unsorted_iteration(facts: FileFacts) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# R4 — event-schema cross-check (fields and, for typed entries, types)
+# R4 — event-schema cross-check (fields and their declared types)
 # ----------------------------------------------------------------------
 
 #: Valid type tags in a typed ``EVENT_SCHEMA`` entry. A trailing ``?``
@@ -472,11 +474,10 @@ def check_schema(
       payload field;
     * every declared schema entry must have at least one emitter in the
       scanned tree (dead-schema detection);
-    * for *typed* schema entries: tags must be well-formed, inferable
-      payload values must match their declared tag, and every declared
-      field must be passed literally at least once somewhere (a field
-      only ever smuggled through ``**extra`` is never statically
-      validated).
+    * type tags must be well-formed, inferable payload values must
+      match their declared tag, and every declared field must be passed
+      literally at least once somewhere (a field only ever smuggled
+      through ``**extra`` is never statically validated).
 
     With no ``EVENT_SCHEMA`` definition in the scanned tree the check is
     skipped entirely — a partial scan cannot judge schema membership.
@@ -520,27 +521,26 @@ def check_schema(
             )
             continue
         types = declared.type_map()
-        if types:
-            facts = (facts_by_file or {}).get(site.file)
-            for field_name, value in site.values:
-                tag = types.get(field_name)
-                if tag is None or facts is None:
-                    continue
-                inferred = infer_payload_tag(graph, facts, value)
-                if inferred is None:
-                    continue
-                if not _tag_compatible(inferred, tag):
-                    diagnostics.append(
-                        Diagnostic(
-                            site.file,
-                            site.line,
-                            site.col,
-                            "R4",
-                            f"event '{site.event_type}' field"
-                            f" '{field_name}': payload is {inferred}"
-                            f" but the schema declares {tag}",
-                        )
+        facts = (facts_by_file or {}).get(site.file)
+        for field_name, value in site.values:
+            tag = types.get(field_name)
+            if tag is None or facts is None:
+                continue
+            inferred = infer_payload_tag(graph, facts, value)
+            if inferred is None:
+                continue
+            if not _tag_compatible(inferred, tag):
+                diagnostics.append(
+                    Diagnostic(
+                        site.file,
+                        site.line,
+                        site.col,
+                        "R4",
+                        f"event '{site.event_type}' field"
+                        f" '{field_name}': payload is {inferred}"
+                        f" but the schema declares {tag}",
                     )
+                )
         if site.has_star_kwargs:
             continue  # dynamic payload: the runtime validator owns this
         missing = sorted(declared.fields - site.keywords)
@@ -569,7 +569,7 @@ def check_schema(
         )
     for event_type in sorted(schema):
         declared = schema[event_type]
-        if declared.types is None or event_type not in literal_fields:
+        if event_type not in literal_fields:
             continue
         never = sorted(declared.fields - literal_fields[event_type])
         for field_name in never:
@@ -963,6 +963,9 @@ def _check_shared_state(facts: FileFacts) -> list[Diagnostic]:
 
 #: The fabric entry points whose first argument is a worker function.
 _FABRIC_TASK_FUNCS = frozenset({"repro.experiments.parallel.run_tasks"})
+#: The scenario driver's pass-through to ``run_tasks``: the worker is
+#: checked where a scenario names it, not at the forwarding call.
+_FABRIC_FORWARDERS = frozenset({"repro.driver.fan_out"})
 _FABRIC_POOL_CLASS = "repro.experiments.parallel.PersistentPool"
 _FABRIC_POOL_METHODS = frozenset({"map"})
 
@@ -980,7 +983,8 @@ def _fabric_call_kind(
     """``run_tasks``/``PersistentPool.map`` detection for one call."""
     dotted = resolve_call_target(facts, node.func)
     if dotted is not None:
-        if graph.resolve_export(dotted) in _FABRIC_TASK_FUNCS:
+        target = graph.resolve_export(dotted)
+        if target in _FABRIC_TASK_FUNCS or target in _FABRIC_FORWARDERS:
             return "run_tasks"
     func = node.func
     if isinstance(func, ast.Attribute) and func.attr in _FABRIC_POOL_METHODS:

@@ -10,7 +10,9 @@ Three checks enforce the ratchet:
    by exactly one of the two lists, and neither list may carry stale
    entries. A new module therefore *must* be classified at birth, and
    promoting a module to strict means deleting its baseline line — the
-   strict set can only grow.
+   strict set can only grow. ``pyproject.toml``'s strict mypy override
+   must name exactly the strict list (``x`` there is ``x`` plus ``x.*``
+   here), so the flags mypy applies cannot drift from what is gated.
 2. **annotations** — every ``def`` in a strict module must carry complete
    parameter and return annotations. This is a pure-AST check, so it
    runs in the test suite without mypy installed.
@@ -30,14 +32,17 @@ import re
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from typing import Optional, Sequence
 
 __all__ = [
     "check_annotations",
     "check_classification",
+    "check_overrides",
     "discover_modules",
     "load_module_list",
+    "load_strict_overrides",
     "main",
     "run_mypy_gate",
 ]
@@ -45,6 +50,7 @@ __all__ = [
 SRC_ROOT = Path("src/repro")
 STRICT_LIST = Path("tools/typing-strict.txt")
 BASELINE_LIST = Path("tools/typing-baseline.txt")
+PYPROJECT = Path("pyproject.toml")
 
 _MYPY_ERROR_RE = re.compile(r"^(?P<path>[^:]+\.py):\d+(?::\d+)?: error: ")
 
@@ -57,6 +63,18 @@ def load_module_list(path: Path) -> list[str]:
         if line and not line.startswith("#"):
             modules.append(line)
     return modules
+
+
+def load_strict_overrides(path: Path = PYPROJECT) -> list[str]:
+    """Module patterns of the strict mypy override(s) in ``path``."""
+    with path.open("rb") as handle:
+        overrides = tomllib.load(handle)["tool"]["mypy"]["overrides"]
+    patterns: list[str] = []
+    for override in overrides:
+        if override.get("disallow_untyped_defs"):
+            module = override["module"]
+            patterns.extend([module] if isinstance(module, str) else module)
+    return patterns
 
 
 def discover_modules(src_root: Path = SRC_ROOT) -> list[str]:
@@ -124,6 +142,25 @@ def check_classification(
                 f"{prefix}: stale strict entry (matches no module)"
             )
     return problems
+
+
+def check_overrides(
+    strict: Sequence[str], patterns: Sequence[str]
+) -> list[str]:
+    """Differences between the strict list and pyproject's override."""
+    expected = {
+        pattern for prefix in strict for pattern in (prefix, prefix + ".*")
+    }
+    listed = set(patterns)
+    return [
+        f"{pattern}: implied by {STRICT_LIST} but missing from the"
+        f" strict mypy override in {PYPROJECT}"
+        for pattern in sorted(expected - listed)
+    ] + [
+        f"{pattern}: in the strict mypy override in {PYPROJECT} but not"
+        f" implied by {STRICT_LIST}"
+        for pattern in sorted(listed - expected)
+    ]
 
 
 def _unannotated_defs(path: Path) -> list[str]:
@@ -229,6 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     modules = discover_modules(src_root)
 
     problems = check_classification(modules, strict, baseline)
+    problems += check_overrides(strict, load_strict_overrides())
     for problem in problems:
         print(f"classification: {problem}")
 

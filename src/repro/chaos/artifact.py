@@ -32,6 +32,7 @@ __all__ = [
     "violation_artifact",
     "write_artifact",
     "load_artifact",
+    "spec_from_dict",
     "replay_artifact",
     "minimize_campaign",
 ]
@@ -53,7 +54,8 @@ def _spec_to_dict(spec: CampaignSpec) -> dict[str, Any]:
     return record
 
 
-def _spec_from_dict(record: dict[str, Any]) -> CampaignSpec:
+def spec_from_dict(record: dict[str, Any]) -> CampaignSpec:
+    """The campaign an artifact's ``"spec"`` record pins (validated)."""
     known = {f.name for f in dataclasses.fields(CampaignSpec)}
     unknown = sorted(set(record) - known)
     if unknown:
@@ -152,7 +154,7 @@ def replay_artifact(
 
     if not isinstance(artifact, dict):
         artifact = load_artifact(artifact)
-    return run_campaign(_spec_from_dict(artifact["spec"]))
+    return run_campaign(spec_from_dict(artifact["spec"]))
 
 
 def _first_invariant(digest: dict[str, Any]) -> Optional[str]:

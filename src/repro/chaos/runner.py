@@ -31,40 +31,17 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
     from repro.chaos.injectors import apply_injection
     from repro.chaos.invariants import check_campaign
     from repro.core.strategy import ActivationStrategy
-    from repro.dsps import PlatformConfig, two_level_trace
-    from repro.laar import ExtendedApplication, MiddlewareConfig
-    from repro.obs.slo import FloorAvailability, attach_slo
-    from repro.workloads import load_bundle
+    from repro.dsps import PlatformConfig
+    from repro.laar import MiddlewareConfig, deploy_bundle
+    from repro.obs.slo import attach_floor_slo
 
     if not isinstance(spec, CampaignSpec):
         raise TypeError(f"expected a CampaignSpec, got {type(spec)!r}")
 
-    app = load_bundle(spec.bundle)
-    strategy = ActivationStrategy.from_json(app.deployment, spec.strategy)
-    reference = (
-        ActivationStrategy.from_json(
-            app.deployment, spec.reference_strategy
-        )
-        if spec.reference_strategy is not None
-        else strategy
-    )
-    trace = two_level_trace(
-        app.low_rate, app.high_rate, duration=spec.duration
-    )
-    traces = {
-        source: trace
-        for source in app.deployment.descriptor.graph.sources
-    }
-    schedule = (
-        spec.schedule
-        if spec.schedule is not None
-        else generate_schedule(spec, app.deployment, trace)
-    )
-
-    extended = ExtendedApplication(
-        app.deployment,
-        strategy,
-        traces,
+    extended, trace = deploy_bundle(
+        spec.bundle,
+        spec.strategy,
+        spec.duration,
         platform_config=PlatformConfig(
             failover_delay=spec.failover_delay,
             queue_seconds=spec.queue_seconds,
@@ -81,24 +58,24 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
             down_confirmation=spec.down_confirmation,
         ),
     )
-    initial_config = ExtendedApplication._initial_configuration(
-        app.deployment, traces
-    )
     platform = extended.platform
-    # Streaming SLO verdict: the FT-Search-proven pessimistic floor is
-    # the availability contract, exactly as in the invariant checker —
-    # so a clean campaign burns zero budget and fires zero alerts.
-    slo_engine = attach_slo(
-        platform,
-        FloorAvailability(
-            app.deployment,
-            strategy,
-            reference,
-            initial_config,
-            command_latency=spec.command_latency,
-        ),
-        tenant=str(spec.seed),
+    deployment = platform.deployment
+    strategy = extended.strategy
+    initial_config = extended.initial_config
+    reference = (
+        ActivationStrategy.from_json(deployment, spec.reference_strategy)
+        if spec.reference_strategy is not None
+        else strategy
     )
+    schedule = (
+        spec.schedule
+        if spec.schedule is not None
+        else generate_schedule(spec, deployment, trace)
+    )
+    # The FT-Search-proven pessimistic floor is the availability
+    # contract, exactly as in the invariant checker — so a clean
+    # campaign burns zero budget and fires zero alerts.
+    slo_engine = attach_floor_slo(extended, reference, tenant=str(spec.seed))
     platform.telemetry.emit(
         "chaos.campaign",
         seed=spec.seed,
@@ -128,7 +105,7 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
     events = platform.telemetry.events
     result = check_campaign(
         events.events(),
-        app.deployment,
+        deployment,
         strategy,
         reference,
         initial_config,
@@ -147,21 +124,9 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
         "initial_config": initial_config,
         "horizon": horizon,
         "schedule": [injection.to_dict() for injection in schedule],
-        "events_emitted": events.emitted,
-        "events_evicted": events.evicted,
-        "log_complete": events.evicted == 0,
-        "event_counts": dict(sorted(events.type_counts.items())),
-        "jsonl": events.to_jsonl(),
+        **events.digest(),
         "slo": slo_engine.summary(),
-        "spans": [
-            {
-                "name": span.name,
-                "start": span.start,
-                "duration": span.duration,
-                "fields": dict(span.fields),
-            }
-            for span in platform.telemetry.spans.finished
-        ],
+        "spans": platform.telemetry.spans.to_list(),
         "conservation": conservation,
         "metrics": {
             "input": metrics.total_input,
@@ -196,7 +161,7 @@ def run_campaigns(
     Digest order follows spec order and every digest is bit-identical
     for any ``jobs`` value (all telemetry is simulated-time-stamped).
     """
-    from repro.experiments.parallel import run_tasks
+    from repro.driver import fan_out
 
     # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never part of campaign digests
-    return run_tasks(run_campaign, list(specs), jobs=jobs, profile=profile)
+    return fan_out(run_campaign, specs, jobs=jobs, profile=profile)

@@ -19,6 +19,12 @@ droppers, FT-Search progress, and fabric utilization.
 
 ``experiment`` regenerates one paper figure and prints its table (same
 output the benchmark harness saves under benchmarks/results/).
+
+The scenario subcommands (``obs``, ``chaos run``, ``fleet``, ``elastic``,
+``slo``) are thin: parse, build the frozen specs, run them, and hand
+the streams, the JSON document and the rendered text to
+:func:`repro.driver.deliver`, which owns artifact naming, schema
+validation, violation printing and the exit code.
 """
 
 from __future__ import annotations
@@ -42,38 +48,20 @@ from repro.core.altmetrics import (
     output_completeness,
 )
 from repro.core.render import host_load_report, strategy_table
-from repro.dsps import (
-    PlatformConfig,
-    inject_host_crash,
-    inject_pessimistic_failures,
-    plan_host_crash,
-    two_level_trace,
-)
+from repro.dsps import PlatformConfig
 from repro.errors import ReproError
-from repro.laar import ExtendedApplication, MiddlewareConfig
-from repro.workloads import ClusterParams, GeneratorParams, generate_application
+from repro.laar import MiddlewareConfig, deploy_bundle
+from repro.workloads import (
+    ClusterParams,
+    GeneratorParams,
+    generate_application,
+    load_bundle,
+    save_bundle,
+)
 
 __all__ = ["main", "build_parser"]
 
 GIGA = 1.0e9
-
-
-# ----------------------------------------------------------------------
-# Bundle I/O
-# ----------------------------------------------------------------------
-
-def _write_bundle(path: Path, app) -> None:
-    from repro.workloads import save_bundle
-
-    save_bundle(app, path)
-
-
-def _read_bundle(path: Path):
-    from repro.workloads import load_bundle
-
-    app = load_bundle(path)
-    payload = {"low_rate": app.low_rate, "high_rate": app.high_rate}
-    return app.descriptor, app.deployment, payload
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +74,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         n_hosts=args.hosts, cores_per_host=args.cores_per_host
     )
     app = generate_application(args.seed, params=params, cluster=cluster)
-    _write_bundle(Path(args.out), app)
+    save_bundle(app, Path(args.out))
     print(
         f"generated {app.name}: {args.pes} PEs on {args.hosts} hosts,"
         f" Low {app.low_rate:.2f} t/s, High {app.high_rate:.2f} t/s"
@@ -96,7 +84,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    _, deployment, _ = _read_bundle(Path(args.bundle))
+    deployment = load_bundle(args.bundle).deployment
     problem = OptimizationProblem(deployment, ic_target=args.ic)
     result = ft_search(
         problem,
@@ -124,7 +112,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _, deployment, _ = _read_bundle(Path(args.bundle))
+    deployment = load_bundle(args.bundle).deployment
     strategy = ActivationStrategy.from_json(deployment, Path(args.strategy))
     ic = internal_completeness(strategy)
     cost = strategy_cost(strategy)
@@ -155,17 +143,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    import random
+    from repro.obs.runner import inject_failure_mode
 
-    _, deployment, payload = _read_bundle(Path(args.bundle))
-    strategy = ActivationStrategy.from_json(deployment, Path(args.strategy))
-    trace = two_level_trace(
-        payload["low_rate"], payload["high_rate"], duration=args.duration
-    )
-    extended = ExtendedApplication(
-        deployment,
-        strategy,
-        {source: trace for source in deployment.descriptor.graph.sources},
+    extended, trace = deploy_bundle(
+        args.bundle,
+        args.strategy,
+        args.duration,
         platform_config=PlatformConfig(
             arrival_jitter=args.jitter,
             seed=args.seed,
@@ -178,19 +161,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             dynamic=not args.static,
         ),
     )
+    injected = inject_failure_mode(extended, trace, args.failure, args.seed)
     if args.failure == "worst":
-        victims = inject_pessimistic_failures(extended.platform, strategy)
-        print(f"worst case: crashed {len(victims)} replicas")
+        print(f"worst case: crashed {injected['crashed_replicas']} replicas")
     elif args.failure == "crash":
-        plan = plan_host_crash(
-            extended.platform,
-            trace.segment_windows("High"),
-            random.Random(args.seed),
-        )
-        inject_host_crash(extended.platform, plan)
         print(
-            f"host crash: {plan.host} at t={plan.crash_time:.1f}s for"
-            f" {plan.downtime:.0f}s"
+            f"host crash: {injected['host']} at"
+            f" t={injected['crash_time']:.1f}s for"
+            f" {injected['downtime']:.0f}s"
         )
     metrics = extended.run()
     report = {
@@ -207,11 +185,40 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolve_strategy(
+    args: argparse.Namespace, bundle_path: Path, out_dir: Path, progress=None
+):
+    """The strategy a scenario runs: ``--strategy`` if given, else
+    FT-Search's best at ``--ic``, kept as ``strategy.json`` next to the
+    other run artifacts.
+
+    Returns ``(path, search result or None)``; the path is ``None`` —
+    after saying so on stderr — when the search found no strategy.
+    """
+    if args.strategy is not None:
+        return Path(args.strategy), None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    deployment = load_bundle(bundle_path).deployment
+    result = ft_search(
+        OptimizationProblem(deployment, ic_target=args.ic),
+        time_limit=args.time_limit,
+        seed_incumbent=True,
+        progress=progress,
+    )
+    if result.strategy is None:
+        print("no strategy found", file=sys.stderr)
+        return None, result
+    strategy_path = out_dir / "strategy.json"
+    result.strategy.to_json(strategy_path)
+    return strategy_path, result
+
+
 def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro.driver import deliver, take_streams
     from repro.experiments.parallel import FabricProfile
+    from repro.obs.progress import SearchProgress
     from repro.obs.report import render_report
     from repro.obs.runner import FAILURE_MODES, run_observed_modes
-    from repro.obs.validate import validate_lines
 
     modes = [m.strip() for m in args.failures.split(",") if m.strip()]
     for mode in modes:
@@ -223,30 +230,15 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 2
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # With --ic the search runs with progress telemetry on.
+    progress = SearchProgress(every=args.progress_every)
+    strategy_path, result = _resolve_strategy(
+        args, Path(args.bundle), out_dir, progress
+    )
+    if strategy_path is None:
+        return 1
     search = None
-    if args.strategy is not None:
-        strategy_path = Path(args.strategy)
-    else:
-        # Optimize first, with progress telemetry on, and keep the
-        # resulting strategy next to the other run artifacts.
-        from repro.obs.progress import SearchProgress
-
-        _, deployment, _ = _read_bundle(Path(args.bundle))
-        problem = OptimizationProblem(deployment, ic_target=args.ic)
-        progress = SearchProgress(every=args.progress_every)
-        result = ft_search(
-            problem,
-            time_limit=args.time_limit,
-            seed_incumbent=True,
-            progress=progress,
-        )
-        if result.strategy is None:
-            print("no strategy found", file=sys.stderr)
-            return 1
-        strategy_path = out_dir / "strategy.json"
-        result.strategy.to_json(strategy_path)
+    if result is not None:
         search = {
             "outcome": result.outcome.value,
             "nodes": result.stats.nodes_expanded,
@@ -256,7 +248,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         }
 
     profile = FabricProfile(label="obs-run")
-    results = run_observed_modes(
+    digests = run_observed_modes(
         str(args.bundle),
         str(strategy_path),
         modes=modes,
@@ -269,34 +261,24 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         profile=profile,
     )
-
-    mode_docs = []
-    for digest in results:
-        jsonl = digest.pop("jsonl")
-        events_path = out_dir / f"events-{digest['mode']}.jsonl"
-        events_path.write_text(jsonl)
-        problems = validate_lines(
-            jsonl.splitlines(), origin=str(events_path)
-        )
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 1
-        mode_docs.append(digest)
-
+    streams = take_streams(digests, "mode")
     report = {
         "bundle": str(args.bundle),
         "strategy": str(strategy_path),
         "duration": args.duration,
         "seed": args.seed,
-        "modes": mode_docs,
+        "modes": digests,
         "search": search,
         "fabric": profile.summary(),
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    print(render_report(report))
-    print(f"\nartifacts written to {out_dir}")
-    return 0
+    return deliver(
+        out_dir,
+        "report.json",
+        report,
+        render_report(report) + "\n",
+        streams=streams,
+        sort_keys=False,
+    )
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
@@ -312,13 +294,12 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         write_artifact,
     )
     from repro.chaos.report import render_chaos_report
-    from repro.obs.validate import validate_lines
+    from repro.driver import deliver, take_streams
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Resolve the bundle and the proven strategy: either both given, or
-    # generate + optimize a small application into the output directory.
+    # Without --bundle, generate a small application into the out-dir.
     if args.bundle is not None:
         bundle_path = Path(args.bundle)
     else:
@@ -332,21 +313,10 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
             ),
         )
         bundle_path = out_dir / "bundle.json"
-        _write_bundle(bundle_path, app)
-    if args.strategy is not None:
-        strategy_path = Path(args.strategy)
-    else:
-        _, deployment, _ = _read_bundle(bundle_path)
-        result = ft_search(
-            OptimizationProblem(deployment, ic_target=args.ic),
-            time_limit=args.time_limit,
-            seed_incumbent=True,
-        )
-        if result.strategy is None:
-            print("no strategy found", file=sys.stderr)
-            return 1
-        strategy_path = out_dir / "strategy.json"
-        result.strategy.to_json(strategy_path)
+        save_bundle(app, bundle_path)
+    strategy_path, _ = _resolve_strategy(args, bundle_path, out_dir)
+    if strategy_path is None:
+        return 1
 
     base = CampaignSpec(
         bundle=str(bundle_path),
@@ -362,7 +332,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         # Self-test: break the proven strategy below its bound and
         # demand that the invariant checker catches it and distils a
         # minimized repro artifact.
-        _, deployment, _ = _read_bundle(bundle_path)
+        deployment = load_bundle(bundle_path).deployment
         reference = ActivationStrategy.from_json(
             deployment, strategy_path
         )
@@ -429,30 +399,23 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     ]
     digests = run_campaigns(specs, jobs=args.jobs)
 
+    # A violated invariant leaves a repro artifact (which quotes the
+    # event stream, so before the streams are taken) and fails the
+    # sweep — after the report is delivered all the same.
     failures = 0
     for spec, digest in zip(specs, digests):
-        jsonl = digest["jsonl"]
-        events_path = out_dir / f"events-{spec.seed}.jsonl"
-        events_path.write_text(jsonl)
-        problems = validate_lines(
-            jsonl.splitlines(), origin=str(events_path)
-        )
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 1
         if not digest["invariants"]["ok"]:
             failures += 1
-            artifact = violation_artifact(digest, spec)
             artifact_path = write_artifact(
-                artifact, out_dir / f"violation-{spec.seed}.json"
+                violation_artifact(digest, spec),
+                out_dir / f"violation-{spec.seed}.json",
             )
             print(
                 f"seed {spec.seed}: invariant violated, artifact"
                 f" written to {artifact_path}",
                 file=sys.stderr,
             )
-
+    streams = take_streams(digests, "seed")
     report = {
         "meta": {
             "bundle": str(bundle_path),
@@ -462,17 +425,16 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
             "duration": args.duration,
             "heartbeat": args.heartbeat,
         },
-        "campaigns": [
-            {k: v for k, v in digest.items() if k != "jsonl"}
-            for digest in digests
-        ],
+        "campaigns": digests,
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+    code = deliver(
+        out_dir,
+        "report.json",
+        report,
+        render_chaos_report(report),
+        streams=streams,
     )
-    print(render_chaos_report(report))
-    print(f"artifacts written to {out_dir}")
-    return 1 if failures else 0
+    return 1 if failures else code
 
 
 def _cmd_chaos_replay(args: argparse.Namespace) -> int:
@@ -506,10 +468,10 @@ def _cmd_chaos_minimize(args: argparse.Namespace) -> int:
         violation_artifact,
         write_artifact,
     )
-    from repro.chaos.artifact import _spec_from_dict
+    from repro.chaos.artifact import spec_from_dict
 
     artifact = load_artifact(args.artifact)
-    spec = _spec_from_dict(artifact["spec"])
+    spec = spec_from_dict(artifact["spec"])
     before = len(spec.schedule or ())
     mini_spec, mini_digest = minimize_campaign(spec)
     minimized = violation_artifact(mini_digest, mini_spec)
@@ -523,13 +485,20 @@ def _cmd_chaos_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.driver import deliver
     from repro.fleet.report import render_fleet_report
     from repro.fleet.scenario import FleetScenarioParams, run_fleet_scenario
     from repro.fleet.store import StrategyStore
-    from repro.obs.validate import validate_lines
 
     if args.dataplane:
         return _cmd_fleet_dataplane(args)
+    if args.elastic or args.tuple_granular:
+        print(
+            "error: --elastic and --tuple-granular are dataplane options;"
+            " pass --dataplane with them",
+            file=sys.stderr,
+        )
+        return 2
 
     params = FleetScenarioParams(
         tenants=args.tenants,
@@ -544,88 +513,85 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         StrategyStore(args.store_dir) if args.store_dir is not None else None
     )
     result = run_fleet_scenario(params, jobs=args.jobs, store=store)
+    return deliver(
+        Path(args.out_dir),
+        "report.json",
+        result.report,
+        render_fleet_report(result.report),
+        streams=[(None, result.events_jsonl)],
+    )
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    events_path = out_dir / "events.jsonl"
-    events_path.write_text(result.events_jsonl)
-    problems = validate_lines(
-        result.events_jsonl.splitlines(), origin=str(events_path)
+
+def _run_tenants(args: argparse.Namespace, params_type, **extra):
+    """One tenant-fleet run from the shared option family: the params
+    (``params_type`` picks static or elastic) and what came back."""
+    from repro.driver import run_tenants
+
+    params = params_type(
+        tenants=args.tenants,
+        base_seed=args.seed,
+        duration=args.duration,
+        chaos_every=args.chaos_every,
+        batching=not args.tuple_granular,
+        **extra,
     )
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return 1
-    (out_dir / "report.json").write_text(
-        json.dumps(result.report, indent=2, sort_keys=True) + "\n"
-    )
-    print(render_fleet_report(result.report))
-    print(f"artifacts written to {out_dir}")
-    return 0
+    return run_tenants(params, jobs=args.jobs)
+
+
+def _tenant_document(
+    args: argparse.Namespace, summary: dict, tenants: list, **extra
+) -> dict:
+    """The ``{params, fleet, tenants}`` document of ``elastic``/``slo``."""
+    return {
+        "params": {
+            "tenants": args.tenants,
+            "seed": args.seed,
+            "duration": args.duration,
+            "chaos_every": args.chaos_every,
+            "batching": not args.tuple_granular,
+            **extra,
+        },
+        "fleet": {k: v for k, v in summary.items() if k != "violations"},
+        "tenants": tenants,
+    }
 
 
 def _cmd_fleet_dataplane(args: argparse.Namespace) -> int:
+    from repro.driver import deliver
+    from repro.elastic import ElasticParams
     from repro.fleet.dataplane import DataplaneParams
     from repro.fleet.report import render_dataplane_slo_report
-    from repro.fleet.scenario import run_fleet_dataplane
 
-    elastic = getattr(args, "elastic", False)
-    if elastic:
-        from repro.elastic import ElasticParams
-        from repro.elastic.scenario import run_elastic_fleet
-
-        params = ElasticParams(
-            tenants=args.tenants,
-            base_seed=args.seed,
-            duration=args.duration,
-            chaos_every=args.chaos_every,
-            batching=not args.tuple_granular,
-        )
-        summary, _digests = run_elastic_fleet(params, jobs=args.jobs)
-    else:
-        params = DataplaneParams(
-            tenants=args.tenants,
-            base_seed=args.seed,
-            duration=args.duration,
-            chaos_every=args.chaos_every,
-            batching=not args.tuple_granular,
-        )
-        summary, _digests = run_fleet_dataplane(params, jobs=args.jobs)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "dataplane.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    summary, _digests = _run_tenants(
+        args, ElasticParams if args.elastic else DataplaneParams
     )
     totals = summary["totals"]
     mode = "tuple-granular" if args.tuple_granular else "batched"
-    label = "elastic dataplane" if elastic else "dataplane"
-    print(
+    label = "elastic dataplane" if args.elastic else "dataplane"
+    lines = [
         f"{label} ({mode}): {summary['tenants']} tenants,"
         f" {totals['input']} tuples in, {totals['output']} out,"
         f" {totals['fallback_windows']} fallback windows"
         f" ({summary['fallback_seconds']}s)"
-    )
-    if elastic:
+    ]
+    if args.elastic:
         stats = summary["elastic"]
-        print(
+        lines.append(
             f"elastic: {stats['migrations']} migrations"
             f" ({stats['completed']} completed, {stats['aborted']}"
             f" aborted, {stats['refused']} refused),"
             f" {stats['consolidations']} consolidations,"
             f" {stats['active_core_seconds']} active core-seconds"
         )
-    print(f"fleet sha256: {summary['fleet_sha256']}")
-    print(render_dataplane_slo_report(summary), end="")
-    for item in summary["violations"]:
-        print(
-            f"violation (tenant {item['tenant']}): {item['violation']}",
-            file=sys.stderr,
-        )
-    if not summary["ok"]:
-        return 1
-    print(f"artifacts written to {out_dir}")
-    return 0
+    lines.append(f"fleet sha256: {summary['fleet_sha256']}")
+    lines.append(render_dataplane_slo_report(summary).rstrip("\n"))
+    return deliver(
+        Path(args.out_dir),
+        "dataplane.json",
+        summary,
+        "\n".join(lines),
+        violations=summary["violations"],
+    )
 
 
 def _cmd_elastic(args: argparse.Namespace) -> int:
@@ -635,77 +601,35 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     host-lifecycle events are part of ``EVENT_SCHEMA``), and any
     conservation/floor violation makes the command exit 1.
     """
+    from repro.driver import deliver, take_streams
     from repro.elastic import ElasticParams
-    from repro.elastic.scenario import run_elastic_fleet
-    from repro.obs.validate import validate_lines
 
-    params = ElasticParams(
-        tenants=args.tenants,
-        base_seed=args.seed,
-        duration=args.duration,
-        chaos_every=args.chaos_every,
-        batching=not args.tuple_granular,
-        keep_events=True,
-        slo=True,
+    summary, digests = _run_tenants(
+        args, ElasticParams, keep_events=True, slo=True
     )
-    summary, digests = run_elastic_fleet(params, jobs=args.jobs)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tenants = []
-    for digest in digests:
-        jsonl = digest.pop("jsonl")
-        events_path = out_dir / f"events-{digest['tenant']}.jsonl"
-        events_path.write_text(jsonl)
-        problems = validate_lines(
-            jsonl.splitlines(), origin=str(events_path)
-        )
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 1
-        tenants.append(digest)
-    document = {
-        "params": {
-            "tenants": args.tenants,
-            "seed": args.seed,
-            "duration": args.duration,
-            "chaos_every": args.chaos_every,
-            "batching": not args.tuple_granular,
-        },
-        "fleet": {k: v for k, v in summary.items() if k != "violations"},
-        "tenants": tenants,
-    }
-    (out_dir / "elastic.json").write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    streams = take_streams(digests, "tenant")
     stats = summary["elastic"]
     mode = "tuple-granular" if args.tuple_granular else "batched"
-    print(
+    lines = [
         f"elastic ({mode}): {summary['tenants']} tenants,"
         f" {stats['migrations']} migrations"
         f" ({stats['completed']} completed, {stats['aborted']} aborted,"
-        f" {stats['refused']} refused)"
-    )
-    print(
+        f" {stats['refused']} refused)",
         f"autoscaler: {stats['scale_ups']} ups, {stats['scale_downs']}"
         f" downs, {stats['consolidations']} consolidations,"
-        f" {stats['moves']} moves"
-    )
-    print(
+        f" {stats['moves']} moves",
         f"core-seconds: {stats['active_core_seconds']} active,"
-        f" {stats['reserved_core_seconds']} reserved"
+        f" {stats['reserved_core_seconds']} reserved",
+        f"fleet sha256: {summary['fleet_sha256']}",
+    ]
+    return deliver(
+        Path(args.out_dir),
+        "elastic.json",
+        _tenant_document(args, summary, digests),
+        "\n".join(lines),
+        streams=streams,
+        violations=summary["violations"],
     )
-    print(f"fleet sha256: {summary['fleet_sha256']}")
-    for item in summary["violations"]:
-        print(
-            f"violation (tenant {item['tenant']}): {item['violation']}",
-            file=sys.stderr,
-        )
-    if not summary["ok"]:
-        return 1
-    print(f"artifacts written to {out_dir}")
-    return 0
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
@@ -713,79 +637,50 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     Writes ``slo.json`` (the fleet summary plus every tenant's windowed
     rollups — the input format of ``repro obs diff``) and per-tenant
-    ``events-<tenant>.jsonl`` streams that are schema-validated here.
+    ``events-<tenant>.jsonl`` streams, schema-validated on the way out.
     """
+    from repro.driver import deliver, take_streams
     from repro.fleet.dataplane import DataplaneParams
     from repro.fleet.report import render_dataplane_slo_report
-    from repro.fleet.scenario import run_fleet_dataplane
-    from repro.obs.validate import validate_lines
 
-    params = DataplaneParams(
-        tenants=args.tenants,
-        base_seed=args.seed,
-        duration=args.duration,
-        chaos_every=args.chaos_every,
-        batching=not args.tuple_granular,
+    summary, digests = _run_tenants(
+        args,
+        DataplaneParams,
         keep_events=True,
         slo=True,
         slo_window=args.window,
         slo_target=args.objective,
     )
-    summary, digests = run_fleet_dataplane(params, jobs=args.jobs)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tenants = []
-    for digest in digests:
-        jsonl = digest.pop("jsonl")
-        events_path = out_dir / f"events-{digest['tenant']}.jsonl"
-        events_path.write_text(jsonl)
-        problems = validate_lines(
-            jsonl.splitlines(), origin=str(events_path)
-        )
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 1
-        tenants.append(
-            {
-                "tenant": digest["tenant"],
-                "app": digest["app"],
-                "log_complete": digest["log_complete"],
-                "slo": digest["slo"],
-            }
-        )
-    document = {
-        "params": {
-            "tenants": args.tenants,
-            "seed": args.seed,
-            "duration": args.duration,
-            "chaos_every": args.chaos_every,
-            "window": args.window,
-            "objective": args.objective,
-            "batching": not args.tuple_granular,
-        },
-        "fleet": {k: v for k, v in summary.items() if k != "violations"},
-        "tenants": tenants,
-    }
-    (out_dir / "slo.json").write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
-    print(
+    streams = take_streams(digests, "tenant")
+    tenants = [
+        {
+            "tenant": digest["tenant"],
+            "app": digest["app"],
+            "log_complete": digest["log_complete"],
+            "slo": digest["slo"],
+        }
+        for digest in digests
+    ]
+    lines = [
         f"slo: {summary['tenants']} tenants,"
         f" {summary['totals']['input']} tuples in,"
-        f" fleet sha256 {summary['fleet_sha256']}"
+        f" fleet sha256 {summary['fleet_sha256']}",
+        render_dataplane_slo_report(summary).rstrip("\n"),
+    ]
+    return deliver(
+        Path(args.out_dir),
+        "slo.json",
+        _tenant_document(
+            args,
+            summary,
+            tenants,
+            window=args.window,
+            objective=args.objective,
+        ),
+        "\n".join(lines),
+        streams=streams,
+        violations=summary["violations"],
     )
-    print(render_dataplane_slo_report(summary), end="")
-    for item in summary["violations"]:
-        print(
-            f"violation (tenant {item['tenant']}): {item['violation']}",
-            file=sys.stderr,
-        )
-    if not summary["ok"]:
-        return 1
-    print(f"artifacts written to {out_dir}")
-    return 0
 
 
 def _cmd_obs_diff(argv: Sequence[str]) -> int:
@@ -794,7 +689,7 @@ def _cmd_obs_diff(argv: Sequence[str]) -> int:
     Dispatched before the main parser (the ``obs`` subcommand has a
     positional bundle argument that would swallow ``diff``).
     """
-    from repro.obs.diff import diff_runs, render_diff
+    from repro.obs.diff import diff_runs, load_slo_document, render_diff
 
     parser = argparse.ArgumentParser(
         prog="repro obs diff",
@@ -809,34 +704,15 @@ def _cmd_obs_diff(argv: Sequence[str]) -> int:
     )
     args = parser.parse_args(list(argv))
 
-    doc_a = json.loads(Path(args.run_a).read_text())
-    doc_b = json.loads(Path(args.run_b).read_text())
-    diff = diff_runs(doc_a, doc_b)
+    diff = diff_runs(
+        load_slo_document(args.run_a), load_slo_document(args.run_b)
+    )
     if args.out is not None:
         Path(args.out).write_text(
             json.dumps(diff, indent=2, sort_keys=True) + "\n"
         )
     print(render_diff(diff), end="")
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    forwarded: list[str] = list(args.paths)
-    if args.format != "text":
-        forwarded += ["--format", args.format]
-    if args.out is not None:
-        forwarded += ["--out", args.out]
-    if args.sarif is not None:
-        forwarded += ["--sarif", args.sarif]
-    if args.allowlist is not None:
-        forwarded += ["--allowlist", args.allowlist]
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.smoke:
-        forwarded.append("--smoke")
-    return lint_main(forwarded)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -874,6 +750,87 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+
+def _add_laar_run_options(
+    parser: argparse.ArgumentParser,
+    *,
+    ic_default: Optional[float],
+    out_dir: str,
+    artifacts: str,
+) -> None:
+    """The option family of a scenario on a bundle (``obs``, ``chaos
+    run``): the strategy is given or optimized into the out-dir, the
+    runs fan out over ``--jobs`` workers."""
+    parser.add_argument(
+        "--strategy", default=None,
+        help="activation strategy JSON to run (default: optimize one at"
+        " --ic and keep it in the out-dir)",
+    )
+    parser.add_argument(
+        "--ic", type=float, default=ic_default,
+        help="IC target when optimizing a strategy (without --strategy)",
+    )
+    parser.add_argument("--time-limit", type=float, default=10.0)
+    parser.add_argument(
+        "--batched", action="store_true",
+        help="use the batched execution engine (byte-identical event"
+        " logs and digests, faster at fleet scale)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for the runs (default: REPRO_JOBS, then"
+        " the CPU count; 1 = serial)",
+    )
+    parser.add_argument(
+        "--out-dir", default=out_dir, help=f"directory for {artifacts}"
+    )
+
+
+def _add_tenant_run_options(
+    parser: argparse.ArgumentParser,
+    *,
+    tenants: int,
+    duration: float,
+    chaos_every: int,
+    out_dir: str,
+    artifacts: str,
+    scope: str = "",
+) -> None:
+    """The option family of a tenant-fleet run (``fleet``, ``elastic``,
+    ``slo``). ``scope`` prefixes the help of the options that only the
+    data plane reads (``fleet`` shares the rest with its control plane).
+    """
+    parser.add_argument(
+        "--tenants", type=int, default=tenants,
+        help="how many tenants (default %(default)s)",
+    )
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--duration", type=float, default=duration,
+        help=f"{scope}simulated seconds per tenant (default %(default)s)",
+    )
+    parser.add_argument(
+        "--chaos-every", type=int, default=chaos_every,
+        help=f"{scope}every Nth tenant gets scripted chaos — a mid-run"
+        " host crash or slow-host window, and on elastic runs one slot"
+        " lands a host kill inside an open migration window (0 = off;"
+        " default %(default)s)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes (default: REPRO_JOBS, then the CPU"
+        " count; 1 = serial); every artifact is byte-identical at any"
+        " value",
+    )
+    parser.add_argument(
+        "--tuple-granular", action="store_true",
+        help=f"{scope}run the plain event kernel instead of the batched"
+        " engine (event logs are byte-identical)",
+    )
+    parser.add_argument(
+        "--out-dir", default=out_dir, help=f"directory for {artifacts}"
+    )
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of all subcommands."""
@@ -951,16 +908,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run observed simulations and render a telemetry report",
     )
     obs.add_argument("bundle")
-    obs.add_argument(
-        "--strategy", default=None,
-        help="activation strategy JSON to run (or use --ic to optimize)",
+    # Exactly one of --strategy / --ic; the search runs with progress
+    # telemetry on.
+    _add_laar_run_options(
+        obs,
+        ic_default=None,
+        out_dir="obs-run",
+        artifacts="events-<mode>.jsonl and report.json",
     )
-    obs.add_argument(
-        "--ic", type=float, default=None,
-        help="optimize first at this IC target, with search progress"
-        " telemetry (mutually exclusive with --strategy)",
-    )
-    obs.add_argument("--time-limit", type=float, default=10.0)
     obs.add_argument(
         "--progress-every", type=int, default=256,
         help="FT-Search snapshot period in expanded nodes (with --ic)",
@@ -981,20 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="input-queue sizing in seconds of peak rate (small values"
         " force queue overflows and tuple drops)",
     )
-    obs.add_argument(
-        "--batched", action="store_true",
-        help="use the batched execution engine (byte-identical event"
-        " logs, faster at fleet scale)",
-    )
-    obs.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the per-mode runs (default: serial"
-        " resolution via REPRO_JOBS / CPU count)",
-    )
-    obs.add_argument(
-        "--out-dir", default="obs-run",
-        help="directory for events-<mode>.jsonl and report.json",
-    )
     obs.set_defaults(func=_cmd_obs)
 
     chaos = commands.add_parser(
@@ -1011,15 +952,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--bundle", default=None,
         help="application bundle to stress (default: generate one)",
     )
-    chaos_run.add_argument(
-        "--strategy", default=None,
-        help="proven activation strategy JSON (default: optimize one)",
+    _add_laar_run_options(
+        chaos_run,
+        ic_default=0.5,
+        out_dir="chaos-run",
+        artifacts="events-<seed>.jsonl, violation artifacts, and"
+        " report.json",
     )
-    chaos_run.add_argument(
-        "--ic", type=float, default=0.5,
-        help="IC target when optimizing a strategy (without --strategy)",
-    )
-    chaos_run.add_argument("--time-limit", type=float, default=10.0)
     chaos_run.add_argument(
         "--seed", type=int, default=0, help="base campaign seed"
     )
@@ -1044,24 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
         " (default: abstract detection)",
     )
     chaos_run.add_argument(
-        "--batched", action="store_true",
-        help="use the batched execution engine (byte-identical digests,"
-        " faster at fleet scale)",
-    )
-    chaos_run.add_argument(
         "--sabotage", action="store_true",
         help="self-test: break the strategy below its proven bound and"
         " require the checker to catch and minimize it",
-    )
-    chaos_run.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the campaign sweep (default:"
-        " REPRO_JOBS, then the CPU count; 1 = serial)",
-    )
-    chaos_run.add_argument(
-        "--out-dir", default="chaos-run",
-        help="directory for events-<seed>.jsonl, violation artifacts,"
-        " and report.json",
     )
     chaos_run.set_defaults(func=_cmd_chaos_run)
 
@@ -1087,15 +1011,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a multi-tenant fleet scenario and render the"
         " occupancy/SLA report",
     )
-    fleet.add_argument(
-        "--tenants", type=int, default=100,
-        help="how many tenant contracts arrive (default 100)",
+    _add_tenant_run_options(
+        fleet,
+        tenants=100,
+        duration=30.0,
+        chaos_every=25,
+        out_dir="fleet-run",
+        artifacts="events.jsonl and report.json (dataplane.json with"
+        " --dataplane)",
+        scope="dataplane only: ",
     )
     fleet.add_argument(
         "--apps", type=int, default=7,
         help="distinct application templates tenants are drawn from",
     )
-    fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument(
         "--hosts", type=int, default=20,
         help="shared-cluster host count",
@@ -1110,38 +1039,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--drift-factor", type=float, default=1.1)
     fleet.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the strategy-store prewarm"
-        " (default: REPRO_JOBS, then the CPU count; 1 = serial)",
-    )
-    fleet.add_argument(
         "--store-dir", default=None,
         help="persist the strategy store here (JSON per record);"
         " reused across runs",
-    )
-    fleet.add_argument(
-        "--out-dir", default="fleet-run",
-        help="directory for events.jsonl and report.json",
     )
     fleet.add_argument(
         "--dataplane", action="store_true",
         help="run the fleet *data plane* instead of the control plane:"
         " every tenant is a fully simulated stream platform (the"
         " batched engine's headline workload; see docs/performance.md)",
-    )
-    fleet.add_argument(
-        "--duration", type=float, default=30.0,
-        help="dataplane only: simulated seconds per tenant",
-    )
-    fleet.add_argument(
-        "--chaos-every", type=int, default=25,
-        help="dataplane only: every Nth tenant gets a scripted"
-        " mid-run host crash or slow-host window (0 = off)",
-    )
-    fleet.add_argument(
-        "--tuple-granular", action="store_true",
-        help="dataplane only: run the plain event kernel instead of"
-        " the batched engine (event logs are byte-identical)",
     )
     fleet.add_argument(
         "--elastic", action="store_true",
@@ -1157,35 +1063,13 @@ def build_parser() -> argparse.ArgumentParser:
         " host drains, chaos inside migration windows) and write the"
         " elastic.json artifact (see docs/elasticity.md)",
     )
-    elastic.add_argument(
-        "--tenants", type=int, default=8,
-        help="how many simulated tenants (default 8)",
-    )
-    elastic.add_argument("--seed", type=int, default=7)
-    elastic.add_argument(
-        "--duration", type=float, default=12.0,
-        help="simulated seconds per tenant (default 12)",
-    )
-    elastic.add_argument(
-        "--chaos-every", type=int, default=4,
-        help="every Nth tenant gets scripted chaos; one slot lands a"
-        " host kill inside an open migration window (0 = off;"
-        " default 4)",
-    )
-    elastic.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS, then the CPU"
-        " count; 1 = serial — the fleet sha256 is identical either"
-        " way)",
-    )
-    elastic.add_argument(
-        "--tuple-granular", action="store_true",
-        help="run the plain event kernel instead of the batched engine"
-        " (event logs are byte-identical)",
-    )
-    elastic.add_argument(
-        "--out-dir", default="elastic-run",
-        help="directory for elastic.json and per-tenant event streams",
+    _add_tenant_run_options(
+        elastic,
+        tenants=8,
+        duration=12.0,
+        chaos_every=4,
+        out_dir="elastic-run",
+        artifacts="elastic.json and events-<tenant>.jsonl",
     )
     elastic.set_defaults(func=_cmd_elastic)
 
@@ -1195,19 +1079,13 @@ def build_parser() -> argparse.ArgumentParser:
         " rollups and write the slo.json artifact 'repro obs diff'"
         " consumes (see docs/observability.md)",
     )
-    slo.add_argument(
-        "--tenants", type=int, default=10,
-        help="how many simulated tenants (default 10)",
-    )
-    slo.add_argument("--seed", type=int, default=7)
-    slo.add_argument(
-        "--duration", type=float, default=30.0,
-        help="simulated seconds per tenant (default 30)",
-    )
-    slo.add_argument(
-        "--chaos-every", type=int, default=4,
-        help="every Nth tenant gets a scripted mid-run host crash or"
-        " slow-host window (0 = off; default 4)",
+    _add_tenant_run_options(
+        slo,
+        tenants=10,
+        duration=30.0,
+        chaos_every=4,
+        out_dir="slo-run",
+        artifacts="slo.json and events-<tenant>.jsonl",
     )
     slo.add_argument(
         "--window", type=float, default=5.0,
@@ -1217,57 +1095,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", type=float, default=0.999,
         help="availability objective in (0, 1) (default 0.999)",
     )
-    slo.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS, then the CPU"
-        " count; 1 = serial); slo.* streams are byte-identical at"
-        " any value",
-    )
-    slo.add_argument(
-        "--tuple-granular", action="store_true",
-        help="run the plain event kernel instead of the batched engine"
-        " (slo.* streams are byte-identical either way)",
-    )
-    slo.add_argument(
-        "--out-dir", default="slo-run",
-        help="directory for slo.json and events-<tenant>.jsonl",
-    )
     slo.set_defaults(func=_cmd_slo)
 
-    lint = commands.add_parser(
+    # Listed here for ``repro --help`` only: main() hands everything
+    # after ``lint`` to the linter's own parser (repro.analysis.cli).
+    commands.add_parser(
         "lint",
         help="run the determinism & event-schema linter (rules R1..R10;"
         " see docs/static-analysis.md)",
     )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="stdout format (default: text diagnostics + summary)",
-    )
-    lint.add_argument(
-        "--out", default=None,
-        help="also write the canonical JSON report to this file",
-    )
-    lint.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="also write a SARIF 2.1.0 log to this file (CI upload)",
-    )
-    lint.add_argument(
-        "--allowlist", default=None,
-        help="allowlist file (default: ./analysis-allowlist.txt if present)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--smoke", action="store_true",
-        help="self-test against the fixture corpus and exit",
-    )
-    lint.set_defaults(func=_cmd_lint)
 
     experiment = commands.add_parser(
         "experiment", help="regenerate one paper figure (or all of them)"
@@ -1302,12 +1138,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # 'diff' as its positional bundle argument).
         if argv_list[:2] == ["obs", "diff"]:
             return _cmd_obs_diff(argv_list[2:])
+        if argv_list[:1] == ["lint"]:
+            from repro.analysis.cli import main as lint_main
+
+            return lint_main(argv_list[1:])
         parser = build_parser()
         args = parser.parse_args(argv_list)
         return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

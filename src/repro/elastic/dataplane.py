@@ -21,12 +21,12 @@ identical across execution modes and worker counts.
 
 (Like :mod:`repro.fleet.dataplane`, this module must not import the
 parallel fabric — fabric workers import it to unpickle tasks. The
-fan-out driver lives in :mod:`repro.elastic.scenario`.)
+fan-out lives in :func:`repro.driver.run_tenants`, which picks the
+elastic worker from the type of the params.)
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
@@ -35,8 +35,13 @@ from repro.dsps.platform import StreamPlatform
 from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.elastic.migration import MigrationConfig, MigrationEngine
 from repro.errors import ReproError
-from repro.fleet.dataplane import DataplaneParams, build_tenant_platform
-from repro.obs.slo import CoverageAvailability, SloConfig, attach_slo
+from repro.fleet.dataplane import (
+    DataplaneParams,
+    TenantTask,
+    run_platform,
+    summarize_dataplane,
+    tenant_platform,
+)
 
 __all__ = [
     "CoreHourMeter",
@@ -76,12 +81,10 @@ class ElasticParams(DataplaneParams):
 
 
 @dataclass(frozen=True)
-class ElasticTask:
-    """One elastic tenant run (the picklable fan-out unit)."""
+class ElasticTask(TenantTask):
+    """A :class:`TenantTask` whose params carry the elasticity knobs."""
 
     params: ElasticParams
-    tenant: int
-    batching: Optional[bool] = None
 
 
 class CoreHourMeter:
@@ -200,14 +203,15 @@ def _schedule_migration_chaos(
 def run_elastic_tenant(task: ElasticTask) -> dict[str, Any]:
     """Run one elastic tenant and distil it into a plain digest.
 
-    Mirrors :func:`repro.fleet.dataplane.run_tenant` — same conservation
-    verdict, same canonical event-stream hash — plus an ``"elastic"``
-    block with the engine and autoscaler counters and the meter's
+    The tenant run itself is :func:`repro.fleet.dataplane.run_platform`
+    — same SLO taps, conservation verdict and canonical event-stream
+    hash. This adds what is elastic: the engine, autoscaler and meter
+    attached before it (in that order, ahead of the SLO taps), and an
+    ``"elastic"`` digest block with their counters and the meter's
     core-second integrals.
     """
     params = task.params
-    batching = params.batching if task.batching is None else task.batching
-    platform = build_tenant_platform(params, task.tenant, batching)
+    platform = tenant_platform(task)
 
     engine: Optional[MigrationEngine] = None
     scaler: Optional[Autoscaler] = None
@@ -259,81 +263,23 @@ def run_elastic_tenant(task: ElasticTask) -> dict[str, Any]:
     )
     meter.start()
 
-    slo_engine = None
-    if params.slo:
-        slo_engine = attach_slo(
-            platform,
-            CoverageAvailability(platform.deployment),
-            SloConfig(
-                window=params.slo_window,
-                availability_target=params.slo_target,
-            ),
-            tenant=str(task.tenant),
-        )
-    metrics = platform.run()
-    if slo_engine is not None:
-        slo_engine.finalize(params.duration + 2.0)
-
-    violations: list[str] = []
-    for replica_id, m in sorted(
-        metrics.replicas.items(), key=lambda item: str(item[0])
-    ):
-        queued = platform.replica(replica_id).queue_length
-        if m.received != m.processed + m.dropped + m.lost + queued:
-            violations.append(
-                f"conservation {replica_id}: received={m.received}"
-                f" != processed={m.processed} + dropped={m.dropped}"
-                f" + lost={m.lost} + queued={queued}"
-            )
-    if metrics.total_output == 0:
-        violations.append("no-output: sinks received nothing")
-
-    events = platform.telemetry.events
-    jsonl = events.to_jsonl()
-    digest: dict[str, Any] = {
-        "tenant": task.tenant,
-        "app": platform.deployment.descriptor.name,
-        "batching": batching,
-        "input": metrics.total_input,
-        "output": metrics.total_output,
-        "processed": metrics.tuples_processed,
-        "dropped": metrics.logical_dropped,
-        "lost": metrics.total_lost,
-        "events_emitted": events.emitted,
-        "events_sha256": hashlib.sha256(jsonl.encode("utf-8")).hexdigest(),
-        "fallback_windows": platform.fallback.windows,
-        "fallback_seconds": round(platform.fallback.covered, 9),
-        "log_complete": events.evicted == 0,
-        "slo": slo_engine.summary() if slo_engine is not None else None,
-        "violations": violations,
-        "engine": (
-            dict(platform.engine.stats)
-            if platform.engine is not None
-            else None
-        ),
-        "elastic": {
-            "migrations": engine.attempted if engine is not None else 0,
-            "completed": engine.completed if engine is not None else 0,
-            "aborted": engine.aborted if engine is not None else 0,
-            "refused": engine.refused if engine is not None else 0,
-            "open": len(engine.open_migrations) if engine is not None else 0,
-            "scale_ups": scaler.scale_ups if scaler is not None else 0,
-            "scale_downs": scaler.scale_downs if scaler is not None else 0,
-            "reactivations": (
-                scaler.reactivations if scaler is not None else 0
-            ),
-            "consolidations": (
-                scaler.consolidations if scaler is not None else 0
-            ),
-            "expansions": scaler.expansions if scaler is not None else 0,
-            "moves": scaler.moves if scaler is not None else 0,
-            "skipped": scaler.skipped if scaler is not None else 0,
-            "active_core_seconds": round(meter.active_core_seconds, 9),
-            "reserved_core_seconds": round(meter.reserved_core_seconds, 9),
-        },
+    digest = run_platform(task, platform)
+    digest["elastic"] = {
+        "migrations": engine.attempted if engine is not None else 0,
+        "completed": engine.completed if engine is not None else 0,
+        "aborted": engine.aborted if engine is not None else 0,
+        "refused": engine.refused if engine is not None else 0,
+        "open": len(engine.open_migrations) if engine is not None else 0,
+        "scale_ups": scaler.scale_ups if scaler is not None else 0,
+        "scale_downs": scaler.scale_downs if scaler is not None else 0,
+        "reactivations": scaler.reactivations if scaler is not None else 0,
+        "consolidations": scaler.consolidations if scaler is not None else 0,
+        "expansions": scaler.expansions if scaler is not None else 0,
+        "moves": scaler.moves if scaler is not None else 0,
+        "skipped": scaler.skipped if scaler is not None else 0,
+        "active_core_seconds": round(meter.active_core_seconds, 9),
+        "reserved_core_seconds": round(meter.reserved_core_seconds, 9),
     }
-    if params.keep_events:
-        digest["jsonl"] = jsonl
     return digest
 
 
@@ -345,8 +291,6 @@ def summarize_elastic(
     Wraps the fleet summary (same ``fleet_sha256`` chaining, same
     violation roll-up) and adds the summed elasticity counters.
     """
-    from repro.fleet.dataplane import summarize_dataplane
-
     summary = summarize_dataplane(digests)
     elastic: dict[str, float] = {}
     for digest in digests:

@@ -19,10 +19,10 @@ execution modes, and ``tests/sim/test_batched_equivalence.py`` pins the
 two modes to byte-identical event logs on it.
 
 Everything in this module is pure simulation: no imports from the
-process-parallel fabric (the fan-out driver lives in
-:func:`repro.fleet.scenario.run_fleet_dataplane`), and every task and
-digest is built from picklable scalars and containers only, so results
-are bit-identical at any worker count.
+process-parallel fabric (the fan-out lives in
+:func:`repro.driver.run_tenants`), and every task and digest is built
+from picklable scalars and containers only, so results are
+bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ __all__ = [
     "TenantApp",
     "TenantTask",
     "build_tenant_platform",
+    "run_platform",
     "run_tenant",
     "summarize_dataplane",
     "tenant_app",
+    "tenant_platform",
 ]
 
 
@@ -249,17 +251,28 @@ def build_tenant_platform(
     return platform
 
 
-def run_tenant(task: TenantTask) -> dict[str, Any]:
-    """Run one tenant and distil it into a plain digest (fabric worker).
-
-    The digest carries the per-tenant conservation verdict and the
-    SHA-256 of the canonical event stream — everything the byte-identity
-    tests compare — plus the engine's counters under ``"engine"`` (the
-    one key that legitimately differs between execution modes).
-    """
+def tenant_platform(task: TenantTask) -> StreamPlatform:
+    """The task's platform, in the execution mode the task resolves to."""
     params = task.params
     batching = params.batching if task.batching is None else task.batching
-    platform = build_tenant_platform(params, task.tenant, batching)
+    return build_tenant_platform(params, task.tenant, batching)
+
+
+def run_platform(
+    task: TenantTask, platform: StreamPlatform
+) -> dict[str, Any]:
+    """Run a tenant's built platform and distil it into a plain digest.
+
+    The one tenant run: attach the SLO taps (last — whatever the caller
+    attached to ``platform`` before comes first in tap order, which is
+    part of the byte-identity contract), run, check conservation, hash
+    the canonical event stream. The digest carries the per-tenant
+    verdict and the SHA-256 of the stream — everything the
+    byte-identity tests compare — plus the engine's counters under
+    ``"engine"`` (the one key that legitimately differs between
+    execution modes).
+    """
+    params = task.params
     slo_engine = None
     if params.slo:
         slo_engine = attach_slo(
@@ -294,7 +307,7 @@ def run_tenant(task: TenantTask) -> dict[str, Any]:
     digest: dict[str, Any] = {
         "tenant": task.tenant,
         "app": platform.deployment.descriptor.name,
-        "batching": batching,
+        "batching": platform.engine is not None,
         "input": metrics.total_input,
         "output": metrics.total_output,
         "processed": metrics.tuples_processed,
@@ -316,6 +329,11 @@ def run_tenant(task: TenantTask) -> dict[str, Any]:
     if params.keep_events:
         digest["jsonl"] = jsonl
     return digest
+
+
+def run_tenant(task: TenantTask) -> dict[str, Any]:
+    """Run one tenant and return its digest (fabric worker)."""
+    return run_platform(task, tenant_platform(task))
 
 
 def summarize_dataplane(

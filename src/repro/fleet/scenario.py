@@ -11,7 +11,7 @@ The run has two phases:
 
 * **Phase A (parallel)** — the strategy store is prewarmed over the
   distinct ``(application, IC target)`` pairs through
-  :func:`repro.experiments.parallel.run_tasks`. Each worker solves one
+  :func:`repro.driver.fan_out`. Each worker solves one
   provisioning problem and returns plain ``(key, record)`` pairs;
   results are merged in task-submission order, and records carry no
   wall-clock data, so the store contents are byte-identical for every
@@ -33,14 +33,7 @@ from typing import Optional
 
 from repro.core.deployment import Host
 from repro.errors import ExperimentError
-from repro.experiments.parallel import FabricProfile, run_tasks
 from repro.fleet.controller import FleetController, TenantClass, TenantSpec
-from repro.fleet.dataplane import (
-    DataplaneParams,
-    TenantTask,
-    run_tenant,
-    summarize_dataplane,
-)
 from repro.fleet.report import build_fleet_report
 from repro.fleet.store import StrategyStore
 from repro.obs.telemetry import Telemetry
@@ -56,7 +49,6 @@ from repro.workloads.generator import (
 __all__ = [
     "FleetScenarioParams",
     "FleetScenarioResult",
-    "run_fleet_dataplane",
     "run_fleet_scenario",
     "tenant_application",
 ]
@@ -199,14 +191,17 @@ def run_fleet_scenario(
     params: Optional[FleetScenarioParams] = None,
     jobs: Optional[int] = None,
     store: Optional[StrategyStore] = None,
-    profile: Optional[FabricProfile] = None,
+    profile=None,
 ) -> FleetScenarioResult:
     """Run one fleet scenario; bit-identical for every ``jobs`` value.
 
     ``jobs`` fans the store prewarm (phase A) out over a process pool;
     the control loop (phase B) is always serial on the event kernel.
-    Pass a persistent ``store`` to reuse strategies across runs.
+    Pass a persistent ``store`` to reuse strategies across runs, and a
+    :class:`~repro.experiments.parallel.FabricProfile` to meter phase A.
     """
+    from repro.driver import fan_out
+
     params = params or FleetScenarioParams()
 
     # ------------------------------------------------------------------
@@ -220,7 +215,7 @@ def run_fleet_scenario(
     ]
     store = store if store is not None else StrategyStore()
     # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never folded into store entries
-    for entries in run_tasks(_prewarm_task, tasks, jobs=jobs, profile=profile):
+    for entries in fan_out(_prewarm_task, tasks, jobs=jobs, profile=profile):
         store.merge(entries)
 
     # ------------------------------------------------------------------
@@ -283,25 +278,3 @@ def run_fleet_scenario(
         store=store,
         controller=controller,
     )
-
-
-def run_fleet_dataplane(
-    params: Optional[DataplaneParams] = None,
-    jobs: Optional[int] = None,
-    profile: Optional[FabricProfile] = None,
-) -> tuple[dict, list]:
-    """Run a fleet *data-plane* scenario over the experiment fabric.
-
-    Fans :func:`repro.fleet.dataplane.run_tenant` out over a process
-    pool — one fully simulated stream platform run per tenant — and
-    folds the per-tenant digests into one report via
-    :func:`repro.fleet.dataplane.summarize_dataplane`. The report's
-    ``fleet_sha256`` chains every tenant's event-log hash, so it is
-    bit-identical at any ``jobs`` value and across execution modes
-    (batched vs tuple-granular). Returns ``(summary, digests)``.
-    """
-    params = params or DataplaneParams()
-    tasks = [TenantTask(params, tenant) for tenant in range(params.tenants)]
-    # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never part of tenant digests
-    digests = run_tasks(run_tenant, tasks, jobs=jobs, profile=profile)
-    return summarize_dataplane(digests), digests

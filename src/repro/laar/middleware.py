@@ -13,19 +13,21 @@ wiring the monitor to the controller — which is exactly what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Optional
 
 from repro.core.deployment import ReplicatedDeployment
 from repro.core.strategy import ActivationStrategy
 from repro.dsps.metrics import RunMetrics
 from repro.dsps.platform import PlatformConfig, StreamPlatform
-from repro.dsps.traces import InputTrace
+from repro.dsps.traces import InputTrace, two_level_trace
 from repro.errors import SimulationError
 from repro.laar.hacontroller import HAController
 from repro.laar.rate_monitor import RateMonitor
 from repro.rtree.config_index import ConfigurationIndex
+from repro.workloads.corpus import load_bundle
 
-__all__ = ["MiddlewareConfig", "ExtendedApplication"]
+__all__ = ["MiddlewareConfig", "ExtendedApplication", "deploy_bundle"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class ExtendedApplication:
     Bundles the simulated platform, the HAController (initialised with the
     activation strategy), and the Rate Monitor. With ``dynamic=False`` the
     monitor is omitted and the initial configuration's activation stays in
-    force — how the static SR and NR variants run.
+    force — how the static SR and NR variants run. ``initial_config`` is
+    the configuration matching the traces' rates at time zero.
     """
 
     def __init__(
@@ -66,11 +69,13 @@ class ExtendedApplication:
         platform_config: PlatformConfig | None = None,
         middleware_config: MiddlewareConfig | None = None,
     ) -> None:
-        self._middleware_config = middleware_config or MiddlewareConfig()
+        self.middleware_config = middleware_config or MiddlewareConfig()
         self.strategy = strategy
-
-        initial_config = self._initial_configuration(deployment, traces)
-        initial_active = strategy.active_map(initial_config)
+        index = ConfigurationIndex(deployment.descriptor.configuration_space)
+        self.initial_config = index.lookup_index(
+            {source: trace.rate_at(0.0) for source, trace in traces.items()}
+        )
+        initial_active = strategy.active_map(self.initial_config)
         self.platform = StreamPlatform(
             deployment,
             traces,
@@ -80,34 +85,46 @@ class ExtendedApplication:
         self.controller = HAController(
             self.platform,
             strategy,
-            initial_config=initial_config,
-            command_latency=self._middleware_config.command_latency,
-            rate_tolerance=self._middleware_config.rate_tolerance,
-            down_confirmation=self._middleware_config.down_confirmation,
+            initial_config=self.initial_config,
+            command_latency=self.middleware_config.command_latency,
+            rate_tolerance=self.middleware_config.rate_tolerance,
+            down_confirmation=self.middleware_config.down_confirmation,
         )
         self.monitor: Optional[RateMonitor] = None
-        if self._middleware_config.dynamic:
+        if self.middleware_config.dynamic:
             self.monitor = RateMonitor(
                 self.platform,
                 self.controller.on_rates,
-                interval=self._middleware_config.monitor_interval,
+                interval=self.middleware_config.monitor_interval,
             )
-
-    @staticmethod
-    def _initial_configuration(
-        deployment: ReplicatedDeployment,
-        traces: Mapping[str, InputTrace],
-    ) -> int:
-        """The configuration matching the traces' rates at time zero."""
-        index = ConfigurationIndex(
-            deployment.descriptor.configuration_space
-        )
-        initial_rates = {
-            source: trace.rate_at(0.0) for source, trace in traces.items()
-        }
-        return index.lookup_index(initial_rates)
 
     def run(
         self, until: Optional[float] = None, drain: float = 2.0
     ) -> RunMetrics:
         return self.platform.run(until=until, drain=drain)
+
+
+def deploy_bundle(
+    bundle: str | Path,
+    strategy: str | Path,
+    duration: float,
+    platform_config: PlatformConfig | None = None,
+    middleware_config: MiddlewareConfig | None = None,
+) -> tuple[ExtendedApplication, InputTrace]:
+    """The Fig. 7 workflow on artifact files.
+
+    Loads an application bundle and an activation strategy computed for
+    it, and extends the application with every source driven by the
+    bundle's two-level Low/High trace of ``duration`` seconds. Returns
+    the extended application and that trace.
+    """
+    app = load_bundle(bundle)
+    trace = two_level_trace(app.low_rate, app.high_rate, duration=duration)
+    extended = ExtendedApplication(
+        app.deployment,
+        ActivationStrategy.from_json(app.deployment, strategy),
+        {source: trace for source in app.deployment.descriptor.graph.sources},
+        platform_config=platform_config,
+        middleware_config=middleware_config,
+    )
+    return extended, trace

@@ -17,14 +17,28 @@ two equal diffs serialize identically.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+import json
+from pathlib import Path
+from typing import Any, Mapping, Optional, Union
 
 from repro.errors import ReproError
 
-__all__ = ["diff_runs", "render_diff"]
+__all__ = ["diff_runs", "load_slo_document", "render_diff"]
 
 #: How many tenants the "top movers" table keeps.
 _TOP_MOVERS = 10
+
+
+def load_slo_document(path: Union[str, Path]) -> dict[str, Any]:
+    """Read one ``slo.json``; a truncated or non-object file is a
+    :class:`~repro.errors.ReproError` naming it, never a traceback."""
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"slo artifact {path} is not JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ReproError(f"slo artifact {path} is not a JSON object")
+    return document
 
 
 def _tenant_map(doc: Mapping[str, Any], label: str) -> dict[str, dict]:

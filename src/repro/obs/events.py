@@ -388,6 +388,16 @@ class EventLog:
         lines = [event_to_json(event) for event in self.events()]
         return "\n".join(lines) + ("\n" if lines else "")
 
+    def digest(self) -> dict[str, Any]:
+        """The log half of a run digest: counts, completeness, JSONL."""
+        return {
+            "events_emitted": self.emitted,
+            "events_evicted": self.evicted,
+            "log_complete": self.evicted == 0,
+            "event_counts": dict(sorted(self.type_counts.items())),
+            "jsonl": self.to_jsonl(),
+        }
+
     def write_jsonl(self, path: str | Path) -> int:
         """Write the buffered events as JSONL; returns the event count."""
         text = self.to_jsonl()

@@ -17,11 +17,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.errors import ReproError
 
-__all__ = ["FAILURE_MODES", "ObservedRunSpec", "run_observed", "run_observed_modes"]
+if TYPE_CHECKING:
+    from repro.dsps.traces import InputTrace
+    from repro.laar import ExtendedApplication
+
+__all__ = [
+    "FAILURE_MODES",
+    "ObservedRunSpec",
+    "inject_failure_mode",
+    "run_observed",
+    "run_observed_modes",
+]
 
 #: Failure modes an observed run understands, in report order: a clean
 #: run, the pessimistic per-configuration worst case (Sec. 4.1), and a
@@ -65,41 +75,49 @@ def _drop_leaders(events) -> list[dict[str, Any]]:
     return [{"replica": replica, "drops": count} for replica, count in ranked]
 
 
+def inject_failure_mode(
+    extended: ExtendedApplication, trace: InputTrace, mode: str, seed: int
+) -> dict[str, Any]:
+    """Inject one of :data:`FAILURE_MODES`; returns what was injected."""
+    from repro.dsps import (
+        inject_host_crash,
+        inject_pessimistic_failures,
+        plan_host_crash,
+    )
+
+    if mode == "worst":
+        victims = inject_pessimistic_failures(
+            extended.platform, extended.strategy
+        )
+        return {"crashed_replicas": len(victims)}
+    if mode == "crash":
+        plan = plan_host_crash(
+            extended.platform,
+            trace.segment_windows("High"),
+            random.Random(seed),
+        )
+        inject_host_crash(extended.platform, plan)
+        return {
+            "host": plan.host,
+            "crash_time": plan.crash_time,
+            "downtime": plan.downtime,
+        }
+    return {}
+
+
 def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
     """Run one observed simulation and return its telemetry digest.
 
     Module-level so the experiment fabric can pickle it as a pool worker.
     """
-    from repro.core.strategy import ActivationStrategy
-    from repro.dsps import (
-        PlatformConfig,
-        inject_host_crash,
-        inject_pessimistic_failures,
-        plan_host_crash,
-        two_level_trace,
-    )
-    from repro.laar import ExtendedApplication, MiddlewareConfig
-    from repro.obs.slo import FloorAvailability, attach_slo
-    from repro.workloads import load_bundle
+    from repro.dsps import PlatformConfig
+    from repro.laar import MiddlewareConfig, deploy_bundle
+    from repro.obs.slo import attach_floor_slo
 
-    app = load_bundle(spec.bundle)
-    strategy = ActivationStrategy.from_json(app.deployment, spec.strategy)
-    trace = two_level_trace(
-        app.low_rate, app.high_rate, duration=spec.duration
-    )
-    traces = {
-        source: trace
-        for source in app.deployment.descriptor.graph.sources
-    }
-    middleware_config = MiddlewareConfig(
-        monitor_interval=spec.monitor_interval,
-        rate_tolerance=0.25,
-        down_confirmation=2,
-    )
-    extended = ExtendedApplication(
-        app.deployment,
-        strategy,
-        traces,
+    extended, trace = deploy_bundle(
+        spec.bundle,
+        spec.strategy,
+        spec.duration,
         platform_config=PlatformConfig(
             arrival_jitter=spec.jitter,
             seed=spec.seed,
@@ -108,40 +126,17 @@ def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
             tuple_trace_every=spec.tuple_trace_every,
             batching=spec.batching,
         ),
-        middleware_config=middleware_config,
-    )
-    # Streaming SLO verdict against the strategy's own pessimistic
-    # floor: even the "worst"/"crash" modes stay dominated by the
-    # pessimistic model, so only a genuine bound breach burns budget.
-    slo_engine = attach_slo(
-        extended.platform,
-        FloorAvailability(
-            app.deployment,
-            strategy,
-            None,
-            ExtendedApplication._initial_configuration(
-                app.deployment, traces
-            ),
-            command_latency=middleware_config.command_latency,
+        middleware_config=MiddlewareConfig(
+            monitor_interval=spec.monitor_interval,
+            rate_tolerance=0.25,
+            down_confirmation=2,
         ),
-        tenant=spec.mode,
     )
-    injected: dict[str, Any] = {}
-    if spec.mode == "worst":
-        victims = inject_pessimistic_failures(extended.platform, strategy)
-        injected = {"crashed_replicas": len(victims)}
-    elif spec.mode == "crash":
-        plan = plan_host_crash(
-            extended.platform,
-            trace.segment_windows("High"),
-            random.Random(spec.seed),
-        )
-        inject_host_crash(extended.platform, plan)
-        injected = {
-            "host": plan.host,
-            "crash_time": plan.crash_time,
-            "downtime": plan.downtime,
-        }
+    # The floor is the strategy's own: even the "worst"/"crash" modes
+    # stay dominated by the pessimistic model, so only a genuine bound
+    # breach burns budget.
+    slo_engine = attach_floor_slo(extended, tenant=spec.mode)
+    injected = inject_failure_mode(extended, trace, spec.mode, spec.seed)
 
     metrics = extended.run()
     slo_engine.finalize(spec.duration + 2.0)
@@ -157,26 +152,13 @@ def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
         }
         for event in events.of_type("config.switch")
     ]
-    spans = [
-        {
-            "name": span.name,
-            "start": span.start,
-            "duration": span.duration,
-            "fields": dict(span.fields),
-        }
-        for span in telemetry.spans.finished
-    ]
     return {
         "mode": spec.mode,
         "injected": injected,
-        "events_emitted": events.emitted,
-        "events_evicted": events.evicted,
-        "log_complete": events.evicted == 0,
-        "event_counts": dict(sorted(events.type_counts.items())),
-        "jsonl": events.to_jsonl(),
+        **events.digest(),
         "slo": slo_engine.summary(),
         "switches": switches,
-        "spans": spans,
+        "spans": telemetry.spans.to_list(),
         "top_droppers": _drop_leaders(events),
         "metrics": {
             "input": metrics.total_input,
@@ -213,7 +195,7 @@ def run_observed_modes(
     per-task timing and worker utilization. Results are bit-identical
     for any ``jobs`` value (telemetry is sim-time-stamped only).
     """
-    from repro.experiments.parallel import run_tasks
+    from repro.driver import fan_out
 
     specs = [
         ObservedRunSpec(
@@ -230,4 +212,4 @@ def run_observed_modes(
         for mode in modes
     ]
     # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never part of observed digests
-    return run_tasks(run_observed, specs, jobs=jobs, profile=profile)
+    return fan_out(run_observed, specs, jobs=jobs, profile=profile)

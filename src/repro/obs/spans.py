@@ -108,6 +108,18 @@ class SpanTracer:
             **span.fields,
         )
 
+    def to_list(self) -> list[dict[str, Any]]:
+        """The finished spans as plain records, in completion order."""
+        return [
+            {
+                "name": span.name,
+                "start": span.start,
+                "duration": span.duration,
+                "fields": dict(span.fields),
+            }
+            for span in self.finished
+        ]
+
     def finished_named(self, name: str) -> list[Span]:
         """Completed spans of one name, in completion order."""
         return [s for s in self.finished if s.name == name]

@@ -7,3 +7,6 @@ def report(log: object, **extra: object) -> None:
     log.emit("tuple.drop", replica="r0")
     log.emit("replica.crash", replica="r1")
     log.emit("typed.sample", count="three", **extra)
+    # A well-formed site, so every tuple.drop field is seen literally
+    # and the schema-side findings stay the dead/ill-typed entries.
+    log.emit("tuple.drop", replica="r0", port=3)

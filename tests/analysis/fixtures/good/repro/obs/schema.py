@@ -1,8 +1,8 @@
-"""Good fixture: a mini event schema, fully emitted, in both forms."""
+"""Good fixture: a mini event schema, fully emitted and typed."""
 
 EVENT_SCHEMA: dict[str, object] = {
-    # Typed form: field names and value tags, all statically validated.
+    # Field names and value tags, all statically validated.
     "tuple.drop": {"replica": "str", "port": "int"},
-    # Legacy form: field names only, still accepted.
-    "replica.crash": frozenset({"replica"}),
+    # Extra payload beyond the declared fields is allowed.
+    "replica.crash": {"replica": "str"},
 }

@@ -151,7 +151,7 @@ class TestSchemaAgreement:
         events.write_text(
             source.replace(
                 needle,
-                needle + '\n    "never.emitted": frozenset({"x"}),',
+                needle + '\n    "never.emitted": {"x": "int"},',
             )
         )
         report = _analyze(src_copy)

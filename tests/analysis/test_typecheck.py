@@ -13,8 +13,10 @@ from pathlib import Path
 from repro.analysis.typecheck import (
     check_annotations,
     check_classification,
+    check_overrides,
     discover_modules,
     load_module_list,
+    load_strict_overrides,
     main,
     module_for_path,
 )
@@ -77,6 +79,33 @@ class TestClassification:
             ["repro.a.x", "repro.ab"], ["repro.a"], ["repro.ab"]
         )
         assert problems == []
+
+
+class TestOverrides:
+    def test_prefix_is_module_plus_submodule_glob(self):
+        assert check_overrides(["repro.a"], ["repro.a", "repro.a.*"]) == []
+
+    def test_missing_and_extra_patterns_are_problems(self):
+        problems = check_overrides(
+            ["repro.a", "repro.b"], ["repro.a", "repro.a.*", "repro.c"]
+        )
+        assert len(problems) == 3
+        assert problems[0].startswith("repro.b: implied by")
+        assert problems[1].startswith("repro.b.*: implied by")
+        assert problems[2].startswith("repro.c: in the strict mypy")
+
+    def test_reads_only_the_strict_override(self, tmp_path):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(
+            "[tool.mypy]\n"
+            "[[tool.mypy.overrides]]\n"
+            'module = ["repro.a", "repro.a.*"]\n'
+            "disallow_untyped_defs = true\n"
+            "[[tool.mypy.overrides]]\n"
+            'module = "thirdparty.*"\n'
+            "ignore_errors = true\n"
+        )
+        assert load_strict_overrides(pyproject) == ["repro.a", "repro.a.*"]
 
 
 class TestAnnotations:
@@ -148,6 +177,13 @@ class TestRepoState:
         baseline = load_module_list(Path("tools/typing-baseline.txt"))
         modules = discover_modules(Path("src/repro"))
         assert check_classification(modules, strict, baseline) == []
+
+    def test_pyproject_override_names_exactly_the_strict_list(
+        self, monkeypatch
+    ):
+        monkeypatch.chdir(REPO_ROOT)
+        strict = load_module_list(Path("tools/typing-strict.txt"))
+        assert check_overrides(strict, load_strict_overrides()) == []
 
     def test_strict_modules_fully_annotated(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

@@ -11,7 +11,7 @@ from repro.elastic import (
     summarize_elastic,
 )
 from repro.elastic.dataplane import peak_window, tenant_roles
-from repro.elastic.scenario import run_elastic_fleet
+from repro.driver import run_tenants as run_elastic_fleet
 
 PARAMS = ElasticParams(tenants=4, duration=10.0, chaos_every=4)
 

@@ -336,7 +336,7 @@ class TestDataplaneSlo:
         )
 
     def test_digests_identical_across_worker_counts(self, params):
-        from repro.fleet.scenario import run_fleet_dataplane
+        from repro.driver import run_tenants as run_fleet_dataplane
 
         summary_1, digests_1 = run_fleet_dataplane(params, jobs=1)
         summary_2, digests_2 = run_fleet_dataplane(params, jobs=2)

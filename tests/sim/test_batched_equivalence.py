@@ -112,7 +112,7 @@ class TestFleetDataplane:
             )
 
     def test_worker_count_does_not_change_slo_streams(self, fleet_pair):
-        from repro.fleet.scenario import run_fleet_dataplane
+        from repro.driver import run_tenants as run_fleet_dataplane
 
         _, batched = fleet_pair
         summary, digests = run_fleet_dataplane(
@@ -252,7 +252,7 @@ class TestElasticDataplane:
         self, elastic_pair
     ):
         from repro.elastic import summarize_elastic
-        from repro.elastic.scenario import run_elastic_fleet
+        from repro.driver import run_tenants as run_elastic_fleet
 
         _, batched = elastic_pair
         summary, digests = run_elastic_fleet(

@@ -311,6 +311,38 @@ class TestObs:
         assert "unknown failure mode" in capsys.readouterr().err
 
 
+class TestDataplaneOnlyFlags:
+    @pytest.mark.parametrize("flag", ["--elastic", "--tuple-granular"])
+    def test_rejected_without_dataplane(self, flag, tmp_path, capsys):
+        out_dir = tmp_path / "fleet"
+        code = main(
+            ["fleet", "--tenants", "2", flag, "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--dataplane" in err
+        assert not out_dir.exists()  # rejected before anything ran
+
+
+class TestObsDiffArtifacts:
+    @pytest.mark.parametrize(
+        "content", ['{"tenants": [{"tenant": 0, "sl', "[1, 2, 3]"]
+    )
+    def test_truncated_or_non_object_artifact_is_a_typed_error(
+        self, content, tmp_path, capsys
+    ):
+        good = tmp_path / "a.json"
+        good.write_text('{"tenants": []}')
+        bad = tmp_path / "b.json"
+        bad.write_text(content)
+        code = main(["obs", "diff", str(good), str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(bad) in err
+
+
 class TestElastic:
     def test_elastic_writes_artifact_and_valid_events(
         self, tmp_path, capsys
