@@ -223,8 +223,7 @@ def apply_injection(
             at + fields["duration"], lambda: platform.restore_host(host)
         )
     elif injection.kind == "replica_hang":
-        pe, _, index = fields["replica"].partition("#")
-        replica_id = ReplicaId(pe, int(index))
+        replica_id = ReplicaId.parse(fields["replica"])
         if replica_id not in set(platform.deployment.replicas):
             raise ChaosError(
                 f"injection targets unknown replica {fields['replica']!r}"

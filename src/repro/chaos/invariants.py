@@ -3,15 +3,20 @@
 :func:`check_campaign` replays a campaign's event stream into a sequence
 of *intervals* of constant platform state — the current input
 configuration, the set of alive replicas, the set of active replicas —
-and re-proves the model's guarantees on every interval:
+and re-proves the model's guarantees on every interval. The replayed
+state and the floor in force come from :mod:`repro.obs.replay`, which
+the streaming SLO trackers hold too, so the two judges of the bound
+cannot disagree on either:
 
 ``ic-bound``
     Whenever the realized failures are *dominated* by the pessimistic
     model (at most one dead replica per PE — the model's per-PE victim),
     the instantaneous failure-aware throughput of the run, computed by
     the Eq. 7 recursion with the realized phi, must be at least the
-    pessimistic throughput FT-Search proved for the reference strategy.
-    This is the paper's a-priori IC lower bound, checked pointwise.
+    pessimistic throughput FT-Search proved for the reference strategy
+    (while a migration window is open: the worse of the floors of the
+    configurations it has spanned). This is the paper's a-priori IC
+    lower bound, checked pointwise.
 ``host-capacity``
     The alive-and-active replicas on any host never demand more CPU
     cycles than the host nominally has (Eq. 11).
@@ -40,9 +45,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Union
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
-from repro.core.rates import RateTable, fic_rate as _fic_rate
 from repro.core.strategy import ActivationStrategy
+from repro.dsps.metrics import conservation_gaps
 from repro.obs.events import Event
+from repro.obs.replay import EPS, STATE_EVENTS, DeploymentState, ProvenFloor
 
 __all__ = [
     "Violation",
@@ -50,11 +56,6 @@ __all__ = [
     "check_campaign",
     "check_conservation",
 ]
-
-#: Absolute tolerance for rate and load comparisons. Both sides of every
-#: comparison are derived from the same rate table, so violations are
-#: structural, never numerical — the epsilon only absorbs float noise.
-_EPS = 1e-9
 
 #: Slack appended to failover-span budgets for same-instant event ties.
 _SPAN_EPS = 1e-6
@@ -112,196 +113,10 @@ def check_conservation(
     processed, dropped at the port, lost to a crash/deactivation, or
     still queued (in-flight work counts as queued) at the horizon.
     """
-    violations = []
-    for replica, counters in sorted(conservation.items()):
-        received = counters["received"]
-        accounted = (
-            counters["processed"]
-            + counters["dropped"]
-            + counters["lost"]
-            + counters["queued"]
-        )
-        if received != accounted:
-            violations.append(
-                Violation(
-                    invariant="conservation",
-                    time=time,
-                    detail=(
-                        f"replica {replica}: received {received} !="
-                        f" processed {counters['processed']}"
-                        f" + dropped {counters['dropped']}"
-                        f" + lost {counters['lost']}"
-                        f" + queued {counters['queued']}"
-                        f" = {accounted}"
-                    ),
-                )
-            )
-    return violations
-
-
-class _Replay:
-    """Mutable replay state: config, liveness, activation, spans."""
-
-    def __init__(
-        self,
-        deployment: ReplicatedDeployment,
-        run_strategy: ActivationStrategy,
-        initial_config: int,
-        command_latency: float,
-    ) -> None:
-        self.deployment = deployment
-        self.command_latency = command_latency
-        self.config = initial_config
-        self.alive: dict[ReplicaId, bool] = {
-            replica: True for replica in deployment.replicas
-        }
-        self.active: dict[ReplicaId, bool] = dict(
-            run_strategy.active_map(initial_config)
-        )
-        #: End of the current switch transition window (activation
-        #: commands still in flight before this instant).
-        self.transition_until = float("-inf")
-        #: Per-PE [start, end) stretches with no alive-and-active
-        #: replica, used to excuse stretched failover spans.
-        self.uncovered: dict[str, list[tuple[float, float]]] = {
-            pe: [] for pe in deployment.descriptor.graph.pes
-        }
-        # Membership and placement are dynamic once migrations run:
-        # both are learned from the event stream on top of the static
-        # deployment seed (mirroring repro.obs.slo._Liveness).
-        self._by_pe: dict[str, list[ReplicaId]] = {
-            pe: list(deployment.replicas_of(pe))
-            for pe in deployment.descriptor.graph.pes
-        }
-        self.host_of: dict[ReplicaId, str] = {
-            replica: deployment.host_of(replica)
-            for replica in deployment.replicas
-        }
-        #: Open migrations: id -> (attached replica, config at start).
-        #: The config matters for the worse-of-two-deployments floor.
-        self.open_migrations: dict[str, tuple[Optional[ReplicaId], int]] = {}
-        #: Replicas rolled back by an aborted migration — they must
-        #: never rejoin the delivery set (the rollback invariant).
-        self.rolled_back: set[ReplicaId] = set()
-
-    def parse_replica(self, text: str) -> ReplicaId:
-        pe, _, index = text.partition("#")
-        return ReplicaId(pe, int(index))
-
-    def residents(self, host: str) -> list[ReplicaId]:
-        return sorted(
-            replica
-            for replica, name in self.host_of.items()
-            if name == host
-        )
-
-    def _attach(self, replica: ReplicaId, host: str) -> None:
-        members = self._by_pe.setdefault(replica.pe, [])
-        if replica not in members:
-            members.append(replica)
-            members.sort()
-        self.alive[replica] = True
-        self.active.setdefault(replica, False)
-        self.host_of[replica] = host
-
-    def _detach(self, replica: ReplicaId) -> None:
-        members = self._by_pe.get(replica.pe)
-        if members is not None and replica in members:
-            members.remove(replica)
-        self.host_of.pop(replica, None)
-        self.alive.pop(replica, None)
-        self.active.pop(replica, None)
-
-    def apply(self, time: float, type_: str, fields: dict) -> None:
-        if type_ == "replica.crash":
-            self.alive[self.parse_replica(fields["replica"])] = False
-        elif type_ == "replica.recover":
-            self.alive[self.parse_replica(fields["replica"])] = True
-        elif type_ == "host.crash":
-            for replica in self.residents(fields["host"]):
-                self.alive[replica] = False
-        elif type_ == "host.recover":
-            for replica in self.residents(fields["host"]):
-                self.alive[replica] = True
-        elif type_ == "replica.activate":
-            self.active[self.parse_replica(fields["replica"])] = True
-        elif type_ == "replica.deactivate":
-            self.active[self.parse_replica(fields["replica"])] = False
-        elif type_ == "config.switch":
-            self.config = int(fields["to"])
-            self.transition_until = time + self.command_latency
-        elif type_ == "migration.start":
-            replica = self.parse_replica(fields["replica"])
-            action = fields["action"]
-            if action in ("move", "add"):
-                self._attach(replica, fields["dst"])
-                self.open_migrations[fields["migration"]] = (
-                    replica,
-                    self.config,
-                )
-            elif action == "remove":
-                self._detach(replica)
-                self.open_migrations[fields["migration"]] = (
-                    None,
-                    self.config,
-                )
-        elif type_ == "migration.cutover":
-            self._detach(self.parse_replica(fields["from"]))
-        elif type_ == "migration.abort":
-            entry = self.open_migrations.pop(fields["migration"], None)
-            if entry is not None and entry[0] is not None:
-                self._detach(entry[0])
-                self.rolled_back.add(entry[0])
-        elif type_ == "migration.done":
-            self.open_migrations.pop(fields["migration"], None)
-
-    def migration_floor(self, reference_floor: Mapping[int, float]) -> float:
-        """The floor to hold the current interval to.
-
-        Outside migration windows this is the current configuration's
-        proven pessimistic floor. Inside one, the run is held to the
-        *worse* (lower) of the floors of the configurations the window
-        has spanned — a failover during dual-running may legitimately
-        land on either the old or the new deployment, and neither can
-        be expected to beat both.
-        """
-        floor = reference_floor[self.config]
-        for _, start_config in self.open_migrations.values():
-            floor = min(floor, reference_floor[start_config])
-        return floor
-
-    def covered(self, pe: str) -> bool:
-        return any(
-            self.alive[r] and self.active[r] for r in self._by_pe[pe]
-        )
-
-    def dominated(self) -> bool:
-        """Realized failures no worse than the pessimistic model's.
-
-        The pessimistic model kills exactly one (damage-maximal) replica
-        per PE, so the realized state is dominated whenever no PE has
-        lost more than one replica.
-        """
-        return all(
-            sum(1 for r in members if not self.alive[r]) <= 1
-            for members in self._by_pe.values()
-        )
-
-    def realized_phi(self) -> dict[str, float]:
-        return {
-            pe: 1.0 if self.covered(pe) else 0.0 for pe in self._by_pe
-        }
-
-    def note_uncovered(self, start: float, end: float) -> None:
-        if end <= start:
-            return
-        for pe in self._by_pe:
-            if not self.covered(pe):
-                segments = self.uncovered[pe]
-                if segments and segments[-1][1] >= start:
-                    segments[-1] = (segments[-1][0], end)
-                else:
-                    segments.append((start, end))
+    return [
+        Violation("conservation", time, f"replica {replica}: {gap}")
+        for replica, gap in conservation_gaps(conservation)
+    ]
 
 
 def check_campaign(
@@ -349,26 +164,21 @@ def check_campaign(
         )
         return CheckResult(False, tuple(violations), stats)
 
-    rate_table = RateTable(deployment.descriptor)
-    n_configs = len(deployment.descriptor.configuration_space)
     capacity = {h.name: h.capacity for h in deployment.hosts}
     hosts = sorted(capacity)
-
-    # The proven floor: the reference strategy's pessimistic FIC rate,
-    # per configuration (phi = 1 iff fully replicated; Eq. 14).
-    reference_floor = {}
-    for c in range(n_configs):
-        phi_pess = {
-            pe: (
-                1.0 if reference_strategy.fully_replicated(pe, c) else 0.0
-            )
-            for pe in deployment.descriptor.graph.pes
-        }
-        reference_floor[c] = _fic_rate(deployment, rate_table, c, phi_pess)
-
-    state = _Replay(
-        deployment, run_strategy, initial_config, command_latency
+    floor = ProvenFloor(deployment, reference_strategy)
+    rate_table = floor.rate_table
+    state = DeploymentState(
+        deployment,
+        run_strategy.active_map(initial_config),
+        initial_config,
+        command_latency,
     )
+    # Per-PE [start, end) stretches with no alive-and-active replica,
+    # used to excuse stretched failover spans.
+    uncovered: dict[str, list[tuple[float, float]]] = {
+        pe: [] for pe in deployment.descriptor.graph.pes
+    }
     open_spans: dict[str, tuple[float, dict[str, Any]]] = {}
     finished_spans: list[tuple[float, float, dict[str, Any]]] = []
 
@@ -376,14 +186,19 @@ def check_campaign(
         if end <= start:
             return
         stats["intervals"] += 1
-        state.note_uncovered(start, end)
+        for pe, segments in uncovered.items():
+            if not state.covered(pe):
+                if segments and segments[-1][1] >= start:
+                    segments[-1] = (segments[-1][0], end)
+                else:
+                    segments.append((start, end))
         # Activation commands from the last config switch are still in
         # flight: the platform legitimately runs the previous
         # configuration's activation set, so the stationary checks
         # would compare mismatched states.
-        if start + _EPS < state.transition_until:
+        if start + EPS < state.transition_until:
             stats["intervals_transition"] += 1
-            if end > state.transition_until + _EPS:
+            if end > state.transition_until + EPS:
                 # No event marks the commands landing, so the in-flight
                 # window ends mid-interval: resume the stationary checks
                 # from that point instead of skipping the whole tail.
@@ -396,7 +211,7 @@ def check_campaign(
                 for replica in state.residents(host)
                 if state.alive[replica] and state.active[replica]
             )
-            if load > capacity[host] + _EPS:
+            if load > capacity[host] + EPS:
                 violations.append(
                     Violation(
                         invariant="host-capacity",
@@ -408,31 +223,27 @@ def check_campaign(
                         ),
                     )
                 )
-        if not state.dominated():
+        margin = floor.margin(state)
+        if margin is None:
             stats["intervals_not_dominated"] += 1
             return
         stats["intervals_checked"] += 1
-        fic_real = _fic_rate(
-            deployment, rate_table, config, state.realized_phi()
-        )
-        floor = state.migration_floor(reference_floor)
-        margin = fic_real - floor
         if stats["min_ic_margin"] is None or margin < stats["min_ic_margin"]:
             stats["min_ic_margin"] = margin
-        if fic_real < floor - _EPS:
+        if margin < -EPS:
+            fic_real = floor.realized(state)
+            in_force = state.migration_floor(floor.floors)
             dead = sorted(
                 str(r) for r, up in state.alive.items() if not up
             )
-            dark = sorted(
-                pe for pe in state.uncovered if not state.covered(pe)
-            )
+            dark = sorted(pe for pe in uncovered if not state.covered(pe))
             violations.append(
                 Violation(
                     invariant="ic-bound",
                     time=start,
                     detail=(
                         f"realized FIC rate {fic_real:.4f} t/s <"
-                        f" proven pessimistic floor {floor:.4f} t/s in"
+                        f" proven pessimistic floor {in_force:.4f} t/s in"
                         f" configuration {config} despite dominated"
                         f" failures (dead: {dead}; uncovered PEs:"
                         f" {dark})"
@@ -456,7 +267,7 @@ def check_campaign(
             # The rollback invariant: a replica removed by an aborted
             # migration left the delivery set for good — electing it
             # primary later means the rollback was not atomic.
-            elected = state.parse_replica(fields["replica"])
+            elected = ReplicaId.parse(fields["replica"])
             if elected in state.rolled_back:
                 violations.append(
                     Violation(
@@ -470,19 +281,7 @@ def check_campaign(
                     )
                 )
             continue
-        if type_ in (
-            "replica.crash",
-            "replica.recover",
-            "host.crash",
-            "host.recover",
-            "replica.activate",
-            "replica.deactivate",
-            "config.switch",
-            "migration.start",
-            "migration.cutover",
-            "migration.abort",
-            "migration.done",
-        ):
+        if type_ in STATE_EVENTS:
             check_interval(cursor, time)
             cursor = max(cursor, time)
             state.apply(time, type_, fields)
@@ -499,7 +298,7 @@ def check_campaign(
         stats["spans_checked"] += 1
         pe = fields.get("pe", "")
         excused = 0.0
-        for seg_start, seg_end in state.uncovered.get(pe, []):
+        for seg_start, seg_end in uncovered.get(pe, []):
             overlap = min(end, seg_end) - max(start, seg_start)
             if overlap > 0:
                 excused += overlap

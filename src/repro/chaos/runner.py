@@ -89,18 +89,7 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
     horizon = spec.duration + drain
     slo_engine.finalize(horizon)
 
-    conservation = {
-        str(replica_id): {
-            "received": counters.received,
-            "processed": counters.processed,
-            "dropped": counters.dropped,
-            "lost": counters.lost,
-            "queued": platform.replica(replica_id).queue_length,
-        }
-        for replica_id, counters in sorted(
-            metrics.replicas.items(), key=lambda item: str(item[0])
-        )
-    }
+    conservation = platform.conservation()
 
     events = platform.telemetry.events
     result = check_campaign(

@@ -63,8 +63,20 @@ class ReplicaId:
                 f"replica index must be >= 0, got {self.replica}"
             )
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
+    def __str__(self) -> str:
+        """The event-log wire format, ``pe#index``."""
         return f"{self.pe}#{self.replica}"
+
+    @classmethod
+    def parse(cls, text: str) -> ReplicaId:
+        """Inverse of ``str()``; malformed text is a typed error."""
+        pe, _, index = text.partition("#")
+        try:
+            return cls(pe, int(index))
+        except ValueError:
+            raise DeploymentError(
+                f"malformed replica id {text!r} (expected 'pe#index')"
+            ) from None
 
 
 class ReplicatedDeployment:

@@ -71,10 +71,11 @@ def fic_rate(
     """Instantaneous FIC rate (tuples/s) in one configuration.
 
     The Eq. 7 recursion with an explicit per-PE phi map instead of a
-    failure-model object. The chaos checker feeds it either the realized
-    phi of an interval or the reference strategy's pessimistic phi; the
-    SLO engine uses it for per-config reference floors. A PE missing
-    from ``phi`` contributes nothing (phi = 0).
+    failure-model object. :class:`repro.obs.replay.ProvenFloor` feeds it
+    either the realized phi of the replayed state or the reference
+    strategy's pessimistic phi, for the chaos checker and the SLO
+    trackers alike. A PE missing from ``phi`` contributes nothing
+    (phi = 0).
     """
     descriptor = deployment.descriptor
     graph = descriptor.graph

@@ -11,7 +11,7 @@ the number of tuples processed by whichever replica was primary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.core.deployment import ReplicaId
 from repro.obs.sketch import nearest_rank_index
@@ -23,6 +23,7 @@ __all__ = [
     "ReplicaMetrics",
     "NetworkMetrics",
     "RunMetrics",
+    "conservation_gaps",
 ]
 
 
@@ -172,7 +173,7 @@ class ReplicaMetrics:
     ``lost`` counts tuples that had been accepted into the queue (so they
     are part of ``received``) but were discarded by a crash or
     deactivation before processing — the quantity that closes the
-    per-replica conservation law checked by :mod:`repro.chaos.invariants`:
+    per-replica conservation law evaluated by :func:`conservation_gaps`:
     ``received == processed + dropped + lost + queue_length``.
     """
 
@@ -191,6 +192,31 @@ class ReplicaMetrics:
 
     def port(self, name: str) -> PortCounters:
         return self.ports.setdefault(name, PortCounters())
+
+
+#: Where a tuple a replica received can end up (``queued`` is the queue
+#: length at the horizon; in-flight work counts as queued).
+_ACCOUNTED = ("processed", "dropped", "lost", "queued")
+
+
+def conservation_gaps(
+    table: Mapping[str, Mapping[str, int]],
+) -> list[tuple[str, str]]:
+    """Replicas breaking ``received == processed + dropped + lost + queued``.
+
+    ``table`` is :meth:`StreamPlatform.conservation`'s (or the same
+    table read back from a run digest); the result pairs each offending
+    replica with the evidence, in replica order.
+    """
+    gaps = []
+    for replica, counters in sorted(table.items()):
+        received = counters["received"]
+        accounted = sum(counters[key] for key in _ACCOUNTED)
+        if received != accounted:
+            terms = " + ".join(f"{key} {counters[key]}" for key in _ACCOUNTED)
+            evidence = f"received {received} != {terms} = {accounted}"
+            gaps.append((replica, evidence))
+    return gaps
 
 
 @dataclass

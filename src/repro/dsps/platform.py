@@ -481,6 +481,25 @@ class StreamPlatform:
             self._engine.publish_stats(registry)
         return self.metrics
 
+    def conservation(self) -> dict[str, dict[str, int]]:
+        """Per-replica conservation counters, keyed by ``pe#index``.
+
+        The table :func:`repro.dsps.metrics.conservation_gaps` judges;
+        ``queued`` is read live (in-flight work counts as queued), so
+        take it at the horizon, after :meth:`run`.
+        """
+        table = {
+            str(replica_id): {
+                "received": counters.received,
+                "processed": counters.processed,
+                "dropped": counters.dropped,
+                "lost": counters.lost,
+                "queued": self.replica(replica_id).queue_length,
+            }
+            for replica_id, counters in self.metrics.replicas.items()
+        }
+        return dict(sorted(table.items()))
+
     def host_scheduler(self, host: str) -> HostScheduler:
         try:
             return self._host_schedulers[host]

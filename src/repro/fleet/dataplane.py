@@ -36,6 +36,7 @@ from repro.core.application import ApplicationGraph
 from repro.core.configurations import ConfigurationSpace
 from repro.core.deployment import Host, ReplicaId, ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor, EdgeProfile
+from repro.dsps.metrics import conservation_gaps
 from repro.dsps.platform import PlatformConfig, StreamPlatform
 from repro.dsps.traces import two_level_trace
 from repro.errors import ReproError
@@ -288,17 +289,10 @@ def run_platform(
     if slo_engine is not None:
         slo_engine.finalize(params.duration + 2.0)
 
-    violations: list[str] = []
-    for replica_id, m in sorted(
-        metrics.replicas.items(), key=lambda item: str(item[0])
-    ):
-        queued = platform.replica(replica_id).queue_length
-        if m.received != m.processed + m.dropped + m.lost + queued:
-            violations.append(
-                f"conservation {replica_id}: received={m.received}"
-                f" != processed={m.processed} + dropped={m.dropped}"
-                f" + lost={m.lost} + queued={queued}"
-            )
+    violations = [
+        f"conservation {replica}: {gap}"
+        for replica, gap in conservation_gaps(platform.conservation())
+    ]
     if metrics.total_output == 0:
         violations.append("no-output: sinks received nothing")
 

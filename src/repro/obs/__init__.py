@@ -19,6 +19,9 @@ about the current status of all the PEs and log this information"):
   driver and report renderer behind the ``repro obs`` CLI subcommand;
 * :mod:`repro.obs.sketch` — the deterministic log-bucket latency
   sketch and the shared nearest-rank percentile definition;
+* :mod:`repro.obs.replay` — the one event-sourced deployment state and
+  the one proven IC floor, shared by the SLO trackers and the chaos
+  invariant checker;
 * :mod:`repro.obs.slo` — the streaming SLO engine: windowed rollups,
   error budgets, multi-window burn-rate alerts (``repro slo``);
 * :mod:`repro.obs.diff` — sim-time-aligned run diffs with per-phase

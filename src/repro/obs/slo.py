@@ -10,7 +10,8 @@ per-tenant sim-time-windowed rollups:
 * **availability** — the fraction of sim-time during which the realized
   service met its contract, judged by a pluggable availability tracker
   (:class:`FloorAvailability` holds the run to the FT-Search-proven
-  pessimistic FIC floor, mirroring the chaos invariant checker;
+  pessimistic FIC floor — the same :class:`~repro.obs.replay.
+  ProvenFloor` the chaos invariant checker asks;
   :class:`CoverageAvailability` holds strategy-less data-plane runs to a
   PE-coverage completeness target);
 * **latency percentiles** — per-window :class:`~repro.obs.sketch.
@@ -46,10 +47,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
-from repro.core.rates import RateTable, fic_rate
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ReproError
 from repro.obs.events import Event, EventLog
+from repro.obs.replay import EPS, STATE_EVENTS, DeploymentState, ProvenFloor
 from repro.obs.sketch import LogHistogram
 
 if TYPE_CHECKING:
@@ -66,28 +67,6 @@ __all__ = [
     "attach_floor_slo",
     "attach_slo",
 ]
-
-_EPS = 1e-9
-
-#: Event types that change replica liveness/activation (and, for the
-#: floor tracker, the input configuration). Migration events are state
-#: events too: they change the *membership* a PE's coverage is judged
-#: over (see :class:`_Liveness`).
-_STATE_EVENTS = frozenset(
-    {
-        "replica.crash",
-        "replica.recover",
-        "host.crash",
-        "host.recover",
-        "replica.activate",
-        "replica.deactivate",
-        "config.switch",
-        "migration.start",
-        "migration.cutover",
-        "migration.abort",
-        "migration.done",
-    }
-)
 
 #: Phase-attribution markers (see SloEngine._close_window).
 _FAILURE_EVENTS = frozenset({"replica.crash", "host.crash", "host.degrade"})
@@ -152,127 +131,6 @@ class SloConfig:
             )
 
 
-class _Liveness:
-    """Shared alive/active bookkeeping, mirroring the chaos replayer."""
-
-    def __init__(
-        self,
-        deployment: ReplicatedDeployment,
-        initial_active: Optional[Mapping[ReplicaId, bool]] = None,
-    ) -> None:
-        self.deployment = deployment
-        self.alive: dict[ReplicaId, bool] = {
-            replica: True for replica in deployment.replicas
-        }
-        if initial_active is None:
-            self.active: dict[ReplicaId, bool] = {
-                replica: True for replica in deployment.replicas
-            }
-        else:
-            self.active = dict(initial_active)
-        # Membership and placement are *dynamic*: migrations attach and
-        # detach replicas at runtime, so both are learned from the event
-        # stream on top of the deployment's static seed.
-        self.by_pe: dict[str, list[ReplicaId]] = {
-            pe: list(deployment.replicas_of(pe))
-            for pe in deployment.descriptor.graph.pes
-        }
-        self.host_of: dict[ReplicaId, str] = {
-            replica: deployment.host_of(replica)
-            for replica in deployment.replicas
-        }
-        # Open migrations: id -> the replica being attached, so an
-        # abort knows which member to roll back out of the set.
-        self._migrations: dict[str, ReplicaId] = {}
-
-    @staticmethod
-    def parse_replica(text: str) -> ReplicaId:
-        pe, _, index = text.partition("#")
-        return ReplicaId(pe, int(index))
-
-    def _residents(self, host: str) -> list[ReplicaId]:
-        return sorted(
-            replica
-            for replica, name in self.host_of.items()
-            if name == host
-        )
-
-    def _attach(self, replica: ReplicaId, host: str) -> None:
-        members = self.by_pe.setdefault(replica.pe, [])
-        if replica not in members:
-            members.append(replica)
-            members.sort()
-        self.alive[replica] = True
-        self.active.setdefault(replica, False)
-        self.host_of[replica] = host
-
-    def _detach(self, replica: ReplicaId) -> None:
-        members = self.by_pe.get(replica.pe)
-        if members is not None and replica in members:
-            members.remove(replica)
-        self.host_of.pop(replica, None)
-        # Forget its flags too: a replica that died mid-migration and
-        # was rolled back must not read as "degraded" forever after.
-        self.alive.pop(replica, None)
-        self.active.pop(replica, None)
-
-    def apply(self, type_: str, fields: Mapping[str, Any]) -> None:
-        if type_ == "replica.crash":
-            self.alive[self.parse_replica(fields["replica"])] = False
-        elif type_ == "replica.recover":
-            self.alive[self.parse_replica(fields["replica"])] = True
-        elif type_ == "host.crash":
-            for replica in self._residents(fields["host"]):
-                self.alive[replica] = False
-        elif type_ == "host.recover":
-            for replica in self._residents(fields["host"]):
-                self.alive[replica] = True
-        elif type_ == "replica.activate":
-            self.active[self.parse_replica(fields["replica"])] = True
-        elif type_ == "replica.deactivate":
-            self.active[self.parse_replica(fields["replica"])] = False
-        elif type_ == "migration.start":
-            replica = self.parse_replica(fields["replica"])
-            action = fields["action"]
-            if action in ("move", "add"):
-                self._attach(replica, fields["dst"])
-                self._migrations[fields["migration"]] = replica
-            elif action == "remove":
-                self._detach(replica)
-        elif type_ == "migration.cutover":
-            self._detach(self.parse_replica(fields["from"]))
-        elif type_ == "migration.abort":
-            replica = self._migrations.pop(fields["migration"], None)
-            if replica is not None:
-                self._detach(replica)
-        elif type_ == "migration.done":
-            self._migrations.pop(fields["migration"], None)
-
-    def covered(self, pe: str) -> bool:
-        alive = self.alive
-        active = self.active
-        return any(alive[r] and active[r] for r in self.by_pe[pe])
-
-    def covered_count(self) -> int:
-        return sum(1 for pe in self.by_pe if self.covered(pe))
-
-    def dominated(self) -> bool:
-        """At most one dead replica per PE (the pessimistic model)."""
-        alive = self.alive
-        return all(
-            sum(1 for r in members if not alive[r]) <= 1
-            for members in self.by_pe.values()
-        )
-
-    def degraded(self) -> bool:
-        return not all(self.alive.values())
-
-    def realized_phi(self) -> dict[str, float]:
-        return {
-            pe: 1.0 if self.covered(pe) else 0.0 for pe in self.by_pe
-        }
-
-
 class AvailabilityTracker:
     """Base streaming availability judge.
 
@@ -302,7 +160,7 @@ class AvailabilityTracker:
         raise NotImplementedError
 
     def on_event(self, time: float, type_: str, fields: Mapping[str, Any]) -> None:
-        if type_ not in _STATE_EVENTS:
+        if type_ not in STATE_EVENTS:
             return
         self._accrue(time)
         self._apply(time, type_, fields)
@@ -343,33 +201,33 @@ class CoverageAvailability(AvailabilityTracker):
         initial_active: Optional[Mapping[ReplicaId, bool]] = None,
     ) -> None:
         super().__init__()
-        self._state = _Liveness(deployment, initial_active)
+        self._state = DeploymentState(deployment, initial_active)
         self._n_pes = len(self._state.by_pe)
         self._ic_target = ic_target
 
     def _apply(self, time: float, type_: str, fields: Mapping[str, Any]) -> None:
-        self._state.apply(type_, fields)
+        self._state.apply(time, type_, fields)
 
     def _evaluate(self) -> bool:
         if self._n_pes == 0:
             return False
         covered = self._state.covered_count() / self._n_pes
-        return covered < self._ic_target - _EPS
+        return covered < self._ic_target - EPS
 
     def degraded(self) -> bool:
         return self._state.degraded()
 
 
 class FloorAvailability(AvailabilityTracker):
-    """IC-floor availability, the streaming twin of the chaos checker.
+    """IC-floor availability: the chaos checker's bound, streamed.
 
     The run is *bad* while realized failures are dominated by the
     pessimistic model (at most one dead replica per PE) yet the realized
     FIC rate (Eq. 7 with realized phi) is below the reference strategy's
-    proven pessimistic floor for the current configuration. Time inside
-    a configuration-switch transition window (``command_latency`` after
-    the switch) is excused, exactly as in
-    :func:`repro.chaos.invariants.check_campaign`.
+    proven pessimistic floor in force (:class:`~repro.obs.replay.
+    ProvenFloor`, which :func:`repro.chaos.invariants.check_campaign`
+    asks too). Time inside a configuration-switch transition window
+    (``command_latency`` after the switch) is excused.
     """
 
     def __init__(
@@ -381,26 +239,15 @@ class FloorAvailability(AvailabilityTracker):
         command_latency: float = 0.0,
     ) -> None:
         super().__init__()
-        reference = reference_strategy or run_strategy
-        self._deployment = deployment
-        self._rate_table = RateTable(deployment.descriptor)
-        self._state = _Liveness(
-            deployment, run_strategy.active_map(initial_config)
+        self._state = DeploymentState(
+            deployment,
+            run_strategy.active_map(initial_config),
+            initial_config,
+            command_latency,
         )
-        self._config = initial_config
-        self._command_latency = command_latency
-        self._transition_until = float("-inf")
-        pes = deployment.descriptor.graph.pes
-        n_configs = len(deployment.descriptor.configuration_space)
-        self._floors: dict[int, float] = {}
-        for c in range(n_configs):
-            phi_pess = {
-                pe: 1.0 if reference.fully_replicated(pe, c) else 0.0
-                for pe in pes
-            }
-            self._floors[c] = fic_rate(
-                deployment, self._rate_table, c, phi_pess
-            )
+        self._floor = ProvenFloor(
+            deployment, reference_strategy or run_strategy
+        )
 
     def _accrue(self, until: float) -> None:
         last = self._last
@@ -411,33 +258,22 @@ class FloorAvailability(AvailabilityTracker):
             return
         # Activation commands from the last switch are still in flight:
         # the platform legitimately runs the previous configuration's
-        # activation set, so that stretch is excused (checker parity).
+        # activation set, so that stretch is excused.
         start = last
-        transition_until = self._transition_until
+        transition_until = self._state.transition_until
         if start < transition_until:
             start = min(until, transition_until)
         if until > start:
             self._bad_seconds += until - start
 
     def _apply(self, time: float, type_: str, fields: Mapping[str, Any]) -> None:
-        if type_ == "config.switch":
-            self._config = int(fields["to"])
-            self._transition_until = time + self._command_latency
-        else:
-            self._state.apply(type_, fields)
+        self._state.apply(time, type_, fields)
 
     def _evaluate(self) -> bool:
-        if not self._state.dominated():
-            # Beyond the pessimistic model: the contract makes no
-            # promise, so no budget is burned (checker parity).
-            return False
-        realized = fic_rate(
-            self._deployment,
-            self._rate_table,
-            self._config,
-            self._state.realized_phi(),
-        )
-        return realized < self._floors[self._config] - _EPS
+        # Beyond the pessimistic model (no margin) the contract makes
+        # no promise, so no budget is burned.
+        margin = self._floor.margin(self._state)
+        return margin is not None and margin < -EPS
 
     def degraded(self) -> bool:
         return self._state.degraded()
@@ -519,7 +355,7 @@ class SloEngine:
         if type_ in _DROP_EVENTS:
             self._window_drops += 1
             return
-        if type_ in _STATE_EVENTS:
+        if type_ in STATE_EVENTS:
             self._availability.on_event(time, type_, event.fields)
             if type_ in _FAILURE_EVENTS:
                 self._window_failures = True
@@ -673,7 +509,7 @@ class SloEngine:
         fast_slice = history[-cfg.fast_windows :]
         burn_fast = sum(fast_slice) / len(fast_slice) / budget
         burn_slow = sum(history) / len(history) / budget
-        threshold = cfg.burn_threshold - _EPS
+        threshold = cfg.burn_threshold - EPS
         firing = burn_fast >= threshold and burn_slow >= threshold
         if firing == self._alert_on:
             return
@@ -712,7 +548,7 @@ class SloEngine:
         window = self._config.window
         while self._window_start + window <= horizon:
             self._close_window(self._window_start + window)
-        if horizon > self._window_start + _EPS:
+        if horizon > self._window_start + EPS:
             self._close_window(horizon)
         self._horizon = horizon
         self._trusted = self._events.evicted == 0
@@ -720,7 +556,7 @@ class SloEngine:
         fired = sum(1 for a in self._alerts if a["state"] == "firing")
         if not self._trusted:
             self._verdict = "untrusted"
-        elif self._bad_total > budget_seconds + _EPS:
+        elif self._bad_total > budget_seconds + EPS:
             self._verdict = "breached"
         else:
             self._verdict = "met"
@@ -816,8 +652,9 @@ def attach_floor_slo(
     tenant: str = "-",
 ) -> SloEngine:
     """:func:`attach_slo` with the proven IC floor as the contract: the
-    pessimistic floor of ``reference`` (default: the strategy run), as
-    in the chaos invariant checker — a clean run burns zero budget."""
+    pessimistic floor of ``reference`` (default: the strategy run), the
+    one the chaos invariant checker holds the run to — a clean run
+    burns zero budget."""
     return attach_slo(
         extended.platform,
         FloorAvailability(

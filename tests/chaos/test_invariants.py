@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import check_campaign, check_conservation
 from repro.core import ActivationStrategy
+from repro.errors import ReproError
 from repro.obs.events import Event
 
 
@@ -345,6 +346,40 @@ class TestConservationAndLog:
         assert not result.ok
         assert result.first().invariant == "conservation"
 
+    def test_platform_table_feeds_both_verdicts(self):
+        from repro.fleet.dataplane import (
+            DataplaneParams,
+            TenantTask,
+            run_platform,
+            tenant_platform,
+        )
+
+        params = DataplaneParams(
+            tenants=1, duration=4.0, chaos_every=0, slo=False
+        )
+        task = TenantTask(params, 0)
+        platform = tenant_platform(task)
+        leaked = platform.deployment.replicas[0]
+        platform.metrics.replica(leaked).received += 1
+        digest = run_platform(task, platform)
+        # One table, one identity: the tenant digest and the chaos
+        # checker report the same leak with the same evidence.
+        [violation] = check_conservation(platform.conservation())
+        assert violation.detail.startswith(f"replica {leaked}: received ")
+        assert digest["violations"] == [
+            violation.detail.replace("replica", "conservation", 1)
+        ]
+
+    @pytest.mark.parametrize("text", ["pe1", "pe1#x"])
+    def test_damaged_replica_id_is_a_typed_error(
+        self, pipeline_deployment, text
+    ):
+        # Artifacts replay from disk through this path: a damaged log
+        # names the offending text instead of a bare ValueError.
+        events = _events({"t": 5.0, "type": "replica.crash", "replica": text})
+        with pytest.raises(ReproError, match=text):
+            _check(pipeline_deployment, events)
+
     def test_truncated_log_fails_loudly(self, pipeline_deployment):
         result = _check(pipeline_deployment, _events(), evicted=12)
         assert not result.ok
@@ -426,11 +461,11 @@ class TestMigrationInvariants:
         assert result.ok
 
     def test_open_window_holds_the_worse_floor(self, pipeline_deployment):
-        from repro.chaos.invariants import _Replay
+        from repro.obs.replay import DeploymentState
 
-        state = _Replay(
+        state = DeploymentState(
             pipeline_deployment,
-            ActivationStrategy.all_active(pipeline_deployment),
+            ActivationStrategy.all_active(pipeline_deployment).active_map(0),
             initial_config=0,
             command_latency=0.05,
         )

@@ -41,6 +41,18 @@ class TestReplicaId:
     def test_ordering_is_stable(self):
         assert ReplicaId("a", 0) < ReplicaId("a", 1) < ReplicaId("b", 0)
 
+    def test_parse_inverts_the_wire_format(self):
+        replica = ReplicaId("pe03", 12)
+        assert str(replica) == "pe03#12"
+        assert ReplicaId.parse(str(replica)) == replica
+
+    @pytest.mark.parametrize("text", ["pe03", "pe03#", "pe03#one"])
+    def test_parse_names_malformed_text_in_a_typed_error(self, text):
+        # Artifacts replay from disk through this path: a damaged log
+        # must surface as a ReproError, not a bare ValueError.
+        with pytest.raises(DeploymentError, match=text):
+            ReplicaId.parse(text)
+
 
 def manual_deployment(pipeline_descriptor, assignment=None):
     hosts = [Host("h0", cores=2, cycles_per_core=GIGA),
