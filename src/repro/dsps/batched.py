@@ -16,14 +16,13 @@ Three cooperating tiers, all exact:
   one-by-one through the *real* :class:`~repro.dsps.operators`
   / :class:`~repro.dsps.hosts` code, but stored in the engine's slot
   table instead of the kernel heap (cheaper than heap churn, still
-  tuple-granular). This is the fallback inside failure / switch / chaos
-  windows, where the invariant checker and failover spans need
-  tuple-level fidelity.
+  tuple-granular). This is the fallback while work is in flight across
+  a failure / switch / chaos action, where the invariant checker and
+  failover spans need tuple-level fidelity.
 * **cascade recipes** — when the platform is *quiescent* (no in-flight
-  work, no pending control events before the cascade would finish, no
-  recent control-plane disturbance) the full downstream effect of one
-  source tuple is a fixed cascade: a known sequence of cluster
-  completions with known float-exact service delays. The engine builds
+  work, no live heap event before the cascade would finish) the full
+  downstream effect of one source tuple is a fixed cascade: a known
+  sequence of cluster completions with known float-exact service delays. The engine builds
   that cascade once per (source, control epoch) as a *template* and then
   commits each arrival in one pass — replaying the exact floating-point
   operations (processor-sharing progress, selectivity credit adds) the
@@ -48,13 +47,25 @@ primary whose identity is stable for the control epoch. Everything else
 — and any arrival whose precheck discovers a selectivity multiplicity
 other than 0 or 1 — falls back to micro events before any state is
 mutated. Control-plane activity (crashes, recoveries, activation
-switches, host degradation) bumps the engine epoch, invalidating the
-templates, and opens a :class:`FallbackTracker` window during which
-arrivals run tuple-granular.
+switches, host degradation, migration attach/detach) bumps the engine
+epoch, invalidating the templates; the next arrival that finds no work
+in flight rebuilds them from the deployment as it then stands. The
+:class:`FallbackTracker` window the same action opens is a marker in
+the event log (both modes emit it), not an execution mode: eligibility
+depends on platform state, never on elapsed time.
+
+A heap event scheduled with an ``idle`` probe (see
+:meth:`repro.sim.kernel.Environment.schedule`) does not end a run
+commit: when a cascade's bound reaches it and it probes idle, the train
+fires it in place with the exact sequence number and carries on
+(:meth:`BatchEngine._cross_idle`; ``stats["idle_crossed"]``). Periodic
+control ticks that decide to change nothing are the case it exists for.
 
 Byte-identity of the resulting event logs between this engine and the
 plain kernel is enforced by ``tests/sim/test_batched_equivalence.py``
-on the pinned scenario suite.
+on the pinned scenario suite and by
+``tests/sim/test_generated_equivalence.py`` on generated applications,
+traces, control schedules and ticks.
 """
 
 from __future__ import annotations
@@ -80,7 +91,7 @@ if TYPE_CHECKING:
     from repro.dsps.platform import StreamPlatform
     from repro.obs.events import EventLog
     from repro.obs.registry import MetricsRegistry
-    from repro.sim import Environment
+    from repro.sim import Environment, EventHandle
 
 __all__ = ["BatchEngine", "EngineTimer", "FallbackTracker"]
 
@@ -97,15 +108,15 @@ _MAX_STEPS = 128
 
 
 class FallbackTracker:
-    """Merged windows of control-plane disturbance (tuple-granular time).
+    """Merged windows of control-plane disturbance.
 
     Every platform control action (crash, recover, activate, deactivate,
-    degrade, restore) opens — or extends — a fixed-width settle window
-    during which the batched engine refuses cascade recipes and runs
-    tuple-granular. The tracker is attached in *both* execution modes and
+    degrade, restore, attach, detach) opens — or extends — a fixed-width
+    settle window. The tracker is attached in *both* execution modes and
     emits one ``batch.fallback`` event per window opening, so event logs
     stay byte-identical across modes while reports can show how much of
-    a run actually ran at tuple granularity.
+    a run the control plane kept disturbing. It only accounts: the
+    batched engine decides its path from platform state.
     """
 
     __slots__ = ("_events", "_clock", "settle", "windows", "covered", "_end")
@@ -141,10 +152,6 @@ class FallbackTracker:
             self.covered += end - self._end
         if end > self._end:
             self._end = end
-
-    def active_at(self, time: float) -> bool:
-        """Is ``time`` inside a fallback window?"""
-        return time < self._end
 
 
 class _CompletionSlot:
@@ -428,7 +435,6 @@ class BatchEngine:
         self._live_timers = 0
         self._epoch = 0
         self._templates: dict[str, tuple[int, Optional[_Template]]] = {}
-        self.tracker: Optional[FallbackTracker] = None
         #: Execution statistics (published as ``batch.*`` gauges).
         self.stats: dict[str, int] = {
             "cascades": 0,
@@ -436,6 +442,7 @@ class BatchEngine:
             "bails": 0,
             "template_builds": 0,
             "runs": 0,
+            "idle_crossed": 0,
         }
 
     # ------------------------------------------------------------------
@@ -468,6 +475,9 @@ class BatchEngine:
             float(self.stats["template_builds"])
         )
         registry.gauge("batch.runs").set(float(self.stats["runs"]))
+        registry.gauge("batch.idle.crossed").set(
+            float(self.stats["idle_crossed"])
+        )
 
     # ------------------------------------------------------------------
     # Kernel interface
@@ -533,7 +543,7 @@ class BatchEngine:
                 slot.callback()
             else:
                 assert best_cursor is not None
-                self._fire_arrival(best_cursor, btime, bseq, until)
+                self._fire_arrival(best_cursor, until)
 
     def finish(self, btime: Optional[float], bseq: Optional[int]) -> None:
         """End-of-run ghost accounting (the lazy-purge convergence rule).
@@ -628,11 +638,7 @@ class BatchEngine:
         self._advance_cursor(cursor, delay)
 
     def _fire_arrival(
-        self,
-        cursor: _SourceCursor,
-        btime: Optional[float],
-        bseq: Optional[int],
-        until: Optional[float],
+        self, cursor: _SourceCursor, until: Optional[float]
     ) -> None:
         t0 = cursor.time
         if not cursor.primed:
@@ -641,10 +647,11 @@ class BatchEngine:
             self._env.engine_fire(t0)
             self._advance_cursor(cursor, self._draw_delay(cursor))
             return
+        # No work in flight and a template built for the current control
+        # epoch: every control entry point bumps the epoch, so a usable
+        # template is one whose world has not changed since.
         template: Optional[_Template] = None
-        if self._live_timers == 0 and (
-            self.tracker is None or not self.tracker.active_at(t0)
-        ):
+        if self._live_timers == 0:
             template = self._template_for(cursor.source.name)
         if template is None:
             self._micro_fire(cursor, None, drawn=False)
@@ -654,25 +661,120 @@ class BatchEngine:
         # whichever path commits. (The matching *sequence* draw happens
         # only after the delivery's own draws, preserving seq order.)
         delay = self._next_delay(cursor)
-        bound = t0 + template.guard
-        ok = delay is None or bound < t0 + delay
-        if ok and until is not None and bound > until:
-            ok = False
-        if ok and btime is not None and bound >= btime:
-            ok = False
-        if ok:
-            for other in self._cursors:
-                if other is not cursor and other.live and other.time <= bound:
-                    ok = False
-                    break
-        if ok:
-            if template.runnable and self._solo(cursor):
-                self._commit_run(template, cursor, t0, delay, btime, until)
-                return
-            if self._commit_recipe(template, cursor, t0, delay):
-                return
+        commit = (
+            self._commit_run
+            if template.runnable and self._solo(cursor)
+            else self._commit_recipe
+        )
+        if commit(template, cursor, t0, delay, until):
+            return
         self.stats["bails"] += 1
         self._micro_fire(cursor, delay, drawn=True)
+
+    def _cross_idle(
+        self,
+        layout: _RunLayout,
+        cred: list[float],
+        t0: float,
+        bound: float,
+        draws_at_t0: int,
+    ) -> tuple[bool, list[tuple[float, int]]]:
+        """Fire the idle heap events in the way of the cascade at ``t0``.
+
+        Called with the replayed sequence counter flushed into the
+        kernel, when the heap head is at or before ``bound``. Heads
+        before ``t0`` fire in place. Heads inside ``(t0, bound]`` fire
+        with the sequence number a tuple-granular run would have reached
+        by then — ``draws_at_t0`` plus the draws of every step whose
+        parent completed earlier — and the kernel counter is then put
+        back, so the caller commits the cascade as if they were not
+        there and adds their draws afterwards.
+
+        Returns ``(admit, fired)``: whether the cascade may commit in
+        closed form, and the ``(time, draws)`` of each head fired inside
+        it. A head that is live (no probe, cancelled, probe false) or
+        lands exactly on the arrival or on a step completion refuses the
+        cascade — equal-time ties are the exact path's to resolve. When
+        that head is the successor an already-fired head scheduled
+        inside the same cascade, ``fired`` is non-empty: the kernel
+        clock is put back too, and the caller owes those draws to the
+        tuple-granular replay (:meth:`_replay_owing`).
+        """
+        queue = self._env._queue
+        while queue and queue[0][0] < t0:
+            if not self._probe(queue[0][2]):
+                return False, []
+            self._fire_idle()
+        if not queue or queue[0][0] > bound:
+            return True, []
+        # Dry pass: the cascade's event times and emit pattern, by the
+        # commit loop's own float operations, on private scratch.
+        n = len(cred)
+        pidx = layout.pidx
+        delays = layout.delays
+        sels = layout.sels
+        pstep = layout.pstep
+        times = [0.0] * n + [t0]
+        emit = [False] * n + [True]
+        for i in range(n):
+            parent = pidx[i]
+            if emit[parent]:
+                times[i] = times[parent] + delays[i]
+                emit[i] = pstep[i] and int(cred[i] + sels[i]) > 0
+        ran = [i for i in range(n) if emit[pidx[i]]]
+        late_k = layout.late_k
+        env = self._env
+        base = env._sequence
+        now = env._now
+        paid = draws_at_t0
+        fired: list[tuple[float, int]] = []
+        admit = True
+        while queue and queue[0][0] <= bound:
+            time, _seq, handle = queue[0]
+            if (
+                time == t0
+                or not self._probe(handle)
+                or any(times[i] == time for i in ran)
+            ):
+                admit = False
+                break
+            env._sequence = before = (
+                base
+                + paid
+                + sum(late_k[i] for i in ran if times[pidx[i]] < time)
+            )
+            self._fire_idle()
+            draws = env._sequence - before
+            paid += draws
+            fired.append((time, draws))
+        # Put the kernel back where the cascade starts: the caller
+        # replays the draws itself, and a replay restarts the clock too.
+        env._sequence = base
+        if not admit:
+            env._now = now
+        return admit, fired
+
+    @staticmethod
+    def _probe(handle: "EventHandle") -> bool:
+        """Did this heap event declare its firing idle?"""
+        return (
+            handle.idle is not None
+            and not handle.cancelled
+            and handle.idle(handle.time)
+        )
+
+    def _fire_idle(self) -> None:
+        """Fire the heap head, which probed idle; a lying probe raises."""
+        env = self._env
+        time, _seq, handle = env._queue[0]
+        epoch = self._epoch
+        env.fire_head()
+        if self._epoch != epoch or self._live_timers:
+            raise SimulationError(
+                f"{handle.callback!r} probed idle at t={time} but changed"
+                " control-plane state or submitted work when it fired"
+            )
+        self.stats["idle_crossed"] += 1
 
     def _apply_fx(
         self, fx: Optional[_DeliveryFx], time: float, birth: float
@@ -699,8 +801,22 @@ class BatchEngine:
         cursor: _SourceCursor,
         t0: float,
         delay: Optional[float],
+        until: Optional[float],
     ) -> bool:
         """Commit one arrival's cascade; False = bail (nothing mutated)."""
+        # No foreign event — next arrival, ``until`` cap, heap head,
+        # another source — may stand at or before the cascade's bound.
+        bound = t0 + template.guard
+        if delay is not None and bound >= t0 + delay:
+            return False
+        if until is not None and bound > until:
+            return False
+        queue = self._env._queue
+        if queue and bound >= queue[0][0]:
+            return False
+        for other in self._cursors:
+            if other is not cursor and other.live and other.time <= bound:
+                return False
         steps = template.steps
         n = len(steps)
         run = template.scratch_run
@@ -792,16 +908,19 @@ class BatchEngine:
         cursor: _SourceCursor,
         t0: float,
         delay: Optional[float],
-        btime: Optional[float],
         until: Optional[float],
-    ) -> None:
+    ) -> bool:
         """Commit an unbroken *train* of cascades in one pass.
 
-        Eligibility for the first cascade was already established by
-        :meth:`_fire_arrival`; each further arrival re-checks the same
-        conditions (quiescence gap, ``until`` cap, heap boundary)
-        before joining the run, and the first failing check stops the
-        train with the look-ahead delay stashed on the cursor.
+        Every arrival, the first included, is admitted by the same
+        conditions before it joins the run: its cascade ends (with the
+        guard margin) before the next arrival and by ``until``, and no
+        heap event stands at or before that bound — unless every such
+        event declared itself idle, in which case :meth:`_cross_idle`
+        fires them in place and the train carries on. The first
+        refusal stops the train with the look-ahead delay stashed on
+        the cursor; False means the *first* arrival was refused and
+        nothing was mutated.
 
         Float-sensitive accumulators — busy time, selectivity credits,
         processor-sharing progress, the event-time chains — are
@@ -842,7 +961,10 @@ class BatchEngine:
         # Local replay state: loaded once, written back once. The seq
         # counter and the arrival recurrence are replayed locally too —
         # nothing else can touch them while the engine holds the
-        # interval (no heap callback runs inside an ``advance`` grant).
+        # interval (the only heap callbacks that run inside an
+        # ``advance`` grant are idle ones, fired with ``seq`` flushed).
+        queue = env._queue
+        head = queue[0][0] if queue else math.inf
         seq = env._sequence
         prev = cursor.prev
         bm = [m.busy_time for m in layout.m_metrics]
@@ -854,7 +976,34 @@ class BatchEngine:
         emitted = [0] * n
         hc = [h.cycles_delivered for h in layout.hosts]
         committed = 0
+        crossed = 0
+        owed: list[tuple[float, int]] = []
         while True:
+            bound = t0 + guard
+            admit = delay is None or bound < t0 + delay
+            if until is not None and bound > until:
+                admit = False
+            if admit and head <= bound:
+                env._sequence = seq
+                admit, owed = self._cross_idle(
+                    layout,
+                    cred,
+                    t0,
+                    bound,
+                    draws_at_t0 + (delay is not None),
+                )
+                seq = env._sequence
+                head = queue[0][0] if queue else math.inf
+                if admit:
+                    # Drawn inside the cascade: after its draws at t0.
+                    crossed = sum(draws for _time, draws in owed)
+                    owed = []
+            if not admit:
+                if committed or owed:
+                    cursor.time = t0
+                    cursor.pending = delay
+                    cursor.has_pending = True
+                break
             committed += 1
             bucket = int(t0)
             src_buckets[bucket] = src_buckets.get(bucket, 0) + 1
@@ -904,32 +1053,28 @@ class BatchEngine:
                     cred[i] = value
                     emit[i] = False
             seq += late
+            if crossed:
+                seq += crossed
+                crossed = 0
             if delay is None:
                 break
-            t_next = t0 + delay
+            t0 = t0 + delay
             try:
                 arrival = next(gen)
             except StopIteration:
-                nxt: Optional[float] = None
+                delay = None
             else:
-                nxt = arrival - prev
+                delay = arrival - prev
                 prev = arrival
-                if nxt < 0 or nxt != nxt:  # NaN-safe _draw_delay check
+                if delay < 0 or delay != delay:  # NaN-safe _draw_delay check
                     raise SimulationError(
-                        f"process yielded an invalid delay: {nxt!r}"
+                        f"process yielded an invalid delay: {delay!r}"
                     )
-            bound = t_next + guard
-            if (
-                (nxt is not None and bound >= t_next + nxt)
-                or (until is not None and bound > until)
-                or (btime is not None and bound >= btime)
-            ):
-                cursor.time = t_next
-                cursor.pending = nxt
-                cursor.has_pending = True
-                break
-            t0 = t_next
-            delay = nxt
+        if not committed:
+            if not owed:
+                return False
+            self._replay_owing(cursor, owed, until)
+            return True
         # ------------------------------------------------------------------
         # Writeback: derived integer counters, then float replay state.
         # ------------------------------------------------------------------
@@ -1001,8 +1146,9 @@ class BatchEngine:
         # The clock lands on the last committed event: the final
         # cascade's ``emit`` / ``times`` state is still intact, and run
         # eligibility makes each arrival later than every event of the
-        # cascade before it, so the global maximum lives there.
-        last_t = t0
+        # cascade before it, so the global maximum lives there — unless
+        # an idle event fired after it (the kernel clock is on that).
+        last_t = max(times[n], env.now)
         for i in range(n):
             if emit[pidx[i]] and times[i] > last_t:
                 last_t = times[i]
@@ -1012,6 +1158,28 @@ class BatchEngine:
         )
         self.stats["cascades"] += committed
         self.stats["runs"] += 1
+        if owed:
+            self._replay_owing(cursor, owed, until)
+        return True
+
+    def _replay_owing(
+        self,
+        cursor: _SourceCursor,
+        owed: list[tuple[float, int]],
+        until: Optional[float],
+    ) -> None:
+        """Replay ``cursor``'s arrival tuple-granular around the idle
+        events :meth:`_cross_idle` already fired inside its cascade.
+
+        Each fired with the sequence number the replay reaches just
+        before its time, so the replay runs up to that time, skips the
+        numbers the firing drew, and goes on.
+        """
+        self.stats["bails"] += 1
+        self._micro_fire(cursor, None, drawn=False)
+        for time, draws in owed:
+            self.advance(time, -1, until)
+            self._env.bump_seq(draws)
 
     # ------------------------------------------------------------------
     # Template construction

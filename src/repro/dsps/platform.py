@@ -120,9 +120,10 @@ class StreamPlatform:
         )
         self.env.telemetry = self.telemetry.events
 
-        # Batched execution engine (optional) and the fallback tracker.
-        # The tracker runs in BOTH modes so the ``batch.fallback`` events
-        # it emits keep the logs byte-identical across modes.
+        # Batched execution engine (optional) and the disturbance
+        # tracker. The tracker runs in BOTH modes so the
+        # ``batch.fallback`` events it emits keep the logs
+        # byte-identical across modes; the engine never consults it.
         self._engine: Optional[BatchEngine] = None
         if self._config.batching:
             self._engine = BatchEngine(self)
@@ -136,8 +137,6 @@ class StreamPlatform:
                 + self._config.queue_seconds
             ),
         )
-        if self._engine is not None:
-            self._engine.tracker = self.fallback
 
         missing = [s for s in self._graph.sources if s not in traces]
         if missing:
@@ -372,10 +371,10 @@ class StreamPlatform:
         return self._engine
 
     def _note_disturbance(self, reason: str) -> None:
-        """Record a control-plane action: the batched engine falls back
-        to tuple granularity for a settle window around it (the tracker
-        also runs — and emits — in tuple-granular mode, keeping logs
-        identical across modes)."""
+        """Record a control-plane action: the tracker opens or extends
+        its disturbance window (in both modes, keeping logs identical)
+        and the batched engine's cascade templates are invalidated —
+        the next arrival that finds no work in flight rebuilds them."""
         self.fallback.on_control(reason)
         if self._engine is not None:
             self._engine.bump_epoch()

@@ -130,7 +130,7 @@ class Autoscaler:
 
     def start(self) -> None:
         """Begin ticking at t=0."""
-        self._platform.env.schedule(0.0, self._tick)
+        self._platform.env.schedule(0.0, self._tick, idle=self._idle)
 
     def desired_parallelism(self, now: float) -> int:
         """The calendar's answer: peak parallelism inside the widened
@@ -141,65 +141,105 @@ class Autoscaler:
         return policy.trough_parallelism
 
     # ------------------------------------------------------------------
+    # What a tick would do: the predicates ``_reconcile`` acts on, and
+    # the probe that tells the batched engine a tick would do nothing.
+    # ------------------------------------------------------------------
 
-    def _tick(self) -> None:
-        now = self._platform.env.now
-        self._reconcile(now)
-        if now + self._policy.tick <= self._horizon:
-            self._platform.env.schedule(self._policy.tick, self._tick)
-
-    def _reconcile(self, now: float) -> None:
+    def _consolidation_due(self, now: float) -> bool:
+        """Does the night calendar disagree with the consolidation
+        state the tenant is in?"""
         policy = self._policy
-        if policy.consolidate and self._chost is not None:
-            night_until = (
-                self._peak_start - policy.lead - policy.consolidate_margin
-            )
-            want_consolidated = (
-                now < night_until or now >= self._peak_end + policy.lag
-            )
-            if want_consolidated and not self._consolidated:
-                self._consolidate(self._chost)
-            elif not want_consolidated and self._consolidated:
-                self._expand(self._chost)
-        if (
+        if not policy.consolidate:
+            return False
+        night_until = (
+            self._peak_start - policy.lead - policy.consolidate_margin
+        )
+        want_consolidated = (
+            now < night_until or now >= self._peak_end + policy.lag
+        )
+        return want_consolidated != self._consolidated
+
+    def _move_due(self, now: float) -> bool:
+        policy = self._policy
+        return (
             policy.rebalance
             and not self._moved
             and now >= self._peak_end + policy.lag
-        ):
+        )
+
+    def _rescale_due(
+        self, pe: str, target: int
+    ) -> Optional[tuple[int, int, bool]]:
+        """The rescale ``pe`` needs as ``(want, actives, reactive)``, or
+        ``None`` when it already sits where the calendar wants it."""
+        members = self._platform.group(pe).members
+        if not members:
+            return None
+        actives = 0
+        covered = standby = False
+        for member in members:
+            if member.active:
+                actives += 1
+                covered = covered or member.processable
+            elif member.alive:
+                standby = True
+        if not covered and standby:
+            # Reactive cover guard: the calendar does not get a vote
+            # when the PE has no processable replica left.
+            return min(len(members), actives + 1), actives, True
+        want = min(target, len(members))
+        if actives == want:
+            return None
+        return want, actives, False
+
+    def _idle(self, time: float) -> bool:
+        """Would a tick at ``time`` find nothing to do?
+
+        Reads the calendar and control-plane state only (membership,
+        ``alive`` / ``active`` flags), so the answer given before the
+        tick fires is the one the tick itself will reach.
+        """
+        if self._consolidation_due(time) or self._move_due(time):
+            return False
+        target = self.desired_parallelism(time)
+        return all(self._rescale_due(pe, target) is None for pe in self._pes)
+
+    # ------------------------------------------------------------------
+
+    def _tick(self) -> None:
+        env = self._platform.env
+        self._reconcile(env.now)
+        if env.now + self._policy.tick <= self._horizon:
+            env.schedule(self._policy.tick, self._tick, idle=self._idle)
+
+    def _reconcile(self, now: float) -> None:
+        if self._consolidation_due(now):
+            assert self._chost is not None
+            if self._consolidated:
+                self._expand(self._chost)
+            else:
+                self._consolidate(self._chost)
+        if self._move_due(now):
             self._move_standby()
         target = self.desired_parallelism(now)
         for pe in self._pes:
-            self._reconcile_pe(pe, target)
+            due = self._rescale_due(pe, target)
+            if due is not None:
+                self._rescale(pe, *due)
 
-    def _reconcile_pe(self, pe: str, target: int) -> None:
+    def _rescale(
+        self, pe: str, want: int, actives: int, reactive: bool
+    ) -> None:
         engine = self._engine
-        members = self._platform.group(pe).members
-        if not members:
-            return
-        actives = sum(1 for m in members if m.active)
-        covered = any(m.processable for m in members)
-        if not covered and any(m.alive and not m.active for m in members):
-            # Reactive cover guard: the calendar does not get a vote
-            # when the PE has no processable replica left.
-            want = min(len(members), actives + 1)
-            action = MigrationAction(kind="rescale", pe=pe, parallelism=want)
-            ok, _ = engine.feasible(action)
-            if ok:
-                engine.rescale(pe, want)
-                self.reactivations += 1
-            else:
-                self.skipped += 1
-            return
-        want = min(target, len(members))
-        if actives == want:
-            return
         action = MigrationAction(kind="rescale", pe=pe, parallelism=want)
         ok, _ = engine.feasible(action)
         if not ok:
             self.skipped += 1
             return
         changed = engine.rescale(pe, want)
-        if want > actives:
+        if reactive:
+            self.reactivations += 1
+        elif want > actives:
             self.scale_ups += len(changed)
         else:
             self.scale_downs += len(changed)

@@ -112,11 +112,19 @@ class CoreHourMeter:
         self._horizon = horizon
         self._tick = tick
         self._engine = engine
+        self._pes = platform.deployment.descriptor.graph.pes
+        self._cores = sum(host.cores for host in platform.deployment.hosts)
         self.active_core_seconds = 0.0
         self.reserved_core_seconds = 0.0
 
     def start(self) -> None:
-        self._platform.env.schedule(0.0, self._sample)
+        self._platform.env.schedule(0.0, self._sample, idle=self._idle)
+
+    @staticmethod
+    def _idle(time: float) -> bool:
+        """Sampling reads control-plane state and touches only the
+        meter: the batched engine may fire it inside a closed-form run."""
+        return True
 
     def _sample(self) -> None:
         platform = self._platform
@@ -124,25 +132,23 @@ class CoreHourMeter:
         dt = min(self._tick, self._horizon - now)
         if dt <= 0:
             return
-        active = sum(
-            1
-            for host in platform.deployment.hosts
-            for rid in platform.residents(host.name)
-            if platform.replica(rid).alive and platform.replica(rid).active
-        )
+        # Attached replicas are exactly the group members (attach and
+        # detach maintain both), so residency needs no per-id lookups.
+        active = 0
+        for pe in self._pes:
+            for member in platform.group(pe).members:
+                if member.alive and member.active:
+                    active += 1
         self.active_core_seconds += active * dt
-        reserved = 0
-        for host in platform.deployment.hosts:
-            if (
-                self._engine is not None
-                and host.name in self._engine.cordoned
-                and not platform.residents(host.name)
-            ):
-                continue  # reclaimed: cordoned and empty
-            reserved += host.cores
+        reserved = self._cores
+        if self._engine is not None:
+            for name in self._engine.cordoned:
+                if not platform.residents(name):
+                    # reclaimed: cordoned and empty
+                    reserved -= platform.deployment.host(name).cores
         self.reserved_core_seconds += reserved * dt
         if now + self._tick < self._horizon:
-            platform.env.schedule(self._tick, self._sample)
+            platform.env.schedule(self._tick, self._sample, idle=self._idle)
 
 
 def peak_window(params: DataplaneParams, tenant: int) -> tuple[float, float]:

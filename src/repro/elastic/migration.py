@@ -31,8 +31,10 @@ deterministic sim-time steps:
     host failures are ordinary failovers of the *new* deployment.
 
 Every step runs through the platform's control entry points, so the
-:class:`~repro.dsps.batched.FallbackTracker` opens settle windows in
-both execution modes and the event log stays byte-identical between
+batched engine's control epoch moves with it (cascade templates are
+rebuilt from the new membership), the
+:class:`~repro.dsps.batched.FallbackTracker` marks the disturbance in
+both execution modes, and the event log stays byte-identical between
 batched and tuple-granular execution across every migration.
 """
 

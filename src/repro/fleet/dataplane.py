@@ -230,8 +230,8 @@ def build_tenant_platform(
         crash_at = round(0.35 * params.duration, 3)
         if slot == 0:
             # Crash the primary-heavy host mid-run: failover, then a
-            # recovery — both force the batched engine back to tuple
-            # granularity for a settle window.
+            # recovery — both abort in-flight work and invalidate the
+            # batched engine's cascade templates.
             platform.env.schedule_at(
                 crash_at, lambda: platform.crash_host("h00")
             )

@@ -72,9 +72,10 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
     # chaos campaigns (repro.chaos)
     "chaos.campaign": {"seed": "int", "injections": "list"},
     "chaos.inject": {"kind": "str", "at": "float"},
-    # Batched-engine fallback windows (repro.dsps.batched): emitted in
-    # both execution modes when a control action forces tuple-granular
-    # processing for a settle window.
+    # Control-plane disturbance windows (repro.dsps.batched
+    # FallbackTracker): emitted in both execution modes when a control
+    # action opens one. A marker for reports, not an execution mode —
+    # the batched engine decides by platform state, not by this window.
     "batch.fallback": {"reason": "str", "until": "float"},
     # Runtime elasticity (repro.elastic): live migrations and host
     # lifecycle. ``migration.start`` names the replica being attached

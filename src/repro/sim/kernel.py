@@ -27,14 +27,23 @@ __all__ = ["Environment", "EventHandle", "Signal", "Process"]
 
 
 class EventHandle:
-    """A scheduled callback; ``cancel()`` prevents it from firing."""
+    """A scheduled callback; ``cancel()`` prevents it from firing.
 
-    __slots__ = ("time", "callback", "cancelled")
+    ``idle`` is the optional probe given to :meth:`Environment.schedule`.
+    """
 
-    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+    __slots__ = ("time", "callback", "cancelled", "idle")
+
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        idle: Optional[Callable[[float], bool]] = None,
+    ) -> None:
         self.time = time
         self.callback = callback
         self.cancelled = False
+        self.idle = idle
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -159,6 +168,8 @@ class Environment:
     below ``(time, seq)`` (and not beyond ``until``) — and
     ``engine.finish(time, seq)`` once at the end of :meth:`run` so
     cancelled-event accounting converges with the heap's lazy purge.
+    Inside a grant the engine may also fire heap events that declared
+    themselves idle (see :meth:`schedule`) through :meth:`fire_head`.
     Like ``telemetry``, the attribute is duck-typed and defaults to
     None, costing one comparison per event when unused.
     """
@@ -226,14 +237,41 @@ class Environment:
         self._now = time
 
     def schedule(
-        self, delay: float, callback: Callable[[], None]
+        self,
+        delay: float,
+        callback: Callable[[], None],
+        idle: Optional[Callable[[float], bool]] = None,
     ) -> EventHandle:
-        """Run ``callback`` after ``delay`` simulated seconds."""
+        """Run ``callback`` after ``delay`` simulated seconds.
+
+        ``idle(time)`` is a pure probe: True promises that the firing at
+        ``time`` neither mutates nor reads anything an attached engine
+        replays in closed form (replica, host and metric counters,
+        queues) and changes no control-plane state — it may read
+        control-plane state, keep private state, emit events and
+        schedule more events. The engine then fires it *inside* a
+        closed-form batch instead of ending the batch at it. The
+        tuple-granular loop never calls the probe.
+        """
         if delay < 0 or math.isnan(delay):
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        handle = EventHandle(self._now + delay, callback)
+        handle = EventHandle(self._now + delay, callback, idle)
         heapq.heappush(self._queue, (handle.time, self.take_seq(), handle))
         return handle
+
+    def fire_head(self) -> None:
+        """Pop and run the heap head exactly as :meth:`run` would.
+
+        For the attached engine, inside a grant: it vouches that every
+        sequence draw of its own events below the head has been flushed
+        into the kernel before calling.
+        """
+        time, _seq, handle = heapq.heappop(self._queue)
+        if time < self._now:
+            raise SimulationError("event queue went back in time")
+        self._now = time
+        self._events_processed += 1
+        handle.callback()
 
     def schedule_at(
         self, time: float, callback: Callable[[], None]
@@ -281,9 +319,10 @@ class Environment:
             time, seq, handle = queue[0]
             if engine is not None:
                 engine.advance(time, seq, until)
-                if queue[0][2] is not handle:
-                    # An engine callback scheduled (or cancelled into)
-                    # an earlier heap event; re-merge from the top.
+                if not queue or queue[0][2] is not handle or handle.cancelled:
+                    # An engine callback scheduled an earlier heap
+                    # event or cancelled this one, or the engine fired
+                    # this idle head itself; re-merge from the top.
                     continue
             if until is not None and time > until:
                 break

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Host
 from repro.dsps import PlatformConfig, StreamPlatform, two_level_trace
@@ -183,3 +185,103 @@ class TestControlLoop:
             platform.run()
             logs.append(platform.telemetry.events.to_jsonl())
         assert logs[0] == logs[1]
+
+
+class _CheckedAutoscaler(Autoscaler):
+    """An autoscaler that holds its own probe to its word: whenever
+    ``_idle`` answers True, the reconcile that follows must leave the
+    engine epoch, every counter and the event log untouched."""
+
+    vouched = 0
+    acted = 0
+
+    def _snapshot(self):
+        platform = self._platform
+        return (
+            platform.engine._epoch,
+            platform.telemetry.events.emitted,
+            platform.fallback.windows,
+            self._engine.attempted,
+            self._engine.refused,
+            self.scale_ups,
+            self.scale_downs,
+            self.reactivations,
+            self.consolidations,
+            self.expansions,
+            self.moves,
+            self.skipped,
+            [
+                (str(m.replica_id), m.host.name, m.alive, m.active)
+                for pe in self._pes
+                for m in platform.group(pe).members
+            ],
+        )
+
+    def _reconcile(self, now):
+        idle = self._idle(now)
+        before = self._snapshot()
+        super()._reconcile(now)
+        if idle:
+            self.vouched += 1
+            assert self._snapshot() == before, now
+        else:
+            self.acted += 1
+
+
+class TestIdleProbe:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        # The fixture is an immutable descriptor: nothing to reset.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        consolidate=st.booleans(),
+        rebalance=st.booleans(),
+        tick=st.sampled_from([0.1, 0.25, 0.7]),
+        crashes=st.lists(
+            st.tuples(
+                st.floats(0.0, DURATION),
+                st.sampled_from(["h0", "h1", "h2"]),
+                st.floats(0.3, 4.0),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_probe_true_implies_the_tick_changes_nothing(
+        self, pipeline_descriptor, consolidate, rebalance, tick, crashes
+    ):
+        platform, engine = build(pipeline_descriptor, batching=True)
+        chost = None
+        if consolidate:
+            pe1_hosts = {m.host.name for m in platform.group("pe1").members}
+            chost = min(
+                h.name
+                for h in platform.deployment.hosts
+                if h.name not in pe1_hosts
+            )
+            engine.add_replica("pe1", chost)
+        control = _CheckedAutoscaler(
+            platform,
+            engine,
+            peak_start=PEAK_START,
+            peak_end=PEAK_END,
+            horizon=DURATION + 2.0,
+            policy=AutoscalerPolicy(
+                tick=tick, consolidate=consolidate, rebalance=rebalance
+            ),
+            consolidation_host=chost,
+        )
+        control.start()
+        for at, host, downtime in crashes:
+            platform.env.schedule_at(
+                at, lambda h=host: platform.crash_host(h)
+            )
+            platform.env.schedule_at(
+                at + downtime, lambda h=host: platform.recover_host(h)
+            )
+        platform.run()
+        # Both answers were exercised: the calendar acts at least at the
+        # peak's edges, and most ticks find nothing to do.
+        assert control.acted >= 2
+        assert control.vouched > control.acted

@@ -236,3 +236,59 @@ class TestProcesses:
             (3.0, "fast"),
             (4.5, "slow"),
         ]
+
+
+class _StubEngine:
+    """The kernel's engine protocol with a scripted ``advance``."""
+
+    def __init__(self, on_advance):
+        self._on_advance = on_advance
+
+    def advance(self, time, seq, until):
+        self._on_advance(time)
+
+    def finish(self, time, seq):
+        pass
+
+
+class TestEngineGrant:
+    def test_head_cancelled_during_the_grant_does_not_fire(self):
+        """An engine-run callback may cancel the very heap event whose
+        grant is in progress; a tuple-granular run would purge it."""
+        env = Environment()
+        log = []
+        handle = env.schedule(1.0, lambda: log.append("cancelled"))
+        env.schedule(2.0, lambda: log.append("live"))
+        env.engine = _StubEngine(lambda time: handle.cancel())
+        env.run()
+        assert log == ["live"]
+        assert env.events_processed == 1
+        assert env.events_cancelled == 1
+
+    def test_engine_may_consume_the_last_head(self):
+        """The engine fires an idle head itself (``fire_head``); the
+        loop must survive finding the heap empty afterwards."""
+        env = Environment()
+        seen = []
+        env.schedule(1.0, lambda: seen.append(env.now), idle=lambda t: True)
+
+        def consume(time):
+            if time is not None:
+                env.fire_head()
+
+        env.engine = _StubEngine(consume)
+        env.run(until=3.0)
+        assert seen == [1.0]
+        assert env.events_processed == 1
+        assert env.now == 3.0
+
+    def test_tuple_granular_loop_never_probes(self):
+        env = Environment()
+        log = []
+
+        def probe(time):
+            raise AssertionError("probed without an engine")
+
+        env.schedule(1.0, lambda: log.append("fired"), idle=probe)
+        env.run()
+        assert log == ["fired"]

@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# The byte-identity table: every artifact the scenario subcommands
+# write, as one `scenario artifact sha256` row each.
+#
+#   tools/digests.sh [CHECKOUT] > table.txt
+#
+# Run it on two checkouts and `diff` the tables to show a change moved
+# no observable byte (the CI `elastic-smoke` job does, parent vs HEAD):
+#
+#   git archive HEAD^ | tar -x -C /tmp/parent
+#   diff <(tools/digests.sh /tmp/parent) <(tools/digests.sh .)
+#
+# Within one checkout the script itself requires the execution-mode
+# twins to agree — batched == `--tuple-granular` == `--jobs 2` on
+# `repro elastic` and `repro slo` — and exits 1 if they do not.
+#
+# JSON documents are hashed without the blocks that legitimately differ
+# between modes or runs: the batched engine's own counters (`engine`),
+# the mode flag (`batching`) and wall-clock (`fabric`). Event streams
+# and stdout are hashed as written.
+set -euo pipefail
+
+checkout=$(cd "${1:-.}" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"  # reports record the out-dir they were given: keep it relative
+export PYTHONPATH="$checkout/src"
+export PYTHONHASHSEED=0
+repro() { python -m repro "$@"; }
+
+sha() { sha256sum "$1" | cut -d' ' -f1; }
+
+# sha256 of a JSON document minus its mode- and wall-clock-dependent keys
+json_sha() {
+    python - "$1" <<'EOF'
+import hashlib, json, sys
+
+def strip(node):
+    if isinstance(node, dict):
+        return {
+            key: strip(value)
+            for key, value in node.items()
+            if key not in ("engine", "batching", "fabric")
+        }
+    if isinstance(node, list):
+        return [strip(item) for item in node]
+    return node
+
+document = strip(json.load(open(sys.argv[1])))
+text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+print(hashlib.sha256(text.encode()).hexdigest())
+EOF
+}
+
+# rows for every artifact in a directory: `<scenario> <file> <sha256>`
+rows() {
+    local scenario=$1 dir=$2 file
+    for file in $(cd "$dir" && ls | sort -V); do
+        case "$file" in
+            *.json) echo "$scenario $file $(json_sha "$dir/$file")" ;;
+            *) echo "$scenario $file $(sha "$dir/$file")" ;;
+        esac
+    done
+}
+
+# run a mode twin and require the same rows as the default mode
+twin() {
+    local scenario=$1 label=$2
+    shift 2
+    repro "$scenario" "$@" --out-dir "$scenario-$label" >/dev/null
+    if ! diff <(rows "$scenario" "$scenario") \
+              <(rows "$scenario" "$scenario-$label") >&2; then
+        echo "$scenario: $label differs from the default mode" >&2
+        exit 1
+    fi
+    echo "$scenario $label identical"
+}
+
+# --- fleet data plane, plain and elastic ------------------------------
+repro fleet --dataplane --tenants 50 --jobs 1 \
+    --out-dir dataplane >/dev/null
+rows fleet-dataplane dataplane
+repro fleet --dataplane --elastic --tenants 50 --jobs 1 \
+    --out-dir dataplane-elastic >/dev/null
+rows fleet-dataplane-elastic dataplane-elastic
+
+# --- repro elastic / repro slo: default, tuple-granular, two workers --
+for scenario in elastic slo; do
+    repro "$scenario" --jobs 1 --out-dir "$scenario" >/dev/null
+    rows "$scenario" "$scenario"
+    twin "$scenario" tuple-granular --jobs 1 --tuple-granular
+    twin "$scenario" jobs-2 --jobs 2
+done
+
+# --- chaos campaigns ----------------------------------------------------
+repro chaos run --campaigns 5 --jobs 1 --out-dir chaos >chaos.stdout
+rows chaos chaos
+echo "chaos stdout $(sha chaos.stdout)"
+
+# --- observed runs (none / worst / crash) -------------------------------
+repro generate --seed 3 --pes 10 --hosts 4 --cores-per-host 5 \
+    --out bundle.json >/dev/null
+repro obs bundle.json --ic 0.5 --jobs 1 --out-dir obs >/dev/null
+rows obs obs
+
+# --- fleet control plane ------------------------------------------------
+repro fleet --tenants 30 --jobs 1 --out-dir fleet >fleet.stdout
+rows fleet fleet
+echo "fleet stdout $(sha fleet.stdout)"
