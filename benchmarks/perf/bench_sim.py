@@ -13,7 +13,7 @@ tenant):
   asserts equality — plus zero conservation violations — before
   reporting a single number.
 * **Steady state** — one chaos-free tenant over a long trace: the pure
-  run-commit regime, no fallback windows, the upper bound on what
+  closed-form-train regime, no fallback windows, the upper bound on what
   interval batching buys.
 * **Dataplane fleet** — the 10k-tenant diurnal fleet scenario run
   through :func:`repro.driver.run_tenants` over the

@@ -751,6 +751,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
+#: ``--batched`` on a LAAR bundle (``obs``, ``chaos run``, ``simulate``).
+_BATCHED_HELP = (
+    "run under the batched execution engine: byte-identical event logs"
+    " and digests, not faster here — closed form engages only for"
+    " single-source fan-in-free deployments with selectivity <= 1 and"
+    " one replica per host (the fleet/elastic data plane); see"
+    " docs/performance.md"
+)
+
+
 def _add_laar_run_options(
     parser: argparse.ArgumentParser,
     *,
@@ -771,11 +781,7 @@ def _add_laar_run_options(
         help="IC target when optimizing a strategy (without --strategy)",
     )
     parser.add_argument("--time-limit", type=float, default=10.0)
-    parser.add_argument(
-        "--batched", action="store_true",
-        help="use the batched execution engine (byte-identical event"
-        " logs and digests, faster at fleet scale)",
-    )
+    parser.add_argument("--batched", action="store_true", help=_BATCHED_HELP)
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for the runs (default: REPRO_JOBS, then"
@@ -895,11 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--static", action="store_true",
         help="run without the Rate Monitor (NR/SR-style)",
     )
-    simulate.add_argument(
-        "--batched", action="store_true",
-        help="use the batched execution engine (identical results,"
-        " faster at fleet scale; see docs/performance.md)",
-    )
+    simulate.add_argument("--batched", action="store_true", help=_BATCHED_HELP)
     simulate.add_argument("--out", default=None)
     simulate.set_defaults(func=_cmd_simulate)
 

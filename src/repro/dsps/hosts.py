@@ -17,31 +17,12 @@ paper measures "total CPU time used" from the PE processes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, EventHandle
 
-__all__ = ["CompletionHandle", "CompletionTimer", "HostScheduler"]
-
-
-class CompletionHandle(Protocol):
-    """What :meth:`CompletionTimer.schedule` returns: a cancellable."""
-
-    def cancel(self) -> None: ...
-
-
-class CompletionTimer(Protocol):
-    """Backend for the scheduler's single pending completion event.
-
-    The default backend is the simulation :class:`Environment` itself
-    (heap events); the batched engine substitutes its own slot table so
-    completions never touch the heap (see :mod:`repro.dsps.batched`).
-    """
-
-    def schedule(
-        self, delay: float, callback: Callable[[], None]
-    ) -> CompletionHandle: ...
+__all__ = ["HostScheduler"]
 
 # Completion slack: clock arithmetic at ~1e9 cycles/s loses up to ~1e-4
 # cycles per event to floating point, so treat anything below half a cycle
@@ -67,7 +48,6 @@ class HostScheduler:
         name: str,
         capacity: float,
         cycles_per_core: float,
-        timer: Optional[CompletionTimer] = None,
     ) -> None:
         if capacity <= 0:
             raise SimulationError(f"host {name!r} capacity must be > 0")
@@ -83,8 +63,7 @@ class HostScheduler:
         self.cycles_per_core = cycles_per_core
         self._jobs: dict[object, _Job] = {}
         self._last_update = env.now
-        self._timer: CompletionTimer = timer if timer is not None else env
-        self._completion: Optional[CompletionHandle] = None
+        self._completion: Optional[EventHandle] = None
         self.cycles_delivered = 0.0
         #: Optional hook fired when delivered capacity changes mid-run
         #: (the batched engine invalidates its service-time templates).
@@ -173,7 +152,7 @@ class HostScheduler:
             return
         shortest = min(job.remaining for job in self._jobs.values())
         delay = max(shortest, 0.0) / self._rate_per_job()
-        self._completion = self._timer.schedule(delay, self._on_completion)
+        self._completion = self._env.schedule(delay, self._on_completion)
 
     def _on_completion(self) -> None:
         self._completion = None

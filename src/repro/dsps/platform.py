@@ -52,8 +52,10 @@ class PlatformConfig:
     data path pays nothing).
 
     ``batching`` attaches the :class:`~repro.dsps.batched.BatchEngine`:
-    source arrivals and host completions run out-of-heap and, while the
-    platform is quiescent, whole tuple cascades commit in closed form.
+    source arrivals run out-of-heap and, while the platform is quiescent
+    and the deployment has the shape for it (single source, fan-in
+    free, selectivity <= 1), trains of tuple cascades commit in closed
+    form; everything else runs on the kernel as in tuple-granular mode.
     Event logs and metrics are byte-identical to the tuple-granular mode
     (enforced by ``tests/sim/test_batched_equivalence.py``); only the
     wall-clock cost changes. See ``docs/performance.md``.
@@ -155,11 +157,6 @@ class StreamPlatform:
                 host.name,
                 capacity=host.capacity,
                 cycles_per_core=host.cycles_per_core,
-                timer=(
-                    self._engine.new_timer()
-                    if self._engine is not None
-                    else None
-                ),
             )
             for host in deployment.hosts
         }

@@ -10,7 +10,7 @@ tuples through real queues.
 
 It is the headline workload for the batched execution engine
 (:mod:`repro.dsps.batched`): tenant applications are deliberately
-*recipe-friendly* — chain-shaped (no fan-in), selectivity <= 1, and
+*template-friendly* — chain-shaped (no fan-in), selectivity <= 1, and
 calibrated so one tuple's whole cascade finishes well inside the source
 inter-arrival gap — which lets the engine commit almost every source
 tuple in closed form instead of simulating ~15 heap events for it.

@@ -160,16 +160,18 @@ class Environment:
     and defaults to None, costing nothing when unused.
 
     ``engine`` may be set to a batched execution engine (see
-    :mod:`repro.dsps.batched`): an object that owns *out-of-heap* event
-    streams (source arrivals, host completions) and is granted the
-    interval between consecutive heap events. The kernel calls
-    ``engine.advance(time, seq, until)`` before dispatching each heap
-    event — the engine must process exactly its events with key strictly
-    below ``(time, seq)`` (and not beyond ``until``) — and
-    ``engine.finish(time, seq)`` once at the end of :meth:`run` so
-    cancelled-event accounting converges with the heap's lazy purge.
-    Inside a grant the engine may also fire heap events that declared
-    themselves idle (see :meth:`schedule`) through :meth:`fire_head`.
+    :mod:`repro.dsps.batched`): an object that owns *out-of-heap* events
+    (source arrivals) drawing sequence numbers from :meth:`take_seq`
+    like everything on the heap. Before dispatching each heap event the
+    kernel calls ``engine.advance(until)``, which runs every engine
+    event that precedes the first live heap event (and is not beyond
+    ``until``) and does the lazy purge in the kernel's stead: it drops
+    and counts a cancelled head only when no engine event precedes it,
+    as a run with those events on the heap would — so when ``advance``
+    returns the head is live, or lies behind an engine event that is
+    itself beyond ``until``. Inside ``advance`` the engine may also fire
+    heap events through :meth:`fire_head`, in particular ones that
+    declared themselves idle (see :meth:`schedule`).
     Like ``telemetry``, the attribute is duck-typed and defaults to
     None, costing one comparison per event when unused.
     """
@@ -262,9 +264,9 @@ class Environment:
     def fire_head(self) -> None:
         """Pop and run the heap head exactly as :meth:`run` would.
 
-        For the attached engine, inside a grant: it vouches that every
-        sequence draw of its own events below the head has been flushed
-        into the kernel before calling.
+        For the attached engine, inside ``advance``: it vouches that the
+        head is live and that every sequence draw of its own events
+        below the head has been flushed into the kernel before calling.
         """
         time, _seq, handle = heapq.heappop(self._queue)
         if time < self._now:
@@ -304,26 +306,13 @@ class Environment:
         engine = self.engine
         queue = self._queue
         while True:
-            self._purge_cancelled()
+            if engine is None:
+                self._purge_cancelled()
+            else:
+                engine.advance(until)
             if not queue:
-                if engine is None:
-                    break
-                # Heap drained: let the engine run out (bounded by
-                # ``until``). Engine callbacks never push heap events on
-                # the data path, but re-check in case a control callback
-                # did.
-                engine.advance(None, None, until)
-                if not queue:
-                    break
-                continue
-            time, seq, handle = queue[0]
-            if engine is not None:
-                engine.advance(time, seq, until)
-                if not queue or queue[0][2] is not handle or handle.cancelled:
-                    # An engine callback scheduled an earlier heap
-                    # event or cancelled this one, or the engine fired
-                    # this idle head itself; re-merge from the top.
-                    continue
+                break
+            time, _seq, handle = queue[0]
             if until is not None and time > until:
                 break
             heapq.heappop(queue)
@@ -332,16 +321,6 @@ class Environment:
             self._now = time
             self._events_processed += 1
             handle.callback()
-        if engine is not None:
-            # Converge cancelled-event accounting with the heap's lazy
-            # purge: everything below the first *live* event (heap or
-            # engine) counts, exactly as a tuple-granular run would have
-            # purged it.
-            self._purge_cancelled()
-            if queue:
-                engine.finish(queue[0][0], queue[0][1])
-            else:
-                engine.finish(None, None)
         if until is not None:
             self._now = max(self._now, until)
         if self.telemetry is not None:

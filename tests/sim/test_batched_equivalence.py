@@ -24,7 +24,7 @@ import pytest
 
 from repro.chaos import CampaignSpec, run_campaign
 from repro.core.optimizer import OptimizationProblem, ft_search
-from repro.dsps.batched import FallbackTracker
+from repro.dsps.batched import BatchEngine, FallbackTracker
 from repro.fleet.dataplane import (
     DataplaneParams,
     TenantTask,
@@ -38,6 +38,7 @@ from repro.workloads import (
     generate_application,
     save_bundle,
 )
+from tests.sim.test_generated_equivalence import Control, Scenario, run
 
 CHAOS_SEEDS = range(5)
 
@@ -93,7 +94,7 @@ class TestFleetDataplane:
         quiet = next(d for d in batched if not d["fallback_windows"])
         engine = quiet["engine"]
         assert engine["micro_events"] == 0
-        assert engine["runs"] > 0, "run-commit tier must engage"
+        assert engine["runs"] > 0, "trains must engage"
         assert engine["cascades"] > engine["runs"], (
             "runs must commit multi-cascade trains"
         )
@@ -139,6 +140,42 @@ class TestSeededDivergence:
         mutated = run_tenant(TenantTask(params, 0, batching=True))
         assert mutated["events_sha256"] != honest["events_sha256"], (
             "suppressing fallback windows must change the event stream"
+        )
+
+    def test_purging_past_a_pending_arrival_diverges(self, monkeypatch):
+        # Arrivals every 1/4 s, 1/2 s of service: the host crash at 0.3
+        # cancels a completion due at 0.75, and the run ends at 0.4 —
+        # before the arrival due at 0.5, which a tuple-granular heap
+        # holds in front of the cancelled event, so it stays uncounted.
+        scenario = Scenario(
+            delays=(0.5,),
+            selectivities=(1.0,),
+            n_hosts=2,
+            low=4.0,
+            high=8.0,
+            duration=4.0,
+            high_position=1.0,
+            jitter=0.0,
+            controls=(Control(time=0.3, kind="crash_host", a=0, b=0),),
+            ticks=(),
+            until=0.4,
+        )
+        expected, _ = run(scenario, batching=False)
+        assert expected["events"][1] == 0
+        honest, _ = run(scenario, batching=True)
+        assert honest == expected
+
+        advance = BatchEngine.advance
+
+        def purge_whenever_cancelled(self, until):
+            advance(self, until)
+            self._env._purge_cancelled()
+
+        monkeypatch.setattr(BatchEngine, "advance", purge_whenever_cancelled)
+        mutated, _ = run(scenario, batching=True)
+        assert mutated["events"][1] == 1
+        assert mutated["jsonl"] != expected["jsonl"], (
+            "sim.run.end carries the cancelled-event count"
         )
 
 

@@ -63,9 +63,9 @@ def replays(monkeypatch) -> list[int]:
     calls: list[int] = []
     replay = BatchEngine._replay_owing
 
-    def counting(self, cursor, owed, until):
+    def counting(self, cursor, owed):
         calls.append(len(owed))
-        replay(self, cursor, owed, until)
+        replay(self, cursor, owed)
 
     monkeypatch.setattr(BatchEngine, "_replay_owing", counting)
     return calls

@@ -244,22 +244,54 @@ class _StubEngine:
     def __init__(self, on_advance):
         self._on_advance = on_advance
 
-    def advance(self, time, seq, until):
-        self._on_advance(time)
-
-    def finish(self, time, seq):
-        pass
+    def advance(self, until):
+        self._on_advance(until)
 
 
 class TestEngineGrant:
+    def test_engine_is_consulted_before_every_heap_event(self):
+        env = Environment()
+        log = []
+        env.schedule(1.0, lambda: log.append("a"))
+        env.schedule(2.0, lambda: log.append("b"))
+        env.engine = _StubEngine(lambda until: log.append(("advance", until)))
+        env.run(until=3.0)
+        # Once per dispatched event, and once more to find the heap dry.
+        assert log == [
+            ("advance", 3.0),
+            "a",
+            ("advance", 3.0),
+            "b",
+            ("advance", 3.0),
+        ]
+
+    def test_the_purge_is_the_engines(self):
+        """With an engine attached the kernel purges nothing itself: a
+        cancelled head past ``until`` may lie behind an engine event
+        (an arrival the horizon cut off) and then must stay uncounted."""
+        env = Environment()
+        env.schedule(2.0, lambda: None).cancel()
+        env.engine = _StubEngine(lambda until: None)
+        env.run(until=1.0)
+        assert env.events_cancelled == 0
+        env.engine = None
+        env.run(until=1.0)
+        assert env.events_cancelled == 1
+
     def test_head_cancelled_during_the_grant_does_not_fire(self):
-        """An engine-run callback may cancel the very heap event whose
-        grant is in progress; a tuple-granular run would purge it."""
+        """An engine-run callback may cancel the very heap event the
+        kernel was about to dispatch; the kernel dispatches what it
+        finds at the head once the engine (purge included) is done."""
         env = Environment()
         log = []
         handle = env.schedule(1.0, lambda: log.append("cancelled"))
         env.schedule(2.0, lambda: log.append("live"))
-        env.engine = _StubEngine(lambda time: handle.cancel())
+
+        def advance(until):
+            handle.cancel()
+            env._purge_cancelled()
+
+        env.engine = _StubEngine(advance)
         env.run()
         assert log == ["live"]
         assert env.events_processed == 1
@@ -271,12 +303,9 @@ class TestEngineGrant:
         env = Environment()
         seen = []
         env.schedule(1.0, lambda: seen.append(env.now), idle=lambda t: True)
-
-        def consume(time):
-            if time is not None:
-                env.fire_head()
-
-        env.engine = _StubEngine(consume)
+        env.engine = _StubEngine(
+            lambda until: env.fire_head() if not seen else None
+        )
         env.run(until=3.0)
         assert seen == [1.0]
         assert env.events_processed == 1

@@ -12,7 +12,9 @@
 #
 # Within one checkout the script itself requires the execution-mode
 # twins to agree — batched == `--tuple-granular` == `--jobs 2` on
-# `repro elastic` and `repro slo` — and exits 1 if they do not.
+# `repro elastic` and `repro slo` (chain tenants: closed-form trains),
+# default == `--batched` on `repro chaos run` and `repro obs` (LAAR
+# bundles: the engine's kernel path) — and exits 1 if they do not.
 #
 # JSON documents are hashed without the blocks that legitimately differ
 # between modes or runs: the batched engine's own counters (`engine`),
@@ -63,13 +65,16 @@ rows() {
     done
 }
 
-# run a mode twin and require the same rows as the default mode
+# run a mode twin (`twin <scenario> <label> <command...>`) and require
+# the same rows as the default mode; it runs in its own directory so
+# the out-dir, which reports record, keeps its name
 twin() {
     local scenario=$1 label=$2
     shift 2
-    repro "$scenario" "$@" --out-dir "$scenario-$label" >/dev/null
+    mkdir -p "$label"
+    (cd "$label" && repro "$@" --out-dir "$scenario" >/dev/null)
     if ! diff <(rows "$scenario" "$scenario") \
-              <(rows "$scenario" "$scenario-$label") >&2; then
+              <(rows "$scenario" "$label/$scenario") >&2; then
         echo "$scenario: $label differs from the default mode" >&2
         exit 1
     fi
@@ -88,20 +93,23 @@ rows fleet-dataplane-elastic dataplane-elastic
 for scenario in elastic slo; do
     repro "$scenario" --jobs 1 --out-dir "$scenario" >/dev/null
     rows "$scenario" "$scenario"
-    twin "$scenario" tuple-granular --jobs 1 --tuple-granular
-    twin "$scenario" jobs-2 --jobs 2
+    twin "$scenario" tuple-granular "$scenario" --jobs 1 --tuple-granular
+    twin "$scenario" jobs-2 "$scenario" --jobs 2
 done
 
 # --- chaos campaigns ----------------------------------------------------
 repro chaos run --campaigns 5 --jobs 1 --out-dir chaos >chaos.stdout
 rows chaos chaos
 echo "chaos stdout $(sha chaos.stdout)"
+twin chaos batched chaos run --campaigns 5 --jobs 1 --batched
 
 # --- observed runs (none / worst / crash) -------------------------------
 repro generate --seed 3 --pes 10 --hosts 4 --cores-per-host 5 \
     --out bundle.json >/dev/null
 repro obs bundle.json --ic 0.5 --jobs 1 --out-dir obs >/dev/null
 rows obs obs
+mkdir -p batched && cp bundle.json batched/  # reports record the path given
+twin obs batched obs bundle.json --ic 0.5 --jobs 1 --batched
 
 # --- fleet control plane ------------------------------------------------
 repro fleet --tenants 30 --jobs 1 --out-dir fleet >fleet.stdout
