@@ -1,16 +1,16 @@
 """Telemetry overhead guard: the default-on hot paths must stay cheap.
 
 Telemetry is on for every simulation run, so its hot paths — one
-``EventLog.emit`` per runtime occurrence, one counter bump per metric,
-one sketch insertion per sink arrival — must be negligible next to the
-simulation work around them. This benchmark times those paths in
-isolation, measures the streaming SLO engine's rollup-ingest
-throughput, and then runs the fleet dataplane with the SLO engine on
-and off to pin its end-to-end overhead. It fails (exit 1) if any
-per-operation cost exceeds its budget or the SLO overhead exceeds
-``SLO_OVERHEAD_BUDGET`` (the 15% acceptance bound against the
-``BENCH_sim.json`` fleet throughput), so a regression shows up as a
-red CI job instead of silently slowed experiments.
+``EventLog.emit`` per runtime occurrence, one sketch insertion per sink
+arrival — must be negligible next to the simulation work around them.
+This benchmark times those paths in isolation, measures the streaming
+SLO engine's rollup-ingest throughput, and then runs the fleet
+dataplane with the SLO engine on and off to pin its end-to-end
+overhead. It fails (exit 1) if any per-operation cost exceeds its
+budget or the SLO overhead exceeds ``SLO_OVERHEAD_BUDGET`` (the 15%
+acceptance bound against the ``BENCH_sim.json`` fleet throughput), so a
+regression shows up as a red CI job instead of silently slowed
+experiments.
 
 Writes ``BENCH_obs.json`` next to this script.
 
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.fleet.dataplane import DataplaneParams
 from repro.driver import run_tenants
-from repro.obs import EventLog, LogHistogram, MetricsRegistry
+from repro.obs import EventLog, LogHistogram
 from repro.obs.slo import NullAvailability, SloEngine
 
 OUT_PATH = Path(__file__).parent / "BENCH_obs.json"
@@ -43,7 +43,6 @@ SIM_BASELINE_PATH = Path(__file__).parent / "BENCH_sim.json"
 #: order-of-magnitude regressions (accidental formatting or I/O on the
 #: hot path), not micro-variance between machines.
 EMIT_BUDGET_US = 25.0
-COUNTER_BUDGET_US = 25.0
 SKETCH_ADD_BUDGET_US = 25.0
 SLO_INGEST_BUDGET_US = 50.0
 
@@ -64,17 +63,6 @@ def _time_emits(n: int) -> float:
         log.emit("tuple.drop", replica="pe3#1", port="pe2", primary=True)
     elapsed = time.perf_counter() - start
     assert log.emitted == n
-    return elapsed / n * 1e6
-
-
-def _time_counters(n: int) -> float:
-    """Mean microseconds per labeled counter increment over ``n``."""
-    counter = MetricsRegistry().counter("tuples.dropped")
-    start = time.perf_counter()
-    for _ in range(n):
-        counter.inc(replica="pe3#1")
-    elapsed = time.perf_counter() - start
-    assert counter.total() == n
     return elapsed / n * 1e6
 
 
@@ -167,7 +155,6 @@ def main() -> int:
 
     n = 20_000 if args.smoke else 200_000
     emit_us = min(_time_emits(n) for _ in range(args.rounds))
-    counter_us = min(_time_counters(n) for _ in range(args.rounds))
     sketch_us = min(_time_sketch(n) for _ in range(args.rounds))
     slo_ingest_us = min(_time_slo_ingest(n) for _ in range(args.rounds))
     dataplane = bench_dataplane_slo(SMOKE_FLEET if args.smoke else FULL_FLEET)
@@ -178,7 +165,6 @@ def main() -> int:
     # gates it.
     ok = (
         emit_us <= EMIT_BUDGET_US
-        and counter_us <= COUNTER_BUDGET_US
         and sketch_us <= SKETCH_ADD_BUDGET_US
         and slo_ingest_us <= SLO_INGEST_BUDGET_US
         and (args.smoke or dataplane["within_budget"])
@@ -189,8 +175,6 @@ def main() -> int:
         "rounds": args.rounds,
         "emit_us": round(emit_us, 3),
         "emit_budget_us": EMIT_BUDGET_US,
-        "counter_inc_us": round(counter_us, 3),
-        "counter_budget_us": COUNTER_BUDGET_US,
         "sketch_add_us": round(sketch_us, 3),
         "sketch_add_budget_us": SKETCH_ADD_BUDGET_US,
         "slo_ingest_us": round(slo_ingest_us, 3),

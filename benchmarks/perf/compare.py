@@ -77,14 +77,6 @@ HEADLINE = {
             .get("tuples_per_sec"),
         ),
     ],
-    "BENCH_fleet": [
-        (
-            "contracts_per_sec",
-            lambda report: report.get("admission", {}).get(
-                "contracts_per_sec"
-            ),
-        ),
-    ],
     "BENCH_sim": [
         (
             "batched_tuples_per_sec",
@@ -97,20 +89,6 @@ HEADLINE = {
         (
             "files_per_sec",
             lambda report: report.get("files_per_sec"),
-        ),
-    ],
-    "BENCH_elastic": [
-        (
-            "migrations_per_sec",
-            lambda report: report.get("elastic_fleet", {}).get(
-                "migrations_per_sec"
-            ),
-        ),
-        (
-            "core_hours_saved_pct",
-            lambda report: report.get("elastic_fleet", {}).get(
-                "core_hours_saved_pct"
-            ),
         ),
     ],
 }

@@ -86,7 +86,6 @@ if TYPE_CHECKING:
     from repro.dsps.operators import OperatorReplica
     from repro.dsps.platform import StreamPlatform
     from repro.obs.events import EventLog
-    from repro.obs.registry import MetricsRegistry
     from repro.sim import Environment, EventHandle
 
 __all__ = ["BatchEngine", "FallbackTracker"]
@@ -191,20 +190,9 @@ class _DeliveryFx:
 
     intra: int = 0
     inter: int = 0
-    ingress: int = 0
-    egress: int = 0
-    links: list[tuple[tuple[str, str], int]] = field(default_factory=list)
     sinks: list[tuple["SinkOperator", TimeSeries, LatencyRecorder]] = field(
         default_factory=list
     )
-
-    def add_link(self, sender: str, receiver: str) -> None:
-        key = (sender, receiver)
-        for i, (existing, count) in enumerate(self.links):
-            if existing == key:
-                self.links[i] = (existing, count + 1)
-                return
-        self.links.append((key, 1))
 
 
 @dataclass(slots=True)
@@ -341,8 +329,8 @@ class BatchEngine:
         self._cursors: list[_SourceCursor] = []
         self._epoch = 0
         self._templates: dict[str, tuple[int, Optional[_Template]]] = {}
-        #: Execution statistics (published as ``batch.*`` gauges).
-        #: ``micro_events`` counts arrivals fired tuple-granular.
+        #: Execution statistics; ``micro_events`` counts arrivals fired
+        #: tuple-granular.
         self.stats: dict[str, int] = {
             "cascades": 0,
             "micro_events": 0,
@@ -364,21 +352,6 @@ class BatchEngine:
     def bump_epoch(self) -> None:
         """Invalidate cascade templates (control-plane state changed)."""
         self._epoch += 1
-
-    def publish_stats(self, registry: "MetricsRegistry") -> None:
-        """Expose execution statistics as ``batch.*`` gauges."""
-        registry.gauge("batch.cascades").set(float(self.stats["cascades"]))
-        registry.gauge("batch.micro.events").set(
-            float(self.stats["micro_events"])
-        )
-        registry.gauge("batch.bails").set(float(self.stats["bails"]))
-        registry.gauge("batch.template.builds").set(
-            float(self.stats["template_builds"])
-        )
-        registry.gauge("batch.runs").set(float(self.stats["runs"]))
-        registry.gauge("batch.idle.crossed").set(
-            float(self.stats["idle_crossed"])
-        )
 
     # ------------------------------------------------------------------
     # Kernel interface
@@ -795,7 +768,6 @@ class BatchEngine:
             for i in range(n)
         ]
         net = self._network
-        per_link = net.per_link
         ports = template.ports
         hosts = template.hosts
         hl = [h._last_update for h in hosts]
@@ -826,20 +798,11 @@ class BatchEngine:
             if ec and fx is not None:
                 net.intra_host_tuples += fx.intra * ec
                 net.inter_host_tuples += fx.inter * ec
-                net.ingress_tuples += fx.ingress * ec
-                net.egress_tuples += fx.egress * ec
-                for key, link_count in fx.links:
-                    per_link[key] = per_link.get(key, 0) + link_count * ec
                 for sink, _series, _latency in fx.sinks:
                     sink.received += ec
         root_fx = template.root_fx
         if root_fx is not None:
-            net.intra_host_tuples += root_fx.intra * committed
-            net.inter_host_tuples += root_fx.inter * committed
-            net.ingress_tuples += root_fx.ingress * committed
-            net.egress_tuples += root_fx.egress * committed
-            for key, link_count in root_fx.links:
-                per_link[key] = per_link.get(key, 0) + link_count * committed
+            # A source has no host: its delivery counts no transfer.
             for sink, _series, _latency in root_fx.sinks:
                 sink.received += committed
         cursor.source.emitted += committed
@@ -938,10 +901,6 @@ class BatchEngine:
                 group = groups.get(succ)
                 if group is None:
                     sink = sinks[succ]
-                    if idx < 0:
-                        fx.ingress += 1
-                    else:
-                        fx.egress += 1
                     fx.sinks.append((sink, sink.series, sink.latency))
                     have_fx = True
                     continue
@@ -951,17 +910,13 @@ class BatchEngine:
                 members = group.members
                 if not members:
                     continue
-                have_fx = True
-                if idx < 0:
-                    fx.ingress += len(members)
-                else:
+                if idx >= 0:
+                    have_fx = True
                     for member in members:
-                        target_host = member.host.name
-                        if sender_host == target_host:
+                        if sender_host == member.host.name:
                             fx.intra += 1
                         else:
                             fx.inter += 1
-                            fx.add_link(sender_host, target_host)
                 sample = members[0]
                 port = sample._port_index[comp]
                 spec = sample._ports[port]

@@ -2,16 +2,18 @@
 
 These mirror what the paper's experiments log by periodically querying
 Streams (Sec. 5.2): per-replica CPU time, tuples received / processed /
-dropped, per-second input and output rate series, configuration switches,
-and failure events. The *logical* (primary-side) counters are the basis of
-the measured-IC figures: a PE's contribution to internal completeness is
-the number of tuples processed by whichever replica was primary.
+dropped, per-second input and output rate series and configuration
+switches. Failures and replica lifecycle transitions are not counted
+here: the event log (``platform.telemetry.events``) is their record. The
+*logical* (primary-side) counters are the basis of the measured-IC
+figures: a PE's contribution to internal completeness is the number of
+tuples processed by whichever replica was primary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.deployment import ReplicaId
 from repro.obs.sketch import nearest_rank_index
@@ -184,10 +186,6 @@ class ReplicaMetrics:
     lost: int = 0
     processed_as_primary: int = 0
     dropped_as_primary: int = 0
-    activations: int = 0
-    deactivations: int = 0
-    crashes: int = 0
-    recoveries: int = 0
     ports: dict[str, PortCounters] = field(default_factory=dict)
 
     def port(self, name: str) -> PortCounters:
@@ -224,25 +222,21 @@ class NetworkMetrics:
     """Cluster-network accounting (tuples moved between hosts).
 
     The paper models cluster-local bandwidth as an abundant resource
-    (Sec. 4.4); these counters make the actual usage visible. Ingress and
-    egress cover the external source/sink links; ``per_link`` counts PE ->
-    PE transfers by (sender host, receiver host) pair.
+    (Sec. 4.4); these counters make the actual usage visible: PE -> PE
+    transfers split by whether sender and receiver share a host, and the
+    failure detector's heartbeat messages (which emit no event, so this
+    counter is their only record).
     """
 
     intra_host_tuples: int = 0
     inter_host_tuples: int = 0
-    ingress_tuples: int = 0
-    egress_tuples: int = 0
     heartbeat_messages: int = 0
-    per_link: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def record_transfer(self, sender_host: str, receiver_host: str) -> None:
         if sender_host == receiver_host:
             self.intra_host_tuples += 1
         else:
             self.inter_host_tuples += 1
-            key = (sender_host, receiver_host)
-            self.per_link[key] = self.per_link.get(key, 0) + 1
 
 
 @dataclass
@@ -257,7 +251,6 @@ class RunMetrics:
     sink_series: dict[str, TimeSeries] = field(default_factory=dict)
     sink_latency: dict[str, LatencyRecorder] = field(default_factory=dict)
     config_switches: list[tuple[float, int]] = field(default_factory=list)
-    failure_events: list[tuple[float, str, str]] = field(default_factory=list)
 
     def replica(self, replica_id: ReplicaId) -> ReplicaMetrics:
         return self.replicas.setdefault(replica_id, ReplicaMetrics())
@@ -307,16 +300,6 @@ class RunMetrics:
     @property
     def total_input(self) -> int:
         return sum(self.source_emitted.values())
-
-    def pe_processed(self, pes: Iterable[str]) -> dict[str, int]:
-        result: dict[str, int] = {}
-        for pe in pes:
-            result[pe] = sum(
-                m.processed_as_primary
-                for replica_id, m in self.replicas.items()
-                if replica_id.pe == pe
-            )
-        return result
 
     def output_rate_in_window(self, start: float, end: float) -> float:
         """Mean sink output rate over a window (Fig. 10's peak windows)."""

@@ -5,13 +5,8 @@ status of all the PEs and log this information" (Sec. 5.2). These
 samplers are that logging loop for the simulator: per-second (or any
 interval) time series of cluster CPU utilisation, per-replica queue
 lengths, and replica activation states. Figure drivers and diagnostics
-attach them to a platform before ``run()``.
-
-Each sampler keeps its historical public attributes (plain lists, cheap
-to plot) *and* registers every channel as a labeled series in the
-platform's :class:`~repro.obs.registry.MetricsRegistry`, so figure
-drivers can read all runtime telemetry through one API
-(``platform.telemetry.metrics``).
+attach them to a platform before ``run()`` and read the plain lists
+each sampler exposes.
 """
 
 from __future__ import annotations
@@ -28,12 +23,11 @@ __all__ = ["CpuSampler", "QueueSampler", "ActivationSampler"]
 class _PeriodicSampler:
     """Base: samples every ``interval`` simulated seconds.
 
-    The base owns all bookkeeping — the shared ``times`` axis, the
-    per-channel value lists, and the mirroring of every observation into
-    the platform's metrics registry. Subclasses declare their output
-    channels with :meth:`_channel` (after ``super().__init__``) and
-    implement :meth:`_observe`, returning one value per channel in
-    declaration order.
+    The base owns the bookkeeping — the shared ``times`` axis and the
+    per-channel value lists. Subclasses declare their output channels
+    with :meth:`_channel` (after ``super().__init__``) and implement
+    :meth:`_observe`, returning one value per channel in declaration
+    order.
     """
 
     def __init__(self, platform: StreamPlatform, interval: float = 1.0):
@@ -42,30 +36,22 @@ class _PeriodicSampler:
         self._platform = platform
         self.interval = interval
         self.times: list[float] = []
-        self._channels: list[tuple[list, object]] = []
+        self._channels: list[list] = []
         platform.env.process(self._run())
 
-    def _channel(self, name: str, **labels: str) -> list:
-        """Declare one output channel; returns its plain value list.
-
-        The list is what the subclass exposes as its public attribute;
-        every sample is also mirrored into the registry series
-        ``name{labels}``.
-        """
+    def _channel(self) -> list:
+        """Declare one output channel; returns its plain value list,
+        which the subclass exposes as its public attribute."""
         store: list = []
-        series = self._platform.telemetry.metrics.series(name, **labels)
-        self._channels.append((store, series))
+        self._channels.append(store)
         return store
 
     def _run(self):
         while True:
             yield self.interval
-            now = self._platform.env.now
-            self.times.append(now)
-            values = self._observe()
-            for (store, series), value in zip(self._channels, values):
+            self.times.append(self._platform.env.now)
+            for store, value in zip(self._channels, self._observe()):
                 store.append(value)
-                series.observe(now, value)
 
     def _observe(self) -> Sequence[float]:  # pragma: no cover - abstract
         """One value per declared channel, in declaration order."""
@@ -81,7 +67,7 @@ class CpuSampler(_PeriodicSampler):
             host.capacity for host in platform.deployment.hosts
         )
         self._previous = 0.0
-        self.utilization: list[float] = self._channel("cpu.utilization")
+        self.utilization: list[float] = self._channel()
 
     def _observe(self) -> Sequence[float]:
         delivered = sum(
@@ -99,9 +85,7 @@ class QueueSampler(_PeriodicSampler):
     def __init__(self, platform: StreamPlatform, interval: float = 1.0):
         super().__init__(platform, interval)
         self.samples: dict[ReplicaId, list[int]] = {
-            replica_id: self._channel(
-                "queue.length", replica=str(replica_id)
-            )
+            replica_id: self._channel()
             for replica_id in platform.deployment.replicas
         }
 
@@ -134,8 +118,8 @@ class ActivationSampler(_PeriodicSampler):
 
     def __init__(self, platform: StreamPlatform, interval: float = 1.0):
         super().__init__(platform, interval)
-        self.active_counts: list[int] = self._channel("replicas.active")
-        self.alive_counts: list[int] = self._channel("replicas.alive")
+        self.active_counts: list[int] = self._channel()
+        self.alive_counts: list[int] = self._channel()
 
     def _observe(self) -> Sequence[float]:
         active = 0

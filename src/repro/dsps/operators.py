@@ -227,7 +227,6 @@ class OperatorReplica:
             return
         self.active = False
         self._notify_change()
-        self._metrics.deactivations += 1
         if self._events is not None:
             self._events.emit(
                 "replica.deactivate", replica=str(self.replica_id)
@@ -242,7 +241,6 @@ class OperatorReplica:
             return
         self.active = True
         self._notify_change()
-        self._metrics.activations += 1
         if self._events is not None:
             self._events.emit(
                 "replica.activate", replica=str(self.replica_id)
@@ -257,7 +255,6 @@ class OperatorReplica:
             return
         self.alive = False
         self._notify_change()
-        self._metrics.crashes += 1
         self._abort_work()
         if self.group is not None:
             self.group.on_member_unavailable(
@@ -270,7 +267,6 @@ class OperatorReplica:
             return
         self.alive = True
         self._notify_change()
-        self._metrics.recoveries += 1
         if self.group is not None:
             # Re-register with the failure detector *before* resync: the
             # restarted HAProxy announces itself even while its state is

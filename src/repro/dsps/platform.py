@@ -307,14 +307,11 @@ class StreamPlatform:
         tracer = self.telemetry.tuple_tracer
         if tracer is not None:
             tracer.on_emit(source, birth)
-        network = self.metrics.network
         for succ in self._graph.succ(source):
             if succ in self._groups:
                 for replica in self._groups[succ].members:
-                    network.ingress_tuples += 1
                     replica.on_tuple(source, birth)
             else:
-                network.ingress_tuples += 1
                 self._sinks[succ].on_tuple(source, birth)
 
     def _forward_output(self, replica: OperatorReplica, birth: float) -> None:
@@ -327,7 +324,6 @@ class StreamPlatform:
                     network.record_transfer(sender_host, target.host.name)
                     target.on_tuple(pe, birth)
             else:
-                network.egress_tuples += 1
                 self._sinks[succ].on_tuple(pe, birth)
 
     # ------------------------------------------------------------------
@@ -388,23 +384,16 @@ class StreamPlatform:
             replica.deactivate()
 
     def crash_replica(self, replica_id: ReplicaId) -> None:
-        self.metrics.failure_events.append(
-            (self.env.now, "crash", str(replica_id))
-        )
         self.telemetry.emit("replica.crash", replica=str(replica_id))
         self._note_disturbance("replica.crash")
         self.replica(replica_id).crash()
 
     def recover_replica(self, replica_id: ReplicaId) -> None:
-        self.metrics.failure_events.append(
-            (self.env.now, "recover", str(replica_id))
-        )
         self.telemetry.emit("replica.recover", replica=str(replica_id))
         self._note_disturbance("replica.recover")
         self.replica(replica_id).recover()
 
     def crash_host(self, host: str) -> None:
-        self.metrics.failure_events.append((self.env.now, "crash-host", host))
         self.telemetry.emit("host.crash", host=host)
         self._note_disturbance("host.crash")
         for replica_id in tuple(self.residents(host)):
@@ -413,9 +402,6 @@ class StreamPlatform:
             hook(host)
 
     def recover_host(self, host: str) -> None:
-        self.metrics.failure_events.append(
-            (self.env.now, "recover-host", host)
-        )
         self.telemetry.emit("host.recover", host=host)
         self._note_disturbance("host.recover")
         for replica_id in tuple(self.residents(host)):
@@ -429,18 +415,12 @@ class StreamPlatform:
         exactly as they would behind a thermally-throttled or contended
         server.
         """
-        self.metrics.failure_events.append(
-            (self.env.now, "degrade-host", host)
-        )
         self.telemetry.emit("host.degrade", host=host, factor=factor)
         self._note_disturbance("host.degrade")
         self.host_scheduler(host).set_speed_factor(factor)
 
     def restore_host(self, host: str) -> None:
         """Return a degraded host to its nominal capacity."""
-        self.metrics.failure_events.append(
-            (self.env.now, "restore-host", host)
-        )
         self.telemetry.emit("host.restore", host=host)
         self._note_disturbance("host.restore")
         self.host_scheduler(host).set_speed_factor(1.0)
@@ -465,16 +445,6 @@ class StreamPlatform:
             self.metrics.source_emitted[name] = source.emitted
         for name, sink in self._sinks.items():
             self.metrics.sink_received[name] = sink.received
-        registry = self.telemetry.metrics
-        registry.gauge("batch.fallback.windows").set(
-            float(self.fallback.windows)
-        )
-        registry.gauge("batch.fallback.seconds").set(self.fallback.covered)
-        registry.gauge("events.evicted").set(
-            float(self.telemetry.events.evicted)
-        )
-        if self._engine is not None:
-            self._engine.publish_stats(registry)
         return self.metrics
 
     def conservation(self) -> dict[str, dict[str, int]]:

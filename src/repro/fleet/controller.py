@@ -165,10 +165,6 @@ class _TenantTelemetry:
     def emit(self, type_: str, **fields) -> None:
         self._inner.emit(type_, tenant=self._tenant, **fields)
 
-    @property
-    def metrics(self):
-        return getattr(self._inner, "metrics", None)
-
 
 class FleetController:
     """Operates a shared cluster for many tenant contracts."""

@@ -54,6 +54,15 @@ class StoreError(ReproError):
 _RECORD_FIELDS = frozenset({"outcome", "best_cost", "best_ic", "nodes", "strategy"})
 
 
+def _check_record(record: object, origin: str = "store record") -> None:
+    """Raise :class:`StoreError` unless ``record`` has the record shape."""
+    if not isinstance(record, dict):
+        raise StoreError(f"{origin} is not a JSON object")
+    missing = _RECORD_FIELDS - record.keys()
+    if missing:
+        raise StoreError(f"{origin} missing field(s) {sorted(missing)}")
+
+
 def strategy_key(
     descriptor: ApplicationDescriptor,
     hosts: Sequence[Host],
@@ -111,11 +120,7 @@ def result_from_record(
     the cached result did not run a search. The node counter is restored
     so reports can still attribute the original search effort.
     """
-    missing = _RECORD_FIELDS - record.keys()
-    if missing:
-        raise StoreError(
-            f"store record missing field(s) {sorted(missing)}"
-        )
+    _check_record(record)
     strategy = (
         None
         if record["strategy"] is None
@@ -157,7 +162,11 @@ class StrategyStore:
     # ------------------------------------------------------------------
 
     def get(self, key: str) -> Optional[dict]:
-        """The record for ``key``, or None; bumps hit/miss counters."""
+        """The record for ``key``, or None; bumps hit/miss counters.
+
+        A file that is not JSON or not a record raises a
+        :class:`StoreError` naming it; it is neither cached nor counted.
+        """
         record = self._memory.get(key)
         if record is None and self._path is not None:
             file = self._path / f"{key}.json"
@@ -168,6 +177,7 @@ class StrategyStore:
                     raise StoreError(
                         f"corrupt store record {file}: {exc.msg}"
                     ) from exc
+                _check_record(record, f"store record {file}")
                 self._memory[key] = record
         if record is None:
             self.misses += 1
@@ -177,11 +187,7 @@ class StrategyStore:
 
     def put(self, key: str, record: dict) -> None:
         """Insert a record (atomic tmp+rename write when persistent)."""
-        missing = _RECORD_FIELDS - record.keys()
-        if missing:
-            raise StoreError(
-                f"store record missing field(s) {sorted(missing)}"
-            )
+        _check_record(record)
         self._memory[key] = record
         if self._path is not None:
             file = self._path / f"{key}.json"

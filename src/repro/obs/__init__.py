@@ -6,8 +6,6 @@ about the current status of all the PEs and log this information"):
 
 * :mod:`repro.obs.events` — a structured, sim-time-stamped event log
   with bounded ring buffering and canonical JSONL export;
-* :mod:`repro.obs.registry` — named counters / gauges / histograms and
-  labeled time series with snapshot/diff support;
 * :mod:`repro.obs.spans` — sim-time span tracing for failover and
   configuration-switch windows;
 * :mod:`repro.obs.telemetry` — the per-run facade bundling the above,
@@ -34,13 +32,6 @@ bit-identical across runs and worker counts for fixed seeds.
 from repro.obs.diff import diff_runs, render_diff
 from repro.obs.events import EVENT_SCHEMA, Event, EventLog, event_to_json
 from repro.obs.progress import ProgressSnapshot, SearchProgress
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-)
 from repro.obs.report import render_report
 from repro.obs.runner import (
     FAILURE_MODES,
@@ -84,11 +75,6 @@ __all__ = [
     "event_to_json",
     "ProgressSnapshot",
     "SearchProgress",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Series",
     "Span",
     "SpanTracer",
     "Telemetry",

@@ -14,7 +14,7 @@ and engine modes.
 
 :func:`nearest_rank_index` is the single definition of nearest-rank
 percentile semantics shared with :class:`repro.dsps.metrics.
-LatencyRecorder` and :class:`repro.obs.registry.Histogram`.
+LatencyRecorder`.
 """
 
 from __future__ import annotations

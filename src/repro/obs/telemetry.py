@@ -1,11 +1,10 @@
-"""The telemetry facade: one object wiring events, metrics and spans.
+"""The telemetry facade: one object wiring events and spans.
 
 A :class:`Telemetry` instance is created per simulated platform (see
 ``StreamPlatform``) and handed down to every component that wants to
 observe the run. It bundles:
 
 * ``events`` — the :class:`~repro.obs.events.EventLog` ring buffer,
-* ``metrics`` — the :class:`~repro.obs.registry.MetricsRegistry`,
 * ``spans`` — the :class:`~repro.obs.spans.SpanTracer`,
 * ``tuple_tracer`` — an optional sampled per-tuple lifecycle tracer
   (None unless ``tuple_trace_every > 0``, so the data hot path pays
@@ -21,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.obs.events import EventLog
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
 __all__ = ["Telemetry", "TupleTracer"]
@@ -71,7 +69,7 @@ class TupleTracer:
 
 
 class Telemetry:
-    """Per-run bundle of event log, metrics registry and span tracer."""
+    """Per-run bundle of event log and span tracer."""
 
     def __init__(
         self,
@@ -81,7 +79,6 @@ class Telemetry:
     ) -> None:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.events = EventLog(clock=self.clock, maxlen=event_buffer)
-        self.metrics = MetricsRegistry()
         self.spans = SpanTracer(self.events, self.clock)
         self.tuple_tracer: Optional[TupleTracer] = (
             TupleTracer(self.events, tuple_trace_every)

@@ -38,11 +38,10 @@ class ConfigurationIndex:
 
     ``telemetry`` is an optional :class:`repro.obs.Telemetry` (anything
     with a compatible ``emit``): every out-of-contract fallback emits a
-    ``config.fallback`` event and bumps the ``rtree.fallbacks`` counter.
-    The fallback used to be silent, but it is the signal the control
-    plane's re-planner reacts to — sustained fallbacks mean the tenant's
-    input has left its contracted configuration space. The index also
-    counts fallbacks locally in :attr:`fallbacks`.
+    ``config.fallback`` event and is counted in :attr:`fallbacks`. It is
+    the signal the control plane's re-planner reacts to — sustained
+    fallbacks mean the tenant's input has left its contracted
+    configuration space.
     """
 
     def __init__(
@@ -118,9 +117,6 @@ class ConfigurationIndex:
                         for source, rate in zip(self._sources, point)
                     },
                 )
-                metrics = getattr(self._telemetry, "metrics", None)
-                if metrics is not None:
-                    metrics.counter("rtree.fallbacks").inc()
             return self._space[self._fallback_index]
         return self._space[found.value]
 

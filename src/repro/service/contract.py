@@ -166,13 +166,17 @@ class ProvisionedApplication:
 
         The IC clause is satisfied *a priori* by construction (FT-Search
         only returns strategies meeting the bound); the latency clause is
-        checked against the observed percentile.
+        checked against the observed percentile. A run whose sinks
+        received nothing has no percentile to observe and does not meet
+        a latency clause.
         """
         sla = self.contract.sla
         ic_ok = self.guaranteed_ic >= sla.ic_target - 1e-9
+        observed = None
         if sla.max_latency is None:
-            observed = None
             latency_ok = True
+        elif not any(len(r) for r in metrics.sink_latency.values()):
+            latency_ok = False
         else:
             observed = metrics.latency_percentile(sla.latency_percentile)
             latency_ok = observed <= sla.max_latency

@@ -124,8 +124,8 @@ class TestHostCrash:
         plan = HostCrashPlan("h0", crash_time=20.0, downtime=16.0)
         inject_host_crash(platform, plan)
         metrics = platform.run()
-        kinds = [kind for _, kind, _ in metrics.failure_events]
-        assert kinds.count("crash-host") == 1
-        assert kinds.count("recover-host") == 1
+        events = platform.telemetry.events
+        assert events.count("host.crash") == 1
+        assert events.count("host.recover") == 1
         # Replication hides the crash almost completely.
         assert metrics.total_output > 0.85 * metrics.total_input

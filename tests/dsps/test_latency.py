@@ -57,19 +57,6 @@ class TestLatencyRecorder:
         assert recorder.percentile(0.75) == 0.3
         assert recorder.percentile(1.0) == 0.4
 
-    def test_agrees_with_registry_histogram(self):
-        from repro.obs import MetricsRegistry
-
-        recorder = LatencyRecorder()
-        histogram = MetricsRegistry().histogram("lat")
-        values = [0.9, 0.2, 0.7, 0.4, 0.5]
-        for i, value in enumerate(values):
-            recorder.record(float(i), value)
-            histogram.record(value)
-        summary = histogram.summary()
-        assert summary["p50"] == recorder.percentile(0.50)
-        assert summary["p95"] == recorder.percentile(0.95)
-
     def test_sample_buffer_is_live(self):
         recorder = LatencyRecorder()
         buffer = recorder.sample_buffer()

@@ -150,7 +150,7 @@ class TestActivation:
         assert metrics.processed == 0
         assert metrics.busy_time == pytest.approx(0.5)
         assert replica.queue_length == 0
-        assert metrics.deactivations == 1
+        assert not replica.active
 
     def test_reactivation_resumes_processing(self):
         env = Environment()
@@ -218,23 +218,25 @@ class TestFailover:
     def test_recovered_replica_becomes_primary_if_group_dead(self):
         env = Environment()
         emitted = []
-        primary, metrics = build_replica(env, emitted, index=0)
+        primary, _ = build_replica(env, emitted, index=0)
         group = with_group(env, primary)
         primary.crash()
         env.run()
         assert group.primary is None
         primary.recover()
         assert group.primary is primary
-        assert metrics.recoveries == 1
+        assert primary.alive
 
     def test_crash_is_idempotent(self):
         env = Environment()
         emitted = []
-        replica, metrics = build_replica(env, emitted)
+        replica, _ = build_replica(env, emitted)
         with_group(env, replica)
+        changes = []
+        replica.on_state_change = lambda: changes.append(replica.alive)
         replica.crash()
         replica.crash()
-        assert metrics.crashes == 1
+        assert changes == [False]
 
     def test_secondary_crash_keeps_primary(self):
         env = Environment()

@@ -152,10 +152,7 @@ class TestFailureEntryPoints:
         platform.crash_host(host)
         for replica_id in deployment.replicas_on(host):
             assert not platform.replica(replica_id).alive
-        assert any(
-            kind == "crash-host" for _, kind, _ in
-            platform.metrics.failure_events
-        )
+        assert platform.telemetry.events.count("host.crash") == 1
 
     def test_recover_host_restores_replicas(self, pipeline_descriptor):
         platform = build_platform(pipeline_descriptor)

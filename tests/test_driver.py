@@ -2,14 +2,20 @@
 
 Every scenario subcommand (``obs``, ``chaos run``, ``fleet``,
 ``elastic``, ``slo``) ends in :func:`repro.driver.deliver`, so the two
-failure exits are pinned here once instead of per subcommand.
+failure exits are pinned here once instead of per subcommand — and
+fans out through :func:`repro.driver.run_tenants`, whose promise that
+the worker count changes no byte is generated here (ROADMAP 6b).
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.driver import deliver, take_streams
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.driver import deliver, run_tenants, take_streams
+from repro.fleet.dataplane import DataplaneParams
 
 CLEAN = '{"seq":0,"t":0.0,"type":"host.crash","host":"h0"}\n'
 UNDECLARED = '{"seq":0,"t":0.0,"type":"never.declared","x":1}\n'
@@ -88,3 +94,31 @@ def test_clean_run_names_streams_and_reports_the_directory(tmp_path, capsys):
     assert (tmp_path / "run" / "events-worst.jsonl").exists()
     text = (tmp_path / "run" / "report.json").read_text()
     assert text == '{\n  "b": 1,\n  "a": 2\n}\n'
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tenants=st.integers(2, 5),
+    distinct_apps=st.integers(1, 3),
+    base_seed=st.integers(0, 2**16),
+    duration=st.floats(4.0, 8.0),
+    chaos_every=st.integers(1, 3),
+    batching=st.booleans(),
+)
+def test_worker_count_changes_no_digest(
+    tenants, distinct_apps, base_seed, duration, chaos_every, batching
+):
+    """jobs=1 (in-process, submission order) and jobs=2 (a process pool)
+    give the same fleet hash and the same digest for every tenant."""
+    params = DataplaneParams(
+        tenants=tenants,
+        distinct_apps=distinct_apps,
+        base_seed=base_seed,
+        duration=duration,
+        chaos_every=chaos_every,
+        batching=batching,
+    )
+    serial_summary, serial = run_tenants(params, jobs=1)
+    pooled_summary, pooled = run_tenants(params, jobs=2)
+    assert serial_summary["fleet_sha256"] == pooled_summary["fleet_sha256"]
+    assert serial == pooled
