@@ -12,7 +12,6 @@ Run:  python examples/ftsearch_anatomy.py
 from repro.core import (
     OptimizationProblem,
     PruneRule,
-    RateTable,
     ft_search,
     greedy_deactivation,
     internal_completeness,
@@ -65,10 +64,9 @@ def main() -> None:
               f"  {stats.prune_share(rule):6.1%}"
               f"  {stats.mean_prune_height(rule):8.2f}")
 
-    table = RateTable(app.descriptor)
-    greedy = greedy_deactivation(deployment, table)
+    greedy = greedy_deactivation(deployment)
     print("\nversus the greedy baseline (GRD):")
-    print(f"  GRD cost {strategy_cost(greedy, table) / GIGA:.3f} Gcyc/s,"
+    print(f"  GRD cost {strategy_cost(greedy) / GIGA:.3f} Gcyc/s,"
           f" pessimistic IC {internal_completeness(greedy):.3f}"
           " (no guarantee by construction)")
     print(f"  L.5 cost {result.best_cost / GIGA:.3f} Gcyc/s,"

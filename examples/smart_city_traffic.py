@@ -107,11 +107,8 @@ def main() -> None:
     ]
     deployment = balanced_placement(descriptor, hosts, replication_factor=2)
 
-    from repro.core import RateTable
-
-    table = RateTable(descriptor)
     print("rush-hour overload with full replication:",
-          deployment.overloaded_hosts(1, table) or "none")
+          deployment.overloaded_hosts(1) or "none")
 
     result = ft_search(
         OptimizationProblem(deployment, ic_target=0.6), time_limit=10.0

@@ -167,7 +167,7 @@ def check_campaign(
     capacity = {h.name: h.capacity for h in deployment.hosts}
     hosts = sorted(capacity)
     floor = ProvenFloor(deployment, reference_strategy)
-    rate_table = floor.rate_table
+    rate_table = deployment.descriptor.rate_table
     state = DeploymentState(
         deployment,
         run_strategy.active_map(initial_config),

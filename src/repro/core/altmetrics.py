@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.core.failure_models import FailureModel, PessimisticFailureModel
 from repro.core.ic import failure_aware_rates
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ModelError
 
@@ -29,7 +28,6 @@ __all__ = ["output_completeness", "average_replication_factor"]
 def output_completeness(
     strategy: ActivationStrategy,
     failure_model: FailureModel | None = None,
-    rate_table: RateTable | None = None,
 ) -> float:
     """Expected sink arrivals with failures / without failures.
 
@@ -39,11 +37,10 @@ def output_completeness(
     if failure_model is None:
         failure_model = PessimisticFailureModel()
     descriptor = strategy.deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     graph = descriptor.graph
     space = descriptor.configuration_space
-    delta_hat = failure_aware_rates(strategy, failure_model, rate_table)
+    delta_hat = failure_aware_rates(strategy, failure_model)
 
     expected = 0.0
     baseline = 0.0

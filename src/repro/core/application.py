@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import GraphError
 
@@ -94,6 +95,14 @@ class ApplicationGraph:
         If names collide, edges dangle, the graph has a cycle, a source has
         predecessors, a sink has successors, a PE is missing predecessors or
         successors, or there is no source / no sink at all.
+
+    The graph is immutable after validation, and every structural answer
+    (role tuples, ``pred`` / ``succ`` / input-edge tuples, the component
+    view) is a table built here, once: accessors return the stored
+    object, so two reads are identical and nothing on the call path
+    sorts, scans or allocates. The tables are read-only — a caller that
+    shares a graph with others (tenants of one application do) cannot
+    write into it.
     """
 
     def __init__(
@@ -105,9 +114,9 @@ class ApplicationGraph:
                 raise GraphError(f"duplicate component name {component.name!r}")
             self._components[component.name] = component
 
-        self._edges: list[Edge] = []
-        self._preds: dict[str, list[str]] = {n: [] for n in self._components}
-        self._succs: dict[str, list[str]] = {n: [] for n in self._components}
+        kept: list[Edge] = []
+        succs: dict[str, list[str]] = {n: [] for n in self._components}
+        entering: dict[str, list[Edge]] = {n: [] for n in self._components}
         seen_edges: set[tuple[str, str]] = set()
         for edge in edges:
             if edge.tail not in self._components:
@@ -118,12 +127,40 @@ class ApplicationGraph:
             if key in seen_edges:
                 raise GraphError(f"duplicate edge {edge.tail!r} -> {edge.head!r}")
             seen_edges.add(key)
-            self._edges.append(edge)
-            self._preds[edge.head].append(edge.tail)
-            self._succs[edge.tail].append(edge.head)
+            kept.append(edge)
+            succs[edge.tail].append(edge.head)
+            entering[edge.head].append(edge)
+        self._edges: tuple[Edge, ...] = tuple(kept)
+        self._preds: dict[str, tuple[str, ...]] = {
+            n: tuple(e.tail for e in into) for n, into in entering.items()
+        }
+        self._succs: dict[str, tuple[str, ...]] = {
+            n: tuple(s) for n, s in succs.items()
+        }
 
         self._validate_roles()
         self._topological = self._compute_topological_order()
+
+        # The derived tables every accessor answers from.
+        self._view: Mapping[str, Component] = MappingProxyType(
+            self._components
+        )
+        by_kind: dict[ComponentKind, list[str]] = {
+            kind: [] for kind in ComponentKind
+        }
+        for name in self._topological:
+            by_kind[self._components[name].kind].append(name)
+        self._sources = tuple(sorted(by_kind[ComponentKind.SOURCE]))
+        self._pes = tuple(by_kind[ComponentKind.PE])
+        self._sinks = tuple(sorted(by_kind[ComponentKind.SINK]))
+        self._input_edges: dict[str, tuple[Edge, ...]] = {
+            pe: tuple(entering[pe]) for pe in self._pes
+        }
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Rebuilt from its inputs on the other side: the tables are
+        # derived, and a mappingproxy does not pickle.
+        return type(self), (tuple(self._components.values()), self._edges)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -159,10 +196,12 @@ class ApplicationGraph:
             succs = self._succs[component.name]
             if component.is_source and preds:
                 raise GraphError(
-                    f"source {component.name!r} has predecessors {preds}"
+                    f"source {component.name!r} has predecessors {list(preds)}"
                 )
             if component.is_sink and succs:
-                raise GraphError(f"sink {component.name!r} has successors {succs}")
+                raise GraphError(
+                    f"sink {component.name!r} has successors {list(succs)}"
+                )
             if component.is_source and not succs:
                 raise GraphError(f"source {component.name!r} has no successors")
             if component.is_sink and not preds:
@@ -203,27 +242,28 @@ class ApplicationGraph:
 
     @property
     def components(self) -> Mapping[str, Component]:
-        return dict(self._components)
+        """Read-only view of the components by name, in input order."""
+        return self._view
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self._edges)
+        """The edges, in input order."""
+        return self._edges
 
     @property
     def sources(self) -> tuple[str, ...]:
         """Source names, in deterministic (sorted) order."""
-        return tuple(
-            sorted(n for n, c in self._components.items() if c.is_source)
-        )
+        return self._sources
 
     @property
     def pes(self) -> tuple[str, ...]:
         """PE names in topological order (stable across runs)."""
-        return tuple(n for n in self._topological if self._components[n].is_pe)
+        return self._pes
 
     @property
     def sinks(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, c in self._components.items() if c.is_sink))
+        """Sink names, in deterministic (sorted) order."""
+        return self._sinks
 
     @property
     def topological_order(self) -> tuple[str, ...]:
@@ -234,19 +274,25 @@ class ApplicationGraph:
 
     def pred(self, name: str) -> tuple[str, ...]:
         """The ``pred`` function of Eq. 1: predecessors of ``name``."""
-        self._component(name)
-        return tuple(self._preds[name])
+        try:
+            return self._preds[name]
+        except KeyError:
+            raise GraphError(f"unknown component {name!r}") from None
 
     def succ(self, name: str) -> tuple[str, ...]:
-        self._component(name)
-        return tuple(self._succs[name])
+        """Successors of ``name``, in edge input order."""
+        try:
+            return self._succs[name]
+        except KeyError:
+            raise GraphError(f"unknown component {name!r}") from None
 
     def pe_input_edges(self, name: str) -> tuple[Edge, ...]:
         """All edges entering PE ``name`` (the (x_j, x_i) pairs of Sec. 4.2)."""
-        component = self._component(name)
-        if not component.is_pe:
-            raise GraphError(f"{name!r} is not a PE")
-        return tuple(Edge(p, name) for p in self._preds[name])
+        try:
+            return self._input_edges[name]
+        except KeyError:
+            self._component(name)
+            raise GraphError(f"{name!r} is not a PE") from None
 
     def _component(self, name: str) -> Component:
         try:

@@ -19,7 +19,6 @@ These are the three non-LAAR variants the evaluation compares against:
 from __future__ import annotations
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import OptimizationError
 
@@ -69,7 +68,6 @@ def non_replicated(
 
 def greedy_deactivation(
     deployment: ReplicatedDeployment,
-    rate_table: RateTable | None = None,
     name: str = "GRD",
 ) -> ActivationStrategy:
     """The GRD variant: greedy per-configuration replica deactivation.
@@ -88,8 +86,7 @@ def greedy_deactivation(
         of its PEs active — no greedy deactivation can fix that.
     """
     descriptor = deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     graph = descriptor.graph
     n_configs = len(descriptor.configuration_space)
     depth = {pe: graph.depth_of(pe) for pe in graph.pes}
@@ -106,12 +103,12 @@ def greedy_deactivation(
                 replica: activations[(replica, c)]
                 for replica in deployment.replicas
             }
-            overloaded = deployment.overloaded_hosts(c, rate_table, active)
+            overloaded = deployment.overloaded_hosts(c, active)
             if not overloaded:
                 break
             # Choose the most overloaded host (largest absolute excess).
             def excess(host_name: str) -> float:
-                load = deployment.host_load(host_name, c, rate_table, active)
+                load = deployment.host_load(host_name, c, active)
                 return load - deployment.host(host_name).capacity
 
             host_name = max(overloaded, key=lambda h: (excess(h), h))

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ModelError
 
@@ -30,7 +29,6 @@ __all__ = [
 
 def strategy_cost(
     strategy: ActivationStrategy,
-    rate_table: RateTable | None = None,
     billing_period: float = 1.0,
 ) -> float:
     """cost(s) per Eq. 13, in CPU cycle-seconds over ``billing_period``."""
@@ -38,8 +36,7 @@ def strategy_cost(
         raise ModelError(f"billing period must be > 0, got {billing_period}")
     deployment = strategy.deployment
     descriptor = deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     space = descriptor.configuration_space
 
     total = 0.0
@@ -70,7 +67,6 @@ class CostBreakdown:
 
 def cost_breakdown(
     strategy: ActivationStrategy,
-    rate_table: RateTable | None = None,
     billing_period: float = 1.0,
 ) -> CostBreakdown:
     """Eq. 13 with per-configuration and per-host attribution."""
@@ -78,8 +74,7 @@ def cost_breakdown(
         raise ModelError(f"billing period must be > 0, got {billing_period}")
     deployment = strategy.deployment
     descriptor = deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     space = descriptor.configuration_space
 
     per_config: dict[int, float] = {}
@@ -108,15 +103,13 @@ def cost_breakdown(
 
 def host_load_table(
     strategy: ActivationStrategy,
-    rate_table: RateTable | None = None,
 ) -> dict[tuple[str, int], float]:
     """CPU cycles/s per (host, configuration) under ``strategy``.
 
     The left-hand side of Eq. 11 for every host and configuration.
     """
     deployment = strategy.deployment
-    if rate_table is None:
-        rate_table = RateTable(deployment.descriptor)
+    rate_table = deployment.descriptor.rate_table
     n_configs = len(deployment.descriptor.configuration_space)
 
     table: dict[tuple[str, int], float] = {
@@ -134,7 +127,6 @@ def host_load_table(
 
 def cpu_constraint_violations(
     strategy: ActivationStrategy,
-    rate_table: RateTable | None = None,
 ) -> list[tuple[str, int, float, float]]:
     """All (host, config, load, capacity) entries violating Eq. 11.
 
@@ -142,7 +134,7 @@ def cpu_constraint_violations(
     deployment is never overloaded under ``strategy``.
     """
     deployment = strategy.deployment
-    loads = host_load_table(strategy, rate_table)
+    loads = host_load_table(strategy)
     violations = []
     for (host, c), load in sorted(loads.items()):
         capacity = deployment.host(host).capacity

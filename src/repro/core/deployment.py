@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.descriptor import ApplicationDescriptor
-from repro.core.rates import RateTable
 from repro.errors import DeploymentError
 
 __all__ = ["Host", "ReplicaId", "ReplicatedDeployment"]
@@ -96,6 +95,11 @@ class ReplicatedDeployment:
     replication_factor:
         The paper's ``k``; LAAR's FT-Search assumes ``k == 2`` but the
         deployment model is general.
+
+    Immutable after validation: the sorted hosts and host names, the
+    replicas in (PE topological position, replica) order, each PE's
+    replica ids and each host's residents are tuples built here, once,
+    and every accessor returns the stored object.
     """
 
     def __init__(
@@ -119,11 +123,13 @@ class ReplicatedDeployment:
         if not self._hosts:
             raise DeploymentError("deployment has no hosts")
 
-        pes = set(descriptor.graph.pes)
+        pes = descriptor.graph.pes
         self._assignment: dict[ReplicaId, str] = {}
-        per_pe: dict[str, dict[int, str]] = {pe: {} for pe in sorted(pes)}
+        per_pe: dict[str, dict[int, ReplicaId]] = {
+            pe: {} for pe in sorted(pes)
+        }
         for replica_id, host_name in assignment.items():
-            if replica_id.pe not in pes:
+            if replica_id.pe not in per_pe:
                 raise DeploymentError(
                     f"assignment references unknown PE {replica_id.pe!r}"
                 )
@@ -136,27 +142,38 @@ class ReplicatedDeployment:
                     f"replica index {replica_id.replica} out of range for"
                     f" k={replication_factor}"
                 )
-            per_pe[replica_id.pe][replica_id.replica] = host_name
+            per_pe[replica_id.pe][replica_id.replica] = replica_id
             self._assignment[replica_id] = host_name
 
+        # Walked in sorted PE order, replica 0..k-1: ReplicaId order, so
+        # each host's residents come out sorted.
+        indices = range(replication_factor)
+        by_host: dict[str, list[ReplicaId]] = {n: [] for n in self._hosts}
+        self._by_pe: dict[str, tuple[ReplicaId, ...]] = {}
         for pe, replicas in per_pe.items():
-            if sorted(replicas) != list(range(replication_factor)):
+            if sorted(replicas) != list(indices):
                 raise DeploymentError(
                     f"PE {pe!r} must have replicas 0..{replication_factor - 1},"
                     f" got {sorted(replicas)}"
                 )
-            host_names = list(replicas.values())
+            members = tuple(replicas[j] for j in indices)
+            host_names = [self._assignment[r] for r in members]
             if len(set(host_names)) != len(host_names):
                 raise DeploymentError(
                     f"replicas of PE {pe!r} share a host: {host_names}"
                 )
+            self._by_pe[pe] = members
+            for replica_id, host_name in zip(members, host_names):
+                by_host[host_name].append(replica_id)
 
         self._by_host: dict[str, tuple[ReplicaId, ...]] = {
-            name: tuple(
-                sorted(r for r, h in self._assignment.items() if h == name)
-            )
-            for name in self._hosts
+            name: tuple(residents) for name, residents in by_host.items()
         }
+        self._host_names = tuple(sorted(self._hosts))
+        self._sorted_hosts = tuple(
+            self._hosts[name] for name in self._host_names
+        )
+        self._replicas = tuple(r for pe in pes for r in self._by_pe[pe])
 
     # ------------------------------------------------------------------
     # Accessors
@@ -172,11 +189,12 @@ class ReplicatedDeployment:
 
     @property
     def hosts(self) -> tuple[Host, ...]:
-        return tuple(self._hosts[name] for name in sorted(self._hosts))
+        """The hosts, sorted by name."""
+        return self._sorted_hosts
 
     @property
     def host_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._hosts))
+        return self._host_names
 
     def host(self, name: str) -> Host:
         try:
@@ -187,13 +205,14 @@ class ReplicatedDeployment:
     @property
     def replicas(self) -> tuple[ReplicaId, ...]:
         """All replicas, ordered by (PE topological position, replica)."""
-        order = {pe: i for i, pe in enumerate(self._descriptor.graph.pes)}
-        return tuple(
-            sorted(self._assignment, key=lambda r: (order[r.pe], r.replica))
-        )
+        return self._replicas
 
     def replicas_of(self, pe: str) -> tuple[ReplicaId, ...]:
-        return tuple(ReplicaId(pe, j) for j in range(self._k))
+        """The ``k`` replica ids of ``pe``, by replica index."""
+        try:
+            return self._by_pe[pe]
+        except KeyError:
+            raise DeploymentError(f"unknown PE {pe!r}") from None
 
     def host_of(self, replica: ReplicaId) -> str:
         """theta(x-tilde): the host a replica is deployed on."""
@@ -220,7 +239,6 @@ class ReplicatedDeployment:
         self,
         host_name: str,
         config_index: int,
-        rate_table: RateTable,
         active: Mapping[ReplicaId, bool] | None = None,
     ) -> float:
         """CPU cycles/s the replicas on ``host_name`` need in configuration.
@@ -228,6 +246,7 @@ class ReplicatedDeployment:
         ``active`` restricts the sum to replicas mapped to ``True``; when
         omitted, all replicas count (static active replication).
         """
+        rate_table = self._descriptor.rate_table
         total = 0.0
         for replica in self.replicas_on(host_name):
             if active is not None and not active.get(replica, False):
@@ -238,12 +257,11 @@ class ReplicatedDeployment:
     def is_overloaded(
         self,
         config_index: int,
-        rate_table: RateTable,
         active: Mapping[ReplicaId, bool] | None = None,
     ) -> bool:
         """True when any host violates Eq. 11 in the given configuration."""
         return any(
-            self.host_load(name, config_index, rate_table, active)
+            self.host_load(name, config_index, active)
             >= self._hosts[name].capacity
             for name in self._hosts
         )
@@ -251,13 +269,12 @@ class ReplicatedDeployment:
     def overloaded_hosts(
         self,
         config_index: int,
-        rate_table: RateTable,
         active: Mapping[ReplicaId, bool] | None = None,
     ) -> tuple[str, ...]:
         return tuple(
             name
-            for name in sorted(self._hosts)
-            if self.host_load(name, config_index, rate_table, active)
+            for name in self._host_names
+            if self.host_load(name, config_index, active)
             >= self._hosts[name].capacity
         )
 

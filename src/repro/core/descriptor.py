@@ -14,11 +14,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.application import ApplicationGraph
 from repro.core.configurations import ConfigurationSpace
 from repro.errors import DescriptorError
+
+if TYPE_CHECKING:
+    from repro.core.rates import RateTable
 
 __all__ = [
     "EdgeProfile",
@@ -55,7 +58,10 @@ class ApplicationDescriptor:
 
     This is the contract document of Section 3, items (i)-(ii): the
     application structure and the statistical characterisation of its
-    behaviour and inputs.
+    behaviour and inputs. It is immutable after validation, so the
+    expected rates it implies are computed once: :attr:`rate_table` is
+    the one :class:`~repro.core.rates.RateTable` of this descriptor,
+    built on first use and shared by every reader.
     """
 
     def __init__(
@@ -68,6 +74,7 @@ class ApplicationDescriptor:
         self._graph = graph
         self._space = configuration_space
         self._name = name
+        self._rate_table: Optional[RateTable] = None
 
         self._profiles: dict[tuple[str, str], EdgeProfile] = {}
         for (tail, head), profile in edge_profiles.items():
@@ -120,6 +127,20 @@ class ApplicationDescriptor:
     def configuration_space(self) -> ConfigurationSpace:
         return self._space
 
+    @property
+    def rate_table(self) -> RateTable:
+        """The descriptor's one rate table (built on first use)."""
+        table = self._rate_table
+        if table is None:
+            from repro.core.rates import RateTable
+
+            table = self._rate_table = RateTable(self)
+        return table
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The rate table is derived: the receiver builds its own.
+        return {**self.__dict__, "_rate_table": None}
+
     def selectivity(self, tail: str, head: str) -> float:
         """delta(x_j, x_i) for the edge ``tail -> head``."""
         return self._profile(tail, head).selectivity
@@ -146,13 +167,7 @@ class ApplicationDescriptor:
         sum over input edges of gamma(x_j, x_i) * Delta(x_j, c).
         Computed here without failures (full expected rates).
         """
-        from repro.core.rates import expected_rates
-
-        rates = expected_rates(self)
-        return sum(
-            self.cpu_cost(edge.tail, pe) * rates[edge.tail][config_index]
-            for edge in self._graph.pe_input_edges(pe)
-        )
+        return self.rate_table.replica_load(pe, config_index)
 
     # ------------------------------------------------------------------
     # Serialisation

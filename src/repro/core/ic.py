@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.failure_models import FailureModel, PessimisticFailureModel
-from repro.core.rates import RateTable
+from repro.core.descriptor import ApplicationDescriptor
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ModelError
 
@@ -41,7 +41,6 @@ __all__ = [
 def failure_aware_rates(
     strategy: ActivationStrategy,
     failure_model: FailureModel,
-    rate_table: RateTable | None = None,
 ) -> dict[str, tuple[float, ...]]:
     """Delta-hat(x, c, s) for every component and configuration (Eq. 7)."""
     deployment = strategy.deployment
@@ -49,8 +48,7 @@ def failure_aware_rates(
     graph = descriptor.graph
     space = descriptor.configuration_space
     n_configs = len(space)
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
 
     rates: dict[str, list[float]] = {}
     for name in graph.topological_order:
@@ -76,14 +74,14 @@ def failure_aware_rates(
 
 
 def best_case_internal_completeness(
-    rate_table: RateTable, billing_period: float = 1.0
+    descriptor: ApplicationDescriptor, billing_period: float = 1.0
 ) -> float:
     """BIC (Eq. 5): expected tuples processed by all PEs with no failures."""
     if billing_period <= 0:
         raise ModelError(f"billing period must be > 0, got {billing_period}")
-    space = rate_table.descriptor.configuration_space
+    rate_table = descriptor.rate_table
     total = 0.0
-    for config in space:
+    for config in descriptor.configuration_space:
         total += config.probability * rate_table.total_pe_input_rate(
             config.index
         )
@@ -93,7 +91,6 @@ def best_case_internal_completeness(
 def failure_internal_completeness(
     strategy: ActivationStrategy,
     failure_model: FailureModel | None = None,
-    rate_table: RateTable | None = None,
     billing_period: float = 1.0,
 ) -> float:
     """FIC (Eq. 6): expected tuples processed under the failure model."""
@@ -102,11 +99,9 @@ def failure_internal_completeness(
     if failure_model is None:
         failure_model = PessimisticFailureModel()
     descriptor = strategy.deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
     graph = descriptor.graph
     space = descriptor.configuration_space
-    delta_hat = failure_aware_rates(strategy, failure_model, rate_table)
+    delta_hat = failure_aware_rates(strategy, failure_model)
 
     total = 0.0
     for config in space:
@@ -125,19 +120,15 @@ def failure_internal_completeness(
 def internal_completeness(
     strategy: ActivationStrategy,
     failure_model: FailureModel | None = None,
-    rate_table: RateTable | None = None,
 ) -> float:
     """IC (Eq. 8): FIC / BIC. Independent of the billing period length."""
-    descriptor = strategy.deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
-    bic = best_case_internal_completeness(rate_table)
+    bic = best_case_internal_completeness(strategy.deployment.descriptor)
     if bic == 0.0:
         raise ModelError(
             "BIC is zero: the application processes no tuples in any"
             " configuration, IC is undefined"
         )
-    fic = failure_internal_completeness(strategy, failure_model, rate_table)
+    fic = failure_internal_completeness(strategy, failure_model)
     return fic / bic
 
 
@@ -159,17 +150,15 @@ class ICBreakdown:
 def ic_breakdown(
     strategy: ActivationStrategy,
     failure_model: FailureModel | None = None,
-    rate_table: RateTable | None = None,
 ) -> ICBreakdown:
     """IC with per-configuration contributions (for diagnostics)."""
     if failure_model is None:
         failure_model = PessimisticFailureModel()
     descriptor = strategy.deployment.descriptor
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     graph = descriptor.graph
     space = descriptor.configuration_space
-    delta_hat = failure_aware_rates(strategy, failure_model, rate_table)
+    delta_hat = failure_aware_rates(strategy, failure_model)
 
     per_config: dict[int, tuple[float, float]] = {}
     fic_total = 0.0

@@ -61,7 +61,6 @@ from repro.core.deployment import ReplicaId
 from repro.core.optimizer.outcomes import SearchOutcome, SearchResult
 from repro.core.optimizer.problem import OptimizationProblem
 from repro.core.optimizer.stats import PruneRule, SearchStats
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import OptimizationError, ReproError
 
@@ -184,7 +183,6 @@ class FTSearchConfig:
 def _evaluate_warm_start(
     problem: OptimizationProblem,
     config: FTSearchConfig,
-    rate_table: RateTable,
     vars_: list[tuple[int, str]],
 ) -> Optional[tuple[list[tuple[bool, bool]], float, float, float]]:
     """Evaluate ``config.warm_start`` against ``problem``.
@@ -219,9 +217,7 @@ def _evaluate_warm_start(
     except ReproError:
         return None
 
-    host_load, ic, cost = _replay_assignment(
-        problem, rate_table, vars_, values
-    )
+    host_load, ic, cost = _replay_assignment(problem, vars_, values)
 
     # CPU feasibility (Eq. 11, the search's strict epsilon). Loads are
     # non-negative, so checking the final sums covers every prefix the
@@ -243,7 +239,6 @@ def _evaluate_warm_start(
 
 def _replay_assignment(
     problem: OptimizationProblem,
-    rate_table: RateTable,
     vars_: list[tuple[int, str]],
     values: list[tuple[bool, bool]],
 ) -> tuple[dict[tuple[str, int], float], float, float]:
@@ -260,6 +255,7 @@ def _replay_assignment(
     """
     deployment = problem.deployment
     descriptor = deployment.descriptor
+    rate_table = descriptor.rate_table
     graph = descriptor.graph
     space = descriptor.configuration_space
     n_configs = len(space)
@@ -361,8 +357,7 @@ class SearchLayout:
         descriptor = deployment.descriptor
         graph = descriptor.graph
         space = descriptor.configuration_space
-        self.rate_table = RateTable(descriptor)
-        rate_table = self.rate_table
+        rate_table = descriptor.rate_table
 
         pes = graph.pes
         pe_pos = {pe: i for i, pe in enumerate(pes)}
@@ -512,7 +507,6 @@ class SearchLayout:
         evaluator — a pure function of the assignment."""
         _, ic, cost = _replay_assignment(
             self.problem,
-            self.rate_table,
             self.vars,
             [_VALUE_TUPLES[code] for code in codes],
         )
@@ -557,7 +551,7 @@ class SearchLayout:
                     seed = Seed(self.objective(cost, ic), cost, ic, codes)
         if self.config.warm_start is not None:
             payload = _evaluate_warm_start(
-                self.problem, self.config, self.rate_table, self.vars
+                self.problem, self.config, self.vars
             )
             if payload is not None:
                 values, ic, cost, objective = payload
@@ -576,9 +570,7 @@ class SearchLayout:
         from repro.core.baselines import greedy_deactivation
 
         try:
-            strategy = greedy_deactivation(
-                self.problem.deployment, self.rate_table
-            )
+            strategy = greedy_deactivation(self.problem.deployment)
         except OptimizationError:
             return None
         return tuple(

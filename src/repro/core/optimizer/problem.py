@@ -13,13 +13,11 @@ real deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.cost import cpu_constraint_violations, strategy_cost
 from repro.core.deployment import ReplicatedDeployment
 from repro.core.failure_models import FailureModel, PessimisticFailureModel
 from repro.core.ic import internal_completeness
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import OptimizationError
 
@@ -77,14 +75,7 @@ class OptimizationProblem:
                 f"billing period must be > 0, got {self.billing_period}"
             )
 
-    def rate_table(self) -> RateTable:
-        return RateTable(self.deployment.descriptor)
-
-    def evaluate(
-        self,
-        strategy: ActivationStrategy,
-        rate_table: Optional[RateTable] = None,
-    ) -> StrategyEvaluation:
+    def evaluate(self, strategy: ActivationStrategy) -> StrategyEvaluation:
         """Check a strategy against Eq. 10-11 and compute its cost.
 
         Eq. 12 is enforced structurally by :class:`ActivationStrategy`.
@@ -93,11 +84,9 @@ class OptimizationProblem:
             raise OptimizationError(
                 "strategy was built for a different deployment"
             )
-        if rate_table is None:
-            rate_table = self.rate_table()
-        cost = strategy_cost(strategy, rate_table, self.billing_period)
-        ic = internal_completeness(strategy, self.failure_model, rate_table)
-        cpu_ok = not cpu_constraint_violations(strategy, rate_table)
+        cost = strategy_cost(strategy, self.billing_period)
+        ic = internal_completeness(strategy, self.failure_model)
+        cpu_ok = not cpu_constraint_violations(strategy)
         ic_ok = ic >= self.ic_target - _IC_TOLERANCE
         return StrategyEvaluation(
             cost=cost, ic=ic, cpu_feasible=cpu_ok, ic_feasible=ic_ok

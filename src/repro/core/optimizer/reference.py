@@ -30,7 +30,6 @@ from repro.core.optimizer.ftsearch import (
 from repro.core.optimizer.outcomes import SearchOutcome, SearchResult
 from repro.core.optimizer.problem import OptimizationProblem
 from repro.core.optimizer.stats import PruneRule, SearchStats
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.errors import OptimizationError
 
@@ -83,7 +82,7 @@ class ReferenceFTSearch:
         descriptor = deployment.descriptor
         graph = descriptor.graph
         space = descriptor.configuration_space
-        self._rate_table = RateTable(descriptor)
+        rate_table = descriptor.rate_table
 
         self._pes: tuple[str, ...] = graph.pes
         self._pe_pos = {pe: i for i, pe in enumerate(self._pes)}
@@ -103,7 +102,7 @@ class ReferenceFTSearch:
 
         # Per-(PE, config) CPU load of one active replica, and hosts.
         self._load = {
-            (pe, c): self._rate_table.replica_load(pe, c)
+            (pe, c): rate_table.replica_load(pe, c)
             for pe in self._pes
             for c in range(self._n_configs)
         }
@@ -134,7 +133,7 @@ class ReferenceFTSearch:
                 else:  # source predecessor: Delta-hat equals Delta
                     for c in range(self._n_configs):
                         key = (pe, c)
-                        rate = self._rate_table.rate(edge.tail, c)
+                        rate = rate_table.rate(edge.tail, c)
                         self._source_inflow_sel[key] = (
                             self._source_inflow_sel.get(key, 0.0)
                             + selectivity * rate
@@ -153,7 +152,7 @@ class ReferenceFTSearch:
 
         # BIC per configuration (probability-weighted) and in total.
         self._bic_c = [
-            self._prob[c] * self._rate_table.total_pe_input_rate(c)
+            self._prob[c] * rate_table.total_pe_input_rate(c)
             for c in range(self._n_configs)
         ]
         self._bic = sum(self._bic_c)
@@ -296,9 +295,7 @@ class ReferenceFTSearch:
         from repro.core.baselines import greedy_deactivation
 
         try:
-            strategy = greedy_deactivation(
-                self._problem.deployment, self._rate_table
-            )
+            strategy = greedy_deactivation(self._problem.deployment)
         except OptimizationError:
             return
         values = [
@@ -310,9 +307,7 @@ class ReferenceFTSearch:
         ]
         # Evaluate through the shared clean replay (same float path as
         # recorded solutions and warm starts).
-        _, ic, cost = _replay_assignment(
-            self._problem, self._rate_table, self._vars, values
-        )
+        _, ic, cost = _replay_assignment(self._problem, self._vars, values)
         deficit = max(0.0, self._problem.ic_target - ic)
         if self._config.penalty_weight is None and deficit > 0:
             return
@@ -334,7 +329,7 @@ class ReferenceFTSearch:
         engines start from a bit-identical incumbent.
         """
         payload = _evaluate_warm_start(
-            self._problem, self._config, self._rate_table, self._vars
+            self._problem, self._config, self._vars
         )
         if payload is None:
             return
@@ -664,7 +659,7 @@ class ReferenceFTSearch:
                 value for value in self._assigned if value is not None
             ]
             _, ic, cost = _replay_assignment(
-                self._problem, self._rate_table, self._vars, assignment
+                self._problem, self._vars, assignment
             )
             if self._config.penalty_weight is None:
                 objective = cost

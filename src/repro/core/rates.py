@@ -64,7 +64,6 @@ def expected_rates(
 
 def fic_rate(
     deployment: "ReplicatedDeployment",
-    rate_table: "RateTable",
     config_index: int,
     phi: Mapping[str, float],
 ) -> float:
@@ -78,6 +77,7 @@ def fic_rate(
     (phi = 0).
     """
     descriptor = deployment.descriptor
+    rate_table = descriptor.rate_table
     graph = descriptor.graph
     rates: dict[str, float] = {}
     total = 0.0
@@ -99,17 +99,41 @@ def fic_rate(
 
 
 class RateTable:
-    """Cached Delta(x, c) lookups plus derived per-PE load figures.
+    """Delta(x, c) lookups plus derived per-PE load figures, as tables.
 
     Everything downstream of the descriptor (cost model, IC metric,
-    optimizer, workload calibration) needs the same rate table; build it
-    once and share it.
+    optimizer, workload calibration, the simulator's port sizing) needs
+    the same rate table, and a descriptor never changes: there is one
+    table per descriptor, reached as ``descriptor.rate_table`` — do not
+    construct another. The rates, the per-PE input-rate and load rows
+    and the per-configuration totals are computed here, once; every
+    method below is a lookup into them.
     """
 
     def __init__(self, descriptor: ApplicationDescriptor) -> None:
         self._descriptor = descriptor
-        self._rates = expected_rates(descriptor)
+        rates = self._rates = expected_rates(descriptor)
         self._n_configs = len(descriptor.configuration_space)
+        graph = descriptor.graph
+        configs = range(self._n_configs)
+        self._input_rates: dict[str, tuple[float, ...]] = {}
+        self._loads: dict[str, tuple[float, ...]] = {}
+        for pe in graph.pes:
+            edges = graph.pe_input_edges(pe)
+            self._input_rates[pe] = tuple(
+                sum(rates[edge.tail][c] for edge in edges) for c in configs
+            )
+            self._loads[pe] = tuple(
+                sum(
+                    descriptor.cpu_cost(edge.tail, pe) * rates[edge.tail][c]
+                    for edge in edges
+                )
+                for c in configs
+            )
+        self._total_input_rates = tuple(
+            sum(self._input_rates[pe][c] for pe in graph.pes)
+            for c in configs
+        )
 
     @property
     def descriptor(self) -> ApplicationDescriptor:
@@ -126,20 +150,18 @@ class RateTable:
     def rates_of(self, component: str) -> tuple[float, ...]:
         return self._rates[component]
 
-    def as_mapping(self) -> Mapping[str, tuple[float, ...]]:
-        return dict(self._rates)
-
     def pe_input_rate(self, pe: str, config_index: int) -> float:
         """Total tuples/s arriving at one replica of ``pe`` in ``c``.
 
         This is the per-PE term of BIC (Eq. 5):
         sum_{x_j in pred(x_i)} Delta(x_j, c).
         """
-        graph = self._descriptor.graph
-        return sum(
-            self._rates[edge.tail][config_index]
-            for edge in graph.pe_input_edges(pe)
-        )
+        try:
+            return self._input_rates[pe][config_index]
+        except KeyError:
+            # Not a PE: the graph words the typed error.
+            self._descriptor.graph.pe_input_edges(pe)
+            raise
 
     def replica_load(self, pe: str, config_index: int) -> float:
         """CPU cycles/s one active replica of ``pe`` consumes in ``c``.
@@ -147,13 +169,12 @@ class RateTable:
         The per-replica term of Eq. 11 and Eq. 13:
         sum_{x_j in pred(x_i)} gamma(x_j, x_i) * Delta(x_j, c).
         """
-        descriptor = self._descriptor
-        graph = descriptor.graph
-        return sum(
-            descriptor.cpu_cost(edge.tail, pe)
-            * self._rates[edge.tail][config_index]
-            for edge in graph.pe_input_edges(pe)
-        )
+        try:
+            return self._loads[pe][config_index]
+        except KeyError:
+            # Not a PE: the graph words the typed error.
+            self._descriptor.graph.pe_input_edges(pe)
+            raise
 
     def replica_load_matrix(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """Loads as an array of shape ``(n_pes, n_configs)``.
@@ -162,18 +183,9 @@ class RateTable:
         rows follow. Used by the optimizer for fast bound computations.
         """
         pes = self._descriptor.graph.pes
-        matrix = np.array(
-            [
-                [self.replica_load(pe, c) for c in range(self._n_configs)]
-                for pe in pes
-            ],
-            dtype=float,
-        )
+        matrix = np.array([self._loads[pe] for pe in pes], dtype=float)
         return matrix, pes
 
     def total_pe_input_rate(self, config_index: int) -> float:
         """Sum of ``pe_input_rate`` over all PEs (BIC integrand for ``c``)."""
-        return sum(
-            self.pe_input_rate(pe, config_index)
-            for pe in self._descriptor.graph.pes
-        )
+        return self._total_input_rates[config_index]

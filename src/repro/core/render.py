@@ -8,7 +8,6 @@ host-load table against Eq. 11 capacities.
 from __future__ import annotations
 
 from repro.core.cost import host_load_table
-from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 
 __all__ = ["strategy_table", "host_load_report"]
@@ -48,14 +47,10 @@ def strategy_table(strategy: ActivationStrategy) -> str:
     return "\n".join(lines)
 
 
-def host_load_report(
-    strategy: ActivationStrategy, rate_table: RateTable | None = None
-) -> str:
+def host_load_report(strategy: ActivationStrategy) -> str:
     """Per-(host, configuration) load as a fraction of capacity (Eq. 11)."""
     deployment = strategy.deployment
-    if rate_table is None:
-        rate_table = RateTable(deployment.descriptor)
-    loads = host_load_table(strategy, rate_table)
+    loads = host_load_table(strategy)
     space = deployment.descriptor.configuration_space
     headers = [config.label or f"c{config.index}" for config in space]
     host_width = max(

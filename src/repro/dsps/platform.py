@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
-from repro.core.rates import RateTable
 from repro.dsps.batched import BatchEngine, FallbackTracker
 from repro.dsps.endpoints import SinkOperator, SourceOperator
 from repro.dsps.hosts import HostScheduler
@@ -145,10 +144,6 @@ class StreamPlatform:
             raise SimulationError(f"no input trace for sources {missing}")
 
         self._validate_core_budget()
-        rate_table = RateTable(self._descriptor)
-        # Retained for dynamic replica attachment (live migration):
-        # ports of late-built replicas are sized from the same table.
-        self._rate_table = rate_table
 
         # One processor-sharing scheduler per host (the Eq. 11 capacity).
         self._host_schedulers: dict[str, HostScheduler] = {
@@ -175,7 +170,7 @@ class StreamPlatform:
                 telemetry=self.telemetry,
             )
             self._groups[pe] = group
-            ports = self._build_ports(pe, rate_table)
+            ports = self._build_ports(pe)
             for replica_id in deployment.replicas_of(pe):
                 active = (
                     initial_active.get(replica_id, True)
@@ -276,15 +271,11 @@ class StreamPlatform:
                     " replica per core"
                 )
 
-    def _build_ports(
-        self, pe: str, rate_table: RateTable
-    ) -> list[PortSpec]:
-        n_configs = len(self._descriptor.configuration_space)
+    def _build_ports(self, pe: str) -> list[PortSpec]:
+        rate_table = self._descriptor.rate_table
         ports = []
         for edge in self._graph.pe_input_edges(pe):
-            peak_rate = max(
-                rate_table.rate(edge.tail, c) for c in range(n_configs)
-            )
+            peak_rate = max(rate_table.rates_of(edge.tail))
             capacity = max(
                 1, math.ceil(self._config.queue_seconds * peak_rate)
             )
@@ -521,7 +512,7 @@ class StreamPlatform:
             env=self.env,
             replica_id=replica_id,
             host=scheduler,
-            ports=self._build_ports(pe, self._rate_table),
+            ports=self._build_ports(pe),
             metrics=self.metrics.replica(replica_id),
             emit=self._forward_output,
             initially_active=active,

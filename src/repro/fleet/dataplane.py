@@ -27,6 +27,7 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from repro.errors import ReproError
 from repro.obs.slo import CoverageAvailability, SloConfig, attach_slo
 
 __all__ = [
+    "APP_MEMO_SIZE",
     "DataplaneParams",
     "TenantApp",
     "TenantTask",
@@ -137,8 +139,14 @@ class TenantTask:
     batching: Optional[bool] = None
 
 
+#: Bound of the per-process application memo behind :func:`tenant_app`
+#: (least recently used goes first). A cached application is ~14 KB; a
+#: fleet with more distinct applications than this rebuilds them.
+APP_MEMO_SIZE = 1024
+
+
 def tenant_app(params: DataplaneParams, variant: int) -> TenantApp:
-    """Build tenant application ``variant`` (deterministic in the seed).
+    """Tenant application ``variant`` (deterministic in the seed).
 
     A chain ``src -> pe00 -> ... -> sink`` with per-edge selectivities
     in (0.8, 1.0] and CPU costs calibrated so the full cascade span is
@@ -146,9 +154,41 @@ def tenant_app(params: DataplaneParams, variant: int) -> TenantApp:
     are placed pairwise round-robin — consecutive PEs on *disjoint* host
     pairs — so a cascade never revisits a host it just left, which keeps
     the batched engine's host-reuse check trivially satisfied.
+
+    Memoised per process, at most :data:`APP_MEMO_SIZE` applications,
+    on exactly the fields read here — the seed, the shape, the host
+    size, ``high_fraction``, ``quiescence`` and ``variant`` — so runs
+    that differ in anything else (duration, chaos, execution mode, the
+    elasticity knobs) share one application, and every tenant of a
+    variant holds the *same* deployment, descriptor, graph and rate
+    table. That is sound because the core model is immutable after
+    validation and hands out read-only tables.
     """
-    rng = random.Random((params.base_seed << 16) ^ (7919 * variant))
-    n = params.n_pes
+    return _tenant_app(
+        params.base_seed,
+        params.n_pes,
+        params.n_hosts,
+        params.cores_per_host,
+        params.cycles_per_core,
+        params.high_fraction,
+        params.quiescence,
+        variant,
+    )
+
+
+@functools.lru_cache(maxsize=APP_MEMO_SIZE, typed=True)
+def _tenant_app(
+    base_seed: int,
+    n_pes: int,
+    n_hosts: int,
+    cores_per_host: int,
+    cycles_per_core: float,
+    high_fraction: float,
+    quiescence: float,
+    variant: int,
+) -> TenantApp:
+    rng = random.Random((base_seed << 16) ^ (7919 * variant))
+    n = n_pes
     pes = [f"pe{i:02d}" for i in range(n)]
     edges = (
         [("src", pes[0])]
@@ -160,11 +200,11 @@ def tenant_app(params: DataplaneParams, variant: int) -> TenantApp:
     low = rng.uniform(4.0, 8.0)
     high = low * rng.uniform(1.5, 1.9)
     space = ConfigurationSpace.two_level(
-        "src", low, high, low_probability=1.0 - params.high_fraction
+        "src", low, high, low_probability=1.0 - high_fraction
     )
 
-    capacity = params.cores_per_host * params.cycles_per_core
-    span_budget = params.quiescence / high
+    capacity = cores_per_host * cycles_per_core
+    span_budget = quiescence / high
     weights = [rng.uniform(0.5, 1.5) for _ in range(n)]
     total_weight = sum(weights)
     profiles: dict[tuple[str, str], EdgeProfile] = {}
@@ -179,15 +219,15 @@ def tenant_app(params: DataplaneParams, variant: int) -> TenantApp:
     hosts = [
         Host(
             f"h{i:02d}",
-            cores=params.cores_per_host,
-            cycles_per_core=params.cycles_per_core,
+            cores=cores_per_host,
+            cycles_per_core=cycles_per_core,
         )
-        for i in range(params.n_hosts)
+        for i in range(n_hosts)
     ]
     assignment: dict[ReplicaId, str] = {}
     for i, pe in enumerate(pes):
-        assignment[ReplicaId(pe, 0)] = hosts[(2 * i) % params.n_hosts].name
-        assignment[ReplicaId(pe, 1)] = hosts[(2 * i + 1) % params.n_hosts].name
+        assignment[ReplicaId(pe, 0)] = hosts[(2 * i) % n_hosts].name
+        assignment[ReplicaId(pe, 1)] = hosts[(2 * i + 1) % n_hosts].name
 
     descriptor = ApplicationDescriptor(
         graph, profiles, space, name=f"tenant-app-{variant:02d}"

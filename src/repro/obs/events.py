@@ -261,6 +261,11 @@ class Event:
     fields: dict[str, Any]
 
 
+#: The canonical form, built once: ``json.dumps`` with these arguments
+#: would construct the same encoder again for every line.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def event_to_json(event: Event) -> str:
     """Serialize one event to a canonical JSON line.
 
@@ -274,7 +279,7 @@ def event_to_json(event: Event) -> str:
         "type": event.type,
     }
     record.update(event.fields)
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(record)
 
 
 class EventLog:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Optional
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
-from repro.core.rates import RateTable, fic_rate
+from repro.core.rates import fic_rate
 from repro.core.strategy import ActivationStrategy
 
 __all__ = ["EPS", "STATE_EVENTS", "DeploymentState", "ProvenFloor"]
@@ -228,7 +228,6 @@ class ProvenFloor:
         reference: ActivationStrategy,
     ) -> None:
         self.deployment = deployment
-        self.rate_table = RateTable(deployment.descriptor)
         pes = deployment.descriptor.graph.pes
         self.floors: dict[int, float] = {}
         for c in range(len(deployment.descriptor.configuration_space)):
@@ -236,16 +235,11 @@ class ProvenFloor:
                 pe: 1.0 if reference.fully_replicated(pe, c) else 0.0
                 for pe in pes
             }
-            self.floors[c] = fic_rate(deployment, self.rate_table, c, phi_pess)
+            self.floors[c] = fic_rate(deployment, c, phi_pess)
 
     def realized(self, state: DeploymentState) -> float:
         """The run's instantaneous FIC rate (Eq. 7 with realized phi)."""
-        return fic_rate(
-            self.deployment,
-            self.rate_table,
-            state.config,
-            state.realized_phi(),
-        )
+        return fic_rate(self.deployment, state.config, state.realized_phi())
 
     def margin(self, state: DeploymentState) -> Optional[float]:
         """Realized rate minus the floor in force; ``None`` off-model.

@@ -12,7 +12,6 @@ from typing import Sequence
 
 from repro.core.deployment import Host, ReplicaId, ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor
-from repro.core.rates import RateTable
 from repro.errors import DeploymentError
 
 __all__ = ["balanced_placement", "round_robin_placement"]
@@ -53,7 +52,7 @@ def balanced_placement(
     achieves by construction.
     """
     _check_capacity(descriptor, hosts, replication_factor)
-    rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     space = descriptor.configuration_space
 
     def expected_load(pe: str) -> float:

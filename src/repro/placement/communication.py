@@ -20,7 +20,6 @@ from typing import Sequence
 
 from repro.core.deployment import Host, ReplicaId, ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor
-from repro.core.rates import RateTable
 from repro.errors import DeploymentError
 from repro.placement.algorithms import balanced_placement
 
@@ -33,7 +32,6 @@ __all__ = [
 
 def expected_traffic(
     descriptor: ApplicationDescriptor,
-    rate_table: RateTable | None = None,
 ) -> dict[tuple[str, str], float]:
     """Expected tuples/s on each PE -> PE edge (probability-weighted).
 
@@ -41,8 +39,7 @@ def expected_traffic(
     replicas of each successor, so the per-(replica pair) traffic of edge
     (u, v) is the edge rate itself for every replica of v.
     """
-    if rate_table is None:
-        rate_table = RateTable(descriptor)
+    rate_table = descriptor.rate_table
     space = descriptor.configuration_space
     traffic = {}
     graph = descriptor.graph
@@ -57,18 +54,14 @@ def expected_traffic(
     return traffic
 
 
-def deployment_traffic(
-    deployment: ReplicatedDeployment,
-    rate_table: RateTable | None = None,
-) -> float:
+def deployment_traffic(deployment: ReplicatedDeployment) -> float:
     """Expected inter-host tuples/s of a placement.
 
     Counts, for every PE edge (u, v) and every replica of v, the edge
     rate when the *sending* side (approximated as either replica of u
     with equal likelihood) sits on a different host.
     """
-    descriptor = deployment.descriptor
-    traffic = expected_traffic(descriptor, rate_table)
+    traffic = expected_traffic(deployment.descriptor)
     k = deployment.replication_factor
     total = 0.0
     for (tail, head), rate in traffic.items():
@@ -80,13 +73,11 @@ def deployment_traffic(
     return total
 
 
-def _max_loads(
-    deployment: ReplicatedDeployment, rate_table: RateTable
-) -> list[float]:
+def _max_loads(deployment: ReplicatedDeployment) -> list[float]:
     n_configs = len(deployment.descriptor.configuration_space)
     return [
         max(
-            deployment.host_load(host, c, rate_table)
+            deployment.host_load(host, c)
             for host in deployment.host_names
         )
         for c in range(n_configs)
@@ -111,16 +102,15 @@ def communication_aware_placement(
         raise DeploymentError("load_tolerance must be >= 0")
     if max_passes < 1:
         raise DeploymentError("max_passes must be >= 1")
-    rate_table = RateTable(descriptor)
     current = balanced_placement(descriptor, hosts, replication_factor)
     load_caps = [
         load * (1.0 + load_tolerance)
-        for load in _max_loads(current, rate_table)
+        for load in _max_loads(current)
     ]
-    score = deployment_traffic(current, rate_table)
+    score = deployment_traffic(current)
 
     def admissible(candidate: ReplicatedDeployment) -> bool:
-        candidate_loads = _max_loads(candidate, rate_table)
+        candidate_loads = _max_loads(candidate)
         return all(
             load <= cap + 1e-9
             for load, cap in zip(candidate_loads, load_caps)
@@ -158,7 +148,7 @@ def communication_aware_placement(
                     candidate = rebuilt(trial)
                 except DeploymentError:  # pragma: no cover - filtered above
                     continue
-                candidate_score = deployment_traffic(candidate, rate_table)
+                candidate_score = deployment_traffic(candidate)
                 if candidate_score < score - 1e-9 and admissible(candidate):
                     current = candidate
                     score = candidate_score
@@ -181,7 +171,7 @@ def communication_aware_placement(
                     candidate = rebuilt(trial)
                 except DeploymentError:
                     continue  # would break anti-affinity
-                candidate_score = deployment_traffic(candidate, rate_table)
+                candidate_score = deployment_traffic(candidate)
                 if candidate_score < score - 1e-9 and admissible(candidate):
                     current = candidate
                     score = candidate_score

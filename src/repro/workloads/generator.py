@@ -33,7 +33,6 @@ from repro.core.deployment import Host, ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor, EdgeProfile
 from repro.core.application import ApplicationGraph
 from repro.core.configurations import ConfigurationSpace
-from repro.core.rates import RateTable
 from repro.errors import DeploymentError, OptimizationError, WorkloadError
 from repro.placement import balanced_placement
 
@@ -112,10 +111,6 @@ class GeneratedApplication:
     attempts: int
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def rate_table(self) -> RateTable:
-        return RateTable(self.descriptor)
-
 
 def _random_graph(
     rng: random.Random, params: GeneratorParams
@@ -179,7 +174,7 @@ def _attempt(
         "src", 1.0, 2.0, params.low_probability
     )
     probe = ApplicationDescriptor(graph, profiles, probe_space, name=name)
-    amplification = RateTable(probe).total_pe_input_rate(0)  # per 1 t/s
+    amplification = probe.rate_table.total_pe_input_rate(0)  # per 1 t/s
     if amplification <= 0:
         return None
 
@@ -197,7 +192,6 @@ def _attempt(
         "src", low_rate, high_rate, params.low_probability
     )
     descriptor = ApplicationDescriptor(graph, profiles, space, name=name)
-    rate_table = RateTable(descriptor)
     high_config = 1  # two_level puts High at index 1
 
     hosts = cluster.hosts()
@@ -208,7 +202,7 @@ def _attempt(
     # Calibrate costs: scale every gamma so the most loaded host sits at
     # ``low_utilization`` of its capacity in Low with all replicas active.
     max_low_load = max(
-        deployment.host_load(host.name, 0, rate_table) for host in hosts
+        deployment.host_load(host.name, 0) for host in hosts
     )
     if max_low_load <= 0:
         return None
@@ -221,19 +215,18 @@ def _attempt(
     deployment = balanced_placement(
         descriptor, hosts, cluster.replication_factor
     )
-    rate_table = RateTable(descriptor)
 
     # Paper's condition (ii): High with all replicas active overloads.
-    if not deployment.is_overloaded(high_config, rate_table):
+    if not deployment.is_overloaded(high_config):
         return None
     # Condition (i) restated after rescaling (guaranteed by construction,
     # checked defensively).
-    if deployment.is_overloaded(0, rate_table):
+    if deployment.is_overloaded(0):
         return None
     # The dynamic variants need room to act: greedy deactivation must be
     # able to de-overload every configuration.
     try:
-        greedy_deactivation(deployment, rate_table)
+        greedy_deactivation(deployment)
     except OptimizationError:
         return None
 

@@ -10,7 +10,6 @@ from repro.core import (
     ConfigurationSpace,
     EdgeProfile,
     Host,
-    RateTable,
 )
 from repro.placement import balanced_placement
 
@@ -112,7 +111,3 @@ def diamond_deployment(diamond_descriptor):
     ]
     return balanced_placement(diamond_descriptor, hosts, replication_factor=2)
 
-
-@pytest.fixture
-def pipeline_rate_table(pipeline_descriptor) -> RateTable:
-    return RateTable(pipeline_descriptor)

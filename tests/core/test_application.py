@@ -145,6 +145,16 @@ class TestTraversal:
         with pytest.raises(GraphError):
             graph.pred("ghost")
 
+    def test_components_and_edges_are_read_only(self):
+        graph = build_diamond()
+        with pytest.raises(TypeError):
+            graph.components["x"] = Component("x", ComponentKind.PE)
+        with pytest.raises(TypeError):
+            del graph.components["a"]
+        assert "x" not in graph and "a" in graph
+        assert isinstance(graph.edges, tuple)
+        assert isinstance(graph.pe_input_edges("d"), tuple)
+
     def test_contains_and_len(self):
         graph = build_diamond()
         assert "a" in graph

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     ActivationStrategy,
     Host,
-    RateTable,
     ReplicaId,
     ReplicatedDeployment,
     cpu_constraint_violations,
@@ -105,12 +104,11 @@ class TestGreedy:
         assert strategy.active_count("pe1", 1) == 1
 
     def test_cost_between_nr_and_sr(self, tight_deployment):
-        table = RateTable(tight_deployment.descriptor)
         sr = static_replication(tight_deployment)
-        grd = greedy_deactivation(tight_deployment, table)
+        grd = greedy_deactivation(tight_deployment)
         nr = non_replicated(grd, 1)
-        assert strategy_cost(nr, table) < strategy_cost(grd, table)
-        assert strategy_cost(grd, table) < strategy_cost(sr, table)
+        assert strategy_cost(nr) < strategy_cost(grd)
+        assert strategy_cost(grd) < strategy_cost(sr)
 
     def test_raises_when_unfixable(self, pipeline_descriptor):
         # Hosts so small that even one replica of each PE overloads them.

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     ActivationStrategy,
     Host,
-    RateTable,
     ReplicaId,
     ReplicatedDeployment,
     cost_breakdown,
@@ -128,8 +127,7 @@ class TestHostLoads:
         single = ActivationStrategy.single_replica(
             deployment, {"pe1": 0, "pe2": 0}
         )
-        table = RateTable(pipeline_descriptor)
         # Replica 0 of both PEs lives on h0: Low load = 0.8e9 == capacity,
         # which the strict inequality rejects.
-        violations = cpu_constraint_violations(single, table)
+        violations = cpu_constraint_violations(single)
         assert ("h0", 0) in {(host, c) for host, c, _, _ in violations}

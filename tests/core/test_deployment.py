@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     Host,
-    RateTable,
     ReplicaId,
     ReplicatedDeployment,
 )
@@ -85,6 +84,17 @@ class TestDeploymentValidation:
             ReplicaId("pe2", 1),
         )
 
+    def test_replicas_of_an_unknown_pe_is_a_typed_error(
+        self, pipeline_descriptor
+    ):
+        deployment = manual_deployment(pipeline_descriptor)
+        assert deployment.replicas_of("pe1") == (
+            ReplicaId("pe1", 0),
+            ReplicaId("pe1", 1),
+        )
+        with pytest.raises(DeploymentError, match="unknown PE 'nope'"):
+            deployment.replicas_of("nope")
+
     def test_same_host_replicas_rejected(self, pipeline_descriptor):
         assignment = {
             ReplicaId("pe1", 0): "h0",
@@ -130,16 +140,14 @@ class TestDeploymentValidation:
 class TestLoadQueries:
     def test_host_load_all_active(self, pipeline_descriptor):
         deployment = manual_deployment(pipeline_descriptor)
-        table = RateTable(pipeline_descriptor)
         # h0 carries one replica of each PE; High config: 0.8e9 x 2.
-        assert deployment.host_load("h0", 1, table) == pytest.approx(1.6 * GIGA)
+        assert deployment.host_load("h0", 1) == pytest.approx(1.6 * GIGA)
 
     def test_host_load_respects_active_map(self, pipeline_descriptor):
         deployment = manual_deployment(pipeline_descriptor)
-        table = RateTable(pipeline_descriptor)
         active = {replica: False for replica in deployment.replicas}
         active[ReplicaId("pe1", 0)] = True
-        assert deployment.host_load("h0", 1, table, active) == (
+        assert deployment.host_load("h0", 1, active) == (
             pytest.approx(0.8 * GIGA)
         )
 
@@ -157,10 +165,9 @@ class TestLoadQueries:
         deployment = ReplicatedDeployment(
             pipeline_descriptor, hosts, assignment, 2
         )
-        table = RateTable(pipeline_descriptor)
-        assert not deployment.is_overloaded(0, table)
-        assert deployment.is_overloaded(1, table)
-        assert deployment.overloaded_hosts(1, table) == ("h0", "h1")
+        assert not deployment.is_overloaded(0)
+        assert deployment.is_overloaded(1)
+        assert deployment.overloaded_hosts(1) == ("h0", "h1")
 
 
 class TestSerialisation:

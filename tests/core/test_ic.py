@@ -13,7 +13,6 @@ from repro.core import (
     IndependentFailureModel,
     NoFailureModel,
     PessimisticFailureModel,
-    RateTable,
     ReplicaId,
     best_case_internal_completeness,
     failure_aware_rates,
@@ -39,20 +38,20 @@ def partial_strategy(deployment, single_in_high):
 
 
 class TestBIC:
-    def test_pipeline_bic(self, pipeline_deployment, pipeline_rate_table):
+    def test_pipeline_bic(self, pipeline_descriptor):
         # Low: pe1 and pe2 each receive 4 t/s, p=0.8 -> 6.4.
         # High: each receives 8 t/s, p=0.2 -> 3.2. Total 9.6 per second.
-        bic = best_case_internal_completeness(pipeline_rate_table)
+        bic = best_case_internal_completeness(pipeline_descriptor)
         assert bic == pytest.approx(9.6)
 
-    def test_bic_scales_with_billing_period(self, pipeline_rate_table):
-        one = best_case_internal_completeness(pipeline_rate_table, 1.0)
-        many = best_case_internal_completeness(pipeline_rate_table, 300.0)
+    def test_bic_scales_with_billing_period(self, pipeline_descriptor):
+        one = best_case_internal_completeness(pipeline_descriptor, 1.0)
+        many = best_case_internal_completeness(pipeline_descriptor, 300.0)
         assert many == pytest.approx(300.0 * one)
 
-    def test_bic_rejects_bad_period(self, pipeline_rate_table):
+    def test_bic_rejects_bad_period(self, pipeline_descriptor):
         with pytest.raises(ModelError):
-            best_case_internal_completeness(pipeline_rate_table, 0.0)
+            best_case_internal_completeness(pipeline_descriptor, 0.0)
 
 
 class TestPessimisticIC:
@@ -174,7 +173,6 @@ class TestICProperties:
 
     def test_fic_equals_bic_when_all_active(self, pipeline_deployment):
         strategy = ActivationStrategy.all_active(pipeline_deployment)
-        table = RateTable(pipeline_deployment.descriptor)
-        fic = failure_internal_completeness(strategy, rate_table=table)
-        bic = best_case_internal_completeness(table)
+        fic = failure_internal_completeness(strategy)
+        bic = best_case_internal_completeness(pipeline_deployment.descriptor)
         assert fic == pytest.approx(bic)

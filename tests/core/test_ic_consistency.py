@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ActivationStrategy,
-    RateTable,
     ReplicaId,
     best_case_internal_completeness,
     failure_internal_completeness,
@@ -44,12 +43,11 @@ class TestConsistency:
         descriptor = random_descriptor(rng, n_pes=5)
         deployment = random_deployment(rng, descriptor)
         strategy = random_strategy(rng, deployment)
-        table = RateTable(descriptor)
 
-        breakdown = ic_breakdown(strategy, rate_table=table)
-        fic = failure_internal_completeness(strategy, rate_table=table)
-        bic = best_case_internal_completeness(table)
-        ic = internal_completeness(strategy, rate_table=table)
+        breakdown = ic_breakdown(strategy)
+        fic = failure_internal_completeness(strategy)
+        bic = best_case_internal_completeness(descriptor)
+        ic = internal_completeness(strategy)
 
         assert breakdown.fic == pytest.approx(fic)
         assert breakdown.bic == pytest.approx(bic)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Host
@@ -248,6 +248,14 @@ class TestIdleProbe:
             max_size=3,
         ),
     )
+    # Drawn at --hypothesis-seed=12: a coarse tick under back-to-back
+    # crashes acts (12) more often than it is vouched (11).
+    @example(
+        consolidate=False,
+        rebalance=False,
+        tick=0.7,
+        crashes=[(0.0, "h2", 4.0), (4.0, "h2", 3.0)],
+    )
     def test_probe_true_implies_the_tick_changes_nothing(
         self, pipeline_descriptor, consolidate, rebalance, tick, crashes
     ):
@@ -282,6 +290,10 @@ class TestIdleProbe:
             )
         platform.run()
         # Both answers were exercised: the calendar acts at least at the
-        # peak's edges, and most ticks find nothing to do.
+        # peak's edges, and most ticks find nothing to do -- unless hosts
+        # are down, when every tick has replicas to reconcile.
         assert control.acted >= 2
-        assert control.vouched > control.acted
+        if crashes:
+            assert control.vouched >= 1
+        else:
+            assert control.vouched > control.acted

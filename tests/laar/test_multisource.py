@@ -85,7 +85,7 @@ class TestModel:
         # (8, 5): fuse 13 t/s * 0.05e9 * 2 + analyze 13 * 0.06e9... per
         # host with all replicas active exceeds 1.1e9.
         worst = max(range(4), key=lambda c: table.total_pe_input_rate(c))
-        assert deployment.is_overloaded(worst, table)
+        assert deployment.is_overloaded(worst)
 
 
 class TestRuntime:

@@ -80,6 +80,23 @@ class TestJsonExport:
         b = Event(0, 2.0, "host.crash", {"host": "h0"})
         assert event_to_json(a) == event_to_json(b)
 
+    def test_line_equals_json_dumps_of_the_record(self):
+        """The shared encoder is `json.dumps(sort_keys, compact)` built
+        once: nested payloads, floats, non-ASCII and None agree."""
+        fields = {
+            "z": [1, 2.5, {"b": None, "a": True}],
+            "alert": {"burn": 1e-09, "state": "firing", "n": 10**20},
+            "host": "h\u00e9-0",
+            "ratio": 0.1 + 0.2,
+            "big": 1.0e22,
+        }
+        event = Event(3, 29.999999999999996, "slo.window", fields)
+        record = {"seq": 3, "t": 29.999999999999996, "type": "slo.window"}
+        record.update(fields)
+        assert event_to_json(event) == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        )
+
     def test_to_jsonl_round_trips(self):
         log = EventLog()
         log.emit("host.crash", host="h0")

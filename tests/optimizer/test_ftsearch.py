@@ -14,7 +14,6 @@ from repro.core import (
     Host,
     OptimizationProblem,
     PruneRule,
-    RateTable,
     ReplicaId,
     ReplicatedDeployment,
     SearchOutcome,
@@ -35,10 +34,9 @@ GIGA = 1.0e9
 
 def brute_force_optimum(problem):
     """Exhaustively evaluate all strategies; return (cost, ic) of the best."""
-    table = RateTable(problem.deployment.descriptor)
     best = None
     for strategy in enumerate_strategies(problem.deployment):
-        evaluation = problem.evaluate(strategy, table)
+        evaluation = problem.evaluate(strategy)
         if not evaluation.feasible:
             continue
         if best is None or evaluation.cost < best[0] - 1e-9:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Host, RateTable
+from repro.core import Host
 from repro.dsps import InputTrace, StreamPlatform, TraceSegment
 from repro.errors import DeploymentError
 from repro.placement import (
@@ -80,7 +80,6 @@ class TestCommunicationAwarePlacement:
 
     def test_constraints_preserved(self, diamond_descriptor):
         aware = communication_aware_placement(diamond_descriptor, hosts(3))
-        table = RateTable(diamond_descriptor)
         for pe in diamond_descriptor.graph.pes:
             homes = {aware.host_of(r) for r in aware.replicas_of(pe)}
             assert len(homes) == 2
@@ -90,10 +89,10 @@ class TestCommunicationAwarePlacement:
         lpt = balanced_placement(diamond_descriptor, hosts(3))
         for c in range(2):
             lpt_max = max(
-                lpt.host_load(h, c, table) for h in lpt.host_names
+                lpt.host_load(h, c) for h in lpt.host_names
             )
             aware_max = max(
-                aware.host_load(h, c, table) for h in aware.host_names
+                aware.host_load(h, c) for h in aware.host_names
             )
             assert aware_max <= lpt_max * 1.10 + 1e-9
 

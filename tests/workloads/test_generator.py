@@ -51,13 +51,11 @@ class TestCalibration:
 
     def test_paper_condition_low_fits(self):
         app = generate_application(3)
-        table = RateTable(app.descriptor)
-        assert not app.deployment.is_overloaded(0, table)
+        assert not app.deployment.is_overloaded(0)
 
     def test_paper_condition_high_overloads(self):
         app = generate_application(3)
-        table = RateTable(app.descriptor)
-        assert app.deployment.is_overloaded(1, table)
+        assert app.deployment.is_overloaded(1)
 
     def test_greedy_has_room_to_fix_high(self):
         app = generate_application(3)
@@ -112,12 +110,11 @@ class TestCalibrationProperty:
         params = GeneratorParams(n_pes=10)
         cluster = ClusterParams(n_hosts=3, cores_per_host=8)
         app = generate_application(seed, params=params, cluster=cluster)
-        table = RateTable(app.descriptor)
-        assert not app.deployment.is_overloaded(0, table)
-        assert app.deployment.is_overloaded(1, table)
+        assert not app.deployment.is_overloaded(0)
+        assert app.deployment.is_overloaded(1)
         # Low utilisation calibrated to the configured headroom.
         max_low = max(
-            app.deployment.host_load(host, 0, table)
+            app.deployment.host_load(host, 0)
             for host in app.deployment.host_names
         )
         capacity = app.deployment.hosts[0].capacity
