@@ -1,5 +1,6 @@
-"""Shared benchmark fixtures: cached experiment results and a writer that
-persists every regenerated figure under ``benchmarks/results/``."""
+"""Shared benchmark fixtures: experiment results run once per session
+and a writer that persists every regenerated figure under
+``benchmarks/results/``."""
 
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    get_cluster_results,
-    get_fig3_data,
-    get_study_results,
+    run_cluster_experiment,
+    run_fig3,
+    run_ftsearch_study,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -19,18 +20,18 @@ RESULTS_DIR = Path(__file__).parent / "results"
 @pytest.fixture(scope="session")
 def cluster_results():
     """The Sec. 5.3 experiment grid (Figs. 9-12), run once per session."""
-    return get_cluster_results()
+    return run_cluster_experiment()
 
 
 @pytest.fixture(scope="session")
 def study_results():
     """The FT-Search study (Figs. 4-6), run once per session."""
-    return get_study_results()
+    return run_ftsearch_study()
 
 
 @pytest.fixture(scope="session")
 def fig3_data():
-    return get_fig3_data()
+    return run_fig3()
 
 
 @pytest.fixture(scope="session")

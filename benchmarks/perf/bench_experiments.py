@@ -25,7 +25,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.experiments.cluster import run_cluster_experiment
+from repro.experiments.cluster import BASE_SEED, run_cluster_experiment
 from repro.experiments.parallel import FabricProfile
 from repro.experiments.scale import ExperimentScale
 from repro.workloads.generator import (
@@ -47,7 +47,7 @@ SMOKE = ExperimentScale(
 def _corpus(scale: ExperimentScale):
     return generate_corpus(
         scale.corpus_size,
-        scale.base_seed,
+        BASE_SEED,
         params=GeneratorParams(n_pes=6, tuple_budget=2000.0),
         cluster=ClusterParams(n_hosts=3, cores_per_host=4),
     )

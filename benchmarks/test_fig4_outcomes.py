@@ -14,13 +14,13 @@ from repro.core.optimizer import (
     SearchOutcome,
 )
 from repro.experiments.figures import outcome_share, render_fig4
-from repro.experiments.ftsearch_study import _study_instance
+from repro.experiments.ftsearch_study import BASE_SEED, _study_instance
 
 
 def test_fig4_outcomes(benchmark, study_results, save_figure):
     # Benchmark one representative study-instance search (the study
     # runs on the reference oracle, see ftsearch_study).
-    app = _study_instance(study_results.scale.base_seed, study_results.scale)
+    app = _study_instance(BASE_SEED, study_results.scale)
     assert app is not None
     benchmark.pedantic(
         lambda: ReferenceFTSearch(

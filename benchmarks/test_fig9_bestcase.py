@@ -9,7 +9,7 @@ any dynamic variant.
 
 from __future__ import annotations
 
-from repro.experiments.cluster import FailureMode, _run_one
+from repro.experiments.cluster import BASE_SEED, FailureMode, _run_one
 from repro.experiments.figures import fig9_cpu, fig9_drops, render_fig9
 from repro.experiments.variants import build_variants
 from repro.workloads import generate_application
@@ -20,7 +20,7 @@ import random
 def test_fig9_bestcase(benchmark, cluster_results, save_figure):
     # Benchmark one best-case simulated run (app + L.5 variant).
     scale = cluster_results.scale
-    app = generate_application(scale.base_seed)
+    app = generate_application(BASE_SEED)
     variants = build_variants(
         app, ic_targets=(0.5,), time_limit=scale.ft_time_limit
     )

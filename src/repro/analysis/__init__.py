@@ -15,8 +15,8 @@ file-level exemptions live in ``analysis-allowlist.txt``, both of which
 the tool inventories in its report.
 
 The sibling :mod:`repro.analysis.typecheck` module implements the
-type-check ratchet: a declared strict-module list that mypy gates in CI,
-plus a checked-in baseline for the rest so the list can only grow.
+type-check ratchet: the strict-module list of ``pyproject.toml``'s mypy
+override gates in CI, every other module is the tolerated baseline.
 """
 
 from repro.analysis.diagnostics import Diagnostic, Suppression

@@ -52,23 +52,23 @@ __all__ = ["AnalysisReport", "run_analysis"]
 #: Default allowlist filename, discovered in the working directory.
 ALLOWLIST_NAME = "analysis-allowlist.txt"
 
-#: The mypy-strict ratchet file; its module prefixes gate which class
-#: annotations the typed schema inference trusts.
-STRICT_RATCHET = Path("tools") / "typing-strict.txt"
 
-
-def _strict_prefixes(root: Optional[Path] = None) -> tuple[str, ...]:
-    """Module prefixes under the mypy-strict ratchet, if the file is
+def _strict_prefixes() -> tuple[str, ...]:
+    """Module prefixes under the mypy-strict override (each ``x.*``
+    pattern is the prefix ``x``) — they gate which class annotations
+    the typed schema inference trusts — if ``pyproject.toml`` is
     discoverable from the working directory (the repo root in CI)."""
-    candidate = (root or Path(".")) / STRICT_RATCHET
-    if not candidate.exists():
+    # Imported here: ``python -m repro.analysis.typecheck`` must not find
+    # its module already loaded by the package import.
+    from repro.analysis.typecheck import PYPROJECT, load_strict_overrides
+
+    if not PYPROJECT.exists():
         return ()
-    prefixes = []
-    for line in candidate.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            prefixes.append(line)
-    return tuple(prefixes)
+    return tuple(
+        pattern[:-2]
+        for pattern in load_strict_overrides()
+        if pattern.endswith(".*")
+    )
 
 
 @dataclass

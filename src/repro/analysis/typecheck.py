@@ -1,18 +1,15 @@
 """The type-check ratchet: strict modules gate, the rest are baselined.
 
-``tools/typing-strict.txt`` declares the module prefixes mypy gates in
-CI (``repro.sim``, ``repro.core.optimizer``, ``repro.obs.events``,
-``repro.placement.packing``, ``repro.analysis``);
-``tools/typing-baseline.txt`` enumerates every other module, exactly.
-Three checks enforce the ratchet:
+The strict mypy override in ``pyproject.toml`` — the list mypy itself
+reads — names the modules gated in CI (``repro.sim``,
+``repro.core.optimizer``, ``repro.obs.events``, ``repro.analysis``, ...;
+``x.*`` covers ``x`` and everything beneath it). Every other module is
+the baseline. Three checks enforce the ratchet:
 
-1. **classification** — every module under ``src/repro`` must be covered
-   by exactly one of the two lists, and neither list may carry stale
-   entries. A new module therefore *must* be classified at birth, and
-   promoting a module to strict means deleting its baseline line — the
-   strict set can only grow. ``pyproject.toml``'s strict mypy override
-   must name exactly the strict list (``x`` there is ``x`` plus ``x.*``
-   here), so the flags mypy applies cannot drift from what is gated.
+1. **classification** — no pattern of the override may be stale (match
+   no module under ``src/repro``): a renamed or deleted strict module
+   must not silently leave the gate. Promoting a module to strict is
+   one added pattern; the strict set should only grow.
 2. **annotations** — every ``def`` in a strict module must carry complete
    parameter and return annotations. This is a pure-AST check, so it
    runs in the test suite without mypy installed.
@@ -39,38 +36,24 @@ from typing import Optional, Sequence
 __all__ = [
     "check_annotations",
     "check_classification",
-    "check_overrides",
     "discover_modules",
-    "load_module_list",
     "load_strict_overrides",
     "main",
     "run_mypy_gate",
 ]
 
 SRC_ROOT = Path("src/repro")
-STRICT_LIST = Path("tools/typing-strict.txt")
-BASELINE_LIST = Path("tools/typing-baseline.txt")
 PYPROJECT = Path("pyproject.toml")
 
 _MYPY_ERROR_RE = re.compile(r"^(?P<path>[^:]+\.py):\d+(?::\d+)?: error: ")
 
 
-def load_module_list(path: Path) -> list[str]:
-    """Module names from one list file (comments and blanks stripped)."""
-    modules: list[str] = []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            modules.append(line)
-    return modules
-
-
 def load_strict_overrides(path: Path = PYPROJECT) -> list[str]:
     """Module patterns of the strict mypy override(s) in ``path``."""
     with path.open("rb") as handle:
-        overrides = tomllib.load(handle)["tool"]["mypy"]["overrides"]
+        mypy = tomllib.load(handle).get("tool", {}).get("mypy", {})
     patterns: list[str] = []
-    for override in overrides:
+    for override in mypy.get("overrides", []):
         if override.get("disallow_untyped_defs"):
             module = override["module"]
             patterns.extend([module] if isinstance(module, str) else module)
@@ -91,9 +74,12 @@ def discover_modules(src_root: Path = SRC_ROOT) -> list[str]:
 
 
 def _covered_by_strict(module: str, strict: Sequence[str]) -> bool:
+    """Does a pattern match ``module`` the way mypy matches it: ``x``
+    is that module, ``x.*`` is ``x`` and every submodule."""
     return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in strict
+        module == pattern
+        or (pattern.endswith(".*") and (module + ".").startswith(pattern[:-1]))
+        for pattern in strict
     )
 
 
@@ -110,56 +96,13 @@ def module_for_path(path: str, src_root: Path = SRC_ROOT) -> Optional[str]:
 
 
 def check_classification(
-    modules: Sequence[str],
-    strict: Sequence[str],
-    baseline: Sequence[str],
+    modules: Sequence[str], strict: Sequence[str]
 ) -> list[str]:
-    """The ratchet's bookkeeping invariants; returns problem strings."""
-    problems: list[str] = []
-    baseline_set = set(baseline)
-    module_set = set(modules)
-    for module in modules:
-        in_strict = _covered_by_strict(module, strict)
-        in_baseline = module in baseline_set
-        if in_strict and in_baseline:
-            problems.append(
-                f"{module}: in both lists — a strict module must not"
-                " keep a baseline entry"
-            )
-        elif not in_strict and not in_baseline:
-            problems.append(
-                f"{module}: unclassified — add it to"
-                f" {STRICT_LIST} (preferred) or {BASELINE_LIST}"
-            )
-    for entry in baseline:
-        if entry not in module_set:
-            problems.append(
-                f"{entry}: stale baseline entry (module no longer exists)"
-            )
-    for prefix in strict:
-        if not any(_covered_by_strict(module, [prefix]) for module in modules):
-            problems.append(
-                f"{prefix}: stale strict entry (matches no module)"
-            )
-    return problems
-
-
-def check_overrides(
-    strict: Sequence[str], patterns: Sequence[str]
-) -> list[str]:
-    """Differences between the strict list and pyproject's override."""
-    expected = {
-        pattern for prefix in strict for pattern in (prefix, prefix + ".*")
-    }
-    listed = set(patterns)
+    """Stale strict patterns (matching no module), as problem strings."""
     return [
-        f"{pattern}: implied by {STRICT_LIST} but missing from the"
-        f" strict mypy override in {PYPROJECT}"
-        for pattern in sorted(expected - listed)
-    ] + [
-        f"{pattern}: in the strict mypy override in {PYPROJECT} but not"
-        f" implied by {STRICT_LIST}"
-        for pattern in sorted(listed - expected)
+        f"{pattern}: stale strict pattern in {PYPROJECT} (matches no module)"
+        for pattern in strict
+        if not any(_covered_by_strict(module, [pattern]) for module in modules)
     ]
 
 
@@ -208,9 +151,7 @@ def check_annotations(
 
 
 def run_mypy_gate(
-    strict: Sequence[str],
-    baseline: Sequence[str],
-    src_root: Path = SRC_ROOT,
+    strict: Sequence[str], src_root: Path = SRC_ROOT
 ) -> tuple[list[str], list[str]]:
     """Run mypy and split its errors into (gating, baselined).
 
@@ -230,17 +171,15 @@ def run_mypy_gate(
     )
     gating: list[str] = []
     baselined: list[str] = []
-    baseline_set = set(baseline)
     for line in process.stdout.splitlines():
         match = _MYPY_ERROR_RE.match(line.strip())
         if match is None:
             continue
         module = module_for_path(match.group("path"), src_root)
         if module is not None and not _covered_by_strict(module, strict):
-            if module in baseline_set:
-                baselined.append(line.strip())
-                continue
-        gating.append(line.strip())
+            baselined.append(line.strip())
+        else:
+            gating.append(line.strip())
     return gating, baselined
 
 
@@ -248,8 +187,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the ratchet checks; exit 0 only when every gate passes."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.typecheck",
-        description="Type-check ratchet: strict list gates, baseline"
-        " tolerates, both lists must stay exact.",
+        description="Type-check ratchet: pyproject's strict override"
+        " gates, every other module is tolerated.",
     )
     parser.add_argument(
         "--no-mypy",
@@ -261,12 +200,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     src_root = Path(args.src_root)
 
-    strict = load_module_list(STRICT_LIST)
-    baseline = load_module_list(BASELINE_LIST)
+    strict = load_strict_overrides()
     modules = discover_modules(src_root)
 
-    problems = check_classification(modules, strict, baseline)
-    problems += check_overrides(strict, load_strict_overrides())
+    problems = check_classification(modules, strict)
     for problem in problems:
         print(f"classification: {problem}")
 
@@ -278,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     baselined: list[str] = []
     if not args.no_mypy:
         try:
-            gating, baselined = run_mypy_gate(strict, baseline, src_root)
+            gating, baselined = run_mypy_gate(strict, src_root)
         except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -287,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if baselined:
             print(
                 f"mypy: {len(baselined)} error(s) in baselined modules"
-                " (tolerated; shrink the baseline to ratchet)"
+                " (tolerated; add strict patterns to ratchet)"
             )
 
     failed = bool(problems or annotation_problems or gating)
@@ -297,7 +234,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"typecheck: {'FAIL' if failed else 'OK'} —"
         f" {strict_count}/{len(modules)} modules strict,"
-        f" {len(baseline)} baselined"
+        f" {len(modules) - strict_count} baselined"
     )
     return 1 if failed else 0
 

@@ -218,7 +218,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import FabricProfile
     from repro.obs.progress import SearchProgress
     from repro.obs.report import render_report
-    from repro.obs.runner import FAILURE_MODES, run_observed_modes
+    from repro.obs.runner import (
+        FAILURE_MODES,
+        ObservedRunSpec,
+        run_observed_modes,
+    )
 
     modes = [m.strip() for m in args.failures.split(",") if m.strip()]
     for mode in modes:
@@ -248,18 +252,18 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         }
 
     profile = FabricProfile(label="obs-run")
-    digests = run_observed_modes(
-        str(args.bundle),
-        str(strategy_path),
-        modes=modes,
+    spec = ObservedRunSpec(
+        bundle=str(args.bundle),
+        strategy=str(strategy_path),
         duration=args.duration,
         seed=args.seed,
         jitter=args.jitter,
         tuple_trace_every=args.trace_every,
         queue_seconds=args.queue_seconds,
         batching=args.batched,
-        jobs=args.jobs,
-        profile=profile,
+    )
+    digests = run_observed_modes(
+        spec, modes=modes, jobs=args.jobs, profile=profile
     )
     streams = take_streams(digests, "mode")
     report = {
@@ -717,11 +721,11 @@ def _cmd_obs_diff(argv: Sequence[str]) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
-        get_cluster_results,
-        get_fig3_data,
-        get_study_results,
+        figures,
+        run_cluster_experiment,
+        run_fig3,
+        run_ftsearch_study,
     )
-    from repro.experiments import figures
 
     name = args.figure
     if name == "all":
@@ -732,13 +736,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"full report written to {target}")
         return 0
     if name == "fig3":
-        print(figures.render_fig3(get_fig3_data()))
+        print(figures.render_fig3(run_fig3()))
     elif name in ("fig4", "fig5", "fig6"):
-        study = get_study_results(jobs=args.jobs)
+        study = run_ftsearch_study(jobs=args.jobs)
         renderer = getattr(figures, f"render_{name}")
         print(renderer(study))
     elif name in ("fig9", "fig10", "fig11", "fig12"):
-        results = get_cluster_results(jobs=args.jobs)
+        results = run_cluster_experiment(jobs=args.jobs)
         renderer = getattr(figures, f"render_{name}")
         print(renderer(results))
     else:  # pragma: no cover - argparse choices prevent this

@@ -85,16 +85,6 @@ class LatencyRecorder:
         """
         return self._samples
 
-    def mean_in_window(self, start: float, end: float) -> float:
-        window = [
-            latency
-            for time, latency in self._samples
-            if start <= time < end
-        ]
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
-
     def max(self) -> float:
         if not self._samples:
             return 0.0
@@ -138,12 +128,6 @@ class TimeSeries:
     def bucket_map(self) -> dict[int, int]:
         """The live second -> count dict, no copy (streaming consumers)."""
         return self._buckets
-
-    def total(self) -> int:
-        return sum(self._buckets.values())
-
-    def as_list(self, duration: int) -> list[int]:
-        return [self._buckets.get(s, 0) for s in range(duration)]
 
     def mean_rate(self, start: float, end: float) -> float:
         """Average events/second over [start, end)."""
@@ -263,11 +247,6 @@ class RunMetrics:
     def total_cpu_time(self) -> float:
         """Total CPU seconds consumed by all replicas (Fig. 9 top)."""
         return sum(m.busy_time for m in self.replicas.values())
-
-    @property
-    def total_dropped(self) -> int:
-        """Physical drops summed over every replica."""
-        return sum(m.dropped for m in self.replicas.values())
 
     @property
     def total_lost(self) -> int:

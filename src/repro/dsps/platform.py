@@ -63,7 +63,6 @@ class PlatformConfig:
     failover_delay: float = 1.0
     resync_delay: float = 0.0
     queue_seconds: float = 2.0
-    poisson_arrivals: bool = False
     arrival_jitter: float = 0.0
     heartbeat_interval: Optional[float] = None
     seed: int = 0
@@ -80,10 +79,6 @@ class PlatformConfig:
             raise SimulationError("queue_seconds must be > 0")
         if not 0.0 <= self.arrival_jitter < 1.0:
             raise SimulationError("arrival_jitter must be in [0, 1)")
-        if self.poisson_arrivals and self.arrival_jitter > 0:
-            raise SimulationError(
-                "poisson_arrivals and arrival_jitter are exclusive"
-            )
         if self.heartbeat_interval is not None:
             if self.heartbeat_interval <= 0:
                 raise SimulationError("heartbeat_interval must be > 0")
@@ -237,10 +232,8 @@ class StreamPlatform:
             self.metrics.sink_latency[sink] = operator.latency
             self._sinks[sink] = operator
 
-        randomized = (
-            self._config.poisson_arrivals or self._config.arrival_jitter > 0
-        )
-        rng = random.Random(self._config.seed) if randomized else None
+        jitter = self._config.arrival_jitter
+        rng = random.Random(self._config.seed) if jitter > 0 else None
         self._sources: dict[str, SourceOperator] = {}
         for source in self._graph.sources:
             series = TimeSeries()
@@ -252,7 +245,7 @@ class StreamPlatform:
                 deliver=self._forward_from_source,
                 series=series,
                 rng=rng,
-                jitter=self._config.arrival_jitter,
+                jitter=jitter,
                 engine=self._engine,
             )
         self._trace_duration = max(t.duration for t in traces.values())

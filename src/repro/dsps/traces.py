@@ -3,8 +3,8 @@
 The paper's experiments run each application on a 5-minute input trace
 with the "High" configuration active for one third of the trace
 (Sec. 5.2). A trace is a piecewise-constant sequence of rate segments;
-sources emit either with deterministic spacing (1/rate) or as a Poisson
-process — the latter reproduces the input-rate "glitches" the paper blames
+sources emit either with deterministic spacing (1/rate) or with jittered
+gaps — the latter reproduces the input-rate "glitches" the paper blames
 for the residual drops of the dynamic variants.
 """
 
@@ -82,17 +82,14 @@ class InputTrace:
     ) -> Iterator[float]:
         """Tuple emission times over the whole trace.
 
-        Three emission models, all confined to each segment's window and
+        Two emission models, both confined to each segment's window and
         strictly increasing:
 
         * ``rng is None`` — deterministic spacing (1/rate);
-        * ``rng`` given, ``jitter == 0`` — Poisson (exponential gaps);
-        * ``rng`` given, ``jitter > 0`` — jittered-deterministic: gaps are
+        * ``rng`` given — jittered-deterministic: gaps are
           ``(1/rate) * U(1 - jitter, 1 + jitter)``. This models the input
           "glitches" the paper observes (short bursts that pressure
-          queues) while keeping window-averaged rates close to nominal —
-          Poisson at rates of a few tuples/second is far noisier than the
-          paper's real sources.
+          queues) while keeping window-averaged rates close to nominal.
         """
         if not 0.0 <= jitter < 1.0:
             raise SimulationError(f"jitter must be in [0, 1), got {jitter}")
@@ -106,7 +103,7 @@ class InputTrace:
                     while time <= end:
                         yield time
                         time += period
-                elif jitter > 0.0:
+                else:
                     time = start + period * rng.uniform(
                         1.0 - jitter, 1.0 + jitter
                     )
@@ -115,11 +112,6 @@ class InputTrace:
                         time += period * rng.uniform(
                             1.0 - jitter, 1.0 + jitter
                         )
-                else:
-                    time = start + rng.expovariate(segment.rate)
-                    while time <= end:
-                        yield time
-                        time += rng.expovariate(segment.rate)
             start = end
 
     def expected_tuples(self) -> float:

@@ -28,7 +28,6 @@ from repro.elastic.dataplane import (
 )
 from repro.elastic.migration import (
     MigrationAction,
-    MigrationConfig,
     MigrationEngine,
     MigrationPlan,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ElasticParams",
     "ElasticTask",
     "MigrationAction",
-    "MigrationConfig",
     "MigrationEngine",
     "MigrationPlan",
     "run_elastic_tenant",

@@ -38,14 +38,24 @@ from repro.errors import SimulationError
 
 __all__ = ["Autoscaler", "AutoscalerPolicy"]
 
+#: The calendar (simulated seconds). The scale-up starts ``SCALE_LEAD``
+#: before the peak — it must cover the slowest state transfer plus the
+#: dual-running window, or the proof will still be warming replicas
+#: when the burst lands — and the scale-down ``SCALE_LAG`` after it.
+#: The night consolidation ends ``CONSOLIDATE_MARGIN`` before the
+#: scale-up, so the host is back before its replicas are wanted.
+SCALE_LEAD = 2.0
+SCALE_LAG = 1.0
+CONSOLIDATE_MARGIN = 1.5
+#: Active replicas per PE inside and outside the widened peak window.
+PEAK_PARALLELISM = 2
+TROUGH_PARALLELISM = 1
+
 
 @dataclass(frozen=True)
 class AutoscalerPolicy:
-    """Knobs of the control loop (all simulated seconds).
+    """What one tenant's control loop does, and how often it looks.
 
-    ``lead`` is how long before the peak the scale-up starts — it must
-    cover the slowest state transfer plus the dual-running window, or
-    the proof will still be warming replicas when the burst lands.
     ``consolidate`` additionally removes the standby replicas on one
     host during the trough and drains it (night consolidation);
     ``rebalance`` live-moves one standby to the least-loaded host after
@@ -53,25 +63,12 @@ class AutoscalerPolicy:
     """
 
     tick: float = 0.25
-    lead: float = 2.0
-    lag: float = 1.0
-    peak_parallelism: int = 2
-    trough_parallelism: int = 1
     consolidate: bool = False
-    consolidate_margin: float = 1.5
     rebalance: bool = False
 
     def __post_init__(self) -> None:
         if self.tick <= 0:
             raise SimulationError("tick must be > 0")
-        if self.lead < 0 or self.lag < 0 or self.consolidate_margin < 0:
-            raise SimulationError("lead/lag/margin must be >= 0")
-        if self.trough_parallelism < 1:
-            raise SimulationError("trough_parallelism must be >= 1")
-        if self.peak_parallelism < self.trough_parallelism:
-            raise SimulationError(
-                "peak_parallelism must be >= trough_parallelism"
-            )
 
 
 class Autoscaler:
@@ -135,10 +132,9 @@ class Autoscaler:
     def desired_parallelism(self, now: float) -> int:
         """The calendar's answer: peak parallelism inside the widened
         High window (lead before, lag after), trough outside it."""
-        policy = self._policy
-        if self._peak_start - policy.lead <= now < self._peak_end + policy.lag:
-            return policy.peak_parallelism
-        return policy.trough_parallelism
+        if self._peak_start - SCALE_LEAD <= now < self._peak_end + SCALE_LAG:
+            return PEAK_PARALLELISM
+        return TROUGH_PARALLELISM
 
     # ------------------------------------------------------------------
     # What a tick would do: the predicates ``_reconcile`` acts on, and
@@ -148,23 +144,19 @@ class Autoscaler:
     def _consolidation_due(self, now: float) -> bool:
         """Does the night calendar disagree with the consolidation
         state the tenant is in?"""
-        policy = self._policy
-        if not policy.consolidate:
+        if not self._policy.consolidate:
             return False
-        night_until = (
-            self._peak_start - policy.lead - policy.consolidate_margin
-        )
+        night_until = self._peak_start - SCALE_LEAD - CONSOLIDATE_MARGIN
         want_consolidated = (
-            now < night_until or now >= self._peak_end + policy.lag
+            now < night_until or now >= self._peak_end + SCALE_LAG
         )
         return want_consolidated != self._consolidated
 
     def _move_due(self, now: float) -> bool:
-        policy = self._policy
         return (
-            policy.rebalance
+            self._policy.rebalance
             and not self._moved
-            and now >= self._peak_end + policy.lag
+            and now >= self._peak_end + SCALE_LAG
         )
 
     def _rescale_due(

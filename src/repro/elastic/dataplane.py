@@ -6,7 +6,7 @@ layer on top: every tenant gets a :class:`MigrationEngine` and an
 :class:`Autoscaler` driven by its own diurnal calendar. Tenant roles
 rotate deterministically:
 
-* every ``consolidate_every``-th tenant runs night consolidation
+* every :data:`CONSOLIDATE_EVERY`-th tenant runs night consolidation
   (standby removal + host drain + reclaim) during its trough;
 * every other odd tenant rebalances — one full live migration
   (transfer / dual-running / cutover) after its peak;
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.dsps.platform import StreamPlatform
-from repro.elastic.autoscaler import Autoscaler, AutoscalerPolicy
-from repro.elastic.migration import MigrationConfig, MigrationEngine
-from repro.errors import ReproError
+from repro.elastic.autoscaler import SCALE_LAG, Autoscaler, AutoscalerPolicy
+from repro.elastic.migration import DUAL_WINDOW, MigrationEngine
 from repro.fleet.dataplane import (
+    HIGH_FRACTION,
     DataplaneParams,
     TenantTask,
     run_platform,
@@ -52,9 +52,18 @@ __all__ = [
 ]
 
 
+#: Role rotation: tenants ``0 mod CONSOLIDATE_EVERY`` consolidate at
+#: night, the others ``1 mod REBALANCE_EVERY`` rebalance after the peak.
+CONSOLIDATE_EVERY = 4
+REBALANCE_EVERY = 2
+#: Sampling period of the :class:`CoreHourMeter`: the autoscaler's
+#: default tick, so both look at the same instants.
+METER_TICK = AutoscalerPolicy.tick
+
+
 @dataclass(frozen=True)
 class ElasticParams(DataplaneParams):
-    """Fleet dataplane shape plus the elasticity knobs (still scalars).
+    """Fleet dataplane shape plus the one elasticity switch.
 
     ``autoscale=False`` runs the *same* tenants with the meter attached
     but no engine or autoscaler — the static baseline the benchmark
@@ -62,22 +71,6 @@ class ElasticParams(DataplaneParams):
     """
 
     autoscale: bool = True
-    consolidate_every: int = 4
-    rebalance_every: int = 2
-    autoscale_tick: float = 0.25
-    scale_lead: float = 2.0
-    scale_lag: float = 1.0
-    transfer_seconds_per_gcycle: float = 0.5
-    dual_window: float = 1.0
-    drain_grace: float = 1.0
-    chaos_mid_migration: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.autoscale_tick <= 0:
-            raise ReproError("autoscale_tick must be > 0")
-        if self.consolidate_every < 0 or self.rebalance_every < 0:
-            raise ReproError("role cadences must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,14 +96,10 @@ class CoreHourMeter:
         self,
         platform: StreamPlatform,
         horizon: float,
-        tick: float = 0.25,
         engine: Optional[MigrationEngine] = None,
     ) -> None:
-        if tick <= 0:
-            raise ReproError("meter tick must be > 0")
         self._platform = platform
         self._horizon = horizon
-        self._tick = tick
         self._engine = engine
         self._pes = platform.deployment.descriptor.graph.pes
         self._cores = sum(host.cores for host in platform.deployment.hosts)
@@ -129,7 +118,7 @@ class CoreHourMeter:
     def _sample(self) -> None:
         platform = self._platform
         now = platform.env.now
-        dt = min(self._tick, self._horizon - now)
+        dt = min(METER_TICK, self._horizon - now)
         if dt <= 0:
             return
         # Attached replicas are exactly the group members (attach and
@@ -147,29 +136,22 @@ class CoreHourMeter:
                     # reclaimed: cordoned and empty
                     reserved -= platform.deployment.host(name).cores
         self.reserved_core_seconds += reserved * dt
-        if now + self._tick < self._horizon:
-            platform.env.schedule(self._tick, self._sample, idle=self._idle)
+        if now + METER_TICK < self._horizon:
+            platform.env.schedule(METER_TICK, self._sample, idle=self._idle)
 
 
 def peak_window(params: DataplaneParams, tenant: int) -> tuple[float, float]:
     """The tenant's High-rate window, from the same math as its trace."""
     phase = (tenant % params.phases) / params.phases
-    high_length = params.duration * params.high_fraction
+    high_length = params.duration * HIGH_FRACTION
     start = (params.duration - high_length) * phase
     return start, start + high_length
 
 
-def tenant_roles(params: ElasticParams, tenant: int) -> tuple[bool, bool]:
+def tenant_roles(tenant: int) -> tuple[bool, bool]:
     """``(consolidates, rebalances)`` for this tenant — deterministic."""
-    consolidates = (
-        params.consolidate_every > 0
-        and tenant % params.consolidate_every == 0
-    )
-    rebalances = (
-        not consolidates
-        and params.rebalance_every > 0
-        and tenant % params.rebalance_every == 1
-    )
+    consolidates = tenant % CONSOLIDATE_EVERY == 0
+    rebalances = not consolidates and tenant % REBALANCE_EVERY == 1
     return consolidates, rebalances
 
 
@@ -187,7 +169,7 @@ def _schedule_migration_chaos(
     deterministic no-op if no window is open (late-phase tenants whose
     move never fires before the horizon).
     """
-    kill_at = move_at + 0.5 * params.dual_window
+    kill_at = move_at + 0.5 * DUAL_WINDOW
 
     def _kill() -> None:
         mids = engine.open_migrations
@@ -222,22 +204,11 @@ def run_elastic_tenant(task: ElasticTask) -> dict[str, Any]:
     engine: Optional[MigrationEngine] = None
     scaler: Optional[Autoscaler] = None
     if params.autoscale:
-        engine = MigrationEngine(
-            platform,
-            MigrationConfig(
-                transfer_seconds_per_gcycle=params.transfer_seconds_per_gcycle,
-                dual_window=params.dual_window,
-                drain_grace=params.drain_grace,
-            ),
-        )
-        consolidates, rebalances = tenant_roles(params, task.tenant)
+        engine = MigrationEngine(platform)
+        consolidates, rebalances = tenant_roles(task.tenant)
         peak_start, peak_end = peak_window(params, task.tenant)
         policy = AutoscalerPolicy(
-            tick=params.autoscale_tick,
-            lead=params.scale_lead,
-            lag=params.scale_lag,
-            consolidate=consolidates,
-            rebalance=rebalances,
+            consolidate=consolidates, rebalance=rebalances
         )
         chost = f"h{params.n_hosts - 1:02d}" if consolidates else None
         scaler = Autoscaler(
@@ -252,21 +223,15 @@ def run_elastic_tenant(task: ElasticTask) -> dict[str, Any]:
         scaler.start()
         if (
             rebalances
-            and params.chaos_mid_migration
             and params.chaos_every > 0
             and task.tenant % params.chaos_every == params.chaos_every // 4
         ):
-            ticks = math.ceil((peak_end + params.scale_lag) / policy.tick)
+            ticks = math.ceil((peak_end + SCALE_LAG) / policy.tick)
             _schedule_migration_chaos(
                 platform, engine, params, move_at=ticks * policy.tick
             )
 
-    meter = CoreHourMeter(
-        platform,
-        horizon=params.duration,
-        tick=params.autoscale_tick,
-        engine=engine,
-    )
+    meter = CoreHourMeter(platform, horizon=params.duration, engine=engine)
     meter.start()
 
     digest = run_platform(task, platform)

@@ -51,7 +51,6 @@ from repro.sim import EventHandle
 
 __all__ = [
     "MigrationAction",
-    "MigrationConfig",
     "MigrationEngine",
     "MigrationPlan",
 ]
@@ -91,27 +90,14 @@ class MigrationPlan:
             raise SimulationError("plan actions must be a tuple")
 
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Protocol timings (all simulated seconds, all deterministic).
-
-    ``transfer_seconds_per_gcycle`` prices the state transfer: a PE
-    whose input edges cost N giga-cycles per tuple carries N times that
-    many seconds of state to copy. ``dual_window`` bounds dual-running,
-    ``drain_grace`` bounds the old replica's post-cutover drain.
-    """
-
-    transfer_seconds_per_gcycle: float = 0.5
-    dual_window: float = 1.0
-    drain_grace: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.transfer_seconds_per_gcycle < 0:
-            raise SimulationError(
-                "transfer_seconds_per_gcycle must be >= 0"
-            )
-        if self.dual_window < 0 or self.drain_grace < 0:
-            raise SimulationError("protocol windows must be >= 0")
+#: Protocol timings (simulated seconds). The transfer is priced per
+#: giga-cycle of state: a PE whose input edges cost N giga-cycles per
+#: tuple carries N times this many seconds of state to copy.
+TRANSFER_SECONDS_PER_GCYCLE = 0.5
+#: Bound on dual-running (new and old replica both processing).
+DUAL_WINDOW = 1.0
+#: Bound on the old replica's post-cutover drain.
+DRAIN_GRACE = 1.0
 
 
 @dataclass
@@ -140,13 +126,8 @@ class MigrationEngine:
     bit-identical across execution modes and worker counts.
     """
 
-    def __init__(
-        self,
-        platform: StreamPlatform,
-        config: Optional[MigrationConfig] = None,
-    ) -> None:
+    def __init__(self, platform: StreamPlatform) -> None:
         self._platform = platform
-        self._config = config or MigrationConfig()
         self._seq = 0
         self._open: dict[str, _Open] = {}
         #: Hosts no longer accepting new replicas (cordoned or drained).
@@ -191,7 +172,7 @@ class MigrationEngine:
             descriptor.cpu_cost(edge.tail, pe)
             for edge in descriptor.graph.pe_input_edges(pe)
         )
-        return self._config.transfer_seconds_per_gcycle * cycles / 1e9
+        return TRANSFER_SECONDS_PER_GCYCLE * cycles / 1e9
 
     def _member_on(self, pe: str, host: str) -> Optional[OperatorReplica]:
         for member in self._platform.group(pe).members:
@@ -592,7 +573,7 @@ class MigrationEngine:
             return
         open_.phase = "dual"
         open_.handle = platform.env.schedule(
-            self._config.dual_window, lambda: self._cutover(mid)
+            DUAL_WINDOW, lambda: self._cutover(mid)
         )
 
     def _cutover(self, mid: str) -> None:
@@ -623,7 +604,7 @@ class MigrationEngine:
         platform.detach_replica(open_.old)
         open_.phase = "drain"
         open_.handle = platform.env.schedule(
-            self._config.drain_grace, lambda: self._finish(mid)
+            DRAIN_GRACE, lambda: self._finish(mid)
         )
 
     def _finish(self, mid: str) -> None:

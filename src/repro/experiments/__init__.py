@@ -12,12 +12,6 @@ from repro.experiments.cluster import (
     RunResult,
     run_cluster_experiment,
 )
-from repro.experiments.cache import (
-    clear_cache,
-    get_cluster_results,
-    get_fig3_data,
-    get_study_results,
-)
 from repro.experiments.fig3 import (
     Fig3Data,
     Fig3Series,
@@ -55,8 +49,4 @@ __all__ = [
     "Fig3Series",
     "build_pipeline_application",
     "run_fig3",
-    "get_cluster_results",
-    "get_study_results",
-    "get_fig3_data",
-    "clear_cache",
 ]

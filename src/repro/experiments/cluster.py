@@ -38,6 +38,19 @@ from repro.workloads.generator import GeneratedApplication, generate_corpus
 
 __all__ = ["FailureMode", "RunResult", "ClusterResults", "run_cluster_experiment"]
 
+#: First seed of the default corpus (the EDBT year, for determinism).
+BASE_SEED = 2014
+#: What Sec. 5.2 fixes for every run: the Rate Monitor's period, the
+#: configuration-matching slack with its down-switch confirmation, the
+#: input "glitches" and the heartbeat period. (The 1/3 High share and
+#: the 16 s crash downtime are the defaults of ``two_level_trace`` and
+#: ``plan_host_crash``.)
+MONITOR_INTERVAL = 2.0
+RATE_TOLERANCE = 0.25
+DOWN_CONFIRMATION = 2
+ARRIVAL_JITTER = 0.35
+HEARTBEAT_INTERVAL = 0.5
+
 
 class FailureMode(enum.Enum):
     """The three failure scenarios of Sec. 5.3."""
@@ -147,9 +160,7 @@ class ClusterResults:
         ]
 
 
-def _run_seed(
-    scale: ExperimentScale, app_seed: int, variant: str, mode: FailureMode
-) -> int:
+def _run_seed(app_seed: int, variant: str, mode: FailureMode) -> int:
     """The explicit per-run RNG seed (host-crash planning).
 
     Derived from static task keys only, never from shared RNG state, so
@@ -159,7 +170,7 @@ def _run_seed(
     variant_part = sum(ord(ch) * 31 ** i for i, ch in enumerate(variant))
     mode_part = list(FailureMode).index(mode)
     return (
-        (scale.base_seed + 101) * 1_000_003
+        (BASE_SEED + 101) * 1_000_003
         + app_seed * 7919
         + variant_part * 13
         + mode_part
@@ -179,17 +190,16 @@ def _run_one(
         app.low_rate,
         app.high_rate,
         duration=scale.trace_seconds,
-        high_fraction=scale.high_fraction,
     )
     platform_config = PlatformConfig(
-        arrival_jitter=scale.arrival_jitter,
-        heartbeat_interval=scale.heartbeat_interval,
+        arrival_jitter=ARRIVAL_JITTER,
+        heartbeat_interval=HEARTBEAT_INTERVAL,
         seed=app.seed * 7919 + 13,  # per-app deterministic glitches
     )
     middleware_config = MiddlewareConfig(
-        monitor_interval=scale.monitor_interval,
-        rate_tolerance=scale.rate_tolerance,
-        down_confirmation=scale.down_confirmation,
+        monitor_interval=MONITOR_INTERVAL,
+        rate_tolerance=RATE_TOLERANCE,
+        down_confirmation=DOWN_CONFIRMATION,
         dynamic=variants.is_dynamic(variant),
     )
     extended = ExtendedApplication(
@@ -203,10 +213,7 @@ def _run_one(
         inject_pessimistic_failures(extended.platform, strategy)
     elif mode is FailureMode.CRASH:
         plan = plan_host_crash(
-            extended.platform,
-            trace.segment_windows("High"),
-            rng,
-            downtime=scale.crash_downtime,
+            extended.platform, trace.segment_windows("High"), rng
         )
         inject_host_crash(extended.platform, plan)
 
@@ -214,7 +221,7 @@ def _run_one(
     high_start, high_end = trace.segment_windows("High")[0]
     # Leave settling margins so the window reflects steady peak behaviour.
     window = (
-        high_start + 2.0 * scale.monitor_interval,
+        high_start + 2.0 * MONITOR_INTERVAL,
         high_end - 1.0,
     )
     return RunResult(
@@ -274,7 +281,7 @@ def run_cluster_experiment(
     """
     scale = scale or ExperimentScale.from_env()
     if corpus is None:
-        corpus = generate_corpus(scale.corpus_size, scale.base_seed)
+        corpus = generate_corpus(scale.corpus_size, BASE_SEED)
 
     built = run_tasks(
         _variant_task,
@@ -298,7 +305,7 @@ def run_cluster_experiment(
             modes.append(FailureMode.CRASH)
         for variant in variants.names:
             for mode in modes:
-                seed = _run_seed(scale, variants.app.seed, variant, mode)
+                seed = _run_seed(variants.app.seed, variant, mode)
                 tasks.append((variants, variant, mode, scale, seed))
     if not tasks:
         raise ExperimentError(

@@ -43,6 +43,10 @@ from repro.workloads.generator import (
 
 __all__ = ["StudyRun", "StudyResults", "run_ftsearch_study"]
 
+#: First seed scanned for instances (JSR166, the paper's Fork-Join
+#: framework).
+BASE_SEED = 166
+
 
 @dataclass(frozen=True)
 class StudyRun:
@@ -170,7 +174,7 @@ def run_ftsearch_study(
     wave = max(2 * n_jobs, 8) if n_jobs > 1 else 1
     runs: list[StudyRun] = []
     produced = 0
-    seed = scale.base_seed
+    seed = BASE_SEED
     while produced < scale.instances:
         tasks = [(s, scale) for s in range(seed, seed + wave)]
         seed += wave

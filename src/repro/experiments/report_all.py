@@ -1,9 +1,9 @@
 """One-shot report generation: every reproduced figure in one document.
 
-``generate_report()`` runs (or reuses from the cache) the Fig. 3 demo,
-the FT-Search study, and the cluster experiment grid, and concatenates
-all rendered figures into a single plain-text report — the artifact
-``python -m repro experiment all`` writes.
+``generate_report()`` runs the Fig. 3 demo, the FT-Search study, and
+the cluster experiment grid, and concatenates all rendered figures into
+a single plain-text report — the artifact ``python -m repro experiment
+all`` writes.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments import figures
-from repro.experiments.cache import (
-    get_cluster_results,
-    get_fig3_data,
-    get_study_results,
-)
+from repro.experiments.cluster import run_cluster_experiment
+from repro.experiments.fig3 import run_fig3
+from repro.experiments.ftsearch_study import run_ftsearch_study
 from repro.experiments.scale import ExperimentScale, StudyScale
 
 __all__ = ["generate_report"]
@@ -44,14 +42,14 @@ def generate_report(
     """Render every figure into one report; optionally write it to a file.
 
     ``jobs`` fans the underlying experiment grids out over a process
-    pool on cache misses (see :mod:`repro.experiments.parallel`).
+    pool (see :mod:`repro.experiments.parallel`).
     """
     cluster_scale = cluster_scale or ExperimentScale.from_env()
     study_scale = study_scale or StudyScale.from_env()
 
-    fig3 = get_fig3_data()
-    study = get_study_results(study_scale, jobs=jobs)
-    cluster = get_cluster_results(cluster_scale, jobs=jobs)
+    fig3 = run_fig3()
+    study = run_ftsearch_study(study_scale, jobs=jobs)
+    cluster = run_cluster_experiment(cluster_scale, jobs=jobs)
 
     sections = [
         _HEADER.format(

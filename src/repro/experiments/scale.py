@@ -17,7 +17,7 @@ REPRO_JOBS              worker processes for the grids (1 = serial)
 ======================  =======================================
 
 ``REPRO_JOBS`` is read by :mod:`repro.experiments.parallel` (not here:
-it is a compute knob, not part of a scale value or any cache key).
+it is a compute knob, not part of a scale value).
 """
 
 from __future__ import annotations
@@ -57,16 +57,8 @@ class ExperimentScale:
     corpus_size: int = 10
     crash_corpus_size: int = 5
     trace_seconds: float = 60.0
-    high_fraction: float = 1.0 / 3.0
     ft_time_limit: float = 3.0
     ic_targets: tuple[float, ...] = (0.5, 0.6, 0.7)
-    monitor_interval: float = 2.0
-    rate_tolerance: float = 0.25
-    down_confirmation: int = 2
-    arrival_jitter: float = 0.35
-    heartbeat_interval: float = 0.5
-    crash_downtime: float = 16.0
-    base_seed: int = 2014  # the EDBT year, for determinism
 
     def __post_init__(self) -> None:
         if self.corpus_size < 1:
@@ -106,7 +98,6 @@ class StudyScale:
     time_limit: float = 1.5
     host_range: tuple[int, int] = (2, 4)
     pes_per_host_range: tuple[int, int] = (2, 6)
-    base_seed: int = 166  # JSR166, the paper's Fork-Join framework
 
     def __post_init__(self) -> None:
         if self.instances < 1:

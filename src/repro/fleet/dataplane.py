@@ -45,6 +45,7 @@ from repro.obs.slo import CoverageAvailability, SloConfig, attach_slo
 
 __all__ = [
     "APP_MEMO_SIZE",
+    "HIGH_FRACTION",
     "DataplaneParams",
     "TenantApp",
     "TenantTask",
@@ -57,18 +58,27 @@ __all__ = [
 ]
 
 
+#: Tenant host size: cores per host and cycles per core.
+CORES_PER_HOST = 4
+CYCLES_PER_CORE = 1.0e9
+#: Share of a tenant's run spent at its High rate (its "daily peak").
+HIGH_FRACTION = 0.3
+#: The calibration that keeps tenants inside the batched engine's
+#: closed-form regime: the summed service span of one source tuple's
+#: cascade is sized to this fraction of the High-rate inter-arrival gap,
+#: so the platform is quiescent again before the next tuple arrives.
+QUIESCENCE = 0.45
+
+
 @dataclass(frozen=True)
 class DataplaneParams:
     """Shape of one fleet data-plane run (scalars only: picklable).
 
-    ``quiescence`` is the calibration knob that keeps tenants inside the
-    batched engine's closed-form regime: the summed service span of one
-    source tuple's cascade is sized to that fraction of the High-rate
-    inter-arrival gap, so the platform is quiescent again before the
-    next tuple arrives. ``chaos_every`` gives every N-th tenant a
-    scripted mid-run host crash (and every (N/2 mod N)-th a slow-host
-    window), exercising failover and the engine's tuple-granular
-    fallback inside the fleet itself.
+    ``chaos_every`` gives every N-th tenant a scripted mid-run host
+    crash (and every (N/2 mod N)-th a slow-host window), exercising
+    failover and the engine's tuple-granular fallback inside the fleet
+    itself. Queues, failover delay and arrival spacing are the
+    platform's defaults (2 s, 1 s, deterministic).
 
     ``slo`` attaches a per-tenant streaming SLO engine
     (:mod:`repro.obs.slo`, coverage availability against
@@ -81,17 +91,10 @@ class DataplaneParams:
     base_seed: int = 7
     n_pes: int = 6
     n_hosts: int = 4
-    cores_per_host: int = 4
-    cycles_per_core: float = 1.0e9
     duration: float = 30.0
     phases: int = 8
-    high_fraction: float = 0.3
-    quiescence: float = 0.45
     chaos_every: int = 25
     chaos_downtime: float = 3.0
-    jitter: float = 0.0
-    queue_seconds: float = 2.0
-    failover_delay: float = 1.0
     batching: bool = False
     keep_events: bool = False
     slo: bool = True
@@ -109,8 +112,6 @@ class DataplaneParams:
             raise ReproError("n_hosts must be >= 2 (k=2 anti-affinity)")
         if self.phases < 1:
             raise ReproError("phases must be >= 1")
-        if not 0.0 < self.quiescence < 1.0:
-            raise ReproError("quiescence must be in (0, 1)")
         if self.chaos_every < 0:
             raise ReproError("chaos_every must be >= 0")
         if self.duration <= 0:
@@ -150,42 +151,27 @@ def tenant_app(params: DataplaneParams, variant: int) -> TenantApp:
 
     A chain ``src -> pe00 -> ... -> sink`` with per-edge selectivities
     in (0.8, 1.0] and CPU costs calibrated so the full cascade span is
-    ``params.quiescence`` of the High-rate inter-arrival gap. Replicas
+    :data:`QUIESCENCE` of the High-rate inter-arrival gap. Replicas
     are placed pairwise round-robin — consecutive PEs on *disjoint* host
     pairs — so a cascade never revisits a host it just left, which keeps
     the batched engine's host-reuse check trivially satisfied.
 
     Memoised per process, at most :data:`APP_MEMO_SIZE` applications,
-    on exactly the fields read here — the seed, the shape, the host
-    size, ``high_fraction``, ``quiescence`` and ``variant`` — so runs
-    that differ in anything else (duration, chaos, execution mode, the
-    elasticity knobs) share one application, and every tenant of a
-    variant holds the *same* deployment, descriptor, graph and rate
-    table. That is sound because the core model is immutable after
-    validation and hands out read-only tables.
+    on exactly the fields read here — ``(base_seed, n_pes, n_hosts,
+    variant)`` — so runs that differ in anything else (duration, chaos,
+    execution mode, ``autoscale``) share one application, and every
+    tenant of a variant holds the *same* deployment, descriptor, graph
+    and rate table. That is sound because the core model is immutable
+    after validation and hands out read-only tables.
     """
     return _tenant_app(
-        params.base_seed,
-        params.n_pes,
-        params.n_hosts,
-        params.cores_per_host,
-        params.cycles_per_core,
-        params.high_fraction,
-        params.quiescence,
-        variant,
+        params.base_seed, params.n_pes, params.n_hosts, variant
     )
 
 
 @functools.lru_cache(maxsize=APP_MEMO_SIZE, typed=True)
 def _tenant_app(
-    base_seed: int,
-    n_pes: int,
-    n_hosts: int,
-    cores_per_host: int,
-    cycles_per_core: float,
-    high_fraction: float,
-    quiescence: float,
-    variant: int,
+    base_seed: int, n_pes: int, n_hosts: int, variant: int
 ) -> TenantApp:
     rng = random.Random((base_seed << 16) ^ (7919 * variant))
     n = n_pes
@@ -200,11 +186,11 @@ def _tenant_app(
     low = rng.uniform(4.0, 8.0)
     high = low * rng.uniform(1.5, 1.9)
     space = ConfigurationSpace.two_level(
-        "src", low, high, low_probability=1.0 - high_fraction
+        "src", low, high, low_probability=1.0 - HIGH_FRACTION
     )
 
-    capacity = cores_per_host * cycles_per_core
-    span_budget = quiescence / high
+    capacity = CORES_PER_HOST * CYCLES_PER_CORE
+    span_budget = QUIESCENCE / high
     weights = [rng.uniform(0.5, 1.5) for _ in range(n)]
     total_weight = sum(weights)
     profiles: dict[tuple[str, str], EdgeProfile] = {}
@@ -218,9 +204,7 @@ def _tenant_app(
 
     hosts = [
         Host(
-            f"h{i:02d}",
-            cores=cores_per_host,
-            cycles_per_core=cycles_per_core,
+            f"h{i:02d}", cores=CORES_PER_HOST, cycles_per_core=CYCLES_PER_CORE
         )
         for i in range(n_hosts)
     ]
@@ -253,16 +237,10 @@ def build_tenant_platform(
         app.low_rate,
         app.high_rate,
         duration=params.duration,
-        high_fraction=params.high_fraction,
+        high_fraction=HIGH_FRACTION,
         high_position=phase,
     )
-    config = PlatformConfig(
-        failover_delay=params.failover_delay,
-        queue_seconds=params.queue_seconds,
-        arrival_jitter=params.jitter,
-        seed=params.base_seed * 1_000_003 + tenant,
-        batching=batching,
-    )
+    config = PlatformConfig(batching=batching)
     platform = StreamPlatform(app.deployment, {"src": trace}, config=config)
 
     if params.chaos_every > 0:

@@ -95,17 +95,7 @@ def build_fleet_report(params, controller: FleetController, telemetry) -> dict:
         )
 
     return {
-        "scenario": {
-            "tenants": params.tenants,
-            "distinct_apps": params.distinct_apps,
-            "base_seed": params.base_seed,
-            "classes": [cls.name for cls in params.classes],
-            "drift_every": params.drift_every,
-            "drift_factor": params.drift_factor,
-            "node_limit": params.node_limit,
-            "shared_hosts": params.shared_hosts,
-            "shared_cores": params.shared_cores,
-        },
+        "scenario": params.describe(),
         "admission": controller.counters(),
         "pool": controller.pool.occupancy(),
         "classes": {name: classes[name] for name in sorted(classes)},

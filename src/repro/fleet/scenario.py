@@ -57,11 +57,26 @@ __all__ = [
 # (16 replicas on 18 cores leave little activation headroom); gold is
 # deliberately infeasible for some app templates so scenarios exercise
 # the SLA-rejection path.
-_DEFAULT_CLASSES = (
+CLASSES = (
     TenantClass("gold", ic_target=0.6, base_fee=5.0, cpu_rate=1.5),
     TenantClass("silver", ic_target=0.5, base_fee=2.0, cpu_rate=1.0),
     TenantClass("bronze", ic_target=0.3, base_fee=0.0, cpu_rate=0.6),
 )
+#: Tenant slice shape (the generator's cluster).
+N_PES = 8
+SLICE_HOSTS = 3
+SLICE_CORES = 6
+REPLICATION_FACTOR = 2
+CYCLES_PER_CORE = 1.0e9
+#: Search budget (node-limited, never wall-clock-limited). The prewarm
+#: and the controller must search under the same one, or no admission
+#: hits the prewarmed store.
+NODE_LIMIT = 200_000
+#: Rate observations per admitted tenant, and the event-time spacing of
+#: arrivals and observations.
+DRIFT_CHECKS = 6
+ARRIVAL_SPACING = 1.0
+CHECK_SPACING = 0.25
 
 
 @dataclass(frozen=True)
@@ -74,34 +89,18 @@ class FleetScenarioParams:
     # (template, class) combinations instead of a fixed pairing.
     distinct_apps: int = 7
     base_seed: int = 7
-    classes: tuple[TenantClass, ...] = _DEFAULT_CLASSES
-    # Tenant slice shape (the generator's cluster) -------------------------
-    n_pes: int = 8
-    slice_hosts: int = 3
-    slice_cores: int = 6
-    replication_factor: int = 2
     # Shared cluster -------------------------------------------------------
     shared_hosts: int = 20
     shared_cores: int = 48
-    cycles_per_core: float = 1.0e9
-    # Search budget (node-limited, never wall-clock-limited) ---------------
-    node_limit: int = 200_000
     # Drift model ----------------------------------------------------------
     drift_every: int = 4  # every Nth tenant drifts; 0 disables drift
     drift_factor: float = 1.1
-    drift_checks: int = 6  # rate observations per admitted tenant
-    sustain_checks: int = 3
-    # Event-time spacing ---------------------------------------------------
-    arrival_spacing: float = 1.0
-    check_spacing: float = 0.25
 
     def __post_init__(self) -> None:
         if self.tenants < 1:
             raise ExperimentError("a scenario needs at least one tenant")
         if not 1 <= self.distinct_apps:
             raise ExperimentError("distinct_apps must be >= 1")
-        if not self.classes:
-            raise ExperimentError("a scenario needs at least one class")
         if self.drift_every < 0:
             raise ExperimentError("drift_every must be >= 0")
         if self.drift_factor <= 1.0:
@@ -111,7 +110,7 @@ class FleetScenarioParams:
         return self.base_seed + tenant_index % self.distinct_apps
 
     def tenant_class(self, tenant_index: int) -> TenantClass:
-        return self.classes[tenant_index % len(self.classes)]
+        return CLASSES[tenant_index % len(CLASSES)]
 
     def drifts(self, tenant_index: int) -> bool:
         return (
@@ -124,45 +123,55 @@ class FleetScenarioParams:
             Host(
                 f"shared{i:02d}",
                 cores=self.shared_cores,
-                cycles_per_core=self.cycles_per_core,
+                cycles_per_core=CYCLES_PER_CORE,
             )
             for i in range(self.shared_hosts)
         ]
 
+    def describe(self) -> dict:
+        """The report's ``scenario`` block: what the run depended on."""
+        return {
+            "tenants": self.tenants,
+            "distinct_apps": self.distinct_apps,
+            "base_seed": self.base_seed,
+            "classes": [cls.name for cls in CLASSES],
+            "drift_every": self.drift_every,
+            "drift_factor": self.drift_factor,
+            "node_limit": NODE_LIMIT,
+            "shared_hosts": self.shared_hosts,
+            "shared_cores": self.shared_cores,
+        }
 
-def tenant_application(
-    params: FleetScenarioParams, seed: int
-) -> GeneratedApplication:
+
+def tenant_application(seed: int) -> GeneratedApplication:
     """The (deterministic) application template for one app seed."""
     return generate_application(
         seed,
-        params=GeneratorParams(n_pes=params.n_pes),
+        params=GeneratorParams(n_pes=N_PES),
         cluster=ClusterParams(
-            n_hosts=params.slice_hosts,
-            cores_per_host=params.slice_cores,
-            cycles_per_core=params.cycles_per_core,
-            replication_factor=params.replication_factor,
+            n_hosts=SLICE_HOSTS,
+            cores_per_host=SLICE_CORES,
+            cycles_per_core=CYCLES_PER_CORE,
+            replication_factor=REPLICATION_FACTOR,
         ),
         name=f"app-{seed:03d}",
     )
 
 
-def _prewarm_task(
-    task: tuple[FleetScenarioParams, int, TenantClass],
-) -> list[tuple[str, dict]]:
+def _prewarm_task(task: tuple[int, TenantClass]) -> list[tuple[str, dict]]:
     """Solve one (application, class) provisioning problem for the store.
 
     Module-level so the process pool can pickle it. Returns the store
     entries produced (one per problem; plain dicts, no wall-clock data).
     """
-    params, seed, tenant_class = task
-    app = tenant_application(params, seed)
+    seed, tenant_class = task
+    app = tenant_application(seed)
     store = StrategyStore()
     provisioner = Provisioner(
         list(app.deployment.hosts),
-        replication_factor=params.replication_factor,
+        replication_factor=REPLICATION_FACTOR,
         search_time_limit=None,
-        node_limit=params.node_limit,
+        node_limit=NODE_LIMIT,
         store=store,
     )
     contract = TenantSpec(
@@ -210,12 +219,9 @@ def run_fleet_scenario(
     pairs: dict[tuple[int, TenantClass], None] = {}
     for i in range(params.tenants):
         pairs.setdefault((params.app_seed(i), params.tenant_class(i)))
-    tasks = [
-        (params, seed, tenant_class) for seed, tenant_class in pairs
-    ]
     store = store if store is not None else StrategyStore()
     # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never folded into store entries
-    for entries in fan_out(_prewarm_task, tasks, jobs=jobs, profile=profile):
+    for entries in fan_out(_prewarm_task, pairs, jobs=jobs, profile=profile):
         store.merge(entries)
 
     # ------------------------------------------------------------------
@@ -227,13 +233,12 @@ def run_fleet_scenario(
         params.shared_cluster(),
         telemetry,
         store=store,
-        replication_factor=params.replication_factor,
-        node_limit=params.node_limit,
-        sustain_checks=params.sustain_checks,
+        replication_factor=REPLICATION_FACTOR,
+        node_limit=NODE_LIMIT,
     )
 
     apps = {
-        seed: tenant_application(params, seed)
+        seed: tenant_application(seed)
         for seed in sorted({params.app_seed(i) for i in range(params.tenants)})
     }
 
@@ -247,9 +252,9 @@ def run_fleet_scenario(
             source: rate * factor
             for source, rate in sorted(heaviest.rates.items())
         }
-        for check in range(params.drift_checks):
+        for check in range(DRIFT_CHECKS):
             env.schedule(
-                (check + 1) * params.check_spacing,
+                (check + 1) * CHECK_SPACING,
                 lambda name=spec.name, r=rates: controller.observe_rates(
                     name, r
                 ),
@@ -264,7 +269,7 @@ def run_fleet_scenario(
             tenant_class=params.tenant_class(i),
         )
         env.schedule(
-            i * params.arrival_spacing,
+            i * ARRIVAL_SPACING,
             lambda s=spec, d=params.drifts(i): arrival(s, d),
         )
 

@@ -16,7 +16,7 @@ telemetry is stamped in simulated time, never wall time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.errors import ReproError
@@ -50,8 +50,6 @@ class ObservedRunSpec:
     seed: int = 0
     jitter: float = 0.35
     tuple_trace_every: int = 0
-    event_buffer: int = 65536
-    monitor_interval: float = 2.0
     queue_seconds: float = 2.0
     batching: bool = False
 
@@ -122,12 +120,11 @@ def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
             arrival_jitter=spec.jitter,
             seed=spec.seed,
             queue_seconds=spec.queue_seconds,
-            event_buffer=spec.event_buffer,
             tuple_trace_every=spec.tuple_trace_every,
             batching=spec.batching,
         ),
         middleware_config=MiddlewareConfig(
-            monitor_interval=spec.monitor_interval,
+            monitor_interval=2.0,
             rate_tolerance=0.25,
             down_confirmation=2,
         ),
@@ -176,19 +173,12 @@ def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
 
 
 def run_observed_modes(
-    bundle: str,
-    strategy: str,
+    spec: ObservedRunSpec,
     modes: Sequence[str] = FAILURE_MODES,
-    duration: float = 60.0,
-    seed: int = 0,
-    jitter: float = 0.35,
-    tuple_trace_every: int = 0,
-    queue_seconds: float = 2.0,
-    batching: bool = False,
     jobs: Optional[int] = None,
     profile=None,
 ) -> list[dict[str, Any]]:
-    """Run one observed simulation per failure mode, in ``modes`` order.
+    """Run ``spec`` once per failure mode, in ``modes`` order.
 
     Fans out over the experiment fabric; pass a
     :class:`~repro.experiments.parallel.FabricProfile` to collect
@@ -197,19 +187,6 @@ def run_observed_modes(
     """
     from repro.driver import fan_out
 
-    specs = [
-        ObservedRunSpec(
-            bundle=str(bundle),
-            strategy=str(strategy),
-            mode=mode,
-            duration=duration,
-            seed=seed,
-            jitter=jitter,
-            tuple_trace_every=tuple_trace_every,
-            queue_seconds=queue_seconds,
-            batching=batching,
-        )
-        for mode in modes
-    ]
+    specs = [replace(spec, mode=mode) for mode in modes]
     # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never part of observed digests
     return fan_out(run_observed, specs, jobs=jobs, profile=profile)

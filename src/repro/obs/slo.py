@@ -101,9 +101,6 @@ class SloConfig:
     burn_threshold: float = 1.0
     fast_windows: int = 1
     slow_windows: int = 6
-    ic_target: float = 1.0
-    sketch_growth: float = 1.05
-    sketch_min: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.window < 1.0 or self.window != int(self.window):
@@ -124,10 +121,6 @@ class SloConfig:
             raise ReproError(
                 f"need 1 <= fast_windows <= slow_windows, got"
                 f" {self.fast_windows}/{self.slow_windows}"
-            )
-        if not 0.0 < self.ic_target <= 1.0:
-            raise ReproError(
-                f"ic_target must be in (0, 1], got {self.ic_target}"
             )
 
 
@@ -329,9 +322,8 @@ class SloEngine:
         self._drops_total = 0
         self._input_total = 0
         self._output_total = 0
-        cfg = self._config
-        self._latency_total = LogHistogram(cfg.sketch_growth, cfg.sketch_min)
-        self._failover_hist = LogHistogram(cfg.sketch_growth, cfg.sketch_min)
+        self._latency_total = LogHistogram()
+        self._failover_hist = LogHistogram()
         self._horizon = 0.0
         self._verdict = "met"
         self._trusted = True
@@ -392,7 +384,6 @@ class SloEngine:
     # ------------------------------------------------------------------
 
     def _close_window(self, end: float) -> None:
-        cfg = self._config
         start = self._window_start
         span = end - start
         bad = self._availability.take(end)
@@ -401,7 +392,7 @@ class SloEngine:
         # Latency: drain each sink's live sample buffer up to the
         # window bound through a per-sink cursor (strict < end, so the
         # boundary sample lands in the next window in every mode).
-        sketch = LogHistogram(cfg.sketch_growth, cfg.sketch_min)
+        sketch = LogHistogram()
         add = sketch.add
         for i, (_, samples) in enumerate(self._latency):
             j = self._cursors[i]

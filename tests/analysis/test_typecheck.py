@@ -13,9 +13,7 @@ from pathlib import Path
 from repro.analysis.typecheck import (
     check_annotations,
     check_classification,
-    check_overrides,
     discover_modules,
-    load_module_list,
     load_strict_overrides,
     main,
     module_for_path,
@@ -28,71 +26,33 @@ class TestClassification:
     MODULES = ["repro", "repro.a", "repro.a.x", "repro.b", "repro.c"]
 
     def test_clean_partition_is_ok(self):
-        problems = check_classification(
-            self.MODULES, ["repro.a"], ["repro", "repro.b", "repro.c"]
-        )
-        assert problems == []
+        # Whatever no pattern names is the baseline: nothing to list.
+        assert check_classification(self.MODULES, ["repro.a.*"]) == []
 
     def test_strict_prefix_covers_submodules(self):
-        # repro.a.x is covered by the repro.a prefix and needs no
-        # baseline entry of its own.
-        problems = check_classification(
-            self.MODULES, ["repro.a"], ["repro", "repro.b", "repro.c"]
-        )
-        assert problems == []
-
-    def test_unclassified_module_is_a_problem(self):
-        problems = check_classification(
-            self.MODULES, ["repro.a"], ["repro", "repro.b"]
-        )
-        assert len(problems) == 1
-        assert problems[0].startswith("repro.c: unclassified")
-
-    def test_module_in_both_lists_is_a_problem(self):
-        problems = check_classification(
-            self.MODULES,
-            ["repro.a"],
-            ["repro", "repro.a.x", "repro.b", "repro.c"],
-        )
-        assert any(p.startswith("repro.a.x: in both") for p in problems)
-
-    def test_stale_baseline_entry_is_a_problem(self):
-        problems = check_classification(
-            self.MODULES,
-            ["repro.a"],
-            ["repro", "repro.b", "repro.c", "repro.gone"],
-        )
-        assert any("stale baseline" in p for p in problems)
+        # repro.a.x is covered by repro.a.* and keeps the pattern alive
+        # on its own.
+        assert check_classification(["repro.a.x"], ["repro.a.*"]) == []
 
     def test_stale_strict_prefix_is_a_problem(self):
         problems = check_classification(
-            self.MODULES,
-            ["repro.a", "repro.nothing"],
-            ["repro", "repro.b", "repro.c"],
+            self.MODULES, ["repro.a.*", "repro.nothing"]
         )
-        assert any("stale strict" in p for p in problems)
+        assert len(problems) == 1
+        assert problems[0].startswith("repro.nothing: stale strict")
 
     def test_prefix_match_does_not_bleed_across_dots(self):
-        # "repro.a" must not cover "repro.ab": if it did, repro.ab
-        # would be reported as "in both lists" here.
-        problems = check_classification(
-            ["repro.a.x", "repro.ab"], ["repro.a"], ["repro.ab"]
-        )
-        assert problems == []
+        # "repro.a.*" must not cover "repro.ab".
+        problems = check_classification(["repro.ab"], ["repro.a.*"])
+        assert len(problems) == 1
 
 
 class TestOverrides:
     def test_prefix_is_module_plus_submodule_glob(self):
-        assert check_overrides(["repro.a"], ["repro.a", "repro.a.*"]) == []
-
-    def test_missing_and_extra_patterns_are_problems(self):
-        problems = check_overrides(
-            ["repro.a", "repro.b"], ["repro.a", "repro.a.*", "repro.c"]
-        )
-        assert len(problems) == 3
-        assert problems[0].startswith("repro.b: implied by")
-        assert problems[1].startswith("repro.b.*: implied by")
-        assert problems[2].startswith("repro.c: in the strict mypy")
+        # mypy's matching: "x" is that module alone, "x.*" is x and
+        # everything beneath it.
+        assert check_classification(["repro.a.x"], ["repro.a"]) != []
+        assert check_classification(["repro.a"], ["repro.a.*"]) == []
 
     def test_reads_only_the_strict_override(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
@@ -122,17 +82,17 @@ class TestAnnotations:
             "def f(x: int, *args: int, **kw: int) -> int:\n"
             "    return x\n",
         )
-        assert check_annotations(["repro"], root) == []
+        assert check_annotations(["repro.*"], root) == []
 
     def test_missing_param_annotation_flagged(self, tmp_path):
         root = self._tree(tmp_path, "def f(x) -> int:\n    return x\n")
-        problems = check_annotations(["repro"], root)
+        problems = check_annotations(["repro.*"], root)
         assert len(problems) == 1
         assert "unannotated parameter(s): x" in problems[0]
 
     def test_missing_return_annotation_flagged(self, tmp_path):
         root = self._tree(tmp_path, "def f(x: int):\n    return x\n")
-        problems = check_annotations(["repro"], root)
+        problems = check_annotations(["repro.*"], root)
         assert len(problems) == 1
         assert "no return annotation" in problems[0]
 
@@ -144,11 +104,11 @@ class TestAnnotations:
             "    @classmethod\n"
             "    def k(cls) -> None: ...\n",
         )
-        assert check_annotations(["repro"], root) == []
+        assert check_annotations(["repro.*"], root) == []
 
     def test_non_strict_modules_skipped(self, tmp_path):
         root = self._tree(tmp_path, "def f(x):\n    return x\n")
-        assert check_annotations(["repro.other"], root) == []
+        assert check_annotations(["repro.other.*"], root) == []
 
 
 class TestModuleForPath:
@@ -169,32 +129,22 @@ class TestModuleForPath:
 
 
 class TestRepoState:
-    """The checked-in lists must describe the tree they ship with."""
+    """The checked-in override must describe the tree it ships with."""
 
-    def test_lists_exactly_partition_the_tree(self, monkeypatch):
+    def test_override_names_only_existing_modules(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        strict = load_module_list(Path("tools/typing-strict.txt"))
-        baseline = load_module_list(Path("tools/typing-baseline.txt"))
         modules = discover_modules(Path("src/repro"))
-        assert check_classification(modules, strict, baseline) == []
-
-    def test_pyproject_override_names_exactly_the_strict_list(
-        self, monkeypatch
-    ):
-        monkeypatch.chdir(REPO_ROOT)
-        strict = load_module_list(Path("tools/typing-strict.txt"))
-        assert check_overrides(strict, load_strict_overrides()) == []
+        assert check_classification(modules, load_strict_overrides()) == []
 
     def test_strict_modules_fully_annotated(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        strict = load_module_list(Path("tools/typing-strict.txt"))
+        strict = load_strict_overrides()
         assert check_annotations(strict, Path("src/repro")) == []
 
     def test_analysis_package_is_strict(self, monkeypatch):
         # The linter must obey the discipline it enforces.
         monkeypatch.chdir(REPO_ROOT)
-        strict = load_module_list(Path("tools/typing-strict.txt"))
-        assert "repro.analysis" in strict
+        assert "repro.analysis.*" in load_strict_overrides()
 
     def test_cli_no_mypy_exits_zero(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)

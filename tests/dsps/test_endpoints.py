@@ -31,7 +31,7 @@ class TestSourceOperator:
         assert source.emitted == 10
         assert len(delivered) == 10
         assert delivered[0] == (0.5, "src")
-        assert series.total() == 10
+        assert sum(series.bucket_map().values()) == 10
 
     def test_current_rate_follows_trace(self):
         trace = InputTrace(

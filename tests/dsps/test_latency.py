@@ -63,14 +63,6 @@ class TestLatencyRecorder:
         recorder.record(1.0, 0.25)
         assert buffer == [(1.0, 0.25)]
 
-    def test_window_mean(self):
-        recorder = LatencyRecorder()
-        recorder.record(1.0, 0.1)
-        recorder.record(5.0, 0.5)
-        assert recorder.mean_in_window(0.0, 2.0) == pytest.approx(0.1)
-        assert recorder.mean_in_window(4.0, 6.0) == pytest.approx(0.5)
-        assert recorder.mean_in_window(10.0, 20.0) == 0.0
-
 
 def tight_deployment(pipeline_descriptor):
     hosts = [

@@ -64,13 +64,14 @@ class TestInputTrace:
         assert all(t > 5.0 for t in arrivals)
         assert len(arrivals) == 10
 
-    def test_poisson_arrivals_stay_in_segments(self):
+    def test_jittered_arrivals_stay_in_segments(self):
         trace = InputTrace([TraceSegment(10.0, 20.0)])
         rng = random.Random(7)
-        arrivals = list(trace.arrival_times(rng))
+        arrivals = list(trace.arrival_times(rng, jitter=0.3))
         assert all(0.0 < t <= 20.0 for t in arrivals)
-        # Poisson with rate 10 over 20 s: ~200 arrivals, loosely checked.
-        assert 120 <= len(arrivals) <= 300
+        assert all(b > a for a, b in zip(arrivals, arrivals[1:]))
+        # Gaps average 1/rate: ~200 arrivals at rate 10 over 20 s.
+        assert 180 <= len(arrivals) <= 220
 
     def test_expected_tuples(self):
         trace = two_level_trace(4.0, 8.0, duration=90.0, high_fraction=1 / 3)

@@ -11,6 +11,12 @@ from hypothesis import strategies as st
 from repro.core import Host
 from repro.dsps import PlatformConfig, StreamPlatform, two_level_trace
 from repro.elastic import Autoscaler, AutoscalerPolicy, MigrationEngine
+from repro.elastic.autoscaler import (
+    PEAK_PARALLELISM,
+    SCALE_LAG,
+    SCALE_LEAD,
+    TROUGH_PARALLELISM,
+)
 from repro.errors import SimulationError
 from repro.placement import balanced_placement
 
@@ -66,10 +72,6 @@ class TestPolicy:
     def test_validation(self):
         with pytest.raises(SimulationError):
             AutoscalerPolicy(tick=0.0)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(trough_parallelism=0)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(peak_parallelism=1, trough_parallelism=2)
 
     def test_consolidation_needs_a_host(self, pipeline_descriptor):
         platform, engine = build(pipeline_descriptor)
@@ -83,15 +85,14 @@ class TestPolicy:
     def test_desired_parallelism_window(self, pipeline_descriptor):
         platform, engine = build(pipeline_descriptor)
         control = scaler(platform, engine)
-        policy = AutoscalerPolicy()
-        assert control.desired_parallelism(0.0) == policy.trough_parallelism
+        assert control.desired_parallelism(0.0) == TROUGH_PARALLELISM
         assert (
-            control.desired_parallelism(PEAK_START - policy.lead)
-            == policy.peak_parallelism
+            control.desired_parallelism(PEAK_START - SCALE_LEAD)
+            == PEAK_PARALLELISM
         )
         assert (
-            control.desired_parallelism(PEAK_END + policy.lag)
-            == policy.trough_parallelism
+            control.desired_parallelism(PEAK_END + SCALE_LAG)
+            == TROUGH_PARALLELISM
         )
 
 

@@ -71,10 +71,10 @@ class TestTenantRun:
 class TestRoles:
     def test_roles_are_disjoint(self):
         for tenant in range(8):
-            consolidates, rebalances = tenant_roles(PARAMS, tenant)
+            consolidates, rebalances = tenant_roles(tenant)
             assert not (consolidates and rebalances)
-        assert tenant_roles(PARAMS, 0) == (True, False)
-        assert tenant_roles(PARAMS, 1) == (False, True)
+        assert tenant_roles(0) == (True, False)
+        assert tenant_roles(1) == (False, True)
 
     def test_peak_window_inside_run(self):
         for tenant in range(4):

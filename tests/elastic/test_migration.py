@@ -10,7 +10,6 @@ from repro.core import Host
 from repro.dsps import PlatformConfig, StreamPlatform, two_level_trace
 from repro.elastic import (
     MigrationAction,
-    MigrationConfig,
     MigrationEngine,
     MigrationPlan,
 )
@@ -70,10 +69,6 @@ class TestActions:
             MigrationAction(kind="add", pe="pe1")
         with pytest.raises(SimulationError):
             MigrationAction(kind="rescale", pe="pe1", parallelism=0)
-
-    def test_config_validation(self):
-        with pytest.raises(SimulationError):
-            MigrationConfig(dual_window=-1.0)
 
 
 class TestMoveProtocol:

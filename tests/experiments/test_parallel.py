@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.cluster import run_cluster_experiment
+from repro.experiments.cluster import BASE_SEED, run_cluster_experiment
 from repro.experiments.ftsearch_study import run_ftsearch_study
 from repro.experiments.parallel import (
     FabricProfile,
@@ -109,7 +109,7 @@ _TINY = ExperimentScale(
 def _tiny_corpus():
     return generate_corpus(
         _TINY.corpus_size,
-        _TINY.base_seed,
+        BASE_SEED,
         params=GeneratorParams(n_pes=6, tuple_budget=2000.0),
         cluster=ClusterParams(n_hosts=3, cores_per_host=4),
     )
@@ -234,12 +234,13 @@ def test_observed_event_streams_bit_identical_across_jobs(observed_inputs):
     """The telemetry determinism contract: JSONL event streams from the
     observed runs are byte-identical at any worker count, because every
     event is stamped in simulated time."""
-    from repro.obs.runner import run_observed_modes
+    from repro.obs.runner import ObservedRunSpec, run_observed_modes
 
     bundle, strategy = observed_inputs
-    kwargs = dict(modes=("none", "crash"), duration=8.0, seed=3)
-    serial = run_observed_modes(bundle, strategy, jobs=1, **kwargs)
-    parallel = run_observed_modes(bundle, strategy, jobs=4, **kwargs)
+    spec = ObservedRunSpec(bundle, strategy, duration=8.0, seed=3)
+    modes = ("none", "crash")
+    serial = run_observed_modes(spec, modes, jobs=1)
+    parallel = run_observed_modes(spec, modes, jobs=4)
 
     assert [r["mode"] for r in serial] == ["none", "crash"]
     for a, b in zip(serial, parallel):

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentScale, StudyScale, clear_cache
+from repro.experiments import ExperimentScale, StudyScale
 from repro.experiments.report_all import generate_report
 
 
 @pytest.fixture(scope="module")
 def tiny_report(tmp_path_factory):
-    clear_cache()
     cluster_scale = ExperimentScale(
         corpus_size=2,
         crash_corpus_size=1,
@@ -29,8 +28,7 @@ def tiny_report(tmp_path_factory):
     text = generate_report(
         path=path, cluster_scale=cluster_scale, study_scale=study_scale
     )
-    yield path, text
-    clear_cache()
+    return path, text
 
 
 class TestGenerateReport:

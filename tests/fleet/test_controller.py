@@ -13,19 +13,16 @@ from repro.fleet.controller import (
     scale_configuration_space,
     scale_descriptor_rates,
 )
-from repro.fleet.scenario import FleetScenarioParams, tenant_application
+from repro.fleet.scenario import tenant_application
 from repro.obs import Telemetry
 
 BRONZE = TenantClass("bronze", ic_target=0.3)
 GOLD = TenantClass("gold", ic_target=0.6)
 IMPOSSIBLE = TenantClass("impossible", ic_target=1.0)
 
-PARAMS = FleetScenarioParams(tenants=1)
-
-
 @pytest.fixture(scope="module")
 def app():
-    return tenant_application(PARAMS, PARAMS.base_seed)
+    return tenant_application(7)
 
 
 def spec(app, name="t0", tenant_class=BRONZE):

@@ -164,10 +164,6 @@ class TestMemoCensus:
             {"base_seed": 8},
             {"n_pes": 5},
             {"n_hosts": 5},
-            {"cores_per_host": 5},
-            {"cycles_per_core": 2.0e9},
-            {"high_fraction": 0.4},
-            {"quiescence": 0.5},
         ):
             changed = tenant_app(dataclasses.replace(base, **change), 0)
             assert changed is not reference, change

@@ -14,7 +14,13 @@ import pytest
 
 from repro.experiments.parallel import FabricProfile
 from repro.fleet.report import render_fleet_report
-from repro.fleet.scenario import FleetScenarioParams, run_fleet_scenario
+from repro.fleet.scenario import (
+    ARRIVAL_SPACING,
+    CHECK_SPACING,
+    DRIFT_CHECKS,
+    FleetScenarioParams,
+    run_fleet_scenario,
+)
 from repro.fleet.store import StrategyStore
 from repro.obs.validate import validate_lines
 
@@ -59,8 +65,7 @@ class TestScenario:
             for line in small_result.events_jsonl.splitlines()
         ]
         horizon = (
-            params.tenants * params.arrival_spacing
-            + params.drift_checks * params.check_spacing
+            params.tenants * ARRIVAL_SPACING + DRIFT_CHECKS * CHECK_SPACING
         )
         assert all(0.0 <= t <= horizon for t in times)
 

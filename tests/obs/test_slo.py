@@ -76,8 +76,6 @@ class TestSloConfig:
             {"burn_threshold": 0.0},
             {"fast_windows": 0},
             {"fast_windows": 3, "slow_windows": 2},
-            {"ic_target": 0.0},
-            {"ic_target": 1.5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

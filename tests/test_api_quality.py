@@ -6,9 +6,11 @@ documented; these tests make that a hard requirement instead of a hope.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +76,109 @@ def test_top_level_packages_importable():
 def test_version_exported():
     assert isinstance(repro.__version__, str)
     assert repro.__version__.count(".") == 2
+
+
+# ----------------------------------------------------------------------
+# Every option has a setter
+# ----------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+OPTION_SUFFIXES = ("Config", "Params", "Policy", "Spec", "Scale")
+SETTER_ROOTS = ("src", "benchmarks", "examples")
+
+#: Options nothing under ``SETTER_ROOTS`` sets, and why each is still an
+#: option. An entry whose field has a setter (or is gone) fails too.
+UNSET_OPTIONS = {
+    "AutoscalerPolicy.tick": (
+        "the idle-probe property draws it to race ticks against crashes"
+    ),
+    "CampaignSpec.rack_size": (
+        "artifact format; moves onto Host.domain with ROADMAP item 1"
+    ),
+    "DataplaneParams.phases": (
+        "the sharing property draws it to vary which tenants overlap"
+    ),
+    "DataplaneParams.chaos_downtime": (
+        "the sharing property shortens it to fit drawn 6 s runs"
+    ),
+    "GeneratorParams.degree_range": "the paper's published generator table",
+    "GeneratorParams.selectivity_range": (
+        "the paper's published generator table"
+    ),
+    "GeneratorParams.rate_ratio_range": (
+        "the paper's published generator table"
+    ),
+    "GeneratorParams.low_utilization": (
+        "the paper's published generator table"
+    ),
+    "GeneratorParams.max_attempts": "the paper's published generator table",
+    "SloConfig.burn_threshold": (
+        "tests reach the alert rule's edges through it"
+    ),
+    "SloConfig.fast_windows": "tests reach the alert rule's edges through it",
+    "SloConfig.slow_windows": "tests reach the alert rule's edges through it",
+    "StudyScale.host_range": "tests shrink the study to seconds with it",
+    "StudyScale.pes_per_host_range": (
+        "tests shrink the study to seconds with it"
+    ),
+}
+
+
+def _is_option_class(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.ClassDef)
+        and node.name.endswith(OPTION_SUFFIXES)
+        and any(
+            "frozen=True" in ast.unparse(d)
+            for d in node.decorator_list
+        )
+    )
+
+
+def _census() -> tuple[set[str], set[str]]:
+    """``(options, keywords)``: every ``Class.field`` of a frozen option
+    dataclass under ``src/repro``, and every name passed by keyword (or
+    as a key of a ``**{...}`` literal) in a call under ``SETTER_ROOTS``
+    — outside the option classes' own field declarations and
+    ``__post_init__``, which read a field and never set one."""
+    options: set[str] = set()
+    keywords: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    keywords.add(keyword.arg)
+                elif isinstance(keyword.value, ast.Dict):
+                    keywords.update(
+                        key.value
+                        for key in keyword.value.keys
+                        if isinstance(key, ast.Constant)
+                    )
+        for child in ast.iter_child_nodes(node):
+            if _is_option_class(node):
+                if isinstance(child, ast.AnnAssign):
+                    options.add(f"{node.name}.{child.target.id}")
+                    continue
+                if getattr(child, "name", None) == "__post_init__":
+                    continue
+            visit(child)
+
+    for root in SETTER_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            visit(ast.parse(path.read_text(), filename=str(path)))
+    return options, keywords
+
+
+def test_every_option_has_a_setter():
+    """A config field no caller sets is a constant written as a knob."""
+    options, keywords = _census()
+    unset = {
+        option for option in options if option.split(".")[1] not in keywords
+    }
+    assert sorted(unset - set(UNSET_OPTIONS)) == [], (
+        "options nothing sets: make them constants beside their reader"
+    )
+    assert sorted(set(UNSET_OPTIONS) - unset) == [], (
+        "exempted options that have a setter or no longer exist"
+    )

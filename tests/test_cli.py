@@ -164,21 +164,14 @@ class TestEvaluateVerbose:
 
 class TestExperimentCommand:
     def test_fig4_renders_at_tiny_scale(self, monkeypatch, capsys):
-        from repro.experiments import clear_cache
-
-        clear_cache()
         monkeypatch.setenv("REPRO_STUDY_SIZE", "2")
         monkeypatch.setenv("REPRO_STUDY_TIME_LIMIT", "0.3")
         code = main(["experiment", "fig4"])
-        clear_cache()
         assert code == 0
         out = capsys.readouterr().out
         assert "Fig. 4" in out
 
     def test_all_writes_report(self, monkeypatch, capsys, tmp_path):
-        from repro.experiments import clear_cache
-
-        clear_cache()
         monkeypatch.setenv("REPRO_STUDY_SIZE", "2")
         monkeypatch.setenv("REPRO_STUDY_TIME_LIMIT", "0.3")
         monkeypatch.setenv("REPRO_CORPUS_SIZE", "1")
@@ -187,7 +180,6 @@ class TestExperimentCommand:
         monkeypatch.setenv("REPRO_FT_TIME_LIMIT", "1.0")
         report = tmp_path / "REPORT.md"
         code = main(["experiment", "all", "--out", str(report)])
-        clear_cache()
         assert code == 0
         assert "Fig. 12" in report.read_text()
 
