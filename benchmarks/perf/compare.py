@@ -85,12 +85,6 @@ HEADLINE = {
             ),
         ),
     ],
-    "BENCH_lint": [
-        (
-            "files_per_sec",
-            lambda report: report.get("files_per_sec"),
-        ),
-    ],
 }
 
 

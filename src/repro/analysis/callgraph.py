@@ -1,51 +1,44 @@
-"""Project-wide call graph over the scanned tree (pass 2 substrate).
+"""Project-wide call resolution over the scanned tree (pass 2 substrate).
 
 Pass 1 gives every file a :class:`~repro.analysis.facts.FileFacts`;
 this module merges them into one :class:`CallGraph`: every function and
-class definition indexed by dotted qualname, plus every call site with
-its resolved callee. The effect inference (:mod:`repro.analysis.effects`)
-and the interprocedural rules (R1/R2/R3 at call sites, R10 fabric
-hygiene) are consumers.
+class indexed by dotted qualname, the re-export chains through package
+``__init__`` files, and the type of a receiver expression where it can
+be named. It holds the nodes and answers the questions that resolve a
+call; no edge list is materialised, because the one consumer, fabric
+hygiene (R10), asks about a handful of call sites: which function does
+this ``run_tasks`` call submit, is this ``.map`` a
+``PersistentPool.map``, and which class does the worker's payload
+annotation denote — in whatever module each lives.
 
-Resolution is deliberately *syntactic* and layered — no file under
-analysis is ever imported:
+Resolution is deliberately *syntactic* — no file under analysis is ever
+imported — and under-approximate: a name that cannot be resolved yields
+``None``, never a guess.
 
-1. **direct** — a bare name naming a function defined in the same
-   module (or the lexically enclosing function, for nested defs);
-2. **alias** — ``from``-import and module-import aliases, followed
-   through package re-exports (``from repro.core.optimizer import
-   ft_search`` resolves to ``repro.core.optimizer.ftsearch.ft_search``
-   through the package ``__init__``);
-3. **constructor** — a resolved class name called as a constructor
-   binds to its ``__init__`` when one is defined in the scan;
-4. **self** — ``self.method()`` binds within the enclosing class
-   (base-class methods are a known blind spot);
-5. **receiver** — ``obj.method()`` through the inferred type of
-   ``obj``: parameter/variable annotations, assignment from a resolved
-   constructor or from a call whose return annotation names a scanned
-   class, ``with ... as`` bindings, and one level of annotated
-   attribute access (``session.pool.map``);
-6. **unique** — a method call on a receiver of *unknown* type falls
-   back to the method name when exactly one scanned class defines it.
-   A receiver whose type resolved to something *external* (e.g. a
-   ``ProcessPoolExecutor``) blocks this fallback: known-foreign is not
-   unknown.
-
-Unresolved calls produce no edge — the analysis is deliberately
-under-approximate, and docs/static-analysis.md lists the blind spots.
+* names go through ``from``-import and module-import aliases, followed
+  through package re-exports (``from repro.core.optimizer import
+  ft_search`` resolves to ``repro.core.optimizer.ftsearch.ft_search``);
+* a receiver's type comes from parameter/variable annotations,
+  assignment from a resolved constructor or from a call whose return
+  annotation names a scanned class, and one level of annotated
+  attribute access — what the tree's one ``PersistentPool.map`` site
+  takes (``session = _get_session(jobs)``, ``_Session.pool:
+  PersistentPool``, ``session.pool.map(...)``);
+* a type that resolves to a dotted name *outside* the scan (e.g. a
+  ``ProcessPoolExecutor``) is marked ``external:`` — known-foreign is
+  not unknown.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.analysis.facts import FileFacts, resolve_call_target
+from repro.analysis.facts import FileFacts, resolve_call_target, walk_scope
 
 __all__ = [
     "CallGraph",
-    "CallSite",
     "ClassInfo",
     "FuncInfo",
     "build_call_graph",
@@ -53,9 +46,9 @@ __all__ = [
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Receiver types resolved to a dotted name outside the scan are marked
-#: with this prefix: they carry enough information to *block* the
-#: unique-name fallback without ever matching a scanned class.
+#: Types resolved to a dotted name outside the scan are marked with
+#: this prefix: enough to compare against a known foreign class without
+#: ever matching a scanned one.
 EXTERNAL = "external:"
 
 
@@ -64,9 +57,6 @@ class FuncInfo:
     """One function or method definition in the scanned tree."""
 
     qualname: str
-    module: str
-    file: str
-    line: int
     name: str
     class_qualname: Optional[str]
     is_nested: bool
@@ -77,61 +67,35 @@ class FuncInfo:
     def is_method(self) -> bool:
         return self.class_qualname is not None
 
-    @property
-    def is_top_level(self) -> bool:
-        return not self.is_nested and self.class_qualname is None
-
 
 @dataclass
 class ClassInfo:
-    """One class definition: methods, annotated attributes, decorators."""
+    """One class definition in the scanned tree."""
 
-    qualname: str
-    module: str
-    file: str
-    line: int
     name: str
     node: ast.ClassDef
     facts: FileFacts
-    methods: dict[str, FuncInfo] = field(default_factory=dict)
-    #: Attribute name -> resolved type (class qualname or external:...).
-    attr_types: dict[str, str] = field(default_factory=dict)
-    #: Attribute name -> raw annotation node, for primitive-tag
-    #: inference (typed R4). Strict-gated like ``attr_types``.
-    attr_annotations: dict[str, ast.expr] = field(default_factory=dict)
 
-
-@dataclass
-class CallSite:
-    """One resolved call edge: caller scope, callee, position."""
-
-    caller: str  # enclosing function qualname, or the module for
-    # module-level calls
-    callee: str  # resolved function/method qualname
-    file: str
-    line: int
-    col: int
-    resolution: str  # direct | alias | constructor | self | receiver
-    # | unique
-    node: ast.Call = field(repr=False)
+    def attr_annotation(self, attr: str) -> Optional[ast.expr]:
+        """The class-body annotation of ``attr``, if it has one."""
+        for stmt in self.node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(
+                stmt.target, ast.Name
+            ):
+                if stmt.target.id == attr:
+                    return stmt.annotation
+        return None
 
 
 class CallGraph:
-    """Merged definitions and resolved call edges for one scan."""
+    """Merged definitions and call-resolution queries for one scan."""
 
-    def __init__(self, strict_prefixes: tuple[str, ...] = ()) -> None:
+    def __init__(self) -> None:
         self.functions: dict[str, FuncInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.call_sites: list[CallSite] = []
-        self.calls_from: dict[str, list[CallSite]] = {}
-        self.callers_of: dict[str, list[CallSite]] = {}
         #: ``module.bound -> absolute target`` for every from-import,
         #: giving re-export chains through package ``__init__`` files.
         self.reexports: dict[str, str] = {}
-        self._methods_by_name: dict[str, list[str]] = {}
-        #: Module prefixes whose annotations are mypy-strict-gated; only
-        #: their class attribute annotations are trusted for inference.
-        self.strict_prefixes = strict_prefixes
         self._scope_types: dict[str, dict[str, str]] = {}
 
     # ------------------------------------------------------------------
@@ -148,7 +112,7 @@ class CallGraph:
         facts: FileFacts,
         body: list[ast.stmt],
         scope: str,
-        class_info: Optional[ClassInfo],
+        class_qualname: Optional[str],
         nested: bool,
     ) -> None:
         for stmt in body:
@@ -156,56 +120,20 @@ class CallGraph:
                 qualname = f"{scope}.{stmt.name}"
                 info = FuncInfo(
                     qualname=qualname,
-                    module=facts.module,
-                    file=facts.file,
-                    line=stmt.lineno,
                     name=stmt.name,
-                    class_qualname=(
-                        class_info.qualname if class_info else None
-                    ),
+                    class_qualname=class_qualname,
                     is_nested=nested,
                     node=stmt,
                     facts=facts,
                 )
                 self.functions.setdefault(qualname, info)
-                if class_info is not None:
-                    class_info.methods.setdefault(stmt.name, info)
-                    self._methods_by_name.setdefault(stmt.name, []).append(
-                        qualname
-                    )
                 self._index_body(facts, stmt.body, qualname, None, True)
             elif isinstance(stmt, ast.ClassDef):
                 qualname = f"{scope}.{stmt.name}"
-                cinfo = ClassInfo(
-                    qualname=qualname,
-                    module=facts.module,
-                    file=facts.file,
-                    line=stmt.lineno,
-                    name=stmt.name,
-                    node=stmt,
-                    facts=facts,
+                self.classes.setdefault(
+                    qualname, ClassInfo(stmt.name, stmt, facts)
                 )
-                self.classes.setdefault(qualname, cinfo)
-                self._index_class_attrs(facts, cinfo)
-                self._index_body(facts, stmt.body, qualname, cinfo, nested)
-
-    def _index_class_attrs(self, facts: FileFacts, info: ClassInfo) -> None:
-        if not self._is_strict_module(facts.module):
-            return
-        for stmt in info.node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                info.attr_annotations[stmt.target.id] = stmt.annotation
-                resolved = self.annotation_type(facts, stmt.annotation)
-                if resolved is not None:
-                    info.attr_types[stmt.target.id] = resolved
-
-    def _is_strict_module(self, module: str) -> bool:
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.strict_prefixes
-        )
+                self._index_body(facts, stmt.body, qualname, qualname, nested)
 
     def enclosing_function(
         self, facts: FileFacts, node: ast.AST
@@ -289,7 +217,7 @@ class CallGraph:
             resolved = self.annotation_type(info.facts, arg.annotation)
             if resolved is not None:
                 types[arg.arg] = resolved
-        for node in self._walk_scope(info.node):
+        for node in walk_scope(info.node):
             if isinstance(node, ast.AnnAssign) and isinstance(
                 node.target, ast.Name
             ):
@@ -302,14 +230,6 @@ class CallGraph:
                     resolved = self._value_type(info.facts, node.value)
                     if resolved is not None:
                         types[target.id] = resolved
-            elif isinstance(node, ast.With) or isinstance(node, ast.AsyncWith):
-                for item in node.items:
-                    if isinstance(item.optional_vars, ast.Name):
-                        resolved = self._value_type(
-                            info.facts, item.context_expr
-                        )
-                        if resolved is not None:
-                            types[item.optional_vars.id] = resolved
         self._scope_types[info.qualname] = types
         return types
 
@@ -332,29 +252,12 @@ class CallGraph:
                 return f"{EXTERNAL}{dotted}"
         return None
 
-    @staticmethod
-    def _walk_scope(root: FunctionNode) -> list[ast.AST]:
-        """Every node of one function body, nested defs excluded."""
-        found: list[ast.AST] = []
-        stack: list[ast.AST] = list(root.body)
-        while stack:
-            node = stack.pop()
-            found.append(node)
-            for child in ast.iter_child_nodes(node):
-                if isinstance(
-                    child,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-                ):
-                    continue
-                stack.append(child)
-        return found
-
     # ------------------------------------------------------------------
-    # Call-site resolution
+    # Receiver types
     # ------------------------------------------------------------------
 
     def receiver_type(
-        self, info: Optional[FuncInfo], facts: FileFacts, node: ast.expr
+        self, info: Optional[FuncInfo], node: ast.expr
     ) -> Optional[str]:
         """The resolved type of a method-call receiver expression."""
         if isinstance(node, ast.Name):
@@ -363,113 +266,23 @@ class CallGraph:
                 if scoped is not None:
                     return scoped
             return None
-        if isinstance(node, ast.Call):
-            return self._value_type(facts, node)
         if isinstance(node, ast.Attribute):
-            base = self.receiver_type(info, facts, node.value)
+            base = self.receiver_type(info, node.value)
             if base is None and isinstance(node.value, ast.Name):
                 if node.value.id == "self" and info is not None:
                     base = info.class_qualname
             if base is not None and base in self.classes:
-                return self.classes[base].attr_types.get(node.attr)
+                owner = self.classes[base]
+                return self.annotation_type(
+                    owner.facts, owner.attr_annotation(node.attr)
+                )
             return None
         return None
 
-    def _resolve_call(
-        self,
-        facts: FileFacts,
-        info: Optional[FuncInfo],
-        call: ast.Call,
-    ) -> Optional[tuple[str, str]]:
-        """``(callee qualname, resolution kind)`` for one call, if any."""
-        func = call.func
-        dotted = resolve_call_target(facts, func)
-        if dotted is not None:
-            resolved = self.resolve_export(dotted)
-            kind = "direct" if "." not in resolved else "alias"
-            for candidate in (resolved, f"{facts.module}.{resolved}"):
-                if candidate in self.functions:
-                    return candidate, kind
-                if candidate in self.classes:
-                    init = self.classes[candidate].methods.get("__init__")
-                    if init is not None:
-                        return init.qualname, "constructor"
-                    return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        method = func.attr
-        receiver = func.value
-        if isinstance(receiver, ast.Name) and receiver.id == "self":
-            if info is not None and info.class_qualname is not None:
-                owner = self.classes.get(info.class_qualname)
-                if owner is not None and method in owner.methods:
-                    return owner.methods[method].qualname, "self"
-                return None
-        rtype = self.receiver_type(info, facts, receiver)
-        if rtype is not None and rtype in self.classes:
-            target = self.classes[rtype].methods.get(method)
-            if target is not None:
-                return target.qualname, "receiver"
-            return None
-        if rtype is not None and rtype.startswith(EXTERNAL):
-            return None  # known-foreign receiver: no fallback
-        candidates = self._methods_by_name.get(method, [])
-        if len(candidates) == 1:
-            return candidates[0], "unique"
-        return None
 
-    def _link_file(self, facts: FileFacts) -> None:
-        # Map every call node to its lexically enclosing function.
-        owners: dict[int, Optional[FuncInfo]] = {}
-
-        def assign_owner(
-            body: list[ast.stmt], owner: Optional[FuncInfo], scope: str
-        ) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    inner = self.functions.get(f"{scope}.{stmt.name}")
-                    assign_owner(stmt.body, inner, f"{scope}.{stmt.name}")
-                    for deco in stmt.decorator_list:
-                        for node in ast.walk(deco):
-                            owners[id(node)] = owner
-                elif isinstance(stmt, ast.ClassDef):
-                    assign_owner(stmt.body, owner, f"{scope}.{stmt.name}")
-                else:
-                    for node in ast.walk(stmt):
-                        owners[id(node)] = owner
-
-        assign_owner(facts.tree.body, None, facts.module)
-        for node in ast.walk(facts.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            info = owners.get(id(node))
-            resolved = self._resolve_call(facts, info, node)
-            if resolved is None:
-                continue
-            callee, how = resolved
-            site = CallSite(
-                caller=info.qualname if info else facts.module,
-                callee=callee,
-                file=facts.file,
-                line=node.lineno,
-                col=node.col_offset,
-                resolution=how,
-                node=node,
-            )
-            self.call_sites.append(site)
-            self.calls_from.setdefault(site.caller, []).append(site)
-            self.callers_of.setdefault(site.callee, []).append(site)
-
-
-def build_call_graph(
-    all_facts: list[FileFacts],
-    strict_prefixes: tuple[str, ...] = (),
-) -> CallGraph:
-    """Index every file, then resolve every call site."""
-    graph = CallGraph(strict_prefixes=strict_prefixes)
+def build_call_graph(all_facts: list[FileFacts]) -> CallGraph:
+    """Index every function, class and re-export of the scan."""
+    graph = CallGraph()
     for facts in all_facts:
         graph._index_file(facts)
-    for facts in all_facts:
-        graph._link_file(facts)
-    graph.call_sites.sort(key=lambda s: (s.file, s.line, s.col, s.callee))
     return graph

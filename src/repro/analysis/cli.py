@@ -3,12 +3,6 @@
 Exit status: 0 when the tree is clean, 1 when any finding (or parse
 error) survives suppression, 2 on usage/configuration errors — the same
 contract as the event-stream validator, so CI treats both uniformly.
-
-``--smoke`` runs the self-test against the checked-in fixture corpus
-(``tests/analysis/fixtures``): the ``bad`` tree must trip every rule,
-the ``good`` tree must come back clean. CI runs it so a regression in
-the linter itself — a rule that silently stops firing — fails the build
-even before the fixture unit tests run.
 """
 
 from __future__ import annotations
@@ -21,10 +15,7 @@ from typing import Optional, Sequence
 from repro.analysis.engine import run_analysis
 from repro.analysis.rules import RULES
 
-__all__ = ["build_parser", "main", "run_smoke"]
-
-#: Fixture corpus location, relative to the working directory (repo root).
-FIXTURES = Path("tests/analysis/fixtures")
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Determinism & event-schema linter: whole-program checks"
-            " R1..R10 over the given files or directories."
+            "Determinism & event-schema linter: rules R1..R10 over the"
+            " given files or directories."
         ),
     )
     parser.add_argument(
@@ -44,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="stdout format (default: text diagnostics + summary)",
     )
@@ -52,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         help="also write the canonical JSON report to this file",
-    )
-    parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="FILE",
-        help="also write a SARIF 2.1.0 log to this file (CI upload)",
     )
     parser.add_argument(
         "--allowlist",
@@ -69,48 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="self-test against the fixture corpus and exit",
-    )
     return parser
-
-
-def run_smoke(fixtures: Path = FIXTURES) -> int:
-    """Fixture-corpus self-test; returns a process exit code."""
-    bad = fixtures / "bad"
-    good = fixtures / "good"
-    if not bad.is_dir() or not good.is_dir():
-        print(f"error: fixture corpus not found under {fixtures}")
-        return 2
-    failures: list[str] = []
-
-    bad_report = run_analysis([bad], allowlist_path=fixtures / "missing")
-    fired = {d.rule for d in bad_report.diagnostics}
-    for rule in RULES:
-        if rule.rule_id not in fired:
-            failures.append(
-                f"rule {rule.rule_id} ({rule.name}) did not fire on the"
-                " bad corpus"
-            )
-
-    good_report = run_analysis([good], allowlist_path=fixtures / "missing")
-    for diagnostic in good_report.diagnostics:
-        failures.append(f"good corpus not clean: {diagnostic.render()}")
-    for error in good_report.errors + bad_report.errors:
-        failures.append(f"fixture parse error: {error}")
-
-    if failures:
-        for failure in failures:
-            print(failure)
-        print(f"smoke: FAIL ({len(failures)} problem(s))")
-        return 1
-    print(
-        f"smoke: OK — all {len(RULES)} rules fire on the bad corpus"
-        f" ({len(bad_report.diagnostics)} findings), good corpus clean"
-    )
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -124,9 +68,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule.rule_id}  {rule.name:<20} [{scope}] {rule.summary}")
         return 0
 
-    if args.smoke:
-        return run_smoke()
-
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -139,16 +80,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.out is not None:
         Path(args.out).write_text(report.to_json())
-    if args.sarif is not None:
-        from repro.analysis.sarif import render_sarif
-
-        Path(args.sarif).write_text(render_sarif(report))
     if args.format == "json":
         sys.stdout.write(report.to_json())
-    elif args.format == "sarif":
-        from repro.analysis.sarif import render_sarif
-
-        sys.stdout.write(render_sarif(report))
     else:
         print(report.render_text())
     return 0 if report.ok else 1

@@ -1,68 +1,32 @@
-"""Effect inference: intrinsic nondeterminism sites and taint chains.
+"""The nondeterminism classifiers behind R1, R2 and R3.
 
-Three effect kinds form the taint lattice (absent < present, one bit
-per kind, joined over call edges):
+Three kinds of primitive make a run depend on something other than its
+inputs, and each has one classifier here, consumed by the rule of the
+same subject in :mod:`repro.analysis.rules`:
 
-* ``wall-clock`` — the function reads host time (R1's subject);
-* ``unseeded-rng`` — it draws OS entropy or global RNG state (R2);
-* ``iteration-order`` — it iterates a set on an ordering-sensitive
-  position (R3).
+* wall-clock reads (R1) — ``time.time()`` and friends, including calls
+  through a local alias;
+* entropy and unseeded or module-level RNGs (R2);
+* iteration over a set on an ordering-sensitive position (R3).
 
-This module owns the *classifiers* for those primitives — the single
-source of truth shared by the local rules in
-:mod:`repro.analysis.rules` and by the interprocedural pass — and the
-propagation itself: every function's intrinsic sites are collected,
-then taints flow from callee to caller over the call graph until a
-fixed point, keeping the lexicographically-shortest witness chain per
-(function, kind) so diagnostics are deterministic.
-
-**Budget-confined wall-clock reads do not propagate.** A read whose
-value is only ever compared (``time.monotonic() > deadline``) or
-assigned to locals that are themselves only compared or arithmetically
-folded into other such locals enforces a time budget without letting
-host time reach a result, an event payload, or a digest — the exact
-carve-out the allowlist grants the optimizer's ``time_limit`` plumbing.
-A read that escapes any other way (returned, stored on ``self``,
-passed as an argument, put in a container) taints the function.
-
-Suppressing an intrinsic site (inline or via the allowlist) does *not*
-clear the taint: the waiver covers the site itself, not every sim-path
-caller two hops away. That asymmetry is the point of the pass.
+Every classifier is per file and purely syntactic: a finding lands on
+the line of the primitive itself.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.analysis.callgraph import CallGraph, FuncInfo
 from repro.analysis.facts import FileFacts, resolve_call_target
 
 __all__ = [
-    "EffectAnalysis",
-    "KIND_ITERATION",
-    "KIND_RNG",
-    "KIND_RULES",
-    "KIND_WALLCLOCK",
-    "PrimitiveSite",
-    "TaintStep",
     "classify_unseeded",
     "iter_iteration_sites",
+    "iter_unseeded_calls",
     "iter_wallclock_calls",
     "wallclock_aliases",
 ]
-
-KIND_WALLCLOCK = "wall-clock"
-KIND_RNG = "unseeded-rng"
-KIND_ITERATION = "iteration-order"
-
-#: Effect kind -> the rule that fires at a tainted sim-path call site.
-KIND_RULES: dict[str, str] = {
-    KIND_WALLCLOCK: "R1",
-    KIND_RNG: "R2",
-    KIND_ITERATION: "R3",
-}
 
 # ----------------------------------------------------------------------
 # Wall-clock primitives (R1's subject)
@@ -103,15 +67,10 @@ def wallclock_aliases(facts: FileFacts) -> dict[str, str]:
     return aliases
 
 
-def iter_wallclock_calls(
-    facts: FileFacts,
-    root: Optional[ast.AST] = None,
-    aliases: Optional[dict[str, str]] = None,
-) -> Iterator[tuple[ast.Call, str]]:
-    """Every wall-clock read under ``root`` (default: the whole file)."""
-    if aliases is None:
-        aliases = wallclock_aliases(facts)
-    for node in ast.walk(root if root is not None else facts.tree):
+def iter_wallclock_calls(facts: FileFacts) -> Iterator[tuple[ast.Call, str]]:
+    """Every wall-clock read in the file, with its resolved target."""
+    aliases = wallclock_aliases(facts)
+    for node in ast.walk(facts.tree):
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(facts, node.func)
@@ -196,19 +155,16 @@ def classify_unseeded(
     return None
 
 
-def iter_unseeded_calls(
-    facts: FileFacts, root: Optional[ast.AST] = None
-) -> Iterator[tuple[ast.Call, str, str]]:
-    """``(node, target, message)`` for every R2-positive call."""
-    for node in ast.walk(root if root is not None else facts.tree):
+def iter_unseeded_calls(facts: FileFacts) -> Iterator[tuple[ast.Call, str]]:
+    """``(node, message)`` for every R2-positive call in the file."""
+    for node in ast.walk(facts.tree):
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(facts, node.func)
         has_seed_arg = bool(node.args) or bool(node.keywords)
         message = classify_unseeded(target, has_seed_arg)
         if message is not None:
-            assert target is not None
-            yield node, target, message
+            yield node, message
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +174,7 @@ def iter_unseeded_calls(
 _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference"}
 )
+_SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate"})
 _ORDER_NEUTRAL_WRAPPERS = frozenset(
     {"sorted", "len", "min", "max", "sum", "any", "all", "set", "frozenset"}
@@ -257,6 +214,11 @@ def _is_set_expr(node: ast.expr, set_names: set[str]) -> bool:
                 return True
             if func.attr in _SET_METHODS:
                 return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS):
+        # ``set(a) - set(b)``: the operator forms of the methods above.
+        return _is_set_expr(node.left, set_names) or _is_set_expr(
+            node.right, set_names
+        )
     return False
 
 
@@ -275,17 +237,11 @@ def _sorted_ancestor(facts: FileFacts, node: ast.AST) -> bool:
     return False
 
 
-def iter_iteration_sites(
-    facts: FileFacts,
-    root: Optional[ast.AST] = None,
-    set_names: Optional[set[str]] = None,
-) -> Iterator[tuple[ast.expr, str]]:
+def iter_iteration_sites(facts: FileFacts) -> Iterator[tuple[ast.expr, str]]:
     """``(node, context)`` for every unsorted ordering-sensitive set
-    iteration under ``root`` (default: the whole file)."""
-    scope = root if root is not None else facts.tree
-    if set_names is None:
-        set_names = _set_typed_names(facts.tree)
-    for node in ast.walk(scope):
+    iteration in the file."""
+    set_names = _set_typed_names(facts.tree)
+    for node in ast.walk(facts.tree):
         if isinstance(node, ast.For):
             if _is_set_expr(node.iter, set_names):
                 if not _sorted_ancestor(facts, node.iter):
@@ -305,266 +261,3 @@ def iter_iteration_sites(
                 if _is_set_expr(node.args[0], set_names):
                     if not _sorted_ancestor(facts, node.args[0]):
                         yield node.args[0], f"passed to {name or 'join'}()"
-
-
-# ----------------------------------------------------------------------
-# Budget confinement: wall-clock reads that never escape a comparison
-# ----------------------------------------------------------------------
-
-_FOLD_NODES = (ast.BinOp, ast.UnaryOp, ast.IfExp, ast.BoolOp)
-
-
-def _enclosing_statement(
-    facts: FileFacts, node: ast.AST
-) -> Optional[ast.stmt]:
-    current: Optional[ast.AST] = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = facts.parent_of(current)
-    return current if isinstance(current, ast.stmt) else None
-
-
-def _compare_guarded(facts: FileFacts, node: ast.AST) -> bool:
-    """True when ``node`` only feeds a comparison within its statement."""
-    for ancestor in facts.ancestors(node):
-        if isinstance(ancestor, ast.Compare):
-            return True
-        if isinstance(ancestor, ast.stmt):
-            return False
-        if not isinstance(ancestor, _FOLD_NODES):
-            return False
-    return False
-
-
-def _fold_target(facts: FileFacts, node: ast.AST) -> Optional[str]:
-    """The local name this value folds into, if the whole path from the
-    use to the assignment passes only through arithmetic/conditional
-    operators (``deadline = start + limit`` keeps ``deadline`` in the
-    budget-tracked set)."""
-    for ancestor in facts.ancestors(node):
-        if isinstance(ancestor, (ast.BinOp, ast.UnaryOp, ast.IfExp)):
-            continue
-        if isinstance(ancestor, ast.Assign) and len(ancestor.targets) == 1:
-            target = ancestor.targets[0]
-            if isinstance(target, ast.Name):
-                return target.id
-        return None
-    return None
-
-
-def budget_confined(
-    facts: FileFacts, func_node: ast.AST, call: ast.Call
-) -> bool:
-    """Whether one wall-clock read is provably budget-only.
-
-    The read may feed comparisons and locals that themselves only feed
-    comparisons (transitively, through arithmetic folds). Any other
-    use — return, argument, attribute store, container — escapes.
-    """
-    if _compare_guarded(facts, call):
-        return True
-    statement = _enclosing_statement(facts, call)
-    if isinstance(statement, ast.Expr):
-        return True  # result discarded
-    tracked = _fold_target(facts, call)
-    if tracked is None:
-        return False
-    pending = [tracked]
-    confined: set[str] = set()
-    while pending:
-        name = pending.pop()
-        if name in confined:
-            continue
-        confined.add(name)
-        for node in ast.walk(func_node):
-            if not (isinstance(node, ast.Name) and node.id == name):
-                continue
-            if isinstance(node.ctx, ast.Store):
-                continue
-            if _compare_guarded(facts, node):
-                continue
-            folded = _fold_target(facts, node)
-            if folded is not None and folded != name:
-                pending.append(folded)
-                continue
-            # ``is None`` guards and plain re-assignment sources are
-            # comparisons/stores; anything else escapes.
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Intrinsic sites and propagation
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrimitiveSite:
-    """One intrinsic nondeterminism site inside one function."""
-
-    kind: str
-    line: int
-    col: int
-    detail: str  # e.g. ``time.monotonic`` or ``random.random``
-    budget_only: bool = False
-
-
-@dataclass(frozen=True)
-class TaintStep:
-    """One hop of a witness chain: what is called, and where."""
-
-    name: str
-    file: str
-    line: int
-
-    def render(self) -> str:
-        return f"{self.name} ({self.file}:{self.line})"
-
-
-Chain = tuple[TaintStep, ...]
-
-
-def _chain_key(chain: Chain) -> tuple[int, tuple[str, ...]]:
-    return len(chain), tuple(step.render() for step in chain)
-
-
-class EffectAnalysis:
-    """Per-function intrinsic sites plus propagated taint chains."""
-
-    def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
-        #: function qualname -> its intrinsic primitive sites.
-        self.intrinsic: dict[str, list[PrimitiveSite]] = {}
-        #: function qualname -> kind -> shortest witness chain. The
-        #: chain's first step is what the function itself calls; the
-        #: last step is the primitive read.
-        self.taints: dict[str, dict[str, Chain]] = {}
-        #: Per-file memos: alias maps and set-typed names are functions
-        #: of the whole file, so computing them per enclosed function
-        #: would make collection quadratic in file size.
-        self._aliases: dict[str, dict[str, str]] = {}
-        self._set_names: dict[str, set[str]] = {}
-        self._run()
-
-    # -- collection ----------------------------------------------------
-
-    def _file_memos(self, facts: FileFacts) -> tuple[dict[str, str], set[str]]:
-        if facts.file not in self._aliases:
-            self._aliases[facts.file] = wallclock_aliases(facts)
-            self._set_names[facts.file] = _set_typed_names(facts.tree)
-        return self._aliases[facts.file], self._set_names[facts.file]
-
-    def _collect_function(self, info: FuncInfo) -> list[PrimitiveSite]:
-        facts = info.facts
-        aliases, set_names = self._file_memos(facts)
-        nested_ranges = [
-            (child.lineno, child.end_lineno or child.lineno)
-            for child in ast.walk(info.node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and child is not info.node
-        ]
-
-        def owned(node: ast.AST) -> bool:
-            line = getattr(node, "lineno", None)
-            if line is None:
-                return False
-            return not any(
-                start <= line <= end for start, end in nested_ranges
-            )
-
-        sites: list[PrimitiveSite] = []
-        for call, target in iter_wallclock_calls(facts, info.node, aliases):
-            if not owned(call):
-                continue
-            sites.append(
-                PrimitiveSite(
-                    kind=KIND_WALLCLOCK,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    detail=target,
-                    budget_only=budget_confined(facts, info.node, call),
-                )
-            )
-        for call, target, _message in iter_unseeded_calls(facts, info.node):
-            if not owned(call):
-                continue
-            sites.append(
-                PrimitiveSite(
-                    kind=KIND_RNG,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    detail=target,
-                )
-            )
-        for expr, context in iter_iteration_sites(facts, info.node, set_names):
-            if not owned(expr):
-                continue
-            sites.append(
-                PrimitiveSite(
-                    kind=KIND_ITERATION,
-                    line=expr.lineno,
-                    col=expr.col_offset,
-                    detail=f"set iteration {context}",
-                )
-            )
-        sites.sort(key=lambda s: (s.line, s.col, s.kind))
-        return sites
-
-    # -- propagation ---------------------------------------------------
-
-    def _run(self) -> None:
-        for qualname, info in self.graph.functions.items():
-            sites = self._collect_function(info)
-            self.intrinsic[qualname] = sites
-            chains: dict[str, Chain] = {}
-            for site in sites:
-                if site.kind == KIND_WALLCLOCK and site.budget_only:
-                    continue
-                step = TaintStep(
-                    name=f"{site.detail}()"
-                    if site.kind != KIND_ITERATION
-                    else site.detail,
-                    file=info.file,
-                    line=site.line,
-                )
-                candidate: Chain = (step,)
-                held = chains.get(site.kind)
-                if held is None or _chain_key(candidate) < _chain_key(held):
-                    chains[site.kind] = candidate
-            if chains:
-                self.taints[qualname] = chains
-
-        # Fixed point: flow callee taints to callers, always keeping
-        # the (length, text)-minimal chain so reports are stable.
-        changed = True
-        while changed:
-            changed = False
-            for site in self.graph.call_sites:
-                callee_taints = self.taints.get(site.callee)
-                if not callee_taints:
-                    continue
-                caller = site.caller
-                if caller not in self.graph.functions:
-                    continue  # module-level call: nothing to taint
-                hop = TaintStep(
-                    name=site.callee, file=site.file, line=site.line
-                )
-                held_map = self.taints.setdefault(caller, {})
-                for kind, chain in callee_taints.items():
-                    candidate = (hop, *chain)
-                    if len(candidate) > 12:
-                        continue  # depth bound; cycles stay finite
-                    held = held_map.get(kind)
-                    if held is None or _chain_key(candidate) < _chain_key(
-                        held
-                    ):
-                        held_map[kind] = candidate
-                        changed = True
-
-    # -- queries -------------------------------------------------------
-
-    def taint_of(self, qualname: str) -> dict[str, Chain]:
-        """Every propagated effect of one function (empty if clean)."""
-        return self.taints.get(qualname, {})
-
-    def render_chain(self, chain: Chain) -> str:
-        return " -> ".join(step.render() for step in chain)

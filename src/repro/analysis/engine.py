@@ -3,10 +3,9 @@
 Pass 1 parses every file once (:func:`repro.analysis.facts.collect_facts`)
 and runs the per-file rules. Pass 2 merges the cross-module facts: the
 ``EVENT_SCHEMA`` table and every emit site feed the typed schema
-cross-check (R4), and the project-wide call graph
-(:mod:`repro.analysis.callgraph`) feeds the effect inference
-(:mod:`repro.analysis.effects`) and the whole-program rules — the
-interprocedural R1/R2/R3 boundary findings and R10 fabric hygiene.
+cross-check (R4), and the project-wide call resolution
+(:mod:`repro.analysis.callgraph`) lets fabric hygiene (R10) find a
+worker and its payload type in whatever module they live.
 Suppressions (inline allow comments and the allowlist file) are applied
 last, then audited: an allow comment that never absorbed a diagnostic
 is itself an R8 finding.
@@ -32,7 +31,6 @@ from repro.analysis.diagnostics import (
     parse_suppressions,
 )
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.effects import EffectAnalysis
 from repro.analysis.facts import (
     EmitSite,
     FileFacts,
@@ -42,8 +40,8 @@ from repro.analysis.facts import (
 from repro.analysis.rules import (
     RULE_IDS,
     RULES,
+    check_fabric_hygiene,
     check_file,
-    check_project,
     check_schema,
 )
 
@@ -51,24 +49,6 @@ __all__ = ["AnalysisReport", "run_analysis"]
 
 #: Default allowlist filename, discovered in the working directory.
 ALLOWLIST_NAME = "analysis-allowlist.txt"
-
-
-def _strict_prefixes() -> tuple[str, ...]:
-    """Module prefixes under the mypy-strict override (each ``x.*``
-    pattern is the prefix ``x``) — they gate which class annotations
-    the typed schema inference trusts — if ``pyproject.toml`` is
-    discoverable from the working directory (the repo root in CI)."""
-    # Imported here: ``python -m repro.analysis.typecheck`` must not find
-    # its module already loaded by the package import.
-    from repro.analysis.typecheck import PYPROJECT, load_strict_overrides
-
-    if not PYPROJECT.exists():
-        return ()
-    return tuple(
-        pattern[:-2]
-        for pattern in load_strict_overrides()
-        if pattern.endswith(".*")
-    )
 
 
 @dataclass
@@ -187,10 +167,10 @@ def run_analysis(
         diagnostics.extend(r8_problems)
         diagnostics.extend(check_file(facts))
 
-    graph = build_call_graph(all_facts, strict_prefixes=_strict_prefixes())
-    effects = EffectAnalysis(graph)
-    diagnostics.extend(check_schema(all_sites, all_defs, graph, facts_by_file))
-    diagnostics.extend(check_project(all_facts, graph, effects))
+    diagnostics.extend(check_schema(all_sites, all_defs, facts_by_file))
+    diagnostics.extend(
+        check_fabric_hygiene(all_facts, build_call_graph(all_facts))
+    )
 
     # Apply suppressions: inline comments first, then allowlist entries.
     # R8 findings are never suppressible — exemptions must stay auditable.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "EmitSite",
@@ -25,6 +25,7 @@ __all__ = [
     "collect_facts",
     "module_name_for",
     "resolve_call_target",
+    "walk_scope",
 ]
 
 
@@ -151,6 +152,21 @@ def resolve_call_target(facts: FileFacts, func: ast.expr) -> Optional[str]:
     else:
         return None  # attribute access on a non-module object
     return ".".join([resolved, *reversed(attrs)])
+
+
+def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of one scope (a module or a function), nested ones
+    excluded: the body of an inner function, lambda or class binds its
+    own names, so its definition node is yielded but not entered."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+        ):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _collect_emit_sites(facts: FileFacts) -> None:

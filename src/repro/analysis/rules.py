@@ -45,14 +45,6 @@ importing its parent package never executes the cleared import.
 Legitimate exceptions elsewhere are expressed per line with
 ``# repro: allow[Rn] reason=...`` or per module in the allowlist file —
 never by editing the rule.
-
-**Interprocedural halves.** R1, R2 and R3 also fire *at the sim-path
-call site* of a helper outside the sim path whose effect inference
-(:mod:`repro.analysis.effects`) proves it transitively reaches a
-wall-clock read, unseeded RNG, or unsorted set iteration. The witness
-chain is rendered in the diagnostic. Suppressing the intrinsic site
-does not clear the propagated taint — each boundary crossing needs its
-own audited waiver (or a fix).
 """
 
 from __future__ import annotations
@@ -61,16 +53,9 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.analysis.callgraph import (
-    EXTERNAL,
-    CallGraph,
-    ClassInfo,
-    FuncInfo,
-)
+from repro.analysis.callgraph import EXTERNAL, CallGraph, FuncInfo
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.effects import (
-    KIND_RULES,
-    EffectAnalysis,
     iter_iteration_sites,
     iter_unseeded_calls,
     iter_wallclock_calls,
@@ -80,6 +65,7 @@ from repro.analysis.facts import (
     FileFacts,
     SchemaDef,
     resolve_call_target,
+    walk_scope,
 )
 
 __all__ = [
@@ -87,15 +73,14 @@ __all__ = [
     "RULE_IDS",
     "Rule",
     "SIM_PATH_PREFIXES",
+    "check_fabric_hygiene",
     "check_file",
-    "check_project",
     "check_schema",
 ]
 
 #: Module prefixes forming the deterministic simulation path. Events,
 #: digests and replayable artifacts are produced here, so the strictest
-#: rules (R6, R7) apply only inside these trees, and the
-#: interprocedural R1/R2/R3 findings fire where calls *leave* them.
+#: rules (R6, R7) apply only inside these trees.
 SIM_PATH_PREFIXES = (
     "repro.sim",
     "repro.dsps",
@@ -183,7 +168,7 @@ def _diag(
 
 
 # ----------------------------------------------------------------------
-# R1 — wall-clock (local half; classifiers live in repro.analysis.effects)
+# R1 — wall-clock (classifiers live in repro.analysis.effects)
 # ----------------------------------------------------------------------
 
 
@@ -201,19 +186,19 @@ def _check_wallclock(facts: FileFacts) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# R2 — unseeded randomness (local half)
+# R2 — unseeded randomness
 # ----------------------------------------------------------------------
 
 
 def _check_unseeded_random(facts: FileFacts) -> list[Diagnostic]:
     return [
         _diag(facts, node, "R2", message)
-        for node, _target, message in iter_unseeded_calls(facts)
+        for node, message in iter_unseeded_calls(facts)
     ]
 
 
 # ----------------------------------------------------------------------
-# R3 — unsorted set iteration on ordering-sensitive positions (local)
+# R3 — unsorted set iteration on ordering-sensitive positions
 # ----------------------------------------------------------------------
 
 
@@ -341,8 +326,8 @@ def _scope_nodes(facts: FileFacts, node: ast.AST) -> list[ast.AST]:
 
 
 def _name_tag(facts: FileFacts, use: ast.AST, name: str) -> Optional[str]:
-    """Infer the tag of a bare name from annotations or a constant
-    assignment in an enclosing scope (innermost wins)."""
+    """Infer the tag of a bare name from annotations or its one
+    constant assignment in an enclosing scope (innermost wins)."""
     for scope in _scope_nodes(facts, use):
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = scope.args
@@ -353,24 +338,29 @@ def _name_tag(facts: FileFacts, use: ast.AST, name: str) -> Optional[str]:
             ]:
                 if arg.arg == name:
                     return _annotation_tag(arg.annotation)
-        assigned: Optional[str] = None
-        multiple = False
-        for node in ast.walk(scope):
+        # One entry per assignment to ``name`` in this scope: its
+        # constant's tag, or None for any other value.
+        assigned: list[Optional[str]] = []
+        for node in walk_scope(scope):
             if isinstance(node, ast.AnnAssign) and isinstance(
                 node.target, ast.Name
             ):
                 if node.target.id == name:
                     return _annotation_tag(node.annotation)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and target.id == name:
-                    if assigned is not None:
-                        multiple = True
-                    assigned = None
-                    if isinstance(node.value, ast.Constant):
-                        assigned = _constant_tag(node.value.value)
-        if assigned is not None and not multiple:
-            return assigned
+            elif isinstance(node, ast.Assign):
+                if any(
+                    isinstance(target, ast.Name) and target.id == name
+                    for target in node.targets
+                ):
+                    assigned.append(
+                        _constant_tag(node.value.value)
+                        if isinstance(node.value, ast.Constant)
+                        else None
+                    )
+        if assigned:
+            # The name is bound here: a single constant types it, an
+            # initialiser that is later reassigned does not.
+            return assigned[0] if len(assigned) == 1 else None
     return None
 
 
@@ -388,32 +378,7 @@ def _constant_tag(value: object) -> Optional[str]:
     return None
 
 
-def _attribute_tag(
-    graph: CallGraph, facts: FileFacts, node: ast.Attribute
-) -> Optional[str]:
-    """The tag of ``obj.attr`` through the receiver's class annotation.
-
-    Annotations are trusted only for classes defined in strict-set
-    modules (the mypy-gated prefixes): elsewhere an annotation is
-    advisory and must not produce findings.
-    """
-    info = graph.enclosing_function(facts, node)
-    rtype = graph.receiver_type(info, facts, node.value)
-    if rtype is None and isinstance(node.value, ast.Name):
-        if node.value.id == "self" and info is not None:
-            rtype = info.class_qualname
-    if rtype is None or rtype.startswith(EXTERNAL):
-        return None
-    cinfo = graph.classes.get(rtype)
-    if cinfo is None:
-        return None
-    annotation = cinfo.attr_annotations.get(node.attr)
-    return _annotation_tag(annotation)
-
-
-def infer_payload_tag(
-    graph: Optional[CallGraph], facts: FileFacts, node: ast.expr
-) -> Optional[str]:
+def infer_payload_tag(facts: FileFacts, node: ast.expr) -> Optional[str]:
     """The schema tag of one emit-payload expression, if inferable."""
     if isinstance(node, ast.Constant):
         return _constant_tag(node.value)
@@ -428,18 +393,18 @@ def infer_payload_tag(
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.Not):
             return "bool"
-        return infer_payload_tag(graph, facts, node.operand)
+        return infer_payload_tag(facts, node.operand)
     if isinstance(node, ast.BinOp):
-        left = infer_payload_tag(graph, facts, node.left)
-        right = infer_payload_tag(graph, facts, node.right)
+        left = infer_payload_tag(facts, node.left)
+        right = infer_payload_tag(facts, node.right)
         if left == "int" and right == "int":
             return "int"
         if {left, right} <= {"int", "float"} and left and right:
             return "float"
         return None
     if isinstance(node, ast.IfExp):
-        body = infer_payload_tag(graph, facts, node.body)
-        orelse = infer_payload_tag(graph, facts, node.orelse)
+        body = infer_payload_tag(facts, node.body)
+        orelse = infer_payload_tag(facts, node.orelse)
         if body == orelse:
             return body
         if {body, orelse} == {"null", None}:
@@ -456,16 +421,13 @@ def infer_payload_tag(
         return None
     if isinstance(node, ast.Name):
         return _name_tag(facts, node, node.id)
-    if isinstance(node, ast.Attribute) and graph is not None:
-        return _attribute_tag(graph, facts, node)
     return None
 
 
 def check_schema(
     all_sites: list[EmitSite],
     all_defs: list[SchemaDef],
-    graph: Optional[CallGraph] = None,
-    facts_by_file: Optional[dict[str, FileFacts]] = None,
+    facts_by_file: dict[str, FileFacts],
 ) -> list[Diagnostic]:
     """The cross-module half of R4, run after every file is parsed.
 
@@ -521,12 +483,12 @@ def check_schema(
             )
             continue
         types = declared.type_map()
-        facts = (facts_by_file or {}).get(site.file)
+        facts = facts_by_file[site.file]
         for field_name, value in site.values:
             tag = types.get(field_name)
-            if tag is None or facts is None:
+            if tag is None:
                 continue
-            inferred = infer_payload_tag(graph, facts, value)
+            inferred = infer_payload_tag(facts, value)
             if inferred is None:
                 continue
             if not _tag_compatible(inferred, tag):
@@ -984,12 +946,15 @@ def _fabric_call_kind(
     dotted = resolve_call_target(facts, node.func)
     if dotted is not None:
         target = graph.resolve_export(dotted)
-        if target in _FABRIC_TASK_FUNCS or target in _FABRIC_FORWARDERS:
-            return "run_tasks"
+        # The second spelling is a call from the defining module itself
+        # (``repro.driver`` calling its own ``fan_out``).
+        for name in (target, f"{facts.module}.{target}"):
+            if name in _FABRIC_TASK_FUNCS or name in _FABRIC_FORWARDERS:
+                return "run_tasks"
     func = node.func
     if isinstance(func, ast.Attribute) and func.attr in _FABRIC_POOL_METHODS:
         info = graph.enclosing_function(facts, node)
-        rtype = graph.receiver_type(info, facts, func.value)
+        rtype = graph.receiver_type(info, func.value)
         if rtype is not None:
             plain = rtype.removeprefix(EXTERNAL)
             if plain == _FABRIC_POOL_CLASS:
@@ -1036,9 +1001,12 @@ def _payload_problem(graph: CallGraph, worker: FuncInfo) -> Optional[str]:
     )
 
 
-def _check_fabric_hygiene(
+def check_fabric_hygiene(
     all_facts: list[FileFacts], graph: CallGraph
 ) -> list[Diagnostic]:
+    """R10, the one rule that needs every file's definitions: the
+    worker named at a fabric call and its payload type may live in any
+    scanned module."""
     diagnostics = []
     for facts in all_facts:
         for node in ast.walk(facts.tree):
@@ -1108,55 +1076,6 @@ def _check_fabric_hygiene(
 
 
 # ----------------------------------------------------------------------
-# Interprocedural R1/R2/R3: taint crossing into the sim path
-# ----------------------------------------------------------------------
-
-
-def _check_boundary_taint(
-    all_facts: list[FileFacts],
-    graph: CallGraph,
-    effects: EffectAnalysis,
-) -> list[Diagnostic]:
-    """Fire R1/R2/R3 where a sim-path call reaches a tainted helper.
-
-    A finding is emitted only where taint *crosses into* the sim path:
-    the call site sits in a sim-path module, the callee does not, and
-    the callee transitively reaches a primitive. Calls within the sim
-    path are not re-flagged (the local rules already cover intrinsic
-    sites there), so each crossing yields exactly one finding per
-    effect kind, carrying the witness chain.
-    """
-    module_of = {facts.file: facts.module for facts in all_facts}
-    kind_names = {
-        "wall-clock": "a wall-clock read",
-        "unseeded-rng": "an unseeded RNG",
-        "iteration-order": "an unsorted set iteration",
-    }
-    diagnostics = []
-    for site in graph.call_sites:
-        caller_module = module_of.get(site.file)
-        if caller_module is None or not _is_sim_path(caller_module):
-            continue
-        callee = graph.functions.get(site.callee)
-        if callee is None or _is_sim_path(callee.module):
-            continue
-        for kind in sorted(effects.taint_of(site.callee)):
-            chain = effects.taint_of(site.callee)[kind]
-            diagnostics.append(
-                Diagnostic(
-                    site.file,
-                    site.line,
-                    site.col,
-                    KIND_RULES[kind],
-                    f"sim-path call into {site.callee}() reaches"
-                    f" {kind_names[kind]} [chain:"
-                    f" {effects.render_chain(chain)}]",
-                )
-            )
-    return diagnostics
-
-
-# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
@@ -1176,16 +1095,4 @@ def check_file(facts: FileFacts) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     for check in _PER_FILE_CHECKS:
         diagnostics.extend(check(facts))
-    return diagnostics
-
-
-def check_project(
-    all_facts: list[FileFacts],
-    graph: CallGraph,
-    effects: EffectAnalysis,
-) -> list[Diagnostic]:
-    """Run the whole-program rules: boundary taint (R1/R2/R3 at call
-    sites) and fabric hygiene (R10)."""
-    diagnostics = _check_boundary_taint(all_facts, graph, effects)
-    diagnostics.extend(_check_fabric_hygiene(all_facts, graph))
     return diagnostics

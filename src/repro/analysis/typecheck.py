@@ -4,7 +4,7 @@ The strict mypy override in ``pyproject.toml`` — the list mypy itself
 reads — names the modules gated in CI (``repro.sim``,
 ``repro.core.optimizer``, ``repro.obs.events``, ``repro.analysis``, ...;
 ``x.*`` covers ``x`` and everything beneath it). Every other module is
-the baseline. Three checks enforce the ratchet:
+the baseline. Two checks enforce the ratchet, both toolchain-free:
 
 1. **classification** — no pattern of the override may be stale (match
    no module under ``src/repro``): a renamed or deleted strict module
@@ -13,22 +13,15 @@ the baseline. Three checks enforce the ratchet:
 2. **annotations** — every ``def`` in a strict module must carry complete
    parameter and return annotations. This is a pure-AST check, so it
    runs in the test suite without mypy installed.
-3. **mypy** — when mypy is available (CI installs the ``lint`` extra),
-   run it over ``src/repro``: any error inside a strict module fails;
-   errors in baselined modules are reported but tolerated.
 
-``python -m repro.analysis.typecheck`` runs all three (exit 0/1); pass
-``--no-mypy`` for the toolchain-free subset the test suite pins.
+``python -m repro.analysis.typecheck`` runs both (exit 0/1). mypy reads
+the same override when someone runs it; nothing here invokes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import re
-import shutil
-import subprocess
-import sys
 import tomllib
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,13 +32,10 @@ __all__ = [
     "discover_modules",
     "load_strict_overrides",
     "main",
-    "run_mypy_gate",
 ]
 
 SRC_ROOT = Path("src/repro")
 PYPROJECT = Path("pyproject.toml")
-
-_MYPY_ERROR_RE = re.compile(r"^(?P<path>[^:]+\.py):\d+(?::\d+)?: error: ")
 
 
 def load_strict_overrides(path: Path = PYPROJECT) -> list[str]:
@@ -150,51 +140,12 @@ def check_annotations(
     return problems
 
 
-def run_mypy_gate(
-    strict: Sequence[str], src_root: Path = SRC_ROOT
-) -> tuple[list[str], list[str]]:
-    """Run mypy and split its errors into (gating, baselined).
-
-    Gating errors are those in strict modules — or in no known module at
-    all (a path mypy resolved outside the ratchet's world should never
-    be silently excused). Raises ``FileNotFoundError`` when mypy is not
-    installed.
-    """
-    if shutil.which("mypy") is None:
-        raise FileNotFoundError(
-            "mypy is not installed (pip install -e '.[lint]')"
-        )
-    process = subprocess.run(
-        ["mypy", "--no-error-summary", str(src_root)],
-        capture_output=True,
-        text=True,
-    )
-    gating: list[str] = []
-    baselined: list[str] = []
-    for line in process.stdout.splitlines():
-        match = _MYPY_ERROR_RE.match(line.strip())
-        if match is None:
-            continue
-        module = module_for_path(match.group("path"), src_root)
-        if module is not None and not _covered_by_strict(module, strict):
-            baselined.append(line.strip())
-        else:
-            gating.append(line.strip())
-    return gating, baselined
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the ratchet checks; exit 0 only when every gate passes."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.typecheck",
-        description="Type-check ratchet: pyproject's strict override"
-        " gates, every other module is tolerated.",
-    )
-    parser.add_argument(
-        "--no-mypy",
-        action="store_true",
-        help="run only the toolchain-free checks (classification +"
-        " annotations)",
+        description="Type-check ratchet: every def in a module of"
+        " pyproject's strict override is fully annotated.",
     )
     parser.add_argument("--src-root", default=str(SRC_ROOT))
     args = parser.parse_args(argv)
@@ -211,23 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for problem in annotation_problems:
         print(f"annotations: {problem}")
 
-    gating: list[str] = []
-    baselined: list[str] = []
-    if not args.no_mypy:
-        try:
-            gating, baselined = run_mypy_gate(strict, src_root)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for line in gating:
-            print(f"mypy (gating): {line}")
-        if baselined:
-            print(
-                f"mypy: {len(baselined)} error(s) in baselined modules"
-                " (tolerated; add strict patterns to ratchet)"
-            )
-
-    failed = bool(problems or annotation_problems or gating)
+    failed = bool(problems or annotation_problems)
     strict_count = sum(
         1 for module in modules if _covered_by_strict(module, strict)
     )

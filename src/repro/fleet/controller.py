@@ -251,7 +251,6 @@ class FleetController:
         self.submitted += 1
         app_name = spec.descriptor.name
         provisioner = self._provisioner_for(spec.slice_hosts)
-        # repro: allow[R1] reason=search timing stays in SearchResult.elapsed, a declared channel dropped before digests
         provisioned, record = provisioner.try_provision(spec.contract())
         if provisioned is None:
             self.rejected_sla += 1
@@ -363,7 +362,6 @@ class FleetController:
         self.replans_attempted += 1
         state.replans += 1
         state.fallback_streak = 0
-        # repro: allow[R1] reason=search timing stays in SearchResult.elapsed, a declared channel dropped before digests
         provisioned, record = provisioner.try_provision(
             spec.contract(descriptor=scaled), warm_start=warm
         )

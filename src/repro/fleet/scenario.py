@@ -180,7 +180,6 @@ def _prewarm_task(task: tuple[int, TenantClass]) -> list[tuple[str, dict]]:
         slice_hosts=tuple(app.deployment.hosts),
         tenant_class=tenant_class,
     ).contract()
-    # repro: allow[R1] reason=search timing stays in SearchResult.elapsed, a declared channel dropped before digests
     provisioner.try_provision(contract)
     return store.items()
 
@@ -220,7 +219,6 @@ def run_fleet_scenario(
     for i in range(params.tenants):
         pairs.setdefault((params.app_seed(i), params.tenant_class(i)))
     store = store if store is not None else StrategyStore()
-    # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never folded into store entries
     for entries in fan_out(_prewarm_task, pairs, jobs=jobs, profile=profile):
         store.merge(entries)
 

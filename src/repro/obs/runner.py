@@ -188,5 +188,4 @@ def run_observed_modes(
     from repro.driver import fan_out
 
     specs = [replace(spec, mode=mode) for mode in modes]
-    # repro: allow[R1] reason=fabric elapsed metering is a declared timing channel, never part of observed digests
     return fan_out(run_observed, specs, jobs=jobs, profile=profile)

@@ -2,8 +2,6 @@
 
 import random
 
-from repro.util.budget import expired
-
 
 def stamp(now: float) -> float:
     """Timestamps come in from the simulation clock."""
@@ -20,11 +18,16 @@ def canonical_hosts(hosts: set[str]) -> list[str]:
     return sorted(hosts)
 
 
+def stale_hosts(known: list[str], alive: list[str]) -> list[str]:
+    """Set algebra by operator is fine once it goes through sorted()."""
+    return [host for host in sorted(set(known) - set(alive))]
+
+
+def all_hosts(left: list[str], right: list[str]) -> list[str]:
+    """Same for ``|``."""
+    return sorted(set(left) | set(right))
+
+
 def host_count(hosts: set[str]) -> int:
     """Order-neutral consumers of sets are fine."""
     return len(hosts)
-
-
-def paced(deadline: float) -> bool:
-    """Calling a budget-confined helper leaves the sim path untainted."""
-    return expired(deadline)

@@ -1,9 +1,9 @@
-"""Call-graph construction: each resolution layer, pinned in isolation.
+"""Call resolution: each query R10 resolves workers and payloads through.
 
 Every test builds a tiny package in ``tmp_path`` (with the ``__init__``
-chain that gives files real dotted module names) and asserts on the
-resolved edges, so a regression names the exact resolution layer that
-broke rather than a downstream rule.
+chain that gives files real dotted module names) and asserts on one
+query, so a regression names the resolution step that broke rather
+than a downstream rule.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from repro.analysis.facts import FileFacts, collect_facts
 
 
 def _build(
-    tmp_path: Path,
-    modules: dict[str, str],
-    strict: tuple[str, ...] = ("pkg",),
+    tmp_path: Path, modules: dict[str, str]
 ) -> tuple[CallGraph, dict[str, FileFacts]]:
     all_facts = []
     by_module: dict[str, FileFacts] = {}
@@ -31,90 +29,25 @@ def _build(
         facts = collect_facts(path, str(path))
         all_facts.append(facts)
         by_module[facts.module] = facts
-    return build_call_graph(all_facts, strict_prefixes=strict), by_module
+    return build_call_graph(all_facts), by_module
 
 
-def _edges(graph: CallGraph) -> list[tuple[str, str, str]]:
-    return [(s.caller, s.callee, s.resolution) for s in graph.call_sites]
+def _receiver_of_first_method_call(
+    graph: CallGraph, function: str
+) -> str | None:
+    """The resolved type of ``<receiver>.method()`` inside ``function``."""
+    info = graph.functions[function]
+    call = next(
+        node
+        for node in ast.walk(info.node)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+    )
+    return graph.receiver_type(info, call.func.value)
 
 
-class TestResolutionLayers:
-    def test_direct_same_module_call(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "def helper() -> int:\n"
-                    "    return 1\n"
-                    "def caller() -> int:\n"
-                    "    return helper()\n"
-                )
-            },
-        )
-        assert ("pkg.mod.caller", "pkg.mod.helper", "direct") in _edges(graph)
-
-    def test_alias_resolves_through_package_reexport(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "__init__": '"""Doc."""\nfrom pkg.impl import work\n',
-                "impl": (
-                    '"""Doc."""\n'
-                    "def work() -> int:\n"
-                    "    return 1\n"
-                ),
-                "app": (
-                    '"""Doc."""\n'
-                    "from pkg import work\n"
-                    "def run() -> int:\n"
-                    "    return work()\n"
-                ),
-            },
-        )
-        assert ("pkg.app.run", "pkg.impl.work", "alias") in _edges(graph)
-
-    def test_constructor_call_resolves_to_init(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "class Widget:\n"
-                    "    def __init__(self) -> None:\n"
-                    "        self.x = 1\n"
-                    "def make() -> Widget:\n"
-                    "    return Widget()\n"
-                )
-            },
-        )
-        assert (
-            "pkg.mod.make",
-            "pkg.mod.Widget.__init__",
-            "constructor",
-        ) in _edges(graph)
-
-    def test_self_method_call(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "class Widget:\n"
-                    "    def a(self) -> int:\n"
-                    "        return self.b()\n"
-                    "    def b(self) -> int:\n"
-                    "        return 1\n"
-                )
-            },
-        )
-        assert (
-            "pkg.mod.Widget.a",
-            "pkg.mod.Widget.b",
-            "self",
-        ) in _edges(graph)
-
-    def test_annotated_receiver_resolves_by_type(self, tmp_path):
+class TestGraphQueries:
+    def test_functions_methods_and_nested_defs_are_indexed(self, tmp_path):
         graph, _ = _build(
             tmp_path,
             {
@@ -123,59 +56,18 @@ class TestResolutionLayers:
                     "class Widget:\n"
                     "    def poke(self) -> int:\n"
                     "        return 1\n"
-                    "def use(w: Widget) -> int:\n"
-                    "    return w.poke()\n"
-                )
-            },
-        )
-        assert (
-            "pkg.mod.use",
-            "pkg.mod.Widget.poke",
-            "receiver",
-        ) in _edges(graph)
-
-    def test_unique_method_name_fallback(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "class Widget:\n"
-                    "    def frobnicate(self) -> int:\n"
+                    "def outer() -> int:\n"
+                    "    def inner() -> int:\n"
                     "        return 1\n"
-                    "def use(w) -> int:\n"
-                    "    return w.frobnicate()\n"
+                    "    return inner()\n"
                 )
             },
         )
-        assert (
-            "pkg.mod.use",
-            "pkg.mod.Widget.frobnicate",
-            "unique",
-        ) in _edges(graph)
+        assert graph.functions["pkg.mod.Widget.poke"].is_method
+        assert not graph.functions["pkg.mod.outer"].is_nested
+        assert graph.functions["pkg.mod.outer.inner"].is_nested
+        assert "pkg.mod.Widget" in graph.classes
 
-    def test_known_external_receiver_blocks_the_fallback(self, tmp_path):
-        # A receiver whose type resolves to something outside the scan
-        # must NOT fall back to unique-method matching: guessing there
-        # would attribute foreign behavior to scanned code.
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "import queue\n"
-                    "class Widget:\n"
-                    "    def put(self) -> int:\n"
-                    "        return 1\n"
-                    "def use(q: queue.Queue) -> None:\n"
-                    "    q.put()\n"
-                )
-            },
-        )
-        assert all(s.callee != "pkg.mod.Widget.put" for s in graph.call_sites)
-
-
-class TestGraphQueries:
     def test_enclosing_function_finds_nested_scope(self, tmp_path):
         graph, by_module = _build(
             tmp_path,
@@ -201,7 +93,7 @@ class TestGraphQueries:
         assert info.is_nested
 
     def test_external_prefix_marks_foreign_types(self, tmp_path):
-        graph, by_module = _build(
+        graph, _ = _build(
             tmp_path,
             {
                 "mod": (
@@ -212,26 +104,108 @@ class TestGraphQueries:
                 )
             },
         )
-        facts = by_module["pkg.mod"]
-        call = next(n for n in ast.walk(facts.tree) if isinstance(n, ast.Call))
-        info = graph.functions["pkg.mod.use"]
-        rtype = graph.receiver_type(info, facts, call.func.value)
-        assert rtype == f"{EXTERNAL}queue.Queue"
+        assert (
+            _receiver_of_first_method_call(graph, "pkg.mod.use")
+            == f"{EXTERNAL}queue.Queue"
+        )
 
-    def test_call_sites_are_deterministically_ordered(self, tmp_path):
-        source = {
-            "mod": (
-                '"""Doc."""\n'
-                "def a() -> int:\n"
-                "    return 1\n"
-                "def b() -> int:\n"
-                "    return a()\n"
-                "def c() -> int:\n"
-                "    return a() + b()\n"
-            )
-        }
-        first, _ = _build(tmp_path, source)
-        again, _ = _build(tmp_path, source)
-        assert _edges(first) == _edges(again)
-        keys = [(s.file, s.line, s.col, s.callee) for s in first.call_sites]
-        assert keys == sorted(keys)
+
+class TestResolutionLayers:
+    def test_alias_resolves_through_package_reexport(self, tmp_path):
+        graph, _ = _build(
+            tmp_path,
+            {
+                "__init__": '"""Doc."""\nfrom pkg.impl import work\n',
+                "impl": (
+                    '"""Doc."""\n'
+                    "def work() -> int:\n"
+                    "    return 1\n"
+                ),
+            },
+        )
+        assert graph.resolve_export("pkg.work") == "pkg.impl.work"
+        assert graph.resolve_export("pkg.impl.work") == "pkg.impl.work"
+
+
+    def test_annotated_receiver_resolves_by_type(self, tmp_path):
+        graph, _ = _build(
+            tmp_path,
+            {
+                "mod": (
+                    '"""Doc."""\n'
+                    "class Widget:\n"
+                    "    def poke(self) -> int:\n"
+                    "        return 1\n"
+                    "def use(w: Widget) -> int:\n"
+                    "    return w.poke()\n"
+                )
+            },
+        )
+        assert (
+            _receiver_of_first_method_call(graph, "pkg.mod.use")
+            == "pkg.mod.Widget"
+        )
+
+    def test_constructor_assignment(self, tmp_path):
+        graph, _ = _build(
+            tmp_path,
+            {
+                "mod": (
+                    '"""Doc."""\n'
+                    "class Widget:\n"
+                    "    def poke(self) -> int:\n"
+                    "        return 1\n"
+                    "def assigned() -> int:\n"
+                    "    w = Widget()\n"
+                    "    return w.poke()\n"
+                )
+            },
+        )
+        assert (
+            _receiver_of_first_method_call(graph, "pkg.mod.assigned")
+            == "pkg.mod.Widget"
+        )
+
+    def test_return_annotation_then_annotated_attribute(self, tmp_path):
+        # The shape of the one PersistentPool.map site in the tree:
+        # ``session = _get_session(); session.pool.map(worker, tasks)``,
+        # with the attribute's class defined in a later-sorted module.
+        graph, _ = _build(
+            tmp_path,
+            {
+                "app": (
+                    '"""Doc."""\n'
+                    "from pkg.pool import Pool\n"
+                    "class Session:\n"
+                    "    pool: Pool\n"
+                    "def get() -> Session:\n"
+                    "    return Session()\n"
+                    "def run() -> None:\n"
+                    "    session = get()\n"
+                    "    session.pool.map()\n"
+                ),
+                "pool": (
+                    '"""Doc."""\n'
+                    "class Pool:\n"
+                    "    def map(self) -> None:\n"
+                    "        return None\n"
+                ),
+            },
+        )
+        assert (
+            _receiver_of_first_method_call(graph, "pkg.app.run")
+            == "pkg.pool.Pool"
+        )
+
+    def test_unannotated_receiver_is_unknown(self, tmp_path):
+        graph, _ = _build(
+            tmp_path,
+            {
+                "mod": (
+                    '"""Doc."""\n'
+                    "def use(w) -> int:\n"
+                    "    return w.poke()\n"
+                )
+            },
+        )
+        assert _receiver_of_first_method_call(graph, "pkg.mod.use") is None

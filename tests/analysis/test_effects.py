@@ -1,154 +1,116 @@
-"""Effect inference: taint collection, propagation, budget carve-out.
+"""The R1/R2/R3 classifiers, one primitive at a time.
 
-The headline pin here is old-miss/new-catch: the cross-function leak
-fixture produces ZERO findings under per-file scanning (the pre-graph
-linter's view) and exactly the R1/R2 pair under the whole-program pass.
-That asymmetry is the reason the call graph exists.
+The fixture corpus (test_rules.py) pins whole files; these pin the
+classifier answers on single expressions, so a regression names the
+construct that stopped (or started) counting as a primitive.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.callgraph import build_call_graph
 from repro.analysis.effects import (
-    KIND_RNG,
-    KIND_WALLCLOCK,
-    EffectAnalysis,
+    iter_iteration_sites,
+    iter_unseeded_calls,
+    iter_wallclock_calls,
 )
-from repro.analysis.engine import run_analysis
-from repro.analysis.facts import collect_facts
-from repro.analysis.rules import check_file
-
-FIXTURES = Path(__file__).parent / "fixtures"
-NO_ALLOWLIST = FIXTURES / "missing-allowlist"
+from repro.analysis.facts import FileFacts, collect_facts
 
 
-def _effects(tmp_path: Path, source: str) -> EffectAnalysis:
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "__init__.py").touch()
-    path = tmp_path / "pkg" / "mod.py"
-    path.write_text(source)
-    facts = collect_facts(path, str(path))
-    return EffectAnalysis(build_call_graph([facts]))
+def _facts(tmp_path: Path, source: str) -> FileFacts:
+    path = tmp_path / "mod.py"
+    path.write_text('"""Doc."""\n' + source)
+    return collect_facts(path, str(path))
 
 
 class TestIntrinsicSites:
-    def test_wallclock_read_taints_its_function(self, tmp_path):
-        effects = _effects(
+    def test_wallclock_read_is_a_site(self, tmp_path):
+        facts = _facts(
             tmp_path,
-            '"""Doc."""\n'
             "import time\n"
             "def stamp() -> float:\n"
             "    return time.time()\n",
         )
-        taints = effects.taint_of("pkg.mod.stamp")
-        assert KIND_WALLCLOCK in taints
-        chain = taints[KIND_WALLCLOCK]
-        assert len(chain) == 1
-        assert effects.render_chain(chain).startswith("time.time() (")
+        ((call, target),) = iter_wallclock_calls(facts)
+        assert (call.lineno, target) == (4, "time.time")
 
-    def test_unseeded_rng_taints_its_function(self, tmp_path):
-        effects = _effects(
+    def test_aliased_and_from_imported_reads_resolve(self, tmp_path):
+        facts = _facts(
             tmp_path,
-            '"""Doc."""\n'
-            "import random\n"
-            "def draw() -> float:\n"
-            "    return random.random()\n",
+            "import time\n"
+            "from time import perf_counter as pc\n"
+            "tick = time.monotonic\n"
+            "a = tick()\n"
+            "b = pc()\n",
         )
-        assert KIND_RNG in effects.taint_of("pkg.mod.draw")
+        targets = [target for _, target in iter_wallclock_calls(facts)]
+        assert targets == ["time.monotonic", "time.perf_counter"]
 
-    def test_budget_confined_read_does_not_taint(self, tmp_path):
-        # A deadline check whose clock value only ever feeds comparisons
-        # cannot leak nondeterminism into results, so the function stays
-        # clean for callers (the placement_search carve-out).
-        effects = _effects(
+    def test_a_deadline_comparison_is_still_a_site(self, tmp_path):
+        # Whether the value escapes is the reader's call (and the
+        # waiver's reason), not the classifier's.
+        facts = _facts(
             tmp_path,
-            '"""Doc."""\n'
             "import time\n"
             "def expired(deadline: float) -> bool:\n"
             "    return time.monotonic() > deadline\n",
         )
-        assert effects.taint_of("pkg.mod.expired") == {}
-        (site,) = effects.intrinsic["pkg.mod.expired"]
-        assert site.budget_only
+        assert len(list(iter_wallclock_calls(facts))) == 1
 
-    def test_escaping_read_is_not_budget_confined(self, tmp_path):
-        effects = _effects(
+    def test_module_level_rng_draw_is_a_site(self, tmp_path):
+        facts = _facts(
             tmp_path,
-            '"""Doc."""\n'
-            "import time\n"
-            "def leak(deadline: float) -> float:\n"
-            "    now = time.monotonic()\n"
-            "    if now > deadline:\n"
-            "        return 0.0\n"
-            "    return now\n",  # the read escapes via the return
+            "import random\n"
+            "def draw() -> float:\n"
+            "    return random.random()\n",
         )
-        assert KIND_WALLCLOCK in effects.taint_of("pkg.mod.leak")
+        ((call, message),) = iter_unseeded_calls(facts)
+        assert call.lineno == 4
+        assert "shared module-level RNG" in message
 
-
-class TestPropagation:
-    def test_taint_flows_through_two_hops(self, tmp_path):
-        effects = _effects(
+    def test_seeded_constructors_are_not_sites(self, tmp_path):
+        facts = _facts(
             tmp_path,
-            '"""Doc."""\n'
-            "import time\n"
-            "def read() -> float:\n"
-            "    return time.time()\n"
-            "def middle() -> float:\n"
-            "    return read()\n"
-            "def top() -> float:\n"
-            "    return middle()\n",
+            "import random\n"
+            "import numpy as np\n"
+            "a = random.Random(7)\n"
+            "b = np.random.default_rng(seed=7)\n"
+            "c = a.random()\n",
         )
-        chain = effects.taint_of("pkg.mod.top")[KIND_WALLCLOCK]
-        assert [step.name for step in chain] == [
-            "pkg.mod.middle",
-            "pkg.mod.read",
-            "time.time()",
-        ]
-        rendered = effects.render_chain(chain)
-        assert rendered.count(" -> ") == 2
+        assert list(iter_unseeded_calls(facts)) == []
 
-    def test_chain_steps_carry_file_and_line(self, tmp_path):
-        effects = _effects(
+    def test_set_algebra_by_method_and_by_operator(self, tmp_path):
+        facts = _facts(
             tmp_path,
-            '"""Doc."""\n'
-            "import time\n"
-            "def read() -> float:\n"
-            "    return time.time()\n"
-            "def top() -> float:\n"
-            "    return read()\n",
+            "def f(a: list, b: list) -> list:\n"
+            "    out = [x for x in set(a).union(b)]\n"
+            "    out += [x for x in set(a) | set(b)]\n"
+            "    for x in set(a) - set(b):\n"
+            "        out.append(x)\n"
+            "    out += list(set(a) & set(b))\n"
+            "    out += tuple(set(a) ^ set(b))\n"
+            "    return out\n",
         )
-        chain = effects.taint_of("pkg.mod.top")[KIND_WALLCLOCK]
-        for step in chain:
-            assert step.file.endswith("mod.py")
-            assert step.line > 0
-        assert chain[0].line == 6  # the call site inside top()
-        assert chain[1].line == 4  # the intrinsic read inside read()
+        lines = [node.lineno for node, _ in iter_iteration_sites(facts)]
+        assert sorted(lines) == [3, 4, 5, 7, 8]
 
+    def test_arithmetic_on_non_sets_is_not_a_site(self, tmp_path):
+        facts = _facts(
+            tmp_path,
+            "def f(a: int, b: int, rows: list) -> list:\n"
+            "    return [r for r in rows[a - b :]] + list(range(a | b))\n",
+        )
+        assert list(iter_iteration_sites(facts)) == []
 
-class TestOldMissNewCatch:
-    """The acceptance pin: invisible locally, caught interprocedurally."""
-
-    LEAK = FIXTURES / "bad" / "repro" / "sim" / "leak.py"
-
-    def test_per_file_scan_misses_the_leak(self):
-        # leak.py itself contains no intrinsic violation — the wall
-        # clock and RNG live two modules away — so the per-file rules
-        # (the old linter's entire power) see a clean file.
-        facts = collect_facts(self.LEAK, str(self.LEAK))
-        assert check_file(facts) == []
-
-    def test_whole_program_pass_catches_it(self):
-        report = run_analysis([FIXTURES / "bad"], allowlist_path=NO_ALLOWLIST)
-        leak_hits = [
-            (d.line, d.rule, d.message)
-            for d in report.diagnostics
-            if d.file.endswith("sim/leak.py")
-        ]
-        assert [(line, rule) for line, rule, _ in leak_hits] == [
-            (14, "R1"),
-            (15, "R2"),
-        ]
-        for _, _, message in leak_hits:
-            assert "[chain:" in message
+    def test_order_neutral_consumers_are_not_sites(self, tmp_path):
+        facts = _facts(
+            tmp_path,
+            "def f(a: list, b: list) -> int:\n"
+            "    for x in sorted(set(a) - set(b)):\n"
+            "        pass\n"
+            "    return len(set(a) | set(b)) + sum(x for x in set(a))\n",
+        )
+        lines = [node.lineno for node, _ in iter_iteration_sites(facts)]
+        # sum() over a generator: the generator is the comprehension
+        # position, and sum() around it neutralizes the order.
+        assert lines == []

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main, run_smoke
+from repro.analysis.cli import main
 from repro.analysis.diagnostics import load_allowlist
 from repro.analysis.engine import run_analysis
 
@@ -138,7 +138,7 @@ class TestReport:
         assert data["tool"] == "repro.analysis"
         assert data["version"] == 1
         assert data["ok"] is False
-        assert data["files_checked"] == 19
+        assert data["files_checked"] == 16
         assert sorted(data["counts"]) == sorted(f"R{n}" for n in range(1, 11))
         assert sum(data["counts"].values()) == len(data["diagnostics"])
         first = data["diagnostics"][0]
@@ -152,7 +152,7 @@ class TestReport:
     def test_render_text_summary_line(self):
         report = run_analysis([FIXTURES / "good"], allowlist_path=NO_ALLOWLIST)
         assert report.render_text().endswith(
-            "15 file(s) checked, 0 finding(s), 2 suppressed"
+            "13 file(s) checked, 0 finding(s), 1 suppressed"
         )
 
     def test_syntax_error_is_reported_not_fatal(self, tmp_path):
@@ -200,59 +200,8 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert json.loads(stdout) == json.loads(out.read_text())
 
-    def test_sarif_format_and_exit_code_contract(self, tmp_path, capsys):
-        # SARIF output must not change the exit-code contract: findings
-        # still exit 1, and the log carries one result per finding.
-        sarif_path = tmp_path / "lint.sarif"
-        code = main(
-            [
-                str(FIXTURES / "bad"),
-                "--allowlist",
-                str(NO_ALLOWLIST),
-                "--format",
-                "sarif",
-                "--sarif",
-                str(sarif_path),
-            ]
-        )
-        assert code == 1
-        stdout = capsys.readouterr().out
-        log = json.loads(stdout)
-        assert log == json.loads(sarif_path.read_text())
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        rules = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rules == [f"R{n}" for n in range(1, 11)]
-        results = run["results"]
-        assert len(results) == 38
-        first = results[0]
-        assert first["level"] == "error"
-        region = first["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1
-        assert region["startColumn"] >= 1  # SARIF columns are 1-based
-
-    def test_sarif_clean_tree_exits_zero_with_empty_results(self, capsys):
-        code = main(
-            [
-                str(FIXTURES / "good"),
-                "--allowlist",
-                str(NO_ALLOWLIST),
-                "--format",
-                "sarif",
-            ]
-        )
-        assert code == 0
-        log = json.loads(capsys.readouterr().out)
-        assert log["runs"][0]["results"] == []
-        assert log["runs"][0]["invocations"][0]["executionSuccessful"]
-
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (f"R{n}" for n in range(1, 11)):
             assert rule_id in out
-
-    def test_smoke_passes_on_checked_in_corpus(self, capsys):
-        assert run_smoke(FIXTURES) == 0
-        assert "smoke: OK" in capsys.readouterr().out

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.engine import AnalysisReport, run_analysis
 from repro.analysis.rules import RULE_IDS, RULES
 
@@ -58,10 +60,14 @@ class TestBadCorpus:
         ]
 
     def test_r3_for_loop_listify_and_comprehension(self):
+        # The last two are the operator forms of set algebra
+        # (``set(a) - set(b)``, ``set(a) | set(b)``).
         assert _hits(self.report, "ordering.py") == [
             (7, "R3"),
             (14, "R3"),
             (19, "R3"),
+            (25, "R3"),
+            (34, "R3"),
         ]
 
     def test_r4_unknown_type_missing_fields_and_type_mismatch(self):
@@ -165,37 +171,6 @@ class TestBadCorpus:
         assert "nested function run_nested()" in messages[2]
         assert "MutableJob is not a frozen dataclass" in messages[3]
 
-    def test_interprocedural_leak_fires_at_the_sim_call_site(self):
-        # The helpers live outside the sim path, so local scanning of
-        # leak.py sees nothing; the effect pass walks the call graph and
-        # fires R1/R2 where taint crosses into repro.sim, with the chain
-        # rendered in the message.
-        assert _hits(self.report, "sim/leak.py") == [
-            (14, "R1"),
-            (15, "R2"),
-        ]
-        messages = [
-            d.message
-            for d in self.report.diagnostics
-            if d.file.endswith("sim/leak.py")
-        ]
-        assert (
-            "sim-path call into repro.util.timing.stamp_run()" in messages[0]
-        )
-        assert "[chain: repro.util.timing._read_clock" in messages[0]
-        assert "-> time.time()" in messages[0]
-        assert "sim-path call into repro.util.timing.draw()" in messages[1]
-        assert "[chain: random.random()" in messages[1]
-
-    def test_helper_module_still_gets_local_findings(self):
-        # The tainted helpers themselves are flagged at their intrinsic
-        # sites too — interprocedural findings add to, not replace, the
-        # local ones.
-        assert _hits(self.report, "util/timing.py") == [
-            (14, "R1"),
-            (24, "R2"),
-        ]
-
     def test_r8_malformed_and_unused(self):
         assert _hits(self.report, "bad/repro/suppress.py") == [
             (3, "R8"),
@@ -209,7 +184,7 @@ class TestBadCorpus:
     def test_total_finding_count_is_pinned(self):
         # A new finding (or a silently dropped one) must be a conscious
         # fixture change, not drift.
-        assert len(self.report.diagnostics) == 38
+        assert len(self.report.diagnostics) == 36
         assert not self.report.errors
 
     def test_diagnostics_render_as_path_line_col_rule(self):
@@ -270,10 +245,9 @@ class TestAuditedFenceExceptions:
 
     def test_used_suppressions_are_counted_not_reported(self):
         report = _analyze("good")
-        assert len(report.suppressed) == 2
-        files = {d.file.rsplit("/", 1)[-1] for d, _ in report.suppressed}
-        assert files == {"suppress.py", "budget.py"}
-        assert all(d.rule == "R1" for d, _ in report.suppressed)
+        ((diagnostic, _reason),) = report.suppressed
+        assert diagnostic.file.endswith("suppress.py")
+        assert diagnostic.rule == "R1"
 
 
 class TestRuleCatalog:
@@ -325,3 +299,92 @@ class TestAuditedConcurrencyTables:
         module, _, name = _FABRIC_POOL_CLASS.rpartition(".")
         assert module == "repro.experiments.parallel"
         assert hasattr(fabric, name)
+
+
+class TestFoundByTheTrial:
+    """Linter bugs the mutation trial of docs/static-analysis.md (and
+    its review) turned up in rules that stay."""
+
+    def _scan(self, tmp_path: Path, modules: dict[str, str]) -> AnalysisReport:
+        for relative, source in modules.items():
+            path = tmp_path / "repro" / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            for package in (tmp_path / "repro", path.parent):
+                (package / "__init__.py").touch()
+            path.write_text(source)
+        return run_analysis([tmp_path / "repro"], allowlist_path=NO_ALLOWLIST)
+
+    def test_r10_sees_a_fabric_call_from_the_defining_module(self, tmp_path):
+        # repro.driver calls its own fan_out by bare name; the worker
+        # named there must be checked like any other.
+        report = self._scan(
+            tmp_path,
+            {
+                "driver.py": (
+                    '"""Doc."""\n'
+                    "def fan_out(worker, tasks):\n"
+                    "    return [worker(task) for task in tasks]\n"
+                    "def run_all(tasks: list) -> list:\n"
+                    "    return fan_out(lambda task: task, tasks)\n"
+                )
+            },
+        )
+        assert [(d.line, d.rule) for d in report.diagnostics] == [(5, "R10")]
+
+    def test_r4_reads_a_name_only_in_its_own_scope(self, tmp_path):
+        # ``lost`` is a float field of an unrelated class; the local
+        # ``lost`` emitted below is an int and must not inherit the
+        # class-body annotation (nor one from a sibling function).
+        report = self._scan(
+            tmp_path,
+            {
+                "obs/events.py": (
+                    '"""Doc."""\n'
+                    'EVENT_SCHEMA = {"migration.done": {"lost": "int"}}\n'
+                ),
+                "elastic/migration.py": (
+                    '"""Doc."""\n'
+                    "class Open:\n"
+                    "    lost: float = 0.0\n"
+                    "def other() -> None:\n"
+                    '    lost: str = ""\n'
+                    "def finish(log: object, count: int) -> None:\n"
+                    "    lost = count\n"
+                    '    log.emit("migration.done", lost=lost)\n'
+                ),
+            },
+        )
+        assert report.diagnostics == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    lost = None\n    if late:\n        lost = measure()\n",
+            "    if late:\n        lost = measure()\n    else:\n"
+            "        lost = None\n",
+        ],
+        ids=["init-then-reassign", "reassign-then-init"],
+    )
+    def test_r4_does_not_type_a_reassigned_name_by_its_initialiser(
+        self, tmp_path, body
+    ):
+        # ``lost = None`` next to ``lost = measure()`` does not make the
+        # emitted value null, whichever the walk meets first.
+        report = self._scan(
+            tmp_path,
+            {
+                "obs/events.py": (
+                    '"""Doc."""\n'
+                    'EVENT_SCHEMA = {"migration.done": {"lost": "int"}}\n'
+                ),
+                "elastic/migration.py": (
+                    '"""Doc."""\n'
+                    "def measure() -> int:\n"
+                    "    return 5\n"
+                    "def finish(log: object, late: bool) -> None:\n"
+                    + body
+                    + '    log.emit("migration.done", lost=lost)\n'
+                ),
+            },
+        )
+        assert report.diagnostics == []

@@ -1,10 +1,12 @@
 """The shipped tree must satisfy its own linter — and the linter must
 actually notice when it stops being true.
 
-The mutation tests copy ``src/repro`` to a temp tree, seed one violation
-of the schema cross-check, and assert R4 fires: this is the evidence
-that a green run means "emitters and EVENT_SCHEMA agree", not "the
-check silently matched nothing".
+The gate scan (``src/repro`` plus ``benchmarks``, as CI runs it) happens
+once per session. The seeded probes are the mutation trial of
+docs/static-analysis.md kept alive: one realistic violation per rule in
+a real module. The per-file rules see only the mutated file, written
+under its dotted path; the three schema mutations need every emitter,
+so they scan a copy of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ def _analyze(*roots: Path) -> AnalysisReport:
     return run_analysis(list(roots), allowlist_path=ALLOWLIST)
 
 
+@pytest.fixture(scope="module")
+def gate_report() -> AnalysisReport:
+    """The scan CI gates on: the library tree plus the benchmark
+    harness, from the repo root with relative paths (the allowlist's
+    ``benchmarks/*`` glob is repo-relative)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        return _analyze(Path("src/repro"), Path("benchmarks"))
+
+
 @pytest.fixture()
 def src_copy(tmp_path):
     """A mutable copy of src/repro (same dotted module names)."""
@@ -42,30 +54,18 @@ def src_copy(tmp_path):
 
 
 class TestShippedTreeIsClean:
-    @pytest.fixture(autouse=True)
-    def _from_repo_root(self, monkeypatch):
-        # The allowlist's path globs (benchmarks/*) are repo-relative,
-        # so run the gate scan exactly as CI does: from the repo root
-        # with relative paths.
-        monkeypatch.chdir(REPO_ROOT)
+    def test_no_findings_no_errors(self, gate_report):
+        assert gate_report.errors == []
+        assert [d.render() for d in gate_report.diagnostics] == []
 
-    def test_no_findings_no_errors(self):
-        # Same scan CI gates on: the library tree plus the benchmark
-        # harness (whose wall-clock reads the allowlist waives).
-        report = _analyze(Path("src/repro"), Path("benchmarks"))
-        assert report.errors == []
-        assert [d.render() for d in report.diagnostics] == []
-
-    def test_every_allowlist_entry_earns_its_keep(self):
+    def test_every_allowlist_entry_earns_its_keep(self, gate_report):
         # Stale allowlist entries are invisible risk: they would mask a
         # future real violation. Each checked-in entry must match today.
-        report = _analyze(Path("src/repro"), Path("benchmarks"))
-        unused = [e.pattern for e in report.allowlist if e.matches == 0]
+        unused = [e.pattern for e in gate_report.allowlist if e.matches == 0]
         assert unused == []
 
-    def test_inline_suppressions_all_used(self):
-        report = _analyze(Path("src/repro"), Path("benchmarks"))
-        assert all(s.used for s in report.suppressions)
+    def test_inline_suppressions_all_used(self, gate_report):
+        assert all(s.used for s in gate_report.suppressions)
 
 
 class TestSchemaAgreement:
@@ -159,14 +159,33 @@ class TestSchemaAgreement:
         assert any("'never.emitted' has no emitter" in d.message for d in r4)
 
 
+def _probe(
+    tmp_path: Path, relative: str, old: str, new: str
+) -> AnalysisReport:
+    """Scan one real module with ``old`` replaced by ``new`` (``old``
+    empty: ``new`` is appended), alone under its dotted path."""
+    target = tmp_path / "src" / "repro" / relative
+    target.parent.mkdir(parents=True)
+    package = target.parent
+    while package != tmp_path / "src":
+        (package / "__init__.py").touch()
+        package = package.parent
+    source = (SRC / relative).read_text()
+    assert old in source
+    target.write_text(source.replace(old, new, 1) if old else source + new)
+    return _analyze(target)
+
+
 class TestSeededViolationsAreCaught:
-    """End-to-end: a fresh violation anywhere in the tree exits dirty."""
+    """A fresh violation of any rule but R4 (above) exits dirty, on a
+    scan of the one file it sits in."""
 
     @pytest.mark.parametrize(
-        ("relative", "snippet", "rule"),
+        ("relative", "old", "new", "rule"),
         [
             (
                 "sim/kernel.py",
+                "",
                 "\n\ndef _probe_wallclock() -> float:\n"
                 '    """Mutation-test probe."""\n'
                 "    import time\n\n"
@@ -175,6 +194,7 @@ class TestSeededViolationsAreCaught:
             ),
             (
                 "laar/middleware.py",
+                "",
                 "\n\ndef _probe_unseeded() -> object:\n"
                 '    """Mutation-test probe."""\n'
                 "    import random\n\n"
@@ -183,25 +203,56 @@ class TestSeededViolationsAreCaught:
             ),
             (
                 "core/strategy.py",
+                "",
                 "\n\ndef _probe_ordering(hosts: list) -> list:\n"
                 '    """Mutation-test probe."""\n'
                 "    return [h for h in set(hosts)]\n",
                 "R3",
             ),
             (
+                "obs/runner.py",
+                "@dataclass(frozen=True)\nclass ObservedRunSpec:",
+                "@dataclass\nclass ObservedRunSpec:",
+                "R5",
+            ),
+            (
                 "sim/kernel.py",
+                "",
                 "\n\ndef _probe_identity(x: object) -> int:\n"
                 '    """Mutation-test probe."""\n'
                 "    return id(x)\n",
                 "R6",
             ),
+            (
+                "dsps/platform.py",
+                "import math\n",
+                "import math\nimport multiprocessing\n",
+                "R7",
+            ),
+            (
+                "dsps/platform.py",
+                "        jitter = self._config.arrival_jitter\n",
+                "        # repro: allow[R1] reason=nothing to absorb here\n"
+                "        jitter = self._config.arrival_jitter\n",
+                "R8",
+            ),
+            (
+                "core/optimizer/parallel.py",
+                '        value = multiprocessing.Value("d", math.inf)\n',
+                '        value = multiprocessing.Value("d", math.inf)\n'
+                "        value.value = math.inf\n",
+                "R9",
+            ),
+            (
+                "obs/runner.py",
+                "def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:",
+                "def run_observed(spec) -> dict[str, Any]:",
+                "R10",
+            ),
         ],
     )
-    def test_seeded_violation_fires(self, src_copy, relative, snippet, rule):
-        target = src_copy / relative
-        with target.open("a") as handle:
-            handle.write(snippet)
-        report = _analyze(src_copy)
+    def test_seeded_violation_fires(self, tmp_path, relative, old, new, rule):
+        report = _probe(tmp_path, relative, old, new)
         fired = [d for d in report.diagnostics if d.rule == rule]
         assert fired, f"seeded {rule} violation in {relative} not caught"
         assert not report.ok

@@ -1,9 +1,7 @@
-"""The typecheck ratchet's mypy-free checks, plus the repo's own state.
+"""The typecheck ratchet's two checks, plus the repo's own state.
 
-Everything here runs without mypy installed: the classification
-invariants and the AST annotation-completeness check are pure Python, so
-the ratchet's bookkeeping is enforced by the tier-1 suite even on
-machines without the lint toolchain.
+Classification and AST annotation completeness are pure Python, so the
+ratchet is enforced by the tier-1 suite with no lint toolchain.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ class TestRepoState:
         monkeypatch.chdir(REPO_ROOT)
         assert "repro.analysis.*" in load_strict_overrides()
 
-    def test_cli_no_mypy_exits_zero(self, monkeypatch, capsys):
+    def test_cli_exits_zero(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["--no-mypy"]) == 0
+        assert main([]) == 0
         assert "typecheck: OK" in capsys.readouterr().out

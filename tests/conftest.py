@@ -1,8 +1,14 @@
-"""Shared fixtures: the paper's Sec. 4.1 pipeline and richer graph shapes."""
+"""Shared fixtures: the paper's Sec. 4.1 pipeline and richer graph shapes.
+
+Also the suite's one Hypothesis profile: tier-1 is a gate (and a judge
+in docs/static-analysis.md's mutation trial), so every generated test
+draws the same examples on every run.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import (
     ApplicationDescriptor,
@@ -14,6 +20,9 @@ from repro.core import (
 from repro.placement import balanced_placement
 
 GIGA = 1.0e9
+
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

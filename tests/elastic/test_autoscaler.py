@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Host
@@ -290,11 +290,13 @@ class TestIdleProbe:
                 at + downtime, lambda h=host: platform.recover_host(h)
             )
         platform.run()
-        # Both answers were exercised: the calendar acts at least at the
-        # peak's edges, and most ticks find nothing to do -- unless hosts
-        # are down, when every tick has replicas to reconcile.
-        assert control.acted >= 2
+        # How often each answer was exercised. Without crashes it is a
+        # property of the twelve policy cells (the calendar acts at the
+        # peak's edges, most ticks find nothing to do); while hosts are
+        # down every tick has replicas to reconcile, so there it is a
+        # tendency and only reported (`--hypothesis-show-statistics`).
         if crashes:
-            assert control.vouched >= 1
+            event(f"acted at least twice: {control.acted >= 2}")
+            event(f"vouched more than acted: {control.vouched > control.acted}")
         else:
-            assert control.vouched > control.acted
+            assert control.vouched > control.acted >= 2

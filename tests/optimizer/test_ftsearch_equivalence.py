@@ -66,11 +66,14 @@ SIZES = {"toy": ((3, 5), 3), "mid": ((6, 8), 4)}
 #: equal loads: the oracle's loads carry the float residue of the path it
 #: backtracked along, the block engine's rows carry none. Pinned so that
 #: a new divergence fails instead of being waved through (18 of the 166
-#: cases a nightly sweep runs); a canonical, history-free tie-break in
+#: cases a nightly sweep runs, plus the four penalty-minus-one-rule
+#: cases of seed 20); a canonical, history-free tie-break in
 #: both engines (ROADMAP item 3) empties this set.
 KNOWN_TIES = frozenset({
     ("default", 24), ("default", 37), ("default", 44),
     ("penalty", 22), ("penalty", 33),
+    ("penalty-no-CPU", 20), ("penalty-no-COMPL", 20),
+    ("penalty-no-COST", 20), ("penalty-no-DOM", 20),
     ("seeded", 44),
     ("reversed", 11), ("reversed", 33),
     ("mid-default", 5), ("mid-default", 10), ("mid-default", 34),
@@ -199,6 +202,27 @@ def test_equivalent_with_all_rules_disabled(seed):
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_in_penalty_mode(seed):
     check_corpus_case("penalty", seed, penalty_weight=1.0e8)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        rule for rule in PruneRule
+        if rule is not PruneRule.COST or os.environ.get("REPRO_NIGHTLY")
+    ],
+)
+def test_equivalent_in_penalty_mode_with_rule_disabled(rule):
+    """Penalty mode minus one pruning rule, on seed 20 — one of the two
+    15-cell toy instances (5 PEs x 3 levels), where the two combine to
+    10-70x the default node count (ROADMAP 4(d)). With COST disabled
+    the case takes ~9 s, so tier-1 runs the other three rules and the
+    nightly sweep (``REPRO_NIGHTLY=1``) all four. Seed 20 is a
+    replica-swap tie in penalty mode under every rule set, hence four
+    :data:`KNOWN_TIES` pins."""
+    check_corpus_case(
+        f"penalty-no-{rule.value}", 20,
+        penalty_weight=1.0e8, disabled_rules=frozenset({rule}),
+    )
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))

@@ -182,3 +182,12 @@ def test_every_option_has_a_setter():
     assert sorted(set(UNSET_OPTIONS) - unset) == [], (
         "exempted options that have a setter or no longer exist"
     )
+
+
+def test_generated_tests_draw_the_same_examples_every_run():
+    """Tier-1 is a gate and a judge (docs/static-analysis.md): the one
+    Hypothesis profile, registered in ``tests/conftest.py``, is
+    derandomised, so a red run is a regression and not a lucky draw."""
+    from hypothesis import settings
+
+    assert settings.default.derandomize
