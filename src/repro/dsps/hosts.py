@@ -17,6 +17,7 @@ paper measures "total CPU time used" from the PE processes.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -40,7 +41,28 @@ class _Job:
 
 
 class HostScheduler:
-    """Equal-share processor scheduling of one host's CPU cycles."""
+    """Equal-share processor scheduling of one host's CPU cycles.
+
+    The host keeps at most one live completion event on the kernel heap:
+    the instant its shortest job finishes. Every change of the job set or
+    of the capacity (``submit``, ``cancel``, ``set_speed_factor``, a
+    completion) supersedes that event with a fresh one.
+
+    **The dispatch window.** A completion hands the finished jobs'
+    callbacks the CPU they freed, and the usual callback starts the
+    owner's next queued tuple on this very host at this very instant. So
+    while :meth:`_on_completion` runs its callbacks, a reschedule of
+    *this* host pushes nothing: it only draws the sequence number the
+    superseded event would have carried (none when no job is left) and
+    remembers it. After the last callback one event is pushed under the
+    last number drawn (``Environment.schedule(..., seq=...)``). No time
+    passes inside the window, so that event has bit for bit the
+    ``(time, seq)`` of the last one a push-per-reschedule scheduler
+    would have left alive, and the kernel's sequence counter advances
+    identically; the only observable difference is that the superseded
+    events were never on the heap (``Environment.events_cancelled``
+    counts fewer). A callback that raises still closes the window.
+    """
 
     def __init__(
         self,
@@ -64,6 +86,11 @@ class HostScheduler:
         self._jobs: dict[object, _Job] = {}
         self._last_update = env.now
         self._completion: Optional[EventHandle] = None
+        # The dispatch window: open while _on_completion runs callbacks;
+        # _reserved is the sequence number drawn by the window's latest
+        # reschedule (None: that reschedule found the host idle).
+        self._dispatching = False
+        self._reserved: Optional[int] = None
         self.cycles_delivered = 0.0
         #: Optional hook fired when delivered capacity changes mid-run
         #: (the batched engine invalidates its service-time templates).
@@ -93,12 +120,13 @@ class HostScheduler:
         self._reschedule()
 
     def cancel(self, owner: object) -> float:
-        """Abort ``owner``'s job; returns the cycles already consumed."""
-        self._advance()
-        job = self._jobs.pop(owner, None)
-        self._reschedule()
-        if job is None:
+        """Abort ``owner``'s job; returns the cycles already consumed
+        (0.0, touching nothing, when the owner has no job here)."""
+        if owner not in self._jobs:
             return 0.0
+        self._advance()
+        job = self._jobs.pop(owner)
+        self._reschedule()
         return job.total - max(job.remaining, 0.0)
 
     def cpu_seconds(self, cycles: float) -> float:
@@ -130,40 +158,64 @@ class HostScheduler:
     # Processor-sharing mechanics
     # ------------------------------------------------------------------
 
-    def _rate_per_job(self) -> float:
-        return self.capacity / len(self._jobs)
-
     def _advance(self) -> None:
+        if self._dispatching:
+            return  # _on_completion advanced to this very instant
         now = self._env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed <= 0 or not self._jobs:
+        jobs = self._jobs
+        if elapsed <= 0 or not jobs:
             return
-        progress = self._rate_per_job() * elapsed
-        self.cycles_delivered += progress * len(self._jobs)
-        for job in self._jobs.values():
+        count = len(jobs)
+        progress = self.capacity / count * elapsed
+        self.cycles_delivered += progress * count
+        for job in jobs.values():
             job.remaining -= progress
 
     def _reschedule(self) -> None:
+        if self._dispatching:
+            # Draw exactly where a push would have drawn; _on_completion
+            # pushes once, under the last number, when the window closes.
+            self._reserved = self._env.take_seq() if self._jobs else None
+            return
         if self._completion is not None:
             self._completion.cancel()
             self._completion = None
-        if not self._jobs:
-            return
-        shortest = min(job.remaining for job in self._jobs.values())
-        delay = max(shortest, 0.0) / self._rate_per_job()
-        self._completion = self._env.schedule(delay, self._on_completion)
+        if self._jobs:
+            self._push()
+
+    def _push(self, seq: Optional[int] = None) -> None:
+        """Schedule the completion of the shortest job (``seq``: under an
+        already-drawn sequence number instead of a fresh one)."""
+        jobs = self._jobs
+        shortest = math.inf
+        for job in jobs.values():
+            if job.remaining < shortest:
+                shortest = job.remaining
+        delay = max(shortest, 0.0) / (self.capacity / len(jobs))
+        self._completion = self._env.schedule(
+            delay, self._on_completion, seq=seq
+        )
 
     def _on_completion(self) -> None:
         self._completion = None
         self._advance()
+        jobs = self._jobs
         finished = [
             (owner, job)
-            for owner, job in self._jobs.items()
+            for owner, job in jobs.items()
             if job.remaining <= _EPSILON_CYCLES
         ]
         for owner, _ in finished:
-            del self._jobs[owner]
-        self._reschedule()
-        for _, job in finished:
-            job.callback()
+            del jobs[owner]
+        self._dispatching = True
+        try:
+            self._reschedule()
+            for _, job in finished:
+                job.callback()
+        finally:
+            self._dispatching = False
+            reserved, self._reserved = self._reserved, None
+            if reserved is not None:
+                self._push(reserved)

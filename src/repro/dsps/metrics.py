@@ -216,12 +216,6 @@ class NetworkMetrics:
     inter_host_tuples: int = 0
     heartbeat_messages: int = 0
 
-    def record_transfer(self, sender_host: str, receiver_host: str) -> None:
-        if sender_host == receiver_host:
-            self.intra_host_tuples += 1
-        else:
-            self.inter_host_tuples += 1
-
 
 @dataclass
 class RunMetrics:

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.deployment import ReplicaId
 from repro.dsps.hosts import HostScheduler
-from repro.dsps.metrics import ReplicaMetrics
+from repro.dsps.metrics import PortCounters, ReplicaMetrics
 from repro.errors import SimulationError
 from repro.sim import Environment, EventHandle
 
@@ -84,6 +84,11 @@ class OperatorReplica:
         self._events = events
         self._tracer = tracer
         self._overflowed = [False] * len(self._ports)
+        # PortCounters per port index, resolved on the port's first tuple
+        # (a port that never saw one stays absent from ``metrics.ports``).
+        self._counters: list[Optional[PortCounters]] = [None] * len(
+            self._ports
+        )
 
         self.active = initially_active
         self.alive = True
@@ -134,21 +139,25 @@ class OperatorReplica:
         if not self.processable:
             return  # HAProxy ignores input while inactive / crashed
         port = self._port_index[from_component]
-        self._metrics.received += 1
-        counters = self._metrics.port(from_component)
+        metrics = self._metrics
+        metrics.received += 1
+        counters = self._counters[port]
+        if counters is None:
+            counters = self._counters[port] = metrics.port(from_component)
         counters.received += 1
         spec = self._ports[port]
         if self._port_fill[port] >= spec.capacity:
-            self._metrics.dropped += 1
+            metrics.dropped += 1
             counters.dropped += 1
-            if self.is_primary:
-                self._metrics.dropped_as_primary += 1
+            primary = self.is_primary
+            if primary:
+                metrics.dropped_as_primary += 1
             if self._events is not None:
                 self._events.emit(
                     "tuple.drop",
                     replica=str(self.replica_id),
                     port=from_component,
-                    primary=self.is_primary,
+                    primary=primary,
                 )
                 if not self._overflowed[port]:
                     # One overflow event per transition into the full
@@ -191,14 +200,18 @@ class OperatorReplica:
         port, birth = self._serving
         self._serving = None
         self._port_fill[port] -= 1
-        cpu_seconds = self.host.cpu_seconds(self._ports[port].cycles)
-        self._metrics.busy_time += cpu_seconds
-        self._metrics.processed += 1
-        counters = self._metrics.port(self._ports[port].name)
+        spec = self._ports[port]
+        metrics = self._metrics
+        cpu_seconds = self.host.cpu_seconds(spec.cycles)
+        metrics.busy_time += cpu_seconds
+        metrics.processed += 1
+        # on_tuple resolved this port's counters when the tuple arrived.
+        counters = self._counters[port]
         counters.processed += 1
         counters.busy_time += cpu_seconds
-        if self.is_primary:
-            self._metrics.processed_as_primary += 1
+        primary = self.is_primary
+        if primary:
+            metrics.processed_as_primary += 1
         if self._tracer is not None:
             self._tracer.stage(
                 "process", birth, replica=str(self.replica_id)
@@ -206,12 +219,12 @@ class OperatorReplica:
 
         # Selectivity credit accounting (footnote 3). Emitted tuples carry
         # the birth time of the tuple whose processing triggered them.
-        self._credits[port] += self._ports[port].selectivity
-        emitted = int(self._credits[port])
+        credit = self._credits[port] + spec.selectivity
+        emitted = int(credit)
+        self._credits[port] = credit - emitted
         if emitted:
-            self._credits[port] -= emitted
             counters.emitted += emitted
-            if self.is_primary:
+            if primary:
                 for _ in range(emitted):
                     self._emit(self, birth)
 
@@ -335,7 +348,10 @@ class ReplicaGroup:
         self._env = env
         self.pe = pe
         self.failover_delay = failover_delay
-        self._members: list[OperatorReplica] = []
+        #: Members in replica-index order. A tuple replaced on every
+        #: add/remove: the data path iterates it without copying, and a
+        #: caller holding it across a membership change keeps a snapshot.
+        self.members: tuple[OperatorReplica, ...] = ()
         self.primary: Optional[OperatorReplica] = None
         #: Optional hook fired on every primary (re)assignment — the
         #: batched engine invalidates its cascade templates here, since
@@ -356,8 +372,11 @@ class ReplicaGroup:
 
     def add(self, replica: OperatorReplica) -> None:
         replica.group = self
-        self._members.append(replica)
-        self._members.sort(key=lambda r: r.replica_id.replica)
+        self.members = tuple(
+            sorted(
+                (*self.members, replica), key=lambda r: r.replica_id.replica
+            )
+        )
         if self._heartbeats_enabled:
             # A member joining after heartbeats were enabled must be
             # registered with the detector immediately: without a beat
@@ -375,11 +394,11 @@ class ReplicaGroup:
         is a controller action, so the handover is reliable and ordered
         like a deactivation, not a crash.
         """
-        if replica not in self._members:
+        if replica not in self.members:
             raise SimulationError(
                 f"replica {replica.replica_id} is not a member of {self.pe}"
             )
-        self._members.remove(replica)
+        self.members = tuple(m for m in self.members if m is not replica)
         replica.group = None
         self._last_beat.pop(replica, None)
         if self.primary is replica:
@@ -396,10 +415,6 @@ class ReplicaGroup:
                 self._pending_election = None
             self._elect()
 
-    @property
-    def members(self) -> tuple[OperatorReplica, ...]:
-        return tuple(self._members)
-
     def initialise_primary(self) -> None:
         self._set_primary(self._first_processable())
 
@@ -409,7 +424,7 @@ class ReplicaGroup:
             self.on_primary_change()
 
     def _first_processable(self) -> Optional[OperatorReplica]:
-        for member in self._members:
+        for member in self.members:
             if member.processable:
                 return member
         return None
@@ -436,8 +451,8 @@ class ReplicaGroup:
         self._hb_fanout = fanout
         self._hb_network = network
         now = self._env.now
-        self._last_beat = {member: now for member in self._members}
-        for member in self._members:
+        self._last_beat = {member: now for member in self.members}
+        for member in self.members:
             self._start_beats(member)
         self._env.process(self._watchdog())
 

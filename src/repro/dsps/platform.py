@@ -291,24 +291,34 @@ class StreamPlatform:
         tracer = self.telemetry.tuple_tracer
         if tracer is not None:
             tracer.on_emit(source, birth)
+        groups = self._groups
         for succ in self._graph.succ(source):
-            if succ in self._groups:
-                for replica in self._groups[succ].members:
-                    replica.on_tuple(source, birth)
-            else:
+            group = groups.get(succ)
+            if group is None:
                 self._sinks[succ].on_tuple(source, birth)
+                continue
+            for replica in group.members:
+                replica.on_tuple(source, birth)
 
     def _forward_output(self, replica: OperatorReplica, birth: float) -> None:
         pe = replica.replica_id.pe
         sender_host = replica.host.name
-        network = self.metrics.network
+        groups = self._groups
+        intra = inter = 0
         for succ in self._graph.succ(pe):
-            if succ in self._groups:
-                for target in self._groups[succ].members:
-                    network.record_transfer(sender_host, target.host.name)
-                    target.on_tuple(pe, birth)
-            else:
+            group = groups.get(succ)
+            if group is None:
                 self._sinks[succ].on_tuple(pe, birth)
+                continue
+            for target in group.members:
+                if target.host.name == sender_host:
+                    intra += 1
+                else:
+                    inter += 1
+                target.on_tuple(pe, birth)
+        network = self.metrics.network
+        network.intra_host_tuples += intra
+        network.inter_host_tuples += inter
 
     # ------------------------------------------------------------------
     # Control and failure entry points

@@ -243,6 +243,7 @@ class Environment:
         delay: float,
         callback: Callable[[], None],
         idle: Optional[Callable[[float], bool]] = None,
+        seq: Optional[int] = None,
     ) -> EventHandle:
         """Run ``callback`` after ``delay`` simulated seconds.
 
@@ -254,11 +255,27 @@ class Environment:
         schedule more events. The engine then fires it *inside* a
         closed-form batch instead of ending the batch at it. The
         tuple-granular loop never calls the probe.
+
+        ``seq`` schedules under a *reserved* sequence number: one the
+        caller drew from :meth:`take_seq` earlier, at the point where it
+        would otherwise have pushed an event it already knew it was
+        about to supersede (the host scheduler's dispatch window, see
+        :class:`repro.dsps.hosts.HostScheduler`). The event ties with
+        its equal-time neighbours exactly as that superseded event
+        would have. A number that was never drawn is rejected; drawing a
+        number and using it at most once is the caller's contract.
         """
         if delay < 0 or math.isnan(delay):
             raise SimulationError(f"cannot schedule in the past: {delay}")
+        if seq is None:
+            seq = self.take_seq()
+        elif seq >= self._sequence:
+            raise SimulationError(
+                f"sequence number {seq} was never drawn"
+                f" (next is {self._sequence})"
+            )
         handle = EventHandle(self._now + delay, callback, idle)
-        heapq.heappush(self._queue, (handle.time, self.take_seq(), handle))
+        heapq.heappush(self._queue, (handle.time, seq, handle))
         return handle
 
     def fire_head(self) -> None:
@@ -305,9 +322,13 @@ class Environment:
             self.telemetry.emit("sim.run.start", until=until)
         engine = self.engine
         queue = self._queue
+        heappop = heapq.heappop
         while True:
             if engine is None:
-                self._purge_cancelled()
+                # The lazy purge of _purge_cancelled, inlined.
+                while queue and queue[0][2].cancelled:
+                    heappop(queue)
+                    self._events_cancelled += 1
             else:
                 engine.advance(until)
             if not queue:
@@ -315,7 +336,7 @@ class Environment:
             time, _seq, handle = queue[0]
             if until is not None and time > until:
                 break
-            heapq.heappop(queue)
+            heappop(queue)
             if time < self._now:  # pragma: no cover - defensive
                 raise SimulationError("event queue went back in time")
             self._now = time

@@ -10,6 +10,7 @@ from repro.dsps.metrics import ReplicaMetrics
 from repro.dsps.operators import OperatorReplica, PortSpec, ReplicaGroup
 from repro.errors import SimulationError
 from repro.sim import Environment
+from tests.support import live_heap
 
 
 def build_replica(
@@ -249,3 +250,116 @@ class TestFailover:
         secondary.crash()
         env.run()
         assert group.primary is primary
+
+
+class TestPortCounters:
+    def test_port_without_a_tuple_stays_out_of_the_metrics(self):
+        """Counters are resolved per port on the first tuple: a port
+        nothing arrived on is absent, not present-with-zeros."""
+        env = Environment()
+        metrics = ReplicaMetrics()
+        replica = OperatorReplica(
+            env=env,
+            replica_id=ReplicaId("pe", 0),
+            host=HostScheduler(env, "h", 10.0, 10.0),
+            ports=[
+                PortSpec("left", cycles=10.0, selectivity=1.0, capacity=4),
+                PortSpec("right", cycles=10.0, selectivity=1.0, capacity=4),
+            ],
+            metrics=metrics,
+            emit=lambda r, birth: None,
+        )
+        with_group(env, replica)
+        assert metrics.ports == {}
+        replica.on_tuple("left")
+        replica.on_tuple("left")
+        env.run()
+        assert list(metrics.ports) == ["left"]
+        left = metrics.ports["left"]
+        assert (left.received, left.processed, left.emitted) == (2, 2, 2)
+        assert left.busy_time == pytest.approx(2.0)
+
+
+class _Stages:
+    """A tuple tracer that logs every lifecycle stage with its instant."""
+
+    def __init__(self, env, log):
+        self._env = env
+        self._log = log
+
+    def stage(self, name, birth, replica):
+        self._log.append((name, replica, self._env.now))
+
+
+class TestEqualInstantTies:
+    def test_replicas_on_equal_hosts_finish_together_in_recorded_order(self):
+        """Two replicas of ``pe`` on two equal hosts finish at the same
+        float instant, each with a tuple queued behind the one in service
+        and a host-mate (``side``) still running; the primary's output
+        lands on both hosts inside the first host's completion. The
+        expected values were recorded on the scheduler that pushed one
+        event per reschedule (`57dacb9`): stage order, the ``(time, seq)``
+        of the two hosts' next — again tied — events, and the counter."""
+        env = Environment()
+        hosts = [HostScheduler(env, name, 10.0, 10.0) for name in ("h0", "h1")]
+        log = []
+        tracer = _Stages(env, log)
+        groups = {}
+
+        def replica(pe, index, port, cycles, emit):
+            made = OperatorReplica(
+                env=env,
+                replica_id=ReplicaId(pe, index),
+                host=hosts[index],
+                ports=[
+                    PortSpec(port, cycles=cycles, selectivity=1.0, capacity=8)
+                ],
+                metrics=ReplicaMetrics(),
+                emit=emit,
+                tracer=tracer,
+            )
+            groups.setdefault(pe, ReplicaGroup(env, pe)).add(made)
+            return made
+
+        def forward(sender, birth):
+            for target in groups["down"].members:
+                target.on_tuple("pe", birth)
+
+        def out(sender, birth):
+            log.append(("out", str(sender.replica_id), env.now))
+
+        ups = [replica("pe", i, "src", 10.0, forward) for i in (0, 1)]
+        for i in (0, 1):
+            replica("down", i, "pe", 5.0, out)
+        sides = [replica("side", i, "src", 20.0, out) for i in (0, 1)]
+        for group in groups.values():
+            group.initialise_primary()
+        for first in (*sides, *ups, ups[1], ups[0]):
+            first.on_tuple("src")
+
+        env.run(until=2.0)
+        assert log[6:] == [
+            ("process", "pe#0", 2.0),
+            ("enqueue", "down#0", 2.0),
+            ("enqueue", "down#1", 2.0),
+            ("process", "pe#1", 2.0),
+        ]
+        assert live_heap(env) == [(3.5, 7), (3.5, 9)]
+        env.run()
+        assert log[10:] == [
+            ("process", "down#0", 3.5),
+            ("out", "down#0", 3.5),
+            ("process", "down#1", 3.5),
+            ("process", "side#0", 4.5),
+            ("out", "side#0", 4.5),
+            ("process", "pe#0", 4.5),
+            ("enqueue", "down#0", 4.5),
+            ("enqueue", "down#1", 4.5),
+            ("process", "side#1", 4.5),
+            ("process", "pe#1", 4.5),
+            ("process", "down#0", 5.0),
+            ("out", "down#0", 5.0),
+            ("process", "down#1", 5.0),
+        ]
+        assert env._sequence == 15
+        assert env.events_processed == 8

@@ -120,6 +120,25 @@ class TestScheduling:
         assert env.events_cancelled == 1
         assert env.events_processed == 0
 
+    def test_reserved_number_ties_where_it_was_drawn(self):
+        env = Environment()
+        order = []
+        reserved = env.take_seq()
+        env.schedule(1.0, lambda: order.append("later draw"))
+        env.schedule(1.0, lambda: order.append("reserved"), seq=reserved)
+        assert env._sequence == 2  # the reserved push drew nothing
+        env.run()
+        assert order == ["reserved", "later draw"]
+
+    def test_undrawn_reserved_number_rejected(self):
+        env = Environment()
+        env.take_seq()
+        with pytest.raises(SimulationError):
+            env.schedule(1.0, lambda: None, seq=1)
+        with pytest.raises(SimulationError):
+            env.schedule(1.0, lambda: None, seq=7)
+        assert env._sequence == 1 and not env._queue
+
 
 class TestProcesses:
     def test_timeout_yields_advance_clock(self):

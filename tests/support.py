@@ -129,3 +129,11 @@ def enumerate_strategies(
             activations[(ReplicaId(pe, 1), c)] = a1
         strategies.append(ActivationStrategy(deployment, activations))
     return strategies
+
+
+def live_heap(env) -> list[tuple[float, int]]:
+    """The ``(time, seq)`` of every live event on a kernel's heap."""
+    return sorted(
+        (time, seq) for time, seq, handle in env._queue
+        if not handle.cancelled
+    )
