@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DescriptorError
 
@@ -55,8 +56,18 @@ class InputConfiguration:
                 f"configuration probability must be in [0, 1],"
                 f" got {self.probability}"
             )
-        # Freeze the mapping so the dataclass is genuinely immutable.
-        object.__setattr__(self, "rates", dict(self.rates))
+        # Freeze the mapping so the dataclass is genuinely immutable:
+        # every tenant of a descriptor shares this object.
+        object.__setattr__(
+            self, "rates", MappingProxyType(dict(self.rates))
+        )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # A mappingproxy does not pickle; the worker pool gets the
+        # rates as a dict and freezes its own copy on arrival.
+        return InputConfiguration, (
+            self.index, dict(self.rates), self.probability, self.label
+        )
 
     def rate_of(self, source: str) -> float:
         try:

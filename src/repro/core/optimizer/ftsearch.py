@@ -54,6 +54,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 if TYPE_CHECKING:  # import only for annotations: keeps the core light
     from repro.obs.progress import SearchProgress
 
@@ -84,9 +86,14 @@ _CPU_I, _COMPL_I, _COST_I, _DOM_I = 0, 1, 2, 3
 
 _REL_EPS = 1e-9
 
-# One PE position's COMPL walk (see SearchLayout): (position, preds) per
-# later PE, preds as (code, ref, selectivity).
-_RestPlan = tuple[tuple[int, tuple[tuple[int, int, float], ...]], ...]
+# One PE position's COMPL walk (see SearchLayout): (position, terms) per
+# later PE, terms as (code, ref, coefficient column).
+_WalkPlan = tuple[
+    tuple[int, tuple[tuple[int, int, np.ndarray], ...]], ...
+]
+# One depth's DOM plan: (position, height, preds) per later PE it can
+# exclude, preds as (assigned, position).
+_DomPlan = tuple[tuple[int, int, tuple[tuple[bool, int], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -336,11 +343,11 @@ class SearchLayout:
 
     Depth ``d`` of the variable order is configuration
     ``config_order[d // n_pes]`` and PE position ``d % n_pes``. Data that
-    varies with the configuration (loads, source inflows, bounds) is
-    indexed by depth; structure that does not (predecessor lists, the
-    COMPL rest-plan, host slots) is indexed by PE position, because the
-    engine's per-row state only ever spans the configuration being
-    assigned.
+    varies with the configuration (loads, source inflows, bounds, the
+    DOM plan) is indexed by depth; structure that does not (predecessor
+    lists, the COMPL walk plan, host slots) is indexed by PE position,
+    because the engine's per-row state only ever spans the configuration
+    being assigned.
     """
 
     def __init__(
@@ -419,23 +426,53 @@ class SearchLayout:
         self.fic_thresh = problem.ic_target * self.bic - _REL_EPS * self.bic
 
         # Per-depth data: load and cost of one active replica, source
-        # inflows, whether DOM may ever exclude the variable.
+        # inflows, which later variables DOM may exclude.
         self.d_load = [rate_table.replica_load(pe, c) for c, pe in self.vars]
         self.d_prob = [prob[c] for c, _ in self.vars]
         #: prob[c] * load — the single-replica (minimum) cost of a variable.
         self.d_prob_load = [
             p * load for p, load in zip(self.d_prob, self.d_load)
         ]
+        #: Cost a value adds at a depth, as a ``(2, 1)`` column: "both
+        #: active", then one replica.
+        self.d_cost_step = list(
+            np.array(
+                [[2 * step for step in self.d_prob_load], self.d_prob_load]
+            ).T[:, :, None]
+        )
         self.d_src_sel = [
             source_inflow_sel.get((pe, c), 0.0) for c, pe in self.vars
         ]
         self.d_src_sum = [
             source_inflow_sum.get((pe, c), 0.0) for c, pe in self.vars
         ]
-        #: DOM never excludes a variable fed by a live source, nor one
-        #: with no in-graph predecessor to go dead.
-        self.d_dom_exempt = [
-            self.d_src_sum[d] > 0.0 or not pe_preds[d % n_pes]
+
+        # DOM plan: for every depth, the later positions of its
+        # configuration whose exclusion its assignment can change — the
+        # descendants of its PE, minus those fed by a live source (DOM
+        # never excludes them). Each entry is (position, height, preds)
+        # with preds as (assigned, position): an assigned predecessor is
+        # dead when its Delta-hat is zero, an open one when it is
+        # excluded.
+        descendants: list[set[int]] = [set() for _ in range(n_pes)]
+        for succ, preds in enumerate(pe_preds):
+            for pred, _ in preds:
+                for ancestor in range(pred + 1):
+                    if ancestor == pred or pred in descendants[ancestor]:
+                        descendants[ancestor].add(succ)
+        pe_dom = [
+            [
+                (succ, tuple((p <= position, p) for p, _ in pe_preds[succ]))
+                for succ in sorted(descendants[position])
+            ]
+            for position in range(n_pes)
+        ]
+        self.d_dom: list[_DomPlan] = [
+            tuple(
+                (succ, self.n_vars - (d - d % n_pes + succ), preds)
+                for succ, preds in pe_dom[d % n_pes]
+                if not self.d_src_sum[d - d % n_pes + succ] > 0.0
+            )
             for d in range(self.n_vars)
         ]
 
@@ -471,25 +508,41 @@ class SearchLayout:
             host_index[deployment.host_of(ReplicaId(pe, 1))] for pe in pes
         ]
 
-        # COMPL rest-plan: for every PE position, the walk over the later
-        # PEs in topological order. Each entry is (position, preds) with
-        # preds as (code, ref, selectivity): code 0 reads the candidate
-        # value's Delta-hat, code 1 the walk's own upper bound at
-        # position ref, code 2 the assigned Delta-hat at position ref.
-        self.pe_rest: list[_RestPlan] = []
+        # COMPL walk plan: for every PE position, the walk over the later
+        # PEs in topological order. Each entry is (position, terms) with
+        # terms as (code, ref, coefficient column): code 0 reads the
+        # candidate value's Delta-hat, code 1 the walk's own upper bound
+        # of its ref-th entry, code 2 the assigned Delta-hat at position
+        # ref. A coefficient column is ``[[sel], [1.0]]``: row 0 feeds
+        # the selectivity-weighted sum (Delta-hat), row 1 the plain sum
+        # (the FIC integrand); it broadcasts over the row axis behind it
+        # and the value-variant axis in front.
+        pe_columns = [
+            [(pred, np.array([[sel], [1.0]])) for pred, sel in preds]
+            for preds in pe_preds
+        ]
+        self.pe_walk: list[_WalkPlan] = []
         for position in range(n_pes):
             entries = []
             for rest_pos in range(position + 1, n_pes):
-                plan = []
-                for pred_pos, selectivity in pe_preds[rest_pos]:
+                terms = []
+                for pred_pos, column in pe_columns[rest_pos]:
                     if pred_pos == position:
-                        plan.append((0, 0, selectivity))
+                        terms.append((0, 0, column))
                     elif pred_pos > position:
-                        plan.append((1, pred_pos, selectivity))
+                        terms.append((1, pred_pos - position - 1, column))
                     else:
-                        plan.append((2, pred_pos, selectivity))
-                entries.append((rest_pos, tuple(plan)))
-            self.pe_rest.append(tuple(entries))
+                        terms.append((2, pred_pos, column))
+                entries.append((rest_pos, tuple(terms)))
+            self.pe_walk.append(tuple(entries))
+        #: Where a depth's walk starts: the source inflows of the later
+        #: PEs of its configuration as ``(rest, 1, 2, 1)`` columns, to
+        #: broadcast over value variant and row.
+        src = np.array([self.d_src_sel, self.d_src_sum]).T
+        self.d_walk_src = [
+            src[d + 1: d - d % n_pes + n_pes, None, :, None]
+            for d in range(self.n_vars)
+        ]
 
     # ------------------------------------------------------------------
     # Clean evaluation of full assignments

@@ -18,6 +18,19 @@ being assigned, so a row carries Δ-hat, DOM exclusions and host loads
 for that configuration alone (they restart at zero when the next
 configuration begins), plus one byte per variable of path.
 
+Inside one advance the twins are stacked, because at ~140 rows a step
+costs what its numpy calls cost, not what they compute. A node's three
+values share one ``(3, rows)`` mask (row = value code: both, replica 0,
+replica 1); a rule ANDs its keeps into it and is charged the drop in
+``count_nonzero``, and ``nonzero`` of the mask is the child order. What
+differs between "both" and the singles but not between the singles —
+the IC upper bound, the cost bound — is a ``(2, rows)`` pair. The COMPL
+walk runs its four recurrences (both/single by selectivity-weighted/
+plain) in one ``(2, 2, rows)`` accumulator per later PE, each term one
+multiply by a ``[[sel], [1.0]]`` column from the layout and one in-place
+add. Stacking never reorders a row's arithmetic: ``acc += c * x`` is
+``acc = acc + c * x`` and ``1.0 * x`` is ``x``.
+
 Equality contract — this engine pins *optimal cost and strategy* against
 the oracle, not node counts. Two deliberate departures make that work:
 
@@ -93,6 +106,21 @@ _BAND_EPS = 4e-9
 # Siblings have distinct ranks, so path bytes compare lexicographically
 # exactly like the per-depth rank vector.
 _CODE_MASK = 3
+
+# The three value codes as a column: ``forced == _CODES`` is the
+# ``(3, rows)`` mask of a root replay.
+_CODES = np.array([[0], [1], [2]], np.uint8)
+
+# Path byte of a single-replica value, indexed by
+# ``4 * (code - 1) + 2 * excluded + less_loaded0`` (``less_loaded0``:
+# replica 0's host carries no more than replica 1's). The value on the
+# less-loaded host ranks first among the singles, and both move up one
+# rank when DOM has taken "both" out of the domain.
+_RANK_BYTES = np.array(
+    [2 << 2 | 1, 1 << 2 | 1, 1 << 2 | 1, 0 << 2 | 1]
+    + [1 << 2 | 2, 2 << 2 | 2, 0 << 2 | 2, 1 << 2 | 2],
+    np.uint8,
+)
 
 # A near-optimal leaf: (raw objective, path bytes). Sorting candidates by
 # path restores the scalar DFS visit order — including across subtree
@@ -170,6 +198,9 @@ class RawSearch:
     expired: bool
     first_raw_cost: Optional[float]
     first_raw_time: Optional[float]
+    #: When ``best_raw`` last tightened, seconds into this pass (None:
+    #: no leaf ever beat the seed incumbent).
+    best_raw_time: Optional[float]
 
 
 class VectorFTSearch:
@@ -245,6 +276,7 @@ class VectorFTSearch:
         self._candidates: list[Candidate] = []
         self._first_raw_cost: Optional[float] = None
         self._first_raw_time: Optional[float] = None
+        self._best_raw_time: Optional[float] = None
         self._start = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -299,6 +331,7 @@ class VectorFTSearch:
             expired=expired,
             first_raw_cost=self._first_raw_cost,
             first_raw_time=self._first_raw_time,
+            best_raw_time=self._best_raw_time,
         )
 
     def split_frontier(
@@ -344,6 +377,7 @@ class VectorFTSearch:
             expired=False,
             first_raw_cost=self._first_raw_cost,
             first_raw_time=self._first_raw_time,
+            best_raw_time=self._best_raw_time,
         )
 
     def run(self) -> SearchResult:
@@ -395,6 +429,9 @@ class VectorFTSearch:
         expired = False
         first_cost: Optional[float] = None
         first_time: Optional[float] = None
+        # The seed incumbent is there from second zero (the oracle's
+        # convention); every pass that tightened it did so later.
+        best_time = 0.0
         for raw in raws:
             merged.extend(raw.candidates)
             nodes += raw.nodes
@@ -407,6 +444,8 @@ class VectorFTSearch:
             if raw.first_raw_cost is not None and first_cost is None:
                 first_cost = raw.first_raw_cost
                 first_time = raw.first_raw_time
+            if raw.best_raw_time is not None:
+                best_time = max(best_time, raw.best_raw_time)
 
         codes, _, best_cost, best_ic = self.fold_candidates(merged)
         if self._progress is not None:
@@ -448,7 +487,7 @@ class VectorFTSearch:
             best_ic=best_ic,
             first_solution_cost=first_cost,
             first_solution_time=first_time,
-            best_solution_time=None if strategy is None else elapsed,
+            best_solution_time=None if strategy is None else best_time,
             elapsed=elapsed,
             stats=stats,
         )
@@ -576,7 +615,6 @@ class VectorFTSearch:
         h1 = layout.pe_h1[pos]
         load = layout.d_load[depth]
         prob_load = layout.d_prob_load[depth]
-        min_cost_rest = layout.suffix_min_cost[depth + 1]
         host_load = block.host_load
         delta_hat = block.delta_hat
         excluded = block.excluded
@@ -595,134 +633,96 @@ class VectorFTSearch:
             plain = plain + x
         contrib_both = layout.d_prob[depth] * plain
 
-        valid0 = ~excluded_d
-        valid1 = np.ones(rows, bool)
-        valid2 = np.ones(rows, bool)
-        self._values_tried += int(valid0.sum()) + 2 * rows
+        # One mask row per value code; every rule ANDs its keeps in and
+        # counts what it removed from the rows still standing.
+        valid = np.ones((3, rows), bool)
+        np.logical_not(excluded_d, out=valid[0])
+        alive = int(np.count_nonzero(valid))
+        self._values_tried += alive
         if forced is not None:
-            valid0 &= forced == 0
-            valid1 &= forced == 1
-            valid2 &= forced == 2
+            valid &= forced == _CODES
+            alive = int(np.count_nonzero(valid))
 
         # CPU rule (Eq. 11, strict inequality on both hosts).
         if self._cpu_on:
-            fits0 = load0 + load < layout.host_caps[h0]
-            fits1 = load1 + load < layout.host_caps[h1]
-            self._count_prunes(
-                _CPU_I,
-                height,
-                int((valid0 & ~(fits0 & fits1)).sum())
-                + int((~fits0).sum())
-                + int((~fits1).sum()),
-            )
-            valid0 &= fits0 & fits1
-            valid1 &= fits0
-            valid2 &= fits1
+            valid[:2] &= load0 + load < layout.host_caps[h0]
+            valid[::2] &= load1 + load < layout.host_caps[h1]
+            alive = self._pruned(_CPU_I, height, valid, alive)
 
         # COMPL rule: IC upper bound via the rest-of-configuration walk.
-        fic_upper0: Optional[np.ndarray] = None
-        fic_upper_single: Optional[np.ndarray] = None
+        fic_upper: Optional[np.ndarray] = None
         if self._need_fic_upper:
-            total0, total_single = self._walk(
-                depth, dh_both, delta_hat, excluded
-            )
-            suffix = layout.d_suffix_bic[depth]
-            fic_upper0 = block.fic + contrib_both + (total0 + suffix)
-            fic_upper_single = block.fic + (total_single + suffix)
+            rest = self._walk(depth, dh_both, delta_hat, excluded)
+            rest += layout.d_suffix_bic[depth]
+            fic_upper = np.empty((2, rows))
+            np.add(block.fic, contrib_both, out=fic_upper[0])
+            fic_upper[1] = block.fic
+            fic_upper += rest
             if self._compl_prune_on:
-                keeps0 = fic_upper0 >= layout.fic_thresh
-                keeps_single = fic_upper_single >= layout.fic_thresh
-                self._count_prunes(
-                    _COMPL_I,
-                    height,
-                    int((valid0 & ~keeps0).sum())
-                    + int((valid1 & ~keeps_single).sum())
-                    + int((valid2 & ~keeps_single).sum()),
-                )
-                valid0 &= keeps0
-                valid1 &= keeps_single
-                valid2 &= keeps_single
+                keeps = fic_upper >= layout.fic_thresh
+                valid[0] &= keeps[0]
+                valid[1:] &= keeps[1]
+                alive = self._pruned(_COMPL_I, height, valid, alive)
 
         # COST rule: assigned cost + cheapest completion, against the
         # banded incumbent (plus the soft-IC deficit in penalty mode).
         if self._cost_on:
-            threshold = self._best_raw * (1 + _BAND_EPS)
-            bound0 = block.cost + 2 * prob_load + min_cost_rest
-            bound_single = block.cost + prob_load + min_cost_rest
-            if self._penalty is not None:
-                assert fic_upper0 is not None
-                assert fic_upper_single is not None
-                bound0 = bound0 + self._penalty * np.maximum(
-                    0.0,
-                    layout.ic_target
-                    - np.minimum(1.0, fic_upper0 / layout.bic),
-                )
-                bound_single = bound_single + self._penalty * np.maximum(
-                    0.0,
-                    layout.ic_target
-                    - np.minimum(1.0, fic_upper_single / layout.bic),
-                )
-            keeps0 = bound0 < threshold
-            keeps_single = bound_single < threshold
-            self._count_prunes(
-                _COST_I,
-                height,
-                int((valid0 & ~keeps0).sum())
-                + int((valid1 & ~keeps_single).sum())
-                + int((valid2 & ~keeps_single).sum()),
+            bound = (
+                block.cost
+                + layout.d_cost_step[depth]
+                + layout.suffix_min_cost[depth + 1]
             )
-            valid0 &= keeps0
-            valid1 &= keeps_single
-            valid2 &= keeps_single
+            if self._penalty is not None:
+                assert fic_upper is not None
+                bound = bound + self._penalty * np.maximum(
+                    0.0,
+                    layout.ic_target
+                    - np.minimum(1.0, fic_upper / layout.bic),
+                )
+            keeps = bound < self._best_raw * (1 + _BAND_EPS)
+            valid[0] &= keeps[0]
+            valid[1:] &= keeps[1]
+            alive = self._pruned(_COST_I, height, valid, alive)
 
-        rows0 = np.nonzero(valid0)[0]
-        rows1 = np.nonzero(valid1)[0]
-        rows2 = np.nonzero(valid2)[0]
-        n0, n1, n2 = len(rows0), len(rows1), len(rows2)
-        total = n0 + n1 + n2
-        if total == 0:
+        if alive == 0:
             return None
 
-        parent = np.concatenate([rows0, rows1, rows2])
+        # Children in value-code order: the "both" rows, then the two
+        # single-replica groups (row-major nonzero is that order).
+        parent = valid.nonzero()[1]
+        n0 = int(np.count_nonzero(valid[0]))
+        n01 = n0 + int(np.count_nonzero(valid[1]))
         self._last_parent = parent
         child = _Block(
             depth=depth + 1,
-            path=block.path[parent],
-            host_load=host_load[parent],
-            delta_hat=delta_hat[parent],
-            excluded=excluded[parent],
-            overloaded=block.overloaded[parent],
-            fic=block.fic[parent],
-            cost=block.cost[parent],
+            path=block.path.take(parent, axis=0),
+            host_load=host_load.take(parent, axis=0),
+            delta_hat=delta_hat.take(parent, axis=0),
+            excluded=excluded.take(parent, axis=0),
+            overloaded=block.overloaded.take(parent),
+            fic=block.fic.take(parent),
+            cost=block.cost.take(parent),
         )
-        g0 = slice(0, n0)
-        g1 = slice(n0, n0 + n1)
-        g2 = slice(n0 + n1, total)
 
         # Path byte ``rank << 2 | code``: the rank is the position the
         # value takes in the scalar DFS's dynamic order — "both" first
         # (rank 0, code 0: the zero byte already there) unless
         # DOM-excluded, then the single replica on the less-loaded host.
-        less_loaded0 = load0 <= load1
-        byte1 = np.where(
-            excluded_d,
-            np.where(less_loaded0, 0 << 2 | 1, 1 << 2 | 1),
-            np.where(less_loaded0, 1 << 2 | 1, 2 << 2 | 1),
-        )
-        byte2 = np.where(
-            excluded_d,
-            np.where(less_loaded0, 1 << 2 | 2, 0 << 2 | 2),
-            np.where(less_loaded0, 2 << 2 | 2, 1 << 2 | 2),
-        )
-        child.path[g1, depth] = byte1[rows1]
-        child.path[g2, depth] = byte2[rows2]
+        if n0 < alive:
+            key = (load0 <= load1) + 2 * excluded_d
+            key = key.take(parent[n0:])
+            key[n01 - n0:] += 4
+            child.path[n0:, depth] = _RANK_BYTES.take(key)
 
+        g0 = slice(0, n0)
+        g1 = slice(n0, n01)
+        g2 = slice(n01, alive)
         child.host_load[g0, h0] += load
         child.host_load[g0, h1] += load
         child.host_load[g1, h0] += load
         child.host_load[g2, h1] += load
-        child.delta_hat[g0, pos] = dh_both[rows0]
-        child.fic[g0] += contrib_both[rows0]
+        child.delta_hat[g0, pos] = dh_both.take(parent[g0])
+        child.fic[g0] += contrib_both.take(parent[g0])
         child.cost[g0] += 2 * prob_load
         child.cost[g1] += prob_load
         child.cost[g2] += prob_load
@@ -738,8 +738,17 @@ class VectorFTSearch:
             child.delta_hat = np.zeros_like(child.delta_hat)
             child.excluded = np.zeros_like(child.excluded)
         elif self._dom_on:
-            self._propagate_domain(child, pos)
+            self._propagate_domain(child)
         return child
+
+    def _pruned(
+        self, rule: int, height: int, valid: np.ndarray, alive: int
+    ) -> int:
+        """Charge ``rule`` with the values it just removed from
+        ``valid`` (``alive`` stood before it); returns how many stand."""
+        left = int(np.count_nonzero(valid))
+        self._count_prunes(rule, height, alive - left)
+        return left
 
     def _count_prunes(self, rule: int, height: int, count: int) -> None:
         if count:
@@ -752,94 +761,72 @@ class VectorFTSearch:
         dh_both: np.ndarray,
         delta_hat: np.ndarray,
         excluded: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """The COMPL rest-of-configuration walk, row-parallel.
 
         One pass per remaining PE of the depth's configuration in
         topological order, assuming full replication except where DOM
-        excluded it and carrying the per-position upper bounds; returns
-        the walk totals for the "both" value and for the single-replica
-        values (whose candidate Δ-hat is zero).
+        excluded it and carrying the per-position upper bounds. All
+        four copies of the recurrence advance in one ``(2, 2, rows)``
+        accumulator — value variant ("both", whose candidate Δ-hat is
+        ``dh_both``, or single-replica, whose is zero) by kind
+        (selectivity-weighted, plain). Returns the ``(2, rows)`` walk
+        totals, one row per variant.
         """
-        layout = self._layout
-        pos = depth % layout.n_pes
-        base = depth - pos
-        rest = layout.pe_rest[pos]
         rows = len(dh_both)
-        total_both = np.zeros(rows)
-        total_single = np.zeros(rows)
-        if not rest:
-            return total_both, total_single
-        prob_c = layout.d_prob[depth]
-        upper_both: dict[int, np.ndarray] = {}
-        upper_single: dict[int, np.ndarray] = {}
-        for position, preds in rest:
-            init_sel = layout.d_src_sel[base + position]
-            init_sum = layout.d_src_sum[base + position]
-            sel_both = np.full(rows, init_sel)
-            sum_both = np.full(rows, init_sum)
-            sel_single = np.full(rows, init_sel)
-            sum_single = np.full(rows, init_sum)
-            for code, ref, selectivity in preds:
+        total = np.zeros((2, rows))
+        layout = self._layout
+        plan = layout.pe_walk[depth % layout.n_pes]
+        if not plan:
+            return total
+        accs = np.empty((len(plan), 2, 2, rows))
+        accs[...] = layout.d_walk_src[depth]
+        for acc, (position, terms) in zip(accs, plan):
+            for code, ref, column in terms:
                 if code == 0:
-                    # The candidate variable itself: Δ-hat is dh_both
-                    # for the "both" value, zero for the singles.
-                    sel_both = sel_both + selectivity * dh_both
-                    sum_both = sum_both + dh_both
+                    # The candidate variable itself: the single-replica
+                    # variant adds nothing.
+                    acc[0] += column * dh_both
                 elif code == 1:
-                    sel_both = (
-                        sel_both + selectivity * upper_both[ref]
-                    )
-                    sum_both = sum_both + upper_both[ref]
-                    sel_single = (
-                        sel_single + selectivity * upper_single[ref]
-                    )
-                    sum_single = sum_single + upper_single[ref]
+                    # An earlier entry's masked weighted sum is its
+                    # upper bound, one row per variant.
+                    acc += column * accs[ref, :, :1]
                 else:
-                    x = delta_hat[:, ref]
-                    sel_both = sel_both + selectivity * x
-                    sum_both = sum_both + x
-                    sel_single = sel_single + selectivity * x
-                    sum_single = sum_single + x
-            dead = excluded[:, position]
-            upper_both[position] = np.where(dead, 0.0, sel_both)
-            upper_single[position] = np.where(dead, 0.0, sel_single)
-            total_both += np.where(dead, 0.0, prob_c * sum_both)
-            total_single += np.where(dead, 0.0, prob_c * sum_single)
-        return total_both, total_single
+                    acc += column * delta_hat[:, ref]
+            np.copyto(acc, 0.0, where=excluded[:, position])
+        for weighted in layout.d_prob[depth] * accs[:, :, 1]:
+            total += weighted
+        return total
 
-    def _propagate_domain(self, child: _Block, pos: int) -> None:
+    def _propagate_domain(self, child: _Block) -> None:
         """DOM: recompute exclusions over the rest of the configuration.
 
         Forward domain propagation (Sec. 4.5): a variable is dead when
         every predecessor is dead (assigned with Δ-hat zero, or
         unassigned and excluded); full replication of a dead variable
         cannot improve IC ("no replication forwarding"), so "both
-        active" leaves its domain. Processing the positions after
-        ``pos`` in increasing order reaches the fixpoint of the recursive
-        formulation. Variables with live source inflow or no in-graph
-        predecessors are never excluded.
+        active" leaves its domain. Only the descendants of the variable
+        just assigned are looked at (the layout's DOM plan): any other
+        position reads the same predecessor states as one step earlier,
+        when it was already brought to the fixpoint. Processing them in
+        increasing order reaches the fixpoint of the recursive
+        formulation.
         """
-        layout = self._layout
+        plan = self._layout.d_dom[child.depth - 1]
+        if not plan:
+            return
         excluded = child.excluded
-        delta_hat = child.delta_hat
-        base = child.depth - 1 - pos
-        for succ_pos in range(pos + 1, layout.n_pes):
-            succ_depth = base + succ_pos
-            if layout.d_dom_exempt[succ_depth]:
-                continue
-            dead = np.ones(child.rows(), bool)
-            for pred_pos, _ in layout.pe_preds[succ_pos]:
-                if pred_pos <= pos:
-                    dead &= delta_hat[:, pred_pos] == 0.0
-                else:
-                    dead &= excluded[:, pred_pos]
-            fresh = dead & ~excluded[:, succ_pos]
-            count = int(fresh.sum())
+        zero = child.delta_hat == 0.0
+        for succ_pos, height, preds in plan:
+            dead: Optional[np.ndarray] = None
+            for assigned, pred_pos in preds:
+                mask = zero[:, pred_pos] if assigned else excluded[:, pred_pos]
+                dead = mask if dead is None else dead & mask
+            # dead and not yet excluded
+            fresh = dead > excluded[:, succ_pos]
+            count = int(np.count_nonzero(fresh))
             if count:
-                self._count_prunes(
-                    _DOM_I, self._n_vars - succ_depth, count
-                )
+                self._count_prunes(_DOM_I, height, count)
                 excluded[:, succ_pos] |= fresh
 
     def _fold_leaves(self, block: _Block) -> None:
@@ -864,16 +851,18 @@ class VectorFTSearch:
         keep = np.nonzero(np.isfinite(objective) & (objective <= band))[0]
         if len(keep) == 0:
             return
+        now = time.monotonic() - self._start
         best_row = int(keep[np.argmin(objective[keep])])
         if objective[best_row] < self._best_raw:
             self._best_raw = float(objective[best_row])
             self._best_raw_cost = float(block.cost[best_row])
+            self._best_raw_time = now
             if self._bound is not None:
                 self._bound.offer(self._best_raw)
             band = self._best_raw * (1 + _BAND_EPS)
         if self._first_raw_cost is None:
             self._first_raw_cost = float(block.cost[keep[0]])
-            self._first_raw_time = time.monotonic() - self._start
+            self._first_raw_time = now
         for row in keep:
             obj = float(objective[row])
             if obj <= band:

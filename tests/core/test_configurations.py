@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +34,48 @@ class TestInputConfiguration:
     def test_rate_vector_follows_order(self):
         config = InputConfiguration(0, {"a": 1.0, "b": 2.0}, 1.0)
         assert config.rate_vector(["b", "a"]) == (2.0, 1.0)
+
+    def test_rates_are_frozen(self):
+        """Every tenant of a descriptor shares this object: neither the
+        stored mapping nor the caller's dict is a way to write it."""
+        given_rates = {"a": 1.0}
+        config = InputConfiguration(0, given_rates, 1.0)
+        with pytest.raises(TypeError):
+            config.rates["a"] = 2.0
+        with pytest.raises(TypeError):
+            del config.rates["a"]
+        given_rates["a"] = 2.0
+        assert config.rate_of("a") == 1.0
+
+    def test_frozen_rates_pickle_and_serialise(self):
+        config = InputConfiguration(1, {"a": 1.0, "b": 2.0}, 0.25, "High")
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        with pytest.raises(TypeError):
+            clone.rates["a"] = 2.0
+        space = ConfigurationSpace.two_level("s", 1.0, 2.0, 0.3)
+        assert ConfigurationSpace.from_dict(
+            json.loads(json.dumps(space.to_dict()))
+        ).to_dict() == space.to_dict()
+
+    def test_frozen_rates_survive_the_worker_pool(self):
+        """A ``jobs=2`` search pickles the problem to its workers."""
+        from repro.core.optimizer import ft_search
+        from repro.core.optimizer.parallel import shutdown
+        from repro.fleet.store import strategy_key
+        from tests.optimizer.test_ftsearch_equivalence import _problem
+
+        problem = _problem(6, "mid")
+        deployment = problem.deployment
+        key = strategy_key(deployment.descriptor, deployment.hosts, 2, 0.6)
+        assert len(key) == 64
+        try:
+            pooled = ft_search(problem, time_limit=None, jobs=2)
+        finally:
+            shutdown()
+        alone = ft_search(problem, time_limit=None)
+        assert pooled.best_cost == alone.best_cost
+        assert pooled.strategy.to_dict() == alone.strategy.to_dict()
 
 
 class TestConfigurationSpace:

@@ -265,3 +265,49 @@ class TestPenaltyMode:
         )
         assert cheap.best_cost <= strict.best_cost + 1e-6
         assert cheap.best_ic <= strict.best_ic + 1e-9
+
+
+class TestSolutionTimes:
+    """Fig. 5b's statistic is first-solution time over the time the
+    *best* solution was found — not over the time it took to prove it."""
+
+    def test_best_solution_time_is_when_the_incumbent_last_tightened(self):
+        from tests.optimizer.test_ftsearch_equivalence import _problem
+
+        result = ft_search(_problem(6, "mid"), time_limit=None)
+        assert result.outcome is SearchOutcome.OPTIMAL
+        # The first leaf is not the best one, and ~50 k nodes of proof
+        # follow the last improvement.
+        assert result.first_solution_cost > result.best_cost
+        assert (
+            0.0
+            < result.first_solution_time
+            < result.best_solution_time
+            < result.elapsed
+        )
+        assert 0.0 < result.time_ratio_first_to_best < 1.0
+
+    def test_an_unbeaten_seed_is_the_best_from_second_zero(
+        self, tight_problem
+    ):
+        """The oracle's convention: a seed incumbent no leaf improves on
+        was found at time 0."""
+        cold = ft_search(tight_problem, time_limit=None)
+        warm = ft_search(
+            tight_problem, time_limit=None, warm_start=cold.strategy
+        )
+        assert warm.best_cost == cold.best_cost
+        assert warm.best_solution_time == 0.0
+
+    def test_parallel_driver_reports_its_latest_task(self):
+        from repro.core.optimizer.parallel import shutdown
+        from tests.optimizer.test_ftsearch_equivalence import _problem
+
+        try:
+            result = ft_search(
+                _problem(6, "mid"), time_limit=None, jobs=2,
+                shared_bound=False,
+            )
+        finally:
+            shutdown()
+        assert 0.0 < result.best_solution_time < result.elapsed

@@ -1,0 +1,642 @@
+"""The block step against its frozen parent.
+
+``VectorFTSearch._advance`` / ``_walk`` / ``_propagate_domain`` were
+rewritten (PR 23) to make each numpy call once over stacked arrays
+instead of three or four times over twins. The rewrite must be
+invisible: every child row bit for bit, every counter, the parent
+index. The judge is the code it replaced, kept *verbatim* below as
+:class:`_ParentStep` (it survives only here), driven block by block
+beside the engine over generated instances, every rule subset, penalty
+on and off, root replay and the level-synchronous split.
+
+A judge needs mutations that trip it: :class:`_InitialCountMutant`
+counts a rule's prunes against the step's initial mask (double-counting
+rows an earlier rule removed), :class:`_FactoredMutant` factors the
+configuration probability out of the walk's sum (``p * (a + b)`` for
+``p * a + p * b`` — the tempting reassociation the fixed operation
+order forbids). Both must fail.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import itertools
+import math
+from typing import Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.optimizer import (
+    FTSearchConfig,
+    OptimizationProblem,
+    PruneRule,
+    VectorFTSearch,
+)
+from repro.core.optimizer.ftsearch import (
+    _COMPL_I,
+    _COST_I,
+    _CPU_I,
+    _DOM_I,
+)
+from repro.core.optimizer.vector import _BAND_EPS, _Block
+from tests.optimizer.test_ftsearch_equivalence import _problem, problems
+
+RULE_SUBSETS = [
+    frozenset(subset)
+    for size in range(len(PruneRule) + 1)
+    for subset in itertools.combinations(PruneRule, size)
+]
+FIELDS = (
+    "path", "host_load", "delta_hat", "excluded", "overloaded", "fic", "cost"
+)
+
+
+class _ParentLayout:
+    """The engine's layout plus the plans the parent step read and the
+    stacked layout no longer carries, built as the parent built them."""
+
+    def __init__(self, layout) -> None:
+        self._layout = layout
+        self.d_dom_exempt = [
+            self.d_src_sum[d] > 0.0 or not layout.pe_preds[d % layout.n_pes]
+            for d in range(layout.n_vars)
+        ]
+        self.pe_rest = []
+        for position in range(layout.n_pes):
+            entries = []
+            for rest_pos in range(position + 1, layout.n_pes):
+                plan = []
+                for pred_pos, selectivity in layout.pe_preds[rest_pos]:
+                    if pred_pos == position:
+                        plan.append((0, 0, selectivity))
+                    elif pred_pos > position:
+                        plan.append((1, pred_pos, selectivity))
+                    else:
+                        plan.append((2, pred_pos, selectivity))
+                entries.append((rest_pos, tuple(plan)))
+            self.pe_rest.append(tuple(entries))
+
+    def __getattr__(self, name):
+        return getattr(self._layout, name)
+
+
+class _ParentCode(VectorFTSearch):
+    """The block step of commit ``cb53fc6``: four methods, verbatim."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._layout = _ParentLayout(self._layout)
+
+    def _advance(
+        self, block: _Block, forced: Optional[np.ndarray] = None
+    ) -> Optional[_Block]:
+        """Expand every row of ``block`` one depth; None when all die.
+
+        With ``forced`` (root replay), each row keeps only its forced
+        value code — the prune arithmetic is unchanged, so a replayed
+        row carries bit-identical state to the split-phase row it
+        reproduces.
+        """
+        layout = self._layout
+        depth = block.depth
+        rows = block.rows()
+        self._nodes += rows
+        progress = self._progress
+        if progress is not None and progress.on_nodes(
+            self._nodes, rows, depth
+        ):
+            progress.snapshot(
+                self._nodes,
+                (
+                    None
+                    if math.isinf(self._best_raw_cost)
+                    else self._best_raw_cost
+                ),
+                self._prunes_by_name(self._prune_counts),
+            )
+
+        height = self._n_vars - depth
+        pos = depth % layout.n_pes
+        h0 = layout.pe_h0[pos]
+        h1 = layout.pe_h1[pos]
+        load = layout.d_load[depth]
+        prob_load = layout.d_prob_load[depth]
+        min_cost_rest = layout.suffix_min_cost[depth + 1]
+        host_load = block.host_load
+        delta_hat = block.delta_hat
+        excluded = block.excluded
+        excluded_d = excluded[:, pos]
+        load0 = host_load[:, h0]
+        load1 = host_load[:, h1]
+
+        # Δ-hat of the "both active" value (Eq. 3-6 recurrence) and its
+        # FIC contribution, for all rows at once. The predecessor terms
+        # accumulate in the same fixed order as the oracle's loop.
+        dh_both = np.full(rows, layout.d_src_sel[depth])
+        plain = np.full(rows, layout.d_src_sum[depth])
+        for pred_pos, selectivity in layout.pe_preds[pos]:
+            x = delta_hat[:, pred_pos]
+            dh_both = dh_both + selectivity * x
+            plain = plain + x
+        contrib_both = layout.d_prob[depth] * plain
+
+        valid0 = ~excluded_d
+        valid1 = np.ones(rows, bool)
+        valid2 = np.ones(rows, bool)
+        self._values_tried += int(valid0.sum()) + 2 * rows
+        if forced is not None:
+            valid0 &= forced == 0
+            valid1 &= forced == 1
+            valid2 &= forced == 2
+
+        # CPU rule (Eq. 11, strict inequality on both hosts).
+        if self._cpu_on:
+            fits0 = load0 + load < layout.host_caps[h0]
+            fits1 = load1 + load < layout.host_caps[h1]
+            self._count_prunes(
+                _CPU_I,
+                height,
+                int((valid0 & ~(fits0 & fits1)).sum())
+                + int((~fits0).sum())
+                + int((~fits1).sum()),
+            )
+            valid0 &= fits0 & fits1
+            valid1 &= fits0
+            valid2 &= fits1
+
+        # COMPL rule: IC upper bound via the rest-of-configuration walk.
+        fic_upper0: Optional[np.ndarray] = None
+        fic_upper_single: Optional[np.ndarray] = None
+        if self._need_fic_upper:
+            total0, total_single = self._walk(
+                depth, dh_both, delta_hat, excluded
+            )
+            suffix = layout.d_suffix_bic[depth]
+            fic_upper0 = block.fic + contrib_both + (total0 + suffix)
+            fic_upper_single = block.fic + (total_single + suffix)
+            if self._compl_prune_on:
+                keeps0 = fic_upper0 >= layout.fic_thresh
+                keeps_single = fic_upper_single >= layout.fic_thresh
+                self._count_prunes(
+                    _COMPL_I,
+                    height,
+                    int((valid0 & ~keeps0).sum())
+                    + int((valid1 & ~keeps_single).sum())
+                    + int((valid2 & ~keeps_single).sum()),
+                )
+                valid0 &= keeps0
+                valid1 &= keeps_single
+                valid2 &= keeps_single
+
+        # COST rule: assigned cost + cheapest completion, against the
+        # banded incumbent (plus the soft-IC deficit in penalty mode).
+        if self._cost_on:
+            threshold = self._best_raw * (1 + _BAND_EPS)
+            bound0 = block.cost + 2 * prob_load + min_cost_rest
+            bound_single = block.cost + prob_load + min_cost_rest
+            if self._penalty is not None:
+                assert fic_upper0 is not None
+                assert fic_upper_single is not None
+                bound0 = bound0 + self._penalty * np.maximum(
+                    0.0,
+                    layout.ic_target
+                    - np.minimum(1.0, fic_upper0 / layout.bic),
+                )
+                bound_single = bound_single + self._penalty * np.maximum(
+                    0.0,
+                    layout.ic_target
+                    - np.minimum(1.0, fic_upper_single / layout.bic),
+                )
+            keeps0 = bound0 < threshold
+            keeps_single = bound_single < threshold
+            self._count_prunes(
+                _COST_I,
+                height,
+                int((valid0 & ~keeps0).sum())
+                + int((valid1 & ~keeps_single).sum())
+                + int((valid2 & ~keeps_single).sum()),
+            )
+            valid0 &= keeps0
+            valid1 &= keeps_single
+            valid2 &= keeps_single
+
+        rows0 = np.nonzero(valid0)[0]
+        rows1 = np.nonzero(valid1)[0]
+        rows2 = np.nonzero(valid2)[0]
+        n0, n1, n2 = len(rows0), len(rows1), len(rows2)
+        total = n0 + n1 + n2
+        if total == 0:
+            return None
+
+        parent = np.concatenate([rows0, rows1, rows2])
+        self._last_parent = parent
+        child = _Block(
+            depth=depth + 1,
+            path=block.path[parent],
+            host_load=host_load[parent],
+            delta_hat=delta_hat[parent],
+            excluded=excluded[parent],
+            overloaded=block.overloaded[parent],
+            fic=block.fic[parent],
+            cost=block.cost[parent],
+        )
+        g0 = slice(0, n0)
+        g1 = slice(n0, n0 + n1)
+        g2 = slice(n0 + n1, total)
+
+        # Path byte ``rank << 2 | code``: the rank is the position the
+        # value takes in the scalar DFS's dynamic order — "both" first
+        # (rank 0, code 0: the zero byte already there) unless
+        # DOM-excluded, then the single replica on the less-loaded host.
+        less_loaded0 = load0 <= load1
+        byte1 = np.where(
+            excluded_d,
+            np.where(less_loaded0, 0 << 2 | 1, 1 << 2 | 1),
+            np.where(less_loaded0, 1 << 2 | 1, 2 << 2 | 1),
+        )
+        byte2 = np.where(
+            excluded_d,
+            np.where(less_loaded0, 1 << 2 | 2, 0 << 2 | 2),
+            np.where(less_loaded0, 2 << 2 | 2, 1 << 2 | 2),
+        )
+        child.path[g1, depth] = byte1[rows1]
+        child.path[g2, depth] = byte2[rows2]
+
+        child.host_load[g0, h0] += load
+        child.host_load[g0, h1] += load
+        child.host_load[g1, h0] += load
+        child.host_load[g2, h1] += load
+        child.delta_hat[g0, pos] = dh_both[rows0]
+        child.fic[g0] += contrib_both[rows0]
+        child.cost[g0] += 2 * prob_load
+        child.cost[g1] += prob_load
+        child.cost[g2] += prob_load
+
+        if pos + 1 == layout.n_pes:
+            # Configuration complete: with the CPU rule off its Eq. 11
+            # check is due now, and the next one starts from zero.
+            if not self._cpu_on:
+                child.overloaded |= (
+                    child.host_load >= self._cap_row
+                ).any(axis=1)
+            child.host_load = np.zeros_like(child.host_load)
+            child.delta_hat = np.zeros_like(child.delta_hat)
+            child.excluded = np.zeros_like(child.excluded)
+        elif self._dom_on:
+            self._propagate_domain(child, pos)
+        return child
+
+    def _count_prunes(self, rule: int, height: int, count: int) -> None:
+        if count:
+            self._prune_counts[rule] += count
+            self._prune_heights[rule] += height * count
+
+    def _walk(
+        self,
+        depth: int,
+        dh_both: np.ndarray,
+        delta_hat: np.ndarray,
+        excluded: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The COMPL rest-of-configuration walk, row-parallel.
+
+        One pass per remaining PE of the depth's configuration in
+        topological order, assuming full replication except where DOM
+        excluded it and carrying the per-position upper bounds; returns
+        the walk totals for the "both" value and for the single-replica
+        values (whose candidate Δ-hat is zero).
+        """
+        layout = self._layout
+        pos = depth % layout.n_pes
+        base = depth - pos
+        rest = layout.pe_rest[pos]
+        rows = len(dh_both)
+        total_both = np.zeros(rows)
+        total_single = np.zeros(rows)
+        if not rest:
+            return total_both, total_single
+        prob_c = layout.d_prob[depth]
+        upper_both: dict[int, np.ndarray] = {}
+        upper_single: dict[int, np.ndarray] = {}
+        for position, preds in rest:
+            init_sel = layout.d_src_sel[base + position]
+            init_sum = layout.d_src_sum[base + position]
+            sel_both = np.full(rows, init_sel)
+            sum_both = np.full(rows, init_sum)
+            sel_single = np.full(rows, init_sel)
+            sum_single = np.full(rows, init_sum)
+            for code, ref, selectivity in preds:
+                if code == 0:
+                    # The candidate variable itself: Δ-hat is dh_both
+                    # for the "both" value, zero for the singles.
+                    sel_both = sel_both + selectivity * dh_both
+                    sum_both = sum_both + dh_both
+                elif code == 1:
+                    sel_both = (
+                        sel_both + selectivity * upper_both[ref]
+                    )
+                    sum_both = sum_both + upper_both[ref]
+                    sel_single = (
+                        sel_single + selectivity * upper_single[ref]
+                    )
+                    sum_single = sum_single + upper_single[ref]
+                else:
+                    x = delta_hat[:, ref]
+                    sel_both = sel_both + selectivity * x
+                    sum_both = sum_both + x
+                    sel_single = sel_single + selectivity * x
+                    sum_single = sum_single + x
+            dead = excluded[:, position]
+            upper_both[position] = np.where(dead, 0.0, sel_both)
+            upper_single[position] = np.where(dead, 0.0, sel_single)
+            total_both += np.where(dead, 0.0, prob_c * sum_both)
+            total_single += np.where(dead, 0.0, prob_c * sum_single)
+        return total_both, total_single
+
+    def _propagate_domain(self, child: _Block, pos: int) -> None:
+        """DOM: recompute exclusions over the rest of the configuration.
+
+        Forward domain propagation (Sec. 4.5): a variable is dead when
+        every predecessor is dead (assigned with Δ-hat zero, or
+        unassigned and excluded); full replication of a dead variable
+        cannot improve IC ("no replication forwarding"), so "both
+        active" leaves its domain. Processing the positions after
+        ``pos`` in increasing order reaches the fixpoint of the recursive
+        formulation. Variables with live source inflow or no in-graph
+        predecessors are never excluded.
+        """
+        layout = self._layout
+        excluded = child.excluded
+        delta_hat = child.delta_hat
+        base = child.depth - 1 - pos
+        for succ_pos in range(pos + 1, layout.n_pes):
+            succ_depth = base + succ_pos
+            if layout.d_dom_exempt[succ_depth]:
+                continue
+            dead = np.ones(child.rows(), bool)
+            for pred_pos, _ in layout.pe_preds[succ_pos]:
+                if pred_pos <= pos:
+                    dead &= delta_hat[:, pred_pos] == 0.0
+                else:
+                    dead &= excluded[:, pred_pos]
+            fresh = dead & ~excluded[:, succ_pos]
+            count = int(fresh.sum())
+            if count:
+                self._count_prunes(
+                    _DOM_I, self._n_vars - succ_depth, count
+                )
+                excluded[:, succ_pos] |= fresh
+
+
+class _ParentStep(_ParentCode):
+    """The oracle: the parent's step, its last walk totals on record."""
+
+    last_walk: Optional[np.ndarray] = None
+
+    def _walk(self, *args):
+        totals = super()._walk(*args)
+        self.last_walk = np.stack(totals)
+        return totals
+
+
+# ----------------------------------------------------------------------
+# The engine under test, with the walk's output on record
+# ----------------------------------------------------------------------
+
+
+class _Recording(VectorFTSearch):
+    """The production step; remembers what its last walk returned (the
+    totals only reach a child through comparisons, so a last-ulp drift
+    in them would otherwise show only where it flips a prune)."""
+
+    last_walk: Optional[np.ndarray] = None
+
+    def _walk(self, *args):
+        total = super()._walk(*args)
+        self.last_walk = total.copy()
+        return total
+
+
+class _InitialCountMutant(_Recording):
+    """Counts every rule's prunes against the mask the step started
+    with, not the one the previous rule left."""
+
+    def _advance(self, block, forced=None):
+        self._initial: Optional[int] = None
+        return super()._advance(block, forced)
+
+    def _pruned(self, rule, height, valid, alive):
+        if self._initial is None:
+            self._initial = alive
+        left = int(np.count_nonzero(valid))
+        self._count_prunes(rule, height, self._initial - left)
+        return left
+
+
+class _FactoredMutant(_Recording):
+    """``prob * (a + b)`` for ``prob * a + prob * b``: the walk sums the
+    masked plain sums first and weights the total once."""
+
+    def _walk(self, depth, *args):
+        d_prob = self._layout.d_prob
+        prob = d_prob[depth]
+        d_prob[depth] = 1.0  # 1.0 * x is x: the walk returns the bare sum
+        try:
+            total = super()._walk(depth, *args)
+        finally:
+            d_prob[depth] = prob
+        total *= prob
+        self.last_walk = total.copy()
+        return total
+
+
+def _same(ours: np.ndarray, theirs: np.ndarray) -> bool:
+    """Bit equality — stricter than ``np.array_equal``: dtype, shape and
+    the sign of a zero count."""
+    return (
+        ours.dtype == theirs.dtype
+        and ours.shape == theirs.shape
+        and ours.tobytes() == theirs.tobytes()
+    )
+
+
+def assert_same_child(child, expected) -> None:
+    assert (child is None) == (expected is None)
+    if child is None:
+        return
+    assert child.depth == expected.depth
+    for name in FIELDS:
+        assert _same(getattr(child, name), getattr(expected, name)), name
+
+
+def assert_same_counters(engine, oracle) -> None:
+    assert engine._nodes == oracle._nodes
+    assert engine._values_tried == oracle._values_tried
+    assert engine._prune_counts == oracle._prune_counts
+    assert engine._prune_heights == oracle._prune_heights
+    for counter in engine._prune_counts + engine._prune_heights:
+        assert type(counter) is int  # a numpy integer would not serialise
+
+
+def lockstep(
+    problem: OptimizationProblem,
+    config: FTSearchConfig,
+    engine_class: type = _Recording,
+    block_rows: int = 16,
+    max_steps: int = 80,
+) -> int:
+    """Run the engine's depth-first block loop and, at every step, hand
+    the parent step a copy of the same block: children, parent index,
+    walk totals and all counters must agree. Returns the steps taken."""
+    engine = engine_class(problem, config, block_rows=block_rows)
+    oracle = _ParentStep(problem, config, block_rows=block_rows)
+    stack = [engine._root_block()]
+    steps = 0
+    while stack and steps < max_steps:
+        block = stack.pop()
+        twin = copy.deepcopy(block)
+        oracle._best_raw = engine._best_raw
+        engine.last_walk = oracle.last_walk = None
+        child = engine._advance(block)
+        expected = oracle._advance(twin)
+        steps += 1
+        assert_same_child(child, expected)
+        assert_same_counters(engine, oracle)
+        assert (engine.last_walk is None) == (oracle.last_walk is None)
+        if engine.last_walk is not None:
+            assert _same(engine.last_walk, oracle.last_walk)
+        if child is None:
+            continue
+        assert _same(engine._last_parent, oracle._last_parent)
+        if child.depth == engine._n_vars:
+            engine._fold_leaves(child)
+        else:
+            engine._push(stack, child)
+    return steps
+
+
+def _timeless(raw):
+    """A raw search without its wall-clock readings."""
+    return dataclasses.replace(raw, first_raw_time=None, best_raw_time=None)
+
+
+def assert_same_replay(
+    problem: OptimizationProblem,
+    config: FTSearchConfig,
+    engine_class: type = _Recording,
+) -> None:
+    """The level-synchronous split (un-forced: it must count like the
+    parent) and the forced root replay of its frontier (counters are
+    restored around it; the replayed rows must be the parent's)."""
+    prefixes, raw = engine_class(problem, config).split_frontier(4)
+    expected_prefixes, expected_raw = _ParentStep(
+        problem, config
+    ).split_frontier(4)
+    assert prefixes == expected_prefixes
+    assert _timeless(raw) == _timeless(expected_raw)
+    if not prefixes:
+        return
+    engine = engine_class(problem, config, roots=prefixes)
+    oracle = _ParentStep(problem, config, roots=prefixes)
+    assert_same_child(engine._root_block(), oracle._root_block())
+    assert_same_counters(engine, oracle)
+    assert engine._nodes == 0
+
+
+def _config(disabled, penalty: Optional[float], seeded: bool = False):
+    return FTSearchConfig(
+        time_limit=None,
+        disabled_rules=frozenset(disabled),
+        penalty_weight=penalty,
+        seed_incumbent=seeded,
+    )
+
+
+# ----------------------------------------------------------------------
+# Generated instances
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    problem=problems(),
+    penalty=st.sampled_from((None, 1.0e8)),
+    seeded=st.booleans(),
+    block_rows=st.sampled_from((1, 3, 16, 256)),
+)
+def test_step_equals_parent_on_generated_instances(
+    problem, penalty, seeded, block_rows
+):
+    """The instances ``test_equivalent_on_generated_instances`` draws,
+    each under all 16 rule subsets."""
+    for disabled in RULE_SUBSETS:
+        config = _config(disabled, penalty, seeded)
+        lockstep(problem, config, block_rows=block_rows, max_steps=40)
+        assert_same_replay(problem, config)
+
+
+@pytest.mark.parametrize("penalty", (None, 1.0e8))
+@pytest.mark.parametrize(
+    "disabled",
+    RULE_SUBSETS,
+    ids=lambda subset: "-".join(sorted(r.value for r in subset)) or "none",
+)
+def test_step_equals_parent_under_every_rule_subset(disabled, penalty):
+    """All 16 rule subsets x penalty on/off, on one toy and one mid
+    corpus instance (seeded, so COST prunes from the first block)."""
+    for seed, size in ((5, "toy"), (6, "mid")):
+        problem = _problem(seed, size)
+        config = _config(disabled, penalty, seeded=True)
+        assert lockstep(problem, config) > 10
+        assert_same_replay(problem, config)
+
+
+def test_a_whole_search_returns_what_the_parent_step_returns():
+    """End to end, no lockstep: the raw search — candidates, bound,
+    every counter — of the engine and of the parent step."""
+    for seed in (1, 5, 12):
+        problem = _problem(seed, "mid")
+        config = FTSearchConfig(time_limit=None)
+        ours = VectorFTSearch(problem, config).search()
+        theirs = _ParentStep(problem, config).search()
+        assert _timeless(ours) == _timeless(theirs)
+
+
+# ----------------------------------------------------------------------
+# The judge can fail
+# ----------------------------------------------------------------------
+
+MUTATION_CORPUS = [(seed, "mid") for seed in (0, 2, 5, 6, 8, 9)]
+
+
+def _trips(engine_class: type) -> int:
+    tripped = 0
+    for seed, size in MUTATION_CORPUS:
+        try:
+            lockstep(
+                _problem(seed, size),
+                _config((), None, seeded=True),
+                engine_class,
+            )
+        except AssertionError:
+            tripped += 1
+    return tripped
+
+
+def test_counting_against_the_initial_mask_is_caught():
+    """Rows the CPU rule removed are charged to COMPL and COST again."""
+    assert _trips(_InitialCountMutant) == len(MUTATION_CORPUS)
+
+
+def test_factoring_the_walk_sum_is_caught():
+    """A last-ulp drift in the walk totals: no child field carries it,
+    the recorded totals do."""
+    assert _trips(_FactoredMutant) >= len(MUTATION_CORPUS) // 2
+
+
+def test_the_unmutated_engine_passes_the_mutation_corpus():
+    assert _trips(_Recording) == 0
