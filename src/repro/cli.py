@@ -30,6 +30,7 @@ validation, violation printing and the exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,7 +51,7 @@ from repro.core.altmetrics import (
 from repro.core.render import host_load_report, strategy_table
 from repro.dsps import PlatformConfig
 from repro.errors import ReproError
-from repro.laar import MiddlewareConfig, deploy_bundle
+from repro.laar.middleware import PAPER_MIDDLEWARE, deploy_bundle
 from repro.workloads import (
     ClusterParams,
     GeneratorParams,
@@ -154,11 +155,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             batching=args.batched,
         ),
-        middleware_config=MiddlewareConfig(
-            monitor_interval=2.0,
-            rate_tolerance=0.25,
-            down_confirmation=2,
-            dynamic=not args.static,
+        middleware_config=dataclasses.replace(
+            PAPER_MIDDLEWARE, dynamic=not args.static
         ),
     )
     injected = inject_failure_mode(extended, trace, args.failure, args.seed)
@@ -286,8 +284,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.chaos import (
         CampaignSpec,
         Injection,

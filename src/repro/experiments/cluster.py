@@ -17,6 +17,7 @@ variant; failure figures are relative to the *failure-free* NR run.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import random
 from dataclasses import dataclass
@@ -30,24 +31,19 @@ from repro.dsps.failures import (
 from repro.dsps.platform import PlatformConfig
 from repro.dsps.traces import two_level_trace
 from repro.errors import ExperimentError
-from repro.experiments.parallel import FabricProfile, run_tasks
-from repro.experiments.scale import ExperimentScale
+from repro.experiments.parallel import run_tasks
+from repro.experiments.scale import ExperimentScale, peak_window
 from repro.experiments.variants import VariantSet, build_variants
-from repro.laar.middleware import ExtendedApplication, MiddlewareConfig
+from repro.laar.middleware import PAPER_MIDDLEWARE, ExtendedApplication
 from repro.workloads.generator import GeneratedApplication, generate_corpus
 
 __all__ = ["FailureMode", "RunResult", "ClusterResults", "run_cluster_experiment"]
 
 #: First seed of the default corpus (the EDBT year, for determinism).
 BASE_SEED = 2014
-#: What Sec. 5.2 fixes for every run: the Rate Monitor's period, the
-#: configuration-matching slack with its down-switch confirmation, the
-#: input "glitches" and the heartbeat period. (The 1/3 High share and
-#: the 16 s crash downtime are the defaults of ``two_level_trace`` and
-#: ``plan_host_crash``.)
-MONITOR_INTERVAL = 2.0
-RATE_TOLERANCE = 0.25
-DOWN_CONFIRMATION = 2
+#: Sec. 5.2's input "glitches" and heartbeat period (the monitor triple
+#: is ``PAPER_MIDDLEWARE``; the 1/3 High share and the 16 s crash
+#: downtime are the defaults of ``two_level_trace``, ``plan_host_crash``).
 ARRIVAL_JITTER = 0.35
 HEARTBEAT_INTERVAL = 0.5
 
@@ -196,18 +192,14 @@ def _run_one(
         heartbeat_interval=HEARTBEAT_INTERVAL,
         seed=app.seed * 7919 + 13,  # per-app deterministic glitches
     )
-    middleware_config = MiddlewareConfig(
-        monitor_interval=MONITOR_INTERVAL,
-        rate_tolerance=RATE_TOLERANCE,
-        down_confirmation=DOWN_CONFIRMATION,
-        dynamic=variants.is_dynamic(variant),
-    )
     extended = ExtendedApplication(
         app.deployment,
         strategy,
         {"src": trace},
         platform_config=platform_config,
-        middleware_config=middleware_config,
+        middleware_config=dataclasses.replace(
+            PAPER_MIDDLEWARE, dynamic=variants.is_dynamic(variant)
+        ),
     )
     if mode is FailureMode.WORST:
         inject_pessimistic_failures(extended.platform, strategy)
@@ -218,12 +210,6 @@ def _run_one(
         inject_host_crash(extended.platform, plan)
 
     metrics = extended.run()
-    high_start, high_end = trace.segment_windows("High")[0]
-    # Leave settling margins so the window reflects steady peak behaviour.
-    window = (
-        high_start + 2.0 * MONITOR_INTERVAL,
-        high_end - 1.0,
-    )
     return RunResult(
         app=app.name,
         variant=variant,
@@ -233,7 +219,7 @@ def _run_one(
         processed=metrics.tuples_processed,
         output=metrics.total_output,
         input=metrics.total_input,
-        peak_output_rate=metrics.output_rate_in_window(*window),
+        peak_output_rate=metrics.output_rate_in_window(*peak_window(trace)),
         config_switches=len(metrics.config_switches),
     )
 
@@ -263,7 +249,6 @@ def run_cluster_experiment(
     scale: Optional[ExperimentScale] = None,
     corpus: Optional[list[GeneratedApplication]] = None,
     jobs: Optional[int] = None,
-    profile: Optional[FabricProfile] = None,
 ) -> ClusterResults:
     """Run the full Sec. 5.3 experiment grid.
 
@@ -275,9 +260,7 @@ def run_cluster_experiment(
     construction per application, then one task per (application,
     variant, failure-mode) run); results are independent of the worker
     count — see :mod:`repro.experiments.parallel` for the resolution
-    order of ``jobs`` / ``REPRO_JOBS``. ``profile`` (an optional
-    :class:`~repro.experiments.parallel.FabricProfile`) collects
-    per-task timing and worker utilization across both phases.
+    order of ``jobs`` / ``REPRO_JOBS``.
     """
     scale = scale or ExperimentScale.from_env()
     if corpus is None:
@@ -287,7 +270,6 @@ def run_cluster_experiment(
         _variant_task,
         [(app, scale.ic_targets, scale.ft_time_limit) for app in corpus],
         jobs=jobs,
-        profile=profile,
     )
 
     tasks: list[tuple[VariantSet, str, FailureMode, ExperimentScale, int]] = []
@@ -311,5 +293,5 @@ def run_cluster_experiment(
         raise ExperimentError(
             "no application in the corpus produced a full variant set"
         )
-    rows = run_tasks(_run_task, tasks, jobs=jobs, profile=profile)
+    rows = run_tasks(_run_task, tasks, jobs=jobs)
     return ClusterResults(scale, variant_names, rows)

@@ -25,9 +25,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.dsps.traces import InputTrace, two_level_trace
 from repro.errors import ExperimentError
+from repro.laar.middleware import PAPER_MIDDLEWARE
 
-__all__ = ["ExperimentScale", "StudyScale"]
+__all__ = ["ExperimentScale", "StudyScale", "peak_window"]
 
 
 def _env_int(name: str, default: int) -> int:
@@ -50,6 +52,22 @@ def _env_float(name: str, default: float) -> float:
         raise ExperimentError(f"{name} must be a number, got {value!r}")
 
 
+def peak_window(trace: InputTrace) -> tuple[float, float]:
+    """Fig. 10's measurement window: the High burst minus two monitor
+    periods (the up-switch lands) and its last second; refused when it
+    is under a second, since output is counted in one-second buckets."""
+    settle = 2.0 * PAPER_MIDDLEWARE.monitor_interval
+    high_start, high_end = trace.segment_windows("High")[0]
+    burst = high_end - high_start  # a fixed share of the trace
+    if burst < settle + 2.0:
+        raise ExperimentError(
+            "trace_seconds (REPRO_TRACE_SECONDS) must be >= "
+            f"{trace.duration * (settle + 2.0) / burst:g}: a shorter trace"
+            " leaves Fig. 10 no whole second of the High burst to measure"
+        )
+    return high_start + settle, high_end - 1.0
+
+
 @dataclass(frozen=True)
 class ExperimentScale:
     """Scale of the cluster experiments (Figs. 9-12)."""
@@ -69,6 +87,7 @@ class ExperimentScale:
             )
         if self.trace_seconds <= 0:
             raise ExperimentError("trace_seconds must be > 0")
+        peak_window(two_level_trace(1.0, 1.0, self.trace_seconds))
         if not self.ic_targets:
             raise ExperimentError("need at least one IC target")
 

@@ -14,9 +14,10 @@ It is the headline workload for the batched execution engine
 calibrated so one tuple's whole cascade finishes well inside the source
 inter-arrival gap — which lets the engine commit almost every source
 tuple in closed form instead of simulating ~15 heap events for it.
-``benchmarks/perf/bench_sim.py`` measures exactly this workload in both
-execution modes, and ``tests/sim/test_batched_equivalence.py`` pins the
-two modes to byte-identical event logs on it.
+The e2e benchmark's ``dataplane_steady`` workload measures exactly these
+tenants in both execution modes (``dsps.batched.speedup_x``), and
+``tests/sim/test_batched_equivalence.py`` pins the two modes to
+byte-identical event logs on them.
 
 Everything in this module is pure simulation: no imports from the
 process-parallel fabric (the fan-out lives in

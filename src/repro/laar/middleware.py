@@ -27,7 +27,12 @@ from repro.laar.rate_monitor import RateMonitor
 from repro.rtree.config_index import ConfigurationIndex
 from repro.workloads.corpus import load_bundle
 
-__all__ = ["MiddlewareConfig", "ExtendedApplication", "deploy_bundle"]
+__all__ = [
+    "MiddlewareConfig",
+    "PAPER_MIDDLEWARE",
+    "ExtendedApplication",
+    "deploy_bundle",
+]
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,13 @@ class MiddlewareConfig:
             raise SimulationError("rate_tolerance must be >= 0")
         if self.down_confirmation < 1:
             raise SimulationError("down_confirmation must be >= 1")
+
+
+#: What Sec. 5.2 fixes for every run: the Rate Monitor's period and the
+#: configuration-matching slack with its down-switch confirmation.
+PAPER_MIDDLEWARE = MiddlewareConfig(
+    monitor_interval=2.0, rate_tolerance=0.25, down_confirmation=2
+)
 
 
 class ExtendedApplication:

@@ -44,7 +44,6 @@ from repro.obs.slo import (
     AvailabilityTracker,
     CoverageAvailability,
     FloorAvailability,
-    NullAvailability,
     SloConfig,
     SloEngine,
     attach_slo,
@@ -61,7 +60,6 @@ __all__ = [
     "AvailabilityTracker",
     "CoverageAvailability",
     "FloorAvailability",
-    "NullAvailability",
     "SloConfig",
     "SloEngine",
     "attach_slo",

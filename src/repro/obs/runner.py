@@ -109,7 +109,7 @@ def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
     Module-level so the experiment fabric can pickle it as a pool worker.
     """
     from repro.dsps import PlatformConfig
-    from repro.laar import MiddlewareConfig, deploy_bundle
+    from repro.laar.middleware import PAPER_MIDDLEWARE, deploy_bundle
     from repro.obs.slo import attach_floor_slo
 
     extended, trace = deploy_bundle(
@@ -123,11 +123,7 @@ def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:
             tuple_trace_every=spec.tuple_trace_every,
             batching=spec.batching,
         ),
-        middleware_config=MiddlewareConfig(
-            monitor_interval=2.0,
-            rate_tolerance=0.25,
-            down_confirmation=2,
-        ),
+        middleware_config=PAPER_MIDDLEWARE,
     )
     # The floor is the strategy's own: even the "worst"/"crash" modes
     # stay dominated by the pessimistic model, so only a genuine bound

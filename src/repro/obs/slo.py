@@ -60,7 +60,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SloConfig",
     "AvailabilityTracker",
-    "NullAvailability",
     "CoverageAvailability",
     "FloorAvailability",
     "SloEngine",
@@ -169,13 +168,6 @@ class AvailabilityTracker:
     def degraded(self) -> bool:
         """Any replica currently dead (for phase attribution)."""
         return False
-
-
-class NullAvailability(AvailabilityTracker):
-    """Never bad — for benches and logs without a deployment model."""
-
-    def _apply(self, time: float, type_: str, fields: Mapping[str, Any]) -> None:
-        pass
 
 
 class CoverageAvailability(AvailabilityTracker):

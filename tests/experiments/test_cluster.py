@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dsps.traces import two_level_trace
 from repro.errors import ExperimentError
 from repro.experiments import (
     ClusterResults,
@@ -11,6 +12,7 @@ from repro.experiments import (
     FailureMode,
     run_cluster_experiment,
 )
+from repro.experiments.scale import peak_window
 from repro.workloads import GeneratorParams, generate_application
 
 
@@ -41,6 +43,20 @@ class TestScale:
             ExperimentScale(corpus_size=2, crash_corpus_size=5)
         with pytest.raises(ExperimentError):
             ExperimentScale(trace_seconds=0.0)
+
+    def test_trace_too_short_for_the_peak_window(self, monkeypatch):
+        """Fig. 10 reads the High burst minus 2 monitor periods and 1 s;
+        a trace that leaves it no whole second used to divide by NR's
+        zero peak rate at rendering time."""
+        refusal = r"REPRO_TRACE_SECONDS.*>= 18\b"
+        with pytest.raises(ExperimentError, match=refusal):
+            ExperimentScale(trace_seconds=12.0)
+        monkeypatch.setenv("REPRO_TRACE_SECONDS", "17.5")
+        with pytest.raises(ExperimentError, match=refusal):
+            ExperimentScale.from_env()
+        monkeypatch.setenv("REPRO_TRACE_SECONDS", "18")
+        shortest = ExperimentScale.from_env().trace_seconds
+        assert peak_window(two_level_trace(1.0, 2.0, shortest)) == (10.0, 11.0)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORPUS_SIZE", "4")

@@ -101,7 +101,7 @@ def test_single_task_stays_in_process():
 _TINY = ExperimentScale(
     corpus_size=2,
     crash_corpus_size=1,
-    trace_seconds=8.0,
+    trace_seconds=18.0,  # the shortest ExperimentScale accepts
     ft_time_limit=5.0,
 )
 

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.optimizer import OptimizationProblem, ft_search
 from repro.obs import SearchProgress
+from repro.workloads.generator import (
+    ClusterParams,
+    GeneratorParams,
+    generate_application,
+)
 
 
 class TestOnNode:
@@ -143,3 +149,26 @@ class TestMergeAndAbsorb:
         # finish() right after absorb must not duplicate the last snap.
         target.finish(4, 3.0, {"DOM": 1})
         assert len(target.snapshots) == 1
+
+
+class TestRealSearch:
+    def test_identical_searches_yield_identical_series(self):
+        """Snapshots are keyed on the deterministic node counter, never
+        on wall-clock: two in-process runs of one exhaustible search
+        must repeat the series entry for entry (docs/observability.md)."""
+        app = generate_application(
+            2014,
+            params=GeneratorParams(n_pes=6, tuple_budget=2000.0),
+            cluster=ClusterParams(n_hosts=3, cores_per_host=4),
+        )
+        problem = OptimizationProblem(app.deployment, ic_target=0.6)
+        series = []
+        for _ in range(2):
+            progress = SearchProgress(every=50)
+            result = ft_search(
+                problem, time_limit=None, progress=progress, jobs=1
+            )
+            series.append(progress.to_list())
+        assert series[0] == series[1]
+        assert len(series[0]) > 2
+        assert series[0][-1]["nodes"] == result.stats.nodes_expanded

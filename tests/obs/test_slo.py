@@ -11,11 +11,17 @@ from repro.obs import (
     AvailabilityTracker,
     CoverageAvailability,
     EventLog,
-    NullAvailability,
     SloConfig,
     SloEngine,
 )
 from repro.obs.validate import validate_lines
+
+
+class NullAvailability(AvailabilityTracker):
+    """Never bad: an engine under test without a deployment model."""
+
+    def _apply(self, time, type_, fields):
+        pass
 
 
 class _ScriptedAvailability(AvailabilityTracker):
@@ -342,6 +348,22 @@ class TestDataplaneSlo:
             digests_2, sort_keys=True
         )
         assert summary_1["fleet_sha256"] == summary_2["fleet_sha256"]
+
+    def test_slo_off_is_clean_and_moves_no_tuple(self, params):
+        """The taps only observe: with the engine detached the fleet is
+        still violation-free and counts the same tuples."""
+        import dataclasses
+
+        from repro.driver import run_tenants as run_fleet_dataplane
+
+        on, _ = run_fleet_dataplane(params, jobs=1)
+        off, _ = run_fleet_dataplane(
+            dataclasses.replace(params, slo=False), jobs=1
+        )
+        assert on["ok"] and off["ok"]
+        assert on["totals"]["processed"] > 0
+        for key in ("input", "output", "processed", "dropped", "lost"):
+            assert on["totals"][key] == off["totals"][key]
 
     def test_digest_carries_slo_and_trust(self, params):
         from repro.fleet.dataplane import run_tenant, TenantTask

@@ -184,6 +184,38 @@ def test_every_option_has_a_setter():
     )
 
 
+def test_ci_only_calls_the_gate():
+    """``tools/gate.sh`` is the one description of what a PR must pass
+    and it runs in the dev container; the workflow may call it and
+    third-party tools, never re-spell a command of ours beside it."""
+    workflow = (REPO_ROOT / ".github/workflows/ci.yml").read_text()
+    commands = [
+        line.split("run:", 1)[1].strip()
+        for line in workflow.splitlines()
+        if line.strip().startswith(("run:", "- run:"))
+    ]
+    assert "tools/gate.sh" in commands
+    for command in commands:
+        # One line each: a `run: |` block would hide its commands here.
+        assert command not in ("|", ">", "|-", ">-"), "multi-line run: block"
+        if command == "tools/gate.sh":
+            continue
+        words = command.split()
+        assert words[0] != "repro", command
+        assert "-m repro" not in command and "-mrepro" not in command, command
+        assert not any(
+            word.startswith(("benchmarks/", "tools/", "./")) for word in words
+        ), command
+    gate = (REPO_ROOT / "tools/gate.sh").read_text()
+    for stage in (
+        "tools/digests.sh",
+        "benchmarks/e2e/run.py",
+        "-m repro.analysis src/repro benchmarks",
+        "-m repro.analysis.typecheck",
+    ):
+        assert stage in gate, f"tools/gate.sh no longer runs {stage}"
+
+
 def test_generated_tests_draw_the_same_examples_every_run():
     """Tier-1 is a gate and a judge (docs/static-analysis.md): the one
     Hypothesis profile, registered in ``tests/conftest.py``, is

@@ -5,7 +5,7 @@
 #   tools/digests.sh [CHECKOUT] > table.txt
 #
 # Run it on two checkouts and `diff` the tables to show a change moved
-# no observable byte (the CI `elastic-smoke` job does, parent vs HEAD):
+# no observable byte (`tools/gate.sh` does, parent vs working tree):
 #
 #   git archive HEAD^ | tar -x -C /tmp/parent
 #   diff <(tools/digests.sh /tmp/parent) <(tools/digests.sh .)

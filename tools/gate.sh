@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# What a PR must pass, in one place, runnable in the dev container:
+#
+#   tools/gate.sh [BASE]        # BASE: the rev to compare with, default HEAD^
+#
+# Stages, cheapest first; the first failure stops the run and is named
+# on the last line:
+#
+#   lint     python -m repro.analysis src/repro benchmarks, and the
+#            typecheck ratchet
+#   tier-1   the test suite, ten slowest printed (budget: <= 100 s here)
+#   digests  tools/digests.sh on a `git archive BASE` tree and on the
+#            working tree: every row identical
+#   e2e      benchmarks/e2e/run.py --all on both trees, then --check:
+#            no row `regressed`, no gated end-to-end metric `unresolved`
+#
+# A PR that means to move an observable byte fails `digests` and says
+# so in its description. .github/workflows/ci.yml only calls this script
+# (tests/test_api_quality.py keeps it that way); nightly.yml holds what
+# differs in scale, nothing else.
+set -uo pipefail
+
+cd "$(dirname "$0")/.."
+base=$(git rev-parse --verify "${1:-HEAD^}^{commit}") || exit 2
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base" && git archive "$base" | tar -x -C "$work/base" || exit 2
+export PYTHONPATH="$PWD/src"
+
+stage() {
+    local name=$1 started=$SECONDS
+    shift
+    echo "== gate: $name"
+    if ! "$@"; then
+        echo "gate: FAILED at $name (after ${SECONDS} s)"
+        exit 1
+    fi
+    echo "== gate: $name ok ($((SECONDS - started)) s)"
+}
+
+lint() {
+    python -m repro.analysis src/repro benchmarks &&
+        python -m repro.analysis.typecheck
+}
+
+digests() {
+    tools/digests.sh "$work/base" >"$work/digests-base.txt" &&
+        tools/digests.sh . >"$work/digests-head.txt" &&
+        diff "$work/digests-base.txt" "$work/digests-head.txt" &&
+        echo "$(wc -l <"$work/digests-head.txt") rows identical"
+}
+
+e2e() {
+    local gated
+    gated=$(python -c 'import json; print("|".join(
+        m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]))')
+    (cd "$work/base" && PYTHONPATH= python benchmarks/e2e/run.py --all \
+        --out "$work/e2e-base.json") &&
+        python benchmarks/e2e/run.py --all --out "$work/e2e-head.json" &&
+        python benchmarks/e2e/run.py --check \
+            "$work/e2e-base.json" "$work/e2e-head.json" |
+        tee "$work/check.txt" &&
+        ! grep -E "^($gated) .* unresolved\$" "$work/check.txt"
+}
+
+stage lint lint
+stage tier-1 python -m pytest -x -q --durations=10
+stage digests digests
+stage e2e e2e
+echo "gate: passed against $(git rev-parse --short "$base") in ${SECONDS} s"
