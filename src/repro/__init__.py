@@ -8,7 +8,7 @@ The library is organised as:
 
 * :mod:`repro.core` — the paper's formal model and the FT-Search optimizer.
 * :mod:`repro.placement` — replicated PE placement (the ``theta`` producers).
-* :mod:`repro.rtree` — Guttman R-tree and the configuration lookup index.
+* :mod:`repro.rtree` — the HAController's configuration lookup index.
 * :mod:`repro.sim` — a from-scratch discrete-event simulation kernel.
 * :mod:`repro.dsps` — a distributed stream processing platform simulator
   (the stand-in for IBM InfoSphere Streams).

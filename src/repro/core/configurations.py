@@ -81,20 +81,6 @@ class InputConfiguration:
         """Rates as a tuple following ``source_order`` (for spatial lookups)."""
         return tuple(self.rate_of(s) for s in source_order)
 
-    def dominates(self, rates: Mapping[str, float]) -> bool:
-        """True when every component rate is >= the observed one.
-
-        This is the HAController admissibility test (Sec. 4.6): a chosen
-        configuration must never underestimate the actual load.
-        """
-        return all(self.rates[s] >= r for s, r in rates.items())
-
-    def distance_to(self, rates: Mapping[str, float]) -> float:
-        """Euclidean distance to an observed rate point."""
-        return math.sqrt(
-            sum((self.rates[s] - r) ** 2 for s, r in rates.items())
-        )
-
 
 class ConfigurationSpace:
     """The full set ``C`` with its probability mass function ``P_C``."""

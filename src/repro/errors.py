@@ -63,7 +63,8 @@ class SimulationError(ReproError):
 
 
 class RTreeError(ReproError):
-    """An R-tree operation received invalid input."""
+    """A configuration lookup received invalid input (missing, negative or
+    non-finite measured rates, a negative tolerance)."""
 
 
 class WorkloadError(ReproError):

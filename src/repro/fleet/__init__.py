@@ -7,7 +7,8 @@ single-contract machinery of :mod:`repro.service`:
   FT-Search results keyed by descriptor/host/SLA hashes;
 * :class:`~repro.fleet.controller.FleetController` — admission, packing
   onto a shared :class:`~repro.placement.packing.HostPool`, drift
-  detection from R-tree fallbacks, warm-started re-planning, eviction;
+  detection from configuration-index fallbacks, warm-started
+  re-planning, eviction;
 * :func:`~repro.fleet.scenario.run_fleet_scenario` — deterministic
   fleet-scale scenarios (parallel store prewarm + serial control loop);
 * :func:`~repro.fleet.report.render_fleet_report` — the occupancy/SLA

@@ -3,7 +3,7 @@
 Initialised at startup with the chosen replica activation strategy, the
 HAController receives measured source rates from the Rate Monitor and
 selects the appropriate replica activation state for the current input
-configuration. The configuration lookup uses the R-tree index of
+configuration. The configuration lookup uses the index of
 :mod:`repro.rtree.config_index`, which picks the spatially-closest
 configuration whose components all dominate the measured rates — so the
 chosen activation never underestimates the actual load.
@@ -38,11 +38,11 @@ class HAController:
         rate_tolerance: float = 0.0,
         down_confirmation: int = 1,
     ) -> None:
-        """``rate_tolerance`` relaxes the dominance test of the R-tree
-        lookup (measurement noise around a nominal rate must not read as
-        a configuration change); ``down_confirmation`` requires that many
-        consecutive identical selections before switching to a *cheaper*
-        configuration. Switches towards heavier configurations always
+        """``rate_tolerance`` relaxes the dominance test of the
+        configuration lookup (measurement noise around a nominal rate must
+        not read as a configuration change); ``down_confirmation`` requires
+        that many consecutive identical selections before switching to a
+        *cheaper* configuration. Switches towards heavier configurations always
         happen immediately — the never-underestimate guarantee is only
         ever relaxed by the explicit tolerance, never by hysteresis."""
         if strategy.deployment is not platform.deployment:

@@ -4,7 +4,9 @@ Reads one or more JSONL event files exported by
 :meth:`repro.obs.events.EventLog.write_jsonl` and checks every line
 against :data:`repro.obs.events.EVENT_SCHEMA`:
 
-* the line parses as a JSON object with ``seq``, ``t`` and ``type``;
+* the line parses as a JSON object with ``seq``, ``t`` and ``type``
+  (``NaN`` and ``Infinity``, which :func:`json.loads` accepts, are not
+  JSON and are rejected);
 * the event type is known;
 * every required payload field for that type is present;
 * every present payload field satisfies its declared type tag
@@ -13,9 +15,9 @@ against :data:`repro.obs.events.EVENT_SCHEMA`:
   pinned equal to it by ``tests/analysis/test_selfcheck.py``;
 * ``seq`` values are strictly increasing within one file.
 
-CI runs this over the artifacts of the ``repro obs`` smoke run, so a
-new event type that never got a schema entry fails the build instead of
-silently shipping unvalidated telemetry.
+:func:`repro.driver.deliver` runs it over every stream a scenario writes,
+so a new event type that never got a schema entry fails the run instead
+of silently shipping unvalidated telemetry.
 
 Exit status: 0 when every file is clean, 1 otherwise (problems are
 listed on stdout, one per line).
@@ -32,6 +34,10 @@ from repro.obs.events import EVENT_SCHEMA, check_field_value
 __all__ = ["validate_lines", "validate_file", "main"]
 
 
+def _reject_constant(token: str):
+    raise json.JSONDecodeError(f"{token} is not a JSON value", token, 0)
+
+
 def validate_lines(lines, origin: str = "<stream>") -> list[str]:
     """Validate JSONL lines; returns human-readable problem strings."""
     problems: list[str] = []
@@ -42,7 +48,7 @@ def validate_lines(lines, origin: str = "<stream>") -> list[str]:
             continue
         where = f"{origin}:{lineno}"
         try:
-            record = json.loads(line)
+            record = json.loads(line, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             problems.append(f"{where}: not valid JSON ({exc.msg})")
             continue

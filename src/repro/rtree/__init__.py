@@ -1,7 +1,5 @@
-"""Guttman R-tree [15] and the HAController configuration lookup index."""
+"""The HAController's input-configuration lookup (Sec. 4.6)."""
 
 from repro.rtree.config_index import ConfigurationIndex
-from repro.rtree.rect import Rect
-from repro.rtree.tree import Entry, RTree
 
-__all__ = ["Rect", "RTree", "Entry", "ConfigurationIndex"]
+__all__ = ["ConfigurationIndex"]

@@ -6,27 +6,30 @@ components are all greater than the corresponding actual rates. This choice
 guarantees that the chosen replica configuration will never underestimate
 the actual system load."
 
-:class:`ConfigurationIndex` implements exactly that: configurations are
-indexed as points (one dimension per source) in an R-tree; a lookup runs a
-predicate-filtered nearest-neighbour query where the predicate is
-componentwise dominance. When the measured rates exceed every configuration
-(out-of-contract input), the index falls back to the configuration with the
-highest total rate — the most conservative activation available.
+:class:`ConfigurationIndex` keeps that selection rule and drops the tree:
+configurations are points (one dimension per source), and a lookup is one
+scan over C for the nearest point that dominates the measured rates
+componentwise, the lowest configuration index winning an exact distance
+tie. A scan suffices because every caller builds |C| <= 4
+(``docs/performance.md``, "The configuration index is a scan"). When
+the measured rates exceed every configuration (out-of-contract input),
+the index falls back to the configuration with the highest total rate —
+the most conservative activation available.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from repro.core.configurations import ConfigurationSpace, InputConfiguration
 from repro.errors import RTreeError
-from repro.rtree.tree import Entry, RTree
 
 __all__ = ["ConfigurationIndex"]
 
 
 class ConfigurationIndex:
-    """R-tree-backed dominance-constrained nearest configuration lookup.
+    """Dominance-constrained nearest configuration lookup.
 
     ``tolerance`` relaxes the dominance test to
     ``config_rate * (1 + tolerance) >= measured_rate``: a configuration
@@ -47,7 +50,6 @@ class ConfigurationIndex:
     def __init__(
         self,
         space: ConfigurationSpace,
-        max_entries: int = 8,
         tolerance: float = 0.0,
         telemetry=None,
     ) -> None:
@@ -59,18 +61,9 @@ class ConfigurationIndex:
         self._telemetry = telemetry
         #: Out-of-contract lookups served by the fallback configuration.
         self.fallbacks = 0
-        # The configuration set is static: STR bulk loading packs it.
-        from repro.rtree.rect import Rect
-
-        self._tree: RTree[int] = RTree.bulk_load(
-            [
-                (
-                    Rect.from_point(config.rate_vector(self._sources)),
-                    config.index,
-                )
-                for config in space
-            ],
-            max_entries=max_entries,
+        self._points = tuple(
+            (config.index, config.rate_vector(self._sources))
+            for config in space
         )
         # The out-of-contract fallback: the most load-hungry configuration.
         self._fallback_index = space.sorted_by_total_rate()[0]
@@ -86,26 +79,34 @@ class ConfigurationIndex:
     def lookup(self, rates: Mapping[str, float]) -> InputConfiguration:
         """The nearest configuration dominating the measured ``rates``.
 
-        ``rates`` must provide a measurement for every source. Falls back
-        to the most resource-hungry configuration when no configuration
-        dominates the measurement (the input exceeded its contract).
+        ``rates`` must provide a finite, non-negative measurement for
+        every source. Falls back to the most resource-hungry configuration
+        when no configuration dominates the measurement (the input
+        exceeded its contract).
         """
         missing = [s for s in self._sources if s not in rates]
         if missing:
             raise RTreeError(f"no measured rate for sources {missing}")
         point = tuple(float(rates[s]) for s in self._sources)
-        if any(value < 0 for value in point):
-            raise RTreeError(f"measured rates must be >= 0, got {point}")
-
-        slack = 1.0 + self._tolerance
-
-        def dominates(entry: Entry[int]) -> bool:
-            return all(
-                coordinate * slack >= measured
-                for coordinate, measured in zip(entry.rect.high, point)
+        if any(value < 0 or not math.isfinite(value) for value in point):
+            raise RTreeError(
+                f"measured rates must be finite and >= 0, got {point}"
             )
 
-        found = self._tree.nearest(point, predicate=dominates)
+        slack = 1.0 + self._tolerance
+        found: int | None = None
+        nearest = 0.0
+        for index, vector in self._points:
+            if not all(x * slack >= m for x, m in zip(vector, point)):
+                continue
+            total = 0.0
+            for x, m in zip(vector, point):
+                total += (x - m) ** 2
+            # Compare the rooted distance, not ``total``: two totals can
+            # round to one distance, and that tie goes to the lower index.
+            distance = math.sqrt(total)
+            if found is None or distance < nearest:
+                found, nearest = index, distance
         if found is None:
             self.fallbacks += 1
             if self._telemetry is not None:
@@ -118,10 +119,10 @@ class ConfigurationIndex:
                     },
                 )
             return self._space[self._fallback_index]
-        return self._space[found.value]
+        return self._space[found]
 
     def lookup_index(self, rates: Mapping[str, float]) -> int:
         return self.lookup(rates).index
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._points)

@@ -22,15 +22,6 @@ class TestInputConfiguration:
         with pytest.raises(DescriptorError):
             InputConfiguration(0, {"s": 1.0}, 1.5)
 
-    def test_dominates(self):
-        config = InputConfiguration(0, {"a": 5.0, "b": 3.0}, 1.0)
-        assert config.dominates({"a": 5.0, "b": 2.0})
-        assert not config.dominates({"a": 6.0, "b": 2.0})
-
-    def test_distance(self):
-        config = InputConfiguration(0, {"a": 3.0, "b": 4.0}, 1.0)
-        assert config.distance_to({"a": 0.0, "b": 0.0}) == pytest.approx(5.0)
-
     def test_rate_vector_follows_order(self):
         config = InputConfiguration(0, {"a": 1.0, "b": 2.0}, 1.0)
         assert config.rate_vector(["b", "a"]) == (2.0, 1.0)

@@ -2,8 +2,9 @@
 
 The paper's experiments use a single source, but the model (Sec. 4.2) is
 defined over the Cartesian configuration space of any number of sources.
-This test drives the whole stack — descriptor, FT-Search, R-tree lookup,
-Rate Monitor, HAController — with two independently bursting sources.
+This test drives the whole stack — descriptor, FT-Search, configuration
+lookup, Rate Monitor, HAController — with two independently bursting
+sources.
 """
 
 from __future__ import annotations

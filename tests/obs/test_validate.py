@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.obs.events import EventLog
 from repro.obs.validate import main, validate_file, validate_lines
 
@@ -47,6 +49,16 @@ class TestValidateLines:
     def test_non_json_reported_with_line_number(self):
         problems = validate_lines(["not json"], origin="f.jsonl")
         assert problems[0].startswith("f.jsonl:1:")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constants_reported(self, token):
+        """``json.loads`` accepts these three tokens; JSON does not."""
+        problems = validate_lines(
+            ['{"seq":0,"t":0.0,"type":"config.fallback","config":1,'
+             f'"rates":{{"src":{token}}}}}']
+        )
+        assert len(problems) == 1
+        assert "not valid JSON" in problems[0] and token in problems[0]
 
     def test_non_increasing_seq_reported(self):
         lines = [

@@ -14,6 +14,9 @@
 #   e2e      benchmarks/e2e/run.py --all on both trees, then --check:
 #            no row `regressed`, no gated end-to-end metric `unresolved`
 #
+# A passing run then reports the net change in src/**/*.py lines (not a
+# stage: it cannot fail), the number CHANGES.md quotes.
+#
 # A PR that means to move an observable byte fails `digests` and says
 # so in its description. .github/workflows/ci.yml only calls this script
 # (tests/test_api_quality.py keeps it that way); nightly.yml holds what
@@ -67,4 +70,10 @@ stage lint lint
 stage tier-1 python -m pytest -x -q --durations=10
 stage digests digests
 stage e2e e2e
+python -c 'import pathlib, sys
+base, head = (sum(len(path.read_text().splitlines())
+                  for path in pathlib.Path(root, "src").rglob("*.py"))
+              for root in sys.argv[1:])
+print(f"gate: src/**/*.py {base} -> {head} lines ({head - base:+d})")' \
+    "$work/base" .
 echo "gate: passed against $(git rev-parse --short "$base") in ${SECONDS} s"
