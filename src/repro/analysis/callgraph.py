@@ -2,14 +2,13 @@
 
 Pass 1 gives every file a :class:`~repro.analysis.facts.FileFacts`;
 this module merges them into one :class:`CallGraph`: every function and
-class indexed by dotted qualname, the re-export chains through package
-``__init__`` files, and the type of a receiver expression where it can
-be named. It holds the nodes and answers the questions that resolve a
-call; no edge list is materialised, because the one consumer, fabric
-hygiene (R10), asks about a handful of call sites: which function does
-this ``run_tasks`` call submit, is this ``.map`` a
-``PersistentPool.map``, and which class does the worker's payload
-annotation denote — in whatever module each lives.
+class indexed by dotted qualname, and the re-export chains through
+package ``__init__`` files. It holds the nodes and answers the questions
+that resolve a call; no edge list is materialised, because the one
+consumer, fabric hygiene (R10), asks about a handful of call sites:
+which function does this ``run_tasks`` call submit, and which class
+does the worker's payload annotation denote — in whatever module each
+lives.
 
 Resolution is deliberately *syntactic* — no file under analysis is ever
 imported — and under-approximate: a name that cannot be resolved yields
@@ -18,12 +17,6 @@ imported — and under-approximate: a name that cannot be resolved yields
 * names go through ``from``-import and module-import aliases, followed
   through package re-exports (``from repro.core.optimizer import
   ft_search`` resolves to ``repro.core.optimizer.ftsearch.ft_search``);
-* a receiver's type comes from parameter/variable annotations,
-  assignment from a resolved constructor or from a call whose return
-  annotation names a scanned class, and one level of annotated
-  attribute access — what the tree's one ``PersistentPool.map`` site
-  takes (``session = _get_session(jobs)``, ``_Session.pool:
-  PersistentPool``, ``session.pool.map(...)``);
 * a type that resolves to a dotted name *outside* the scan (e.g. a
   ``ProcessPoolExecutor``) is marked ``external:`` — known-foreign is
   not unknown.
@@ -35,7 +28,7 @@ import ast
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.analysis.facts import FileFacts, resolve_call_target, walk_scope
+from repro.analysis.facts import FileFacts, resolve_call_target
 
 __all__ = [
     "CallGraph",
@@ -76,16 +69,6 @@ class ClassInfo:
     node: ast.ClassDef
     facts: FileFacts
 
-    def attr_annotation(self, attr: str) -> Optional[ast.expr]:
-        """The class-body annotation of ``attr``, if it has one."""
-        for stmt in self.node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                if stmt.target.id == attr:
-                    return stmt.annotation
-        return None
-
 
 class CallGraph:
     """Merged definitions and call-resolution queries for one scan."""
@@ -96,7 +79,6 @@ class CallGraph:
         #: ``module.bound -> absolute target`` for every from-import,
         #: giving re-export chains through package ``__init__`` files.
         self.reexports: dict[str, str] = {}
-        self._scope_types: dict[str, dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # Indexing
@@ -198,85 +180,6 @@ class CallGraph:
             if local in self.classes:
                 return local
             return f"{EXTERNAL}{dotted}"
-        return None
-
-    def _scope_variable_types(self, info: FuncInfo) -> dict[str, str]:
-        """Variable name -> resolved type inside one function scope."""
-        cached = self._scope_types.get(info.qualname)
-        if cached is not None:
-            return cached
-        types: dict[str, str] = {}
-        args = info.node.args
-        for arg in [
-            *args.posonlyargs,
-            *args.args,
-            *args.kwonlyargs,
-            *([args.vararg] if args.vararg else []),
-            *([args.kwarg] if args.kwarg else []),
-        ]:
-            resolved = self.annotation_type(info.facts, arg.annotation)
-            if resolved is not None:
-                types[arg.arg] = resolved
-        for node in walk_scope(info.node):
-            if isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                resolved = self.annotation_type(info.facts, node.annotation)
-                if resolved is not None:
-                    types[node.target.id] = resolved
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    resolved = self._value_type(info.facts, node.value)
-                    if resolved is not None:
-                        types[target.id] = resolved
-        self._scope_types[info.qualname] = types
-        return types
-
-    def _value_type(self, facts: FileFacts, node: ast.expr) -> Optional[str]:
-        """The type of an expression used as an assignment source."""
-        if not isinstance(node, ast.Call):
-            return None
-        dotted = resolve_call_target(facts, node.func)
-        if dotted is not None:
-            dotted = self.resolve_export(dotted)
-            for candidate in (dotted, f"{facts.module}.{dotted}"):
-                if candidate in self.classes:
-                    return candidate
-                called = self.functions.get(candidate)
-                if called is not None:
-                    return self.annotation_type(
-                        called.facts, called.node.returns
-                    )
-            if "." in dotted:
-                return f"{EXTERNAL}{dotted}"
-        return None
-
-    # ------------------------------------------------------------------
-    # Receiver types
-    # ------------------------------------------------------------------
-
-    def receiver_type(
-        self, info: Optional[FuncInfo], node: ast.expr
-    ) -> Optional[str]:
-        """The resolved type of a method-call receiver expression."""
-        if isinstance(node, ast.Name):
-            if info is not None:
-                scoped = self._scope_variable_types(info).get(node.id)
-                if scoped is not None:
-                    return scoped
-            return None
-        if isinstance(node, ast.Attribute):
-            base = self.receiver_type(info, node.value)
-            if base is None and isinstance(node.value, ast.Name):
-                if node.value.id == "self" and info is not None:
-                    base = info.class_qualname
-            if base is not None and base in self.classes:
-                owner = self.classes[base]
-                return self.annotation_type(
-                    owner.facts, owner.attr_annotation(node.attr)
-                )
-            return None
         return None
 
 

@@ -1,4 +1,4 @@
-"""The rule catalog: ten checks that mechanize the repo's invariants.
+"""The rule catalog: nine checks that mechanize the repo's invariants.
 
 ============  =====================  ==========================================
 Rule          Name                   Invariant
@@ -23,26 +23,20 @@ R7            import-fence           fenced modules never import the
                                      process fabric or threading machinery
 R8            suppression            allow comments are well-formed, carry a
                                      reason, and actually suppress something
-R9            shared-state           ``multiprocessing`` shared primitives
-                                     live only behind the audited accessors;
-                                     locks are held via ``with``, never bare
-                                     ``acquire``/``release``
-R10           fabric-hygiene         functions submitted to ``run_tasks`` /
-                                     ``PersistentPool.map`` are top-level and
-                                     take frozen/immutable payloads
+R10           fabric-hygiene         functions submitted to ``run_tasks``
+                                     are top-level and take frozen/immutable
+                                     payloads
 ============  =====================  ==========================================
 
-Scoping: R1, R2, R3, R4, R5, R8, R9 and R10 apply to every scanned
-file; R6 applies only to sim-path modules (``repro.sim``,
+R9 (shared-state) is retired: ``src/`` holds no cross-process shared
+primitive. Its id is not reused. Scoping: R1, R2, R3, R4, R5, R8 and
+R10 apply to every scanned file; R6 applies only to sim-path modules (``repro.sim``,
 ``repro.dsps``, ``repro.laar``, ``repro.chaos``, ``repro.elastic``,
 ``repro.fleet``, ``repro.obs``). R7 covers the sim path *and*
 ``repro.core``: the deterministic core is imported by every sim-path
 module, so a process-bearing import there would breach the fence
-transitively. The
-parallel-search driver is the one audited exception (see
-``_R7_AUDITED_EXCEPTIONS``) — exact modules only, each reviewed so that
-importing its parent package never executes the cleared import.
-Legitimate exceptions elsewhere are expressed per line with
+transitively. The fence has no exceptions.
+Legitimate exceptions to other rules are expressed per line with
 ``# repro: allow[Rn] reason=...`` or per module in the allowlist file —
 never by editing the rule.
 """
@@ -53,7 +47,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.analysis.callgraph import EXTERNAL, CallGraph, FuncInfo
+from repro.analysis.callgraph import CallGraph, FuncInfo
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.effects import (
     iter_iteration_sites,
@@ -133,11 +127,6 @@ RULES: tuple[Rule, ...] = (
         sim_path_only=True,
     ),
     Rule("R8", "suppression", "allow comments are well-formed and used"),
-    Rule(
-        "R9",
-        "shared-state",
-        "shared primitives only behind audited accessors",
-    ),
     Rule(
         "R10",
         "fabric-hygiene",
@@ -647,7 +636,6 @@ def _check_object_identity(facts: FileFacts) -> list[Diagnostic]:
 
 _BANNED_IMPORT_PREFIXES = (
     "repro.experiments",
-    "repro.core.optimizer.parallel",
     "multiprocessing",
     "concurrent",
     "threading",
@@ -658,29 +646,6 @@ _BANNED_IMPORT_PREFIXES = (
 #: is imported by every sim-path module, so a process-bearing import
 #: here would breach the fence transitively.
 _CORE_FENCED_PREFIXES = ("repro.core",)
-
-#: Audited R7 exceptions. Keys are *exact* modules (never prefixes —
-#: the audit does not extend to new files); values are the banned
-#: prefixes that module is cleared for, after review that importing its
-#: parent package never executes the cleared import:
-#:
-#: * ``repro.core.optimizer.parallel`` IS the process-bearing parallel
-#:   search driver; it owns the fabric pool and shared bound, and the
-#:   optimizer package's ``__init__`` deliberately does not import it.
-#: * ``repro.core.optimizer.ftsearch`` dispatches to the driver from a
-#:   function-local import inside ``ft_search`` (executed only when a
-#:   caller explicitly passes ``jobs`` above 1), never at module import
-#:   time.
-_R7_AUDITED_EXCEPTIONS: dict[str, tuple[str, ...]] = {
-    "repro.core.optimizer.parallel": (
-        "repro.experiments",
-        "multiprocessing",
-    ),
-    "repro.core.optimizer.ftsearch": (
-        "repro.core.optimizer.parallel",
-    ),
-}
-
 
 def _banned_import(module: str) -> Optional[str]:
     for prefix in _BANNED_IMPORT_PREFIXES:
@@ -699,7 +664,6 @@ def _is_fenced_module(module: str) -> bool:
 def _check_import_fence(facts: FileFacts) -> list[Diagnostic]:
     if not _is_fenced_module(facts.module):
         return []
-    cleared = _R7_AUDITED_EXCEPTIONS.get(facts.module, ())
     diagnostics = []
     for node in ast.walk(facts.tree):
         imported: list[str] = []
@@ -710,7 +674,7 @@ def _check_import_fence(facts: FileFacts) -> list[Diagnostic]:
                 imported = [node.module]
         for module in imported:
             banned = _banned_import(module)
-            if banned is not None and banned not in cleared:
+            if banned is not None:
                 diagnostics.append(
                     _diag(
                         facts,
@@ -725,201 +689,6 @@ def _check_import_fence(facts: FileFacts) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# R9 — shared-state discipline around multiprocessing primitives
-# ----------------------------------------------------------------------
-
-#: Constructors of cross-process shared state. Owning one of these
-#: anywhere outside the audited home module is a finding: shared
-#: mutable state is how cross-process nondeterminism sneaks past the
-#: per-process determinism discipline.
-_R9_SHARED_CTORS = frozenset(
-    {
-        "multiprocessing.Value",
-        "multiprocessing.RawValue",
-        "multiprocessing.Array",
-        "multiprocessing.RawArray",
-        "multiprocessing.Manager",
-        "multiprocessing.sharedctypes.Value",
-        "multiprocessing.sharedctypes.RawValue",
-        "multiprocessing.sharedctypes.Array",
-        "multiprocessing.sharedctypes.RawArray",
-        "multiprocessing.shared_memory.SharedMemory",
-    }
-)
-
-#: Lock constructors whose instances must only be held via ``with``.
-#: ``.acquire()``/``.release()`` is flagged only on names provably bound
-#: to one of these (or to a ``.get_lock()`` result) — an arbitrary
-#: ``pool.release(name)`` is not a lock operation.
-_R9_LOCK_CTORS = frozenset(
-    {
-        "multiprocessing.Lock",
-        "multiprocessing.RLock",
-        "multiprocessing.Semaphore",
-        "multiprocessing.BoundedSemaphore",
-        "multiprocessing.Condition",
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "threading.Condition",
-    }
-)
-
-#: The audited homes of shared primitives: module -> accessor classes
-#: whose methods may touch ``.value`` / ``.get_lock()`` directly. The
-#: table is exact (module and class names, never globs), and the
-#: earns-its-keep test drops it to prove every entry is load-bearing.
-#: ``SharedBound`` is PR 9's tighten-only incumbent bound: every read
-#: and write goes through its ``get``/``offer``/``reset`` methods,
-#: each of which holds the primitive's lock via ``with``.
-_R9_AUDITED_ACCESSORS: dict[str, tuple[str, ...]] = {
-    "repro.core.optimizer.parallel": ("SharedBound",),
-}
-
-
-def _enclosing_class_name(facts: FileFacts, node: ast.AST) -> Optional[str]:
-    for ancestor in facts.ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor.name
-    return None
-
-
-def _check_shared_state(facts: FileFacts) -> list[Diagnostic]:
-    audited = _R9_AUDITED_ACCESSORS.get(facts.module)
-    diagnostics = []
-    tracked: set[str] = set()
-    locks: set[str] = set()
-
-    def _is_lock_source(value: ast.expr) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        func = value.func
-        if isinstance(func, ast.Attribute) and func.attr == "get_lock":
-            return True
-        return resolve_call_target(facts, func) in _R9_LOCK_CTORS
-
-    for node in ast.walk(facts.tree):
-        value: Optional[ast.expr] = None
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            value, targets = node.value, node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            value, targets = node.value, [node.target]
-        if not isinstance(value, ast.Call):
-            continue
-        is_shared = (
-            resolve_call_target(facts, value.func) in _R9_SHARED_CTORS
-        )
-        is_lock = _is_lock_source(value)
-        if not (is_shared or is_lock):
-            continue
-        for target in targets:
-            bound: Optional[str] = None
-            if isinstance(target, ast.Name):
-                bound = target.id
-            elif isinstance(target, ast.Attribute) and isinstance(
-                target.value, ast.Name
-            ):
-                if target.value.id == "self":
-                    bound = f"self.{target.attr}"
-            if bound is None:
-                continue
-            (tracked if is_shared else locks).add(bound)
-
-    def _bound_name(node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.value, ast.Name
-        ):
-            if node.value.id == "self":
-                return f"self.{node.attr}"
-        return None
-
-    def _tracked_base(node: ast.expr) -> bool:
-        return _bound_name(node) in tracked
-
-    def _is_lock_receiver(node: ast.expr) -> bool:
-        if _is_lock_source(node):
-            return True  # v.get_lock().acquire() chains
-        return _bound_name(node) in locks
-
-    def _in_audited_accessor(node: ast.AST) -> bool:
-        if audited is None:
-            return False
-        owner = _enclosing_class_name(facts, node)
-        return owner is not None and owner in audited
-
-    for node in ast.walk(facts.tree):
-        if isinstance(node, ast.Call):
-            target = resolve_call_target(facts, node.func)
-            if target in _R9_SHARED_CTORS and audited is None:
-                diagnostics.append(
-                    _diag(
-                        facts,
-                        node,
-                        "R9",
-                        f"{target}() creates cross-process shared state"
-                        " outside the audited home"
-                        " (repro.core.optimizer.parallel); route shared"
-                        " bounds through SharedBound",
-                    )
-                )
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "get_lock":
-                if not _in_audited_accessor(node):
-                    diagnostics.append(
-                        _diag(
-                            facts,
-                            node,
-                            "R9",
-                            "shared-primitive lock acquired outside the"
-                            " audited accessor classes; go through"
-                            " SharedBound",
-                        )
-                    )
-                elif not isinstance(facts.parent_of(node), ast.withitem):
-                    diagnostics.append(
-                        _diag(
-                            facts,
-                            node,
-                            "R9",
-                            "lock acquisition without `with`: hold"
-                            " get_lock() via a context manager so"
-                            " worker crashes cannot leak the lock",
-                        )
-                    )
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("acquire", "release")
-                and _is_lock_receiver(func.value)
-            ):
-                diagnostics.append(
-                    _diag(
-                        facts,
-                        node,
-                        "R9",
-                        f"bare .{func.attr}() on a lock: use `with` so"
-                        " the lock is released on every exit path",
-                    )
-                )
-        elif isinstance(node, ast.Attribute) and node.attr == "value":
-            if _tracked_base(node.value) and not _in_audited_accessor(node):
-                diagnostics.append(
-                    _diag(
-                        facts,
-                        node,
-                        "R9",
-                        "raw .value access on a shared primitive outside"
-                        " the audited accessors; every read/write goes"
-                        " through SharedBound under its lock",
-                    )
-                )
-    return diagnostics
-
-
-# ----------------------------------------------------------------------
 # R10 — fabric task hygiene (project-level; needs the call graph)
 # ----------------------------------------------------------------------
 
@@ -928,8 +697,6 @@ _FABRIC_TASK_FUNCS = frozenset({"repro.experiments.parallel.run_tasks"})
 #: The scenario driver's pass-through to ``run_tasks``: the worker is
 #: checked where a scenario names it, not at the forwarding call.
 _FABRIC_FORWARDERS = frozenset({"repro.driver.fan_out"})
-_FABRIC_POOL_CLASS = "repro.experiments.parallel.PersistentPool"
-_FABRIC_POOL_METHODS = frozenset({"map"})
 
 #: Builtin payload types that are immutable enough to cross the pickle
 #: boundary without a frozen dataclass (shallow immutability — a tuple
@@ -942,7 +709,7 @@ _IMMUTABLE_PAYLOAD_BASES = frozenset(
 def _fabric_call_kind(
     graph: CallGraph, facts: FileFacts, node: ast.Call
 ) -> Optional[str]:
-    """``run_tasks``/``PersistentPool.map`` detection for one call."""
+    """``run_tasks`` detection for one call."""
     dotted = resolve_call_target(facts, node.func)
     if dotted is not None:
         target = graph.resolve_export(dotted)
@@ -951,14 +718,6 @@ def _fabric_call_kind(
         for name in (target, f"{facts.module}.{target}"):
             if name in _FABRIC_TASK_FUNCS or name in _FABRIC_FORWARDERS:
                 return "run_tasks"
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in _FABRIC_POOL_METHODS:
-        info = graph.enclosing_function(facts, node)
-        rtype = graph.receiver_type(info, func.value)
-        if rtype is not None:
-            plain = rtype.removeprefix(EXTERNAL)
-            if plain == _FABRIC_POOL_CLASS:
-                return f"PersistentPool.{func.attr}"
     return None
 
 
@@ -1086,7 +845,6 @@ _PER_FILE_CHECKS: tuple[Callable[[FileFacts], list[Diagnostic]], ...] = (
     _check_unfrozen_spec,
     _check_object_identity,
     _check_import_fence,
-    _check_shared_state,
 )
 
 

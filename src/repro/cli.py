@@ -92,12 +92,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
         penalty_weight=args.penalty,
         seed_incumbent=True,
-        jobs=args.jobs,
     )
-    jobs = args.jobs or 1
-    engine = "in-process" if jobs == 1 else f"pool({jobs})"
     print(
-        f"FT-Search [{engine}]: {result.outcome.value}"
+        f"FT-Search: {result.outcome.value}"
         f" ({result.stats.nodes_expanded} nodes, {result.elapsed:.2f}s)"
     )
     if result.strategy is None:
@@ -863,15 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--ic", type=float, required=True)
     optimize.add_argument("--time-limit", type=float, default=10.0)
     optimize.add_argument("--penalty", type=float, default=None)
-    optimize.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "search worker processes (default and 1: the block"
-            " engine in-process, no pool)"
-        ),
-    )
     optimize.add_argument("--out", required=True)
     optimize.set_defaults(func=_cmd_optimize)
 

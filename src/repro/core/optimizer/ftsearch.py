@@ -140,17 +140,9 @@ class FTSearchConfig:
     many nodes. Unusable warm starts (wrong shape, infeasible here) are
     silently ignored.
 
-    ``jobs`` is how many processes run the search. ``None`` and ``1``
-    mean the same thing — the block engine in the calling process, with
-    no pool and no environment lookup, so node counts and prune
-    statistics are deterministic. ``jobs > 1`` splits the root frontier
-    of the same engine across that many worker processes
-    (:mod:`repro.core.optimizer.parallel`).
-
-    ``shared_bound`` (``jobs > 1`` only) shares the incumbent cost
-    bound across workers so prunes compound. Sharing never changes what
-    is returned — only node counts, which become timing-dependent; set
-    it to False for bitwise-reproducible parallel statistics.
+    A search runs in the calling process, so its node counts and prune
+    statistics are deterministic. Callers that want parallelism fan
+    whole searches out over the experiment fabric.
     """
 
     time_limit: Optional[float] = 10.0
@@ -160,18 +152,25 @@ class FTSearchConfig:
     seed_incumbent: bool = False
     hungry_configs_first: bool = True
     warm_start: Optional[ActivationStrategy] = None
-    jobs: Optional[int] = None
-    shared_bound: bool = True
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise OptimizationError("time_limit must be > 0 or None")
+        # The chained comparisons are False for NaN, so NaN is refused.
+        if self.time_limit is not None and not (
+            0 < self.time_limit < math.inf
+        ):
+            raise OptimizationError(
+                f"time_limit must be finite and > 0 or None, got"
+                f" {self.time_limit!r}"
+            )
         if self.node_limit is not None and self.node_limit <= 0:
             raise OptimizationError("node_limit must be > 0 or None")
-        if self.jobs is not None and self.jobs < 1:
-            raise OptimizationError("jobs must be >= 1 or None")
-        if self.penalty_weight is not None and self.penalty_weight < 0:
-            raise OptimizationError("penalty_weight must be >= 0 or None")
+        if self.penalty_weight is not None and not (
+            0 <= self.penalty_weight < math.inf
+        ):
+            raise OptimizationError(
+                f"penalty_weight must be finite and >= 0 or None, got"
+                f" {self.penalty_weight!r}"
+            )
         for rule in self.disabled_rules:
             if not isinstance(rule, PruneRule):
                 raise OptimizationError(
@@ -648,14 +647,20 @@ def ft_search(
     warm_start: Optional[ActivationStrategy] = None,
     progress: Optional[SearchProgress] = None,
     jobs: Optional[int] = None,
-    shared_bound: bool = True,
 ) -> SearchResult:
     """Convenience wrapper: configure and run the block engine.
 
-    ``jobs=None`` and ``jobs=1`` run it in this process; ``jobs > 1``
-    fans the same engine out over worker processes. Optimal cost and
-    strategy equal the reference oracle's either way.
+    The engine runs in this process; its optimal cost and strategy equal
+    the reference oracle's. ``jobs`` accepts only ``None`` and ``1``,
+    both meaning exactly that: a caller that wants parallelism fans
+    whole searches out over its fabric (``repro.experiments.parallel``).
     """
+    if jobs not in (None, 1):
+        raise OptimizationError(
+            f"ft_search runs in the calling process (jobs None or 1), got"
+            f" jobs={jobs!r}; fan whole searches out over the caller's"
+            " fabric for parallelism"
+        )
     config = FTSearchConfig(
         time_limit=time_limit,
         node_limit=node_limit,
@@ -664,13 +669,7 @@ def ft_search(
         seed_incumbent=seed_incumbent,
         hungry_configs_first=hungry_configs_first,
         warm_start=warm_start,
-        jobs=jobs,
-        shared_bound=shared_bound,
     )
-    if (config.jobs or 1) > 1:
-        from repro.core.optimizer.parallel import parallel_ft_search
-
-        return parallel_ft_search(problem, config, progress=progress)
     from repro.core.optimizer.vector import VectorFTSearch
 
     return VectorFTSearch(problem, config, progress).run()

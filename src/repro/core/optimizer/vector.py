@@ -49,9 +49,12 @@ the oracle, not node counts. Two deliberate departures make that work:
 
 The per-row float recurrences use a fixed elementwise operation order
 (no variable-order reductions), so every row's state is independent of
-which rows share its block — the property that makes subtree-parallel
-runs (:mod:`repro.core.optimizer.parallel`) value-stable regardless of
-how the frontier was split.
+which rows share its block — the property that lets ``block_rows``
+change node counts but never a row's values.
+
+The engine runs in the calling process. Parallelism lives one level up,
+in the experiment fabric, which fans whole searches out across tenants,
+instances and campaigns.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +86,6 @@ if TYPE_CHECKING:  # import only for annotations: keeps the core light
 
 __all__ = [
     "BLOCK_ROWS",
-    "BoundChannel",
     "Candidate",
     "RawSearch",
     "VectorFTSearch",
@@ -107,10 +109,6 @@ _BAND_EPS = 4e-9
 # exactly like the per-depth rank vector.
 _CODE_MASK = 3
 
-# The three value codes as a column: ``forced == _CODES`` is the
-# ``(3, rows)`` mask of a root replay.
-_CODES = np.array([[0], [1], [2]], np.uint8)
-
 # Path byte of a single-replica value, indexed by
 # ``4 * (code - 1) + 2 * excluded + less_loaded0`` (``less_loaded0``:
 # replica 0's host carries no more than replica 1's). The value on the
@@ -123,28 +121,8 @@ _RANK_BYTES = np.array(
 )
 
 # A near-optimal leaf: (raw objective, path bytes). Sorting candidates by
-# path restores the scalar DFS visit order — including across subtree
-# tasks.
+# path restores the scalar DFS visit order.
 Candidate = tuple[float, bytes]
-
-
-class BoundChannel(Protocol):
-    """Where a search run reads/publishes the shared incumbent bound.
-
-    The parallel driver hands every worker a channel backed by one
-    ``multiprocessing.Value``; the engine polls :meth:`get` between
-    blocks and calls :meth:`offer` when a block fold improves its local
-    incumbent. Implementations must be tighten-only: ``offer`` may never
-    raise the stored bound.
-    """
-
-    def get(self) -> float:
-        """Current global incumbent objective (``inf`` when none)."""
-        ...
-
-    def offer(self, objective: float) -> None:
-        """Publish a local incumbent; ignored unless it tightens."""
-        ...
 
 
 @dataclass
@@ -161,6 +139,20 @@ class _Block:
     overloaded: np.ndarray  # (R,) bool
     fic: np.ndarray  # (R,) float64, assigned FIC mass
     cost: np.ndarray  # (R,) float64, assigned cost
+
+    @classmethod
+    def root(cls, layout: SearchLayout) -> "_Block":
+        """The starting block: one empty row, the whole tree."""
+        return cls(
+            depth=0,
+            path=np.zeros((1, layout.n_vars), np.uint8),
+            host_load=np.zeros((1, layout.n_hosts)),
+            delta_hat=np.zeros((1, layout.n_pes)),
+            excluded=np.zeros((1, layout.n_pes), bool),
+            overloaded=np.zeros(1, bool),
+            fic=np.zeros(1),
+            cost=np.zeros(1),
+        )
 
     def rows(self) -> int:
         return len(self.fic)
@@ -182,10 +174,8 @@ class _Block:
 class RawSearch:
     """What one block-search pass produces, before the candidate fold.
 
-    The parallel driver merges several of these (one per subtree task)
-    and folds all candidates at once; the serial vector path folds a
-    single one. ``best_raw`` is the tightest raw-accumulator objective
-    seen (the in-search prune bound), not the clean replayed optimum.
+    ``best_raw`` is the tightest raw-accumulator objective seen (the
+    in-search prune bound), not the clean replayed optimum.
     """
 
     candidates: list[Candidate]
@@ -206,14 +196,8 @@ class RawSearch:
 class VectorFTSearch:
     """One vectorized FT-Search run over a fixed problem.
 
-    ``roots`` restricts the run to the subtrees under the given partial
-    assignments — one bytes object of value codes per subtree root, all
-    of the same depth (the parallel driver's task chunks). The roots are
-    replayed into one multi-row block, so a task amortizes the per-level
-    vector overhead across all its subtrees. ``bound`` is an optional
-    :class:`BoundChannel` polled between blocks. ``block_rows`` caps the
-    rows advanced per step; optimal cost and strategy never depend on
-    it, a node-limited search's incumbent does.
+    ``block_rows`` caps the rows advanced per step; optimal cost and
+    strategy never depend on it, a node-limited search's incumbent does.
     """
 
     def __init__(
@@ -222,28 +206,16 @@ class VectorFTSearch:
         config: Optional[FTSearchConfig] = None,
         progress: Optional["SearchProgress"] = None,
         *,
-        roots: Optional[Sequence[bytes]] = None,
-        bound: Optional[BoundChannel] = None,
         block_rows: int = BLOCK_ROWS,
     ) -> None:
         if block_rows < 1:
             raise ValueError(
                 f"block_rows must be >= 1, got {block_rows}"
             )
-        if roots is not None:
-            if not roots:
-                raise ValueError("roots must be non-empty when given")
-            if len({len(root) for root in roots}) != 1:
-                raise ValueError("all roots must share one depth")
         self._config = config or FTSearchConfig()
         self._layout = SearchLayout(problem, self._config)
         self._progress = progress
-        self._roots = (
-            None if roots is None else [bytes(root) for root in roots]
-        )
-        self._bound = bound
         self._block_rows = block_rows
-        self._last_parent = np.zeros(0, np.intp)
         self._n_vars = self._layout.n_vars
         self._cap_row = np.asarray(self._layout.host_caps)
 
@@ -283,35 +255,22 @@ class VectorFTSearch:
     # Public entry points
     # ------------------------------------------------------------------
 
-    def search(
-        self,
-        deadline: Optional[float] = None,
-        node_budget: Optional[int] = None,
-    ) -> RawSearch:
-        """Run the block search; returns raw candidates and counters.
-
-        ``deadline`` overrides the config time limit with an absolute
-        ``time.monotonic`` deadline (the parallel driver passes one so
-        every worker expires at the same wall-clock instant);
-        ``node_budget`` likewise overrides the config node limit.
-        """
+    def search(self) -> RawSearch:
+        """Run the block search; returns raw candidates and counters."""
         self._reset_counters()
-        if deadline is None and self._config.time_limit is not None:
-            deadline = self._start + self._config.time_limit
-        if node_budget is None:
-            node_budget = self._config.node_limit
+        time_limit = self._config.time_limit
+        deadline = None if time_limit is None else self._start + time_limit
+        node_limit = self._config.node_limit
 
         expired = False
-        root = self._root_block()
-        stack: list[_Block] = [] if root is None else [root]
+        stack = [_Block.root(self._layout)]
         while stack:
-            if node_budget is not None and self._nodes >= node_budget:
+            if node_limit is not None and self._nodes >= node_limit:
                 expired = True
                 break
             if deadline is not None and time.monotonic() > deadline:
                 expired = True
                 break
-            self._refresh_bound()
             block = stack.pop()
             child = self._advance(block)
             if child is None:
@@ -334,65 +293,18 @@ class VectorFTSearch:
             best_raw_time=self._best_raw_time,
         )
 
-    def split_frontier(
-        self, min_rows: int
-    ) -> tuple[list[bytes], RawSearch]:
-        """Expand level-synchronously until the frontier has enough rows.
-
-        Returns ``(prefixes, raw)``: each prefix is the codes of one
-        frontier row (all at the same depth), sorted into scalar DFS
-        order by rank — contiguous chunks of this list are the parallel
-        driver's subtree tasks — and ``raw`` carries the counters the
-        split phase itself accrued. If the whole search finishes before
-        the frontier grows to ``min_rows`` (tiny instances, infeasible
-        roots), ``prefixes`` is empty and ``raw`` is the complete
-        search.
-        """
-        self._reset_counters()
-        prefixes: list[bytes] = []
-        block = self._root_block()
-        while block is not None and block.depth < self._n_vars:
-            if block.depth > 0 and block.rows() >= min_rows:
-                order = np.lexsort(
-                    [
-                        block.path[:, d]
-                        for d in range(block.depth - 1, -1, -1)
-                    ]
-                )
-                codes = block.path[:, : block.depth] & _CODE_MASK
-                prefixes = [codes[row].tobytes() for row in order]
-                break
-            block = self._advance(block)
-        else:
-            if block is not None:
-                self._fold_leaves(block)
-        return prefixes, RawSearch(
-            candidates=list(self._candidates),
-            best_raw=self._best_raw,
-            nodes=self._nodes,
-            values_tried=self._values_tried,
-            solutions_found=self._solutions_found,
-            prune_counts=list(self._prune_counts),
-            prune_heights=list(self._prune_heights),
-            expired=False,
-            first_raw_cost=self._first_raw_cost,
-            first_raw_time=self._first_raw_time,
-            best_raw_time=self._best_raw_time,
-        )
-
     def run(self) -> SearchResult:
         """Execute the search and classify the outcome."""
-        raw = self.search()
-        return self.build_result([raw])
+        return self._result(self.search())
 
     # ------------------------------------------------------------------
-    # Result assembly (shared with the parallel driver)
+    # Result assembly
     # ------------------------------------------------------------------
 
-    def fold_candidates(
+    def _fold_candidates(
         self, candidates: Sequence[Candidate]
-    ) -> tuple[Optional[tuple[int, ...]], float, float, float]:
-        """Fold candidates in rank order; returns (codes, obj, cost, ic).
+    ) -> tuple[Optional[tuple[int, ...]], float, float]:
+        """Fold candidates in rank order; returns (codes, cost, ic).
 
         Replays the scalar DFS's recorder over the candidate leaves in
         DFS (rank-lexicographic) order, starting from the seed incumbent:
@@ -416,53 +328,26 @@ class VectorFTSearch:
             best_codes = tuple(byte & _CODE_MASK for byte in path)
             best_ic, best_cost = layout.replay(best_codes)
             best_objective = layout.objective(best_cost, best_ic)
-        return best_codes, best_objective, best_cost, best_ic
+        return best_codes, best_cost, best_ic
 
-    def build_result(self, raws: Sequence[RawSearch]) -> SearchResult:
-        """Fold one or more raw searches into a :class:`SearchResult`."""
-        merged: list[Candidate] = []
-        nodes = 0
-        values_tried = 0
-        solutions_found = 0
-        prune_counts = [0, 0, 0, 0]
-        prune_heights = [0, 0, 0, 0]
-        expired = False
-        first_cost: Optional[float] = None
-        first_time: Optional[float] = None
-        # The seed incumbent is there from second zero (the oracle's
-        # convention); every pass that tightened it did so later.
-        best_time = 0.0
-        for raw in raws:
-            merged.extend(raw.candidates)
-            nodes += raw.nodes
-            values_tried += raw.values_tried
-            solutions_found += raw.solutions_found
-            expired = expired or raw.expired
-            for i in range(4):
-                prune_counts[i] += raw.prune_counts[i]
-                prune_heights[i] += raw.prune_heights[i]
-            if raw.first_raw_cost is not None and first_cost is None:
-                first_cost = raw.first_raw_cost
-                first_time = raw.first_raw_time
-            if raw.best_raw_time is not None:
-                best_time = max(best_time, raw.best_raw_time)
-
-        codes, _, best_cost, best_ic = self.fold_candidates(merged)
+    def _result(self, raw: RawSearch) -> SearchResult:
+        """Fold a raw search into a :class:`SearchResult`."""
+        codes, best_cost, best_ic = self._fold_candidates(raw.candidates)
         if self._progress is not None:
             self._progress.finish(
-                nodes,
+                raw.nodes,
                 None if math.isinf(best_cost) else best_cost,
-                self._prunes_by_name(prune_counts),
+                self._prunes_by_name(raw.prune_counts),
             )
         stats = SearchStats(
-            nodes_expanded=nodes,
-            values_tried=values_tried,
-            solutions_found=solutions_found,
+            nodes_expanded=raw.nodes,
+            values_tried=raw.values_tried,
+            solutions_found=raw.solutions_found,
             depth=self._n_vars,
         )
         for i, rule in enumerate(_RULES):
-            stats.prune_counts[rule] = prune_counts[i]
-            stats.prune_height_sums[rule] = prune_heights[i]
+            stats.prune_counts[rule] = raw.prune_counts[i]
+            stats.prune_height_sums[rule] = raw.prune_heights[i]
 
         elapsed = time.monotonic() - self._start
         strategy = (
@@ -472,21 +357,26 @@ class VectorFTSearch:
         )
         if strategy is not None:
             outcome = (
-                SearchOutcome.FEASIBLE if expired else SearchOutcome.OPTIMAL
+                SearchOutcome.FEASIBLE
+                if raw.expired
+                else SearchOutcome.OPTIMAL
             )
         else:
             outcome = (
                 SearchOutcome.TIMEOUT
-                if expired
+                if raw.expired
                 else SearchOutcome.INFEASIBLE
             )
+        # The seed incumbent is there from second zero (the oracle's
+        # convention); a leaf that tightened it did so later.
+        best_time = raw.best_raw_time or 0.0
         return SearchResult(
             outcome=outcome,
             strategy=strategy,
             best_cost=best_cost if strategy is not None else math.inf,
             best_ic=best_ic,
-            first_solution_cost=first_cost,
-            first_solution_time=first_time,
+            first_solution_cost=raw.first_raw_cost,
+            first_solution_time=raw.first_raw_time,
             best_solution_time=None if strategy is None else best_time,
             elapsed=elapsed,
             stats=stats,
@@ -498,65 +388,6 @@ class VectorFTSearch:
     # ------------------------------------------------------------------
     # Block machinery
     # ------------------------------------------------------------------
-
-    def _root_block(self) -> Optional[_Block]:
-        """The starting block: one row per root (one empty row for the
-        whole tree), forced-replayed to the roots' shared depth.
-
-        The replay runs ``_advance`` with a per-row forced value, so all
-        roots of a task reach their depth through one chain of block
-        advances — the amortization that makes many-subtree tasks cheap.
-        Counters and progress are snapshotted around the replay: the
-        parallel driver already counted these rows in its split phase.
-        """
-        layout = self._layout
-        roots = self._roots
-        rows = 1 if roots is None else len(roots)
-        block = _Block(
-            depth=0,
-            path=np.zeros((rows, self._n_vars), np.uint8),
-            host_load=np.zeros((rows, layout.n_hosts)),
-            delta_hat=np.zeros((rows, layout.n_pes)),
-            excluded=np.zeros((rows, layout.n_pes), bool),
-            overloaded=np.zeros(rows, bool),
-            fic=np.zeros(rows),
-            cost=np.zeros(rows),
-        )
-        if roots is None:
-            return block
-        depth = len(roots[0])
-        if depth == 0:
-            return block.slice(0, 1)
-        desired = np.frombuffer(b"".join(roots), np.uint8).reshape(
-            rows, depth
-        )
-        saved = (
-            self._nodes,
-            self._values_tried,
-            list(self._prune_counts),
-            list(self._prune_heights),
-        )
-        progress, self._progress = self._progress, None
-        try:
-            alive = np.arange(rows)
-            replayed: Optional[_Block] = block
-            for d in range(depth):
-                if replayed is None:
-                    return None
-                replayed = self._advance(
-                    replayed, forced=desired[alive, d]
-                )
-                if replayed is not None:
-                    alive = alive[self._last_parent]
-            return replayed
-        finally:
-            (
-                self._nodes,
-                self._values_tried,
-                self._prune_counts,
-                self._prune_heights,
-            ) = (saved[0], saved[1], list(saved[2]), list(saved[3]))
-            self._progress = progress
 
     def _push(self, stack: list[_Block], block: _Block) -> None:
         """Push a block, split into bounded chunks (later chunks first,
@@ -573,24 +404,8 @@ class VectorFTSearch:
         for lo, hi in reversed(bounds):
             stack.append(block.slice(lo, hi))
 
-    def _refresh_bound(self) -> None:
-        """Adopt the shared incumbent when it is tighter than ours."""
-        if self._bound is None:
-            return
-        shared = self._bound.get()
-        if shared < self._best_raw:
-            self._best_raw = shared
-
-    def _advance(
-        self, block: _Block, forced: Optional[np.ndarray] = None
-    ) -> Optional[_Block]:
-        """Expand every row of ``block`` one depth; None when all die.
-
-        With ``forced`` (root replay), each row keeps only its forced
-        value code — the prune arithmetic is unchanged, so a replayed
-        row carries bit-identical state to the split-phase row it
-        reproduces.
-        """
+    def _advance(self, block: _Block) -> Optional[_Block]:
+        """Expand every row of ``block`` one depth; None when all die."""
         layout = self._layout
         depth = block.depth
         rows = block.rows()
@@ -639,9 +454,6 @@ class VectorFTSearch:
         np.logical_not(excluded_d, out=valid[0])
         alive = int(np.count_nonzero(valid))
         self._values_tried += alive
-        if forced is not None:
-            valid &= forced == _CODES
-            alive = int(np.count_nonzero(valid))
 
         # CPU rule (Eq. 11, strict inequality on both hosts).
         if self._cpu_on:
@@ -692,7 +504,6 @@ class VectorFTSearch:
         parent = valid.nonzero()[1]
         n0 = int(np.count_nonzero(valid[0]))
         n01 = n0 + int(np.count_nonzero(valid[1]))
-        self._last_parent = parent
         child = _Block(
             depth=depth + 1,
             path=block.path.take(parent, axis=0),
@@ -857,8 +668,6 @@ class VectorFTSearch:
             self._best_raw = float(objective[best_row])
             self._best_raw_cost = float(block.cost[best_row])
             self._best_raw_time = now
-            if self._bound is not None:
-                self._bound.offer(self._best_raw)
             band = self._best_raw * (1 + _BAND_EPS)
         if self._first_raw_cost is None:
             self._first_raw_cost = float(block.cost[keep[0]])

@@ -33,7 +33,6 @@ import os
 import time
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from repro.errors import ExperimentError
@@ -43,7 +42,6 @@ __all__ = [
     "run_tasks",
     "TaskTiming",
     "FabricProfile",
-    "PersistentPool",
 ]
 
 _T = TypeVar("_T")
@@ -171,38 +169,11 @@ def _timed_call(
     return result, os.getpid(), start, time.monotonic()
 
 
-def _fold_timings(
-    profile: FabricProfile,
-    outputs: Sequence[tuple[Any, int, float, float]],
-    jobs: int,
-    submitted: float,
-    wall: float,
-) -> list[Any]:
-    """Strip the timing envelope from ``outputs`` into ``profile``."""
-    results: list[Any] = []
-    timings: list[TaskTiming] = []
-    for index, (result, pid, start, end) in enumerate(outputs):
-        results.append(result)
-        timings.append(
-            TaskTiming(
-                index=index,
-                worker=pid,
-                submitted=submitted,
-                started=start,
-                finished=end,
-            )
-        )
-    profile.record(jobs, wall, timings)
-    return results
-
-
 def run_tasks(
     worker: Callable[[_T], _R],
     tasks: Sequence[_T],
     jobs: Optional[int] = None,
     profile: Optional[FabricProfile] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
 ) -> list[_R]:
     """Run ``worker`` over ``tasks``, results in task order.
 
@@ -210,8 +181,7 @@ def run_tasks(
     (ProcessPoolExecutor requirements). With ``jobs=1`` — or a single
     task, where a pool could only add overhead — the workers run
     in-process in submission order: the exact serial path, no pool, no
-    pickling (``initializer`` is called once in-process instead, so
-    worker-global setup behaves identically on both paths).
+    pickling.
 
     With ``profile`` set, per-task timings and the call's wall time are
     folded into it; the returned results are identical either way.
@@ -220,16 +190,10 @@ def run_tasks(
     tasks = list(tasks)
     serial = jobs == 1 or len(tasks) <= 1
 
-    if serial and initializer is not None:
-        initializer(*initargs)
     if profile is None:
         if serial:
             return [worker(task) for task in tasks]
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(worker, tasks))
 
     submitted = time.monotonic()
@@ -239,101 +203,22 @@ def run_tasks(
         effective_jobs = 1
     else:
         effective_jobs = min(jobs, len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=effective_jobs,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=effective_jobs) as pool:
             outputs = list(pool.map(timed, tasks))
     wall = time.monotonic() - submitted
-    return _fold_timings(profile, outputs, effective_jobs, submitted, wall)
-
-
-class PersistentPool:
-    """A reusable worker pool: fork once, run many task batches.
-
-    ``run_tasks`` tears its ProcessPoolExecutor down after every call,
-    which is the right default for experiment grids (minutes of work per
-    batch) but dominates the budget of callers that fan out
-    *millisecond*-scale batches repeatedly — the parallel FT-Search runs
-    a whole subtree split in tens of milliseconds, far less than a pool
-    fork-and-warmup. A PersistentPool keeps the executor (and whatever
-    state ``initializer`` installed in each worker) alive across
-    :meth:`map` calls until :meth:`close`.
-
-    The fabric's determinism rules still hold: results come back in task
-    order, and worker state installed by ``initializer`` must never make
-    task results depend on which worker ran them.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: tuple = (),
-    ) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=self._initializer,
-                initargs=self._initargs,
+    # Strip the timing envelope into the profile.
+    profile.record(
+        effective_jobs,
+        wall,
+        [
+            TaskTiming(
+                index=index,
+                worker=pid,
+                submitted=submitted,
+                started=start,
+                finished=end,
             )
-        return self._pool
-
-    @property
-    def started(self) -> bool:
-        """True once the executor exists (first :meth:`map` call)."""
-        return self._pool is not None
-
-    def map(
-        self,
-        worker: Callable[[_T], _R],
-        tasks: Sequence[_T],
-        profile: Optional[FabricProfile] = None,
-    ) -> list[_R]:
-        """Run ``worker`` over ``tasks`` on the live pool, in order.
-
-        A worker process dying mid-batch breaks the executor for good:
-        it is discarded (the next call re-forks) and the failure surfaces
-        as :class:`ExperimentError`, never a half-result.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        call: Callable[[_T], Any] = (
-            worker
-            if profile is None
-            else functools.partial(_timed_call, worker)
-        )
-        submitted = time.monotonic()
-        try:
-            outputs = list(self._ensure().map(call, tasks))
-        except BrokenProcessPool as exc:
-            self.close()
-            raise ExperimentError(
-                f"a pool worker died running"
-                f" {getattr(worker, '__name__', repr(worker))} over"
-                f" {len(tasks)} task(s); the pool was discarded"
-            ) from exc
-        if profile is None:
-            return outputs
-        wall = time.monotonic() - submitted
-        return _fold_timings(profile, outputs, self.jobs, submitted, wall)
-
-    def close(self) -> None:
-        """Shut the executor down; the next :meth:`map` re-forks."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "PersistentPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+            for index, (_, pid, start, end) in enumerate(outputs)
+        ],
+    )
+    return [result for result, *_ in outputs]

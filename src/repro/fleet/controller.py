@@ -178,16 +178,12 @@ class FleetController:
         node_limit: Optional[int] = 200_000,
         sustain_checks: int = 3,
         rate_tolerance: float = 0.0,
-        search_jobs: Optional[int] = None,
     ) -> None:
         """``telemetry`` is a :class:`repro.obs.Telemetry` (or anything
         with a compatible ``emit``); ``sustain_checks`` is how many
         *consecutive* out-of-contract observations trigger a re-plan.
         Searches run under ``node_limit`` with no wall-clock limit, so
-        every decision is independent of host speed. ``search_jobs``
-        above 1 fans admission and re-plan searches out over worker
-        processes; the default (``None``, same as 1) searches
-        in-process, with deterministic node statistics."""
+        every decision is independent of host speed."""
         if sustain_checks < 1:
             raise ModelError(
                 f"sustain_checks must be >= 1, got {sustain_checks}"
@@ -199,7 +195,6 @@ class FleetController:
         self._node_limit = node_limit
         self._sustain_checks = sustain_checks
         self._rate_tolerance = rate_tolerance
-        self._search_jobs = search_jobs
         # One Provisioner per slice shape; tenants from the same template
         # share it (and through it the strategy store).
         self._provisioners: dict[tuple, Provisioner] = {}
@@ -237,7 +232,6 @@ class FleetController:
                 search_time_limit=None,
                 node_limit=self._node_limit,
                 store=self._store,
-                search_jobs=self._search_jobs,
             )
             self._provisioners[key] = provisioner
         return provisioner

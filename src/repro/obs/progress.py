@@ -23,7 +23,7 @@ counts are keyed by plain rule-name strings (``PruneRule.value``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 __all__ = ["ProgressSnapshot", "SearchProgress"]
 
@@ -120,69 +120,3 @@ class SearchProgress:
     def to_list(self) -> list[dict[str, Any]]:
         """All snapshots as JSON-friendly dicts, in capture order."""
         return [snap.to_dict() for snap in self.snapshots]
-
-    def absorb(self, other: "SearchProgress") -> None:
-        """Append ``other``'s snapshots and adopt its counter state.
-
-        The parallel driver merges per-worker parts into a fresh
-        collector with :meth:`merge`, then absorbs that into the
-        caller-provided instance so the caller sees one series.
-        """
-        self.snapshots.extend(other.snapshots)
-        for depth, count in other._depth_counts.items():
-            self._depth_counts[depth] = (
-                self._depth_counts.get(depth, 0) + count
-            )
-        self._last_nodes = other._last_nodes
-
-    @classmethod
-    def merge(
-        cls, parts: Sequence["SearchProgress"], every: int = 1024
-    ) -> "SearchProgress":
-        """Merge per-worker progress series into one deterministic view.
-
-        The parallel search runs one :class:`SearchProgress` per subtree
-        task; this folds them in *task order* (never completion order, so
-        the merged series is independent of worker scheduling): node
-        counters, prune counts, and depth histograms accumulate across
-        parts, and the incumbent at every merged snapshot is the minimum
-        seen so far in the fold. Snapshot node counts are therefore
-        cumulative totals, not multiples of ``every``.
-        """
-        merged = cls(every=every)
-        node_base = 0
-        prune_base: dict[str, int] = {}
-        depth_base: dict[int, int] = {}
-        incumbent: Optional[float] = None
-        for part in parts:
-            last: Optional[ProgressSnapshot] = None
-            for snap in part.snapshots:
-                if snap.incumbent_cost is not None and (
-                    incumbent is None or snap.incumbent_cost < incumbent
-                ):
-                    incumbent = snap.incumbent_cost
-                prunes = dict(prune_base)
-                for rule, count in snap.prunes.items():
-                    prunes[rule] = prunes.get(rule, 0) + count
-                depths = dict(depth_base)
-                for depth, count in snap.depth_counts.items():
-                    depths[depth] = depths.get(depth, 0) + count
-                merged.snapshots.append(
-                    ProgressSnapshot(
-                        nodes=node_base + snap.nodes,
-                        incumbent_cost=incumbent,
-                        prunes=prunes,
-                        depth_counts=depths,
-                    )
-                )
-                last = snap
-            if last is not None:
-                node_base += last.nodes
-                for rule, count in last.prunes.items():
-                    prune_base[rule] = prune_base.get(rule, 0) + count
-                for depth, count in last.depth_counts.items():
-                    depth_base[depth] = depth_base.get(depth, 0) + count
-        merged._depth_counts = dict(depth_base)
-        if merged.snapshots:
-            merged._last_nodes = merged.snapshots[-1].nodes
-        return merged

@@ -193,11 +193,7 @@ class Provisioner:
 
     ``search_time_limit`` and ``node_limit`` bound the FT-Search run;
     fleet scenarios use ``search_time_limit=None`` with a node limit so
-    results are independent of host speed. ``search_jobs`` above 1 fans
-    the search out over that many worker processes (``None`` and 1 both
-    run it in-process — the fleet default, whose node statistics are
-    deterministic). With a ``store``
-    attached, provisioning first consults the :class:`~repro.fleet.store
+    results are independent of host speed. With a ``store`` attached, provisioning first consults the :class:`~repro.fleet.store
     .StrategyStore` and every fresh search result (including infeasible
     proofs) is written back, so repeated provisioning of identical
     descriptors skips the search entirely.
@@ -210,7 +206,6 @@ class Provisioner:
         search_time_limit: Optional[float] = 10.0,
         node_limit: Optional[int] = None,
         store: Optional[StrategyStore] = None,
-        search_jobs: Optional[int] = None,
     ) -> None:
         if not hosts:
             raise ModelError("the provider needs at least one host")
@@ -219,23 +214,13 @@ class Provisioner:
         self._time_limit = search_time_limit
         self._node_limit = node_limit
         self._store = store
-        self._jobs = search_jobs
 
     def _search_signature(self) -> str:
         """Identifies the search configuration inside store keys, so a
-        record is only reused by an identically-configured search.
-
-        The worker count is part of the signature only when parallel
-        search is on (``None`` and 1 are the same in-process run):
-        in-process and parallel runs return the same cost and strategy,
-        but cached node counts would silently change meaning (parallel
-        counts vary run to run under the shared bound).
-        """
-        jobs = self._jobs or 1
-        jobs_part = "" if jobs == 1 else f":jobs={jobs}"
+        record is only reused by an identically-configured search."""
         return (
             f"ftsearch:time={self._time_limit}:nodes={self._node_limit}"
-            f"{jobs_part}:seed=1"
+            ":seed=1"
         )
 
     def try_provision(
@@ -289,7 +274,6 @@ class Provisioner:
             node_limit=self._node_limit,
             seed_incumbent=True,
             warm_start=warm_start,
-            jobs=self._jobs,
         )
         record = record_from_result(result)
         if self._store is not None and key is not None:

@@ -2,10 +2,10 @@
 
 import multiprocessing
 
-from repro.core.optimizer.parallel import parallel_ft_search
+from concurrent.futures import ProcessPoolExecutor
 
 
 def drive() -> None:
     """Uses machinery fenced off the deterministic core."""
-    multiprocessing.Value("d", 0.0)
-    parallel_ft_search(None)
+    with ProcessPoolExecutor(multiprocessing.cpu_count()) as pool:
+        pool.shutdown()

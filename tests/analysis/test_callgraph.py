@@ -32,18 +32,11 @@ def _build(
     return build_call_graph(all_facts), by_module
 
 
-def _receiver_of_first_method_call(
-    graph: CallGraph, function: str
-) -> str | None:
-    """The resolved type of ``<receiver>.method()`` inside ``function``."""
+def _first_parameter_type(graph: CallGraph, function: str) -> str | None:
+    """The resolved annotation of ``function``'s first parameter — the
+    question R10 asks of a worker's payload."""
     info = graph.functions[function]
-    call = next(
-        node
-        for node in ast.walk(info.node)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-    )
-    return graph.receiver_type(info, call.func.value)
+    return graph.annotation_type(info.facts, info.node.args.args[0].annotation)
 
 
 class TestGraphQueries:
@@ -105,7 +98,7 @@ class TestGraphQueries:
             },
         )
         assert (
-            _receiver_of_first_method_call(graph, "pkg.mod.use")
+            _first_parameter_type(graph, "pkg.mod.use")
             == f"{EXTERNAL}queue.Queue"
         )
 
@@ -125,87 +118,3 @@ class TestResolutionLayers:
         )
         assert graph.resolve_export("pkg.work") == "pkg.impl.work"
         assert graph.resolve_export("pkg.impl.work") == "pkg.impl.work"
-
-
-    def test_annotated_receiver_resolves_by_type(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "class Widget:\n"
-                    "    def poke(self) -> int:\n"
-                    "        return 1\n"
-                    "def use(w: Widget) -> int:\n"
-                    "    return w.poke()\n"
-                )
-            },
-        )
-        assert (
-            _receiver_of_first_method_call(graph, "pkg.mod.use")
-            == "pkg.mod.Widget"
-        )
-
-    def test_constructor_assignment(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "class Widget:\n"
-                    "    def poke(self) -> int:\n"
-                    "        return 1\n"
-                    "def assigned() -> int:\n"
-                    "    w = Widget()\n"
-                    "    return w.poke()\n"
-                )
-            },
-        )
-        assert (
-            _receiver_of_first_method_call(graph, "pkg.mod.assigned")
-            == "pkg.mod.Widget"
-        )
-
-    def test_return_annotation_then_annotated_attribute(self, tmp_path):
-        # The shape of the one PersistentPool.map site in the tree:
-        # ``session = _get_session(); session.pool.map(worker, tasks)``,
-        # with the attribute's class defined in a later-sorted module.
-        graph, _ = _build(
-            tmp_path,
-            {
-                "app": (
-                    '"""Doc."""\n'
-                    "from pkg.pool import Pool\n"
-                    "class Session:\n"
-                    "    pool: Pool\n"
-                    "def get() -> Session:\n"
-                    "    return Session()\n"
-                    "def run() -> None:\n"
-                    "    session = get()\n"
-                    "    session.pool.map()\n"
-                ),
-                "pool": (
-                    '"""Doc."""\n'
-                    "class Pool:\n"
-                    "    def map(self) -> None:\n"
-                    "        return None\n"
-                ),
-            },
-        )
-        assert (
-            _receiver_of_first_method_call(graph, "pkg.app.run")
-            == "pkg.pool.Pool"
-        )
-
-    def test_unannotated_receiver_is_unknown(self, tmp_path):
-        graph, _ = _build(
-            tmp_path,
-            {
-                "mod": (
-                    '"""Doc."""\n'
-                    "def use(w) -> int:\n"
-                    "    return w.poke()\n"
-                )
-            },
-        )
-        assert _receiver_of_first_method_call(graph, "pkg.mod.use") is None

@@ -138,8 +138,10 @@ class TestReport:
         assert data["tool"] == "repro.analysis"
         assert data["version"] == 1
         assert data["ok"] is False
-        assert data["files_checked"] == 16
-        assert sorted(data["counts"]) == sorted(f"R{n}" for n in range(1, 11))
+        assert data["files_checked"] == 15
+        assert sorted(data["counts"]) == sorted(
+            f"R{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 10)
+        )
         assert sum(data["counts"].values()) == len(data["diagnostics"])
         first = data["diagnostics"][0]
         assert set(first) == {"file", "line", "col", "rule", "message"}
@@ -152,7 +154,7 @@ class TestReport:
     def test_render_text_summary_line(self):
         report = run_analysis([FIXTURES / "good"], allowlist_path=NO_ALLOWLIST)
         assert report.render_text().endswith(
-            "13 file(s) checked, 0 finding(s), 1 suppressed"
+            "9 file(s) checked, 0 finding(s), 1 suppressed"
         )
 
     def test_syntax_error_is_reported_not_fatal(self, tmp_path):
@@ -203,5 +205,6 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (f"R{n}" for n in range(1, 11)):
+        for rule_id in (f"R{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 10)):
             assert rule_id in out
+        assert "R9" not in out

@@ -127,32 +127,14 @@ class TestBadCorpus:
 
     def test_r7_fence_covers_the_deterministic_core(self):
         hits = _hits(self.report, "core/fence.py")
-        assert hits == [(3, "R7"), (5, "R7"), (10, "R9")]
+        assert hits == [(3, "R7"), (5, "R7")]
         messages = [
             d.message
             for d in self.report.diagnostics
             if d.file.endswith("core/fence.py")
         ]
         assert "'multiprocessing'" in messages[0]
-        assert "'repro.core.optimizer.parallel'" in messages[1]
-        assert "outside the audited home" in messages[2]
-
-    def test_r9_shared_state_ctor_value_lock_and_acquire(self):
-        assert _hits(self.report, "bad/repro/shared.py") == [
-            (8, "R9"),
-            (9, "R9"),
-            (10, "R9"),
-            (11, "R9"),
-        ]
-        messages = [
-            d.message
-            for d in self.report.diagnostics
-            if d.file.endswith("bad/repro/shared.py")
-        ]
-        assert "creates cross-process shared state" in messages[0]
-        assert "raw .value access" in messages[1]
-        assert "lock acquired outside the audited" in messages[2]
-        assert "bare .acquire()" in messages[3]
+        assert "'concurrent.futures'" in messages[1]
 
     def test_r10_fabric_worker_hygiene(self):
         assert _hits(self.report, "bad/repro/driver.py") == [
@@ -184,7 +166,7 @@ class TestBadCorpus:
     def test_total_finding_count_is_pinned(self):
         # A new finding (or a silently dropped one) must be a conscious
         # fixture change, not drift.
-        assert len(self.report.diagnostics) == 36
+        assert len(self.report.diagnostics) == 31
         assert not self.report.errors
 
     def test_diagnostics_render_as_path_line_col_rule(self):
@@ -203,46 +185,6 @@ class TestGoodCorpus:
         assert report.errors == []
         assert report.ok
 
-
-class TestAuditedFenceExceptions:
-    """The R7 exception table is exactly as large as it needs to be."""
-
-    REPO_SRC = Path(__file__).parents[2] / "src"
-
-    def _fence(self, module: str) -> list:
-        from repro.analysis.facts import collect_facts
-        from repro.analysis.rules import _check_import_fence
-
-        path = self.REPO_SRC / (module.replace(".", "/") + ".py")
-        return _check_import_fence(collect_facts(path, str(path)))
-
-    def test_real_driver_modules_pass_through_the_table(self):
-        # With the audited exceptions in place, the real parallel
-        # driver and its lazy dispatcher are fence-clean.
-        assert self._fence("repro.core.optimizer.parallel") == []
-        assert self._fence("repro.core.optimizer.ftsearch") == []
-
-    def test_every_exception_entry_earns_its_keep(self, monkeypatch):
-        # Dropping the table must surface findings in the exact modules
-        # it names — a stale entry (or a blanket one) fails here.
-        import repro.analysis.rules as rules
-
-        monkeypatch.setattr(rules, "_R7_AUDITED_EXCEPTIONS", {})
-        for module in (
-            "repro.core.optimizer.parallel",
-            "repro.core.optimizer.ftsearch",
-        ):
-            findings = self._fence(module)
-            assert findings, f"{module} no longer needs its exception"
-            assert all(d.rule == "R7" for d in findings)
-
-    def test_exception_keys_are_exact_modules(self):
-        from repro.analysis.rules import _R7_AUDITED_EXCEPTIONS
-
-        for module in _R7_AUDITED_EXCEPTIONS:
-            path = self.REPO_SRC / (module.replace(".", "/") + ".py")
-            assert path.is_file(), f"exception names missing {module}"
-
     def test_used_suppressions_are_counted_not_reported(self):
         report = _analyze("good")
         ((diagnostic, _reason),) = report.suppressed
@@ -251,9 +193,10 @@ class TestAuditedFenceExceptions:
 
 
 class TestRuleCatalog:
-    def test_ten_rules_with_stable_ids(self):
+    def test_rule_ids_are_stable(self):
+        # R9 went with its one audited home; its id is not reused.
         assert [rule.rule_id for rule in RULES] == [
-            f"R{n}" for n in range(1, 11)
+            f"R{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 10)
         ]
 
     def test_sim_path_scoping(self):
@@ -262,43 +205,18 @@ class TestRuleCatalog:
 
 
 class TestAuditedConcurrencyTables:
-    """R9/R10 audit tables stay pinned to real code."""
+    """R10's fabric entry points stay pinned to real code."""
 
     REPO_SRC = Path(__file__).parents[2] / "src"
 
-    def test_r9_audited_accessor_without_table_fires(self, monkeypatch):
-        # The one audited home really does construct shared primitives:
-        # drop the table and the real module must light up.
-        import repro.analysis.rules as rules
-        from repro.analysis.facts import collect_facts
-
-        monkeypatch.setattr(rules, "_R9_AUDITED_ACCESSORS", {})
-        path = self.REPO_SRC / "repro" / "core" / "optimizer" / "parallel.py"
-        findings = rules._check_shared_state(collect_facts(path, str(path)))
-        assert findings, "audited accessor table no longer needed"
-        assert all(d.rule == "R9" for d in findings)
-
-    def test_r9_audited_modules_exist(self):
-        from repro.analysis.rules import _R9_AUDITED_ACCESSORS
-
-        for module in _R9_AUDITED_ACCESSORS:
-            path = self.REPO_SRC / (module.replace(".", "/") + ".py")
-            assert path.is_file(), f"audit table names missing {module}"
-
     def test_r10_fabric_entry_points_exist(self):
         import repro.experiments.parallel as fabric
-        from repro.analysis.rules import (
-            _FABRIC_POOL_CLASS,
-            _FABRIC_TASK_FUNCS,
-        )
+        from repro.analysis.rules import _FABRIC_TASK_FUNCS
 
         for dotted in _FABRIC_TASK_FUNCS:
             module, _, name = dotted.rpartition(".")
             assert module == "repro.experiments.parallel"
             assert hasattr(fabric, name)
-        module, _, name = _FABRIC_POOL_CLASS.rpartition(".")
-        assert module == "repro.experiments.parallel"
-        assert hasattr(fabric, name)
 
 
 class TestFoundByTheTrial:

@@ -237,13 +237,6 @@ class TestSeededViolationsAreCaught:
                 "R8",
             ),
             (
-                "core/optimizer/parallel.py",
-                '        value = multiprocessing.Value("d", math.inf)\n',
-                '        value = multiprocessing.Value("d", math.inf)\n'
-                "        value.value = math.inf\n",
-                "R9",
-            ),
-            (
                 "obs/runner.py",
                 "def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:",
                 "def run_observed(spec) -> dict[str, Any]:",

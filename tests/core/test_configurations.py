@@ -13,6 +13,15 @@ from repro.core import ConfigurationSpace, InputConfiguration, bin_rates
 from repro.errors import DescriptorError
 
 
+def _search(problem) -> tuple:
+    """Fabric worker: one in-process search, reduced to what it found."""
+    from repro.core.optimizer import ft_search
+
+    result = ft_search(problem, time_limit=None)
+    strategy = result.strategy
+    return result.best_cost, None if strategy is None else strategy.to_dict()
+
+
 class TestInputConfiguration:
     def test_rejects_negative_rate(self):
         with pytest.raises(DescriptorError):
@@ -50,23 +59,18 @@ class TestInputConfiguration:
         ).to_dict() == space.to_dict()
 
     def test_frozen_rates_survive_the_worker_pool(self):
-        """A ``jobs=2`` search pickles the problem to its workers."""
-        from repro.core.optimizer import ft_search
-        from repro.core.optimizer.parallel import shutdown
+        """Searches fanned out over the fabric pickle their problems to
+        the workers and come back equal to the in-process ones."""
+        from repro.experiments.parallel import run_tasks
         from repro.fleet.store import strategy_key
         from tests.optimizer.test_ftsearch_equivalence import _problem
 
-        problem = _problem(6, "mid")
-        deployment = problem.deployment
+        problems = [_problem(6, "mid"), _problem(7, "mid")]
+        deployment = problems[0].deployment
         key = strategy_key(deployment.descriptor, deployment.hosts, 2, 0.6)
         assert len(key) == 64
-        try:
-            pooled = ft_search(problem, time_limit=None, jobs=2)
-        finally:
-            shutdown()
-        alone = ft_search(problem, time_limit=None)
-        assert pooled.best_cost == alone.best_cost
-        assert pooled.strategy.to_dict() == alone.strategy.to_dict()
+        pooled = run_tasks(_search, problems, jobs=2)
+        assert pooled == [_search(problem) for problem in problems]
 
 
 class TestConfigurationSpace:

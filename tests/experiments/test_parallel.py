@@ -246,97 +246,3 @@ def test_observed_event_streams_bit_identical_across_jobs(observed_inputs):
     for a, b in zip(serial, parallel):
         assert a["jsonl"] == b["jsonl"]
         assert a == b
-
-
-# ----------------------------------------------------------------------
-# initializer plumbing and PersistentPool
-# ----------------------------------------------------------------------
-
-_WORKER_TAG = None
-
-
-def _install_tag(tag) -> None:
-    global _WORKER_TAG
-    _WORKER_TAG = tag
-
-
-def _read_tag(_task):
-    return _WORKER_TAG
-
-
-def test_initializer_runs_in_process_on_serial_path():
-    global _WORKER_TAG
-    _WORKER_TAG = None
-    results = run_tasks(
-        _read_tag,
-        ["a", "b"],
-        jobs=1,
-        initializer=_install_tag,
-        initargs=("tag",),
-    )
-    assert results == ["tag", "tag"]
-    assert _WORKER_TAG == "tag"  # ran in this process, once
-    _WORKER_TAG = None
-
-
-def test_initializer_reaches_pool_workers():
-    results = run_tasks(
-        _read_tag,
-        list(range(4)),
-        jobs=2,
-        initializer=_install_tag,
-        initargs=("pooled",),
-    )
-    assert results == ["pooled"] * 4
-    assert _WORKER_TAG is None  # parent process untouched
-
-
-class TestPersistentPool:
-    def test_reuses_workers_across_map_calls(self):
-        from repro.experiments.parallel import PersistentPool
-
-        with PersistentPool(jobs=2) as pool:
-            assert not pool.started
-            first = pool.map(_square, [1, 2, 3])
-            assert pool.started
-            second = pool.map(_square, [4, 5])
-        assert first == [1, 4, 9]
-        assert second == [16, 25]
-
-    def test_empty_task_list_never_forks(self):
-        from repro.experiments.parallel import PersistentPool
-
-        pool = PersistentPool(jobs=2)
-        assert pool.map(_square, []) == []
-        assert not pool.started
-        pool.close()
-
-    def test_initializer_state_survives_between_batches(self):
-        from repro.experiments.parallel import PersistentPool
-
-        with PersistentPool(
-            jobs=2, initializer=_install_tag, initargs=("sticky",)
-        ) as pool:
-            assert pool.map(_read_tag, [0]) == ["sticky"]
-            assert pool.map(_read_tag, [1, 2]) == ["sticky", "sticky"]
-
-    def test_close_is_idempotent_and_map_reforks(self):
-        from repro.experiments.parallel import PersistentPool
-
-        pool = PersistentPool(jobs=2)
-        assert pool.map(_square, [2]) == [4]
-        pool.close()
-        pool.close()
-        assert pool.map(_square, [3]) == [9]
-        pool.close()
-
-    def test_profile_records_timings(self):
-        from repro.experiments.parallel import PersistentPool
-
-        profile = FabricProfile(label="pp")
-        with PersistentPool(jobs=2) as pool:
-            results = pool.map(_square, [1, 2, 3], profile=profile)
-        assert results == [1, 4, 9]
-        summary = profile.summary()
-        assert summary["n_tasks"] == 3
-        assert summary["jobs"] == 2

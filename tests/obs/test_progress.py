@@ -96,61 +96,6 @@ class TestOnNodes:
         assert single._depth_counts == batched._depth_counts
 
 
-class TestMergeAndAbsorb:
-    def _part(self, every, points):
-        part = SearchProgress(every=every)
-        for nodes, cost, prunes in points:
-            part.snapshot(nodes, cost, prunes)
-        return part
-
-    def test_merge_rebases_counters_in_task_order(self):
-        a = self._part(4, [(4, 10.0, {"CPU": 1}), (7, 9.0, {"CPU": 2})])
-        b = self._part(4, [(5, 12.0, {"CPU": 4})])
-        merged = SearchProgress.merge([a, b], every=4)
-        assert [s.nodes for s in merged.snapshots] == [4, 7, 12]
-        assert merged.snapshots[-1].prunes == {"CPU": 6}
-
-    def test_merge_incumbent_is_running_minimum(self):
-        a = self._part(4, [(4, 10.0, {})])
-        b = self._part(4, [(3, 12.0, {}), (6, 8.0, {})])
-        merged = SearchProgress.merge([a, b], every=4)
-        assert [s.incumbent_cost for s in merged.snapshots] == [
-            10.0,
-            10.0,
-            8.0,
-        ]
-
-    def test_merge_is_independent_of_completion_order(self):
-        # Task order is the contract: permuting the *input list* changes
-        # the series (it is a task-order fold), but the same list always
-        # merges identically — no hidden wall-clock or scheduling state.
-        a = self._part(2, [(2, 5.0, {"COST": 1})])
-        b = self._part(2, [(2, 4.0, {"COST": 2})])
-        once = SearchProgress.merge([a, b], every=2)
-        again = SearchProgress.merge([a, b], every=2)
-        assert once.to_list() == again.to_list()
-
-    def test_merge_empty_parts(self):
-        merged = SearchProgress.merge([], every=8)
-        assert merged.snapshots == []
-        merged_sparse = SearchProgress.merge(
-            [SearchProgress(every=8)], every=8
-        )
-        assert merged_sparse.snapshots == []
-
-    def test_absorb_appends_and_adopts_state(self):
-        target = SearchProgress(every=4)
-        target.on_node(1, 0)
-        other = self._part(4, [(4, 3.0, {"DOM": 1})])
-        other.on_nodes(4, 4, depth=2)
-        target.absorb(other)
-        assert [s.nodes for s in target.snapshots] == [4]
-        assert target._depth_counts == {0: 1, 2: 4}
-        # finish() right after absorb must not duplicate the last snap.
-        target.finish(4, 3.0, {"DOM": 1})
-        assert len(target.snapshots) == 1
-
-
 class TestRealSearch:
     def test_identical_searches_yield_identical_series(self):
         """Snapshots are keyed on the deterministic node counter, never

@@ -156,6 +156,65 @@ class TestPipelineSearch:
             FTSearchConfig(penalty_weight=-2.0)
 
 
+class TestBudgetsAndValidation:
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"penalty_weight": math.inf},
+            {"penalty_weight": math.nan},
+            {"time_limit": math.inf},
+            {"time_limit": math.nan},
+        ],
+        ids=["penalty-inf", "penalty-nan", "time-inf", "time-nan"],
+    )
+    def test_non_finite_budget_rejected(self, budget):
+        """An infinite penalty turned every COST bound into ``inf * 0``
+        (NaN) and pruned the root: a feasible instance came back
+        INFEASIBLE after one node. A NaN time limit was no limit."""
+        with pytest.raises(OptimizationError, match="finite"):
+            FTSearchConfig(**budget)
+
+    def test_node_budget_truncates_with_anytime_outcome(self):
+        from tests.optimizer.test_ftsearch_equivalence import _rich_problem
+
+        result = ft_search(
+            _rich_problem(),
+            time_limit=None,
+            node_limit=10,
+            seed_incumbent=True,
+            jobs=1,
+        )
+        assert result.outcome in (
+            SearchOutcome.FEASIBLE,
+            SearchOutcome.TIMEOUT,
+        )
+
+    def test_jobs_none_and_one_are_the_same_run(self, monkeypatch):
+        """In-process either way, whatever ``REPRO_JOBS`` says: same
+        optimum, same counters."""
+        from tests.optimizer.test_ftsearch_equivalence import _rich_problem
+
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        problem = _rich_problem()
+        default = ft_search(problem, time_limit=None)
+        one = ft_search(problem, time_limit=None, jobs=1)
+        assert default.best_cost == one.best_cost
+        assert default.strategy.to_dict() == one.strategy.to_dict()
+        assert default.stats == one.stats
+
+    @pytest.mark.parametrize("jobs", (2, 0, -3))
+    def test_parallel_search_is_the_callers_fabric(self, tight_problem, jobs):
+        with pytest.raises(OptimizationError, match="fabric"):
+            ft_search(tight_problem, jobs=jobs)
+
+    def test_bad_block_rows_rejected(self):
+        from repro.core.optimizer import VectorFTSearch
+        from tests.optimizer.test_ftsearch_equivalence import _problem
+
+        with pytest.raises(ValueError):
+            VectorFTSearch(_problem(0), block_rows=0)
+
+
 class TestPruningStatistics:
     def test_cpu_prunes_fire_on_tight_deployment(self, tight_problem):
         result = ft_search(tight_problem, time_limit=30.0)
@@ -298,16 +357,3 @@ class TestSolutionTimes:
         )
         assert warm.best_cost == cold.best_cost
         assert warm.best_solution_time == 0.0
-
-    def test_parallel_driver_reports_its_latest_task(self):
-        from repro.core.optimizer.parallel import shutdown
-        from tests.optimizer.test_ftsearch_equivalence import _problem
-
-        try:
-            result = ft_search(
-                _problem(6, "mid"), time_limit=None, jobs=2,
-                shared_bound=False,
-            )
-        finally:
-            shutdown()
-        assert 0.0 < result.best_solution_time < result.elapsed

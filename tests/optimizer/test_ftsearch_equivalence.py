@@ -12,9 +12,10 @@ anytime contract) under a node budget. Node counts and prune statistics
 are engine-specific and not compared.
 
 Two corpora drive the check: seeded random instances (every seed its own
-test id, and the same instance under every ``PYTHONHASHSEED``), and a
-Hypothesis property over generated graphs, profiles, rate distributions
-and clusters.
+test id, and the same instance under every ``PYTHONHASHSEED``; toy ones
+in every mode and a sampled mid-size slice, every mid-size seed when
+``REPRO_NIGHTLY=1``), and a Hypothesis property over generated graphs,
+profiles, rate distributions and clusters.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.core.optimizer import (
     ReferenceFTSearch,
     SearchOutcome,
     VectorFTSearch,
+    ft_search,
 )
 from repro.core.optimizer.vector import BLOCK_ROWS
 from tests.support import GIGA, random_deployment, random_descriptor
@@ -280,6 +282,95 @@ def test_equivalent_under_node_budget(seed, node_limit):
         assert optimum.strategy is not None
         assert capped.best_cost >= optimum.best_cost * (1 - 1e-9)
         assert capped.best_ic >= problem.ic_target - 1e-9
+
+
+# ----------------------------------------------------------------------
+# The mid-size slice: blocks split and stack
+# ----------------------------------------------------------------------
+
+#: Mid-size corpus sampling: every seed on the nightly sweep
+#: (``REPRO_NIGHTLY=1``), a spread sample on tier-1.
+VECTOR_SEEDS = (
+    range(N_INSTANCES)
+    if os.environ.get("REPRO_NIGHTLY")
+    else range(0, N_INSTANCES, 3)
+)
+
+
+def _rich_problem() -> OptimizationProblem:
+    """A feasible 8-PE instance of ~1100 nodes."""
+    rng = random.Random(1)
+    descriptor = random_descriptor(
+        rng, n_pes=8, n_configs=2, max_extra_edges=3
+    )
+    deployment = random_deployment(
+        rng, descriptor, n_hosts=3, headroom=1.3
+    )
+    return OptimizationProblem(deployment, ic_target=0.6)
+
+
+class TestVectorEqualsReference:
+    """The corpus's mid-size slice: 6-8 PEs, tens of thousands of
+    nodes, so the engine splits blocks at ``BLOCK_ROWS`` and works a
+    real stack (toy instances exhaust inside one block)."""
+
+    @pytest.mark.parametrize("seed", VECTOR_SEEDS)
+    def test_default_config(self, seed):
+        check_corpus_case("mid-default", seed, size="mid")
+
+    @pytest.mark.parametrize("rule", list(PruneRule))
+    @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
+    def test_each_rule_disabled(self, seed, rule):
+        # Toy-sized: a disabled rule leaves the oracle up to 3^n_vars
+        # leaves to visit.
+        check_corpus_case(
+            f"no-{rule.value}", seed, disabled_rules=frozenset({rule})
+        )
+
+    @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
+    def test_penalty_mode(self, seed):
+        check_corpus_case(
+            "mid-penalty", seed, size="mid", penalty_weight=1.0e8
+        )
+
+    @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
+    def test_seeded_incumbent(self, seed):
+        check_corpus_case(
+            "mid-seeded", seed, size="mid", seed_incumbent=True
+        )
+
+    @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
+    def test_tiny_blocks_same_best(self, seed):
+        """Correctness never depends on the block-row budget (node
+        counts may: splitting finds incumbents in a different order)."""
+        problem = _problem(seed, "mid")
+        config = FTSearchConfig(time_limit=None)
+        baseline = VectorFTSearch(problem, config).run()
+        tiny = VectorFTSearch(problem, config, block_rows=3).run()
+        assert_same_optimum(tiny, baseline, problem)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
+    def test_warm_equals_cold(self, seed):
+        problem = _problem(seed)
+        cold = ft_search(problem, time_limit=None)
+        if cold.strategy is None:
+            pytest.skip("instance infeasible")
+        warm = ft_search(problem, time_limit=None, warm_start=cold.strategy)
+        assert warm.outcome is SearchOutcome.OPTIMAL
+        assert_same_optimum(warm, cold, problem)
+
+    def test_warm_start_seeds_the_vector_engine(self):
+        problem = _rich_problem()
+        cold = ft_search(problem, time_limit=None)
+        assert cold.strategy is not None
+        engine = VectorFTSearch(
+            problem,
+            FTSearchConfig(time_limit=None, warm_start=cold.strategy),
+        )
+        assert engine.seed.codes is not None
+        assert engine.seed.cost == cold.best_cost
 
 
 # ----------------------------------------------------------------------

@@ -208,6 +208,16 @@ class TestStrategyStoreIntegration:
         assert not limited.provision(pipeline_contract).from_cache
         assert len(store) == 2
 
+    def test_search_signature_is_pinned(self, provider_hosts):
+        """Persisted stores are keyed by this string: records written
+        before the worker count left the search stay reachable."""
+        provisioner = Provisioner(
+            provider_hosts, search_time_limit=None, node_limit=200_000
+        )
+        assert provisioner._search_signature() == (
+            "ftsearch:time=None:nodes=200000:seed=1"
+        )
+
     def test_infeasible_result_cached_and_refused_again(
         self, pipeline_descriptor, provider_hosts
     ):
@@ -314,72 +324,3 @@ class TestSLAReport:
         assert report.observed_latency is None
         assert not report.latency_clause_met
         assert not report.compliant
-
-
-class TestParallelSearchProvisioning:
-    def test_jobs_kept_out_of_signature_by_default(self, provider_hosts):
-        """``None`` and 1 are the same in-process run, keyed the same."""
-        default = Provisioner(provider_hosts, search_time_limit=None)
-        one = Provisioner(
-            provider_hosts, search_time_limit=None, search_jobs=1
-        )
-        assert ":jobs=" not in default._search_signature()
-        assert one._search_signature() == default._search_signature()
-
-    def test_jobs_tag_store_signature(self, provider_hosts):
-        parallel = Provisioner(
-            provider_hosts, search_time_limit=None, search_jobs=2
-        )
-        assert ":jobs=2" in parallel._search_signature()
-
-    def test_default_provision_never_starts_a_pool(
-        self, pipeline_contract, provider_hosts, monkeypatch
-    ):
-        from repro.core.optimizer import parallel
-
-        parallel.shutdown()
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        provisioned, _ = Provisioner(
-            provider_hosts, search_time_limit=None
-        ).try_provision(pipeline_contract)
-        assert provisioned is not None
-        assert parallel._SESSION is None
-
-    def test_parallel_provision_matches_serial(
-        self, pipeline_contract, provider_hosts
-    ):
-        from repro.core.optimizer.parallel import shutdown
-
-        serial = Provisioner(
-            provider_hosts, search_time_limit=None
-        ).provision(pipeline_contract)
-        try:
-            pooled = Provisioner(
-                provider_hosts, search_time_limit=None, search_jobs=2
-            ).provision(pipeline_contract)
-        finally:
-            shutdown()
-        assert pooled.search.best_cost == serial.search.best_cost
-        assert pooled.search.best_ic == serial.search.best_ic
-        assert pooled.fare == serial.fare
-
-    def test_serial_and_parallel_records_do_not_collide(
-        self, pipeline_contract, provider_hosts
-    ):
-        from repro.core.optimizer.parallel import shutdown
-
-        store = StrategyStore()
-        Provisioner(
-            provider_hosts, search_time_limit=None, store=store
-        ).provision(pipeline_contract)
-        try:
-            parallel = Provisioner(
-                provider_hosts,
-                search_time_limit=None,
-                store=store,
-                search_jobs=2,
-            )
-            assert not parallel.provision(pipeline_contract).from_cache
-        finally:
-            shutdown()
-        assert len(store) == 2

@@ -89,6 +89,25 @@ class TestOptimize:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "budget", [("--penalty", "inf"), ("--time-limit", "nan")]
+    )
+    def test_non_finite_budget_is_an_error(
+        self, bundle_path, tmp_path, capsys, budget
+    ):
+        """Not a search that finds nothing on a feasible bundle."""
+        code = main(
+            [
+                "optimize", str(bundle_path), "--ic", "0.4", *budget,
+                "--out", str(tmp_path / "s.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "finite" in err
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestEvaluate:
     def test_feasible_strategy_reports_zero_exit(

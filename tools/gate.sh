@@ -10,15 +10,18 @@
 #            typecheck ratchet
 #   tier-1   the test suite, ten slowest printed (budget: <= 100 s here)
 #   digests  tools/digests.sh on a `git archive BASE` tree and on the
-#            working tree: every row identical
+#            working tree: the rows that moved are exactly those
+#            tools/digests-moves.txt declares (none when it is empty)
 #   e2e      benchmarks/e2e/run.py --all on both trees, then --check:
 #            no row `regressed`, no gated end-to-end metric `unresolved`
 #
 # A passing run then reports the net change in src/**/*.py lines (not a
 # stage: it cannot fail), the number CHANGES.md quotes.
 #
-# A PR that means to move an observable byte fails `digests` and says
-# so in its description. .github/workflows/ci.yml only calls this script
+# A PR that means to move an observable byte declares each moved row in
+# tools/digests-moves.txt as `scenario artifact reason`; a declared row
+# that does not move fails as well, so the next PR empties the file
+# again. .github/workflows/ci.yml only calls this script
 # (tests/test_api_quality.py keeps it that way); nightly.yml holds what
 # differs in scale, nothing else.
 set -uo pipefail
@@ -49,8 +52,31 @@ lint() {
 digests() {
     tools/digests.sh "$work/base" >"$work/digests-base.txt" &&
         tools/digests.sh . >"$work/digests-head.txt" &&
-        diff "$work/digests-base.txt" "$work/digests-head.txt" &&
-        echo "$(wc -l <"$work/digests-head.txt") rows identical"
+        python - "$work/digests-base.txt" "$work/digests-head.txt" \
+            tools/digests-moves.txt <<'EOF'
+import sys
+
+def table(path):
+    return {tuple(line.split()[:2]): line for line in open(path)}
+
+base, head = table(sys.argv[1]), table(sys.argv[2])
+moved = {row for row in base.keys() | head.keys()
+         if base.get(row) != head.get(row)}
+declared = set()
+for number, line in enumerate(open(sys.argv[3]), 1):
+    fields = line.split("#", 1)[0].split(None, 2)
+    if fields and len(fields) < 3:
+        sys.exit(f"{sys.argv[3]}:{number}: want `scenario artifact reason`")
+    if fields:
+        declared.add(tuple(fields[:2]))
+for row in sorted(moved - declared):
+    print("digests: moved but not declared:", *row)
+for row in sorted(declared - moved):
+    print("digests: declared but identical:", *row)
+print(f"{len(base.keys() | head.keys()) - len(moved)} rows identical,"
+      f" {len(moved & declared)} moved as declared")
+sys.exit(moved != declared)
+EOF
 }
 
 e2e() {
