@@ -10,14 +10,9 @@ the pessimistic model really is the floor.
 
 from __future__ import annotations
 
+from repro.chaos import Injection, apply_injection
 from repro.core import OptimizationProblem, ft_search
-from repro.dsps import (
-    HostCrashPlan,
-    PlatformConfig,
-    inject_host_crash,
-    inject_pessimistic_failures,
-    two_level_trace,
-)
+from repro.dsps import PlatformConfig, two_level_trace
 from repro.experiments.report import format_table
 from repro.laar import ExtendedApplication, MiddlewareConfig
 from repro.workloads import ClusterParams, GeneratorParams, generate_application
@@ -30,7 +25,7 @@ def build_runner(app, strategy):
         app.low_rate, app.high_rate, duration=90.0, high_fraction=1 / 3
     )
 
-    def run(inject=None):
+    def run(*schedule):
         extended = ExtendedApplication(
             app.deployment,
             strategy,
@@ -41,8 +36,8 @@ def build_runner(app, strategy):
                 down_confirmation=2,
             ),
         )
-        if inject is not None:
-            inject(extended.platform)
+        for injection in schedule:
+            apply_injection(extended.platform, injection, strategy=strategy)
         return extended.run()
 
     return run, trace
@@ -63,11 +58,7 @@ def test_ext_recovery(benchmark, save_figure):
     run, trace = build_runner(app, result.strategy)
 
     reference = benchmark.pedantic(run, rounds=1, iterations=1)
-    worst = run(
-        lambda platform: inject_pessimistic_failures(
-            platform, result.strategy
-        )
-    )
+    worst = run(Injection.build("pessimistic", at=0.0))
     worst_ic = worst.tuples_processed / max(1, reference.tuples_processed)
 
     high_start, _ = trace.segment_windows("High")[0]
@@ -76,10 +67,11 @@ def test_ext_recovery(benchmark, save_figure):
     previous_ic = 1.1
     for downtime in DOWNTIMES:
         crashed = run(
-            lambda platform, d=downtime: inject_host_crash(
-                platform,
-                HostCrashPlan(crash_host, crash_time=high_start + 2.0,
-                              downtime=d),
+            Injection.build(
+                "rack_crash",
+                at=high_start + 2.0,
+                hosts=(crash_host,),
+                downtime=downtime,
             )
         )
         measured = crashed.tuples_processed / max(

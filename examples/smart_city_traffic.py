@@ -27,6 +27,7 @@ Run:  python examples/smart_city_traffic.py
 
 import random
 
+from repro.chaos import apply_injection, paper_schedule
 from repro.core import (
     ApplicationDescriptor,
     ApplicationGraph,
@@ -38,12 +39,7 @@ from repro.core import (
     internal_completeness,
     static_replication,
 )
-from repro.dsps import (
-    PlatformConfig,
-    inject_host_crash,
-    plan_host_crash,
-    two_level_trace,
-)
+from repro.dsps import PlatformConfig, two_level_trace
 from repro.laar import ExtendedApplication, MiddlewareConfig
 from repro.placement import balanced_placement
 
@@ -142,17 +138,13 @@ def main() -> None:
         platform_config=platform_config,
         middleware_config=middleware_config,
     )
-    plan = plan_host_crash(
-        drill.platform,
-        trace.segment_windows("High"),
-        random.Random(99),
-        downtime=16.0,
-    )
-    inject_host_crash(drill.platform, plan)
+    (crash,) = paper_schedule("crash", deployment, trace, random.Random(99))
+    apply_injection(drill.platform, crash)
     failed = drill.run()
 
-    print(f"host crash drill: {plan.host} down at t={plan.crash_time:.0f}s"
-          f" for {plan.downtime:.0f}s (during rush hour)")
+    (host,) = crash.param("hosts")
+    print(f"host crash drill: {host} down at t={crash.at:.0f}s"
+          f" for {crash.param('downtime'):.0f}s (during rush hour)")
     measured = failed.tuples_processed / max(1, best.tuples_processed)
     print(f"  signal plans emitted: {failed.total_output}"
           f" (failure-free: {best.total_output})")

@@ -1,11 +1,11 @@
 """Chaos campaigns: adversarial fault injection with invariant checking.
 
 LAAR's central claim is an *a-priori* lower bound on internal
-completeness under the pessimistic failure model (Sec. 4.4). The two
-injectors of :mod:`repro.dsps.failures` only exercise the exact scenarios
-of the paper's evaluation; this package stress-tests the bound against
-richer fault patterns — correlated rack crashes, crash/recover flapping,
-slow-host stragglers, transient replica hangs, recovery storms — and then
+completeness under the pessimistic failure model (Sec. 4.4). This package
+is the one fault vocabulary: the paper's failure modes are schedules of
+it (:func:`~repro.chaos.campaign.paper_schedule`), and it stress-tests
+the bound against correlated rack crashes, crash/recover flapping,
+slow-host stragglers, transient replica hangs and recovery storms, then
 *re-proves* the SLA by replaying each run's event log through a machine
 checker of the model's invariants (:mod:`repro.chaos.invariants`).
 
@@ -20,18 +20,23 @@ from repro.chaos.artifact import (
     load_artifact,
     minimize_campaign,
     replay_artifact,
+    sabotage_self_test,
     violation_artifact,
     write_artifact,
 )
 from repro.chaos.campaign import (
+    PAPER_MODES,
     CampaignSpec,
     generate_schedule,
+    paper_campaigns,
+    paper_schedule,
     sabotage_strategy,
 )
 from repro.chaos.injectors import (
     INJECTION_KINDS,
     Injection,
     apply_injection,
+    pessimistic_victims,
     racks,
 )
 from repro.chaos.invariants import (
@@ -46,9 +51,13 @@ __all__ = [
     "Injection",
     "INJECTION_KINDS",
     "apply_injection",
+    "pessimistic_victims",
     "racks",
+    "PAPER_MODES",
     "CampaignSpec",
     "generate_schedule",
+    "paper_campaigns",
+    "paper_schedule",
     "sabotage_strategy",
     "Violation",
     "CheckResult",
@@ -61,4 +70,5 @@ __all__ = [
     "load_artifact",
     "replay_artifact",
     "minimize_campaign",
+    "sabotage_self_test",
 ]

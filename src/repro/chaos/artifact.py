@@ -14,7 +14,10 @@ can replay or shrink one:
 * :func:`minimize_campaign` greedily drops injections that are not
   needed to reproduce the *same* first-violated invariant (classic
   ddmin restricted to single drops, which is where virtually all of the
-  shrinkage is for schedules of a handful of faults).
+  shrinkage is for schedules of a handful of faults);
+* :func:`sabotage_self_test` proves both judges can fail: it breaks a
+  proven strategy, demands the catch, and leaves the minimized artifact
+  (``repro chaos run --sabotage``).
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.chaos.campaign import CampaignSpec
+from repro.chaos.campaign import CampaignSpec, sabotage_strategy
 from repro.chaos.injectors import Injection
+from repro.core.strategy import ActivationStrategy
 from repro.errors import ChaosError
+from repro.workloads.corpus import load_bundle
 
 __all__ = [
     "violation_artifact",
@@ -35,6 +40,7 @@ __all__ = [
     "spec_from_dict",
     "replay_artifact",
     "minimize_campaign",
+    "sabotage_self_test",
 ]
 
 _ARTIFACT_VERSION = 1
@@ -54,22 +60,31 @@ def _spec_to_dict(spec: CampaignSpec) -> dict[str, Any]:
     return record
 
 
-def spec_from_dict(record: dict[str, Any]) -> CampaignSpec:
-    """The campaign an artifact's ``"spec"`` record pins (validated)."""
+def spec_from_dict(
+    record: dict[str, Any], origin: str = "artifact"
+) -> CampaignSpec:
+    """The campaign an artifact's ``"spec"`` record pins (validated);
+    every error is a :class:`~repro.errors.ChaosError` naming ``origin``."""
     known = {f.name for f in dataclasses.fields(CampaignSpec)}
     unknown = sorted(set(record) - known)
     if unknown:
-        raise ChaosError(f"artifact spec has unknown fields {unknown}")
+        raise ChaosError(f"{origin}: spec has unknown fields {unknown}")
     payload = dict(record)
     schedule = payload.get("schedule")
     if schedule is not None:
-        payload["schedule"] = tuple(
-            Injection.from_dict(item) for item in schedule
-        )
+        try:
+            payload["schedule"] = tuple(
+                Injection.from_dict(item) for item in schedule
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ChaosError(
+                f"{origin}: schedule holds a non-injection"
+                f" ({type(exc).__name__}: {exc})"
+            ) from exc
     try:
         return CampaignSpec(**payload)
     except TypeError as exc:
-        raise ChaosError(f"artifact spec is not a campaign: {exc}") from exc
+        raise ChaosError(f"{origin}: spec is not a campaign: {exc}") from exc
 
 
 def violation_artifact(
@@ -125,7 +140,7 @@ def write_artifact(
 
 
 def load_artifact(path: Union[str, Path]) -> dict[str, Any]:
-    """Read an artifact back, validating the version and shape."""
+    """Read an artifact back, validating its version, shape and campaign."""
     try:
         artifact = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -138,6 +153,10 @@ def load_artifact(path: Union[str, Path]) -> dict[str, Any]:
             f"artifact {path} has version {version!r};"
             f" this build reads version {_ARTIFACT_VERSION}"
         )
+    first = artifact.get("first_violation")
+    if not isinstance(first, dict) or "invariant" not in first:
+        raise ChaosError(f"artifact {path} has no first_violation")
+    spec_from_dict(artifact["spec"], origin=f"artifact {path}")
     return artifact
 
 
@@ -200,3 +219,51 @@ def minimize_campaign(
             best_digest = trial
         index -= 1
     return best, best_digest
+
+
+def sabotage_self_test(
+    base: CampaignSpec, out_dir: Path
+) -> tuple[bool, list[str]]:
+    """Break ``base``'s proven strategy below its bound, run it under one
+    ``pessimistic`` injection, and demand that both judges fire: the
+    invariant checker and a burn-rate alert. A catch is minimized into
+    ``out_dir/sabotage-artifact.json``. Returns ``(caught, verdict)``."""
+    from repro.chaos.runner import run_campaign
+
+    deployment = load_bundle(base.bundle).deployment
+    broken, pe, config = sabotage_strategy(
+        ActivationStrategy.from_json(deployment, base.strategy)
+    )
+    broken.to_json(out_dir / "sabotaged.json")
+    at = max(1.0, base.duration * 0.15)
+    spec = dataclasses.replace(
+        base,
+        strategy=str(out_dir / "sabotaged.json"),
+        reference_strategy=base.strategy,
+        schedule=(Injection.build("pessimistic", at=at),),
+    )
+    digest = run_campaign(spec)
+    alerts = [a for a in digest["slo"]["alerts"] if a["state"] == "firing"]
+    cell = f"deactivated ({pe}, c={config}) below the proven bound"
+    if digest["invariants"]["ok"]:
+        return False, [f"sabotage NOT caught: {cell} yet every invariant held"]
+    if not alerts:
+        return False, [
+            f"sabotage NOT caught by the SLO engine: {cell} yet no"
+            " burn-rate alert fired"
+        ]
+    mini_spec, mini_digest = minimize_campaign(spec, digest)
+    artifact_path = write_artifact(
+        violation_artifact(mini_digest, mini_spec),
+        out_dir / "sabotage-artifact.json",
+    )
+    first, alert = digest["invariants"]["violations"][0], alerts[0]
+    return True, [
+        f"sabotage caught: ({pe}, c={config}) ->"
+        f" [{first['invariant']}] at t={first['time']:.2f}s",
+        f"slo alert fired: [{alert['rule']}] at window {alert['window']}"
+        f" (burn fast={alert['burn_fast']:.1f}"
+        f" slow={alert['burn_slow']:.1f})",
+        f"minimized to {len(mini_digest['schedule'])} injection(s);"
+        f" artifact written to {artifact_path}",
+    ]

@@ -10,23 +10,35 @@ same spec always reproduces the same faults, byte for byte, at any
 worker count.
 
 Specs can also carry an *explicit* ``schedule`` (overriding the seed
-expansion); the minimizer uses this to re-run a campaign with subsets of
-its original schedule.
+expansion): the minimizer re-runs subsets of a schedule this way, and
+:func:`paper_schedule` pins the paper's three failure modes (Sec. 5.3).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
-from repro.chaos.injectors import Injection, racks
+from repro.chaos.injectors import INJECTION_KINDS, Injection, racks
 from repro.core.deployment import ReplicatedDeployment
 from repro.core.strategy import ActivationStrategy
-from repro.dsps.traces import InputTrace
+from repro.dsps.traces import InputTrace, two_level_trace
 from repro.errors import ChaosError
+from repro.workloads.corpus import load_bundle
 
-__all__ = ["CampaignSpec", "generate_schedule", "sabotage_strategy"]
+__all__ = [
+    "PAPER_MODES",
+    "CampaignSpec",
+    "generate_schedule",
+    "paper_campaigns",
+    "paper_schedule",
+    "sabotage_strategy",
+]
+
+#: The failure modes of Sec. 5.3, in report order: a clean run, the
+#: pessimistic worst case (Sec. 4.4), and one host crash in a High window.
+PAPER_MODES = ("none", "worst", "crash")
 
 #: Slack added on top of the deterministic detection latency when the
 #: spec does not fix an explicit bound: command propagation plus a small
@@ -62,6 +74,7 @@ class CampaignSpec:
     event_buffer: int = 1 << 20
     rack_size: int = 2
     batching: bool = False
+    tuple_trace_every: int = 0
     schedule: Optional[tuple[Injection, ...]] = field(default=None)
 
     def __post_init__(self) -> None:
@@ -135,16 +148,7 @@ def generate_schedule(
     schedule: list[Injection] = []
     seen_pessimistic = False
     for _ in range(spec.n_injections):
-        kind = rng.choice(
-            (
-                "rack_crash",
-                "flap",
-                "slow_host",
-                "replica_hang",
-                "recovery_storm",
-                "pessimistic",
-            )
-        )
+        kind = rng.choice(INJECTION_KINDS[:-1])  # no migration_strike
         if kind == "rack_crash":
             rack = host_racks[rng.randrange(len(host_racks))]
             if len(rack) >= len(hosts):
@@ -226,6 +230,61 @@ def generate_schedule(
             )
     schedule.sort(key=lambda inj: (inj.at, inj.kind))
     return tuple(schedule)
+
+
+def paper_schedule(
+    mode: str,
+    deployment: ReplicatedDeployment,
+    trace: InputTrace,
+    rng: random.Random,
+) -> tuple[Injection, ...]:
+    """One of :data:`PAPER_MODES` as an injection schedule.
+
+    ``none`` injects nothing; ``worst`` kills every PE's pessimistic
+    victim before the first event (``pessimistic`` at 0); ``crash`` takes
+    one random host down for 16 s at a random instant of a random High
+    window — where LAAR's guarantees are weakest — leaving room for the
+    downtime inside the window when the window is long enough.
+    """
+    if mode not in PAPER_MODES:
+        raise ChaosError(
+            f"unknown failure mode {mode!r}; expected one of {PAPER_MODES}"
+        )
+    if mode == "none":
+        return ()
+    if mode == "worst":
+        return (Injection.build("pessimistic", at=0.0),)
+    downtime = 16.0  # Streams' detect-and-migrate window
+    high_windows = trace.segment_windows("High")
+    if not high_windows:
+        raise ChaosError("no High windows to place the crash in")
+    host = rng.choice(sorted(deployment.host_names))
+    start, end = high_windows[rng.randrange(len(high_windows))]
+    latest = max(start, end - downtime)
+    at = rng.uniform(start, latest) if latest > start else start
+    return (
+        Injection.build("rack_crash", at=at, hosts=(host,), downtime=downtime),
+    )
+
+
+def paper_campaigns(
+    base: CampaignSpec, modes: Sequence[str]
+) -> list[CampaignSpec]:
+    """``base`` once per paper mode, each pinning its :func:`paper_schedule`
+    over the bundle's trace; the crash draw is seeded by ``base.seed``."""
+    app = load_bundle(base.bundle)
+    trace = two_level_trace(
+        app.low_rate, app.high_rate, duration=base.duration
+    )
+    return [
+        replace(
+            base,
+            schedule=paper_schedule(
+                mode, app.deployment, trace, random.Random(base.seed)
+            ),
+        )
+        for mode in modes
+    ]
 
 
 def sabotage_strategy(

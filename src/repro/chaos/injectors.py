@@ -1,4 +1,4 @@
-"""The injector library: typed fault injections beyond the paper's two.
+"""The injector library: typed fault injections, the paper's own among them.
 
 Each :class:`Injection` is a small immutable value — a kind, a start
 time, and flat parameters — that :func:`apply_injection` turns into
@@ -31,7 +31,10 @@ Kinds
     producing a thundering herd of resyncs and re-elections.
 ``pessimistic``
     The paper's worst case as a scheduled event: the pessimistic victim
-    of every PE (Sec. 4.4) crashes at ``at`` and never recovers.
+    of every PE (Sec. 4.4) crashes at ``at`` and never recovers. At
+    ``at=0`` the victims are dead from the start: they crash before the
+    first event and every election resolves at once, with no detection
+    transient (Sec. 5.3's worst case).
 ``migration_strike``
     Aimed at the elasticity layer: at ``at``, if the tenant's
     :class:`~repro.elastic.migration.MigrationEngine` has a migration
@@ -50,17 +53,22 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.deployment import ReplicaId
 from repro.core.strategy import ActivationStrategy
-from repro.dsps.failures import pessimistic_victims
 from repro.dsps.platform import StreamPlatform
 from repro.errors import ChaosError
 
 if TYPE_CHECKING:
     from repro.elastic.migration import MigrationEngine
 
-__all__ = ["INJECTION_KINDS", "Injection", "apply_injection", "racks"]
+__all__ = [
+    "INJECTION_KINDS",
+    "Injection",
+    "apply_injection",
+    "pessimistic_victims",
+    "racks",
+]
 
 #: Injection kinds understood by :func:`apply_injection`, in the order
-#: the campaign generator draws from.
+#: the campaign generator draws from; it never draws the last one.
 INJECTION_KINDS = (
     "rack_crash",
     "flap",
@@ -115,13 +123,9 @@ class Injection:
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "Injection":
-        params = tuple(
-            sorted(
-                (key, tuple(value) if isinstance(value, list) else value)
-                for key, value in record.get("params", {}).items()
-            )
+        return cls.build(
+            record["kind"], record["at"], **record.get("params", {})
         )
-        return cls(kind=record["kind"], at=record["at"], params=params)
 
     @classmethod
     def build(cls, kind: str, at: float, **params: Any) -> "Injection":
@@ -132,6 +136,44 @@ class Injection:
             )
         )
         return cls(kind=kind, at=at, params=normalized)
+
+
+def pessimistic_victims(strategy: ActivationStrategy) -> dict[str, int]:
+    """The replica of each PE that the pessimistic model kills.
+
+    Assumption 2 of Sec. 4.4: unless all replicas are active in every
+    configuration, the surviving replica is chosen among the inactive
+    ones. With k = 2 that means: if some configuration runs the PE with a
+    single active replica, the *active* one there is the victim (the
+    survivor is the inactive one). If several configurations disagree,
+    the victim is the replica whose death zeroes output in the most
+    probable configurations — the strictly worst choice. For PEs that are
+    fully replicated everywhere any victim is equivalent (replica 0).
+    """
+    deployment = strategy.deployment
+    space = deployment.descriptor.configuration_space
+    victims: dict[str, int] = {}
+    for pe in deployment.descriptor.graph.pes:
+        # Probability-weighted damage of killing each replica: the PE is
+        # silenced in every configuration where the other replica is not
+        # active.
+        damage = []
+        for victim in range(deployment.replication_factor):
+            survivors = [
+                r for r in deployment.replicas_of(pe) if r.replica != victim
+            ]
+            lost = sum(
+                config.probability
+                for config in space
+                if not any(
+                    strategy.is_active(survivor, config.index)
+                    for survivor in survivors
+                )
+            )
+            damage.append((lost, -victim))
+        worst_loss, negative_index = max(damage)
+        victims[pe] = -negative_index if worst_loss > 0 else 0
+    return victims
 
 
 def racks(
@@ -176,15 +218,10 @@ def apply_injection(
     """
     env = platform.env
     at = injection.at
-    fields = {key: value for key, value in injection.params}
+    fields = dict(injection.params)
+    params = injection.to_dict()["params"]
     platform.telemetry.emit(
-        "chaos.inject",
-        kind=injection.kind,
-        at=at,
-        **{
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in fields.items()
-        },
+        "chaos.inject", kind=injection.kind, at=at, **params
     )
 
     if injection.kind == "rack_crash":
@@ -261,9 +298,13 @@ def apply_injection(
         victims = pessimistic_victims(strategy)
         for pe, victim in sorted(victims.items()):
             replica_id = ReplicaId(pe, victim)
-            env.schedule_at(
-                at, lambda r=replica_id: platform.crash_replica(r)
-            )
+            if at == 0.0:
+                platform.crash_replica(replica_id)
+                platform.group(pe).elect_now()
+            else:
+                env.schedule_at(
+                    at, lambda r=replica_id: platform.crash_replica(r)
+                )
     elif injection.kind == "migration_strike":
         if engine is None:
             raise ChaosError(

@@ -1,23 +1,32 @@
 """Executing chaos campaigns and distilling them into checkable digests.
 
 :func:`run_campaign` is the module-level worker the experiment fabric
-pickles: it loads the campaign's bundle and strategies, expands (or
-reuses) the injection schedule, runs the full LAAR stack with telemetry
-on, and returns a plain dict carrying the canonical event stream, the
-per-replica conservation counters, and the verdict of the in-process
-invariant replay. Everything in the digest is sim-time-derived, so the
-``jsonl`` payload is byte-identical at any worker count — the property
-``tests/chaos/test_campaigns.py`` pins.
+pickles (``repro chaos run`` and ``repro obs`` both run it): it loads
+the campaign's bundle and strategies, expands (or reuses) the injection
+schedule, runs the full LAAR stack with telemetry on, and returns a
+plain dict carrying the canonical event stream, the conservation
+counters, the switch timeline, top droppers, sink latency, and the
+verdict of the in-process invariant replay. Everything in the digest is
+sim-time-derived, so the ``jsonl`` payload is byte-identical at any
+worker count — the property ``tests/chaos/test_campaigns.py`` pins.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.chaos.campaign import CampaignSpec
 
 __all__ = ["run_campaign", "run_campaigns"]
+
+
+def _drop_leaders(events) -> list[dict[str, Any]]:
+    """Per-replica drop counts from the buffered events, worst first."""
+    drops = Counter(e.fields["replica"] for e in events.of_type("tuple.drop"))
+    ranked = sorted(drops.items(), key=lambda item: (-item[1], item[0]))
+    return [{"replica": replica, "drops": count} for replica, count in ranked]
 
 
 def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
@@ -33,7 +42,7 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
     from repro.core.strategy import ActivationStrategy
     from repro.dsps import PlatformConfig
     from repro.laar import MiddlewareConfig, deploy_bundle
-    from repro.obs.slo import attach_floor_slo
+    from repro.obs.slo import FloorAvailability, attach_slo
 
     if not isinstance(spec, CampaignSpec):
         raise TypeError(f"expected a CampaignSpec, got {type(spec)!r}")
@@ -49,6 +58,7 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
             heartbeat_interval=spec.heartbeat_interval,
             seed=spec.seed,
             event_buffer=spec.event_buffer,
+            tuple_trace_every=spec.tuple_trace_every,
             batching=spec.batching,
         ),
         middleware_config=MiddlewareConfig(
@@ -75,7 +85,17 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
     # The FT-Search-proven pessimistic floor is the availability
     # contract, exactly as in the invariant checker — so a clean
     # campaign burns zero budget and fires zero alerts.
-    slo_engine = attach_floor_slo(extended, reference, tenant=str(spec.seed))
+    slo_engine = attach_slo(
+        platform,
+        FloorAvailability(
+            deployment,
+            strategy,
+            reference,
+            initial_config,
+            command_latency=spec.command_latency,
+        ),
+        tenant=str(spec.seed),
+    )
     platform.telemetry.emit(
         "chaos.campaign",
         seed=spec.seed,
@@ -115,7 +135,17 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
         "schedule": [injection.to_dict() for injection in schedule],
         **events.digest(),
         "slo": slo_engine.summary(),
+        "switches": [
+            {
+                "t": event.time,
+                "from": event.fields["from"],
+                "to": event.fields["to"],
+                "commands": event.fields["commands"],
+            }
+            for event in events.of_type("config.switch")
+        ],
         "spans": platform.telemetry.spans.to_list(),
+        "top_droppers": _drop_leaders(events),
         "conservation": conservation,
         "metrics": {
             "input": metrics.total_input,
@@ -123,7 +153,12 @@ def run_campaign(spec: CampaignSpec) -> dict[str, Any]:
             "processed": metrics.tuples_processed,
             "dropped": metrics.logical_dropped,
             "lost": metrics.total_lost,
+            "cpu_seconds": round(metrics.total_cpu_time, 3),
             "config_switches": len(metrics.config_switches),
+            "sink_latency": {
+                sink: recorder.summary()
+                for sink, recorder in sorted(metrics.sink_latency.items())
+            },
         },
         "invariants": {
             "ok": result.ok,

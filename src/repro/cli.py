@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -141,7 +142,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.obs.runner import inject_failure_mode
+    from repro.chaos import apply_injection, paper_schedule
 
     extended, trace = deploy_bundle(
         args.bundle,
@@ -156,15 +157,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             PAPER_MIDDLEWARE, dynamic=not args.static
         ),
     )
-    injected = inject_failure_mode(extended, trace, args.failure, args.seed)
-    if args.failure == "worst":
-        print(f"worst case: crashed {injected['crashed_replicas']} replicas")
-    elif args.failure == "crash":
-        print(
-            f"host crash: {injected['host']} at"
-            f" t={injected['crash_time']:.1f}s for"
-            f" {injected['downtime']:.0f}s"
-        )
+    platform = extended.platform
+    for injection in paper_schedule(
+        args.failure, platform.deployment, trace, random.Random(args.seed)
+    ):
+        apply_injection(platform, injection, strategy=extended.strategy)
+        print("injected", json.dumps(injection.to_dict()))
     metrics = extended.run()
     report = {
         "input": metrics.total_input,
@@ -209,23 +207,29 @@ def _resolve_strategy(
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro.chaos import (
+        PAPER_MODES,
+        CampaignSpec,
+        paper_campaigns,
+        run_campaigns,
+    )
     from repro.driver import deliver, take_streams
     from repro.experiments.parallel import FabricProfile
     from repro.obs.progress import SearchProgress
     from repro.obs.report import render_report
-    from repro.obs.runner import (
-        FAILURE_MODES,
-        ObservedRunSpec,
-        run_observed_modes,
-    )
 
     modes = [m.strip() for m in args.failures.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in FAILURE_MODES:
-            print(f"error: unknown failure mode {mode!r}", file=sys.stderr)
-            return 2
-    if (args.strategy is None) == (args.ic is None):
-        print("error: pass exactly one of --strategy / --ic", file=sys.stderr)
+    unknown = [m for m in modes if m not in PAPER_MODES]
+    problem = (
+        f"unknown failure mode {unknown[0]!r}" if unknown
+        else "no failure mode given" if not modes
+        else "repeated failure mode" if len(set(modes)) < len(modes)
+        else "pass exactly one of --strategy / --ic"
+        if (args.strategy is None) == (args.ic is None)
+        else None
+    )
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out_dir)
@@ -247,19 +251,23 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         }
 
     profile = FabricProfile(label="obs-run")
-    spec = ObservedRunSpec(
+    base = CampaignSpec(
         bundle=str(args.bundle),
         strategy=str(strategy_path),
-        duration=args.duration,
         seed=args.seed,
+        duration=args.duration,
         jitter=args.jitter,
-        tuple_trace_every=args.trace_every,
         queue_seconds=args.queue_seconds,
         batching=args.batched,
+        tuple_trace_every=args.trace_every,
     )
-    digests = run_observed_modes(
-        spec, modes=modes, jobs=args.jobs, profile=profile
-    )
+    specs = paper_campaigns(base, modes)
+    digests = [
+        {"mode": mode, **digest}
+        for mode, digest in zip(
+            modes, run_campaigns(specs, jobs=args.jobs, profile=profile)
+        )
+    ]
     streams = take_streams(digests, "mode")
     report = {
         "bundle": str(args.bundle),
@@ -270,7 +278,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         "search": search,
         "fabric": profile.summary(),
     }
-    return deliver(
+    code = deliver(
         out_dir,
         "report.json",
         report,
@@ -278,15 +286,17 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         streams=streams,
         sort_keys=False,
     )
+    violated = [d["mode"] for d in digests if not d["invariants"]["ok"]]
+    if violated:
+        print(f"invariant violated in mode(s) {violated}", file=sys.stderr)
+    return 1 if violated else code
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
     from repro.chaos import (
         CampaignSpec,
-        Injection,
-        minimize_campaign,
         run_campaigns,
-        sabotage_strategy,
+        sabotage_self_test,
         violation_artifact,
         write_artifact,
     )
@@ -326,69 +336,9 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     )
 
     if args.sabotage:
-        # Self-test: break the proven strategy below its bound and
-        # demand that the invariant checker catches it and distils a
-        # minimized repro artifact.
-        deployment = load_bundle(bundle_path).deployment
-        reference = ActivationStrategy.from_json(
-            deployment, strategy_path
-        )
-        broken, pe, config = sabotage_strategy(reference)
-        broken_path = out_dir / "sabotaged.json"
-        broken.to_json(broken_path)
-        spec = dataclasses.replace(
-            base,
-            strategy=str(broken_path),
-            reference_strategy=str(strategy_path),
-            schedule=(
-                Injection.build(
-                    "pessimistic", at=max(1.0, args.duration * 0.15)
-                ),
-            ),
-        )
-        digests = run_campaigns([spec], jobs=1)
-        digest = digests[0]
-        if digest["invariants"]["ok"]:
-            print(
-                f"sabotage NOT caught: deactivated ({pe}, c={config})"
-                " below the proven bound yet every invariant held",
-                file=sys.stderr,
-            )
-            return 1
-        burn_alerts = [
-            alert
-            for alert in digest["slo"]["alerts"]
-            if alert["state"] == "firing"
-        ]
-        if not burn_alerts:
-            print(
-                f"sabotage NOT caught by the SLO engine: deactivated"
-                f" ({pe}, c={config}) below the proven bound yet no"
-                " burn-rate alert fired",
-                file=sys.stderr,
-            )
-            return 1
-        mini_spec, mini_digest = minimize_campaign(spec, digest)
-        artifact = violation_artifact(mini_digest, mini_spec)
-        artifact_path = write_artifact(
-            artifact, out_dir / "sabotage-artifact.json"
-        )
-        first = digest["invariants"]["violations"][0]
-        print(
-            f"sabotage caught: ({pe}, c={config}) ->"
-            f" [{first['invariant']}] at t={first['time']:.2f}s"
-        )
-        alert = burn_alerts[0]
-        print(
-            f"slo alert fired: [{alert['rule']}] at window"
-            f" {alert['window']} (burn fast={alert['burn_fast']:.1f}"
-            f" slow={alert['burn_slow']:.1f})"
-        )
-        print(
-            f"minimized to {len(mini_digest['schedule'])} injection(s);"
-            f" artifact written to {artifact_path}"
-        )
-        return 0
+        caught, lines = sabotage_self_test(base, out_dir)
+        print("\n".join(lines), file=sys.stdout if caught else sys.stderr)
+        return 0 if caught else 1
 
     specs = [
         dataclasses.replace(base, seed=args.seed + offset)

@@ -3,18 +3,11 @@
 The reproduction's substitute for IBM InfoSphere Streams: hosts with
 per-core capacities, replicated PEs with bounded per-port queues and
 selectivity-accurate tuple processing, primary/secondary replication
-semantics, trace-driven sources, counting sinks, failure injection, and
-the metrics the paper's evaluation reports.
+semantics, trace-driven sources, counting sinks, crash/recover hooks
+for :mod:`repro.chaos`, and the metrics the paper's evaluation reports.
 """
 
 from repro.dsps.endpoints import SinkOperator, SourceOperator
-from repro.dsps.failures import (
-    HostCrashPlan,
-    inject_host_crash,
-    inject_pessimistic_failures,
-    pessimistic_victims,
-    plan_host_crash,
-)
 from repro.dsps.metrics import (
     LatencyRecorder,
     PortCounters,
@@ -46,9 +39,4 @@ __all__ = [
     "CpuSampler",
     "QueueSampler",
     "ActivationSampler",
-    "pessimistic_victims",
-    "inject_pessimistic_failures",
-    "HostCrashPlan",
-    "plan_host_crash",
-    "inject_host_crash",
 ]

@@ -11,8 +11,9 @@ failure mode, mirroring the paper's methodology:
   window and recovers after 16 s; measures processed tuples (Fig. 11,
   bottom). Run on a sampled subset of the corpus, like the paper's 40.
 
-Normalisations follow the paper: best-case figures are relative to the NR
-variant; failure figures are relative to the *failure-free* NR run.
+Each mode's faults are :func:`repro.chaos.paper_schedule`'s. Figures are
+normalised as in the paper: best case to the NR variant, failures to the
+*failure-free* NR run.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.dsps.failures import (
-    inject_host_crash,
-    inject_pessimistic_failures,
-    plan_host_crash,
-)
+from repro.chaos.campaign import PAPER_MODES, paper_schedule
+from repro.chaos.injectors import apply_injection
 from repro.dsps.platform import PlatformConfig
 from repro.dsps.traces import two_level_trace
 from repro.errors import ExperimentError
@@ -42,14 +40,15 @@ __all__ = ["FailureMode", "RunResult", "ClusterResults", "run_cluster_experiment
 #: First seed of the default corpus (the EDBT year, for determinism).
 BASE_SEED = 2014
 #: Sec. 5.2's input "glitches" and heartbeat period (the monitor triple
-#: is ``PAPER_MIDDLEWARE``; the 1/3 High share and the 16 s crash
-#: downtime are the defaults of ``two_level_trace``, ``plan_host_crash``).
+#: is ``PAPER_MIDDLEWARE``; the 1/3 High share is ``two_level_trace``'s
+#: default and the 16 s crash downtime ``paper_schedule``'s).
 ARRIVAL_JITTER = 0.35
 HEARTBEAT_INTERVAL = 0.5
 
 
 class FailureMode(enum.Enum):
-    """The three failure scenarios of Sec. 5.3."""
+    """The three failure scenarios of Sec. 5.3: the grid's row key, one
+    per :data:`~repro.chaos.campaign.PAPER_MODES` entry, in its order."""
 
     BEST = "best-case"
     WORST = "worst-case"
@@ -157,7 +156,7 @@ class ClusterResults:
 
 
 def _run_seed(app_seed: int, variant: str, mode: FailureMode) -> int:
-    """The explicit per-run RNG seed (host-crash planning).
+    """The explicit per-run RNG seed (the host-crash draw).
 
     Derived from static task keys only, never from shared RNG state, so
     a run draws the same crash plan whether it executes serially or on
@@ -201,13 +200,9 @@ def _run_one(
             PAPER_MIDDLEWARE, dynamic=variants.is_dynamic(variant)
         ),
     )
-    if mode is FailureMode.WORST:
-        inject_pessimistic_failures(extended.platform, strategy)
-    elif mode is FailureMode.CRASH:
-        plan = plan_host_crash(
-            extended.platform, trace.segment_windows("High"), rng
-        )
-        inject_host_crash(extended.platform, plan)
+    paper_mode = PAPER_MODES[list(FailureMode).index(mode)]
+    for injection in paper_schedule(paper_mode, app.deployment, trace, rng):
+        apply_injection(extended.platform, injection, strategy=strategy)
 
     metrics = extended.run()
     return RunResult(

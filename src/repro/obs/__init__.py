@@ -13,8 +13,8 @@ about the current status of all the PEs and log this information"):
 * :mod:`repro.obs.progress` — periodic FT-Search progress snapshots;
 * :mod:`repro.obs.validate` — the JSONL event-schema validator
   (``python -m repro.obs.validate``);
-* :mod:`repro.obs.runner` / :mod:`repro.obs.report` — the observed-run
-  driver and report renderer behind the ``repro obs`` CLI subcommand;
+* :mod:`repro.obs.report` — the report renderer behind ``repro obs``
+  (one chaos campaign per failure mode of the paper);
 * :mod:`repro.obs.sketch` — the deterministic log-bucket latency
   sketch and the shared nearest-rank percentile definition;
 * :mod:`repro.obs.replay` — the one event-sourced deployment state and
@@ -33,12 +33,6 @@ from repro.obs.diff import diff_runs, render_diff
 from repro.obs.events import EVENT_SCHEMA, Event, EventLog, event_to_json
 from repro.obs.progress import ProgressSnapshot, SearchProgress
 from repro.obs.report import render_report
-from repro.obs.runner import (
-    FAILURE_MODES,
-    ObservedRunSpec,
-    run_observed,
-    run_observed_modes,
-)
 from repro.obs.sketch import LogHistogram, nearest_rank_index
 from repro.obs.slo import (
     AvailabilityTracker,
@@ -52,11 +46,7 @@ from repro.obs.spans import Span, SpanTracer
 from repro.obs.telemetry import Telemetry, TupleTracer
 
 __all__ = [
-    "FAILURE_MODES",
-    "ObservedRunSpec",
     "render_report",
-    "run_observed",
-    "run_observed_modes",
     "AvailabilityTracker",
     "CoverageAvailability",
     "FloorAvailability",

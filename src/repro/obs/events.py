@@ -64,11 +64,6 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
     "host.recover": {"host": "str"},
     "host.degrade": {"host": "str", "factor": "float"},
     "host.restore": {"host": "str"},
-    "failure.plan": {
-        "host": "str",
-        "crash_time": "float",
-        "downtime": "float",
-    },
     # chaos campaigns (repro.chaos)
     "chaos.campaign": {"seed": "int", "injections": "list"},
     "chaos.inject": {"kind": "str", "at": "float"},

@@ -1,12 +1,12 @@
 """Plain-text rendering of an observed-run report.
 
-Turns the JSON document assembled by ``repro obs`` — per-failure-mode
-telemetry digests from :mod:`repro.obs.runner`, optional FT-Search
+Turns the JSON document assembled by ``repro obs`` — one campaign digest
+(:func:`repro.chaos.run_campaign`) per failure mode, optional FT-Search
 progress snapshots, and the fabric profile — into the terminal report:
-event counts, the configuration-switch timeline, failover windows, the
-top tuple droppers, sink latency, search progress, and worker
-utilization. Rendering is read-only; the JSON artifact on disk is the
-source of truth.
+event counts, the injected schedule, the invariant verdict, the
+configuration-switch timeline, failover windows, the top tuple droppers,
+sink latency, search progress, and worker utilization. Rendering is
+read-only; the JSON artifact on disk is the source of truth.
 """
 
 from __future__ import annotations
@@ -39,11 +39,18 @@ def _render_mode(mode: dict[str, Any]) -> list[str]:
         lines.append(
             "  " + "  ".join(f"{name}={count}" for name, count in counts.items())
         )
-    if mode.get("injected"):
-        injected = ", ".join(
-            f"{key}={_fmt(value)}" for key, value in mode["injected"].items()
-        )
-        lines.append(f"injected: {injected}")
+    for item in mode["schedule"]:
+        params = "".join(f" {k}={_fmt(v)}" for k, v in item["params"].items())
+        lines.append(f"injected: {item['kind']}@{_fmt(item['at'])}{params}")
+    verdict = mode["invariants"]
+    lines.append(
+        f"invariants: {'ok' if verdict['ok'] else 'VIOLATED'} (min IC"
+        f" margin {_fmt(verdict['stats']['min_ic_margin'], 4)})"
+    )
+    lines += [
+        f"  t={_fmt(v['time'], 3)}s  [{v['invariant']}] {v['detail']}"
+        for v in verdict["violations"]
+    ]
 
     lines.append("switch timeline:")
     switches = mode["switches"]
@@ -76,21 +83,20 @@ def _render_mode(mode: dict[str, Any]) -> list[str]:
     else:
         lines.append("top droppers: (no drops)")
 
-    slo = mode.get("slo")
-    if slo:
-        untrusted = "" if slo["trusted"] else " (UNTRUSTED: evicted log)"
+    slo = mode["slo"]
+    untrusted = "" if slo["trusted"] else " (UNTRUSTED: evicted log)"
+    lines.append(
+        f"slo: availability={_fmt(slo['availability'], 6)}"
+        f" budget burned={_fmt(slo['burned'], 3)}"
+        f" verdict={slo['verdict']}{untrusted}"
+    )
+    for alert in slo["alerts"]:
         lines.append(
-            f"slo: availability={_fmt(slo['availability'], 6)}"
-            f" budget burned={_fmt(slo['burned'], 3)}"
-            f" verdict={slo['verdict']}{untrusted}"
+            f"  alert[{alert['rule']}] {alert['state']}"
+            f" at window {alert['window']}"
+            f" (burn fast={_fmt(alert['burn_fast'], 1)}"
+            f" slow={_fmt(alert['burn_slow'], 1)})"
         )
-        for alert in slo["alerts"]:
-            lines.append(
-                f"  alert[{alert['rule']}] {alert['state']}"
-                f" at window {alert['window']}"
-                f" (burn fast={_fmt(alert['burn_fast'], 1)}"
-                f" slow={_fmt(alert['burn_slow'], 1)})"
-            )
 
     metrics = mode["metrics"]
     lines.append(

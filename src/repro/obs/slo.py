@@ -55,7 +55,6 @@ from repro.obs.sketch import LogHistogram
 
 if TYPE_CHECKING:
     from repro.dsps.platform import StreamPlatform
-    from repro.laar.middleware import ExtendedApplication
 
 __all__ = [
     "SloConfig",
@@ -63,7 +62,6 @@ __all__ = [
     "CoverageAvailability",
     "FloorAvailability",
     "SloEngine",
-    "attach_floor_slo",
     "attach_slo",
 ]
 
@@ -626,26 +624,3 @@ def attach_slo(
     )
     platform.telemetry.events.add_tap(engine.on_event)
     return engine
-
-
-def attach_floor_slo(
-    extended: "ExtendedApplication",
-    reference: Optional[ActivationStrategy] = None,
-    *,
-    tenant: str = "-",
-) -> SloEngine:
-    """:func:`attach_slo` with the proven IC floor as the contract: the
-    pessimistic floor of ``reference`` (default: the strategy run), the
-    one the chaos invariant checker holds the run to — a clean run
-    burns zero budget."""
-    return attach_slo(
-        extended.platform,
-        FloorAvailability(
-            extended.platform.deployment,
-            extended.strategy,
-            reference,
-            extended.initial_config,
-            command_latency=extended.middleware_config.command_latency,
-        ),
-        tenant=tenant,
-    )

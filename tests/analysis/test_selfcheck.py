@@ -159,21 +159,32 @@ class TestSchemaAgreement:
         assert any("'never.emitted' has no emitter" in d.message for d in r4)
 
 
+#: Modules a probe scans, unchanged, beside the mutated one: R10 looks
+#: a worker's payload type up in whichever scanned module declares it.
+_COMPANIONS = {"chaos/runner.py": ("chaos/campaign.py",)}
+
+
 def _probe(
     tmp_path: Path, relative: str, old: str, new: str
 ) -> AnalysisReport:
     """Scan one real module with ``old`` replaced by ``new`` (``old``
-    empty: ``new`` is appended), alone under its dotted path."""
-    target = tmp_path / "src" / "repro" / relative
-    target.parent.mkdir(parents=True)
-    package = target.parent
-    while package != tmp_path / "src":
-        (package / "__init__.py").touch()
-        package = package.parent
-    source = (SRC / relative).read_text()
-    assert old in source
-    target.write_text(source.replace(old, new, 1) if old else source + new)
-    return _analyze(target)
+    empty: ``new`` is appended), under its dotted path with only its
+    :data:`_COMPANIONS` beside it."""
+    scanned = []
+    for name in (relative, *_COMPANIONS.get(relative, ())):
+        target = tmp_path / "src" / "repro" / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        package = target.parent
+        while package != tmp_path / "src":
+            (package / "__init__.py").touch()
+            package = package.parent
+        source = (SRC / name).read_text()
+        if name == relative:
+            assert old in source
+            source = source.replace(old, new, 1) if old else source + new
+        target.write_text(source)
+        scanned.append(target)
+    return _analyze(*scanned)
 
 
 class TestSeededViolationsAreCaught:
@@ -210,9 +221,9 @@ class TestSeededViolationsAreCaught:
                 "R3",
             ),
             (
-                "obs/runner.py",
-                "@dataclass(frozen=True)\nclass ObservedRunSpec:",
-                "@dataclass\nclass ObservedRunSpec:",
+                "chaos/campaign.py",
+                "@dataclass(frozen=True)\nclass CampaignSpec:",
+                "@dataclass\nclass CampaignSpec:",
                 "R5",
             ),
             (
@@ -237,15 +248,17 @@ class TestSeededViolationsAreCaught:
                 "R8",
             ),
             (
-                "obs/runner.py",
-                "def run_observed(spec: ObservedRunSpec) -> dict[str, Any]:",
-                "def run_observed(spec) -> dict[str, Any]:",
+                "chaos/runner.py",
+                "def run_campaign(spec: CampaignSpec) -> dict[str, Any]:",
+                "def run_campaign(spec) -> dict[str, Any]:",
                 "R10",
             ),
         ],
     )
     def test_seeded_violation_fires(self, tmp_path, relative, old, new, rule):
-        report = _probe(tmp_path, relative, old, new)
+        clean = _probe(tmp_path / "clean", relative, old, old)
+        assert not [d for d in clean.diagnostics if d.rule == rule]
+        report = _probe(tmp_path / "seeded", relative, old, new)
         fired = [d for d in report.diagnostics if d.rule == rule]
         assert fired, f"seeded {rule} violation in {relative} not caught"
         assert not report.ok

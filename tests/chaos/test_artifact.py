@@ -127,6 +127,25 @@ class TestLoadArtifactErrors:
         with pytest.raises(ChaosError, match="version"):
             load_artifact(path)
 
+    @pytest.mark.parametrize(
+        "breakage",
+        ["no first_violation", "entry without kind", "entry not an object"],
+    )
+    def test_malformed_artifact_names_itself(
+        self, failing, tmp_path, breakage
+    ):
+        spec, digest = failing
+        artifact = violation_artifact(digest, spec)
+        if breakage == "no first_violation":
+            del artifact["first_violation"]
+        elif breakage == "entry without kind":
+            del artifact["spec"]["schedule"][0]["kind"]
+        else:
+            artifact["spec"]["schedule"][0] = "pessimistic@8"
+        path = write_artifact(artifact, tmp_path / "malformed.json")
+        with pytest.raises(ChaosError, match="malformed.json"):
+            load_artifact(path)
+
     def test_unknown_spec_field_rejected(self, failing, tmp_path):
         spec, digest = failing
         artifact = violation_artifact(digest, spec)

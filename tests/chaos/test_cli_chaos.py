@@ -114,3 +114,42 @@ class TestChaosSabotage:
         minimized = json.loads(target.read_text())
         assert len(minimized["spec"]["schedule"]) == 1
         assert minimized["first_violation"]["invariant"] == "ic-bound"
+
+
+class TestMalformedArtifact:
+    @pytest.mark.parametrize(
+        ("command", "first_violation", "entry"),
+        [
+            # replay reads the first violation it must reproduce
+            ("replay", None, {"kind": "pessimistic", "at": 1.0}),
+            # minimize re-runs the schedule
+            ("minimize", {"invariant": "ic-bound"}, {"at": 1.0}),
+        ],
+    )
+    def test_exits_1_with_an_error_line(
+        self,
+        command,
+        first_violation,
+        entry,
+        bundle_path,
+        strategy_path,
+        tmp_path,
+        capsys,
+    ):
+        artifact = {
+            "version": 1,
+            "spec": {
+                "bundle": bundle_path,
+                "strategy": strategy_path,
+                "seed": 0,
+                "schedule": [entry],
+            },
+        }
+        if first_violation is not None:
+            artifact["first_violation"] = first_violation
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["chaos", command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err

@@ -1,13 +1,51 @@
-"""The injection value type, rack grouping, and schedule application."""
+"""The injection value type, rack grouping, schedule application, and
+the paper's three failure modes as schedules."""
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from repro.chaos import CampaignSpec, Injection, racks, run_campaign
+from repro.chaos import (
+    PAPER_MODES,
+    CampaignSpec,
+    Injection,
+    apply_injection,
+    paper_schedule,
+    pessimistic_victims,
+    racks,
+    run_campaign,
+)
+from repro.core import ActivationStrategy, Host, ReplicaId
+from repro.dsps import (
+    InputTrace,
+    PlatformConfig,
+    StreamPlatform,
+    TraceSegment,
+    two_level_trace,
+)
 from repro.errors import ChaosError
+from repro.placement import balanced_placement
+
+GIGA = 1.0e9
+
+
+def deployment_for(pipeline_descriptor):
+    hosts = [
+        Host("h0", cores=2, cycles_per_core=0.5 * GIGA),
+        Host("h1", cores=2, cycles_per_core=0.5 * GIGA),
+    ]
+    return balanced_placement(pipeline_descriptor, hosts, 2)
+
+
+def platform_for(deployment, strategy, seconds=20.0):
+    return StreamPlatform(
+        deployment,
+        {"src": InputTrace([TraceSegment(4.0, seconds, "Low")])},
+        initial_active=strategy.active_map(0),
+    )
 
 
 class TestInjection:
@@ -330,3 +368,158 @@ class TestMigrationStrike:
             for line in platform.telemetry.events.to_jsonl().splitlines()
         ]
         assert "host.crash" not in types
+
+
+class TestPessimisticVictims:
+    def test_kills_the_active_replica_of_single_active_pes(
+        self, pipeline_descriptor
+    ):
+        deployment = deployment_for(pipeline_descriptor)
+        # pe1 keeps only replica 1 active in High: the survivor must be
+        # the inactive one (replica 0), so replica 1 is the victim.
+        strategy = ActivationStrategy.all_active(deployment).replace(
+            {(ReplicaId("pe1", 0), 1): False}
+        )
+        victims = pessimistic_victims(strategy)
+        assert victims["pe1"] == 1
+        # pe2 is fully replicated everywhere: victim defaults to 0.
+        assert victims["pe2"] == 0
+
+    def test_nr_strategy_loses_everything(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        strategy = ActivationStrategy.single_replica(
+            deployment, {"pe1": 0, "pe2": 0}
+        )
+        victims = pessimistic_victims(strategy)
+        # The only active replica is the victim for every PE.
+        assert victims == {"pe1": 0, "pe2": 0}
+
+    def test_injection_schedules_crashes(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        strategy = ActivationStrategy.single_replica(
+            deployment, {"pe1": 0, "pe2": 0}
+        )
+        platform = platform_for(deployment, strategy, seconds=10.0)
+        (worst,) = paper_schedule("worst", deployment, None, None)
+        apply_injection(platform, worst, strategy=strategy)
+        metrics = platform.run()
+        # Every PE's only active replica is dead: no output at all.
+        assert metrics.total_output == 0
+        assert metrics.tuples_processed == 0
+        for pe, victim in pessimistic_victims(strategy).items():
+            assert not platform.replica(ReplicaId(pe, victim)).alive
+
+    def test_sr_strategy_survives_worst_case(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        strategy = ActivationStrategy.all_active(deployment)
+        platform = platform_for(deployment, strategy)
+        (worst,) = paper_schedule("worst", deployment, None, None)
+        apply_injection(platform, worst, strategy=strategy)
+        metrics = platform.run()
+        # One replica of each PE remains and Low fits on the survivors.
+        assert metrics.total_output > 0.8 * metrics.total_input
+
+
+def _failovers(platform) -> list[float]:
+    return [
+        event.fields["duration"]
+        for event in platform.telemetry.events.of_type("span.end")
+        if event.fields["name"] == "failover"
+    ]
+
+
+class TestPessimisticAtZero:
+    """``pessimistic`` at 0 is the paper's worst case: dead from the
+    start, with no detection transient; at any later instant the crash
+    is detected like every other."""
+
+    def test_dead_from_the_start_like_crashing_by_hand(
+        self, pipeline_descriptor
+    ):
+        deployment = deployment_for(pipeline_descriptor)
+        strategy = ActivationStrategy.all_active(deployment)
+        by_hand = platform_for(deployment, strategy)
+        for pe, victim in sorted(pessimistic_victims(strategy).items()):
+            by_hand.crash_replica(ReplicaId(pe, victim))
+            by_hand.group(pe).elect_now()
+        scheduled = platform_for(deployment, strategy)
+        apply_injection(
+            scheduled,
+            Injection.build("pessimistic", at=0.0),
+            strategy=strategy,
+        )
+        expected = by_hand.run().tuples_processed
+        assert scheduled.run().tuples_processed == expected
+        # No failover window: every election resolved at the crash.
+        assert _failovers(scheduled) == _failovers(by_hand)
+        assert all(duration == 0.0 for duration in _failovers(scheduled))
+
+    def test_later_instant_still_pays_detection(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        strategy = ActivationStrategy.all_active(deployment)
+        platform = platform_for(deployment, strategy)
+        apply_injection(
+            platform,
+            Injection.build("pessimistic", at=1.0),
+            strategy=strategy,
+        )
+        platform.run()
+        delay = PlatformConfig().failover_delay
+        assert max(_failovers(platform)) >= delay
+
+
+class TestPaperSchedule:
+    def test_modes_in_report_order(self):
+        assert PAPER_MODES == ("none", "worst", "crash")
+
+    def test_none_and_worst(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        assert paper_schedule("none", deployment, None, None) == ()
+        assert paper_schedule("worst", deployment, None, None) == (
+            Injection.build("pessimistic", at=0.0),
+        )
+
+    def test_unknown_mode_rejected(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        with pytest.raises(ChaosError, match="unknown failure mode"):
+            paper_schedule("meteor", deployment, None, None)
+
+    def test_crash_draws_host_then_window_then_instant(
+        self, pipeline_descriptor
+    ):
+        deployment = deployment_for(pipeline_descriptor)
+        trace = two_level_trace(4.0, 8.0, duration=120.0)
+        windows = trace.segment_windows("High")
+        rng, oracle = random.Random(3), random.Random(3)
+        for _ in range(10):
+            (crash,) = paper_schedule("crash", deployment, trace, rng)
+            host = oracle.choice(sorted(deployment.host_names))
+            start, end = windows[oracle.randrange(len(windows))]
+            at = oracle.uniform(start, max(start, end - 16.0))
+            assert crash == Injection.build(
+                "rack_crash", at=at, hosts=(host,), downtime=16.0
+            )
+            assert start <= crash.at < end
+
+    def test_crash_requires_high_windows(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        trace = InputTrace([TraceSegment(4.0, 10.0, "Low")])
+        with pytest.raises(ChaosError, match="no High windows"):
+            paper_schedule("crash", deployment, trace, random.Random(0))
+
+    def test_crash_and_recovery_execute(self, pipeline_descriptor):
+        deployment = deployment_for(pipeline_descriptor)
+        trace = InputTrace([TraceSegment(4.0, 60.0, "Low")])
+        platform = StreamPlatform(deployment, {"src": trace})
+        apply_injection(
+            platform,
+            Injection.build(
+                "rack_crash", at=20.0, hosts=("h0",), downtime=16.0
+            ),
+        )
+        metrics = platform.run()
+        events = platform.telemetry.events
+        assert events.count("host.crash") == 1
+        assert events.count("host.recover") == 1
+        # Replication hides the crash almost completely.
+        assert metrics.total_output > 0.85 * metrics.total_input

@@ -3,7 +3,7 @@
 The :class:`IndependentFailureModel` (future-work item (i)) gets its
 formula pinned here, together with its relationship to the pessimistic
 model and to the damage-maximizing victim choice of
-:func:`repro.dsps.failures.pessimistic_victims`.
+:func:`repro.chaos.injectors.pessimistic_victims`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.core import (
     PessimisticFailureModel,
     ReplicaId,
 )
-from repro.dsps import pessimistic_victims
+from repro.chaos import pessimistic_victims
 from repro.errors import ModelError
 
 

@@ -186,15 +186,15 @@ class TestHeartbeatTraffic:
 class TestRecoveryRegistration:
     """Recovered replicas must be re-registered with the detector.
 
-    Regression: ``inject_host_crash`` recovery used to leave the
-    revived replicas with their stale pre-crash ``_last_beat`` stamps,
+    Regression: a host crash's recovery used to leave the revived
+    replicas with their stale pre-crash ``_last_beat`` stamps,
     so the watchdog deposed them the instant they were re-elected.
     """
 
     def test_crash_recover_crash_elects_the_recovered_replica(
         self, pipeline_descriptor
     ):
-        from repro.dsps import HostCrashPlan, inject_host_crash
+        from repro.chaos import Injection, apply_injection
 
         platform = build_platform(
             pipeline_descriptor,
@@ -205,8 +205,9 @@ class TestRecoveryRegistration:
         group = platform.group("pe1")
         first = group.primary
         host = first.host.name
-        inject_host_crash(
-            platform, HostCrashPlan(host=host, crash_time=5.0, downtime=3.0)
+        apply_injection(
+            platform,
+            Injection.build("rack_crash", at=5.0, hosts=(host,), downtime=3.0),
         )
 
         # Once the survivor has taken over, kill it too: the only

@@ -17,7 +17,7 @@ from repro.core import (
     greedy_deactivation,
 )
 from repro.dsps import InputTrace, StreamPlatform, TraceSegment
-from repro.dsps.failures import pessimistic_victims
+from repro.chaos import pessimistic_victims
 from repro.placement import balanced_placement
 
 GIGA = 1.0e9

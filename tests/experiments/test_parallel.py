@@ -232,17 +232,18 @@ def observed_inputs(tmp_path_factory):
 
 def test_observed_event_streams_bit_identical_across_jobs(observed_inputs):
     """The telemetry determinism contract: JSONL event streams from the
-    observed runs are byte-identical at any worker count, because every
-    event is stamped in simulated time."""
-    from repro.obs.runner import ObservedRunSpec, run_observed_modes
+    observed runs (``repro obs``: one campaign per paper mode) are
+    byte-identical at any worker count, because every event is stamped
+    in simulated time."""
+    from repro.chaos import CampaignSpec, paper_campaigns, run_campaigns
 
     bundle, strategy = observed_inputs
-    spec = ObservedRunSpec(bundle, strategy, duration=8.0, seed=3)
-    modes = ("none", "crash")
-    serial = run_observed_modes(spec, modes, jobs=1)
-    parallel = run_observed_modes(spec, modes, jobs=4)
+    base = CampaignSpec(bundle, strategy, seed=3, duration=8.0)
+    specs = paper_campaigns(base, ("none", "crash"))
+    serial = run_campaigns(specs, jobs=1)
+    parallel = run_campaigns(specs, jobs=4)
 
-    assert [r["mode"] for r in serial] == ["none", "crash"]
+    assert [len(r["schedule"]) for r in serial] == [0, 1]
     for a, b in zip(serial, parallel):
         assert a["jsonl"] == b["jsonl"]
         assert a == b

@@ -22,7 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import CampaignSpec, run_campaign
+from repro.chaos import (
+    PAPER_MODES,
+    CampaignSpec,
+    paper_campaigns,
+    run_campaign,
+)
 from repro.core.optimizer import OptimizationProblem, ft_search
 from repro.dsps.batched import BatchEngine, FallbackTracker
 from repro.fleet.dataplane import (
@@ -31,7 +36,6 @@ from repro.fleet.dataplane import (
     run_tenant,
     summarize_dataplane,
 )
-from repro.obs.runner import FAILURE_MODES, ObservedRunSpec, run_observed
 from repro.workloads import (
     ClusterParams,
     GeneratorParams,
@@ -216,24 +220,28 @@ class TestChaosCampaigns:
 
 
 class TestObservedRuns:
-    @pytest.mark.parametrize("mode", FAILURE_MODES)
+    """The paper's three failure modes, as ``repro obs`` runs them."""
+
+    @pytest.mark.parametrize("mode", PAPER_MODES)
     def test_observed_digest_identical(self, proven_paths, mode):
         bundle, strategy = proven_paths
         digests = []
         for batching in (False, True):
-            spec = ObservedRunSpec(
+            base = CampaignSpec(
                 bundle=bundle,
                 strategy=strategy,
-                mode=mode,
+                seed=0,
                 duration=30.0,
                 batching=batching,
             )
-            digests.append(run_observed(spec))
+            (spec,) = paper_campaigns(base, [mode])
+            digests.append(run_campaign(spec))
         assert json.dumps(digests[0], sort_keys=True) == json.dumps(
             digests[1], sort_keys=True
         )
         assert digests[0]["slo"]["n_windows"] > 0
         assert digests[0]["log_complete"] is True
+        assert digests[0]["invariants"]["ok"]
 
 
 def _elastic_params():

@@ -149,7 +149,7 @@ class TestSimulate:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "worst case" in out
+        assert 'injected {"kind": "pessimistic", "at": 0.0' in out
 
     def test_crash_run(self, bundle_path, strategy_path, capsys):
         code = main(
@@ -161,7 +161,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        assert "host crash" in capsys.readouterr().out
+        assert 'injected {"kind": "rack_crash"' in capsys.readouterr().out
 
 
 class TestEvaluateVerbose:
@@ -264,6 +264,43 @@ class TestObs:
         crash = report["modes"][1]
         assert crash["event_counts"].get("host.crash", 0) == 1
         assert crash["event_counts"].get("tuple.drop", 0) > 0
+        assert [m["invariants"]["ok"] for m in report["modes"]] == [
+            True,
+            True,
+        ]
+
+    def test_violated_invariant_exits_1_after_the_artifacts(
+        self, bundle_path, strategy_path, tmp_path, capsys, monkeypatch
+    ):
+        from repro.chaos import invariants
+
+        def seeded(*args, **kwargs):
+            return invariants.CheckResult(
+                False,
+                (invariants.Violation("ic-bound", 1.0, "seeded breach"),),
+                {"min_ic_margin": -1.0},
+            )
+
+        monkeypatch.setattr(invariants, "check_campaign", seeded)
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "obs", str(bundle_path),
+                "--strategy", str(strategy_path),
+                "--duration", "10",
+                "--failures", "none",
+                "--jobs", "1",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "invariants: VIOLATED" in captured.out
+        assert "[ic-bound] seeded breach" in captured.out
+        assert "invariant violated in mode(s) ['none']" in captured.err
+        report = json.loads((out_dir / "report.json").read_text())
+        assert not report["modes"][0]["invariants"]["ok"]
+        assert (out_dir / "events-none.jsonl").exists()
 
     def test_fleet_writes_report_and_valid_events(self, tmp_path, capsys):
         out_dir = tmp_path / "fleet"
@@ -307,19 +344,30 @@ class TestObs:
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("failures", "problem"),
+        [
+            ("meteor", "unknown failure mode 'meteor'"),
+            (",", "no failure mode given"),
+            ("none,none", "repeated failure mode"),
+        ],
+        ids=["unknown", "empty", "repeated"],
+    )
     def test_unknown_failure_mode_rejected(
-        self, bundle_path, strategy_path, tmp_path, capsys
+        self, bundle_path, strategy_path, tmp_path, capsys, failures, problem
     ):
+        out_dir = tmp_path / "x"
         code = main(
             [
                 "obs", str(bundle_path),
                 "--strategy", str(strategy_path),
-                "--failures", "meteor",
-                "--out-dir", str(tmp_path / "x"),
+                "--failures", failures,
+                "--out-dir", str(out_dir),
             ]
         )
         assert code == 2
-        assert "unknown failure mode" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
+        assert not out_dir.exists()  # refused before anything ran
 
 
 class TestDataplaneOnlyFlags:

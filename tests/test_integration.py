@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import Injection, apply_injection
 from repro.core import (
     ApplicationDescriptor,
     ApplicationGraph,
@@ -22,7 +23,7 @@ from repro.core import (
     ft_search,
     non_replicated,
 )
-from repro.dsps import PlatformConfig, inject_pessimistic_failures, two_level_trace
+from repro.dsps import PlatformConfig, two_level_trace
 from repro.laar import ExtendedApplication, MiddlewareConfig
 from repro.placement import balanced_placement
 from repro.workloads import ClusterParams, GeneratorParams, generate_application
@@ -60,7 +61,11 @@ def run_worst_case(app, strategy, duration=150.0):
         platform_config=platform_config,
         middleware_config=middleware,
     )
-    inject_pessimistic_failures(failed_app.platform, strategy)
+    apply_injection(
+        failed_app.platform,
+        Injection.build("pessimistic", at=0.0),
+        strategy=strategy,
+    )
     failed = failed_app.run()
     return failed.tuples_processed / max(1, reference.tuples_processed)
 

@@ -13,8 +13,9 @@
 # Within one checkout the script itself requires the execution-mode
 # twins to agree — batched == `--tuple-granular` == `--jobs 2` on
 # `repro elastic` and `repro slo` (chain tenants: closed-form trains),
-# default == `--batched` on `repro chaos run` and `repro obs` (LAAR
-# bundles: the engine's kernel path) — and exits 1 if they do not.
+# default == `--batched` == `--jobs 2` on `repro chaos run` and
+# `repro obs` (LAAR bundles: the engine's kernel path; both fan out
+# through `run_campaigns`) — and exits 1 if they do not.
 #
 # JSON documents are hashed without the blocks that legitimately differ
 # between modes or runs: the batched engine's own counters (`engine`),
@@ -102,14 +103,18 @@ repro chaos run --campaigns 5 --jobs 1 --out-dir chaos >chaos.stdout
 rows chaos chaos
 echo "chaos stdout $(sha chaos.stdout)"
 twin chaos batched chaos run --campaigns 5 --jobs 1 --batched
+twin chaos jobs-2 chaos run --campaigns 5 --jobs 2
 
 # --- observed runs (none / worst / crash) -------------------------------
 repro generate --seed 3 --pes 10 --hosts 4 --cores-per-host 5 \
     --out bundle.json >/dev/null
 repro obs bundle.json --ic 0.5 --jobs 1 --out-dir obs >/dev/null
 rows obs obs
-mkdir -p batched && cp bundle.json batched/  # reports record the path given
+for label in batched jobs-2; do  # reports record the bundle path given
+    mkdir -p "$label" && cp bundle.json "$label/"
+done
 twin obs batched obs bundle.json --ic 0.5 --jobs 1 --batched
+twin obs jobs-2 obs bundle.json --ic 0.5 --jobs 2
 
 # --- fleet control plane ------------------------------------------------
 repro fleet --tenants 30 --jobs 1 --out-dir fleet >fleet.stdout
