@@ -42,14 +42,14 @@ one PE sit on distinct hosts, so each step is a lone job), and a primary
 whose identity is stable for the control epoch. That is the shape of the
 fleet and elastic data planes — single source, fan-in free; generated
 LAAR DAG bundles (several sources, fan-in, selectivity > 1) typically
-lack it and run on the kernel path throughout. Control-plane activity (crashes,
-recoveries, activation switches, host degradation, migration
-attach/detach) bumps the engine epoch, invalidating the templates; the
-next arrival that finds no work in flight rebuilds them from the
-deployment as it then stands. The :class:`FallbackTracker` window the
-same action opens is a marker in the event log (both modes emit it),
-not an execution mode: eligibility depends on platform state, never on
-elapsed time.
+lack it and run on the kernel path throughout. Control-plane activity
+(crashes, recoveries, activation switches, host degradation, migration
+attach/detach) bumps the platform's ``control_epoch``, invalidating the
+templates; the next arrival that finds no work in flight rebuilds them
+from the deployment as it then stands. The :class:`FallbackTracker`
+window the same action opens is a marker in the event log (both modes
+emit it), not an execution mode: eligibility depends on platform state,
+never on elapsed time.
 
 A heap event scheduled with an ``idle`` probe (see
 :meth:`repro.sim.kernel.Environment.schedule`) does not end a train:
@@ -327,7 +327,6 @@ class BatchEngine:
         self._env: "Environment" = platform.env
         self._network: NetworkMetrics = platform.metrics.network
         self._cursors: list[_SourceCursor] = []
-        self._epoch = 0
         self._templates: dict[str, tuple[int, Optional[_Template]]] = {}
         #: Execution statistics; ``micro_events`` counts arrivals fired
         #: tuple-granular.
@@ -348,10 +347,6 @@ class BatchEngine:
         """Adopt a source: its arrivals run through an engine cursor."""
         env = self._env
         self._cursors.append(_SourceCursor(source, env.now, env.take_seq()))
-
-    def bump_epoch(self) -> None:
-        """Invalidate cascade templates (control-plane state changed)."""
-        self._epoch += 1
 
     # ------------------------------------------------------------------
     # Kernel interface
@@ -582,9 +577,9 @@ class BatchEngine:
         """Fire the heap head, which probed idle; a lying probe raises."""
         env = self._env
         time, _seq, handle = env._queue[0]
-        epoch = self._epoch
+        epoch = self._platform.control_epoch
         env.fire_head()
-        if self._epoch != epoch or self._in_flight():
+        if self._platform.control_epoch != epoch or self._in_flight():
             raise SimulationError(
                 f"{handle.callback!r} probed idle at t={time} but changed"
                 " control-plane state or submitted work when it fired"
@@ -857,10 +852,10 @@ class BatchEngine:
 
     def _template_for(self, source_name: str) -> Optional[_Template]:
         entry = self._templates.get(source_name)
-        if entry is not None and entry[0] == self._epoch:
+        if entry is not None and entry[0] == self._platform.control_epoch:
             return entry[1]
         template = self._build_template(source_name)
-        self._templates[source_name] = (self._epoch, template)
+        self._templates[source_name] = (self._platform.control_epoch, template)
         self.stats["template_builds"] += 1
         return template
 

@@ -92,9 +92,9 @@ class HostScheduler:
         self._dispatching = False
         self._reserved: Optional[int] = None
         self.cycles_delivered = 0.0
-        #: Optional hook fired when delivered capacity changes mid-run
-        #: (the batched engine invalidates its service-time templates).
-        self.on_speed_change: Optional[Callable[[], None]] = None
+        #: Hook fired when delivered capacity changes mid-run (the
+        #: platform bumps its control epoch here).
+        self.on_speed_change: Callable[[], None] = lambda: None
 
     # ------------------------------------------------------------------
     # Public interface (used by OperatorReplica)
@@ -151,8 +151,7 @@ class HostScheduler:
         self.speed_factor = factor
         self.capacity = self._base_capacity * factor
         self._reschedule()
-        if self.on_speed_change is not None:
-            self.on_speed_change()
+        self.on_speed_change()
 
     # ------------------------------------------------------------------
     # Processor-sharing mechanics

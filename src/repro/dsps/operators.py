@@ -94,9 +94,9 @@ class OperatorReplica:
         self.alive = True
         self._resyncing = False
         self.group: Optional["ReplicaGroup"] = None
-        #: Optional hook fired on every processability transition (the
-        #: batched engine invalidates its cascade templates here).
-        self.on_state_change: Optional[Callable[[], None]] = None
+        #: Hook fired on every processability transition (the platform
+        #: bumps its control epoch here).
+        self.on_state_change: Callable[[], None] = lambda: None
 
         # Pending tuples as (port index, source emission time) pairs; the
         # birth timestamp rides along so sinks can measure end-to-end
@@ -121,10 +121,6 @@ class OperatorReplica:
     @property
     def queue_length(self) -> int:
         return len(self._queue) + (1 if self._serving is not None else 0)
-
-    def _notify_change(self) -> None:
-        if self.on_state_change is not None:
-            self.on_state_change()
 
     # ------------------------------------------------------------------
     # Data path
@@ -239,7 +235,7 @@ class OperatorReplica:
         if not self.active:
             return
         self.active = False
-        self._notify_change()
+        self.on_state_change()
         if self._events is not None:
             self._events.emit(
                 "replica.deactivate", replica=str(self.replica_id)
@@ -253,7 +249,7 @@ class OperatorReplica:
         if self.active:
             return
         self.active = True
-        self._notify_change()
+        self.on_state_change()
         if self._events is not None:
             self._events.emit(
                 "replica.activate", replica=str(self.replica_id)
@@ -267,7 +263,7 @@ class OperatorReplica:
         if not self.alive:
             return
         self.alive = False
-        self._notify_change()
+        self.on_state_change()
         self._abort_work()
         if self.group is not None:
             self.group.on_member_unavailable(
@@ -279,7 +275,7 @@ class OperatorReplica:
         if self.alive:
             return
         self.alive = True
-        self._notify_change()
+        self.on_state_change()
         if self.group is not None:
             # Re-register with the failure detector *before* resync: the
             # restarted HAProxy announces itself even while its state is
@@ -295,12 +291,12 @@ class OperatorReplica:
             self._finish_resync()
             return
         self._resyncing = True
-        self._notify_change()
+        self.on_state_change()
         self._env.schedule(self._resync_delay, self._finish_resync)
 
     def _finish_resync(self) -> None:
         self._resyncing = False
-        self._notify_change()
+        self.on_state_change()
         if self.processable and self.group is not None:
             self.group.on_member_available(self)
 
@@ -353,10 +349,10 @@ class ReplicaGroup:
         #: caller holding it across a membership change keeps a snapshot.
         self.members: tuple[OperatorReplica, ...] = ()
         self.primary: Optional[OperatorReplica] = None
-        #: Optional hook fired on every primary (re)assignment — the
-        #: batched engine invalidates its cascade templates here, since
-        #: which replica forwards downstream is baked into them.
-        self.on_primary_change: Optional[Callable[[], None]] = None
+        #: Hook fired on every primary (re)assignment — the platform
+        #: bumps its control epoch here, since which replica forwards
+        #: downstream is baked into the batched engine's templates.
+        self.on_primary_change: Callable[[], None] = lambda: None
         self._pending_election: Optional[EventHandle] = None
         self._heartbeats_enabled = False
         self._hb_interval = 0.0
@@ -420,8 +416,7 @@ class ReplicaGroup:
 
     def _set_primary(self, replica: Optional[OperatorReplica]) -> None:
         self.primary = replica
-        if self.on_primary_change is not None:
-            self.on_primary_change()
+        self.on_primary_change()
 
     def _first_processable(self) -> Optional[OperatorReplica]:
         for member in self.members:

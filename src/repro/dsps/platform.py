@@ -115,6 +115,9 @@ class StreamPlatform:
             tuple_trace_every=self._config.tuple_trace_every,
         )
         self.env.telemetry = self.telemetry.events
+        #: Bumped by every control action and every processability, role
+        #: or speed change: what reads only those holds while it stands.
+        self.control_epoch = 0
 
         # Batched execution engine (optional) and the disturbance
         # tracker. The tracker runs in BOTH modes so the
@@ -150,9 +153,8 @@ class StreamPlatform:
             )
             for host in deployment.hosts
         }
-        if self._engine is not None:
-            for scheduler in self._host_schedulers.values():
-                scheduler.on_speed_change = self._engine.bump_epoch
+        for scheduler in self._host_schedulers.values():
+            scheduler.on_speed_change = self._bump_epoch
 
         # Build PE replicas and their groups.
         self._replicas: dict[ReplicaId, OperatorReplica] = {}
@@ -186,12 +188,10 @@ class StreamPlatform:
                     events=self.telemetry.events,
                     tracer=self.telemetry.tuple_tracer,
                 )
-                if self._engine is not None:
-                    replica.on_state_change = self._engine.bump_epoch
+                replica.on_state_change = self._bump_epoch
                 self._replicas[replica_id] = replica
                 group.add(replica)
-            if self._engine is not None:
-                group.on_primary_change = self._engine.bump_epoch
+            group.on_primary_change = self._bump_epoch
             group.initialise_primary()
             if self._config.heartbeat_interval is not None:
                 fanout = sum(
@@ -357,14 +357,15 @@ class StreamPlatform:
         """The batched execution engine, or ``None`` in tuple mode."""
         return self._engine
 
+    def _bump_epoch(self) -> None:
+        self.control_epoch += 1
+
     def _note_disturbance(self, reason: str) -> None:
         """Record a control-plane action: the tracker opens or extends
         its disturbance window (in both modes, keeping logs identical)
-        and the batched engine's cascade templates are invalidated —
-        the next arrival that finds no work in flight rebuilds them."""
+        and the control epoch moves on."""
         self.fallback.on_control(reason)
-        if self._engine is not None:
-            self._engine.bump_epoch()
+        self.control_epoch += 1
 
     def set_activation(self, replica_id: ReplicaId, active: bool) -> None:
         replica = self.replica(replica_id)
@@ -523,8 +524,7 @@ class StreamPlatform:
             events=self.telemetry.events,
             tracer=self.telemetry.tuple_tracer,
         )
-        if self._engine is not None:
-            replica.on_state_change = self._engine.bump_epoch
+        replica.on_state_change = self._bump_epoch
         self._replicas[replica_id] = replica
         group.add(replica)
         residents.append(replica_id)

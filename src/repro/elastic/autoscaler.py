@@ -114,6 +114,7 @@ class Autoscaler:
         self._consolidated = False
         self._removed: list[str] = []
         self._moved = False
+        self._quiet_memo: tuple[object, bool] = (None, False)
         # Counters (reported in the tenant digest).
         self.scale_ups = 0
         self.scale_downs = 0
@@ -184,6 +185,15 @@ class Autoscaler:
             return None
         return want, actives, False
 
+    def _quiet(self, target: int) -> bool:
+        """Does every PE sit at ``target``? What ``_rescale_due`` reads
+        only changes with the control epoch: one walk per epoch."""
+        key = (self._platform.control_epoch, target)
+        if self._quiet_memo[0] != key:
+            walk = (self._rescale_due(pe, target) for pe in self._pes)
+            self._quiet_memo = (key, all(due is None for due in walk))
+        return self._quiet_memo[1]
+
     def _idle(self, time: float) -> bool:
         """Would a tick at ``time`` find nothing to do?
 
@@ -193,8 +203,7 @@ class Autoscaler:
         """
         if self._consolidation_due(time) or self._move_due(time):
             return False
-        target = self.desired_parallelism(time)
-        return all(self._rescale_due(pe, target) is None for pe in self._pes)
+        return self._quiet(self.desired_parallelism(time))
 
     # ------------------------------------------------------------------
 
@@ -214,6 +223,8 @@ class Autoscaler:
         if self._move_due(now):
             self._move_standby()
         target = self.desired_parallelism(now)
+        if self._quiet(target):
+            return
         for pe in self._pes:
             due = self._rescale_due(pe, target)
             if due is not None:

@@ -103,6 +103,7 @@ class CoreHourMeter:
         self._engine = engine
         self._pes = platform.deployment.descriptor.graph.pes
         self._cores = sum(host.cores for host in platform.deployment.hosts)
+        self._memo: tuple[object, tuple[int, int]] = (None, (0, 0))
         self.active_core_seconds = 0.0
         self.reserved_core_seconds = 0.0
 
@@ -115,26 +116,36 @@ class CoreHourMeter:
         meter: the batched engine may fire it inside a closed-form run."""
         return True
 
+    def counts(self) -> tuple[int, int]:
+        """``(active, reserved)`` cores now, walked once per control epoch
+        and cordon set (a cordon does not move the epoch)."""
+        platform = self._platform
+        cordoned = frozenset(self._engine.cordoned if self._engine else ())
+        key = (platform.control_epoch, cordoned)
+        if self._memo[0] != key:
+            # Attached replicas are exactly the group members (attach and
+            # detach maintain both), so residency needs no per-id lookups.
+            active = sum(
+                member.alive and member.active
+                for pe in self._pes
+                for member in platform.group(pe).members
+            )
+            reserved = self._cores - sum(
+                platform.deployment.host(name).cores
+                for name in cordoned
+                if not platform.residents(name)  # reclaimed: cordoned, empty
+            )
+            self._memo = (key, (active, reserved))
+        return self._memo[1]
+
     def _sample(self) -> None:
         platform = self._platform
         now = platform.env.now
         dt = min(METER_TICK, self._horizon - now)
         if dt <= 0:
             return
-        # Attached replicas are exactly the group members (attach and
-        # detach maintain both), so residency needs no per-id lookups.
-        active = 0
-        for pe in self._pes:
-            for member in platform.group(pe).members:
-                if member.alive and member.active:
-                    active += 1
+        active, reserved = self.counts()
         self.active_core_seconds += active * dt
-        reserved = self._cores
-        if self._engine is not None:
-            for name in self._engine.cordoned:
-                if not platform.residents(name):
-                    # reclaimed: cordoned and empty
-                    reserved -= platform.deployment.host(name).cores
         self.reserved_core_seconds += reserved * dt
         if now + METER_TICK < self._horizon:
             platform.env.schedule(METER_TICK, self._sample, idle=self._idle)

@@ -30,26 +30,42 @@ _TOP_MOVERS = 10
 
 
 def load_slo_document(path: Union[str, Path]) -> dict[str, Any]:
-    """Read one ``slo.json``; a truncated or non-object file is a
-    :class:`~repro.errors.ReproError` naming it, never a traceback."""
+    """Read one ``slo.json``; a truncated or non-object file, or a tenant
+    :func:`diff_runs` cannot read, is a :class:`~repro.errors.ReproError`
+    naming it (and the tenant), never a traceback."""
     try:
         document = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ReproError(f"slo artifact {path} is not JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ReproError(f"slo artifact {path} is not a JSON object")
+    for index, entry in enumerate(_tenants(document, f"slo artifact {path}")):
+        # Diffing a tenant with itself reads all that diff_runs reads.
+        alone = {"tenants": [entry]}
+        try:
+            diff_runs(alone, alone)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            name = f"entry {index}"
+            if isinstance(entry, dict):
+                name = entry.get("tenant", name)
+            raise ReproError(
+                f"slo artifact {path}: tenant {name} is unreadable: {exc!r}"
+            ) from exc
     return document
 
 
-def _tenant_map(doc: Mapping[str, Any], label: str) -> dict[str, dict]:
+def _tenants(doc: Mapping[str, Any], what: str) -> list:
     tenants = doc.get("tenants")
     if not isinstance(tenants, list):
         raise ReproError(
-            f"run {label} is not a 'repro slo' artifact"
-            " (missing 'tenants' list)"
+            f"{what} is not a 'repro slo' artifact (missing 'tenants' list)"
         )
+    return tenants
+
+
+def _tenant_map(doc: Mapping[str, Any], what: str) -> dict[str, dict]:
     out: dict[str, dict] = {}
-    for entry in tenants:
+    for entry in _tenants(doc, what):
         slo = entry.get("slo")
         if slo is not None:
             out[str(entry["tenant"])] = slo
@@ -68,8 +84,8 @@ def diff_runs(
     doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]
 ) -> dict[str, Any]:
     """Diff two ``repro slo`` artifacts into one attribution document."""
-    slo_a = _tenant_map(doc_a, "A")
-    slo_b = _tenant_map(doc_b, "B")
+    slo_a = _tenant_map(doc_a, "run A")
+    slo_b = _tenant_map(doc_b, "run B")
     common = sorted(set(slo_a) & set(slo_b), key=lambda t: (len(t), t))
     only_a = sorted(set(slo_a) - set(slo_b), key=lambda t: (len(t), t))
     only_b = sorted(set(slo_b) - set(slo_a), key=lambda t: (len(t), t))

@@ -75,6 +75,8 @@ class DeploymentState:
         #: Replicas rolled back by an aborted migration — they must
         #: never rejoin the delivery set (the rollback invariant).
         self.rolled_back: set[ReplicaId] = set()
+        self._covered: set[str] = set()
+        self._touched: set[str] = set(self.by_pe)
 
     def residents(self, host: str) -> list[ReplicaId]:
         return sorted(
@@ -83,16 +85,21 @@ class DeploymentState:
             if name == host
         )
 
+    def _set(self, flags: dict, replica: ReplicaId, value: bool) -> None:
+        flags[replica] = value
+        self._touched.add(replica.pe)
+
     def _attach(self, replica: ReplicaId, host: str) -> None:
         members = self.by_pe.setdefault(replica.pe, [])
         if replica not in members:
             members.append(replica)
             members.sort()
-        self.alive[replica] = True
+        self._set(self.alive, replica, True)
         self.active.setdefault(replica, False)
         self.host_of[replica] = host
 
     def _detach(self, replica: ReplicaId) -> None:
+        self._touched.add(replica.pe)
         members = self.by_pe.get(replica.pe)
         if members is not None and replica in members:
             members.remove(replica)
@@ -107,24 +114,24 @@ class DeploymentState:
         _HANDLERS[type_](self, time, fields)
 
     def _replica_crash(self, time: float, fields: _Fields) -> None:
-        self.alive[ReplicaId.parse(fields["replica"])] = False
+        self._set(self.alive, ReplicaId.parse(fields["replica"]), False)
 
     def _replica_recover(self, time: float, fields: _Fields) -> None:
-        self.alive[ReplicaId.parse(fields["replica"])] = True
+        self._set(self.alive, ReplicaId.parse(fields["replica"]), True)
 
     def _host_crash(self, time: float, fields: _Fields) -> None:
         for replica in self.residents(fields["host"]):
-            self.alive[replica] = False
+            self._set(self.alive, replica, False)
 
     def _host_recover(self, time: float, fields: _Fields) -> None:
         for replica in self.residents(fields["host"]):
-            self.alive[replica] = True
+            self._set(self.alive, replica, True)
 
     def _replica_activate(self, time: float, fields: _Fields) -> None:
-        self.active[ReplicaId.parse(fields["replica"])] = True
+        self._set(self.active, ReplicaId.parse(fields["replica"]), True)
 
     def _replica_deactivate(self, time: float, fields: _Fields) -> None:
-        self.active[ReplicaId.parse(fields["replica"])] = False
+        self._set(self.active, ReplicaId.parse(fields["replica"]), False)
 
     def _config_switch(self, time: float, fields: _Fields) -> None:
         self.config = int(fields["to"])
@@ -158,7 +165,13 @@ class DeploymentState:
         return any(alive[r] and active[r] for r in self.by_pe[pe])
 
     def covered_count(self) -> int:
-        return sum(1 for pe in self.by_pe if self.covered(pe))
+        """Covered PEs, re-deriving only those touched since last call."""
+        touched, self._touched = self._touched, set()
+        self._covered.difference_update(touched)
+        self._covered.update(
+            pe for pe in touched if pe in self.by_pe and self.covered(pe)
+        )
+        return len(self._covered)
 
     def dominated(self) -> bool:
         """Realized failures no worse than the pessimistic model's.

@@ -1,8 +1,9 @@
 """Shared fixtures: the paper's Sec. 4.1 pipeline and richer graph shapes.
 
-Also the suite's one Hypothesis profile: tier-1 is a gate (and a judge
-in docs/static-analysis.md's mutation trial), so every generated test
-draws the same examples on every run.
+Also the suite's Hypothesis profiles: tier-1 is a gate (and a judge in
+docs/static-analysis.md's mutation trial), so by default every
+generated test draws the same examples on every run; ``explore`` is
+the gate's seeded exploratory run, which draws new ones.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from repro.placement import balanced_placement
 GIGA = 1.0e9
 
 settings.register_profile("tier1", derandomize=True)
+#: The gate's seeded exploratory stage (``--hypothesis-profile=explore
+#: --hypothesis-seed=N``): fresh examples per seed, replayable by seed.
+settings.register_profile("explore", derandomize=False)
 settings.load_profile("tier1")
 
 

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from repro.core import Host
 from repro.dsps import PlatformConfig, StreamPlatform, two_level_trace
-from repro.elastic import Autoscaler, AutoscalerPolicy, MigrationEngine
+from repro.dsps.operators import OperatorReplica
+from repro.elastic import (
+    Autoscaler,
+    AutoscalerPolicy,
+    CoreHourMeter,
+    MigrationEngine,
+)
 from repro.elastic.autoscaler import (
     PEAK_PARALLELISM,
     SCALE_LAG,
@@ -27,7 +33,7 @@ PEAK_END = 8.0
 DURATION = 14.0
 
 
-def build(pipeline_descriptor, *, batching=False, hosts=3):
+def build(pipeline_descriptor, *, batching=False, hosts=3, resync_delay=0.0):
     pool = [
         Host(f"h{i}", cores=4, cycles_per_core=GIGA) for i in range(hosts)
     ]
@@ -44,7 +50,7 @@ def build(pipeline_descriptor, *, batching=False, hosts=3):
     platform = StreamPlatform(
         deployment,
         {"src": trace},
-        config=PlatformConfig(batching=batching),
+        config=PlatformConfig(batching=batching, resync_delay=resync_delay),
     )
     return platform, MigrationEngine(platform)
 
@@ -199,7 +205,7 @@ class _CheckedAutoscaler(Autoscaler):
     def _snapshot(self):
         platform = self._platform
         return (
-            platform.engine._epoch,
+            platform.control_epoch,
             platform.telemetry.events.emitted,
             platform.fallback.windows,
             self._engine.attempted,
@@ -300,3 +306,148 @@ class TestIdleProbe:
             event(f"vouched more than acted: {control.vouched > control.acted}")
         else:
             assert control.vouched > control.acted >= 2
+
+
+def _walked_counts(platform, engine):
+    """The core-hour meter's ``(active, reserved)``, walked afresh."""
+    pes = platform.deployment.descriptor.graph.pes
+    active = sum(
+        member.alive and member.active
+        for pe in pes
+        for member in platform.group(pe).members
+    )
+    reserved = sum(
+        host.cores
+        for host in platform.deployment.hosts
+        if host.name not in engine.cordoned or platform.residents(host.name)
+    )
+    return active, reserved
+
+
+class _WalkCheckedAutoscaler(Autoscaler):
+    """An autoscaler that holds both control-epoch memos to a fresh,
+    uncached walk at every tick, before its reconcile and after it: its
+    own quiet answer and the core-hour meter's ``(active, reserved)``."""
+
+    meter = None
+    checks = 0
+
+    def _check(self, now):
+        target = self.desired_parallelism(now)
+        walked = all(
+            self._rescale_due(pe, target) is None for pe in self._pes
+        )
+        assert self._quiet(target) == walked, now
+        assert self.meter.counts() == _walked_counts(
+            self._platform, self._engine
+        ), now
+        self.checks += 1
+
+    def _reconcile(self, now):
+        self._check(now)
+        super()._reconcile(now)
+        self._check(now)
+
+
+def _run_walk_checked(
+    pipeline_descriptor,
+    *,
+    batching,
+    resync_delay,
+    consolidate,
+    rebalance,
+    tick,
+    crashes,
+):
+    platform, engine = build(
+        pipeline_descriptor, batching=batching, resync_delay=resync_delay
+    )
+    chost = None
+    if consolidate:
+        pe1_hosts = {m.host.name for m in platform.group("pe1").members}
+        chost = min(
+            h.name
+            for h in platform.deployment.hosts
+            if h.name not in pe1_hosts
+        )
+        engine.add_replica("pe1", chost)
+    control = _WalkCheckedAutoscaler(
+        platform,
+        engine,
+        peak_start=PEAK_START,
+        peak_end=PEAK_END,
+        horizon=DURATION + 2.0,
+        policy=AutoscalerPolicy(
+            tick=tick, consolidate=consolidate, rebalance=rebalance
+        ),
+        consolidation_host=chost,
+    )
+    control.meter = CoreHourMeter(platform, DURATION + 2.0, engine=engine)
+    control.start()
+    control.meter.start()
+    for at, host, downtime in crashes:
+        platform.env.schedule_at(at, lambda h=host: platform.crash_host(h))
+        platform.env.schedule_at(
+            at + downtime, lambda h=host: platform.recover_host(h)
+        )
+    platform.run()
+    return control
+
+
+def _finish_resync_unannounced(self):
+    """``OperatorReplica._finish_resync`` without its epoch bump."""
+    self._resyncing = False
+    if self.processable and self.group is not None:
+        self.group.on_member_available(self)
+
+
+class TestControlEpochMemos:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        batching=st.booleans(),
+        # A resync window makes processability lag activation: its end
+        # is announced by one bump and nothing else.
+        resync_delay=st.sampled_from([0.0, 0.3]),
+        consolidate=st.booleans(),
+        rebalance=st.booleans(),
+        tick=st.sampled_from([0.1, 0.25, 0.7]),
+        crashes=st.lists(
+            st.tuples(
+                st.floats(0.0, DURATION),
+                st.sampled_from(["h0", "h1", "h2"]),
+                st.floats(0.3, 4.0),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_memoised_answers_equal_a_fresh_walk(
+        self, pipeline_descriptor, **drawn
+    ):
+        control = _run_walk_checked(pipeline_descriptor, **drawn)
+        assert control.checks > 0
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_a_missing_bump_is_caught(
+        self, pipeline_descriptor, monkeypatch, batching
+    ):
+        """Sabotage: the end of a resync no longer bumps the epoch. A
+        trough crash makes the cover guard activate the standby; when
+        its resync ends unannounced, the memo still says "not covered"
+        and the fresh walk disagrees."""
+        monkeypatch.setattr(
+            OperatorReplica, "_finish_resync", _finish_resync_unannounced
+        )
+        with pytest.raises((AssertionError, SimulationError)):
+            _run_walk_checked(
+                pipeline_descriptor,
+                batching=batching,
+                resync_delay=0.3,
+                consolidate=False,
+                rebalance=False,
+                tick=0.1,
+                crashes=[(12.4, "h0", 0.3)],
+            )

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs import diff_runs, render_diff
+from repro.obs.diff import load_slo_document
 
 
 def _window(index, phase="steady", bad=0.0, output=100, drops=0, p95=0.01):
@@ -60,6 +61,11 @@ def _tenant(tenant, windows, verdict="met", alerts=()):
     }
 
 
+def _with(tenant, **slo):
+    tenant["slo"].update(slo)
+    return tenant
+
+
 def _doc(*tenants):
     return {"params": {}, "fleet": {}, "tenants": list(tenants)}
 
@@ -68,6 +74,31 @@ class TestDiffRuns:
     def test_rejects_non_artifact(self):
         with pytest.raises(ReproError, match="tenants"):
             diff_runs({"params": {}}, _doc())
+
+    @pytest.mark.parametrize(
+        "tenants, name",
+        [
+            # Well-formed JSON, wrong shape: each was a KeyError, a
+            # TypeError or an AttributeError out of diff_runs.
+            ([{"tenant": "0", "slo": {"availability": 1.0}}], "0"),
+            ([{"slo": {}}], "entry 0"),
+            ([3], "entry 0"),
+            ([_tenant("1", []), {"tenant": "7", "slo": []}], "7"),
+            ([_with(_tenant("0", []), output="lots")], "0"),
+            ([_with(_tenant("0", []), windows=[{"window": 0}])], "0"),
+            ([_tenant("5", [_window(0)], alerts=[{"rule": "burn"}])], "5"),
+        ],
+    )
+    def test_unreadable_tenant_is_a_typed_error_naming_file_and_tenant(
+        self, tenants, name, tmp_path
+    ):
+        path = tmp_path / "slo.json"
+        path.write_text(json.dumps(_doc(*tenants)))
+        with pytest.raises(ReproError) as info:
+            load_slo_document(path)
+        assert str(info.value).startswith(
+            f"slo artifact {path}: tenant {name} is unreadable: "
+        )
 
     def test_tenant_alignment(self):
         doc_a = _doc(

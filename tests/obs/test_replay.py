@@ -186,6 +186,64 @@ def _state_logs(draw):
     return log
 
 
+@st.composite
+def _migration_episodes(draw):
+    """One migration window from start to its end, in order: a replica
+    attached on ``dst``, ``dst`` crashing and recovering under it, the
+    new replica activated, then a cutover or an abort (the rollback)."""
+    pe = draw(st.sampled_from(_PES))
+    mid = f"e{draw(st.integers(min_value=0, max_value=99))}"
+    dst = draw(st.sampled_from(_HOSTS))
+    new = f"{pe}#2"
+    old = f"{pe}#{draw(st.integers(min_value=0, max_value=1))}"
+    action = draw(st.sampled_from(["move", "add"]))
+    middle = [
+        {"type": "host.crash", "host": dst},
+        {"type": "host.recover", "host": dst},
+        {"type": "replica.activate", "replica": new},
+    ]
+    steps = [
+        {"type": "migration.start", "migration": mid, "pe": pe,
+         "action": action, "replica": new, "src": "", "dst": dst},
+        *draw(st.lists(st.sampled_from(middle), max_size=4)),
+    ]
+    if draw(st.booleans()):
+        steps.append({"type": "migration.cutover", "migration": mid,
+                      "pe": pe, "from": old, "to": new})
+        steps.append({"type": "migration.done", "migration": mid, "pe": pe})
+    else:
+        steps.append({"type": "migration.abort", "migration": mid, "pe": pe})
+    return steps
+
+
+@st.composite
+def _coverage_logs(draw):
+    """Background state events with migration episodes spliced in."""
+    log = draw(_state_logs())
+    for episode in draw(st.lists(_migration_episodes(), max_size=3)):
+        at = draw(st.integers(min_value=0, max_value=len(log)))
+        log[at:at] = episode
+    return [
+        dict(record, t=0.5 * (step + 1)) for step, record in enumerate(log)
+    ]
+
+
+class TestIncrementalCoverage:
+    @given(
+        log=_coverage_logs(),
+        initial=st.none() | _strategies().map(lambda s: s.active_map(0)),
+    )
+    def test_covered_count_equals_a_full_walk_after_every_event(
+        self, log, initial
+    ):
+        state = DeploymentState(_SMALL, initial)
+        for record in log:
+            fields = {k: record[k] for k in record if k not in ("t", "type")}
+            state.apply(record["t"], record["type"], fields)
+            walked = sum(state.covered(pe) for pe in state.by_pe)
+            assert state.covered_count() == walked
+
+
 def _all_active_except(*inactive):
     return ActivationStrategy(
         _SMALL,

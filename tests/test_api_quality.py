@@ -212,14 +212,17 @@ def test_ci_only_calls_the_gate():
         "benchmarks/e2e/run.py",
         "-m repro.analysis src/repro benchmarks",
         "-m repro.analysis.typecheck",
+        "stage explore explore",
+        "--hypothesis-profile=explore --hypothesis-seed=",
     ):
         assert stage in gate, f"tools/gate.sh no longer runs {stage}"
 
 
 def test_generated_tests_draw_the_same_examples_every_run():
-    """Tier-1 is a gate and a judge (docs/static-analysis.md): the one
+    """Tier-1 is a gate and a judge (docs/static-analysis.md): the default
     Hypothesis profile, registered in ``tests/conftest.py``, is
-    derandomised, so a red run is a regression and not a lucky draw."""
+    derandomised, so a red run is a regression and not a lucky draw (the
+    gate's ``explore`` stage is where new examples are drawn)."""
     from hypothesis import settings
 
     assert settings.default.derandomize

@@ -401,6 +401,21 @@ class TestObsDiffArtifacts:
         assert err.startswith("error: ")
         assert str(bad) in err
 
+    def test_well_formed_but_wrong_artifact_names_file_and_tenant(
+        self, tmp_path, capsys
+    ):
+        good = tmp_path / "a.json"
+        good.write_text('{"tenants": []}')
+        bad = tmp_path / "b.json"
+        bad.write_text(
+            '{"tenants": [{"tenant": "0", "slo": {"availability": 1.0}}]}'
+        )
+        code = main(["obs", "diff", str(good), str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: slo artifact {bad}: tenant 0 ")
+        assert "bad_seconds" in err
+
 
 class TestElastic:
     def test_elastic_writes_artifact_and_valid_events(

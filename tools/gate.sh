@@ -9,6 +9,10 @@
 #   lint     python -m repro.analysis src/repro benchmarks, and the
 #            typecheck ratchet
 #   tier-1   the test suite, ten slowest printed (budget: <= 100 s here)
+#   explore  the generated properties of the elastic control loop, the
+#            replayed state and the batched engine, under Hypothesis's
+#            `explore` profile with a seed taken from BASE's short sha
+#            (printed, so a failure replays; budget: <= 30 s)
 #   digests  tools/digests.sh on a `git archive BASE` tree and on the
 #            working tree: the rows that moved are exactly those
 #            tools/digests-moves.txt declares (none when it is empty)
@@ -47,6 +51,14 @@ stage() {
 lint() {
     python -m repro.analysis src/repro benchmarks &&
         python -m repro.analysis.typecheck
+}
+
+explore() {
+    local seed=$((16#$(git rev-parse --short "$base")))
+    echo "explore: --hypothesis-seed=$seed"
+    python -m pytest -x -q tests/elastic/test_autoscaler.py \
+        tests/obs/test_replay.py tests/sim/test_generated_equivalence.py \
+        --hypothesis-profile=explore --hypothesis-seed="$seed"
 }
 
 digests() {
@@ -94,6 +106,7 @@ e2e() {
 
 stage lint lint
 stage tier-1 python -m pytest -x -q --durations=10
+stage explore explore
 stage digests digests
 stage e2e e2e
 python -c 'import pathlib, sys
