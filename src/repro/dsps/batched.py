@@ -26,8 +26,11 @@ event the kernel lets the engine fire the arrivals that precede it
   floating-point operations the tuple-granular path would have
   performed and bulk-advancing the kernel's event and sequence counters,
   so heap tie-breaking and the ``sim.run.end`` accounting stay
-  identical. ``stats["cascades"]`` counts the arrivals committed this
-  way, ``stats["runs"]`` the trains.
+  identical. Per arrival it folds only what depends on arrival order
+  (event times, host cycles, a primary's credit); busy time, secondary
+  credits and the integer counters follow from per-step run counts and
+  fold once when the train ends. ``stats["cascades"]`` counts the
+  arrivals committed this way, ``stats["runs"]`` the trains.
 * **kernel** — anything else: :meth:`SourceOperator.fire` runs the real
   operator code, whose completions go on the heap like in a
   tuple-granular run, because from there on it *is* one
@@ -70,14 +73,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.dsps.metrics import (
-    LatencyRecorder,
-    NetworkMetrics,
-    PortCounters,
-    TimeSeries,
-)
+from repro.dsps.metrics import LatencyRecorder, NetworkMetrics, TimeSeries
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:
@@ -213,14 +213,22 @@ class _Step:
     sel: float
     port: int
     replica: "OperatorReplica"
-    counters: PortCounters
     primary: bool  # the group primary: only its output travels on
     fx: Optional[_DeliveryFx] = None
 
 
-def _sink_records(
-    fx: Optional[_DeliveryFx],
-) -> tuple[tuple[dict[int, int], list[tuple[float, float]]], ...]:
+_Records = tuple[tuple[dict[int, int], list[tuple[float, float]]], ...]
+
+#: One step's constants as the train loop unpacks them: parent index
+#: (the source fire is the sentinel ``n``: ``times[n]`` holds the
+#: arrival time and ``emit[n]`` is pinned True), the sequence number it
+#: draws after the arrival (1, or 0 for the source's own successors,
+#: whose completions are drawn at the arrival), delay, host slot, host
+#: capacity, primary flag, selectivity and its sinks' records.
+_Plan = tuple[int, int, float, int, float, bool, float, _Records]
+
+
+def _sink_records(fx: Optional[_DeliveryFx]) -> _Records:
     """Prefetch each sink's series buckets and latency sample list."""
     if fx is None:
         return ()
@@ -234,9 +242,9 @@ class _Template:
     """A (source, control-epoch) cascade, flattened for the train loop.
 
     One cascade touches every step; a *train* of hundreds of cascades
-    cannot afford attribute chains, so the steps are decomposed once
-    into parallel lists indexed by step that the inner loop indexes
-    directly. The template dies with its epoch.
+    cannot afford attribute chains, so each step's constants are packed
+    once into a ``_Plan`` tuple the inner loop unpacks. The template
+    dies with its epoch.
     """
 
     __slots__ = (
@@ -245,22 +253,9 @@ class _Template:
         "source_series",
         "guard",
         "draws_at_t0",
-        "pidx",
-        "delays",
-        "late_draws",
-        "late_total",
-        "rates",
-        "cpus",
-        "sels",
-        "ports",
-        "primary",
-        "metrics",
-        "counters",
-        "credits",
-        "overflows",
-        "host_slot",
+        "plan",
+        "twins",
         "hosts",
-        "step_sink_records",
         "root_sink_records",
         "times",
         "emit",
@@ -279,33 +274,28 @@ class _Template:
         #: No foreign event may stand within ``guard`` of an arrival
         #: whose cascade commits in closed form.
         self.guard = max((st.end for st in steps), default=0.0) + _GUARD_MARGIN
-        #: Parent step index, with the source fire mapped to the
-        #: sentinel slot ``n`` (``times[n]`` holds the arrival time and
-        #: ``emit[n]`` is pinned True: the source always fires).
-        self.pidx = [n if st.parent < 0 else st.parent for st in steps]
-        self.delays = [st.delay for st in steps]
-        #: Each step that runs draws one sequence number (its completion
-        #: event) when its parent completes: at the arrival for the
-        #: source's own successors, later for the rest.
-        self.late_draws = [int(st.parent >= 0) for st in steps]
-        self.late_total = sum(self.late_draws)
-        self.draws_at_t0 = n - self.late_total
-        self.rates = [st.replica.host.capacity for st in steps]
-        self.cpus = [st.cpu for st in steps]
-        self.sels = [st.sel for st in steps]
-        self.ports = [st.port for st in steps]
-        self.primary = [st.primary for st in steps]
-        self.metrics = [st.replica._metrics for st in steps]
-        self.counters = [st.counters for st in steps]
-        self.credits = [st.replica._credits for st in steps]
-        self.overflows = [st.replica._overflowed for st in steps]
-        hosts: list["HostScheduler"] = []
-        for st in steps:
-            if st.replica.host not in hosts:
-                hosts.append(st.replica.host)
-        self.hosts = hosts
-        self.host_slot = [hosts.index(st.replica.host) for st in steps]
-        self.step_sink_records = [_sink_records(st.fx) for st in steps]
+        hosts = list(dict.fromkeys(st.replica.host for st in steps))
+        self.hosts: list["HostScheduler"] = hosts
+        self.plan: tuple[_Plan, ...] = tuple(
+            (
+                n if st.parent < 0 else st.parent,
+                int(st.parent >= 0),
+                st.delay,
+                hosts.index(st.replica.host),
+                st.replica.host.capacity,
+                st.primary,
+                st.sel,
+                _sink_records(st.fx),
+            )
+            for st in steps
+        )
+        self.draws_at_t0 = n - sum(entry[1] for entry in self.plan)
+        #: For each step, the primary step of its PE (-1 when the group
+        #: has no processable primary): a secondary runs exactly where
+        #: that twin runs, so its credit fold is the twin's whenever the
+        #: two credits were equal at the start of the train.
+        primary_of = {st.pe: i for i, st in enumerate(steps) if st.primary}
+        self.twins = [primary_of.get(st.pe, -1) for st in steps]
         self.root_sink_records = _sink_records(root_fx)
         self.times = [0.0] * (n + 1)
         self.emit = [False] * n + [True]
@@ -518,21 +508,19 @@ class BatchEngine:
         if not queue or queue[0][0] > bound:
             return True, []
         # Dry pass: the cascade's event times and emit pattern, by the
-        # commit loop's own float operations, on private scratch.
+        # commit loop's own float operations, on private scratch. Each
+        # step that runs is kept as (parent time, own time, late draw).
         n = len(cred)
-        pidx = template.pidx
-        delays = template.delays
-        sels = template.sels
-        primary = template.primary
         times = [0.0] * n + [t0]
         emit = [False] * n + [True]
-        for i in range(n):
-            parent = pidx[i]
+        ran: list[tuple[float, float, int]] = []
+        for i, (parent, late, delay, _, _, primary, sel, _) in enumerate(
+            template.plan
+        ):
             if emit[parent]:
-                times[i] = times[parent] + delays[i]
-                emit[i] = primary[i] and int(cred[i] + sels[i]) > 0
-        ran = [i for i in range(n) if emit[pidx[i]]]
-        late_draws = template.late_draws
+                times[i] = times[parent] + delay
+                emit[i] = primary and cred[i] + sel >= 1.0
+                ran.append((times[parent], times[i], late))
         env = self._env
         base = env._sequence
         now = env._now
@@ -544,14 +532,14 @@ class BatchEngine:
             if (
                 time == t0
                 or not self._probe(handle)
-                or any(times[i] == time for i in ran)
+                or any(end == time for _, end, _ in ran)
             ):
                 admit = False
                 break
             env._sequence = before = (
                 base
                 + paid
-                + sum(late_draws[i] for i in ran if times[pidx[i]] < time)
+                + sum(late for start, _, late in ran if start < time)
             )
             self._fire_idle()
             draws = env._sequence - before
@@ -606,31 +594,28 @@ class BatchEngine:
         the cursor; False means the *first* arrival was refused and
         nothing was mutated.
 
-        Float-sensitive accumulators — busy time, selectivity credits,
-        processor-sharing progress, the event-time chains — are
-        replayed in locals with the tuple-granular path's exact
-        per-cascade operation sequence and written back once. Pure
-        integer counters are *derived* at writeback instead of being
-        counted in the loop: a step executed exactly when its parent
-        emitted, and a primary step's delivery count equals its
-        replica's produced total, because every selectivity of a
-        template is at most 1, so ``int(credit + sel)`` is 0 or 1.
+        Float-sensitive accumulators are replayed in locals with the
+        tuple-granular path's exact operations, and the loop keeps only
+        those that depend on arrival order: event times, the hosts'
+        processor-sharing progress and a primary's credit, which decides
+        whether the cascade goes on (``credit + sel >= 1.0``: credits
+        stay below 1 and template selectivities at most 1, so that is
+        ``int(credit + sel)``). The rest is fixed by counts known when
+        the train ends and folds at writeback: a step ran as often as
+        its parent emitted; busy time gains ``cpu`` once per run, added
+        left to right by ``reduce`` (``count * cpu`` and ``sum()`` round
+        differently); a secondary runs where its primary twin runs and
+        its credit step is a function of the credit alone, so it ends
+        with the twin's credit and emitted count when the two started
+        equal and is replayed ``count`` times otherwise.
         """
         env = self._env
         guard = template.guard
         draws_at_t0 = template.draws_at_t0
         steps = template.steps
         n = len(steps)
-        pidx = template.pidx
-        delays = template.delays
-        late_draws = template.late_draws
-        late_total = template.late_total
-        rates = template.rates
-        cpus = template.cpus
-        sels = template.sels
-        host_slot = template.host_slot
-        primary = template.primary
-        sink_recs = template.step_sink_records
+        plan = template.plan
+        late_total = n - draws_at_t0
         root_recs = template.root_sink_records
         emit = template.emit  # emit[n] is pinned True (the source fire)
         times = template.times  # times[n] carries the arrival time
@@ -644,13 +629,9 @@ class BatchEngine:
         head = queue[0][0] if queue else math.inf
         seq = env._sequence
         prev = cursor.prev
-        bm = [m.busy_time for m in template.metrics]
-        bc = [c.busy_time for c in template.counters]
-        cred = [
-            creds[port]
-            for creds, port in zip(template.credits, template.ports)
-        ]
-        emitted = [0] * n
+        start = [st.replica._credits[st.port] for st in steps]
+        cred = start.copy()  # a secondary's entry stays its start credit
+        emitted = [0] * n  # primaries only
         hc = [h.cycles_delivered for h in template.hosts]
         committed = 0
         crossed = 0
@@ -695,37 +676,29 @@ class BatchEngine:
                 seq += 1
             times[n] = t0
             late = late_total
-            for i in range(n):
-                parent = pidx[i]
+            for i, (parent, draw, dt, slot, rate, primary, sel, recs) in (
+                enumerate(plan)
+            ):
                 if not emit[parent]:
                     emit[i] = False
-                    late -= late_draws[i]
+                    late -= draw
                     continue
                 parent_t = times[parent]
-                t = parent_t + delays[i]
+                t = parent_t + dt
                 times[i] = t
-                slot = host_slot[i]
-                hc[slot] += rates[i] * (t - parent_t)
-                cpu = cpus[i]
-                bm[i] += cpu
-                bc[i] += cpu
-                value = cred[i] + sels[i]
-                produced = int(value)
-                if produced:
-                    cred[i] = value - produced
-                    emitted[i] += produced
-                    if primary[i]:
-                        emit[i] = True
-                        step_recs = sink_recs[i]
-                        if step_recs:
-                            t_bucket = int(t)
-                            for records, samples in step_recs:
-                                records[t_bucket] = (
-                                    records.get(t_bucket, 0) + 1
-                                )
-                                samples.append((t, t - t0))
-                    else:
-                        emit[i] = False
+                hc[slot] += rate * (t - parent_t)
+                if not primary:
+                    continue
+                value = cred[i] + sel
+                if value >= 1.0:
+                    cred[i] = value - 1.0
+                    emitted[i] += 1
+                    emit[i] = True
+                    if recs:
+                        t_bucket = int(t)
+                        for records, samples in recs:
+                            records[t_bucket] = records.get(t_bucket, 0) + 1
+                            samples.append((t, t - t0))
                 else:
                     cred[i] = value
                     emit[i] = False
@@ -753,48 +726,55 @@ class BatchEngine:
             self._replay_owing(cursor, owed)
             return True
         # ------------------------------------------------------------------
-        # Writeback: derived integer counters, then float replay state.
+        # Writeback: what the counts fix, folded once per executed step.
         # ------------------------------------------------------------------
         cursor.prev = prev
         env._sequence = seq
-        emit_counts = [emitted[i] if primary[i] else 0 for i in range(n)]
-        exec_counts = [
-            committed if pidx[i] == n else emit_counts[pidx[i]]
-            for i in range(n)
-        ]
         net = self._network
-        ports = template.ports
         hosts = template.hosts
         hl = [h._last_update for h in hosts]
         total_exec = 0
-        for i in range(n):
-            count = exec_counts[i]
-            metrics = template.metrics[i]
-            counters = template.counters[i]
-            if count:
-                total_exec += count
-                metrics.received += count
-                metrics.processed += count
-                counters.received += count
-                counters.processed += count
-                template.overflows[i][ports[i]] = False
-                if primary[i]:
-                    metrics.processed_as_primary += count
-                slot = host_slot[i]
-                if times[i] > hl[slot]:
-                    hl[slot] = times[i]
-            metrics.busy_time = bm[i]
-            counters.busy_time = bc[i]
-            template.credits[i][ports[i]] = cred[i]
-            if emitted[i]:
-                counters.emitted += emitted[i]
-            ec = emit_counts[i]
-            fx = steps[i].fx
-            if ec and fx is not None:
-                net.intra_host_tuples += fx.intra * ec
-                net.inter_host_tuples += fx.inter * ec
-                for sink, _series, _latency in fx.sinks:
-                    sink.received += ec
+        for i, step in enumerate(steps):
+            parent, _, _, slot, _, primary, sel, _ = plan[i]
+            count = committed if parent == n else emitted[parent]
+            if not count:
+                continue
+            total_exec += count
+            replica = step.replica
+            port = step.port
+            metrics = replica._metrics
+            # Resolved on the port's first tuple, as ``on_tuple`` does.
+            counters = replica._counters[port]
+            if counters is None:
+                counters = replica._counters[port] = metrics.port(
+                    replica._ports[port].name
+                )
+            metrics.received += count
+            metrics.processed += count
+            counters.received += count
+            counters.processed += count
+            replica._overflowed[port] = False
+            cpus = (step.cpu,) * count  # one add per run, left to right
+            metrics.busy_time = reduce(add, cpus, metrics.busy_time)
+            counters.busy_time = reduce(add, cpus, counters.busy_time)
+            if primary:
+                metrics.processed_as_primary += count
+                credit, produced = cred[i], emitted[i]
+                fx = step.fx
+                if produced and fx is not None:
+                    net.intra_host_tuples += fx.intra * produced
+                    net.inter_host_tuples += fx.inter * produced
+                    for sink, _series, _latency in fx.sinks:
+                        sink.received += produced
+            else:
+                j = template.twins[i]
+                twin = (start[j], cred[j], emitted[j]) if j >= 0 else None
+                credit, produced = self._fold_credit(cred[i], sel, count, twin)
+            replica._credits[port] = credit
+            if produced:
+                counters.emitted += produced
+            if times[i] > hl[slot]:
+                hl[slot] = times[i]
         root_fx = template.root_fx
         if root_fx is not None:
             # A source has no host: its delivery counts no transfer.
@@ -810,8 +790,8 @@ class BatchEngine:
         # cascade before it, so the global maximum lives there — unless
         # an idle event fired after it (the kernel clock is on that).
         last_t = max(times[n], env.now)
-        for i in range(n):
-            if emit[pidx[i]] and times[i] > last_t:
+        for i, entry in enumerate(plan):
+            if emit[entry[0]] and times[i] > last_t:
                 last_t = times[i]
         env.advance_clock(last_t)
         env.engine_account(processed=committed + total_exec)
@@ -820,6 +800,26 @@ class BatchEngine:
         if owed:
             self._replay_owing(cursor, owed)
         return True
+
+    @staticmethod
+    def _fold_credit(
+        credit: float,
+        sel: float,
+        count: int,
+        twin: Optional[tuple[float, float, int]],
+    ) -> tuple[float, int]:
+        """A secondary's credit and emitted count after ``count`` runs;
+        ``twin`` is its primary twin's (start credit, credit, emitted)
+        over the same runs, None when its group has no primary."""
+        if twin is not None and twin[0] == credit:
+            return twin[1], twin[2]
+        produced = 0
+        for _ in range(count):
+            value = credit + sel
+            out = int(value)
+            credit = value - out
+            produced += out
+        return credit, produced
 
     def _replay_owing(
         self, cursor: _SourceCursor, owed: list[tuple[float, int]]
@@ -951,7 +951,6 @@ class BatchEngine:
                             sel=spec.selectivity,
                             port=port,
                             replica=member,
-                            counters=member._metrics.port(comp),
                             primary=member is primary,
                         )
                     )

@@ -22,6 +22,11 @@
 # A passing run then reports the net change in src/**/*.py lines (not a
 # stage: it cannot fail), the number CHANGES.md quotes.
 #
+# The e2e stage only bounds regressions. A PR that claims a gain
+# measures it with `tools/pairs.py BASE --pairs 10 --seed S`: alternating
+# parent/change runs, per-metric medians, quartiles and wins, and with
+# `--ledger PR` the BENCH_history.jsonl rows.
+#
 # A PR that means to move an observable byte declares each moved row in
 # tools/digests-moves.txt as `scenario artifact reason`; a declared row
 # that does not move fails as well, so the next PR empties the file
