@@ -7,22 +7,32 @@ assignments stored as row-parallel numpy arrays over the flat layout of
 :class:`~repro.core.optimizer.ftsearch.SearchLayout`, and one ``_advance``
 call applies the Δ(x,c) rate recurrences (Eq. 3-6), the Eq. 11 per-host
 capacity checks, and all four pruning rules to every row of the block at
-once. Blocks are kept on a LIFO stack and split to a bounded row count,
-so exploration stays depth-first *in blocks*: the search reaches leaves
-(and therefore a COST incumbent) after ~n_vars advances, and the stack
-holds at most a few ``BLOCK_ROWS``-row blocks per depth.
+once. Exploration stays depth-first *in blocks*: the search reaches
+leaves (and therefore a COST incumbent) after ~n_vars advances.
 
-A row is kept small because the stack, not one advance, is what stays
-resident: every recurrence and every rule only reads the configuration
-being assigned, so a row carries Δ-hat, DOM exclusions and host loads
-for that configuration alone (they restart at zero when the next
-configuration begins), plus one byte per variable of path.
+The stack is what stays resident between advances, so it holds an open
+child as its *parent's* rows, never its own: ``_advance`` returns a
+pending record (parent block, child order, value-group bounds, the
+"both" value's Δ-hat and FIC contribution per parent row, the single-
+replica path bytes, the step's scalars) and the stack holds
+``BLOCK_ROWS``-row ranges of it. Popping a range builds just those rows
+(``_materialise``, which charges their DOM prunes) and advances them;
+leaf children are built whole and folded. Rows are visited in the order
+a stack of built chunks would visit them, so node and advance counts
+equal that stack's.
 
-Inside one advance the twins are stacked, because at ~140 rows a step
-costs what its numpy calls cost, not what they compute. A node's three
-values share one ``(3, rows)`` mask (row = value code: both, replica 0,
+A row is kept small for the same reason: every recurrence and every
+rule only reads the configuration being assigned, so a row carries
+Δ-hat, DOM exclusions and host loads for that configuration alone (they
+restart at zero when the next configuration begins), plus one byte per
+variable of path.
+
+Inside one advance the twins are stacked, because a step costs what its
+numpy calls cost more than what they compute. A node's three values
+share one ``(3, rows)`` mask (row = value code: both, replica 0,
 replica 1); a rule ANDs its keeps into it and is charged the drop in
-``count_nonzero``, and ``nonzero`` of the mask is the child order. What
+``count_nonzero``, and the mask's flat ``nonzero`` (modulo the row
+count) is the child order. What
 differs between "both" and the singles but not between the singles —
 the IC upper bound, the cost bound — is a ``(2, rows)`` pair. The COMPL
 walk runs its four recurrences (both/single by selectivity-weighted/
@@ -50,7 +60,8 @@ the oracle, not node counts. Two deliberate departures make that work:
 The per-row float recurrences use a fixed elementwise operation order
 (no variable-order reductions), so every row's state is independent of
 which rows share its block — the property that lets ``block_rows``
-change node counts but never a row's values.
+change node counts but never a row's values, and lets a pending child
+be built in any split of ranges.
 
 The engine runs in the calling process. Parallelism lives one level up,
 in the experiment fabric, which fans whole searches out across tenants,
@@ -91,13 +102,14 @@ __all__ = [
     "VectorFTSearch",
 ]
 
-# Rows advanced per step, and so the size of the blocks the stack holds.
-# Small on purpose: a search keeps up to a few blocks per depth resident
-# between advances, and that — not the work inside one advance — is what
-# moves a process's peak RSS (docs/performance.md has the measured
-# trade-off against speed). A constant, never a function of the host:
-# where a node-limited search stops — hence its incumbent — depends on it.
-BLOCK_ROWS = 256
+# Rows advanced per step. The stack holds an open child as its parent's
+# rows, not its own, so what stays resident per depth is one step's
+# input: the width is set by the fixed numpy overhead of a step, which
+# wider steps spread over more nodes (docs/performance.md has the
+# measured trade-off against peak RSS). A constant, never a function of
+# the host: where a node-limited search stops — hence its incumbent —
+# depends on it.
+BLOCK_ROWS = 1024
 
 # Relative slack for the candidate band (see module docstring). Wider
 # than _REL_EPS so float residue in the blockwise accumulators can never
@@ -127,7 +139,7 @@ Candidate = tuple[float, bytes]
 
 @dataclass
 class _Block:
-    """One stack entry: row-parallel state of same-depth search nodes."""
+    """Row-parallel state of same-depth search nodes: one step's input."""
 
     depth: int
     path: np.ndarray  # (R, n_vars) uint8, rank << 2 | value code
@@ -157,17 +169,36 @@ class _Block:
     def rows(self) -> int:
         return len(self.fic)
 
-    def slice(self, lo: int, hi: int) -> "_Block":
-        return _Block(
-            depth=self.depth,
-            path=self.path[lo:hi],
-            host_load=self.host_load[lo:hi],
-            delta_hat=self.delta_hat[lo:hi],
-            excluded=self.excluded[lo:hi],
-            overloaded=self.overloaded[lo:hi],
-            fic=self.fic[lo:hi],
-            cost=self.cost[lo:hi],
-        )
+
+@dataclass
+class _Pending:
+    """A child block one advance decided but did not build: its parent
+    rows and, per child row, what the child takes from them."""
+
+    block: _Block  # the parent rows
+    parent: np.ndarray  # (C,) intp, child row -> parent row
+    # Child rows [0, n0) take "both", [n0, n01) replica 0, the rest 1.
+    n0: int
+    n01: int
+    dh_both: np.ndarray  # (R,) float64, Δ-hat of "both" per parent row
+    contrib_both: np.ndarray  # (R,) float64, its FIC contribution
+    rank: np.ndarray  # (C - n0,) uint8, path bytes of the single rows
+    # The step's scalars: position, its two hosts, load and cost step.
+    pos: int
+    h0: int
+    h1: int
+    load: float
+    prob_load: float
+
+    def depth(self) -> int:
+        return self.block.depth + 1
+
+    def rows(self) -> int:
+        return len(self.parent)
+
+
+# One stack entry: rows [lo, hi) of a pending child.
+_Range = tuple[_Pending, int, int]
 
 
 @dataclass
@@ -263,22 +294,33 @@ class VectorFTSearch:
         node_limit = self._config.node_limit
 
         expired = False
-        stack = [_Block.root(self._layout)]
-        while stack:
+        stack: list[_Range] = []
+        block = _Block.root(self._layout)
+        while True:
+            pending = self._advance(block)
+            if pending is not None:
+                if pending.depth() == self._n_vars:
+                    self._fold_leaves(
+                        self._materialise(pending, 0, pending.rows())
+                    )
+                else:
+                    self._push(stack, pending)
+            if not stack:
+                break
             if node_limit is not None and self._nodes >= node_limit:
                 expired = True
                 break
             if deadline is not None and time.monotonic() > deadline:
                 expired = True
                 break
-            block = stack.pop()
-            child = self._advance(block)
-            if child is None:
-                continue
-            if child.depth == self._n_vars:
-                self._fold_leaves(child)
-                continue
-            self._push(stack, child)
+            pending, lo, hi = stack.pop()
+            if node_limit is not None and self._nodes + hi - lo > node_limit:
+                # Advance only what the budget has left; the rest of the
+                # range stays open, so the search stops expired.
+                cut = lo + node_limit - self._nodes
+                stack.append((pending, cut, hi))
+                hi = cut
+            block = self._materialise(pending, lo, hi)
         return RawSearch(
             candidates=list(self._candidates),
             best_raw=self._best_raw,
@@ -389,22 +431,17 @@ class VectorFTSearch:
     # Block machinery
     # ------------------------------------------------------------------
 
-    def _push(self, stack: list[_Block], block: _Block) -> None:
-        """Push a block, split into bounded chunks (later chunks first,
-        so the stack pops them in frontier order)."""
-        rows = block.rows()
-        if rows <= self._block_rows:
-            stack.append(block)
-            return
+    def _push(self, stack: list[_Range], pending: _Pending) -> None:
+        """Push a pending child as bounded row ranges (later ranges
+        first, so the stack pops them in frontier order)."""
+        rows = pending.rows()
         chunks = -(-rows // self._block_rows)
-        bounds = [
-            (i * rows // chunks, (i + 1) * rows // chunks)
-            for i in range(chunks)
-        ]
-        for lo, hi in reversed(bounds):
-            stack.append(block.slice(lo, hi))
+        for i in reversed(range(chunks)):
+            stack.append(
+                (pending, i * rows // chunks, (i + 1) * rows // chunks)
+            )
 
-    def _advance(self, block: _Block) -> Optional[_Block]:
+    def _advance(self, block: _Block) -> Optional[_Pending]:
         """Expand every row of ``block`` one depth; None when all die."""
         layout = self._layout
         depth = block.depth
@@ -500,45 +537,69 @@ class VectorFTSearch:
             return None
 
         # Children in value-code order: the "both" rows, then the two
-        # single-replica groups (row-major nonzero is that order).
-        parent = valid.nonzero()[1]
+        # single-replica groups (row-major nonzero is that order). The
+        # flat index modulo ``rows`` is the parent row; unlike the column
+        # of a 2-D ``nonzero`` it is contiguous and holds nothing else.
+        parent = np.flatnonzero(valid)
+        parent %= rows
         n0 = int(np.count_nonzero(valid[0]))
         n01 = n0 + int(np.count_nonzero(valid[1]))
+        # Path byte ``rank << 2 | code``: the rank is the position the
+        # value takes in the scalar DFS's dynamic order — "both" first
+        # (rank 0, code 0: the zero byte a child row already has) unless
+        # DOM-excluded, then the single replica on the less-loaded host.
+        key = (load0 <= load1) + 2 * excluded_d
+        key = key.take(parent[n0:])
+        key[n01 - n0:] += 4
+        return _Pending(
+            block, parent, n0, n01, dh_both, contrib_both,
+            _RANK_BYTES.take(key), pos, h0, h1, load, prob_load,
+        )
+
+    def _materialise(self, pending: _Pending, lo: int, hi: int) -> _Block:
+        """Build rows ``[lo, hi)`` of a pending child.
+
+        A child row reads its parent row and the step's scalars only, so
+        the rows built in any split equal the whole child's bit for bit.
+        DOM prunes are charged here, for the rows built.
+        """
+        parent = pending.parent[lo:hi]
+        block = pending.block
+        depth = block.depth
         child = _Block(
             depth=depth + 1,
             path=block.path.take(parent, axis=0),
-            host_load=host_load.take(parent, axis=0),
-            delta_hat=delta_hat.take(parent, axis=0),
-            excluded=excluded.take(parent, axis=0),
+            host_load=block.host_load.take(parent, axis=0),
+            delta_hat=block.delta_hat.take(parent, axis=0),
+            excluded=block.excluded.take(parent, axis=0),
             overloaded=block.overloaded.take(parent),
             fic=block.fic.take(parent),
             cost=block.cost.take(parent),
         )
 
-        # Path byte ``rank << 2 | code``: the rank is the position the
-        # value takes in the scalar DFS's dynamic order — "both" first
-        # (rank 0, code 0: the zero byte already there) unless
-        # DOM-excluded, then the single replica on the less-loaded host.
-        if n0 < alive:
-            key = (load0 <= load1) + 2 * excluded_d
-            key = key.take(parent[n0:])
-            key[n01 - n0:] += 4
-            child.path[n0:, depth] = _RANK_BYTES.take(key)
-
+        # The three value groups, clipped to the range.
+        rows = hi - lo
+        n0 = min(max(pending.n0 - lo, 0), rows)
+        n01 = min(max(pending.n01 - lo, 0), rows)
+        if n0 < rows:
+            skip = lo - pending.n0
+            child.path[n0:, depth] = pending.rank[skip + n0:skip + rows]
         g0 = slice(0, n0)
         g1 = slice(n0, n01)
-        g2 = slice(n01, alive)
+        g2 = slice(n01, rows)
+        pos, h0, h1 = pending.pos, pending.h0, pending.h1
+        load, prob_load = pending.load, pending.prob_load
         child.host_load[g0, h0] += load
         child.host_load[g0, h1] += load
         child.host_load[g1, h0] += load
         child.host_load[g2, h1] += load
-        child.delta_hat[g0, pos] = dh_both.take(parent[g0])
-        child.fic[g0] += contrib_both.take(parent[g0])
+        child.delta_hat[g0, pos] = pending.dh_both.take(parent[g0])
+        child.fic[g0] += pending.contrib_both.take(parent[g0])
         child.cost[g0] += 2 * prob_load
         child.cost[g1] += prob_load
         child.cost[g2] += prob_load
 
-        if pos + 1 == layout.n_pes:
+        if pos + 1 == self._layout.n_pes:
             # Configuration complete: with the CPU rule off its Eq. 11
             # check is due now, and the next one starts from zero.
             if not self._cpu_on:

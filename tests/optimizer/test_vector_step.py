@@ -1,20 +1,29 @@
 """The block step against its frozen parent.
 
 ``VectorFTSearch._advance`` / ``_walk`` / ``_propagate_domain`` were
-rewritten (PR 23) to make each numpy call once over stacked arrays
-instead of three or four times over twins. The rewrite must be
-invisible: every child row bit for bit, every counter. The judge is the
-code it replaced, kept *verbatim* below as :class:`_ParentStep` (it
-survives only here; the root replay of the since-deleted multi-process
-driver is cut out of it), driven block by block beside the engine over
-generated instances, every rule subset, penalty on and off.
+rewritten to make each numpy call once over stacked arrays instead of
+three or four times over twins, and the child block is no longer built
+by the step: ``_advance`` returns a pending child and ``_materialise``
+builds any row range of it when the stack pops that range. Both changes
+must be invisible: every child row bit for bit, every counter. The
+judge is the code they replaced, kept *verbatim* below as
+:class:`_ParentStep` (it survives only here; the root replay of the
+since-deleted multi-process driver is cut out of it), driven block by
+block beside the engine over generated instances, every rule subset,
+penalty on and off: each range the engine builds is compared with the
+parent's child rows ``[lo, hi)``.
+
+A second judge holds the chunking itself: building a pending child in
+one range or in arbitrary splits gives the same rows and the same DOM
+prune totals (:func:`split_walk`).
 
 A judge needs mutations that trip it: :class:`_InitialCountMutant`
 counts a rule's prunes against the step's initial mask (double-counting
 rows an earlier rule removed), :class:`_FactoredMutant` factors the
 configuration probability out of the walk's sum (``p * (a + b)`` for
 ``p * a + p * b`` — the tempting reassociation the fixed operation
-order forbids). Both must fail.
+order forbids), :class:`_LateResetMutant` skips the configuration-
+boundary reset for ranges that do not start at row 0. All must fail.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import time
 from typing import Optional
 
 import numpy as np
@@ -42,7 +52,7 @@ from repro.core.optimizer.ftsearch import (
     _CPU_I,
     _DOM_I,
 )
-from repro.core.optimizer.vector import _BAND_EPS, _Block
+from repro.core.optimizer.vector import _BAND_EPS, RawSearch, _Block
 from tests.optimizer.test_ftsearch_equivalence import _problem, problems
 
 RULE_SUBSETS = [
@@ -84,13 +94,75 @@ class _ParentLayout:
         return getattr(self._layout, name)
 
 
+def _rows(block: _Block, lo: int, hi: int) -> _Block:
+    """Rows ``[lo, hi)`` of a block, as views."""
+    return dataclasses.replace(
+        block, **{name: getattr(block, name)[lo:hi] for name in FIELDS}
+    )
+
+
 class _ParentCode(VectorFTSearch):
     """The block step of commit ``cb53fc6``: four methods, verbatim
-    but for the root replay (``forced``, ``_last_parent``)."""
+    but for the root replay (``forced``, ``_last_parent``); and the
+    stack of commit ``7961dfc``, whole child blocks cut into chunks
+    (``search`` and ``_push``, verbatim but for ``_Block.slice``)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._layout = _ParentLayout(self._layout)
+
+    def search(self) -> RawSearch:
+        """Run the block search; returns raw candidates and counters."""
+        self._reset_counters()
+        time_limit = self._config.time_limit
+        deadline = None if time_limit is None else self._start + time_limit
+        node_limit = self._config.node_limit
+
+        expired = False
+        stack = [_Block.root(self._layout)]
+        while stack:
+            if node_limit is not None and self._nodes >= node_limit:
+                expired = True
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                expired = True
+                break
+            block = stack.pop()
+            child = self._advance(block)
+            if child is None:
+                continue
+            if child.depth == self._n_vars:
+                self._fold_leaves(child)
+                continue
+            self._push(stack, child)
+        return RawSearch(
+            candidates=list(self._candidates),
+            best_raw=self._best_raw,
+            nodes=self._nodes,
+            values_tried=self._values_tried,
+            solutions_found=self._solutions_found,
+            prune_counts=list(self._prune_counts),
+            prune_heights=list(self._prune_heights),
+            expired=expired,
+            first_raw_cost=self._first_raw_cost,
+            first_raw_time=self._first_raw_time,
+            best_raw_time=self._best_raw_time,
+        )
+
+    def _push(self, stack: list[_Block], block: _Block) -> None:
+        """Push a block, split into bounded chunks (later chunks first,
+        so the stack pops them in frontier order)."""
+        rows = block.rows()
+        if rows <= self._block_rows:
+            stack.append(block)
+            return
+        chunks = -(-rows // self._block_rows)
+        bounds = [
+            (i * rows // chunks, (i + 1) * rows // chunks)
+            for i in range(chunks)
+        ]
+        for lo, hi in reversed(bounds):
+            stack.append(_rows(block, lo, hi))
 
     def _advance(self, block: _Block) -> Optional[_Block]:
         """Expand every row of ``block`` one depth; None when all die."""
@@ -442,6 +514,34 @@ class _FactoredMutant(_Recording):
         return total
 
 
+class _NoBoundary:
+    """The engine's layout, except that its configurations never end."""
+
+    n_pes = math.inf
+
+    def __init__(self, layout) -> None:
+        self._layout = layout
+
+    def __getattr__(self, name):
+        return getattr(self._layout, name)
+
+
+class _LateResetMutant(VectorFTSearch):
+    """Skips the configuration-boundary reset when a range does not
+    start at row 0: its rows carry the last configuration's loads,
+    Δ-hat and exclusions into the next."""
+
+    def _materialise(self, pending, lo, hi):
+        if lo == 0:
+            return super()._materialise(pending, lo, hi)
+        layout = self._layout
+        self._layout = _NoBoundary(layout)
+        try:
+            return super()._materialise(pending, lo, hi)
+        finally:
+            self._layout = layout
+
+
 def _same(ours: np.ndarray, theirs: np.ndarray) -> bool:
     """Bit equality — stricter than ``np.array_equal``: dtype, shape and
     the sign of a zero count."""
@@ -452,13 +552,12 @@ def _same(ours: np.ndarray, theirs: np.ndarray) -> bool:
     )
 
 
-def assert_same_child(child, expected) -> None:
-    assert (child is None) == (expected is None)
-    if child is None:
-        return
+def assert_same_rows(child, expected, lo, hi) -> None:
+    """``child`` is rows ``[lo, hi)`` of ``expected``, bit for bit."""
     assert child.depth == expected.depth
     for name in FIELDS:
-        assert _same(getattr(child, name), getattr(expected, name)), name
+        theirs = getattr(expected, name)[lo:hi]
+        assert _same(getattr(child, name), theirs), name
 
 
 def assert_same_counters(engine, oracle) -> None:
@@ -478,8 +577,10 @@ def lockstep(
     max_steps: int = 80,
 ) -> int:
     """Run the engine's depth-first block loop and, at every step, hand
-    the parent step a copy of the same block: children, walk totals and
-    all counters must agree. Returns the steps taken."""
+    the parent step a copy of the same block. Every range the engine
+    builds of its pending child (its own chunk bounds; a leaf child
+    whole) equals the parent's child rows ``[lo, hi)``; once all are
+    built, walk totals and all counters agree. Returns the steps taken."""
     engine = engine_class(problem, config, block_rows=block_rows)
     oracle = _ParentStep(problem, config, block_rows=block_rows)
     stack = [_Block.root(engine._layout)]
@@ -489,21 +590,82 @@ def lockstep(
         twin = copy.deepcopy(block)
         oracle._best_raw = engine._best_raw
         engine.last_walk = oracle.last_walk = None
-        child = engine._advance(block)
+        pending = engine._advance(block)
         expected = oracle._advance(twin)
         steps += 1
-        assert_same_child(child, expected)
+        assert (pending is None) == (expected is None)
+        ranges: list = []
+        if pending is not None:
+            if pending.depth() == engine._n_vars:
+                ranges.append((pending, 0, pending.rows()))
+            else:
+                engine._push(ranges, pending)
+        children = []
+        for _, lo, hi in ranges:  # stack order: the last range first
+            child = engine._materialise(pending, lo, hi)
+            assert_same_rows(child, expected, lo, hi)
+            children.append(child)
+        assert sum(child.rows() for child in children) == (
+            0 if expected is None else expected.rows()
+        )
         assert_same_counters(engine, oracle)
         assert (engine.last_walk is None) == (oracle.last_walk is None)
         if engine.last_walk is not None:
             assert _same(engine.last_walk, oracle.last_walk)
-        if child is None:
-            continue
-        if child.depth == engine._n_vars:
-            engine._fold_leaves(child)
+        if children and children[0].depth == engine._n_vars:
+            engine._fold_leaves(children[0])
         else:
-            engine._push(stack, child)
+            stack.extend(children)
     return steps
+
+
+def split_walk(
+    problem: OptimizationProblem,
+    config: FTSearchConfig,
+    cuts,
+    engine_class: type = VectorFTSearch,
+    max_steps: int = 40,
+) -> int:
+    """Run the engine's own search loop; build every pending child once
+    whole and once in the pieces ``cuts(rows)`` (sorted inner bounds)
+    asks for: the pieces concatenate to the whole child bit for bit and
+    are charged the same DOM prunes. Returns the children checked."""
+    engine = engine_class(problem, config, block_rows=16)
+
+    def dom_charges(ranges, pending) -> tuple[list, list[int]]:
+        count = engine._prune_counts[_DOM_I]
+        height = engine._prune_heights[_DOM_I]
+        built = [engine._materialise(pending, lo, hi) for lo, hi in ranges]
+        return built, [
+            engine._prune_counts[_DOM_I] - count,
+            engine._prune_heights[_DOM_I] - height,
+        ]
+
+    stack: list = []
+    block = _Block.root(engine._layout)
+    checked = 0
+    for _ in range(max_steps):
+        pending = engine._advance(block)
+        if pending is not None:
+            rows = pending.rows()
+            (whole,), whole_dom = dom_charges([(0, rows)], pending)
+            bounds = [0, *cuts(rows), rows]
+            pieces, pieces_dom = dom_charges(
+                list(zip(bounds, bounds[1:])), pending
+            )
+            assert pieces_dom == whole_dom
+            for name in FIELDS:
+                joined = np.concatenate([getattr(p, name) for p in pieces])
+                assert _same(joined, getattr(whole, name)), name
+            checked += 1
+            if whole.depth == engine._n_vars:
+                engine._fold_leaves(whole)
+            else:
+                engine._push(stack, pending)
+        if not stack:
+            break
+        block = engine._materialise(*stack.pop())
+    return checked
 
 
 def _timeless(raw):
@@ -568,6 +730,25 @@ def test_a_whole_search_returns_what_the_parent_step_returns():
         assert _timeless(ours) == _timeless(theirs)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    problem=problems(),
+    penalty=st.sampled_from((None, 1.0e8)),
+    data=st.data(),
+)
+def test_a_pending_child_builds_the_same_in_any_split(problem, penalty, data):
+    """One range or arbitrary splits: the same rows, the same DOM
+    prunes, so where the stack cuts a child cannot matter."""
+
+    def cuts(rows: int) -> list[int]:
+        if rows < 2:
+            return []
+        inner = st.sets(st.integers(1, rows - 1), max_size=4)
+        return sorted(data.draw(inner, label=f"cuts of {rows} rows"))
+
+    split_walk(problem, _config((), penalty), cuts)
+
+
 # ----------------------------------------------------------------------
 # The judge can fail
 # ----------------------------------------------------------------------
@@ -602,3 +783,21 @@ def test_factoring_the_walk_sum_is_caught():
 
 def test_the_unmutated_engine_passes_the_mutation_corpus():
     assert _trips(_Recording) == 0
+
+
+def _halves(rows: int) -> list[int]:
+    return [rows // 2] if rows > 1 else []
+
+
+def test_a_late_reset_is_caught():
+    """Rows built after the first range of a child that closes a
+    configuration keep the closed configuration's state."""
+    tripped = 0
+    for seed, size in MUTATION_CORPUS:
+        problem, config = _problem(seed, size), _config((), None, True)
+        assert split_walk(problem, config, _halves) > 10
+        try:
+            split_walk(problem, config, _halves, _LateResetMutant)
+        except AssertionError:
+            tripped += 1
+    assert tripped == len(MUTATION_CORPUS)
