@@ -30,7 +30,11 @@ event the kernel lets the engine fire the arrivals that precede it
   (event times, host cycles, a primary's credit); busy time, secondary
   credits and the integer counters follow from per-step run counts and
   fold once when the train ends. ``stats["cascades"]`` counts the
-  arrivals committed this way, ``stats["runs"]`` the trains.
+  arrivals committed this way, ``stats["runs"]`` the trains. A long
+  quiet stretch of a train (many arrivals before the next heap event)
+  commits as numpy arrays instead of arrival by arrival, with the same
+  floats (:meth:`BatchEngine._commit_segment`;
+  ``stats["array_arrivals"]``); short ones keep the per-arrival loop.
 * **kernel** — anything else: :meth:`SourceOperator.fire` runs the real
   operator code, whose completions go on the heap like in a
   tuple-granular run, because from there on it *is* one
@@ -74,8 +78,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING, Callable, Optional
+
+import numpy as np
 
 from repro.dsps.metrics import LatencyRecorder, NetworkMetrics, TimeSeries
 from repro.errors import SimulationError
@@ -100,6 +107,16 @@ _GUARD_MARGIN = 1e-6
 
 #: Upper bound on cascade size; larger graphs run on the kernel path.
 _MAX_STEPS = 128
+
+#: A train commits the quiet stretch ahead of an arrival as arrays
+#: (:meth:`BatchEngine._commit_segment`) when more than this many of
+#: its current inter-arrival gaps fit before the next heap head or
+#: ``until``; shorter stretches take the per-arrival loop, since a
+#: segment pays a fixed ~100 numpy calls (docs/performance.md).
+_ARRAY_STRETCH = 32
+
+#: Most arrivals one array segment draws ahead and commits.
+_MAX_SEGMENT = 1024
 
 
 class FallbackTracker:
@@ -161,7 +178,6 @@ class _SourceCursor:
         "primed",
         "live",
         "pending",
-        "has_pending",
     )
 
     def __init__(
@@ -177,11 +193,11 @@ class _SourceCursor:
         #: the kernel process does on its construction-time resume.
         self.primed = False
         self.live = True
-        #: An inter-arrival delay drawn one step ahead (a train
-        #: looks ahead to decide eligibility); consumed before the
-        #: generator is advanced again so the rng stream never forks.
-        self.pending: Optional[float] = None
-        self.has_pending = False
+        #: Inter-arrival delays drawn ahead (a train looks one ahead to
+        #: decide eligibility, an array segment its whole stretch);
+        #: consumed before the generator is advanced again so the rng
+        #: stream never forks. An end-of-stream None, if drawn, is last.
+        self.pending: list[Optional[float]] = []
 
 
 @dataclass(slots=True)
@@ -259,6 +275,7 @@ class _Template:
         "root_sink_records",
         "times",
         "emit",
+        "_columns",
     )
 
     def __init__(
@@ -299,6 +316,55 @@ class _Template:
         self.root_sink_records = _sink_records(root_fx)
         self.times = [0.0] * (n + 1)
         self.emit = [False] * n + [True]
+        self._columns: Optional[_Columns] = None
+
+    def columns(self) -> "_Columns":
+        """The plan as numpy columns, built on the first array segment."""
+        if self._columns is None:
+            self._columns = _Columns(self.plan, len(self.hosts))
+        return self._columns
+
+
+class _Columns:
+    """A template's plan as the arrays an array segment indexes with."""
+
+    __slots__ = (
+        "parents",
+        "rates",
+        "steps",
+        "primaries",
+        "late",
+        "hosts",
+        "rows",
+    )
+
+    def __init__(self, plan: tuple[_Plan, ...], n_hosts: int) -> None:
+        n = len(plan)
+        self.rows = np.arange(n)
+        self.parents = np.array([entry[0] for entry in plan], dtype=np.intp)
+        self.rates = np.array([entry[4] for entry in plan]).reshape(n, 1)
+        #: (step, parent, delay) in plan order, a topological order.
+        self.steps = [(i, entry[0], entry[2]) for i, entry in enumerate(plan)]
+        #: (step, parent, selectivity, sink records) of each primary.
+        self.primaries = [
+            (i, entry[0], entry[6], entry[7])
+            for i, entry in enumerate(plan)
+            if entry[5]
+        ]
+        #: Steps whose completion draws its sequence number late.
+        self.late = np.array(
+            [i for i, entry in enumerate(plan) if entry[1]], dtype=np.intp
+        )
+        #: Each host's steps in plan order, padded with the all-zero
+        #: row ``n`` of the segment's increment matrix.
+        rows = [
+            [i for i, entry in enumerate(plan) if entry[3] == slot]
+            for slot in range(n_hosts)
+        ]
+        width = max(map(len, rows), default=0)
+        self.hosts = np.array(
+            [row + [n] * (width - len(row)) for row in rows], dtype=np.intp
+        ).reshape(n_hosts, width)
 
 
 class BatchEngine:
@@ -327,6 +393,7 @@ class BatchEngine:
             "template_builds": 0,
             "runs": 0,
             "idle_crossed": 0,
+            "array_arrivals": 0,
         }
 
     # ------------------------------------------------------------------
@@ -398,12 +465,35 @@ class BatchEngine:
 
     def _next_delay(self, cursor: _SourceCursor) -> Optional[float]:
         """The next inter-arrival delay: a stashed look-ahead or a draw."""
-        if cursor.has_pending:
-            cursor.has_pending = False
-            delay = cursor.pending
-            cursor.pending = None
-            return delay
+        if cursor.pending:
+            return cursor.pending.pop(0)
         return self._draw_delay(cursor)
+
+    @staticmethod
+    def _draw_ahead(cursor: _SourceCursor, prev: float, count: int) -> float:
+        """Stash the next ``count`` delays on ``cursor`` (then None if
+        the stream ends first); returns the last arrival drawn.
+
+        The same generator steps as ``count`` calls of
+        :meth:`_draw_delay`, and the same gaps: each arrival minus its
+        predecessor, as ``arrival - prev``.
+        """
+        arrivals = np.fromiter(islice(cursor.gen, count), float)
+        if arrivals.size:
+            gaps = np.empty_like(arrivals)
+            gaps[0] = arrivals[0] - prev
+            np.subtract(arrivals[1:], arrivals[:-1], out=gaps[1:])
+            valid = gaps >= 0.0  # False on a negative gap or NaN
+            if not valid.all():
+                raise SimulationError(
+                    "process yielded an invalid delay:"
+                    f" {gaps[valid.argmin()].item()!r}"
+                )
+            cursor.pending += gaps.tolist()
+            prev = arrivals[-1].item()
+        if arrivals.size < count:
+            cursor.pending.append(None)
+        return prev
 
     def _advance_cursor(
         self, cursor: _SourceCursor, delay: Optional[float]
@@ -608,6 +698,13 @@ class BatchEngine:
         its credit step is a function of the credit alone, so it ends
         with the twin's credit and emitted count when the two started
         equal and is replayed ``count`` times otherwise.
+
+        An admitted arrival that crosses no idle event and starts a
+        long quiet stretch (more than ``_ARRAY_STRETCH`` of its gaps
+        before the heap head or ``until``) hands the stretch to
+        :meth:`_commit_segment`, which commits the same folds as
+        arrays; the arrival after it comes back through the checks
+        above.
         """
         env = self._env
         guard = template.guard
@@ -621,6 +718,8 @@ class BatchEngine:
         times = template.times  # times[n] carries the arrival time
         src_buckets = template.source_series._buckets
         gen = cursor.gen
+        pending = cursor.pending
+        stretch = _ARRAY_STRETCH
         # Local replay state: loaded once, written back once. The seq
         # counter and the arrival recurrence are replayed locally too —
         # nothing else can touch them inside a train (the only heap
@@ -656,11 +755,27 @@ class BatchEngine:
                     # Drawn inside the cascade: after its draws at t0.
                     crossed = sum(draws for _time, draws in owed)
                     owed = []
+            elif (
+                admit
+                and delay is not None
+                and (head if until is None or head < until else until) - t0
+                > stretch * delay
+            ):
+                # A long quiet stretch ahead: commit it as arrays.
+                count, t0, delay, seq, prev = self._commit_segment(
+                    template,
+                    cursor,
+                    (t0, delay, seq, prev),
+                    (head, until),
+                    (cred, emitted, hc),
+                )
+                if count:
+                    committed += count
+                    continue
             if not admit:
                 if committed or owed:
                     cursor.time = t0
-                    cursor.pending = delay
-                    cursor.has_pending = True
+                    pending.insert(0, delay)
                 break
             committed += 1
             bucket = int(t0)
@@ -709,6 +824,9 @@ class BatchEngine:
             if delay is None:
                 break
             t0 = t0 + delay
+            if pending:
+                delay = pending.pop(0)
+                continue
             try:
                 arrival = next(gen)
             except StopIteration:
@@ -755,8 +873,14 @@ class BatchEngine:
             counters.processed += count
             replica._overflowed[port] = False
             cpus = (step.cpu,) * count  # one add per run, left to right
-            metrics.busy_time = reduce(add, cpus, metrics.busy_time)
-            counters.busy_time = reduce(add, cpus, counters.busy_time)
+            if metrics.busy_time == counters.busy_time:
+                # One input port (every chain PE): same start, same adds.
+                metrics.busy_time = counters.busy_time = reduce(
+                    add, cpus, metrics.busy_time
+                )
+            else:
+                metrics.busy_time = reduce(add, cpus, metrics.busy_time)
+                counters.busy_time = reduce(add, cpus, counters.busy_time)
             if primary:
                 metrics.processed_as_primary += count
                 credit, produced = cred[i], emitted[i]
@@ -800,6 +924,178 @@ class BatchEngine:
         if owed:
             self._replay_owing(cursor, owed)
         return True
+
+    def _commit_segment(
+        self,
+        template: _Template,
+        cursor: _SourceCursor,
+        at: tuple[float, float, int, float],
+        bounds: tuple[float, Optional[float]],
+        train: tuple[list[float], list[int], list[float]],
+    ) -> tuple[int, float, Optional[float], int, float]:
+        """Commit the quiet stretch ahead of an admitted arrival as
+        arrays, arrival-major, exactly as the per-arrival loop would.
+
+        ``at`` is the train's ``(t0, delay, seq, prev)`` at that
+        arrival, ``bounds`` its ``(head, until)`` and ``train`` its
+        ``(cred, emitted, hc)``, updated in place. The stretch is drawn
+        ahead onto the cursor's stash; ``np.add.accumulate`` replays
+        the ``t0 = t0 + delay`` fold bit for bit, and the prefix up to
+        the first arrival the loop would refuse commits here. Returns
+        ``(count, t0, delay, seq, prev)`` for the next arrival; count 0
+        (the stream ends right here) commits nothing.
+
+        Every fold stays a left fold in the loop's order: step times
+        and host-cycle increments are elementwise; each host's cycles
+        fold with ``np.add.accumulate`` over its increments taken
+        arrival-major then in plan order, ``+0.0`` where a step did not
+        run (cycles start at ``+0.0`` and only grow, so that adds
+        nothing); each primary's credit folds in Python over the runs
+        of its parent, unless the credit is a fixed point of the step.
+        """
+        t0, delay, seq, prev = at
+        head, until = bounds
+        cred, emitted, hc = train
+        pending = cursor.pending
+        limit = head if until is None or head < until else until
+        # Draw until an arrival lands past the limit, in batches of the
+        # span left over the current gap (admitted, so positive): a
+        # short stretch draws little it only stashes.
+        while (
+            prev <= limit
+            and None not in pending[-1:]
+            and len(pending) < _MAX_SEGMENT
+        ):
+            span = (limit - prev) / delay
+            room = _MAX_SEGMENT - len(pending)
+            prev = self._draw_ahead(
+                cursor, prev, int(span) + 2 if span < room else room
+            )
+        judged = min(len(pending) - (None in pending[-1:]), _MAX_SEGMENT)
+        if not judged:
+            return 0, t0, delay, seq, prev
+        # Arrival k is admitted as the loop admits it.
+        arrivals = np.add.accumulate(
+            np.fromiter(chain((t0, delay), pending), float, judged + 1)
+        )
+        bound = arrivals[:-1] + template.guard
+        admit = bound < arrivals[1:]
+        admit &= bound < head
+        if until is not None:
+            admit &= bound <= until
+        count = int(admit.argmin())
+        if admit[count]:
+            count = judged
+        cols = template.columns()
+        n = len(template.plan)
+        # Row n holds the arrivals: the source fire every step hangs off.
+        times = np.empty((n + 1, count))
+        times[n] = arrivals[:count]
+        for i, parent, dt in cols.steps:
+            np.add(times[parent], dt, out=times[i])
+        emits = np.zeros((n + 1, count), dtype=bool)
+        emits[n] = True
+        for i, parent, sel, _recs in cols.primaries:
+            ran = emits[parent]
+            emits[i] = ran
+            credit = cred[i]
+            value = credit + sel
+            if value >= 1.0 and value - 1.0 == credit:
+                # A fixed point (selectivity 1 from credit 0): every
+                # run emits and the credit stays.
+                emitted[i] += int(np.count_nonzero(ran))
+                continue
+            runs = int(np.count_nonzero(ran))
+            idle = []  # the runs that do not emit
+            for k in range(runs):
+                credit += sel
+                if credit >= 1.0:
+                    credit -= 1.0
+                else:
+                    idle.append(k)
+            cred[i] = credit
+            emitted[i] += runs - len(idle)
+            if idle:
+                emits[i, ran.nonzero()[0][idle]] = False
+        ran = emits[cols.parents]
+        # Host cycles: the loop's increments, folded per host.
+        steps = np.zeros((n + 1, count))
+        np.multiply(
+            cols.rates,
+            times[:n] - times[cols.parents],
+            out=steps[:n],
+            where=ran,
+        )
+        if hc:
+            folded = self._fold_cycles(np.array(hc), steps[cols.hosts])
+            hc[:] = folded.tolist()
+        # Sequence numbers: per arrival its draws at t0, the cursor's,
+        # then one per step that ran and draws late.
+        late = ran[cols.late]
+        seq += count * (template.draws_at_t0 + 1)
+        seq += int(np.count_nonzero(late))
+        cursor.seq = seq - 1 - int(np.count_nonzero(late[:, -1]))
+        # Series and latency samples, each sink fed by one deliverer.
+        committed = times[n]
+        self._count_buckets(template.source_series._buckets, committed)
+        for records, samples in template.root_sink_records:
+            self._count_buckets(records, committed)
+            samples += zip(
+                committed.tolist(), (committed - committed).tolist()
+            )
+        for i, _parent, _sel, recs in cols.primaries:
+            if recs:
+                mask = emits[i]
+                ts = times[i][mask]
+                latency = (ts - committed[mask]).tolist()
+                for records, samples in recs:
+                    self._count_buckets(records, ts)
+                    samples += zip(ts.tolist(), latency)
+        # The loop's carried state: each step's last executed time and
+        # the final arrival's emit pattern.
+        last = (count - 1) - ran[:, ::-1].argmax(axis=1)
+        carried = template.times
+        for i, did, t in zip(
+            range(n),
+            ran[cols.rows, last].tolist(),
+            times[cols.rows, last].tolist(),
+        ):
+            if did:
+                carried[i] = t
+        carried[n] = committed[-1].item()
+        template.emit[:n] = emits[:n, -1].tolist()
+        self.stats["array_arrivals"] += count
+        delay = pending[count - 1]
+        del pending[:count]
+        return count, arrivals[count].item(), delay, seq, prev
+
+    @staticmethod
+    def _fold_cycles(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Each host's cycles after a segment: ``start[h]`` plus the
+        increments ``steps[h, w, k]`` (plan position ``w``, arrival
+        ``k``), added one at a time arrival-major — a left fold, which
+        ``np.sum`` (pairwise) is not."""
+        hosts = len(start)
+        flat = steps.transpose(0, 2, 1).reshape(hosts, -1)
+        folded = np.add.accumulate(
+            np.concatenate((start[:, None], flat), axis=1), axis=1
+        )
+        return folded[:, -1]
+
+    @staticmethod
+    def _count_buckets(records: dict[int, int], times: np.ndarray) -> None:
+        """``records[int(t)] += 1`` for each of ``times`` (ascending),
+        one dict update per run of equal buckets."""
+        if not times.size:
+            return
+        buckets = times.astype(np.int64)  # int(t): truncation
+        cuts = (buckets[1:] != buckets[:-1]).nonzero()[0] + 1
+        starts = [0, *cuts.tolist()]
+        ends = starts[1:] + [buckets.size]
+        for bucket, start, end in zip(
+            buckets[starts].tolist(), starts, ends
+        ):
+            records[bucket] = records.get(bucket, 0) + end - start
 
     @staticmethod
     def _fold_credit(
@@ -893,15 +1189,18 @@ class BatchEngine:
             fx = _DeliveryFx()
             have_fx = False
             for succ in graph.succ(comp):
+                if succ in visited:
+                    # Fan-in: a PE's multiplicity is per-tuple, and a
+                    # sink's samples land in completion order, which a
+                    # train's plan order need not follow.
+                    return None
+                visited.add(succ)
                 group = groups.get(succ)
                 if group is None:
                     sink = sinks[succ]
                     fx.sinks.append((sink, sink.series, sink.latency))
                     have_fx = True
                     continue
-                if succ in visited:
-                    return None  # fan-in: multiplicity is per-tuple
-                visited.add(succ)
                 members = group.members
                 if not members:
                     continue
@@ -927,13 +1226,16 @@ class BatchEngine:
                     previous = busy.get(host.name)
                     if previous is not None:
                         prev_end, prev_idx = previous
-                        if offset == prev_end and prev_idx <= idx:
-                            # Exact hand-off: the previous occupant's
-                            # completion fires first (``prev_idx <= idx``
-                            # means its completion sequence number is
-                            # lower, and the scheduler removes finished
-                            # jobs before callbacks run), so the host is
-                            # deterministically idle at this submit.
+                        if offset == prev_end and prev_idx == idx:
+                            # Exact hand-off: the previous occupant is
+                            # the parent, whose completion submits this
+                            # job, and the scheduler removes finished
+                            # jobs before callbacks run, so the host is
+                            # idle at this submit. Another step ending
+                            # at the same symbolic offset does not do:
+                            # its time is a different chain of float
+                            # adds from the arrival, and can end an ulp
+                            # after this submit.
                             pass
                         elif offset > prev_end + _GUARD_MARGIN:
                             pass  # strictly sequential reuse
