@@ -1,42 +1,33 @@
 """Machine-checking LAAR's SLA invariants against a run's event log.
 
-:func:`check_campaign` replays a campaign's event stream into a sequence
-of *intervals* of constant platform state — the current input
-configuration, the set of alive replicas, the set of active replicas —
-and re-proves the model's guarantees on every interval. The replayed
-state and the floor in force come from :mod:`repro.obs.replay`, which
-the streaming SLO trackers hold too, so the two judges of the bound
-cannot disagree on either:
+:func:`check_campaign` walks a campaign's event stream with the
+:class:`~repro.obs.replay.FloorWalker` the streaming SLO tracker reads
+too, so the two judges of the bound cannot disagree, and re-proves the
+model's guarantees on every interval it labels. ``stats["seconds"]``
+says how much of the run each label covered.
 
 ``ic-bound``
-    Whenever the realized failures are *dominated* by the pessimistic
-    model (at most one dead replica per PE — the model's per-PE victim),
-    the instantaneous failure-aware throughput of the run, computed by
-    the Eq. 7 recursion with the realized phi, must be at least the
-    pessimistic throughput FT-Search proved for the reference strategy
-    (while a migration window is open: the worse of the floors of the
-    configurations it has spanned). This is the paper's a-priori IC
-    lower bound, checked pointwise.
+    On every ``checked`` interval the run's realized FIC rate (Eq. 7
+    with realized phi) is at least the floor FT-Search proved for the
+    reference strategy (while a migration window is open: the worse of
+    the floors of the configurations it has spanned). This is the
+    paper's a-priori IC lower bound, checked pointwise.
 ``host-capacity``
-    The alive-and-active replicas on any host never demand more CPU
-    cycles than the host nominally has (Eq. 11).
+    Outside ``transition`` intervals the alive-and-active replicas on
+    any host never demand more CPU cycles than it nominally has (Eq. 11).
 ``failover-span``
     Every finished failover span is bounded by the deterministic
     detection budget plus any time during which the PE had no
     alive-and-active replica at all (nobody to elect is the platform's
     problem, not the detector's).
+``migration-rollback``
+    A replica rolled back by an aborted migration is never elected.
 ``conservation``
     Per replica: ``received == processed + dropped + lost + queued``
     (see :func:`check_conservation`; counters come from the run digest).
 ``log-complete``
     The event ring evicted nothing — a precondition for all of the
     above; a truncated log fails loudly instead of passing vacuously.
-
-Intervals that overlap a configuration-switch transition window (the
-``command_latency`` gap between the switch decision and its activation
-commands landing) are excluded from the ``ic-bound`` and
-``host-capacity`` checks: during that gap the platform is legitimately
-executing the *previous* configuration's activation set.
 """
 
 from __future__ import annotations
@@ -48,7 +39,7 @@ from repro.core.deployment import ReplicaId, ReplicatedDeployment
 from repro.core.strategy import ActivationStrategy
 from repro.dsps.metrics import conservation_gaps
 from repro.obs.events import Event
-from repro.obs.replay import EPS, STATE_EVENTS, DeploymentState, ProvenFloor
+from repro.obs.replay import EPS, STATE_EVENTS, TRANSITION, FloorWalker
 
 __all__ = [
     "Violation",
@@ -142,13 +133,12 @@ def check_campaign(
     artifact writer can window the log around the first one.
     """
     violations: list[Violation] = []
+    seconds = {"checked": 0.0, "transition": 0.0, "off_model": 0.0}
     stats: dict[str, Any] = {
-        "intervals": 0,
-        "intervals_checked": 0,
-        "intervals_transition": 0,
-        "intervals_not_dominated": 0,
+        "seconds": seconds,
         "spans_checked": 0,
         "min_ic_margin": None,
+        "migrations_seen": 0,
     }
 
     if evicted > 0:
@@ -166,14 +156,15 @@ def check_campaign(
 
     capacity = {h.name: h.capacity for h in deployment.hosts}
     hosts = sorted(capacity)
-    floor = ProvenFloor(deployment, reference_strategy)
     rate_table = deployment.descriptor.rate_table
-    state = DeploymentState(
+    walker = FloorWalker(
         deployment,
-        run_strategy.active_map(initial_config),
+        run_strategy,
+        reference_strategy,
         initial_config,
         command_latency,
     )
+    state = walker.state
     # Per-PE [start, end) stretches with no alive-and-active replica,
     # used to excuse stretched failover spans.
     uncovered: dict[str, list[tuple[float, float]]] = {
@@ -182,76 +173,62 @@ def check_campaign(
     open_spans: dict[str, tuple[float, dict[str, Any]]] = {}
     finished_spans: list[tuple[float, float, dict[str, Any]]] = []
 
-    def check_interval(start: float, end: float) -> None:
-        if end <= start:
-            return
-        stats["intervals"] += 1
-        for pe, segments in uncovered.items():
-            if not state.covered(pe):
-                if segments and segments[-1][1] >= start:
-                    segments[-1] = (segments[-1][0], end)
-                else:
-                    segments.append((start, end))
-        # Activation commands from the last config switch are still in
-        # flight: the platform legitimately runs the previous
-        # configuration's activation set, so the stationary checks
-        # would compare mismatched states.
-        if start + EPS < state.transition_until:
-            stats["intervals_transition"] += 1
-            if end > state.transition_until + EPS:
-                # No event marks the commands landing, so the in-flight
-                # window ends mid-interval: resume the stationary checks
-                # from that point instead of skipping the whole tail.
-                check_interval(state.transition_until, end)
-            return
-        config = state.config
-        for host in hosts:
-            load = sum(
-                rate_table.replica_load(replica.pe, config)
-                for replica in state.residents(host)
-                if state.alive[replica] and state.active[replica]
-            )
-            if load > capacity[host] + EPS:
+    def walk(until: float) -> None:
+        for start, end, label, margin in walker.advance(until):
+            seconds[label.replace("-", "_")] += end - start
+            for pe, segments in uncovered.items():
+                if not state.covered(pe):
+                    if segments and segments[-1][1] >= start:
+                        segments[-1] = (segments[-1][0], end)
+                    else:
+                        segments.append((start, end))
+            if label == TRANSITION:
+                # The stationary checks would compare mismatched states.
+                continue
+            config = state.config
+            for host in hosts:
+                load = sum(
+                    rate_table.replica_load(replica.pe, config)
+                    for replica in state.residents(host)
+                    if state.alive[replica] and state.active[replica]
+                )
+                if load > capacity[host] + EPS:
+                    violations.append(
+                        Violation(
+                            invariant="host-capacity",
+                            time=start,
+                            detail=(
+                                f"host {host} loaded {load:.3f} cycles/s"
+                                f" > capacity {capacity[host]:.3f} in"
+                                f" configuration {config}"
+                            ),
+                        )
+                    )
+            if margin is None:
+                continue
+            low = stats["min_ic_margin"]
+            if low is None or margin < low:
+                stats["min_ic_margin"] = margin
+            if margin < -EPS:
+                in_force = state.migration_floor(walker.floors)
+                dead = sorted(
+                    str(r) for r, up in state.alive.items() if not up
+                )
+                dark = sorted(pe for pe in uncovered if not state.covered(pe))
                 violations.append(
                     Violation(
-                        invariant="host-capacity",
+                        invariant="ic-bound",
                         time=start,
                         detail=(
-                            f"host {host} loaded {load:.3f} cycles/s"
-                            f" > capacity {capacity[host]:.3f} in"
-                            f" configuration {config}"
+                            f"realized FIC rate {walker.realized():.4f} t/s"
+                            f" < proven pessimistic floor {in_force:.4f}"
+                            f" t/s in configuration {config} despite"
+                            f" dominated failures (dead: {dead}; uncovered"
+                            f" PEs: {dark})"
                         ),
                     )
                 )
-        margin = floor.margin(state)
-        if margin is None:
-            stats["intervals_not_dominated"] += 1
-            return
-        stats["intervals_checked"] += 1
-        if stats["min_ic_margin"] is None or margin < stats["min_ic_margin"]:
-            stats["min_ic_margin"] = margin
-        if margin < -EPS:
-            fic_real = floor.realized(state)
-            in_force = state.migration_floor(floor.floors)
-            dead = sorted(
-                str(r) for r, up in state.alive.items() if not up
-            )
-            dark = sorted(pe for pe in uncovered if not state.covered(pe))
-            violations.append(
-                Violation(
-                    invariant="ic-bound",
-                    time=start,
-                    detail=(
-                        f"realized FIC rate {fic_real:.4f} t/s <"
-                        f" proven pessimistic floor {in_force:.4f} t/s in"
-                        f" configuration {config} despite dominated"
-                        f" failures (dead: {dead}; uncovered PEs:"
-                        f" {dark})"
-                    ),
-                )
-            )
 
-    cursor = 0.0
     for _, time, type_, fields in _normalize(events):
         if type_ == "span.start" and fields.get("name") == "failover":
             open_spans[fields["span"]] = (time, dict(fields))
@@ -282,14 +259,11 @@ def check_campaign(
                 )
             continue
         if type_ in STATE_EVENTS:
-            check_interval(cursor, time)
-            cursor = max(cursor, time)
+            walk(time)
             state.apply(time, type_, fields)
-            if type_.startswith("migration."):
-                stats["migrations_seen"] = stats.get("migrations_seen", 0) + (
-                    1 if type_ == "migration.start" else 0
-                )
-    check_interval(cursor, horizon)
+            if type_ == "migration.start":
+                stats["migrations_seen"] += 1
+    walk(horizon)
 
     # Finished failover spans: detection budget plus any time the PE
     # had nobody alive-and-active to elect. Spans still open at the

@@ -2,9 +2,10 @@
 
 Turns the JSON document assembled by ``repro chaos run`` — one digest
 per campaign plus sweep-level metadata — into the terminal report: a
-per-campaign table (seed, schedule, event volume, invariant verdict)
-followed by the details of every violation. Rendering is read-only; the
-JSON artifact on disk is the source of truth.
+per-campaign table (seed, schedule, event volume, the seconds the IC
+bound excused per cause, invariant verdict) followed by the details of
+every violation. Rendering is read-only; the JSON artifact on disk is
+the source of truth.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ def render_chaos_report(report: dict[str, Any]) -> str:
     campaigns = report.get("campaigns", [])
     header = (
         f"{'seed':>6}  {'events':>8}  {'switches':>8}  {'spans':>5}"
-        f"  {'avail':>9}  {'alerts':>6}  {'verdict':>8}  schedule"
+        f"  {'avail':>9}  {'alerts':>6}  {'transition':>10}"
+        f"  {'off-model':>9}  {'verdict':>8}  schedule"
     )
     lines += ["", header, "-" * len(header)]
     for digest in campaigns:
         verdict = "ok" if digest["invariants"]["ok"] else "VIOLATED"
+        excused = digest["invariants"]["stats"]["seconds"]
         slo = digest.get("slo") or {}
         availability = slo.get("availability")
         avail = f"{availability:.6f}" if availability is not None else "-"
@@ -54,6 +57,8 @@ def render_chaos_report(report: dict[str, Any]) -> str:
             f"  {len(digest['spans']):>5}"
             f"  {avail:>9}"
             f"  {fired:>6}"
+            f"  {excused['transition']:>10.3f}"
+            f"  {excused['off_model']:>9.3f}"
             f"  {verdict:>8}"
             f"  {_schedule_summary(digest['schedule'])}"
         )

@@ -48,7 +48,6 @@ from repro.core.ic import (
 )
 from repro.core.optimizer import (
     FTSearchConfig,
-    JointResult,
     OptimizationProblem,
     PruneRule,
     SearchOutcome,
@@ -56,7 +55,6 @@ from repro.core.optimizer import (
     SearchStats,
     StrategyEvaluation,
     ft_search,
-    joint_optimize,
 )
 from repro.core.rates import RateTable, expected_rates
 from repro.core.render import host_load_report, strategy_table
@@ -104,8 +102,6 @@ __all__ = [
     "SearchResult",
     "PruneRule",
     "SearchStats",
-    "JointResult",
-    "joint_optimize",
     "output_completeness",
     "average_replication_factor",
     "strategy_table",

@@ -8,7 +8,6 @@ per-rule pruning statistics behind Fig. 6.
 
 from repro.core.optimizer.ftsearch import FTSearchConfig, ft_search
 from repro.core.optimizer.outcomes import SearchOutcome, SearchResult
-from repro.core.optimizer.placement_search import JointResult, joint_optimize
 from repro.core.optimizer.problem import OptimizationProblem, StrategyEvaluation
 from repro.core.optimizer.reference import ReferenceFTSearch
 from repro.core.optimizer.stats import PruneRule, SearchStats
@@ -25,6 +24,4 @@ __all__ = [
     "StrategyEvaluation",
     "PruneRule",
     "SearchStats",
-    "JointResult",
-    "joint_optimize",
 ]

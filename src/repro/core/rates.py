@@ -70,7 +70,7 @@ def fic_rate(
     """Instantaneous FIC rate (tuples/s) in one configuration.
 
     The Eq. 7 recursion with an explicit per-PE phi map instead of a
-    failure-model object. :class:`repro.obs.replay.ProvenFloor` feeds it
+    failure-model object. :class:`repro.obs.replay.FloorWalker` feeds it
     either the realized phi of the replayed state or the reference
     strategy's pessimistic phi, for the chaos checker and the SLO
     trackers alike. A PE missing from ``phi`` contributes nothing

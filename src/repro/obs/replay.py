@@ -1,15 +1,16 @@
-"""One replayed deployment state, one proven floor.
+"""One replayed deployment state, one judge of the proven floor.
 
-How a run's event stream becomes deployment state, and which proven
-floor is in force at any instant, is decided here and nowhere else. The
-streaming SLO trackers (:mod:`repro.obs.slo`) and the post-hoc chaos
-checker (:mod:`repro.chaos.invariants`) both hold a
-:class:`DeploymentState` and feed it the :data:`STATE_EVENTS` they see;
-the IC-bound judges among them (``FloorAvailability``,
-``check_campaign``) both ask one :class:`ProvenFloor` for the margin.
-What stays with the callers is only what is theirs: accrual of
-bad-seconds and windows on the SLO side; interval walking, host
-capacity, failover-span excusal and violation wording in the checker.
+How a run's event stream becomes deployment state, and how each stretch
+of the run stands against the proven IC floor, is decided here and
+nowhere else. :class:`DeploymentState` folds the :data:`STATE_EVENTS`;
+:class:`FloorWalker` owns one, with the per-configuration floors, and
+labels every interval ``checked`` (with its margin), ``transition`` or
+``off-model``. Both judges of the bound read the walker: the streaming
+``FloorAvailability`` (:mod:`repro.obs.slo`) sums the checked seconds
+below the floor, and the post-hoc ``check_campaign``
+(:mod:`repro.chaos.invariants`) turns the same intervals into
+violations, adding only what is its own: host capacity, failover spans,
+rollback and violation wording.
 
 :data:`STATE_EVENTS` is generated from the handler table, so a new
 state event is added in one place: a handler method and its table row.
@@ -17,18 +18,24 @@ state event is added in one place: a handler method and its table row.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
 from repro.core.rates import fic_rate
 from repro.core.strategy import ActivationStrategy
 
-__all__ = ["EPS", "STATE_EVENTS", "DeploymentState", "ProvenFloor"]
+__all__ = ["EPS", "STATE_EVENTS", "DeploymentState", "FloorWalker"]
+__all__ += ["CHECKED", "TRANSITION", "OFF_MODEL"]
 
 #: Absolute tolerance for rate and load comparisons. Both sides of every
 #: comparison are derived from the same rate table, so violations are
 #: structural, never numerical — the epsilon only absorbs float noise.
 EPS = 1e-9
+
+#: The labels :meth:`FloorWalker.advance` puts on an interval.
+CHECKED = "checked"
+TRANSITION = "transition"
+OFF_MODEL = "off-model"
 
 _Fields = Mapping[str, Any]
 
@@ -228,19 +235,32 @@ _HANDLERS: dict[str, Callable[[DeploymentState, float, _Fields], None]] = {
 STATE_EVENTS = frozenset(_HANDLERS)
 
 
-class ProvenFloor:
-    """The a-priori IC lower bound a run is held to (Sec. 4.4).
+class FloorWalker:
+    """The one judge of the a-priori IC lower bound (Sec. 4.4).
 
-    Per configuration, the reference strategy's pessimistic FIC rate
-    (phi = 1 iff fully replicated; Eq. 14 into the Eq. 7 recursion).
+    Owns a run's :class:`DeploymentState` and, per configuration, the
+    floor the reference strategy proved: its pessimistic FIC rate (phi
+    = 1 iff fully replicated; Eq. 14 into the Eq. 7 recursion).
+    :meth:`advance` labels the time since the last call; it is a
+    generator, so the cursor moves only once it is iterated. Callers
+    advance to an event's time, then ``walker.state.apply(...)`` it.
     """
 
     def __init__(
         self,
         deployment: ReplicatedDeployment,
+        run_strategy: ActivationStrategy,
         reference: ActivationStrategy,
+        initial_config: int = 0,
+        command_latency: float = 0.0,
     ) -> None:
         self.deployment = deployment
+        self.state = DeploymentState(
+            deployment,
+            run_strategy.active_map(initial_config),
+            initial_config,
+            command_latency,
+        )
         pes = deployment.descriptor.graph.pes
         self.floors: dict[int, float] = {}
         for c in range(len(deployment.descriptor.configuration_space)):
@@ -249,17 +269,42 @@ class ProvenFloor:
                 for pe in pes
             }
             self.floors[c] = fic_rate(deployment, c, phi_pess)
+        self.cursor = 0.0
 
-    def realized(self, state: DeploymentState) -> float:
+    def realized(self) -> float:
         """The run's instantaneous FIC rate (Eq. 7 with realized phi)."""
+        state = self.state
         return fic_rate(self.deployment, state.config, state.realized_phi())
 
-    def margin(self, state: DeploymentState) -> Optional[float]:
-        """Realized rate minus the floor in force; ``None`` off-model.
+    def advance(
+        self, until: float
+    ) -> Iterator[tuple[float, float, str, Optional[float]]]:
+        """``(start, end, label, margin)`` tiling ``[cursor, until)``.
 
-        The bound is broken below ``-EPS``. While realized failures are
-        beyond the pessimistic model the contract makes no promise.
+        ``transition`` while the last switch's activation commands are
+        in flight: the platform legitimately runs the previous
+        configuration's activation set. No event marks the commands
+        landing, so an interval that outlasts them is cut there and its
+        tail judged. ``off-model`` while realized failures are beyond
+        the pessimistic model (more than one dead replica in some PE):
+        the contract makes no promise there. Otherwise ``checked``, with
+        the realized rate minus the floor in force as margin; the bound
+        is broken below ``-EPS``.
         """
+        start = self.cursor
+        if until <= start:
+            return
+        self.cursor = until
+        state = self.state
+        edge = state.transition_until
+        if start + EPS < edge:
+            if until <= edge + EPS:
+                yield start, until, TRANSITION, None
+                return
+            yield start, edge, TRANSITION, None
+            start = edge
         if not state.dominated():
-            return None
-        return self.realized(state) - state.migration_floor(self.floors)
+            yield start, until, OFF_MODEL, None
+        else:
+            margin = self.realized() - state.migration_floor(self.floors)
+            yield start, until, CHECKED, margin

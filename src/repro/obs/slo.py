@@ -10,8 +10,8 @@ per-tenant sim-time-windowed rollups:
 * **availability** — the fraction of sim-time during which the realized
   service met its contract, judged by a pluggable availability tracker
   (:class:`FloorAvailability` holds the run to the FT-Search-proven
-  pessimistic FIC floor — the same :class:`~repro.obs.replay.
-  ProvenFloor` the chaos invariant checker asks;
+  pessimistic FIC floor, reading the same :class:`~repro.obs.replay.
+  FloorWalker` intervals as the chaos invariant checker;
   :class:`CoverageAvailability` holds strategy-less data-plane runs to a
   PE-coverage completeness target);
 * **latency percentiles** — per-window :class:`~repro.obs.sketch.
@@ -50,7 +50,8 @@ from repro.core.deployment import ReplicaId, ReplicatedDeployment
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ReproError
 from repro.obs.events import Event, EventLog
-from repro.obs.replay import EPS, STATE_EVENTS, DeploymentState, ProvenFloor
+from repro.obs.replay import CHECKED, EPS, STATE_EVENTS, FloorWalker
+from repro.obs.replay import DeploymentState
 from repro.obs.sketch import LogHistogram
 
 if TYPE_CHECKING:
@@ -125,9 +126,10 @@ class AvailabilityTracker:
     """Base streaming availability judge.
 
     Subclasses decide, after every liveness/config event, whether the
-    service is currently *bad* (out of contract); the base class turns
-    that flag into accrued bad-time that :class:`SloEngine` drains once
-    per window via :meth:`take`.
+    service is currently *bad* (out of contract), or accrue bad-time
+    themselves in ``_accrue``; the base class turns the flag into
+    accrued bad-time that :class:`SloEngine` drains once per window via
+    :meth:`take`.
     """
 
     def __init__(self) -> None:
@@ -204,13 +206,10 @@ class CoverageAvailability(AvailabilityTracker):
 class FloorAvailability(AvailabilityTracker):
     """IC-floor availability: the chaos checker's bound, streamed.
 
-    The run is *bad* while realized failures are dominated by the
-    pessimistic model (at most one dead replica per PE) yet the realized
-    FIC rate (Eq. 7 with realized phi) is below the reference strategy's
-    proven pessimistic floor in force (:class:`~repro.obs.replay.
-    ProvenFloor`, which :func:`repro.chaos.invariants.check_campaign`
-    asks too). Time inside a configuration-switch transition window
-    (``command_latency`` after the switch) is excused.
+    The run is *bad* for every ``checked`` second of the
+    :class:`~repro.obs.replay.FloorWalker` whose margin is below
+    ``-EPS``; ``transition`` and ``off-model`` seconds burn nothing.
+    :func:`repro.chaos.invariants.check_campaign` reads the same walker.
     """
 
     def __init__(
@@ -222,44 +221,24 @@ class FloorAvailability(AvailabilityTracker):
         command_latency: float = 0.0,
     ) -> None:
         super().__init__()
-        self._state = DeploymentState(
+        self._walker = FloorWalker(
             deployment,
-            run_strategy.active_map(initial_config),
+            run_strategy,
+            reference_strategy or run_strategy,
             initial_config,
             command_latency,
         )
-        self._floor = ProvenFloor(
-            deployment, reference_strategy or run_strategy
-        )
 
     def _accrue(self, until: float) -> None:
-        last = self._last
-        if until <= last:
-            return
-        self._last = until
-        if not self._bad:
-            return
-        # Activation commands from the last switch are still in flight:
-        # the platform legitimately runs the previous configuration's
-        # activation set, so that stretch is excused.
-        start = last
-        transition_until = self._state.transition_until
-        if start < transition_until:
-            start = min(until, transition_until)
-        if until > start:
-            self._bad_seconds += until - start
+        for start, end, label, margin in self._walker.advance(until):
+            if label == CHECKED and margin < -EPS:
+                self._bad_seconds += end - start
 
     def _apply(self, time: float, type_: str, fields: Mapping[str, Any]) -> None:
-        self._state.apply(time, type_, fields)
-
-    def _evaluate(self) -> bool:
-        # Beyond the pessimistic model (no margin) the contract makes
-        # no promise, so no budget is burned.
-        margin = self._floor.margin(self._state)
-        return margin is not None and margin < -EPS
+        self._walker.state.apply(time, type_, fields)
 
     def degraded(self) -> bool:
-        return self._state.degraded()
+        return self._walker.state.degraded()
 
 
 class SloEngine:

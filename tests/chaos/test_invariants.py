@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.chaos import check_campaign, check_conservation
 from repro.core import ActivationStrategy
 from repro.errors import ReproError
-from repro.obs.events import Event
+from repro.obs.events import Event, EventLog
+from repro.obs.replay import FloorWalker
+from repro.obs.slo import FloorAvailability, SloEngine
 
 
 def _events(*records):
@@ -28,13 +32,25 @@ def _check(deployment, events, *, strategy=None, reference=None, **kw):
     )
 
 
+#: A switch at 10 s whose commands land by 10.05 s (the checks' default
+#: command latency); pe1 has no active replica in [10.03, 10.05).
+_IN_FLIGHT_GAP = (
+    {"t": 10.0, "type": "config.switch", "from": 0, "to": 1, "commands": 2},
+    {"t": 10.02, "type": "replica.deactivate", "replica": "pe1#0"},
+    {"t": 10.03, "type": "replica.deactivate", "replica": "pe1#1"},
+    {"t": 10.05, "type": "replica.activate", "replica": "pe1#0"},
+    {"t": 10.05, "type": "replica.activate", "replica": "pe1#1"},
+)
+
+
 class TestICBound:
     def test_clean_log_passes(self, pipeline_deployment):
         result = _check(pipeline_deployment, _events())
         assert result.ok
         assert result.violations == ()
-        assert result.stats["intervals"] == 1
-        assert result.stats["intervals_checked"] == 1
+        assert result.stats["seconds"] == {
+            "checked": 30.0, "transition": 0.0, "off_model": 0.0
+        }
 
     def test_single_crash_per_pe_is_dominated_and_fine(
         self, pipeline_deployment
@@ -62,7 +78,7 @@ class TestICBound:
         # Both replicas dead beats the pessimistic model's one victim:
         # the bound makes no promise there, so nothing is violated.
         assert result.ok
-        assert result.stats["intervals_not_dominated"] >= 1
+        assert result.stats["seconds"]["off_model"] == pytest.approx(24.0)
 
     def test_crash_plus_deactivation_breaks_the_bound(
         self, pipeline_deployment
@@ -112,40 +128,9 @@ class TestICBound:
         # During the command-latency gap after a switch decision, even a
         # PE with zero active replicas must not trip the bound — the
         # platform is legitimately mid-reconfiguration.
-        result = _check(
-            pipeline_deployment,
-            _events(
-                {
-                    "t": 10.0,
-                    "type": "config.switch",
-                    "from": 0,
-                    "to": 1,
-                    "commands": 2,
-                },
-                {
-                    "t": 10.02,
-                    "type": "replica.deactivate",
-                    "replica": "pe1#0",
-                },
-                {
-                    "t": 10.03,
-                    "type": "replica.deactivate",
-                    "replica": "pe1#1",
-                },
-                {
-                    "t": 10.05,
-                    "type": "replica.activate",
-                    "replica": "pe1#0",
-                },
-                {
-                    "t": 10.05,
-                    "type": "replica.activate",
-                    "replica": "pe1#1",
-                },
-            ),
-        )
+        result = _check(pipeline_deployment, _events(*_IN_FLIGHT_GAP))
         assert result.ok
-        assert result.stats["intervals_transition"] >= 1
+        assert result.stats["seconds"]["transition"] == pytest.approx(0.05)
 
     def test_same_gap_outside_transition_violates(
         self, pipeline_deployment
@@ -172,6 +157,56 @@ class TestICBound:
         )
         assert not result.ok
         assert result.first().invariant == "ic-bound"
+
+
+class TestOneJudge:
+    """Both judges of the bound read one walker: breaking its transition
+    rule once must trip the checker and burn the SLO budget alike."""
+
+    @staticmethod
+    def _judge(deployment):
+        strategy = ActivationStrategy.all_active(deployment)
+        now = [0.0]
+        log = EventLog(clock=lambda: now[0])
+        engine = SloEngine(
+            log,
+            FloorAvailability(
+                deployment, strategy, strategy, 0, command_latency=0.05
+            ),
+        )
+        log.add_tap(engine.on_event)
+        for record in _IN_FLIGHT_GAP:
+            now[0] = record["t"]
+            fields = {
+                k: v for k, v in record.items() if k not in ("t", "type")
+            }
+            log.emit(record["type"], **fields)
+        engine.finalize(30.0)
+        return _check(deployment, log.events()), engine.summary()
+
+    def test_dropping_the_transition_label_trips_both(
+        self, pipeline_deployment, monkeypatch
+    ):
+        result, slo = self._judge(pipeline_deployment)
+        assert result.ok
+        assert slo["bad_seconds"] == 0.0 and slo["alerts"] == []
+
+        advance = FloorWalker.advance
+
+        def never_transition(walker, until):
+            # The walker sees no command in flight, ever.
+            edge = walker.state.transition_until
+            walker.state.transition_until = -math.inf
+            try:
+                yield from advance(walker, until)
+            finally:
+                walker.state.transition_until = edge
+
+        monkeypatch.setattr(FloorWalker, "advance", never_transition)
+        result, slo = self._judge(pipeline_deployment)
+        assert "ic-bound" in {v.invariant for v in result.violations}
+        assert slo["bad_seconds"] > 0.0
+        assert "firing" in {alert["state"] for alert in slo["alerts"]}
 
 
 class TestHostCapacity:

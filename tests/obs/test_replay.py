@@ -1,9 +1,10 @@
-"""The one replayed deployment state and the one proven floor.
+"""The one replayed deployment state and the one judge of the floor.
 
 ``FloorAvailability`` (streaming) and ``check_campaign`` (post-hoc) both
-hold a ``repro.obs.replay.DeploymentState`` and ask one ``ProvenFloor``;
-these tests pin the shared event list to the schema and establish the
-two judges' agreement on generated logs, not only on pinned ones.
+read one ``repro.obs.replay.FloorWalker``; these tests pin the shared
+event list to the schema, the walker's intervals to a tiling of the run,
+and establish the two judges' agreement on generated logs, not only on
+pinned ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from repro.core.deployment import ReplicaId
 from repro.core.strategy import ActivationStrategy
 from repro.fleet.dataplane import DataplaneParams, tenant_app
 from repro.obs.events import EVENT_SCHEMA
-from repro.obs.replay import STATE_EVENTS, DeploymentState
+from repro.obs.replay import (
+    CHECKED,
+    OFF_MODEL,
+    STATE_EVENTS,
+    TRANSITION,
+    DeploymentState,
+    FloorWalker,
+)
 from repro.obs.slo import FloorAvailability
 
 #: Three PEs, k=2, three hosts, two input configurations (Low/High).
@@ -291,3 +299,58 @@ class TestGeneratedParity:
         )
         broken = any(v.invariant == "ic-bound" for v in result.violations)
         assert (burned > 0.0) == broken
+
+
+class TestWalkerTiling:
+    @given(
+        log=_state_logs(),
+        run=_strategies(),
+        reference=st.none() | _strategies(),
+        initial_config=st.integers(min_value=0, max_value=_N_CONFIGS - 1),
+        latency=st.sampled_from([0.0, 0.25, 0.7]),
+        takes=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+    )
+    def test_intervals_tile_the_run_and_takes_keep_the_burn(
+        self, log, run, reference, initial_config, latency, takes
+    ):
+        horizon = 0.5 * (len(log) + 2)
+        walker = FloorWalker(
+            _SMALL, run, reference or run, initial_config, latency
+        )
+        sliced, whole = (
+            FloorAvailability(
+                _SMALL, run, reference, initial_config, command_latency=latency
+            )
+            for _ in range(2)
+        )
+        marks = sorted(
+            [(horizon * at, None) for at in takes]
+            + [(record["t"], record) for record in log],
+            key=lambda mark: mark[0],
+        )
+        intervals = []
+        burned = 0.0
+        for time, record in marks:
+            intervals += walker.advance(time)
+            if record is None:
+                burned += sliced.take(time)
+                continue
+            fields = {
+                k: v for k, v in record.items() if k not in ("t", "type")
+            }
+            walker.state.apply(time, record["type"], fields)
+            sliced.on_event(time, record["type"], fields)
+            whole.on_event(time, record["type"], fields)
+        intervals += walker.advance(horizon)
+        burned += sliced.take(horizon)
+
+        assert intervals[0][0] == 0.0 and intervals[-1][1] == horizon
+        for before, after in zip(intervals, intervals[1:]):
+            assert before[1] == after[0]
+        for start, end, label, margin in intervals:
+            assert start < end
+            assert label in (CHECKED, TRANSITION, OFF_MODEL)
+            assert (margin is None) == (label != CHECKED)
+        covered = sum(end - start for start, end, _, _ in intervals)
+        assert covered == pytest.approx(horizon, abs=1e-9)
+        assert burned == pytest.approx(whole.take(horizon), abs=1e-9)
