@@ -35,14 +35,14 @@ proves optimality (BST) or infeasibility (NUL).
 
 Implementation note — the package keeps one production engine and one
 oracle. This module owns what they share: the run configuration
-(:class:`FTSearchConfig`), the clean full-assignment evaluator every
-recorded cost/IC passes through (:func:`_replay_assignment`), the
-warm-start evaluator, and :class:`SearchLayout` — the flat per-depth view
-of one problem (the variable order is ``config_pos * n_pes + pe_pos``, so
-a depth's configuration and PE position are plain arithmetic) that the
+(:class:`FTSearchConfig`), the clean full-assignment evaluator
+(:func:`_replay_assignment`), the warm-start evaluator, and
+:class:`SearchLayout` — the flat per-depth view of one problem (the
+variable order is ``config_pos * n_pes + pe_pos``, so a depth's
+configuration and PE position are plain arithmetic) that the
 block-vectorized engine of :mod:`repro.core.optimizer.vector` advances
 over. :func:`ft_search` always runs that engine. The original recursive,
-dict-keyed implementation is retained verbatim in
+dict-keyed implementation is retained in
 :mod:`repro.core.optimizer.reference` as the behavioural oracle: the
 block engine must return the same outcome, optimal cost, IC and strategy;
 node counts and per-rule prune statistics are engine-specific.
@@ -202,10 +202,9 @@ def _evaluate_warm_start(
     ``(replica0_active, replica1_active)`` tuple per variable in ``vars_``
     order, or None when the warm start is unusable.
 
-    Cost and IC come from :func:`_replay_assignment` — the same clean
-    evaluation both engines use when *recording* a best solution — so the
-    values installed as the incumbent are bit-identical to what a cold
-    search records for the same assignment. Shared verbatim by both
+    Cost and IC come from :func:`_replay_assignment`, so the values
+    installed as the incumbent are bit-identical to what a cold search
+    records for the same assignment. Shared verbatim by both
     engines so warm-started runs start from a bit-identical incumbent.
     """
     warm = config.warm_start
@@ -251,13 +250,13 @@ def _replay_assignment(
     """Cleanly evaluate a full assignment: ``(host_load, ic, cost)``.
 
     Replays the descent's Delta-hat / FIC / cost recurrences along the
-    assignment in variable order, from zeroed accumulators. The result
-    depends only on the assignment — unlike the descent's own
-    ``+=``/``-=`` bookkeeping, whose leaf values carry ULP-level float
-    residue from the path the search took to get there. Both engines
-    record best solutions through this function (and the warm-start
-    evaluator installs incumbents through it), which is what makes a
-    warm-started run's cost bit-identical to the cold run's.
+    assignment in variable order, from zeroed accumulators, so the
+    result depends only on the assignment. The block engine records
+    best solutions through this function and the warm-start evaluator
+    installs incumbents through it; the oracle's own accumulators,
+    restored on every backtrack, hold the same depth-order sums at each
+    leaf. That is what makes a warm-started run's cost bit-identical to
+    the cold run's.
     """
     deployment = problem.deployment
     descriptor = deployment.descriptor

@@ -1,11 +1,15 @@
 """The retained reference implementation of FT-Search.
 
 This is the original recursive, dict-keyed FT-Search core — the paper's
-depth-first search, one node per step — kept verbatim as the behavioural
-oracle for the block-vectorized production engine in
-:mod:`repro.core.optimizer.vector`. The two must agree on outcome, best
-cost/IC and strategy (``tests/optimizer/test_ftsearch_equivalence.py``
-asserts that over a seeded corpus and a generated one); node counts and
+depth-first search, one node per step — kept as the behavioural oracle
+for the block-vectorized production engine in
+:mod:`repro.core.optimizer.vector`. Its search state is a function of
+the current path alone: backtracking restores the host loads, FIC and
+cost it replaced rather than subtracting, so no branch it left behind
+leaves float residue that could tip a tie-break. The two must agree on
+outcome, best cost/IC and strategy
+(``tests/optimizer/test_ftsearch_equivalence.py`` asserts that over a
+seeded corpus and a generated one, with no exemption); node counts and
 prune statistics are this module's own, and because they are statistics
 of the paper's DFS order the Fig. 4-6 study
 (:mod:`repro.experiments.ftsearch_study`) runs on this engine. Keep this
@@ -42,6 +46,10 @@ _ONLY_0 = (True, False)
 _ONLY_1 = (False, True)
 
 _REL_EPS = 1e-9
+
+#: What ``_apply`` hands ``_undo``: the DOM trail, then the two host
+#: loads, FIC and cost as they were before the assignment.
+_Saved = tuple[list[int], float, float, float, float]
 
 
 class _BudgetExpired(Exception):
@@ -435,11 +443,10 @@ class ReferenceFTSearch:
                     continue
 
             # --- Accept the value, recurse, undo -------------------------
-            trail = self._apply(depth, c, pe, value, delta_hat, fic_contrib,
+            saved = self._apply(depth, c, pe, value, delta_hat, fic_contrib,
                                 value_cost)
             self._descend(depth + 1)
-            self._undo(depth, c, pe, value, delta_hat, fic_contrib,
-                       value_cost, trail)
+            self._undo(depth, c, pe, saved)
 
     def _ordered_values(
         self, depth: int, c: int, pe: str
@@ -532,11 +539,23 @@ class ReferenceFTSearch:
         delta_hat: float,
         fic_contrib: float,
         value_cost: float,
-    ) -> list[int]:
+    ) -> _Saved:
+        """Assign ``value`` at ``depth``; return what :meth:`_undo`
+        restores, so that no path leaves float residue behind: the
+        accumulators at a leaf are then the depth-order sums
+        :func:`_replay_assignment` computes, bit for bit."""
+        host0, host1 = self._hosts[pe]
+        trail: list[int] = []
+        saved = (
+            trail,
+            self._host_load[(host0, c)],
+            self._host_load[(host1, c)],
+            self._fic_assigned,
+            self._cost_assigned,
+        )
         self._assigned[depth] = value
         self._delta_hat[depth] = delta_hat
         load = self._load[(pe, c)]
-        host0, host1 = self._hosts[pe]
         if value[0]:
             self._host_load[(host0, c)] += load
         if value[1]:
@@ -544,34 +563,19 @@ class ReferenceFTSearch:
         self._fic_assigned += fic_contrib
         self._cost_assigned += value_cost
 
-        trail: list[int] = []
         if delta_hat == 0.0 and (
             PruneRule.DOMAIN not in self._config.disabled_rules
         ):
             self._propagate_domain(c, pe, trail)
-        return trail
+        return saved
 
-    def _undo(
-        self,
-        depth: int,
-        c: int,
-        pe: str,
-        value: tuple[bool, bool],
-        delta_hat: float,
-        fic_contrib: float,
-        value_cost: float,
-        trail: list[int],
-    ) -> None:
+    def _undo(self, depth: int, c: int, pe: str, saved: _Saved) -> None:
+        trail, load0, load1, self._fic_assigned, self._cost_assigned = saved
         for excluded_depth in trail:
             self._dom_excluded[excluded_depth] = False
-        load = self._load[(pe, c)]
         host0, host1 = self._hosts[pe]
-        if value[0]:
-            self._host_load[(host0, c)] -= load
-        if value[1]:
-            self._host_load[(host1, c)] -= load
-        self._fic_assigned -= fic_contrib
-        self._cost_assigned -= value_cost
+        self._host_load[(host0, c)] = load0
+        self._host_load[(host1, c)] = load1
         self._assigned[depth] = None
         self._delta_hat[depth] = 0.0
 
@@ -634,8 +638,7 @@ class ReferenceFTSearch:
         ):
             return
 
-        # Clamp float residue from the incremental +=/-= bookkeeping.
-        ic = max(0.0, self._fic_assigned / self._bic)
+        ic = self._fic_assigned / self._bic
         cost = self._cost_assigned
         if self._config.penalty_weight is None:
             objective = cost
@@ -651,25 +654,12 @@ class ReferenceFTSearch:
         if objective < self._best_objective * (1 - _REL_EPS) or (
             self._best_assignment is None
         ):
-            # Re-evaluate the accepted leaf cleanly (same contract and
-            # same shared helper as the block engine): the recorded best
-            # must be a pure function of the assignment, free of the
-            # incremental accumulators' path-dependent float residue.
-            assignment = [
-                value for value in self._assigned if value is not None
-            ]
-            _, ic, cost = _replay_assignment(
-                self._problem, self._vars, assignment
-            )
-            if self._config.penalty_weight is None:
-                objective = cost
-            else:
-                deficit = max(0.0, self._problem.ic_target - ic)
-                objective = cost + self._config.penalty_weight * deficit
             self._best_objective = objective
             self._best_cost = cost
             self._best_ic = ic
-            self._best_assignment = assignment
+            self._best_assignment = [
+                value for value in self._assigned if value is not None
+            ]
             self._best_time = now
 
     def _check_budget(self) -> None:

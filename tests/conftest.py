@@ -4,12 +4,23 @@ Also the suite's Hypothesis profiles: tier-1 is a gate (and a judge in
 docs/static-analysis.md's mutation trial), so by default every
 generated test draws the same examples on every run; ``explore`` is
 the gate's seeded exploratory run, which draws new ones.
+
+Hypothesis also draws literal constants from every local module in
+``sys.modules``, so what a generated test draws would depend on which
+modules the tests collected so far happened to import. Every module
+under ``repro`` is imported here, before the profile loads: a test run
+alone draws what it draws in the full suite.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import settings
+
+import repro
 
 from repro.core import (
     ApplicationDescriptor,
@@ -21,6 +32,15 @@ from repro.core import (
 from repro.placement import balanced_placement
 
 GIGA = 1.0e9
+
+#: Every ``repro`` module but the ``__main__`` entry points.
+REPRO_MODULES = tuple(
+    module.name
+    for module in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not module.name.endswith(".__main__")
+)
+for _name in REPRO_MODULES:
+    importlib.import_module(_name)
 
 settings.register_profile("tier1", derandomize=True)
 #: The gate's seeded exploratory stage (``--hypothesis-profile=explore

@@ -20,7 +20,6 @@ profiles, rate distributions and clusters.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -59,31 +58,6 @@ N_INSTANCES = 50
 #: engine split, stack and re-order blocks.
 SIZES = {"toy": ((3, 5), 3), "mid": ((6, 8), 4)}
 
-#: ``(mode, seed)`` of the corpus cases on which the engines return
-#: *different co-optimal strategies* at bit-equal cost and IC. Every one
-#: is a replica swap — the same number of active replicas for every
-#: (PE, configuration), a different choice of *which* — on hosts of equal
-#: capacity, where that choice is made by ``load(h0) <= load(h1)`` on
-#: equal loads: the oracle's loads carry the float residue of the path it
-#: backtracked along, the block engine's rows carry none. Pinned so that
-#: a new divergence fails instead of being waved through (18 of the 166
-#: cases a nightly sweep runs, plus the four penalty-minus-one-rule
-#: cases of seed 20); a canonical, history-free tie-break in
-#: both engines (ROADMAP item 3) empties this set.
-KNOWN_TIES = frozenset({
-    ("default", 24), ("default", 37), ("default", 44),
-    ("penalty", 22), ("penalty", 33),
-    ("penalty-no-CPU", 20), ("penalty-no-COMPL", 20),
-    ("penalty-no-COST", 20), ("penalty-no-DOM", 20),
-    ("seeded", 44),
-    ("reversed", 11), ("reversed", 33),
-    ("mid-default", 5), ("mid-default", 10), ("mid-default", 34),
-    ("mid-default", 43), ("mid-default", 44), ("mid-default", 48),
-    ("mid-penalty", 0), ("mid-penalty", 17), ("mid-penalty", 34),
-    ("mid-seeded", 34),
-})
-
-
 def _problem(seed: int, size: str = "toy") -> OptimizationProblem:
     (low, high), extra_edges = SIZES[size]
     rng = random.Random(seed)
@@ -112,66 +86,28 @@ def _activation_matrix(strategy):
     )
 
 
-def assert_same_optimum(
-    result,
-    oracle,
-    problem: OptimizationProblem,
-    ties: str = "never",
-    config: FTSearchConfig = FTSearchConfig(time_limit=None),
-) -> None:
-    """Outcome, cost, IC and strategy equality — the engines' contract.
-
-    ``ties`` says what a strategy difference at bit-equal cost means:
-    ``"never"`` (the default) — a failure; ``"pinned"`` — expected, the
-    case is in :data:`KNOWN_TIES` (and agreeing strategies mean the pin
-    is stale); ``"allowed"`` — tolerated (generated instances, which
-    cannot be pinned). A tolerated strategy must still replay,
-    independently (as a warm start under the run's ``config``), to the
-    oracle's exact cost and IC.
-    """
-    assert ties in ("never", "pinned", "allowed")
+def assert_same_optimum(result, oracle) -> None:
+    """Outcome, cost, IC and strategy equality — the engines' contract."""
     assert result.outcome is oracle.outcome
     assert result.best_cost == oracle.best_cost
     assert result.best_ic == oracle.best_ic
-    ours = _activation_matrix(result.strategy)
-    theirs = _activation_matrix(oracle.strategy)
-    if ours == theirs:
-        assert ties != "pinned", "stale KNOWN_TIES entry: strategies agree"
-        return
-    assert ties != "never", "co-optimal strategies diverged: a new tie"
-    assert ours is not None and theirs is not None
-    seeded = VectorFTSearch(
-        problem, dataclasses.replace(config, warm_start=result.strategy)
-    )
-    assert seeded.seed.cost == oracle.best_cost
-    assert seeded.seed.ic == oracle.best_ic
+    assert _activation_matrix(result.strategy) == _activation_matrix(
+        oracle.strategy
+    ), "co-optimal strategies diverged"
 
 
 def assert_equivalent(
-    problem: OptimizationProblem,
-    config: FTSearchConfig,
-    ties: str = "never",
+    problem: OptimizationProblem, config: FTSearchConfig
 ) -> None:
     """Run both engines on ``problem`` and compare what they return."""
     oracle = ReferenceFTSearch(problem, config).run()
-    assert_same_optimum(
-        VectorFTSearch(problem, config).run(), oracle, problem, ties, config
-    )
+    assert_same_optimum(VectorFTSearch(problem, config).run(), oracle)
 
 
-def ties_for(mode: str, seed: int) -> str:
-    return "pinned" if (mode, seed) in KNOWN_TIES else "never"
-
-
-def check_corpus_case(
-    mode: str, seed: int, size: str = "toy", **config
-) -> None:
-    """One corpus case: ``mode`` labels the configuration in
-    :data:`KNOWN_TIES`, ``config`` is what it means."""
+def check_corpus_case(seed: int, size: str = "toy", **config) -> None:
+    """One corpus case: ``config`` is the :class:`FTSearchConfig` mode."""
     assert_equivalent(
-        _problem(seed, size),
-        FTSearchConfig(time_limit=None, **config),
-        ties_for(mode, seed),
+        _problem(seed, size), FTSearchConfig(time_limit=None, **config)
     )
 
 
@@ -182,27 +118,23 @@ def check_corpus_case(
 
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_equivalent_on_random_instances(seed):
-    check_corpus_case("default", seed)
+    check_corpus_case(seed)
 
 
 @pytest.mark.parametrize("rule", list(PruneRule))
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 7))
 def test_equivalent_with_rule_disabled(seed, rule):
-    check_corpus_case(
-        f"no-{rule.value}", seed, disabled_rules=frozenset({rule})
-    )
+    check_corpus_case(seed, disabled_rules=frozenset({rule}))
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_with_all_rules_disabled(seed):
-    check_corpus_case(
-        "no-rules", seed, disabled_rules=frozenset(PruneRule)
-    )
+    check_corpus_case(seed, disabled_rules=frozenset(PruneRule))
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_in_penalty_mode(seed):
-    check_corpus_case("penalty", seed, penalty_weight=1.0e8)
+    check_corpus_case(seed, penalty_weight=1.0e8)
 
 
 @pytest.mark.parametrize(
@@ -215,37 +147,35 @@ def test_equivalent_in_penalty_mode(seed):
 def test_equivalent_in_penalty_mode_with_rule_disabled(rule):
     """Penalty mode minus one pruning rule, on seed 20 — one of the two
     15-cell toy instances (5 PEs x 3 levels), where the two combine to
-    10-70x the default node count (ROADMAP 4(d)). With COST disabled
-    the case takes ~9 s, so tier-1 runs the other three rules and the
-    nightly sweep (``REPRO_NIGHTLY=1``) all four. Seed 20 is a
-    replica-swap tie in penalty mode under every rule set, hence four
-    :data:`KNOWN_TIES` pins."""
+    10-70x the default node count (the ROADMAP's open penalty-mode
+    item). With COST disabled the case takes ~9 s, so tier-1 runs the
+    other three rules and the nightly sweep (``REPRO_NIGHTLY=1``) all
+    four."""
     check_corpus_case(
-        f"penalty-no-{rule.value}", 20,
-        penalty_weight=1.0e8, disabled_rules=frozenset({rule}),
+        20, penalty_weight=1.0e8, disabled_rules=frozenset({rule})
     )
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_with_seed_incumbent(seed):
-    check_corpus_case("seeded", seed, seed_incumbent=True)
+    check_corpus_case(seed, seed_incumbent=True)
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_without_hungry_order(seed):
-    check_corpus_case("reversed", seed, hungry_configs_first=False)
+    check_corpus_case(seed, hungry_configs_first=False)
 
 
 @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 11))
 def test_equivalent_with_warm_start(seed):
-    """Warm-started from the oracle's optimum, both engines return it
-    again and the block engine expands no more nodes than cold."""
+    """Warm-started from the block engine's optimum, both engines return
+    it again and the block engine expands no more nodes than cold."""
     problem = _problem(seed)
     cold = VectorFTSearch(problem, FTSearchConfig(time_limit=None)).run()
     if cold.strategy is None:
         pytest.skip("instance infeasible")
     config = FTSearchConfig(time_limit=None, warm_start=cold.strategy)
-    assert_equivalent(problem, config, ties_for("warm", seed))
+    assert_equivalent(problem, config)
     warm = VectorFTSearch(problem, config).run()
     assert warm.stats.nodes_expanded <= cold.stats.nodes_expanded
 
@@ -269,9 +199,7 @@ def test_equivalent_under_node_budget(seed, node_limit):
     ).run()
     assert capped.stats.nodes_expanded <= node_limit
     if capped.outcome.is_proof:
-        assert_same_optimum(
-            capped, optimum, problem, ties_for("default", seed)
-        )
+        assert_same_optimum(capped, optimum)
         return
     assert capped.outcome is (
         SearchOutcome.TIMEOUT
@@ -282,6 +210,38 @@ def test_equivalent_under_node_budget(seed, node_limit):
         assert optimum.strategy is not None
         assert capped.best_cost >= optimum.best_cost * (1 - 1e-9)
         assert capped.best_ic >= problem.ic_target - 1e-9
+
+
+# ----------------------------------------------------------------------
+# The check bites: a strategy that differs only at a tie fails it
+# ----------------------------------------------------------------------
+
+
+class _FlippedTieBreak(ReferenceFTSearch):
+    """The oracle with equal host loads broken the other way: the
+    single replica on host 1 is tried first when both hosts carry the
+    same load."""
+
+    def _ordered_values(self, depth, c, pe):
+        values = super()._ordered_values(depth, c, pe)
+        host0, host1 = self._hosts[pe]
+        if self._host_load[(host0, c)] == self._host_load[(host1, c)]:
+            values[-2:] = reversed(values[-2:])
+        return values
+
+
+def test_a_flipped_tie_break_fails_the_check():
+    """On toy seed 24 the flipped order finds a co-optimal strategy —
+    bit-equal cost and IC, other replicas — and the check rejects it."""
+    problem = _problem(24)
+    config = FTSearchConfig(time_limit=None)
+    result = VectorFTSearch(problem, config).run()
+    flipped = _FlippedTieBreak(problem, config).run()
+    assert (flipped.best_cost, flipped.best_ic) == (
+        result.best_cost, result.best_ic
+    )
+    with pytest.raises(AssertionError, match="strategies diverged"):
+        assert_same_optimum(result, flipped)
 
 
 # ----------------------------------------------------------------------
@@ -316,28 +276,22 @@ class TestVectorEqualsReference:
 
     @pytest.mark.parametrize("seed", VECTOR_SEEDS)
     def test_default_config(self, seed):
-        check_corpus_case("mid-default", seed, size="mid")
+        check_corpus_case(seed, size="mid")
 
     @pytest.mark.parametrize("rule", list(PruneRule))
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_each_rule_disabled(self, seed, rule):
         # Toy-sized: a disabled rule leaves the oracle up to 3^n_vars
         # leaves to visit.
-        check_corpus_case(
-            f"no-{rule.value}", seed, disabled_rules=frozenset({rule})
-        )
+        check_corpus_case(seed, disabled_rules=frozenset({rule}))
 
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_penalty_mode(self, seed):
-        check_corpus_case(
-            "mid-penalty", seed, size="mid", penalty_weight=1.0e8
-        )
+        check_corpus_case(seed, size="mid", penalty_weight=1.0e8)
 
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_seeded_incumbent(self, seed):
-        check_corpus_case(
-            "mid-seeded", seed, size="mid", seed_incumbent=True
-        )
+        check_corpus_case(seed, size="mid", seed_incumbent=True)
 
     @pytest.mark.parametrize("seed", range(0, N_INSTANCES, 17))
     def test_tiny_blocks_same_best(self, seed):
@@ -347,7 +301,7 @@ class TestVectorEqualsReference:
         config = FTSearchConfig(time_limit=None)
         baseline = VectorFTSearch(problem, config).run()
         tiny = VectorFTSearch(problem, config, block_rows=3).run()
-        assert_same_optimum(tiny, baseline, problem)
+        assert_same_optimum(tiny, baseline)
 
 
 class TestWarmStart:
@@ -359,7 +313,7 @@ class TestWarmStart:
             pytest.skip("instance infeasible")
         warm = ft_search(problem, time_limit=None, warm_start=cold.strategy)
         assert warm.outcome is SearchOutcome.OPTIMAL
-        assert_same_optimum(warm, cold, problem)
+        assert_same_optimum(warm, cold)
 
     def test_warm_start_seeds_the_vector_engine(self):
         problem = _rich_problem()
@@ -500,5 +454,4 @@ def test_equivalent_on_generated_instances(
             penalty_weight=penalty,
             seed_incumbent=seeded,
         ),
-        ties="allowed",
     )

@@ -5,10 +5,12 @@ current strategy installed as the initial incumbent (``warm_start``).
 The contract, asserted here over the equivalence-suite instances for
 BOTH engines:
 
-* a warm-started search returns the *same* optimal cost and strategy as
-  a cold search (the incumbent only tightens the COST bound, it never
+* a warm-started search returns the *same* optimal cost, IC and strategy
+  as a cold search (the incumbent only tightens the COST bound, it never
   changes what is optimal);
 * it expands at most as many nodes as the cold search;
+* the two engines, warm-started alike, return the same optimum — also
+  on top of the greedy seed and in penalty mode;
 * an incumbent that is infeasible for the new problem (IC below target,
   or hosts over capacity) is ignored rather than trusted — trusting it
   would make the bound unsound.
@@ -33,6 +35,7 @@ from tests.optimizer.test_ftsearch_equivalence import (
     _activation_matrix,
     _problem,
     assert_equivalent,
+    assert_same_optimum,
 )
 from tests.support import random_deployment, random_descriptor
 
@@ -55,11 +58,7 @@ class TestWarmEqualsCold:
             FTSearchConfig(time_limit=None, warm_start=cold.strategy),
         ).run()
         assert warm.outcome is SearchOutcome.OPTIMAL
-        assert warm.best_cost == cold.best_cost
-        assert warm.best_ic == cold.best_ic
-        assert _activation_matrix(warm.strategy) == _activation_matrix(
-            cold.strategy
-        )
+        assert_same_optimum(warm, cold)
         assert warm.stats.nodes_expanded <= cold.stats.nodes_expanded
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -75,10 +74,7 @@ class TestWarmEqualsCold:
             FTSearchConfig(time_limit=None, warm_start=cold.strategy),
         ).run()
         assert warm.outcome is SearchOutcome.OPTIMAL
-        assert warm.best_cost == cold.best_cost
-        assert _activation_matrix(warm.strategy) == _activation_matrix(
-            cold.strategy
-        )
+        assert_same_optimum(warm, cold)
         assert warm.stats.nodes_expanded <= cold.stats.nodes_expanded
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -92,11 +88,7 @@ class TestWarmEqualsCold:
             problem,
             FTSearchConfig(time_limit=None, warm_start=warm_seed),
         ).run()
-        assert warm.outcome is cold.outcome
-        assert warm.best_cost == cold.best_cost
-        assert _activation_matrix(warm.strategy) == _activation_matrix(
-            cold.strategy
-        )
+        assert_same_optimum(warm, cold)
         assert warm.stats.nodes_expanded <= cold.stats.nodes_expanded
 
 

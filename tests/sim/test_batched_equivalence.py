@@ -1,6 +1,6 @@
 """Byte-identity matrix: batched engine vs tuple-granular execution.
 
-The batched engine's contract (ROADMAP item 6) is that flipping
+The batched engine's contract is that flipping
 ``PlatformConfig.batching`` changes wall-clock time and nothing else:
 event logs, metrics, and chaos digests must be byte-identical. This
 module pins that contract across every entry point that exposes the

@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,7 +94,7 @@ UNSET_OPTIONS = {
         "the idle-probe property draws it to race ticks against crashes"
     ),
     "CampaignSpec.rack_size": (
-        "artifact format; moves onto Host.domain with ROADMAP item 1"
+        "artifact format; goes once Host.domain carries failure domains"
     ),
     "DataplaneParams.phases": (
         "the sharing property draws it to vary which tenants overlap"
@@ -226,3 +227,14 @@ def test_generated_tests_draw_the_same_examples_every_run():
     from hypothesis import settings
 
     assert settings.default.derandomize
+
+
+def test_every_repro_module_is_imported_before_a_test_runs():
+    """Hypothesis draws constants from the local modules in
+    ``sys.modules``, so ``tests/conftest.py`` imports all of ``repro``
+    before any test runs: the draw is then the same whether one file
+    runs or the whole suite."""
+    from tests.conftest import REPRO_MODULES
+
+    assert sorted(REPRO_MODULES) == PUBLIC_MODULES
+    assert all(name in sys.modules for name in REPRO_MODULES)

@@ -4,7 +4,7 @@ Every scenario subcommand (``obs``, ``chaos run``, ``fleet``,
 ``elastic``, ``slo``) ends in :func:`repro.driver.deliver`, so the two
 failure exits are pinned here once instead of per subcommand — and
 fans out through :func:`repro.driver.run_tenants`, whose promise that
-the worker count changes no byte is generated here (ROADMAP 6b).
+the worker count changes no byte is generated here.
 """
 
 from __future__ import annotations
