@@ -3,7 +3,7 @@
 This package implements the paper's primary contribution in its off-line
 form: the service model of Section 3 (application graphs, descriptors,
 input configurations), the formal machinery of Section 4 (expected rates,
-the internal-completeness metric, the cost model, failure models, replica
+the internal-completeness metric, the cost model, the failure model, replica
 activation strategies) and the FT-Search optimizer of Section 4.5 with the
 NR/SR/GRD baselines of Section 5.2.
 """
@@ -32,19 +32,11 @@ from repro.core.cost import (
 )
 from repro.core.deployment import Host, ReplicaId, ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor, EdgeProfile
-from repro.core.failure_models import (
-    FailureModel,
-    IndependentFailureModel,
-    NoFailureModel,
-    PessimisticFailureModel,
-)
 from repro.core.ic import (
-    ICBreakdown,
     best_case_internal_completeness,
     failure_aware_rates,
-    failure_internal_completeness,
-    ic_breakdown,
     internal_completeness,
+    pessimistic_phi,
 )
 from repro.core.optimizer import (
     FTSearchConfig,
@@ -76,16 +68,10 @@ __all__ = [
     "ActivationStrategy",
     "RateTable",
     "expected_rates",
-    "FailureModel",
-    "NoFailureModel",
-    "PessimisticFailureModel",
-    "IndependentFailureModel",
-    "best_case_internal_completeness",
-    "failure_internal_completeness",
-    "internal_completeness",
+    "pessimistic_phi",
     "failure_aware_rates",
-    "ic_breakdown",
-    "ICBreakdown",
+    "best_case_internal_completeness",
+    "internal_completeness",
     "strategy_cost",
     "cost_breakdown",
     "CostBreakdown",

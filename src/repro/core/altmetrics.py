@@ -17,37 +17,33 @@ sinks. Implementing the alternatives makes the comparison concrete:
 
 from __future__ import annotations
 
-from repro.core.failure_models import FailureModel, PessimisticFailureModel
-from repro.core.ic import failure_aware_rates
+from repro.core.ic import failure_aware_rates, pessimistic_phi
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ModelError
 
 __all__ = ["output_completeness", "average_replication_factor"]
 
 
-def output_completeness(
-    strategy: ActivationStrategy,
-    failure_model: FailureModel | None = None,
-) -> float:
-    """Expected sink arrivals with failures / without failures.
+def output_completeness(strategy: ActivationStrategy) -> float:
+    """Expected sink arrivals under Eq. 14 / without failures.
 
     Both numerator and denominator are probability-weighted over the
     configuration space (like Eq. 5/6, but summed at the sinks).
     """
-    if failure_model is None:
-        failure_model = PessimisticFailureModel()
-    descriptor = strategy.deployment.descriptor
+    deployment = strategy.deployment
+    descriptor = deployment.descriptor
     rate_table = descriptor.rate_table
     graph = descriptor.graph
-    space = descriptor.configuration_space
-    delta_hat = failure_aware_rates(strategy, failure_model)
 
     expected = 0.0
     baseline = 0.0
-    for config in space:
+    for config in descriptor.configuration_space:
         c = config.index
+        delta_hat, _ = failure_aware_rates(
+            deployment, c, pessimistic_phi(strategy, c)
+        )
         for sink in graph.sinks:
-            expected += config.probability * delta_hat[sink][c]
+            expected += config.probability * delta_hat[sink]
             baseline += config.probability * rate_table.rate(sink, c)
     if baseline == 0.0:
         raise ModelError(

@@ -1,12 +1,11 @@
-"""The internal completeness (IC) metric: Eq. 5-8 of the paper.
+"""The internal completeness (IC) metric: Eq. 5-8 and Eq. 14 of the paper.
 
-Given a failure model ``phi`` and a replica activation strategy ``s``,
-internal completeness measures — over a billing period ``T`` — the fraction
-of tuples expected to be processed in case of failures relative to the
-failure-free count:
+Internal completeness measures the fraction of tuples the PEs are
+expected to process in case of failures relative to the failure-free
+count:
 
-    BIC   = T * sum_{c, x_i in P, x_j in pred(x_i)} P_C(c) * Delta(x_j, c)
-    FIC(s)= T * sum_{c, x_i in P, x_j in pred(x_i)}
+    BIC   = sum_{c, x_i in P, x_j in pred(x_i)} P_C(c) * Delta(x_j, c)
+    FIC(s)= sum_{c, x_i in P, x_j in pred(x_i)}
                 P_C(c) * phi(x_i, c, s) * Delta-hat(x_j, c, s)
     IC(s) = FIC(s) / BIC
 
@@ -16,174 +15,116 @@ with the failure-aware rate recursion (Eq. 7):
     Delta-hat(x, c, s) = phi(x, c, s) *
                          sum_{x_j in pred(x)} delta(x_j, x) * Delta-hat(x_j, c, s)
                                                                     if x is a PE
+
+The paper multiplies BIC and FIC by the billing period T, which cancels
+in IC; both are rates here. Outside FT-Search's engines this module is
+the one place phi and the recursion are computed: the metric,
+:func:`repro.core.altmetrics.output_completeness` and the run-time judge
+:class:`repro.obs.replay.FloorWalker` all read :func:`failure_aware_rates`,
+fed :func:`pessimistic_phi` or a replayed run's realized phi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.failure_models import FailureModel, PessimisticFailureModel
+from repro.core.deployment import ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor
 from repro.core.strategy import ActivationStrategy
 from repro.errors import ModelError
 
 __all__ = [
+    "pessimistic_phi",
     "failure_aware_rates",
     "best_case_internal_completeness",
-    "failure_internal_completeness",
     "internal_completeness",
-    "ICBreakdown",
-    "ic_breakdown",
 ]
 
 
-def failure_aware_rates(
-    strategy: ActivationStrategy,
-    failure_model: FailureModel,
-) -> dict[str, tuple[float, ...]]:
-    """Delta-hat(x, c, s) for every component and configuration (Eq. 7)."""
-    deployment = strategy.deployment
-    descriptor = deployment.descriptor
-    graph = descriptor.graph
-    space = descriptor.configuration_space
-    n_configs = len(space)
-    rate_table = descriptor.rate_table
+def pessimistic_phi(
+    strategy: ActivationStrategy, config_index: int
+) -> dict[str, float]:
+    """Eq. 14's phi in one configuration: 1 iff all k replicas are active.
 
-    rates: dict[str, list[float]] = {}
+    In the assumed worst case every replica of a PE fails except one,
+    and unless all replicas are active the survivor is chosen among the
+    inactive ones (Sec. 4.4): a PE produces output only where the
+    strategy keeps full replication. The IC it yields is a hard lower
+    bound on the IC a real deployment observes.
+    """
+    return {
+        pe: 1.0 if strategy.fully_replicated(pe, config_index) else 0.0
+        for pe in strategy.deployment.descriptor.graph.pes
+    }
+
+
+def failure_aware_rates(
+    deployment: ReplicatedDeployment,
+    config_index: int,
+    phi: Mapping[str, float],
+) -> tuple[dict[str, float], float]:
+    """Delta-hat of every component (Eq. 7) and the FIC rate (Eq. 6).
+
+    One configuration, one per-PE ``phi`` map; a PE missing from
+    ``phi`` contributes nothing (phi = 0). The FIC rate, in tuples/s,
+    counts what each PE processes, phi times its *input*
+    sum_{x_j in pred} Delta-hat(x_j), as FT-Search's engines do — not
+    the selectivity-weighted output it passes downstream. Sinks get the
+    plain sum of their inputs, for output completeness.
+    """
+    descriptor = deployment.descriptor
+    rate_table = descriptor.rate_table
+    graph = descriptor.graph
+    components = graph.components
+    rates: dict[str, float] = {}
+    fic = 0.0
     for name in graph.topological_order:
-        component = graph.components[name]
+        component = components[name]
         if component.is_source:
-            rates[name] = [rate_table.rate(name, c) for c in range(n_configs)]
+            rates[name] = rate_table.rate(name, config_index)
         elif component.is_pe:
-            row = []
-            for c in range(n_configs):
-                inflow = sum(
-                    descriptor.selectivity(edge.tail, name)
-                    * rates[edge.tail][c]
-                    for edge in graph.pe_input_edges(name)
-                )
-                row.append(failure_model.phi(name, c, strategy) * inflow)
-            rates[name] = row
-        else:  # sink: pass-through sum, useful for output-completeness views
-            rates[name] = [
-                sum(rates[p][c] for p in graph.pred(name))
-                for c in range(n_configs)
-            ]
-    return {name: tuple(row) for name, row in rates.items()}
+            p = phi.get(name, 0.0)
+            inflow = 0.0
+            outflow = 0.0
+            for edge in graph.pe_input_edges(name):
+                upstream = rates[edge.tail]
+                inflow += upstream
+                outflow += descriptor.selectivity(edge.tail, name) * upstream
+            rates[name] = p * outflow
+            fic += p * inflow
+        else:  # sink
+            rates[name] = sum(rates[p] for p in graph.pred(name))
+    return rates, fic
 
 
 def best_case_internal_completeness(
-    descriptor: ApplicationDescriptor, billing_period: float = 1.0
+    descriptor: ApplicationDescriptor,
 ) -> float:
-    """BIC (Eq. 5): expected tuples processed by all PEs with no failures."""
-    if billing_period <= 0:
-        raise ModelError(f"billing period must be > 0, got {billing_period}")
+    """BIC (Eq. 5): expected tuples/s processed by all PEs, no failures."""
     rate_table = descriptor.rate_table
     total = 0.0
     for config in descriptor.configuration_space:
         total += config.probability * rate_table.total_pe_input_rate(
             config.index
         )
-    return billing_period * total
+    return total
 
 
-def failure_internal_completeness(
-    strategy: ActivationStrategy,
-    failure_model: FailureModel | None = None,
-    billing_period: float = 1.0,
-) -> float:
-    """FIC (Eq. 6): expected tuples processed under the failure model."""
-    if billing_period <= 0:
-        raise ModelError(f"billing period must be > 0, got {billing_period}")
-    if failure_model is None:
-        failure_model = PessimisticFailureModel()
-    descriptor = strategy.deployment.descriptor
-    graph = descriptor.graph
-    space = descriptor.configuration_space
-    delta_hat = failure_aware_rates(strategy, failure_model)
-
-    total = 0.0
-    for config in space:
-        c = config.index
-        for pe in graph.pes:
-            phi = failure_model.phi(pe, c, strategy)
-            if phi == 0.0:
-                continue
-            inflow = sum(
-                delta_hat[edge.tail][c] for edge in graph.pe_input_edges(pe)
-            )
-            total += config.probability * phi * inflow
-    return billing_period * total
-
-
-def internal_completeness(
-    strategy: ActivationStrategy,
-    failure_model: FailureModel | None = None,
-) -> float:
-    """IC (Eq. 8): FIC / BIC. Independent of the billing period length."""
-    bic = best_case_internal_completeness(strategy.deployment.descriptor)
+def internal_completeness(strategy: ActivationStrategy) -> float:
+    """IC (Eq. 8) under Eq. 14: sum_c P_C(c) * FIC rate(c) / BIC."""
+    deployment = strategy.deployment
+    descriptor = deployment.descriptor
+    bic = best_case_internal_completeness(descriptor)
     if bic == 0.0:
         raise ModelError(
             "BIC is zero: the application processes no tuples in any"
             " configuration, IC is undefined"
         )
-    fic = failure_internal_completeness(strategy, failure_model)
-    return fic / bic
-
-
-@dataclass(frozen=True)
-class ICBreakdown:
-    """Detailed IC accounting, used by reports and by optimizer tests.
-
-    ``per_config`` maps configuration index to ``(fic_c, bic_c)`` — the
-    probability-weighted tuple counts contributed by that configuration.
-    """
-
-    ic: float
-    fic: float
-    bic: float
-    per_config: Mapping[int, tuple[float, float]]
-    failure_model: str
-
-
-def ic_breakdown(
-    strategy: ActivationStrategy,
-    failure_model: FailureModel | None = None,
-) -> ICBreakdown:
-    """IC with per-configuration contributions (for diagnostics)."""
-    if failure_model is None:
-        failure_model = PessimisticFailureModel()
-    descriptor = strategy.deployment.descriptor
-    rate_table = descriptor.rate_table
-    graph = descriptor.graph
-    space = descriptor.configuration_space
-    delta_hat = failure_aware_rates(strategy, failure_model)
-
-    per_config: dict[int, tuple[float, float]] = {}
-    fic_total = 0.0
-    bic_total = 0.0
-    for config in space:
+    fic = 0.0
+    for config in descriptor.configuration_space:
         c = config.index
-        fic_c = 0.0
-        bic_c = 0.0
-        for pe in graph.pes:
-            phi = failure_model.phi(pe, c, strategy)
-            inflow_hat = sum(
-                delta_hat[edge.tail][c] for edge in graph.pe_input_edges(pe)
-            )
-            fic_c += config.probability * phi * inflow_hat
-            bic_c += config.probability * rate_table.pe_input_rate(pe, c)
-        per_config[c] = (fic_c, bic_c)
-        fic_total += fic_c
-        bic_total += bic_c
-
-    if bic_total == 0.0:
-        raise ModelError("BIC is zero: IC is undefined")
-    return ICBreakdown(
-        ic=fic_total / bic_total,
-        fic=fic_total,
-        bic=bic_total,
-        per_config=per_config,
-        failure_model=failure_model.name,
-    )
+        _, fic_c = failure_aware_rates(
+            deployment, c, pessimistic_phi(strategy, c)
+        )
+        fic += config.probability * fic_c
+    return fic / bic

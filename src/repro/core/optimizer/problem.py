@@ -12,11 +12,10 @@ real deployment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cost import cpu_constraint_violations, strategy_cost
 from repro.core.deployment import ReplicatedDeployment
-from repro.core.failure_models import FailureModel, PessimisticFailureModel
 from repro.core.ic import internal_completeness
 from repro.core.strategy import ActivationStrategy
 from repro.errors import OptimizationError
@@ -51,28 +50,18 @@ class OptimizationProblem:
         theta). FT-Search requires ``replication_factor == 2``.
     ic_target:
         The SLA constraint of Eq. 10, in [0, 1].
-    failure_model:
-        The phi used to evaluate IC. Defaults to the pessimistic model;
-        FT-Search's incremental bookkeeping also assumes it, so only the
-        exhaustive verifier accepts alternatives.
-    billing_period:
-        The T of Eq. 5/13. It scales BIC/FIC/cost identically, so it does
-        not change which strategy is optimal; it is exposed for reporting.
+
+    FT-Search optimizes IC under Eq. 14 and cost per unit time (T = 1);
+    :meth:`evaluate` judges a strategy by the same two figures.
     """
 
     deployment: ReplicatedDeployment
     ic_target: float
-    failure_model: FailureModel = field(default_factory=PessimisticFailureModel)
-    billing_period: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ic_target <= 1.0:
             raise OptimizationError(
                 f"IC target must be in [0, 1], got {self.ic_target}"
-            )
-        if self.billing_period <= 0:
-            raise OptimizationError(
-                f"billing period must be > 0, got {self.billing_period}"
             )
 
     def evaluate(self, strategy: ActivationStrategy) -> StrategyEvaluation:
@@ -84,8 +73,8 @@ class OptimizationProblem:
             raise OptimizationError(
                 "strategy was built for a different deployment"
             )
-        cost = strategy_cost(strategy, self.billing_period)
-        ic = internal_completeness(strategy, self.failure_model)
+        cost = strategy_cost(strategy)
+        ic = internal_completeness(strategy)
         cpu_ok = not cpu_constraint_violations(strategy)
         ic_ok = ic >= self.ic_target - _IC_TOLERANCE
         return StrategyEvaluation(

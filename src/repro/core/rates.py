@@ -13,16 +13,11 @@ CPU constraint (Eq. 11). The failure-aware counterpart Delta-hat lives in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
-
 import numpy as np
 
 from repro.core.descriptor import ApplicationDescriptor
 
-if TYPE_CHECKING:
-    from repro.core.deployment import ReplicatedDeployment
-
-__all__ = ["expected_rates", "fic_rate", "RateTable"]
+__all__ = ["expected_rates", "RateTable"]
 
 
 def expected_rates(
@@ -60,42 +55,6 @@ def expected_rates(
             rates[name] = row
 
     return {name: tuple(row) for name, row in rates.items()}
-
-
-def fic_rate(
-    deployment: "ReplicatedDeployment",
-    config_index: int,
-    phi: Mapping[str, float],
-) -> float:
-    """Instantaneous FIC rate (tuples/s) in one configuration.
-
-    The Eq. 7 recursion with an explicit per-PE phi map instead of a
-    failure-model object. :class:`repro.obs.replay.FloorWalker` feeds it
-    either the realized phi of the replayed state or the reference
-    strategy's pessimistic phi, for the chaos checker and the SLO
-    trackers alike. A PE missing from ``phi`` contributes nothing
-    (phi = 0).
-    """
-    descriptor = deployment.descriptor
-    rate_table = descriptor.rate_table
-    graph = descriptor.graph
-    rates: dict[str, float] = {}
-    total = 0.0
-    for name in graph.topological_order:
-        component = graph.components[name]
-        if component.is_source:
-            rates[name] = rate_table.rate(name, config_index)
-        elif component.is_pe:
-            inflow = sum(
-                descriptor.selectivity(edge.tail, name) * rates[edge.tail]
-                for edge in graph.pe_input_edges(name)
-            )
-            p = phi.get(name, 0.0)
-            rates[name] = p * inflow
-            total += p * inflow
-        else:  # sink
-            rates[name] = sum(rates[p] for p in graph.pred(name))
-    return total
 
 
 class RateTable:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.core.deployment import ReplicaId, ReplicatedDeployment
-from repro.core.rates import fic_rate
+from repro.core.ic import failure_aware_rates, pessimistic_phi
 from repro.core.strategy import ActivationStrategy
 
 __all__ = ["EPS", "STATE_EVENTS", "DeploymentState", "FloorWalker"]
@@ -239,8 +239,9 @@ class FloorWalker:
     """The one judge of the a-priori IC lower bound (Sec. 4.4).
 
     Owns a run's :class:`DeploymentState` and, per configuration, the
-    floor the reference strategy proved: its pessimistic FIC rate (phi
-    = 1 iff fully replicated; Eq. 14 into the Eq. 7 recursion).
+    floor the reference strategy proved: its FIC rate under Eq. 14, from
+    the same :mod:`repro.core.ic` code as the IC metric, so the floors
+    weighted by P_C and divided by BIC are the IC FT-Search proved.
     :meth:`advance` labels the time since the last call; it is a
     generator, so the cursor moves only once it is iterated. Callers
     advance to an event's time, then ``walker.state.apply(...)`` it.
@@ -261,20 +262,20 @@ class FloorWalker:
             initial_config,
             command_latency,
         )
-        pes = deployment.descriptor.graph.pes
-        self.floors: dict[int, float] = {}
-        for c in range(len(deployment.descriptor.configuration_space)):
-            phi_pess = {
-                pe: 1.0 if reference.fully_replicated(pe, c) else 0.0
-                for pe in pes
-            }
-            self.floors[c] = fic_rate(deployment, c, phi_pess)
+        self.floors = {
+            c: failure_aware_rates(
+                deployment, c, pessimistic_phi(reference, c)
+            )[1]
+            for c in range(len(deployment.descriptor.configuration_space))
+        }
         self.cursor = 0.0
 
     def realized(self) -> float:
-        """The run's instantaneous FIC rate (Eq. 7 with realized phi)."""
+        """The run's instantaneous FIC rate (Eq. 6/7 with realized phi)."""
         state = self.state
-        return fic_rate(self.deployment, state.config, state.realized_phi())
+        return failure_aware_rates(
+            self.deployment, state.config, state.realized_phi()
+        )[1]
 
     def advance(
         self, until: float

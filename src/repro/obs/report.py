@@ -44,8 +44,8 @@ def _render_mode(mode: dict[str, Any]) -> list[str]:
         lines.append(f"injected: {item['kind']}@{_fmt(item['at'])}{params}")
     verdict = mode["invariants"]
     lines.append(
-        f"invariants: {'ok' if verdict['ok'] else 'VIOLATED'} (min IC"
-        f" margin {_fmt(verdict['stats']['min_ic_margin'], 4)})"
+        f"invariants: {'ok' if verdict['ok'] else 'VIOLATED'} (min FIC"
+        f" margin {_fmt(verdict['stats']['min_ic_margin'], 4)} tuples/s)"
     )
     lines += [
         f"  t={_fmt(v['time'], 3)}s  [{v['invariant']}] {v['detail']}"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ActivationStrategy,
-    NoFailureModel,
     ReplicaId,
     internal_completeness,
 )
@@ -36,12 +35,6 @@ class TestOutputCompleteness:
     def test_all_active_is_one(self, pipeline_deployment):
         strategy = ActivationStrategy.all_active(pipeline_deployment)
         assert output_completeness(strategy) == pytest.approx(1.0)
-
-    def test_no_failures_is_one(self, pipeline_deployment):
-        strategy = partial(pipeline_deployment, ["pe1", "pe2"])
-        assert output_completeness(strategy, NoFailureModel()) == (
-            pytest.approx(1.0)
-        )
 
     def test_pipeline_sink_loss(self, pipeline_deployment):
         # Killing pe2 in High removes the High share of the output:

@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ActivationStrategy,
-    IndependentFailureModel,
-    NoFailureModel,
-    PessimisticFailureModel,
     ReplicaId,
     best_case_internal_completeness,
     failure_aware_rates,
-    failure_internal_completeness,
-    ic_breakdown,
     internal_completeness,
+    pessimistic_phi,
 )
-from repro.errors import ModelError
 from tests.support import random_deployment, random_descriptor
 
 
@@ -43,15 +38,6 @@ class TestBIC:
         # High: each receives 8 t/s, p=0.2 -> 3.2. Total 9.6 per second.
         bic = best_case_internal_completeness(pipeline_descriptor)
         assert bic == pytest.approx(9.6)
-
-    def test_bic_scales_with_billing_period(self, pipeline_descriptor):
-        one = best_case_internal_completeness(pipeline_descriptor, 1.0)
-        many = best_case_internal_completeness(pipeline_descriptor, 300.0)
-        assert many == pytest.approx(300.0 * one)
-
-    def test_bic_rejects_bad_period(self, pipeline_descriptor):
-        with pytest.raises(ModelError):
-            best_case_internal_completeness(pipeline_descriptor, 0.0)
 
 
 class TestPessimisticIC:
@@ -76,63 +62,32 @@ class TestPessimisticIC:
         # Killing "a" in High zeroes the whole High configuration:
         # IC = P(Low) contribution only.
         strategy = partial_strategy(diamond_deployment, ["a"])
-        breakdown = ic_breakdown(strategy)
-        fic_high, bic_high = breakdown.per_config[1]
-        assert fic_high == 0.0
-        assert breakdown.ic == pytest.approx(
-            sum(f for f, _ in breakdown.per_config.values()) / breakdown.bic
+        space = diamond_deployment.descriptor.configuration_space
+        fic = [
+            failure_aware_rates(
+                diamond_deployment, c, pessimistic_phi(strategy, c)
+            )[1]
+            for c in range(2)
+        ]
+        assert fic[1] == 0.0
+        bic = best_case_internal_completeness(diamond_deployment.descriptor)
+        assert internal_completeness(strategy) == pytest.approx(
+            space[0].probability * fic[0] / bic
         )
 
     def test_failure_aware_rates_zero_downstream(self, diamond_deployment):
         strategy = partial_strategy(diamond_deployment, ["a"])
-        delta_hat = failure_aware_rates(strategy, PessimisticFailureModel())
-        assert delta_hat["a"][1] == 0.0
-        assert delta_hat["b"][1] == 0.0
-        assert delta_hat["d"][1] == 0.0
-        # Low configuration untouched.
-        assert delta_hat["a"][0] == pytest.approx(5.0)
-
-
-class TestOtherFailureModels:
-    def test_no_failure_model_gives_ic_one(self, pipeline_deployment):
-        strategy = partial_strategy(pipeline_deployment, ["pe1", "pe2"])
-        ic = internal_completeness(strategy, NoFailureModel())
-        assert ic == pytest.approx(1.0)
-
-    def test_independent_model_bounds(self, pipeline_deployment):
-        strategy = partial_strategy(pipeline_deployment, ["pe2"])
-        for availability in (0.0, 0.5, 0.9, 1.0):
-            independent = internal_completeness(
-                strategy, IndependentFailureModel(availability)
-            )
-            assert 0.0 <= independent <= 1.0 + 1e-12
-
-    def test_independent_model_extremes(self, pipeline_deployment):
-        strategy = partial_strategy(pipeline_deployment, ["pe2"])
-        # Perfectly available replicas behave like the no-failure case;
-        # never-available replicas process nothing.
-        assert internal_completeness(
-            strategy, IndependentFailureModel(1.0)
-        ) == pytest.approx(
-            internal_completeness(strategy, NoFailureModel())
+        high, _ = failure_aware_rates(
+            diamond_deployment, 1, pessimistic_phi(strategy, 1)
         )
-        assert internal_completeness(
-            strategy, IndependentFailureModel(0.0)
-        ) == pytest.approx(0.0)
-
-    def test_independent_model_monotone_in_availability(
-        self, pipeline_deployment
-    ):
-        strategy = partial_strategy(pipeline_deployment, ["pe1"])
-        values = [
-            internal_completeness(strategy, IndependentFailureModel(a))
-            for a in (0.1, 0.5, 0.9)
-        ]
-        assert values == sorted(values)
-
-    def test_independent_model_rejects_bad_availability(self):
-        with pytest.raises(ModelError):
-            IndependentFailureModel(1.5)
+        assert high["a"] == 0.0
+        assert high["b"] == 0.0
+        assert high["d"] == 0.0
+        # Low configuration untouched.
+        low, _ = failure_aware_rates(
+            diamond_deployment, 0, pessimistic_phi(strategy, 0)
+        )
+        assert low["a"] == pytest.approx(5.0)
 
 
 class TestICProperties:
@@ -173,6 +128,10 @@ class TestICProperties:
 
     def test_fic_equals_bic_when_all_active(self, pipeline_deployment):
         strategy = ActivationStrategy.all_active(pipeline_deployment)
-        fic = failure_internal_completeness(strategy)
-        bic = best_case_internal_completeness(pipeline_deployment.descriptor)
-        assert fic == pytest.approx(bic)
+        descriptor = pipeline_deployment.descriptor
+        rate_table = descriptor.rate_table
+        for c in range(len(descriptor.configuration_space)):
+            _, fic = failure_aware_rates(
+                pipeline_deployment, c, pessimistic_phi(strategy, c)
+            )
+            assert fic == pytest.approx(rate_table.total_pe_input_rate(c))

@@ -19,12 +19,6 @@ class TestValidation:
         with pytest.raises(OptimizationError):
             OptimizationProblem(pipeline_deployment, ic_target=1.5)
 
-    def test_rejects_bad_billing_period(self, pipeline_deployment):
-        with pytest.raises(OptimizationError):
-            OptimizationProblem(
-                pipeline_deployment, ic_target=0.5, billing_period=0.0
-            )
-
 
 class TestEvaluate:
     def test_all_active_on_roomy_deployment(self, pipeline_deployment):
@@ -57,16 +51,3 @@ class TestEvaluate:
         foreign = ActivationStrategy.all_active(diamond_deployment)
         with pytest.raises(OptimizationError, match="different deployment"):
             problem.evaluate(foreign)
-
-    def test_billing_period_scales_cost_only(self, pipeline_deployment):
-        short = OptimizationProblem(
-            pipeline_deployment, ic_target=0.5, billing_period=1.0
-        )
-        long = OptimizationProblem(
-            pipeline_deployment, ic_target=0.5, billing_period=300.0
-        )
-        strategy = ActivationStrategy.all_active(pipeline_deployment)
-        eval_short = short.evaluate(strategy)
-        eval_long = long.evaluate(strategy)
-        assert eval_long.cost == pytest.approx(300.0 * eval_short.cost)
-        assert eval_long.ic == pytest.approx(eval_short.ic)
