@@ -4,14 +4,14 @@ The paper's testbed is deployed "to minimize inter-host communication"
 and models cluster bandwidth as abundant. This extension measures the
 actual traffic: expected and simulated inter-host tuple rates under the
 balanced LPT placement versus the communication-aware local search, with
-the activation-strategy cost shown to be unaffected.
+the optimal activation-strategy cost of each placement beside them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import OptimizationProblem, ft_search
+from repro.core import OptimizationProblem, SearchOutcome, ft_search
 from repro.dsps import PlatformConfig, two_level_trace
 from repro.experiments.report import format_table
 from repro.laar import ExtendedApplication, MiddlewareConfig
@@ -21,6 +21,10 @@ from repro.placement import (
     deployment_traffic,
 )
 from repro.workloads import ClusterParams, GeneratorParams, generate_application
+
+# Both searches prove their optimum in under 0.6 M nodes; a node budget
+# instead of a wall-clock one makes the table the same on every host.
+NODE_LIMIT = 2_000_000
 
 
 def simulate(app, deployment, strategy, duration=45.0):
@@ -59,9 +63,11 @@ def test_ext_communication(benchmark, save_figure):
     costs = {}
     for name, deployment in (("balanced LPT", lpt), ("comm-aware", aware)):
         result = ft_search(
-            OptimizationProblem(deployment, ic_target=0.5), time_limit=2.0
+            OptimizationProblem(deployment, ic_target=0.5),
+            time_limit=None,
+            node_limit=NODE_LIMIT,
         )
-        assert result.strategy is not None
+        assert result.outcome is SearchOutcome.OPTIMAL
         costs[name] = result.best_cost
         metrics, duration = simulate(app, deployment, result.strategy)
         rows.append(
@@ -98,8 +104,8 @@ def test_ext_communication(benchmark, save_figure):
         measured_cut["comm-aware"]
         <= measured_cut["balanced LPT"] * 1.05 + 1e-9
     )
-    # ...and leaves the activation cost essentially unchanged (cost only
-    # depends on loads, which the tolerance bound keeps close).
+    # ...and keeps the activation cost close (cost only depends on
+    # loads, which the tolerance bound keeps close).
     assert costs["comm-aware"] == pytest.approx(
         costs["balanced LPT"], rel=0.15
     )

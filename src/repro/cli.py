@@ -91,7 +91,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     result = ft_search(
         problem,
         time_limit=args.time_limit,
-        penalty_weight=args.penalty,
         seed_incumbent=True,
     )
     print(
@@ -809,7 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("bundle")
     optimize.add_argument("--ic", type=float, required=True)
     optimize.add_argument("--time-limit", type=float, default=10.0)
-    optimize.add_argument("--penalty", type=float, default=None)
     optimize.add_argument("--out", required=True)
     optimize.set_defaults(func=_cmd_optimize)
 

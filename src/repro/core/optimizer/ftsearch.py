@@ -102,10 +102,7 @@ class FTSearchConfig:
 
     ``time_limit`` is wall-clock seconds (the paper used a hard 10-minute
     limit); ``node_limit`` bounds the number of expanded nodes and gives
-    deterministic truncation in tests. ``penalty_weight`` switches the
-    search to the soft-IC objective of the paper's future-work item (ii):
-    minimize ``cost + penalty_weight * max(0, ic_target - IC)`` with no
-    hard IC constraint.
+    deterministic truncation in tests.
 
     ``disabled_rules`` turns individual pruning strategies off — the
     ablation knob behind the Fig. 6 analysis. Disabling a rule never
@@ -133,7 +130,7 @@ class FTSearchConfig:
     the search after rate drift, seeded with the strategy currently in
     production). The strategy is re-keyed onto this problem's deployment
     and installed only when it is feasible *for this problem* — IC target
-    met (hard-constraint mode) and every host within capacity — because
+    met and every host within capacity — because
     an infeasible incumbent would make the COST bound unsound. Like
     ``seed_incumbent`` it is a pure accelerator: the search returns the
     same optimal cost and strategy as a cold run, expanding at most as
@@ -147,7 +144,6 @@ class FTSearchConfig:
 
     time_limit: Optional[float] = 10.0
     node_limit: Optional[int] = None
-    penalty_weight: Optional[float] = None
     disabled_rules: frozenset = frozenset()
     seed_incumbent: bool = False
     hungry_configs_first: bool = True
@@ -164,13 +160,6 @@ class FTSearchConfig:
             )
         if self.node_limit is not None and self.node_limit <= 0:
             raise OptimizationError("node_limit must be > 0 or None")
-        if self.penalty_weight is not None and not (
-            0 <= self.penalty_weight < math.inf
-        ):
-            raise OptimizationError(
-                f"penalty_weight must be finite and >= 0 or None, got"
-                f" {self.penalty_weight!r}"
-            )
         for rule in self.disabled_rules:
             if not isinstance(rule, PruneRule):
                 raise OptimizationError(
@@ -190,15 +179,15 @@ def _evaluate_warm_start(
     problem: OptimizationProblem,
     config: FTSearchConfig,
     vars_: list[tuple[int, str]],
-) -> Optional[tuple[list[tuple[bool, bool]], float, float, float]]:
+) -> Optional[tuple[list[tuple[bool, bool]], float, float]]:
     """Evaluate ``config.warm_start`` against ``problem``.
 
     Re-keys the warm strategy onto this problem's deployment (the
     re-planner hands in a strategy bound to the *previous* deployment of
     the same shape), then checks feasibility under this problem's rates:
     every host strictly within capacity in every configuration (Eq. 11,
-    with the search's epsilon) and — in hard-constraint mode — the IC
-    target met. Returns ``(values, ic, cost, objective)`` with one
+    with the search's epsilon) and the IC target met. Returns
+    ``(values, ic, cost)`` with one
     ``(replica0_active, replica1_active)`` tuple per variable in ``vars_``
     order, or None when the warm start is unusable.
 
@@ -232,14 +221,9 @@ def _evaluate_warm_start(
         if load >= capacity[host] * (1 - _REL_EPS):
             return None
 
-    deficit = max(0.0, problem.ic_target - ic)
-    if config.penalty_weight is None and deficit > 0:
+    if ic < problem.ic_target:
         return None
-    if config.penalty_weight is None:
-        objective = cost
-    else:
-        objective = cost + config.penalty_weight * deficit
-    return values, ic, cost, objective
+    return values, ic, cost
 
 
 def _replay_assignment(
@@ -326,11 +310,10 @@ def _replay_assignment(
 class Seed:
     """The pre-search incumbent (greedy seed and/or warm start).
 
-    ``codes`` is None — and the costs infinite — when no incumbent was
+    ``codes`` is None — and the cost infinite — when no incumbent was
     installed.
     """
 
-    objective: float
     cost: float
     ic: float
     codes: Optional[tuple[int, ...]]
@@ -413,15 +396,15 @@ class SearchLayout:
             prob[c] * rate_table.total_pe_input_rate(c)
             for c in range(n_configs)
         ]
-        self.bic = sum(bic_c)
-        if self.bic <= 0:
+        bic = sum(bic_c)
+        if bic <= 0:
             raise OptimizationError(
                 "BIC is zero: the application processes no tuples, the IC"
                 " constraint is undefined"
             )
         self.ic_target = problem.ic_target
         #: The IC goal as a FIC mass, with the search's epsilon applied.
-        self.fic_thresh = problem.ic_target * self.bic - _REL_EPS * self.bic
+        self.fic_thresh = problem.ic_target * bic - _REL_EPS * bic
 
         # Per-depth data: load and cost of one active replica, source
         # inflows, which later variables DOM may exclude.
@@ -546,13 +529,6 @@ class SearchLayout:
     # Clean evaluation of full assignments
     # ------------------------------------------------------------------
 
-    def objective(self, cost: float, ic: float) -> float:
-        """Cost, plus the soft-IC deficit term in penalty mode."""
-        penalty = self.config.penalty_weight
-        if penalty is None:
-            return cost
-        return cost + penalty * max(0.0, self.ic_target - ic)
-
     def replay(self, codes: tuple[int, ...]) -> tuple[float, float]:
         """``(ic, cost)`` of a full assignment, via the shared clean
         evaluator — a pure function of the assignment."""
@@ -590,27 +566,23 @@ class SearchLayout:
         what a search would record for the same assignment. Unusable
         seeds are silently ignored — seeding is a pure accelerator.
         """
-        seed = Seed(math.inf, math.inf, 0.0, None)
+        seed = Seed(math.inf, 0.0, None)
         if self.config.seed_incumbent:
             codes = self._greedy_codes()
             if codes is not None:
                 ic, cost = self.replay(codes)
-                if (
-                    self.config.penalty_weight is not None
-                    or ic >= self.ic_target
-                ):
-                    seed = Seed(self.objective(cost, ic), cost, ic, codes)
+                if ic >= self.ic_target:
+                    seed = Seed(cost, ic, codes)
         if self.config.warm_start is not None:
             payload = _evaluate_warm_start(
                 self.problem, self.config, self.vars
             )
             if payload is not None:
-                values, ic, cost, objective = payload
+                values, ic, cost = payload
                 if seed.codes is None or (
-                    objective < seed.objective * (1 - _REL_EPS)
+                    cost < seed.cost * (1 - _REL_EPS)
                 ):
                     seed = Seed(
-                        objective,
                         cost,
                         ic,
                         tuple(_CODE_OF_VALUE[v] for v in values),
@@ -639,7 +611,6 @@ def ft_search(
     problem: OptimizationProblem,
     time_limit: Optional[float] = 10.0,
     node_limit: Optional[int] = None,
-    penalty_weight: Optional[float] = None,
     disabled_rules: frozenset = frozenset(),
     seed_incumbent: bool = False,
     hungry_configs_first: bool = True,
@@ -663,7 +634,6 @@ def ft_search(
     config = FTSearchConfig(
         time_limit=time_limit,
         node_limit=node_limit,
-        penalty_weight=penalty_weight,
         disabled_rules=frozenset(disabled_rules),
         seed_incumbent=seed_incumbent,
         hungry_configs_first=hungry_configs_first,

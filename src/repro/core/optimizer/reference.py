@@ -223,7 +223,6 @@ class ReferenceFTSearch:
         self._cost_assigned = 0.0
 
         self._best_cost = math.inf
-        self._best_objective = math.inf
         self._best_assignment: Optional[list[tuple[bool, bool]]] = None
         self._best_ic = 0.0
         self._best_time: Optional[float] = None
@@ -316,15 +315,9 @@ class ReferenceFTSearch:
         # Evaluate through the shared clean replay (same float path as
         # recorded solutions and warm starts).
         _, ic, cost = _replay_assignment(self._problem, self._vars, values)
-        deficit = max(0.0, self._problem.ic_target - ic)
-        if self._config.penalty_weight is None and deficit > 0:
+        if ic < self._problem.ic_target:
             return
-        if self._config.penalty_weight is None:
-            objective = cost
-        else:
-            objective = cost + self._config.penalty_weight * deficit
         self._best_cost = cost
-        self._best_objective = objective
         self._best_ic = ic
         self._best_assignment = list(values)
         self._best_time = 0.0
@@ -341,13 +334,12 @@ class ReferenceFTSearch:
         )
         if payload is None:
             return
-        values, ic, cost, objective = payload
+        values, ic, cost = payload
         if self._best_assignment is not None and not (
-            objective < self._best_objective * (1 - _REL_EPS)
+            cost < self._best_cost * (1 - _REL_EPS)
         ):
             return
         self._best_cost = cost
-        self._best_objective = objective
         self._best_ic = ic
         self._best_assignment = list(values)
         self._best_time = 0.0
@@ -374,7 +366,6 @@ class ReferenceFTSearch:
 
         c, pe = self._vars[depth]
         height = self._n_vars - depth
-        penalty = self._config.penalty_weight
         disabled = self._config.disabled_rules
 
         for value in self._ordered_values(depth, c, pe):
@@ -409,15 +400,12 @@ class ReferenceFTSearch:
                 fic_contrib = 0.0
 
             # --- COMPL pruning (IC upper bound) --------------------------
-            compl_enabled = PruneRule.COMPLETENESS not in disabled
-            fic_upper = None
-            if penalty is not None or compl_enabled:
+            if PruneRule.COMPLETENESS not in disabled:
                 fic_upper = (
                     self._fic_assigned
                     + fic_contrib
                     + self._fic_upper_bound_rest(depth, c, pe, delta_hat)
                 )
-            if penalty is None and compl_enabled:
                 if fic_upper < self._fic_target - _REL_EPS * self._bic:
                     self._stats.record_prune(PruneRule.COMPLETENESS, height)
                     continue
@@ -430,15 +418,7 @@ class ReferenceFTSearch:
                     + value_cost
                     + self._suffix_min_cost[depth + 1]
                 )
-                if penalty is None:
-                    bound = cost_lower
-                    best = self._best_cost
-                else:
-                    ic_upper = min(1.0, fic_upper / self._bic)
-                    deficit = max(0.0, self._problem.ic_target - ic_upper)
-                    bound = cost_lower + penalty * deficit
-                    best = self._best_objective
-                if bound >= best * (1 - _REL_EPS):
+                if cost_lower >= self._best_cost * (1 - _REL_EPS):
                     self._stats.record_prune(PruneRule.COST, height)
                     continue
 
@@ -633,28 +613,20 @@ class ReferenceFTSearch:
                     return
         if (
             PruneRule.COMPLETENESS in disabled
-            and self._config.penalty_weight is None
             and self._fic_assigned < self._fic_target - _REL_EPS * self._bic
         ):
             return
 
         ic = self._fic_assigned / self._bic
         cost = self._cost_assigned
-        if self._config.penalty_weight is None:
-            objective = cost
-        else:
-            deficit = max(0.0, self._problem.ic_target - ic)
-            objective = cost + self._config.penalty_weight * deficit
-
         self._stats.solutions_found += 1
         now = time.monotonic() - self._start
         if self._first_cost is None:
             self._first_cost = cost
             self._first_time = now
-        if objective < self._best_objective * (1 - _REL_EPS) or (
+        if cost < self._best_cost * (1 - _REL_EPS) or (
             self._best_assignment is None
         ):
-            self._best_objective = objective
             self._best_cost = cost
             self._best_ic = ic
             self._best_assignment = [

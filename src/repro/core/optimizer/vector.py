@@ -132,7 +132,7 @@ _RANK_BYTES = np.array(
     np.uint8,
 )
 
-# A near-optimal leaf: (raw objective, path bytes). Sorting candidates by
+# A near-optimal leaf: (raw cost, path bytes). Sorting candidates by
 # path restores the scalar DFS visit order.
 Candidate = tuple[float, bytes]
 
@@ -205,7 +205,7 @@ _Range = tuple[_Pending, int, int]
 class RawSearch:
     """What one block-search pass produces, before the candidate fold.
 
-    ``best_raw`` is the tightest raw-accumulator objective seen (the
+    ``best_raw`` is the tightest raw-accumulator cost seen (the
     in-search prune bound), not the clean replayed optimum.
     """
 
@@ -251,13 +251,10 @@ class VectorFTSearch:
         self._cap_row = np.asarray(self._layout.host_caps)
 
         disabled = self._config.disabled_rules
-        self._penalty = self._config.penalty_weight
         self._cpu_on = PruneRule.CPU not in disabled
         self._compl_on = PruneRule.COMPLETENESS not in disabled
         self._cost_on = PruneRule.COST not in disabled
         self._dom_on = PruneRule.DOMAIN not in disabled
-        self._need_fic_upper = self._penalty is not None or self._compl_on
-        self._compl_prune_on = self._penalty is None and self._compl_on
 
         self._seed = self._layout.seed()
         self._reset_counters()
@@ -272,10 +269,7 @@ class VectorFTSearch:
         self._solutions_found = 0
         self._prune_counts = [0, 0, 0, 0]
         self._prune_heights = [0, 0, 0, 0]
-        self._best_raw = self._seed.objective
-        self._best_raw_cost = (
-            math.inf if self._seed.codes is None else self._seed.cost
-        )
+        self._best_raw = self._seed.cost
         self._candidates: list[Candidate] = []
         self._first_raw_cost: Optional[float] = None
         self._first_raw_time: Optional[float] = None
@@ -357,19 +351,15 @@ class VectorFTSearch:
         layout = self._layout
         seed = self._seed
         best_codes = seed.codes
-        best_objective = seed.objective
         best_cost = seed.cost
         best_ic = seed.ic
-        for raw_objective, path in sorted(
-            candidates, key=lambda cand: cand[1]
-        ):
+        for raw_cost, path in sorted(candidates, key=lambda cand: cand[1]):
             if best_codes is not None and not (
-                raw_objective < best_objective * (1 - _REL_EPS)
+                raw_cost < best_cost * (1 - _REL_EPS)
             ):
                 continue
             best_codes = tuple(byte & _CODE_MASK for byte in path)
             best_ic, best_cost = layout.replay(best_codes)
-            best_objective = layout.objective(best_cost, best_ic)
         return best_codes, best_cost, best_ic
 
     def _result(self, raw: RawSearch) -> SearchResult:
@@ -453,11 +443,7 @@ class VectorFTSearch:
         ):
             progress.snapshot(
                 self._nodes,
-                (
-                    None
-                    if math.isinf(self._best_raw_cost)
-                    else self._best_raw_cost
-                ),
+                None if math.isinf(self._best_raw) else self._best_raw,
                 self._prunes_by_name(self._prune_counts),
             )
 
@@ -499,35 +485,26 @@ class VectorFTSearch:
             alive = self._pruned(_CPU_I, height, valid, alive)
 
         # COMPL rule: IC upper bound via the rest-of-configuration walk.
-        fic_upper: Optional[np.ndarray] = None
-        if self._need_fic_upper:
+        if self._compl_on:
             rest = self._walk(depth, dh_both, delta_hat, excluded)
             rest += layout.d_suffix_bic[depth]
             fic_upper = np.empty((2, rows))
             np.add(block.fic, contrib_both, out=fic_upper[0])
             fic_upper[1] = block.fic
             fic_upper += rest
-            if self._compl_prune_on:
-                keeps = fic_upper >= layout.fic_thresh
-                valid[0] &= keeps[0]
-                valid[1:] &= keeps[1]
-                alive = self._pruned(_COMPL_I, height, valid, alive)
+            keeps = fic_upper >= layout.fic_thresh
+            valid[0] &= keeps[0]
+            valid[1:] &= keeps[1]
+            alive = self._pruned(_COMPL_I, height, valid, alive)
 
         # COST rule: assigned cost + cheapest completion, against the
-        # banded incumbent (plus the soft-IC deficit in penalty mode).
+        # banded incumbent.
         if self._cost_on:
             bound = (
                 block.cost
                 + layout.d_cost_step[depth]
                 + layout.suffix_min_cost[depth + 1]
             )
-            if self._penalty is not None:
-                assert fic_upper is not None
-                bound = bound + self._penalty * np.maximum(
-                    0.0,
-                    layout.ic_target
-                    - np.minimum(1.0, fic_upper / layout.bic),
-                )
             keeps = bound < self._best_raw * (1 + _BAND_EPS)
             valid[0] &= keeps[0]
             valid[1:] &= keeps[1]
@@ -703,40 +680,33 @@ class VectorFTSearch:
 
     def _fold_leaves(self, block: _Block) -> None:
         """Collect near-optimal leaves and tighten the raw incumbent."""
-        layout = self._layout
-        objective = block.cost
         # Constraints normally enforced en route move to the leaves when
         # their rule is disabled — same contract as the oracle's recorder.
         feasible = ~block.overloaded
-        if not self._compl_on and self._penalty is None:
-            feasible &= block.fic >= layout.fic_thresh
-        if self._penalty is not None:
-            ic = np.maximum(0.0, block.fic / layout.bic)
-            deficit = np.maximum(0.0, layout.ic_target - ic)
-            objective = block.cost + self._penalty * deficit
-        objective = np.where(feasible, objective, math.inf)
+        if not self._compl_on:
+            feasible &= block.fic >= self._layout.fic_thresh
+        cost = np.where(feasible, block.cost, math.inf)
         self._solutions_found += int(feasible.sum())
 
         band = self._best_raw * (1 + _BAND_EPS)
-        # Finite filter: infeasible leaves carry objective inf, and with
-        # no incumbent yet (band inf) "inf <= inf" would smuggle them in.
-        keep = np.nonzero(np.isfinite(objective) & (objective <= band))[0]
+        # Finite filter: infeasible leaves carry cost inf, and with no
+        # incumbent yet (band inf) "inf <= inf" would smuggle them in.
+        keep = np.nonzero(np.isfinite(cost) & (cost <= band))[0]
         if len(keep) == 0:
             return
         now = time.monotonic() - self._start
-        best_row = int(keep[np.argmin(objective[keep])])
-        if objective[best_row] < self._best_raw:
-            self._best_raw = float(objective[best_row])
-            self._best_raw_cost = float(block.cost[best_row])
+        best_row = int(keep[np.argmin(cost[keep])])
+        if cost[best_row] < self._best_raw:
+            self._best_raw = float(cost[best_row])
             self._best_raw_time = now
             band = self._best_raw * (1 + _BAND_EPS)
         if self._first_raw_cost is None:
             self._first_raw_cost = float(block.cost[keep[0]])
             self._first_raw_time = now
         for row in keep:
-            obj = float(objective[row])
-            if obj <= band:
-                self._candidates.append((obj, block.path[row].tobytes()))
+            raw = float(cost[row])
+            if raw <= band:
+                self._candidates.append((raw, block.path[row].tobytes()))
         self._candidates = [
             cand for cand in self._candidates if cand[0] <= band
         ]

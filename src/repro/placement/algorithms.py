@@ -137,9 +137,8 @@ def round_robin_placement(
     """Simple deterministic round-robin placement with anti-affinity.
 
     Replicas are dealt to hosts in cyclic order, skipping hosts that
-    already hold a replica of the PE or are out of cores. Useful as a
-    contrast placement in the placement-interaction experiments (paper
-    future-work item iii) and as a predictable fixture in tests.
+    already hold a replica of the PE or are out of cores: a predictable
+    placement that, unlike :func:`balanced_placement`, ignores load.
     """
     _check_capacity(descriptor, hosts, replication_factor)
     host_list = list(hosts)

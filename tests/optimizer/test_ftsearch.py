@@ -152,25 +152,16 @@ class TestPipelineSearch:
             FTSearchConfig(time_limit=-1.0)
         with pytest.raises(OptimizationError):
             FTSearchConfig(node_limit=0)
-        with pytest.raises(OptimizationError):
-            FTSearchConfig(penalty_weight=-2.0)
 
 
 class TestBudgetsAndValidation:
     @pytest.mark.parametrize(
         "budget",
-        [
-            {"penalty_weight": math.inf},
-            {"penalty_weight": math.nan},
-            {"time_limit": math.inf},
-            {"time_limit": math.nan},
-        ],
-        ids=["penalty-inf", "penalty-nan", "time-inf", "time-nan"],
+        [{"time_limit": math.inf}, {"time_limit": math.nan}],
+        ids=["time-inf", "time-nan"],
     )
     def test_non_finite_budget_rejected(self, budget):
-        """An infinite penalty turned every COST bound into ``inf * 0``
-        (NaN) and pruned the root: a feasible instance came back
-        INFEASIBLE after one node. A NaN time limit was no limit."""
+        """A NaN time limit was no limit."""
         with pytest.raises(OptimizationError, match="finite"):
             FTSearchConfig(**budget)
 
@@ -293,37 +284,6 @@ class TestAgainstBruteForce:
                 assert result.outcome is SearchOutcome.OPTIMAL
                 costs.append(result.best_cost)
         assert costs == sorted(costs)
-
-
-class TestPenaltyMode:
-    def test_penalty_zero_ignores_ic(self, tight_problem):
-        """With no penalty weight, the optimizer returns the cheapest
-        CPU-feasible strategy regardless of IC."""
-        result = ft_search(tight_problem, time_limit=30.0, penalty_weight=0.0)
-        assert result.outcome is SearchOutcome.OPTIMAL
-        # Cheapest CPU-feasible strategy: single replica everywhere.
-        for pe in ("pe1", "pe2"):
-            for c in range(2):
-                assert result.strategy.active_count(pe, c) == 1
-
-    def test_huge_penalty_recovers_constraint_solution(self, tight_problem):
-        constrained = ft_search(tight_problem, time_limit=30.0)
-        penalized = ft_search(
-            tight_problem, time_limit=30.0, penalty_weight=1e15
-        )
-        assert penalized.outcome is SearchOutcome.OPTIMAL
-        assert penalized.best_ic >= constrained.best_ic - 1e-9
-        assert penalized.best_cost == pytest.approx(
-            constrained.best_cost, rel=1e-6
-        )
-
-    def test_penalty_trades_ic_for_cost(self, tight_problem):
-        cheap = ft_search(tight_problem, time_limit=30.0, penalty_weight=0.0)
-        strict = ft_search(
-            tight_problem, time_limit=30.0, penalty_weight=1e15
-        )
-        assert cheap.best_cost <= strict.best_cost + 1e-6
-        assert cheap.best_ic <= strict.best_ic + 1e-9
 
 
 class TestSolutionTimes:

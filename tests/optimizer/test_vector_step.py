@@ -9,9 +9,9 @@ must be invisible: every child row bit for bit, every counter. The
 judge is the code they replaced, kept *verbatim* below as
 :class:`_ParentStep` (it survives only here; the root replay of the
 since-deleted multi-process driver is cut out of it), driven block by
-block beside the engine over generated instances, every rule subset,
-penalty on and off: each range the engine builds is compared with the
-parent's child rows ``[lo, hi)``.
+block beside the engine over generated instances and every rule
+subset: each range the engine builds is compared with the parent's
+child rows ``[lo, hi)``.
 
 A second judge holds the chunking itself: building a pending child in
 one range or in arbitrary splits gives the same rows and the same DOM
@@ -176,11 +176,7 @@ class _ParentCode(VectorFTSearch):
         ):
             progress.snapshot(
                 self._nodes,
-                (
-                    None
-                    if math.isinf(self._best_raw_cost)
-                    else self._best_raw_cost
-                ),
+                None if math.isinf(self._best_raw) else self._best_raw,
                 self._prunes_by_name(self._prune_counts),
             )
 
@@ -230,48 +226,32 @@ class _ParentCode(VectorFTSearch):
             valid2 &= fits1
 
         # COMPL rule: IC upper bound via the rest-of-configuration walk.
-        fic_upper0: Optional[np.ndarray] = None
-        fic_upper_single: Optional[np.ndarray] = None
-        if self._need_fic_upper:
+        if self._compl_on:
             total0, total_single = self._walk(
                 depth, dh_both, delta_hat, excluded
             )
             suffix = layout.d_suffix_bic[depth]
             fic_upper0 = block.fic + contrib_both + (total0 + suffix)
             fic_upper_single = block.fic + (total_single + suffix)
-            if self._compl_prune_on:
-                keeps0 = fic_upper0 >= layout.fic_thresh
-                keeps_single = fic_upper_single >= layout.fic_thresh
-                self._count_prunes(
-                    _COMPL_I,
-                    height,
-                    int((valid0 & ~keeps0).sum())
-                    + int((valid1 & ~keeps_single).sum())
-                    + int((valid2 & ~keeps_single).sum()),
-                )
-                valid0 &= keeps0
-                valid1 &= keeps_single
-                valid2 &= keeps_single
+            keeps0 = fic_upper0 >= layout.fic_thresh
+            keeps_single = fic_upper_single >= layout.fic_thresh
+            self._count_prunes(
+                _COMPL_I,
+                height,
+                int((valid0 & ~keeps0).sum())
+                + int((valid1 & ~keeps_single).sum())
+                + int((valid2 & ~keeps_single).sum()),
+            )
+            valid0 &= keeps0
+            valid1 &= keeps_single
+            valid2 &= keeps_single
 
         # COST rule: assigned cost + cheapest completion, against the
-        # banded incumbent (plus the soft-IC deficit in penalty mode).
+        # banded incumbent.
         if self._cost_on:
             threshold = self._best_raw * (1 + _BAND_EPS)
             bound0 = block.cost + 2 * prob_load + min_cost_rest
             bound_single = block.cost + prob_load + min_cost_rest
-            if self._penalty is not None:
-                assert fic_upper0 is not None
-                assert fic_upper_single is not None
-                bound0 = bound0 + self._penalty * np.maximum(
-                    0.0,
-                    layout.ic_target
-                    - np.minimum(1.0, fic_upper0 / layout.bic),
-                )
-                bound_single = bound_single + self._penalty * np.maximum(
-                    0.0,
-                    layout.ic_target
-                    - np.minimum(1.0, fic_upper_single / layout.bic),
-                )
             keeps0 = bound0 < threshold
             keeps_single = bound_single < threshold
             self._count_prunes(
@@ -673,11 +653,10 @@ def _timeless(raw):
     return dataclasses.replace(raw, first_raw_time=None, best_raw_time=None)
 
 
-def _config(disabled, penalty: Optional[float], seeded: bool = False):
+def _config(disabled, seeded: bool = False):
     return FTSearchConfig(
         time_limit=None,
         disabled_rules=frozenset(disabled),
-        penalty_weight=penalty,
         seed_incumbent=seeded,
     )
 
@@ -690,32 +669,30 @@ def _config(disabled, penalty: Optional[float], seeded: bool = False):
 @settings(max_examples=20, deadline=None)
 @given(
     problem=problems(),
-    penalty=st.sampled_from((None, 1.0e8)),
     seeded=st.booleans(),
     block_rows=st.sampled_from((1, 3, 16, 256)),
 )
 def test_step_equals_parent_on_generated_instances(
-    problem, penalty, seeded, block_rows
+    problem, seeded, block_rows
 ):
     """The instances ``test_equivalent_on_generated_instances`` draws,
     each under all 16 rule subsets."""
     for disabled in RULE_SUBSETS:
-        config = _config(disabled, penalty, seeded)
+        config = _config(disabled, seeded)
         lockstep(problem, config, block_rows=block_rows, max_steps=40)
 
 
-@pytest.mark.parametrize("penalty", (None, 1.0e8))
 @pytest.mark.parametrize(
     "disabled",
     RULE_SUBSETS,
     ids=lambda subset: "-".join(sorted(r.value for r in subset)) or "none",
 )
-def test_step_equals_parent_under_every_rule_subset(disabled, penalty):
-    """All 16 rule subsets x penalty on/off, on one toy and one mid
-    corpus instance (seeded, so COST prunes from the first block)."""
+def test_step_equals_parent_under_every_rule_subset(disabled):
+    """All 16 rule subsets, on one toy and one mid corpus instance
+    (seeded, so COST prunes from the first block)."""
     for seed, size in ((5, "toy"), (6, "mid")):
         problem = _problem(seed, size)
-        config = _config(disabled, penalty, seeded=True)
+        config = _config(disabled, seeded=True)
         assert lockstep(problem, config) > 10
 
 
@@ -733,10 +710,9 @@ def test_a_whole_search_returns_what_the_parent_step_returns():
 @settings(max_examples=20, deadline=None)
 @given(
     problem=problems(),
-    penalty=st.sampled_from((None, 1.0e8)),
     data=st.data(),
 )
-def test_a_pending_child_builds_the_same_in_any_split(problem, penalty, data):
+def test_a_pending_child_builds_the_same_in_any_split(problem, data):
     """One range or arbitrary splits: the same rows, the same DOM
     prunes, so where the stack cuts a child cannot matter."""
 
@@ -746,7 +722,7 @@ def test_a_pending_child_builds_the_same_in_any_split(problem, penalty, data):
         inner = st.sets(st.integers(1, rows - 1), max_size=4)
         return sorted(data.draw(inner, label=f"cuts of {rows} rows"))
 
-    split_walk(problem, _config((), penalty), cuts)
+    split_walk(problem, _config(()), cuts)
 
 
 # ----------------------------------------------------------------------
@@ -762,7 +738,7 @@ def _trips(engine_class: type) -> int:
         try:
             lockstep(
                 _problem(seed, size),
-                _config((), None, seeded=True),
+                _config((), seeded=True),
                 engine_class,
             )
         except AssertionError:
@@ -794,7 +770,7 @@ def test_a_late_reset_is_caught():
     configuration keep the closed configuration's state."""
     tripped = 0
     for seed, size in MUTATION_CORPUS:
-        problem, config = _problem(seed, size), _config((), None, True)
+        problem, config = _problem(seed, size), _config((), True)
         assert split_walk(problem, config, _halves) > 10
         try:
             split_walk(problem, config, _halves, _LateResetMutant)

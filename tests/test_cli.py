@@ -90,7 +90,7 @@ class TestOptimize:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "budget", [("--penalty", "inf"), ("--time-limit", "nan")]
+        "budget", [("--time-limit", "inf"), ("--time-limit", "nan")]
     )
     def test_non_finite_budget_is_an_error(
         self, bundle_path, tmp_path, capsys, budget

@@ -85,3 +85,10 @@ def test_ftsearch_anatomy_main_runs(capsys):
     out = capsys.readouterr().out
     assert "pruning effectiveness" in out
     assert "anytime behaviour" in out
+
+
+def test_capacity_planning_main_runs(capsys):
+    module = load_example("capacity_planning.py")
+    module.main()
+    out = capsys.readouterr().out
+    assert "IC target   outcome   cost (Gcyc/s)" in out

@@ -17,6 +17,10 @@
 #   digests  tools/digests.sh on a `git archive BASE` tree and on the
 #            working tree: the rows that moved are exactly those
 #            tools/digests-moves.txt declares (none when it is empty)
+#   figures  the gated benches under benchmarks/ (FIGURES below) with
+#            their assertions as pass/fail; each must regenerate its
+#            benchmarks/results/ file byte for byte (the working tree's
+#            file is put back afterwards, so the stage never edits it)
 #   e2e      benchmarks/e2e/run.py --all on both trees, then --check:
 #            no row `regressed`, no gated end-to-end metric `unresolved`
 #
@@ -98,6 +102,25 @@ sys.exit(moved != declared)
 EOF
 }
 
+# Benches whose results file is reproducible on any host: every search
+# in them runs under a node budget and proves its optimum.
+FIGURES=(ext_communication)
+
+figures() {
+    local name paths=() status=0
+    for name in "${FIGURES[@]}"; do
+        cp "benchmarks/results/$name.txt" "$work/$name.txt" || return 1
+        paths+=("benchmarks/test_$name.py")
+    done
+    python -m pytest -x -q "${paths[@]}" || status=1
+    for name in "${FIGURES[@]}"; do
+        diff -u "$work/$name.txt" "benchmarks/results/$name.txt" ||
+            status=1
+        cp "$work/$name.txt" "benchmarks/results/$name.txt"
+    done
+    return $status
+}
+
 e2e() {
     local gated
     gated=$(python -c 'import json; print("|".join(
@@ -115,6 +138,7 @@ stage lint lint
 stage tier-1 python -m pytest -x -q --durations=10
 stage explore explore
 stage digests digests
+stage figures figures
 stage e2e e2e
 python -c 'import pathlib, sys
 base, head = (sum(len(path.read_text().splitlines())
