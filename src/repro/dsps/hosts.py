@@ -71,11 +71,15 @@ class HostScheduler:
         capacity: float,
         cycles_per_core: float,
     ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"host {name!r} capacity must be > 0")
-        if cycles_per_core <= 0:
+        if capacity <= 0 or not math.isfinite(capacity):
             raise SimulationError(
-                f"host {name!r} cycles_per_core must be > 0"
+                f"host {name!r} capacity must be finite and > 0,"
+                f" got {capacity}"
+            )
+        if cycles_per_core <= 0 or not math.isfinite(cycles_per_core):
+            raise SimulationError(
+                f"host {name!r} cycles_per_core must be finite and > 0,"
+                f" got {cycles_per_core}"
             )
         self._env = env
         self.name = name
@@ -109,15 +113,28 @@ class HostScheduler:
     ) -> None:
         """Start processing ``cycles`` for ``owner``; ``callback`` fires on
         completion. An owner may have at most one job in progress."""
-        if cycles < 0:
-            raise SimulationError(f"job cycles must be >= 0, got {cycles}")
-        if owner in self._jobs:
+        # One chained comparison: false for negatives, NaN and infinity.
+        if not 0.0 <= cycles < math.inf:
+            raise SimulationError(
+                f"job cycles on host {self.name!r} must be finite and"
+                f" >= 0, got {cycles}"
+            )
+        jobs = self._jobs
+        if owner in jobs:
             raise SimulationError(
                 f"owner already has a job on host {self.name!r}"
             )
+        if self._dispatching:
+            # _on_completion advanced to this instant; draw what
+            # _reschedule would draw (the set is not empty now).
+            jobs[owner] = _Job(cycles, callback)
+            self._reserved = self._env.take_seq()
+            return
         self._advance()
-        self._jobs[owner] = _Job(cycles, callback)
-        self._reschedule()
+        jobs[owner] = _Job(cycles, callback)
+        if self._completion is not None:
+            self._completion.cancel()
+        self._push()
 
     def cancel(self, owner: object) -> float:
         """Abort ``owner``'s job; returns the cycles already consumed
@@ -143,9 +160,10 @@ class HostScheduler:
         host stretches wall-clock service, it does not change how many
         core-seconds a tuple is billed.
         """
-        if factor <= 0 or not (factor == factor):  # reject <= 0 and NaN
+        if factor <= 0 or not math.isfinite(factor):
             raise SimulationError(
-                f"host {self.name!r} speed factor must be > 0, got {factor}"
+                f"host {self.name!r} speed factor must be finite and > 0,"
+                f" got {factor}"
             )
         self._advance()
         self.speed_factor = factor
@@ -158,6 +176,8 @@ class HostScheduler:
     # ------------------------------------------------------------------
 
     def _advance(self) -> None:
+        # _on_completion spells this arithmetic again, fused with its scan
+        # for finished jobs; keep the two expressions identical.
         if self._dispatching:
             return  # _on_completion advanced to this very instant
         now = self._env.now
@@ -198,19 +218,29 @@ class HostScheduler:
         )
 
     def _on_completion(self) -> None:
+        # _advance, the finished-job scan and _reschedule's draw, inline:
+        # this runs once per completion.
         self._completion = None
-        self._advance()
+        env = self._env
+        now = env.now
+        elapsed = now - self._last_update
+        self._last_update = now
         jobs = self._jobs
-        finished = [
-            (owner, job)
-            for owner, job in jobs.items()
-            if job.remaining <= _EPSILON_CYCLES
-        ]
+        progress = 0.0
+        if elapsed > 0 and jobs:
+            count = len(jobs)
+            progress = self.capacity / count * elapsed
+            self.cycles_delivered += progress * count
+        finished = []
+        for owner, job in jobs.items():
+            job.remaining -= progress  # minus 0.0 leaves any float as is
+            if job.remaining <= _EPSILON_CYCLES:
+                finished.append((owner, job))
         for owner, _ in finished:
             del jobs[owner]
+        self._reserved = env.take_seq() if jobs else None
         self._dispatching = True
         try:
-            self._reschedule()
             for _, job in finished:
                 job.callback()
         finally:

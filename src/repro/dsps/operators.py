@@ -25,6 +25,7 @@ the heartbeat timeout of the HAProxy protocol).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -48,8 +49,11 @@ class PortSpec:
     capacity: int  # queue bound, in tuples
 
     def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise SimulationError("per-tuple cycles must be >= 0")
+        if self.cycles < 0 or not math.isfinite(self.cycles):
+            raise SimulationError(
+                f"port {self.name!r} per-tuple cycles must be finite and"
+                f" >= 0, got {self.cycles}"
+            )
         if self.capacity < 1:
             raise SimulationError("port capacity must be >= 1")
 
@@ -132,7 +136,7 @@ class OperatorReplica:
         ``birth`` is the emission time of the originating source tuple;
         it defaults to "now" for tuples injected directly in tests.
         """
-        if not self.processable:
+        if not self.alive or not self.active or self._resyncing:
             return  # HAProxy ignores input while inactive / crashed
         port = self._port_index[from_component]
         metrics = self._metrics
@@ -173,24 +177,26 @@ class OperatorReplica:
         self._overflowed[port] = False
         self._port_fill[port] += 1
         arrival = self._env.now if birth is None else birth
-        self._queue.append((port, arrival))
         if self._tracer is not None:
             self._tracer.stage(
                 "enqueue", arrival, replica=str(self.replica_id)
             )
-        if self._serving is None:
-            self._start_service()
-
-    def _start_service(self) -> None:
-        if not self._queue or not self.processable:
+        entry = (port, arrival)
+        queue = self._queue
+        if self._serving is not None:
+            queue.append(entry)
             return
-        entry = self._queue.popleft()
+        if queue:  # idle with a backlog: the oldest tuple goes first
+            queue.append(entry)
+            entry = queue.popleft()
         self._serving = entry
         self.host.submit(
             self, self._ports[entry[0]].cycles, self._complete_service
         )
 
     def _complete_service(self) -> None:
+        # Primaryship, CPU seconds and the next tuple's start are read
+        # inline: this runs once per host completion.
         if self._serving is None:  # pragma: no cover - defensive
             raise SimulationError("completion without an in-flight tuple")
         port, birth = self._serving
@@ -198,14 +204,16 @@ class OperatorReplica:
         self._port_fill[port] -= 1
         spec = self._ports[port]
         metrics = self._metrics
-        cpu_seconds = self.host.cpu_seconds(spec.cycles)
+        host = self.host
+        cpu_seconds = spec.cycles / host.cycles_per_core
         metrics.busy_time += cpu_seconds
         metrics.processed += 1
         # on_tuple resolved this port's counters when the tuple arrived.
         counters = self._counters[port]
         counters.processed += 1
         counters.busy_time += cpu_seconds
-        primary = self.is_primary
+        group = self.group
+        primary = group is not None and group.primary is self
         if primary:
             metrics.processed_as_primary += 1
         if self._tracer is not None:
@@ -224,7 +232,13 @@ class OperatorReplica:
                 for _ in range(emitted):
                     self._emit(self, birth)
 
-        self._start_service()
+        queue = self._queue
+        if queue and self.alive and self.active and not self._resyncing:
+            entry = queue.popleft()
+            self._serving = entry
+            host.submit(
+                self, self._ports[entry[0]].cycles, self._complete_service
+            )
 
     # ------------------------------------------------------------------
     # Control path (HAProxy commands)

@@ -302,16 +302,15 @@ class StreamPlatform:
 
     def _forward_output(self, replica: OperatorReplica, birth: float) -> None:
         pe = replica.replica_id.pe
-        sender_host = replica.host.name
+        sender_host = replica.host
         groups = self._groups
         intra = inter = 0
         for succ in self._graph.succ(pe):
-            group = groups.get(succ)
-            if group is None:
+            if succ not in groups:
                 self._sinks[succ].on_tuple(pe, birth)
                 continue
-            for target in group.members:
-                if target.host.name == sender_host:
+            for target in groups[succ].members:
+                if target.host is sender_host:
                     intra += 1
                 else:
                     inter += 1

@@ -265,10 +265,11 @@ class Environment:
         would have. A number that was never drawn is rejected; drawing a
         number and using it at most once is the caller's contract.
         """
-        if delay < 0 or math.isnan(delay):
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"cannot schedule in the past: {delay}")
         if seq is None:
-            seq = self.take_seq()
+            seq = self._sequence
+            self._sequence = seq + 1
         elif seq >= self._sequence:
             raise SimulationError(
                 f"sequence number {seq} was never drawn"

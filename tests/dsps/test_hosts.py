@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dsps.hosts import _EPSILON_CYCLES, HostScheduler
@@ -47,6 +47,40 @@ class TestSingleJob:
         env = Environment()
         with pytest.raises(SimulationError):
             HostScheduler(env, "h", 0.0, 1.0)
+
+
+_NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteInputs:
+    """Each of these used to get past a ``< 0`` / ``<= 0`` guard: NaN or
+    infinite work, or infinite capacity, pins a completion at one instant
+    and ``Environment.run`` never returns (a NaN capacity failed late,
+    in the kernel). Each is refused where it enters, naming the host."""
+
+    @pytest.mark.parametrize("cycles", _NON_FINITE)
+    def test_submit(self, cycles):
+        env, host = make()
+        with pytest.raises(SimulationError, match="host 'h'"):
+            host.submit("a", cycles, lambda: None)
+        assert host.busy_jobs == 0 and not env._queue
+
+    @pytest.mark.parametrize("capacity", _NON_FINITE)
+    def test_capacity(self, capacity):
+        with pytest.raises(SimulationError, match="host 'h' capacity"):
+            HostScheduler(Environment(), "h", capacity, 1.0)
+
+    @pytest.mark.parametrize("cycles_per_core", _NON_FINITE)
+    def test_cycles_per_core(self, cycles_per_core):
+        with pytest.raises(SimulationError, match="host 'h' cycles_per"):
+            HostScheduler(Environment(), "h", 1.0, cycles_per_core)
+
+    @pytest.mark.parametrize("factor", _NON_FINITE)
+    def test_speed_factor(self, factor):
+        env, host = make(capacity=10.0)
+        with pytest.raises(SimulationError, match="host 'h' speed factor"):
+            host.set_speed_factor(factor)
+        assert host.speed_factor == 1.0 and host.capacity == 10.0
 
 
 class TestSharing:
@@ -245,21 +279,53 @@ class _ParentScheduler(HostScheduler):
 
 
 class _FreshNumberScheduler(HostScheduler):
-    """The tempting mutation: defer the reschedule past the callbacks and
-    push under a *fresh* number. One event per instant as well, but it
-    ties with other hosts' events differently and shifts every later
-    sequence number."""
-
-    def _reschedule(self):
-        if not self._dispatching:
-            super()._reschedule()
+    """The tempting mutation: put the window's one event on the heap after
+    the callbacks under a *fresh* number. One event per instant as well,
+    but it ties with other hosts' events differently and shifts every
+    later sequence number."""
 
     def _on_completion(self):
         try:
             super()._on_completion()
         finally:
-            self._reserved = None
-            super()._reschedule()
+            super()._reschedule()  # supersede it with a fresh push
+
+
+class _ReassociatedScheduler(HostScheduler):
+    """The risk the fused completion takes: spelling ``_advance``'s
+    arithmetic a second time, re-associated. ``capacity * elapsed /
+    count`` equals ``capacity / count * elapsed`` in real numbers, not
+    always in floats."""
+
+    def _on_completion(self):
+        self._completion = None
+        env = self._env
+        now = env.now
+        elapsed = now - self._last_update
+        self._last_update = now
+        jobs = self._jobs
+        progress = 0.0
+        if elapsed > 0 and jobs:
+            count = len(jobs)
+            progress = self.capacity * elapsed / count  # the mutation
+            self.cycles_delivered += progress * count
+        finished = []
+        for owner, job in jobs.items():
+            job.remaining -= progress
+            if job.remaining <= _EPSILON_CYCLES:
+                finished.append((owner, job))
+        for owner, _ in finished:
+            del jobs[owner]
+        self._reserved = env.take_seq() if jobs else None
+        self._dispatching = True
+        try:
+            for _, job in finished:
+                job.callback()
+        finally:
+            self._dispatching = False
+            reserved, self._reserved = self._reserved, None
+            if reserved is not None:
+                self._push(reserved)
 
 
 def _play(scheduler, capacities, program, pause):
@@ -356,6 +422,20 @@ _CAPACITIES = st.lists(
 )
 
 
+#: Three jobs share a 2-cycle host from t = 0.3, so each gets 2/3 of it:
+#: a share the generator rarely draws, and where ``capacity / count *
+#: elapsed`` and ``capacity * elapsed / count`` round apart.
+_THIRDS = {
+    "capacities": [2.0],
+    "program": [
+        (0.0, ("submit", 0, "a", 1.0, ())),
+        (0.0, ("submit", 0, "b", 1.0, ())),
+        (0.3, ("submit", 0, "c", 1.0, ())),
+    ],
+    "pause": 0.0,
+}
+
+
 def _oracle_property(candidate, **tuning):
     """``candidate`` is observably the parent's scheduler: the same
     callbacks at the same instants in the same order, the same cycles,
@@ -363,6 +443,7 @@ def _oracle_property(candidate, **tuning):
     all by ``==`` — and never more superseded events than it purged."""
 
     @given(capacities=_CAPACITIES, program=_PROGRAMS, pause=_TIMES)
+    @example(**_THIRDS)
     @settings(deadline=None, **tuning)
     def check(capacities, program, pause):
         expected, purged = _play(_ParentScheduler, capacities, program, pause)
@@ -386,6 +467,16 @@ class TestDispatchWindow:
             # same budget, same generator; the counterexample is not shrunk
             _oracle_property(
                 _FreshNumberScheduler, phases=[Phase.generate]
+            )()
+
+    def test_reassociated_progress_mutation_is_caught(self):
+        """The property sees one re-associated float expression in the
+        fused completion (``cycles_delivered`` is compared by ``==``).
+        The generated budget alone misses it; ``_THIRDS`` is pinned."""
+        with pytest.raises(AssertionError):
+            _oracle_property(
+                _ReassociatedScheduler,
+                phases=[Phase.explicit, Phase.generate],
             )()
 
     def test_hand_off_pushes_one_event_under_the_last_number_drawn(self):

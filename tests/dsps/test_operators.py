@@ -61,6 +61,13 @@ class TestPortSpec:
         with pytest.raises(SimulationError):
             PortSpec("up", cycles=1.0, selectivity=1.0, capacity=0)
 
+    @pytest.mark.parametrize("cycles", [float("nan"), float("inf")])
+    def test_rejects_non_finite_cycles(self, cycles):
+        # A NaN or infinite cost would keep its host's completion at one
+        # instant forever.
+        with pytest.raises(SimulationError, match="port 'up'"):
+            PortSpec("up", cycles=cycles, selectivity=1.0, capacity=1)
+
 
 class TestProcessing:
     def test_tuple_processed_and_emitted(self):

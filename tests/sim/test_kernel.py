@@ -40,6 +40,9 @@ class TestScheduling:
         env = Environment()
         with pytest.raises(SimulationError):
             env.schedule(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            env.schedule(float("nan"), lambda: None)
+        assert not env._queue
 
     def test_cancelled_event_does_not_fire(self):
         env = Environment()
