@@ -40,6 +40,11 @@ def test_fig11_worst_case(benchmark, cluster_results, save_figure):
         )
     # The IC knob is monotone: higher targets process more.
     assert means["L.5"] < means["L.6"] < means["L.7"]
+    # The judge: no checked second of any worst-case run falls below
+    # its variant's proven floor (a shortfall above is transition lag).
+    for variant in cluster_results.variant_names:
+        below = cluster_results.below_floor_seconds(variant, FailureMode.WORST)
+        assert sum(below) == 0.0, variant
 
 
 def test_fig11_host_crash(benchmark, cluster_results):

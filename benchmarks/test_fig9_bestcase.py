@@ -9,12 +9,10 @@ any dynamic variant.
 
 from __future__ import annotations
 
-from repro.experiments.cluster import BASE_SEED, FailureMode, _run_one
+from repro.experiments.cluster import BASE_SEED, FailureMode, run_variant
 from repro.experiments.figures import fig9_cpu, fig9_drops, render_fig9
 from repro.experiments.variants import build_variants
 from repro.workloads import generate_application
-
-import random
 
 
 def test_fig9_bestcase(benchmark, cluster_results, save_figure):
@@ -25,9 +23,7 @@ def test_fig9_bestcase(benchmark, cluster_results, save_figure):
         app, ic_targets=(0.5,), time_limit=scale.ft_time_limit
     )
     benchmark.pedantic(
-        lambda: _run_one(
-            variants, "L.5", FailureMode.BEST, scale, random.Random(0)
-        ),
+        lambda: run_variant(variants, "L.5", FailureMode.BEST, scale, 0),
         rounds=1,
         iterations=1,
     )

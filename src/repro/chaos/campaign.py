@@ -23,13 +23,16 @@ from typing import Optional, Sequence
 from repro.chaos.injectors import INJECTION_KINDS, Injection, racks
 from repro.core.deployment import ReplicatedDeployment
 from repro.core.strategy import ActivationStrategy
+from repro.dsps.platform import PlatformConfig
 from repro.dsps.traces import InputTrace, two_level_trace
 from repro.errors import ChaosError
+from repro.laar.middleware import MiddlewareConfig
 from repro.workloads.corpus import load_bundle
 
 __all__ = [
     "PAPER_MODES",
     "CampaignSpec",
+    "detection_bound",
     "generate_schedule",
     "paper_campaigns",
     "paper_schedule",
@@ -85,27 +88,54 @@ class CampaignSpec:
         if self.schedule is not None:
             object.__setattr__(self, "schedule", tuple(self.schedule))
 
+    def platform_config(self) -> PlatformConfig:
+        """The platform knobs of this campaign."""
+        return PlatformConfig(
+            failover_delay=self.failover_delay,
+            queue_seconds=self.queue_seconds,
+            arrival_jitter=self.jitter,
+            heartbeat_interval=self.heartbeat_interval,
+            seed=self.seed,
+            event_buffer=self.event_buffer,
+            tuple_trace_every=self.tuple_trace_every,
+            batching=self.batching,
+        )
+
+    def middleware_config(self) -> MiddlewareConfig:
+        """The LAAR middleware knobs of this campaign."""
+        return MiddlewareConfig(
+            monitor_interval=self.monitor_interval,
+            command_latency=self.command_latency,
+            rate_tolerance=self.rate_tolerance,
+            down_confirmation=self.down_confirmation,
+        )
+
     @property
     def detection_bound(self) -> float:
-        """The failover-span budget the invariant checker enforces.
+        """The failover-span budget the invariant checker enforces."""
+        return detection_bound(
+            self.platform_config(), self.middleware_config()
+        )
 
-        Abstract detection resolves exactly ``failover_delay`` after a
-        crash; emergent heartbeat detection adds up to two intervals
-        (one for the staleness check to trip, one for grid alignment).
-        The paper's 16 s detect-and-migrate window is the same bound at
-        Streams' production timeouts.
-        """
-        emergent = (
-            2.0 * self.heartbeat_interval
-            if self.heartbeat_interval is not None
-            else 0.0
-        )
-        return (
-            self.failover_delay
-            + emergent
-            + self.command_latency
-            + _DETECTION_SLACK
-        )
+
+def detection_bound(
+    platform: PlatformConfig, middleware: MiddlewareConfig
+) -> float:
+    """The failover-span budget of a run under these two configs.
+
+    Abstract detection resolves exactly ``failover_delay`` after a
+    crash; emergent heartbeat detection adds up to two intervals (one
+    for the staleness check to trip, one for grid alignment). The
+    paper's 16 s detect-and-migrate window is the same bound at Streams'
+    production timeouts.
+    """
+    emergent = 2.0 * (platform.heartbeat_interval or 0.0)
+    return (
+        platform.failover_delay
+        + emergent
+        + middleware.command_latency
+        + _DETECTION_SLACK
+    )
 
 
 def _window_time(

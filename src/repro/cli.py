@@ -7,14 +7,14 @@ deployment, and the source rates:
     python -m repro generate --seed 0 --pes 24 --out app.json
     python -m repro optimize app.json --ic 0.5 --out strategy.json
     python -m repro evaluate app.json --strategy strategy.json
-    python -m repro simulate app.json --strategy strategy.json \
-        --duration 60 --failure worst
+    python -m repro obs app.json --strategy strategy.json --failures worst
     python -m repro obs app.json --ic 0.5 --out-dir obs-run
     python -m repro experiment fig3
 
 ``obs`` runs the telemetry workflow (docs/observability.md): one
-observed simulation per failure mode, canonical JSONL event streams,
-and a rendered report with the switch timeline, failover windows, top
+observed, judged simulation per failure mode of Sec. 5.3 (``none``,
+``worst``, ``crash``), canonical JSONL event streams, and a rendered
+report with the switch timeline, failover windows, top
 droppers, FT-Search progress, and fabric utilization.
 
 ``experiment`` regenerates one paper figure and prints its table (same
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,9 +49,7 @@ from repro.core.altmetrics import (
     output_completeness,
 )
 from repro.core.render import host_load_report, strategy_table
-from repro.dsps import PlatformConfig
 from repro.errors import ReproError
-from repro.laar.middleware import PAPER_MIDDLEWARE, deploy_bundle
 from repro.workloads import (
     ClusterParams,
     GeneratorParams,
@@ -137,43 +134,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(strategy_table(strategy))
         print("\nhost load / capacity (Eq. 11):")
         print(host_load_report(strategy))
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.chaos import apply_injection, paper_schedule
-
-    extended, trace = deploy_bundle(
-        args.bundle,
-        args.strategy,
-        args.duration,
-        platform_config=PlatformConfig(
-            arrival_jitter=args.jitter,
-            seed=args.seed,
-            batching=args.batched,
-        ),
-        middleware_config=dataclasses.replace(
-            PAPER_MIDDLEWARE, dynamic=not args.static
-        ),
-    )
-    platform = extended.platform
-    for injection in paper_schedule(
-        args.failure, platform.deployment, trace, random.Random(args.seed)
-    ):
-        apply_injection(platform, injection, strategy=extended.strategy)
-        print("injected", json.dumps(injection.to_dict()))
-    metrics = extended.run()
-    report = {
-        "input": metrics.total_input,
-        "output": metrics.total_output,
-        "processed": metrics.tuples_processed,
-        "dropped": metrics.logical_dropped,
-        "cpu_seconds": round(metrics.total_cpu_time, 3),
-        "config_switches": len(metrics.config_switches),
-    }
-    print(json.dumps(report, indent=2))
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2))
     return 0
 
 
@@ -697,7 +657,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
-#: ``--batched`` on a LAAR bundle (``obs``, ``chaos run``, ``simulate``).
+#: ``--batched`` on a LAAR bundle (``obs``, ``chaos run``).
 _BATCHED_HELP = (
     "run under the batched execution engine: byte-identical event logs"
     " and digests, not faster here — closed form engages only for"
@@ -821,25 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the activation matrix and host-load tables",
     )
     evaluate.set_defaults(func=_cmd_evaluate)
-
-    simulate = commands.add_parser(
-        "simulate", help="run a strategy on the platform simulator"
-    )
-    simulate.add_argument("bundle")
-    simulate.add_argument("--strategy", required=True)
-    simulate.add_argument("--duration", type=float, default=60.0)
-    simulate.add_argument(
-        "--failure", choices=["none", "worst", "crash"], default="none"
-    )
-    simulate.add_argument("--jitter", type=float, default=0.35)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--static", action="store_true",
-        help="run without the Rate Monitor (NR/SR-style)",
-    )
-    simulate.add_argument("--batched", action="store_true", help=_BATCHED_HELP)
-    simulate.add_argument("--out", default=None)
-    simulate.set_defaults(func=_cmd_simulate)
 
     obs = commands.add_parser(
         "obs",

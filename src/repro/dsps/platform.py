@@ -71,17 +71,19 @@ class PlatformConfig:
     batching: bool = False
 
     def __post_init__(self) -> None:
-        if self.failover_delay < 0:
-            raise SimulationError("failover_delay must be >= 0")
-        if self.resync_delay < 0:
-            raise SimulationError("resync_delay must be >= 0")
-        if self.queue_seconds <= 0:
-            raise SimulationError("queue_seconds must be > 0")
+        if not 0 <= self.failover_delay < math.inf:
+            raise SimulationError("failover_delay must be finite and >= 0")
+        if not 0 <= self.resync_delay < math.inf:
+            raise SimulationError("resync_delay must be finite and >= 0")
+        if not 0 < self.queue_seconds < math.inf:
+            raise SimulationError("queue_seconds must be finite and > 0")
         if not 0.0 <= self.arrival_jitter < 1.0:
             raise SimulationError("arrival_jitter must be in [0, 1)")
         if self.heartbeat_interval is not None:
-            if self.heartbeat_interval <= 0:
-                raise SimulationError("heartbeat_interval must be > 0")
+            if not 0 < self.heartbeat_interval < math.inf:
+                raise SimulationError(
+                    "heartbeat_interval must be finite and > 0"
+                )
             if self.heartbeat_interval > self.failover_delay:
                 raise SimulationError(
                     "heartbeat_interval must not exceed failover_delay"

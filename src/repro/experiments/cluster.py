@@ -11,7 +11,8 @@ failure mode, mirroring the paper's methodology:
   window and recovers after 16 s; measures processed tuples (Fig. 11,
   bottom). Run on a sampled subset of the corpus, like the paper's 40.
 
-Each mode's faults are :func:`repro.chaos.paper_schedule`'s. Figures are
+Each mode's faults are :func:`repro.chaos.paper_schedule`'s, and every
+run is a judged :class:`repro.chaos.runner.CampaignRun`. Figures are
 normalised as in the paper: best case to the NR variant, failures to the
 *failure-free* NR run.
 """
@@ -25,17 +26,23 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.chaos.campaign import PAPER_MODES, paper_schedule
-from repro.chaos.injectors import apply_injection
+from repro.chaos.runner import CampaignRun
 from repro.dsps.platform import PlatformConfig
 from repro.dsps.traces import two_level_trace
 from repro.errors import ExperimentError
 from repro.experiments.parallel import run_tasks
 from repro.experiments.scale import ExperimentScale, peak_window
 from repro.experiments.variants import VariantSet, build_variants
-from repro.laar.middleware import PAPER_MIDDLEWARE, ExtendedApplication
+from repro.laar.middleware import PAPER_MIDDLEWARE
 from repro.workloads.generator import GeneratedApplication, generate_corpus
 
-__all__ = ["FailureMode", "RunResult", "ClusterResults", "run_cluster_experiment"]
+__all__ = [
+    "FailureMode",
+    "RunResult",
+    "ClusterResults",
+    "run_cluster_experiment",
+    "run_variant",
+]
 
 #: First seed of the default corpus (the EDBT year, for determinism).
 BASE_SEED = 2014
@@ -57,7 +64,9 @@ class FailureMode(enum.Enum):
 
 @dataclass(frozen=True)
 class RunResult:
-    """Scalar outcomes of one (application, variant, mode) run."""
+    """Scalar outcomes of one (application, variant, mode) run; the last
+    four are the judge's (``min_ic_margin`` is ``None`` when no second
+    was checked)."""
 
     app: str
     variant: str
@@ -69,6 +78,10 @@ class RunResult:
     input: int
     peak_output_rate: float
     config_switches: int
+    transition_s: float
+    off_model_s: float
+    below_floor_s: float
+    min_ic_margin: Optional[float]
 
 
 class ClusterResults:
@@ -154,6 +167,13 @@ class ClusterResults:
             for app in apps
         ]
 
+    def below_floor_seconds(
+        self, variant: str, mode: FailureMode
+    ) -> list[float]:
+        """Fig. 11's judge: checked seconds below the proven IC floor."""
+        apps = self.crash_apps if mode is FailureMode.CRASH else self.apps
+        return [self.get(app, variant, mode).below_floor_s for app in apps]
+
 
 def _run_seed(app_seed: int, variant: str, mode: FailureMode) -> int:
     """The explicit per-run RNG seed (the host-crash draw).
@@ -172,39 +192,35 @@ def _run_seed(app_seed: int, variant: str, mode: FailureMode) -> int:
     )
 
 
-def _run_one(
+def run_variant(
     variants: VariantSet,
     variant: str,
     mode: FailureMode,
     scale: ExperimentScale,
-    rng: random.Random,
+    seed: int,
 ) -> RunResult:
+    """One (application, variant, failure-mode) run of the grid, judged;
+    ``seed`` draws the host crash."""
     app = variants.app
-    strategy = variants.strategies[variant]
-    trace = two_level_trace(
-        app.low_rate,
-        app.high_rate,
-        duration=scale.trace_seconds,
-    )
-    platform_config = PlatformConfig(
-        arrival_jitter=ARRIVAL_JITTER,
-        heartbeat_interval=HEARTBEAT_INTERVAL,
-        seed=app.seed * 7919 + 13,  # per-app deterministic glitches
-    )
-    extended = ExtendedApplication(
+    trace = two_level_trace(app.low_rate, app.high_rate, scale.trace_seconds)
+    paper_mode = PAPER_MODES[list(FailureMode).index(mode)]
+    metrics, digest = CampaignRun(
         app.deployment,
-        strategy,
+        variants.strategies[variant],
         {"src": trace},
-        platform_config=platform_config,
+        paper_schedule(
+            paper_mode, app.deployment, trace, random.Random(seed)
+        ),
+        platform_config=PlatformConfig(
+            arrival_jitter=ARRIVAL_JITTER,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
+            seed=app.seed * 7919 + 13,  # per-app deterministic glitches
+        ),
         middleware_config=dataclasses.replace(
             PAPER_MIDDLEWARE, dynamic=variants.is_dynamic(variant)
         ),
-    )
-    paper_mode = PAPER_MODES[list(FailureMode).index(mode)]
-    for injection in paper_schedule(paper_mode, app.deployment, trace, rng):
-        apply_injection(extended.platform, injection, strategy=strategy)
-
-    metrics = extended.run()
+    ).run()
+    stats = digest["invariants"]["stats"]
     return RunResult(
         app=app.name,
         variant=variant,
@@ -216,6 +232,10 @@ def _run_one(
         input=metrics.total_input,
         peak_output_rate=metrics.output_rate_in_window(*peak_window(trace)),
         config_switches=len(metrics.config_switches),
+        transition_s=stats["seconds"]["transition"],
+        off_model_s=stats["seconds"]["off_model"],
+        below_floor_s=digest["slo"]["bad_seconds"],
+        min_ic_margin=stats["min_ic_margin"],
     )
 
 
@@ -236,8 +256,7 @@ def _run_task(
     task: tuple[VariantSet, str, FailureMode, ExperimentScale, int],
 ) -> RunResult:
     """Pool worker: one (application, variant, failure-mode) run."""
-    variants, variant, mode, scale, seed = task
-    return _run_one(variants, variant, mode, scale, random.Random(seed))
+    return run_variant(*task)
 
 
 def run_cluster_experiment(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chaos.runner import CampaignRun
 from repro.core.application import ApplicationGraph
 from repro.core.configurations import ConfigurationSpace
 from repro.core.deployment import Host
@@ -24,12 +25,14 @@ from repro.core.strategy import ActivationStrategy
 from repro.dsps.monitoring import CpuSampler
 from repro.dsps.traces import two_level_trace
 from repro.errors import ExperimentError
-from repro.laar.middleware import ExtendedApplication, MiddlewareConfig
+from repro.laar.middleware import MiddlewareConfig
 from repro.placement import balanced_placement
 
 __all__ = ["Fig3Series", "Fig3Data", "build_pipeline_application", "run_fig3"]
 
 GIGA = 1.0e9
+#: FT-Search's budget (it proves the optimum in 8 nodes): no wall clock.
+NODE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,14 @@ def _run_variant(
     deployment, strategy: ActivationStrategy, duration: float, dynamic: bool
 ) -> Fig3Series:
     trace = two_level_trace(4.0, 8.0, duration=duration, high_fraction=1 / 3)
-    extended = ExtendedApplication(
+    run = CampaignRun(
         deployment,
         strategy,
         {"src": trace},
         middleware_config=MiddlewareConfig(dynamic=dynamic),
     )
-    sampler = CpuSampler(extended.platform, interval=1.0)
-    metrics = extended.run(until=duration)
+    sampler = CpuSampler(run.platform, interval=1.0)
+    metrics, _ = run.run(drain=0.0)
     seconds = tuple(range(int(duration)))
     return Fig3Series(
         variant=strategy.name,
@@ -107,7 +110,9 @@ def run_fig3(duration: float = 90.0) -> Fig3Data:
     """Run both Fig. 3 panels and return their time series."""
     _, deployment = build_pipeline_application()
     result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.5), time_limit=10.0
+        OptimizationProblem(deployment, ic_target=0.5),
+        time_limit=None,
+        node_limit=NODE_LIMIT,
     )
     if result.strategy is None:
         raise ExperimentError("FT-Search failed on the Fig. 3 pipeline")

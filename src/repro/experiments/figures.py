@@ -142,7 +142,17 @@ def render_fig11(results: ClusterResults) -> str:
         fig11_host_crash(results),
         value_label="measured IC",
     )
-    return top + "\n\n" + bottom
+    modes = (FailureMode.WORST, FailureMode.CRASH)
+    judged = format_table(
+        ["variant"] + [mode.value for mode in modes],
+        [
+            [v] + [sum(results.below_floor_seconds(v, m)) for m in modes]
+            for v in results.variant_names
+        ],
+        title="Fig. 11 (judge) - checked seconds below the proven IC floor,"
+        " summed over applications",
+    )
+    return top + "\n\n" + bottom + "\n\n" + judged
 
 
 def render_fig12(results: ClusterResults) -> str:

@@ -1,11 +1,7 @@
 """The LAAR runtime middleware: RateMonitor, HAController, extended apps."""
 
 from repro.laar.hacontroller import HAController
-from repro.laar.middleware import (
-    ExtendedApplication,
-    MiddlewareConfig,
-    deploy_bundle,
-)
+from repro.laar.middleware import ExtendedApplication, MiddlewareConfig
 from repro.laar.rate_monitor import RateMonitor
 
 __all__ = [
@@ -13,5 +9,4 @@ __all__ = [
     "HAController",
     "ExtendedApplication",
     "MiddlewareConfig",
-    "deploy_bundle",
 ]

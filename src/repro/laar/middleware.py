@@ -12,26 +12,24 @@ wiring the monitor to the controller — which is exactly what
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Optional
 
 from repro.core.deployment import ReplicatedDeployment
 from repro.core.strategy import ActivationStrategy
 from repro.dsps.metrics import RunMetrics
 from repro.dsps.platform import PlatformConfig, StreamPlatform
-from repro.dsps.traces import InputTrace, two_level_trace
+from repro.dsps.traces import InputTrace
 from repro.errors import SimulationError
 from repro.laar.hacontroller import HAController
 from repro.laar.rate_monitor import RateMonitor
 from repro.rtree.config_index import ConfigurationIndex
-from repro.workloads.corpus import load_bundle
 
 __all__ = [
     "MiddlewareConfig",
     "PAPER_MIDDLEWARE",
     "ExtendedApplication",
-    "deploy_bundle",
 ]
 
 
@@ -46,12 +44,12 @@ class MiddlewareConfig:
     dynamic: bool = True
 
     def __post_init__(self) -> None:
-        if self.monitor_interval <= 0:
-            raise SimulationError("monitor_interval must be > 0")
-        if self.command_latency < 0:
-            raise SimulationError("command_latency must be >= 0")
-        if self.rate_tolerance < 0:
-            raise SimulationError("rate_tolerance must be >= 0")
+        if not 0 < self.monitor_interval < math.inf:
+            raise SimulationError("monitor_interval must be finite and > 0")
+        if not 0 <= self.command_latency < math.inf:
+            raise SimulationError("command_latency must be finite and >= 0")
+        if not 0 <= self.rate_tolerance < math.inf:
+            raise SimulationError("rate_tolerance must be finite and >= 0")
         if self.down_confirmation < 1:
             raise SimulationError("down_confirmation must be >= 1")
 
@@ -110,33 +108,6 @@ class ExtendedApplication:
                 interval=self.middleware_config.monitor_interval,
             )
 
-    def run(
-        self, until: Optional[float] = None, drain: float = 2.0
-    ) -> RunMetrics:
-        return self.platform.run(until=until, drain=drain)
+    def run(self, drain: float = 2.0) -> RunMetrics:
+        return self.platform.run(drain=drain)
 
-
-def deploy_bundle(
-    bundle: str | Path,
-    strategy: str | Path,
-    duration: float,
-    platform_config: PlatformConfig | None = None,
-    middleware_config: MiddlewareConfig | None = None,
-) -> tuple[ExtendedApplication, InputTrace]:
-    """The Fig. 7 workflow on artifact files.
-
-    Loads an application bundle and an activation strategy computed for
-    it, and extends the application with every source driven by the
-    bundle's two-level Low/High trace of ``duration`` seconds. Returns
-    the extended application and that trace.
-    """
-    app = load_bundle(bundle)
-    trace = two_level_trace(app.low_rate, app.high_rate, duration=duration)
-    extended = ExtendedApplication(
-        app.deployment,
-        ActivationStrategy.from_json(app.deployment, strategy),
-        {source: trace for source in app.deployment.descriptor.graph.sources},
-        platform_config=platform_config,
-        middleware_config=middleware_config,
-    )
-    return extended, trace

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -76,6 +78,15 @@ class TestConstruction:
             PlatformConfig(queue_seconds=0.0)
         with pytest.raises(SimulationError):
             PlatformConfig(failover_delay=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field",
+        ["failover_delay", "resync_delay", "queue_seconds", "heartbeat_interval"],
+    )
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            PlatformConfig(**{field: value})
 
 
 class TestSteadyState:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.baselines import (
+    greedy_deactivation,
+    non_replicated,
+    static_replication,
+)
 from repro.dsps.traces import two_level_trace
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -12,7 +19,9 @@ from repro.experiments import (
     FailureMode,
     run_cluster_experiment,
 )
+from repro.experiments.cluster import run_variant
 from repro.experiments.scale import peak_window
+from repro.experiments.variants import VariantSet
 from repro.workloads import GeneratorParams, generate_application
 
 
@@ -125,3 +134,57 @@ class TestShapes:
             assert 0 <= run.output
             assert run.processed > 0
             assert run.cpu_time > 0
+
+
+#: One 10-PE application's run of every (variant, mode), as recorded
+#: before the grid's runs went through ``CampaignRun``: the RunResult
+#: fields in declaration order after ``mode``, floats as ``float.hex``.
+#: The last four (the judge's) were recorded when they were added.
+PINNED = {
+    ("NR", "BEST"): ('0x1.d22f8da16a2dfp+8', 0, 7114, 2518, 238, '0x1.8acccccccccd7p+7', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.35c8406730640p+8'),
+    ("NR", "WORST"): ('0x0.0p+0', 0, 0, 0, 238, '0x0.0p+0', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("NR", "CRASH"): ('0x1.040fc17ccc12ep+7', 0, 1981, 698, 238, '0x0.0p+0', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("SR", "BEST"): ('0x1.d22f8da16a2e0p+9', 0, 7114, 2518, 238, '0x1.0e00000000007p+7', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("SR", "WORST"): ('0x1.d22f8da16a2dfp+8', 0, 7114, 2518, 238, '0x1.0e00000000007p+7', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("SR", "CRASH"): ('0x1.6264b9867d048p+9', 0, 6539, 2314, 238, '0x1.106666666666dp+7', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("GRD", "BEST"): ('0x1.7b25923e13603p+9', 0, 7114, 2518, 238, '0x1.860000000000ap+7', 2, '0x1.9999999999a00p-4', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("GRD", "WORST"): ('0x1.0b865d10bdb3ep+8', 0, 4077, 1433, 238, '0x0.0p+0', 2, '0x1.9999999999a00p-4', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+    ("GRD", "CRASH"): ('0x1.92970420afcfcp+8', 0, 3459, 1231, 238, '0x0.0p+0', 2, '0x1.9999999999a00p-4', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_variants() -> VariantSet:
+    """Strategies passed in, so no search runs: SR, GRD (dynamic) and
+    the NR variant read off GRD's High activations."""
+    app = generate_application(
+        21, params=GeneratorParams(n_pes=10), name="app-21"
+    )
+    grd = greedy_deactivation(app.deployment)
+    return VariantSet(
+        app=app,
+        strategies={
+            "NR": non_replicated(grd, 1),
+            "SR": static_replication(app.deployment),
+            "GRD": grd,
+        },
+    )
+
+
+class TestPinnedRuns:
+    """The grid's numbers do not move: every (variant, mode) RunResult
+    of one small application, bit for bit."""
+
+    @pytest.mark.parametrize("mode", list(FailureMode), ids=lambda m: m.name)
+    def test_run_results_are_pinned(self, pinned_variants, mode):
+        scale = ExperimentScale(
+            corpus_size=1, crash_corpus_size=1, trace_seconds=20.0
+        )
+        for variant in pinned_variants.names:
+            result = run_variant(pinned_variants, variant, mode, scale, 7)
+            values = dataclasses.astuple(result)[3:]
+            got = tuple(
+                value.hex() if isinstance(value, float) else value
+                for value in values
+            )
+            assert got == PINNED[variant, mode.name], (variant, mode)

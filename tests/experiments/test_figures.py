@@ -28,7 +28,7 @@ from repro.experiments.figures import (
 VARIANTS = ("NR", "SR", "L.5")
 
 
-def run_row(app, variant, mode, cpu, drops, processed, peak):
+def run_row(app, variant, mode, cpu, drops, processed, peak, below=0.0):
     return RunResult(
         app=app,
         variant=variant,
@@ -40,6 +40,10 @@ def run_row(app, variant, mode, cpu, drops, processed, peak):
         input=1000,
         peak_output_rate=peak,
         config_switches=0,
+        transition_s=0.0,
+        off_model_s=0.0,
+        below_floor_s=below,
+        min_ic_margin=None,
     )
 
 
@@ -55,7 +59,9 @@ def synthetic_results():
         # worst case
         rows.append(run_row(app, "NR", FailureMode.WORST, 50.0, 0, 0, 0.0))
         rows.append(run_row(app, "SR", FailureMode.WORST, 120.0, 10, 950, 6.0))
-        rows.append(run_row(app, "L.5", FailureMode.WORST, 90.0, 2, 530, 8.0))
+        rows.append(
+            run_row(app, "L.5", FailureMode.WORST, 90.0, 2, 530, 8.0, 0.5)
+        )
     # crash mode only for app-a
     rows.append(run_row("app-a", "NR", FailureMode.CRASH, 80.0, 1, 800, 8.0))
     rows.append(run_row("app-a", "SR", FailureMode.CRASH, 170.0, 20, 940, 6.5))
@@ -108,9 +114,16 @@ class TestFig11:
         assert stats["L.5"].count == 1
         assert stats["L.5"].mean == pytest.approx(0.9)
 
+    def test_below_floor_seconds_per_mode(self, synthetic_results):
+        below = synthetic_results.below_floor_seconds
+        assert below("L.5", FailureMode.WORST) == [0.5, 0.5]
+        assert below("L.5", FailureMode.CRASH) == [0.0]  # app-a only
+
     def test_render(self, synthetic_results):
         text = render_fig11(synthetic_results)
         assert "worst-case" in text and "host crash" in text
+        assert "below the proven IC floor" in text
+        assert "L.5      1.000       0.000" in text
 
 
 class TestFig12:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -43,6 +45,14 @@ class TestConfigValidation:
     def test_bad_command_latency(self):
         with pytest.raises(SimulationError):
             MiddlewareConfig(command_latency=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["monitor_interval", "command_latency", "rate_tolerance"]
+    )
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            MiddlewareConfig(**{field: value})
 
 
 class TestStaticVariant:

@@ -122,48 +122,6 @@ class TestEvaluate:
         assert "satisfied" in out
 
 
-class TestSimulate:
-    def test_best_case_run(self, bundle_path, strategy_path, capsys, tmp_path):
-        out_file = tmp_path / "metrics.json"
-        code = main(
-            [
-                "simulate", str(bundle_path),
-                "--strategy", str(strategy_path),
-                "--duration", "20",
-                "--out", str(out_file),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out_file.read_text())
-        assert report["input"] > 0
-        assert report["output"] > 0
-
-    def test_worst_case_run(self, bundle_path, strategy_path, capsys):
-        code = main(
-            [
-                "simulate", str(bundle_path),
-                "--strategy", str(strategy_path),
-                "--duration", "20",
-                "--failure", "worst",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert 'injected {"kind": "pessimistic", "at": 0.0' in out
-
-    def test_crash_run(self, bundle_path, strategy_path, capsys):
-        code = main(
-            [
-                "simulate", str(bundle_path),
-                "--strategy", str(strategy_path),
-                "--duration", "30",
-                "--failure", "crash",
-            ]
-        )
-        assert code == 0
-        assert 'injected {"kind": "rack_crash"' in capsys.readouterr().out
-
-
 class TestEvaluateVerbose:
     def test_verbose_prints_matrix_and_loads(
         self, bundle_path, strategy_path, capsys
@@ -242,7 +200,7 @@ class TestObs:
                 "obs", str(bundle_path),
                 "--strategy", str(strategy_path),
                 "--duration", "10",
-                "--failures", "none,crash",
+                "--failures", "none,worst,crash",
                 "--queue-seconds", "0.05",
                 "--out-dir", str(out_dir),
             ]
@@ -254,17 +212,22 @@ class TestObs:
 
         from repro.obs.validate import validate_file
 
-        for mode in ("none", "crash"):
+        modes = ["none", "worst", "crash"]
+        for mode in modes:
             path = out_dir / f"events-{mode}.jsonl"
             assert path.exists()
             assert validate_file(path) == []
         report = json.loads((out_dir / "report.json").read_text())
-        assert [m["mode"] for m in report["modes"]] == ["none", "crash"]
-        assert report["fabric"]["n_tasks"] == 2
-        crash = report["modes"][1]
+        assert [m["mode"] for m in report["modes"]] == modes
+        assert report["fabric"]["n_tasks"] == 3
+        worst, crash = report["modes"][1:]
+        assert worst["schedule"] == [
+            {"kind": "pessimistic", "at": 0.0, "params": {}}
+        ]
         assert crash["event_counts"].get("host.crash", 0) == 1
         assert crash["event_counts"].get("tuple.drop", 0) > 0
         assert [m["invariants"]["ok"] for m in report["modes"]] == [
+            True,
             True,
             True,
         ]

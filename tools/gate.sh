@@ -18,7 +18,8 @@
 #   digests  tools/digests.sh on a `git archive BASE` tree and on the
 #            working tree: the rows that moved are exactly those
 #            tools/digests-moves.txt declares (none when it is empty)
-#   figures  the gated benches under benchmarks/ (FIGURES below) with
+#   figures  the gated benches under benchmarks/ (FIGURES below:
+#            ext_communication and fig3_pipeline, ~6 s) with
 #            their assertions as pass/fail; each must regenerate its
 #            benchmarks/results/ file byte for byte (the working tree's
 #            file is put back afterwards, so the stage never edits it)
@@ -104,8 +105,10 @@ EOF
 }
 
 # Benches whose results file is reproducible on any host: every search
-# in them runs under a node budget and proves its optimum.
-FIGURES=(ext_communication)
+# in them runs under a node budget and proves its optimum. fig3_pipeline
+# also guards the one runner's deploy/run split (its CPU sampler attaches
+# between the two steps).
+FIGURES=(ext_communication fig3_pipeline)
 
 figures() {
     local name paths=() status=0
