@@ -425,6 +425,13 @@ class ReplicaGroup:
                 self._pending_election = None
             self._elect()
 
+    def close(self) -> None:
+        """Drop the links to the members (each links back through
+        ``group``), once the run is over."""
+        self.members = ()
+        self.primary = None
+        self._last_beat = {}
+
     def initialise_primary(self) -> None:
         self._set_primary(self._first_processable())
 

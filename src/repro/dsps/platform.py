@@ -109,10 +109,10 @@ class StreamPlatform:
         self._descriptor = deployment.descriptor
         self._graph = self._descriptor.graph
         self._config = config or PlatformConfig()
-        self.env = Environment()
+        self.env = env = Environment()
         self.metrics = RunMetrics()
         self.telemetry = Telemetry(
-            clock=lambda: self.env.now,
+            clock=lambda: env.now,
             event_buffer=self._config.event_buffer,
             tuple_trace_every=self._config.tuple_trace_every,
         )
@@ -131,7 +131,7 @@ class StreamPlatform:
             self.env.engine = self._engine
         self.fallback = FallbackTracker(
             self.telemetry.events,
-            clock=lambda: self.env.now,
+            clock=lambda: env.now,
             settle=(
                 self._config.failover_delay
                 + self._config.resync_delay
@@ -251,6 +251,7 @@ class StreamPlatform:
                 engine=self._engine,
             )
         self._trace_duration = max(t.duration for t in traces.values())
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -433,6 +434,8 @@ class StreamPlatform:
         By default the platform runs for the whole trace plus ``drain``
         seconds so in-flight tuples can finish.
         """
+        if self._closed:
+            raise SimulationError("the platform is closed")
         horizon = until if until is not None else (
             self._trace_duration + drain
         )
@@ -442,6 +445,29 @@ class StreamPlatform:
         for name, sink in self._sinks.items():
             self.metrics.sink_received[name] = sink.received
         return self.metrics
+
+    def close(self) -> None:
+        """Release the run once everything wanted from it has been read.
+
+        The data path, the hooks and the pending events link the
+        platform and its parts into cycles; each owner drops the links
+        it holds, so the whole run is freed by reference counting
+        instead of waiting for the cycle collector. Metrics and the
+        event log stay readable; :meth:`run` refuses. Idempotent.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.env.close()
+        self.telemetry.events.close()
+        for group in self._groups.values():
+            group.close()
+        self._replicas = {}
+        self._groups = {}
+        self._host_schedulers = {}
+        self._sources = {}
+        self.on_host_crash = []
+        self._engine = None
 
     def conservation(self) -> dict[str, dict[str, int]]:
         """Per-replica conservation counters, keyed by ``pe#index``.

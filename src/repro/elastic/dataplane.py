@@ -207,11 +207,20 @@ def run_elastic_tenant(task: ElasticTask) -> dict[str, Any]:
     hash. This adds what is elastic: the engine, autoscaler and meter
     attached before it (in that order, ahead of the SLO taps), and an
     ``"elastic"`` digest block with their counters and the meter's
-    core-second integrals.
+    core-second integrals. The platform is closed once the digest is
+    built, as in :func:`repro.fleet.dataplane.run_tenant`.
     """
-    params = task.params
     platform = tenant_platform(task)
+    try:
+        return _run_elastic_platform(task, platform)
+    finally:
+        platform.close()
 
+
+def _run_elastic_platform(
+    task: ElasticTask, platform: StreamPlatform
+) -> dict[str, Any]:
+    params = task.params
     engine: Optional[MigrationEngine] = None
     scaler: Optional[Autoscaler] = None
     if params.autoscale:

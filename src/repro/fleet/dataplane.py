@@ -345,8 +345,16 @@ def run_platform(
 
 
 def run_tenant(task: TenantTask) -> dict[str, Any]:
-    """Run one tenant and return its digest (fabric worker)."""
-    return run_platform(task, tenant_platform(task))
+    """Run one tenant and return its digest (fabric worker).
+
+    The platform is closed once the digest is built, so the tenant is
+    freed by reference counting as soon as this returns.
+    """
+    platform = tenant_platform(task)
+    try:
+        return run_platform(task, platform)
+    finally:
+        platform.close()
 
 
 def summarize_dataplane(

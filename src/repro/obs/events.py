@@ -332,6 +332,10 @@ class EventLog:
         """
         self._taps.append(tap)
 
+    def close(self) -> None:
+        """Unsubscribe every tap; the buffered events stay readable."""
+        self._taps = []
+
     # ------------------------------------------------------------------
     # Emission (the hot path)
     # ------------------------------------------------------------------

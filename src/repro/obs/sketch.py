@@ -88,6 +88,10 @@ class LogHistogram:
         """Record ``value`` (``count`` times). Hot path — keep it lean."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        if not 0.0 <= value < math.inf:  # negative, infinite or NaN
+            raise ValueError(
+                f"sketch values must be finite and >= 0, got {value!r}"
+            )
         if value <= self.min_value:
             index = 0
         else:

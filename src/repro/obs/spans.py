@@ -98,6 +98,9 @@ class SpanTracer:
 
     def _finish(self, span: Span, fields: dict[str, Any]) -> None:
         span.end_time = self._clock()
+        # A finished span never calls back, and ``finished`` holds it:
+        # dropping its link here keeps the two out of a reference cycle.
+        span._tracer = None
         span.fields.update(fields)
         self.finished.append(span)
         self._events.emit(

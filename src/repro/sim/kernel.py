@@ -352,6 +352,17 @@ class Environment:
                 events_cancelled=self._events_cancelled,
             )
 
+    def close(self) -> None:
+        """Drop the pending heap, the engine and the telemetry log.
+
+        Their callbacks and hooks lead back to whatever owns this
+        environment, so dropping them lets that owner be freed by
+        reference counting once its run is over.
+        """
+        self._queue = []
+        self.engine = None
+        self.telemetry = None
+
     def peek(self) -> float:
         """Time of the next pending event (inf when idle)."""
         self._purge_cancelled()

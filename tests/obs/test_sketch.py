@@ -108,6 +108,17 @@ class TestLogHistogram:
         with pytest.raises(ValueError):
             LogHistogram().add(0.5, count=0)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, -1.0], ids=repr
+    )
+    def test_refuses_a_value_that_is_not_finite_and_non_negative(
+        self, value
+    ):
+        sketch = LogHistogram()
+        with pytest.raises(ValueError, match=repr(value)):
+            sketch.add(value)
+        assert sketch.summary()["count"] == 0
+
     def test_to_dict_is_json_stable(self):
         sketch = LogHistogram()
         for value in (0.3, 0.1, 0.2):

@@ -30,11 +30,13 @@ from repro.chaos import (
 )
 from repro.core.optimizer import OptimizationProblem, ft_search
 from repro.dsps.batched import BatchEngine, FallbackTracker
+from repro.dsps.platform import StreamPlatform
 from repro.fleet.dataplane import (
     DataplaneParams,
     TenantTask,
     run_tenant,
     summarize_dataplane,
+    tenant_platform,
 )
 from repro.workloads import (
     ClusterParams,
@@ -50,6 +52,38 @@ CHAOS_SEEDS = range(5)
 #: 0, 4, 8 and slow-host windows on tenants 2, 6, 10, so the matrix
 #: exercises the fallback path and the pure closed-form path together.
 FLEET = DataplaneParams(tenants=12, chaos_every=4, duration=30.0)
+
+
+def _sink_buffers_time_sorted(platform: StreamPlatform) -> bool:
+    return all(
+        all(a[0] <= b[0] for a, b in zip(buffer, buffer[1:]))
+        for buffer in (
+            recorder.sample_buffer()
+            for recorder in platform.metrics.sink_latency.values()
+        )
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def sink_buffer_order() -> list[bool]:
+    """Whether each platform run of this corpus ended with every sink's
+    latency buffer non-decreasing in arrival time, in run order.
+
+    The SLO engine drains a window from each buffer up to the first
+    sample at or past the window bound, so the order is a precondition
+    of its rollups; the last test of the module reads this record.
+    """
+    record: list[bool] = []
+    run = StreamPlatform.run
+
+    def checked_run(self, *args, **kwargs):
+        metrics = run(self, *args, **kwargs)
+        record.append(_sink_buffers_time_sorted(self))
+        return metrics
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamPlatform, "run", checked_run)
+        yield record
 
 
 def _without_engine(digest: dict) -> dict:
@@ -308,3 +342,23 @@ class TestElasticDataplane:
         assert json.dumps(digests, sort_keys=True) == json.dumps(
             batched, sort_keys=True
         )
+
+
+class TestSinkBuffers:
+    """Last in the module: every run above has been recorded."""
+
+    def test_every_sink_buffer_is_time_sorted(
+        self, sink_buffer_order, fleet_pair, elastic_pair
+    ):
+        assert len(sink_buffer_order) >= 2 * (
+            FLEET.tenants + _elastic_params().tenants
+        )
+        assert all(sink_buffer_order)
+
+    def test_an_unsorted_buffer_is_caught(self):
+        platform = tenant_platform(TenantTask(FLEET, 1))
+        platform.run()
+        assert _sink_buffers_time_sorted(platform)
+        buffer = platform.metrics.sink_latency["sink"].sample_buffer()
+        buffer[0], buffer[-1] = buffer[-1], buffer[0]
+        assert not _sink_buffers_time_sorted(platform)

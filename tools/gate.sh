@@ -11,8 +11,9 @@
 #   tier-1   the test suite, ten slowest printed (budget: <= 100 s here)
 #   explore  the generated properties of the elastic control loop, the
 #            replayed state, the batched engine, the IC judge's floors
-#            vs FT-Search's proof and the host scheduler vs its parent
-#            oracle (`_ParentScheduler`), under Hypothesis's `explore`
+#            vs FT-Search's proof, the host scheduler vs its parent
+#            oracle (`_ParentScheduler`) and the release of a finished
+#            tenant (no cyclic garbage), under Hypothesis's `explore`
 #            profile with a seed taken from BASE's short sha
 #            (printed, so a failure replays; budget: <= 30 s)
 #   digests  tools/digests.sh on a `git archive BASE` tree and on the
@@ -71,6 +72,7 @@ explore() {
     python -m pytest -x -q tests/elastic/test_autoscaler.py \
         tests/obs/test_replay.py tests/sim/test_generated_equivalence.py \
         tests/core/test_ic_consistency.py tests/dsps/test_hosts.py \
+        tests/fleet/test_release.py \
         --hypothesis-profile=explore --hypothesis-seed="$seed"
 }
 
