@@ -270,7 +270,8 @@ class VectorFTSearch:
         self._prune_counts = [0, 0, 0, 0]
         self._prune_heights = [0, 0, 0, 0]
         self._best_raw = self._seed.cost
-        self._candidates: list[Candidate] = []
+        #: The least-rank path of each distinct raw cost in the band.
+        self._candidates: dict[float, bytes] = {}
         self._first_raw_cost: Optional[float] = None
         self._first_raw_time: Optional[float] = None
         self._best_raw_time: Optional[float] = None
@@ -316,7 +317,7 @@ class VectorFTSearch:
                 hi = cut
             block = self._materialise(pending, lo, hi)
         return RawSearch(
-            candidates=list(self._candidates),
+            candidates=list(self._candidates.items()),
             best_raw=self._best_raw,
             nodes=self._nodes,
             values_tried=self._values_tried,
@@ -696,17 +697,23 @@ class VectorFTSearch:
             return
         now = time.monotonic() - self._start
         best_row = int(keep[np.argmin(cost[keep])])
+        candidates = self._candidates
         if cost[best_row] < self._best_raw:
             self._best_raw = float(cost[best_row])
             self._best_raw_time = now
             band = self._best_raw * (1 + _BAND_EPS)
+            candidates = {c: p for c, p in candidates.items() if c <= band}
+            self._candidates = candidates
         if self._first_raw_cost is None:
             self._first_raw_cost = float(block.cost[keep[0]])
             self._first_raw_time = now
+        # Of equal raw costs the rank fold can accept only the first in
+        # rank order, so one path per cost suffices: the least one, as
+        # leaves arrive in block order, not rank order.
         for row in keep:
             raw = float(cost[row])
             if raw <= band:
-                self._candidates.append((raw, block.path[row].tobytes()))
-        self._candidates = [
-            cand for cand in self._candidates if cand[0] <= band
-        ]
+                path = block.path[row].tobytes()
+                held = candidates.get(raw)
+                if held is None or path < held:
+                    candidates[raw] = path

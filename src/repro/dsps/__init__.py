@@ -15,7 +15,7 @@ from repro.dsps.metrics import (
     RunMetrics,
     TimeSeries,
 )
-from repro.dsps.monitoring import ActivationSampler, CpuSampler, QueueSampler
+from repro.dsps.monitoring import CpuSampler
 from repro.dsps.operators import OperatorReplica, PortSpec, ReplicaGroup
 from repro.dsps.platform import PlatformConfig, StreamPlatform
 from repro.dsps.traces import InputTrace, TraceSegment, two_level_trace
@@ -37,6 +37,4 @@ __all__ = [
     "LatencyRecorder",
     "TimeSeries",
     "CpuSampler",
-    "QueueSampler",
-    "ActivationSampler",
 ]

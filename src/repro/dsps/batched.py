@@ -167,7 +167,8 @@ class FallbackTracker:
 
 
 class _SourceCursor:
-    """Engine-side replacement for one source's kernel process."""
+    """Engine-side replacement for one source's self-rescheduling
+    arrival callback (its start event and its chain of arrivals)."""
 
     __slots__ = (
         "source",
@@ -188,9 +189,9 @@ class _SourceCursor:
         self.prev = 0.0
         self.time = time
         self.seq = seq
-        #: The first resume primes the arrival generator (drawing the
+        #: The first firing primes the arrival generator (drawing the
         #: first arrival's randomness) without emitting — exactly what
-        #: the kernel process does on its construction-time resume.
+        #: the source's start event does in a tuple-granular run.
         self.primed = False
         self.live = True
         #: Inter-arrival delays drawn ahead (a train looks one ahead to
@@ -457,10 +458,8 @@ class BatchEngine:
             return None
         delay = arrival - cursor.prev
         cursor.prev = arrival
-        if delay < 0 or math.isnan(delay):
-            raise SimulationError(
-                f"process yielded an invalid delay: {delay!r}"
-            )
+        if not delay >= 0:
+            raise cursor.source.step_back(delay)
         return delay
 
     def _next_delay(self, cursor: _SourceCursor) -> Optional[float]:
@@ -485,9 +484,8 @@ class BatchEngine:
             np.subtract(arrivals[1:], arrivals[:-1], out=gaps[1:])
             valid = gaps >= 0.0  # False on a negative gap or NaN
             if not valid.all():
-                raise SimulationError(
-                    "process yielded an invalid delay:"
-                    f" {gaps[valid.argmin()].item()!r}"
+                raise cursor.source.step_back(
+                    gaps[valid.argmin()].item()
                 )
             cursor.pending += gaps.tolist()
             prev = arrivals[-1].item()
@@ -536,7 +534,7 @@ class BatchEngine:
     ) -> None:
         t0 = cursor.time
         if not cursor.primed:
-            # Priming resume: draw the first arrival, emit nothing.
+            # The start event: draw the first arrival, emit nothing.
             cursor.primed = True
             self._env.engine_fire(t0)
             self._advance_cursor(cursor, self._draw_delay(cursor))
@@ -834,10 +832,8 @@ class BatchEngine:
             else:
                 delay = arrival - prev
                 prev = arrival
-                if delay < 0 or delay != delay:  # NaN-safe _draw_delay check
-                    raise SimulationError(
-                        f"process yielded an invalid delay: {delay!r}"
-                    )
+                if not delay >= 0:  # negative or NaN, as _draw_delay
+                    raise cursor.source.step_back(delay)
         if not committed:
             if not owed:
                 return False

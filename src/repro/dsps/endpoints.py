@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 from repro.dsps.metrics import LatencyRecorder, TimeSeries
 from repro.dsps.traces import InputTrace
+from repro.errors import SimulationError
 from repro.sim import Environment
 
 __all__ = ["SourceOperator", "SinkOperator"]
@@ -43,20 +44,31 @@ class SourceOperator:
         self.emitted = 0
         if engine is not None:
             # Engine-managed mode: the batched engine replays the same
-            # arrival recurrence through a cursor instead of a kernel
-            # process, so emissions never touch the event heap.
+            # arrival recurrence through a cursor instead of heap
+            # events, so emissions never touch the event heap.
             engine.register_source(self)
         else:
-            env.process(self._run())
+            self._arrivals = self.arrivals()
+            self._previous = 0.0
+            # The start event draws the first arrival once the run
+            # starts, so sources draw in construction order.
+            env.schedule(0.0, self._schedule_next)
 
     def arrivals(self):
         """The trace's arrival-time generator with this source's rng.
 
         The generator body does not run (and draws no randomness) until
-        first ``next()`` — creation order therefore matches the process
-        construction a tuple-granular run performs.
+        first ``next()``.
         """
         return self.trace.arrival_times(self._rng, self._jitter)
+
+    def step_back(self, gap: float) -> SimulationError:
+        """The error for an arrival earlier than the one before it (a
+        negative or NaN gap); both execution modes raise this text."""
+        return SimulationError(
+            f"source {self.name}: inter-arrival gap {gap!r}"
+            " is negative or NaN"
+        )
 
     def fire(self) -> None:
         """One emission at the current simulated time."""
@@ -64,12 +76,21 @@ class SourceOperator:
         self._series.record(self._env.now)
         self._deliver(self.name)
 
-    def _run(self):
-        previous = 0.0
-        for arrival in self.trace.arrival_times(self._rng, self._jitter):
-            yield arrival - previous
-            previous = arrival
-            self.fire()
+    def _arrive(self) -> None:
+        self.fire()
+        self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        """Draw the next arrival and schedule it; the stream's end
+        schedules nothing."""
+        arrival = next(self._arrivals, None)
+        if arrival is None:
+            return
+        gap = arrival - self._previous
+        if not gap >= 0:
+            raise self.step_back(gap)
+        self._previous = arrival
+        self._env.schedule(gap, self._arrive)
 
     def current_rate(self) -> float:
         """The trace's nominal rate at the current simulation time."""

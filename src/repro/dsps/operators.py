@@ -374,6 +374,8 @@ class ReplicaGroup:
         self._hb_fanout = 0
         self._hb_network = None
         self._last_beat: dict[OperatorReplica, float] = {}
+        #: Each member's pending beat event, cancelled when it leaves.
+        self._beats: dict[OperatorReplica, EventHandle] = {}
         # Optional repro.obs.Telemetry: primary.lost / primary.elected
         # events plus a "failover" span over each detection→re-election
         # window.
@@ -390,7 +392,7 @@ class ReplicaGroup:
         if self._heartbeats_enabled:
             # A member joining after heartbeats were enabled must be
             # registered with the detector immediately: without a beat
-            # process and a fresh ``_last_beat`` entry the watchdog would
+            # loop and a fresh ``_last_beat`` entry the watchdog would
             # read its freshness as -inf and depose it on every tick.
             self._last_beat[replica] = self._env.now
             self._start_beats(replica)
@@ -411,6 +413,11 @@ class ReplicaGroup:
         self.members = tuple(m for m in self.members if m is not replica)
         replica.group = None
         self._last_beat.pop(replica, None)
+        beat = self._beats.pop(replica, None)
+        if beat is not None:
+            # A detached replica stops beating: it no longer counts for
+            # the detector, and its traffic is not charged.
+            beat.cancel()
         if self.primary is replica:
             if self._telemetry is not None:
                 self._telemetry.emit(
@@ -431,6 +438,7 @@ class ReplicaGroup:
         self.members = ()
         self.primary = None
         self._last_beat = {}
+        self._beats = {}
 
     def initialise_primary(self) -> None:
         self._set_primary(self._first_processable())
@@ -459,47 +467,52 @@ class ReplicaGroup:
         :class:`~repro.dsps.metrics.NetworkMetrics` the traffic is
         charged to (optional).
         """
-        if interval <= 0 or timeout <= 0:
-            raise SimulationError("heartbeat interval/timeout must be > 0")
+        if not (0 < interval < math.inf and 0 < timeout < math.inf):
+            raise SimulationError(
+                "heartbeat interval/timeout must be finite and > 0,"
+                f" got {interval}/{timeout}"
+            )
         self._heartbeats_enabled = True
         self._hb_interval = interval
         self._hb_timeout = timeout
         self._hb_fanout = fanout
         self._hb_network = network
-        now = self._env.now
+        env = self._env
+        now = env.now
         self._last_beat = {member: now for member in self.members}
         for member in self.members:
             self._start_beats(member)
-        self._env.process(self._watchdog())
+        env.schedule(0.0, lambda: env.schedule(interval, self._watchdog))
 
     def _start_beats(self, member: OperatorReplica) -> None:
-        def beats():
-            while True:
-                yield self._hb_interval
-                if member.alive and member.processable:
-                    self._last_beat[member] = self._env.now
-                    if self._hb_network is not None:
-                        self._hb_network.heartbeat_messages += max(
-                            1, self._hb_fanout
-                        )
+        self._beats[member] = self._env.schedule(
+            0.0, lambda: self._next_beat(member)
+        )
 
-        self._env.process(beats())
+    def _next_beat(self, member: OperatorReplica) -> None:
+        self._beats[member] = self._env.schedule(
+            self._hb_interval, lambda: self._beat(member)
+        )
 
-    def _watchdog(self):
-        while True:
-            yield self._hb_interval
-            primary = self.primary
-            if primary is None:
-                if self._pending_election is None:
-                    self._elect()
-                continue
-            stale = (
-                self._env.now - self._last_beat.get(primary, -1e18)
-                > self._hb_timeout
-            )
-            if stale:
-                self._set_primary(None)
+    def _beat(self, member: OperatorReplica) -> None:
+        if member.alive and member.processable:
+            self._last_beat[member] = self._env.now
+            if self._hb_network is not None:
+                self._hb_network.heartbeat_messages += max(1, self._hb_fanout)
+        self._next_beat(member)
+
+    def _watchdog(self) -> None:
+        primary = self.primary
+        if primary is None:
+            if self._pending_election is None:
                 self._elect()
+        elif (
+            self._env.now - self._last_beat.get(primary, -1e18)
+            > self._hb_timeout
+        ):
+            self._set_primary(None)
+            self._elect()
+        self._env.schedule(self._hb_interval, self._watchdog)
 
     def on_member_unavailable(
         self, member: OperatorReplica, detected_after: float

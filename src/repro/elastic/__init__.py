@@ -26,11 +26,7 @@ from repro.elastic.dataplane import (
     run_elastic_tenant,
     summarize_elastic,
 )
-from repro.elastic.migration import (
-    MigrationAction,
-    MigrationEngine,
-    MigrationPlan,
-)
+from repro.elastic.migration import MigrationAction, MigrationEngine
 
 __all__ = [
     "Autoscaler",
@@ -40,7 +36,6 @@ __all__ = [
     "ElasticTask",
     "MigrationAction",
     "MigrationEngine",
-    "MigrationPlan",
     "run_elastic_tenant",
     "summarize_elastic",
 ]

@@ -52,7 +52,6 @@ from repro.sim import EventHandle
 __all__ = [
     "MigrationAction",
     "MigrationEngine",
-    "MigrationPlan",
 ]
 
 
@@ -77,17 +76,6 @@ class MigrationAction:
             raise SimulationError("remove needs a src host")
         if self.kind == "rescale" and self.parallelism < 1:
             raise SimulationError("rescale needs parallelism >= 1")
-
-
-@dataclass(frozen=True)
-class MigrationPlan:
-    """An ordered batch of migration actions for one platform."""
-
-    actions: tuple[MigrationAction, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.actions, tuple):
-            raise SimulationError("plan actions must be a tuple")
 
 
 #: Protocol timings (simulated seconds). The transfer is priced per
@@ -240,30 +228,6 @@ class MigrationEngine:
     # ------------------------------------------------------------------
     # Protocol entry points
     # ------------------------------------------------------------------
-
-    def submit(self, plan: MigrationPlan) -> tuple[str, ...]:
-        """Run every feasible action of ``plan`` now; returns their ids.
-
-        Infeasible actions are refused (counted, not raised): the plan
-        is advisory, the proof is authoritative.
-        """
-        started: list[str] = []
-        for action in plan.actions:
-            ok, _reason = self.feasible(action)
-            if not ok:
-                self.refused += 1
-                continue
-            started.extend(self._execute(action))
-        return tuple(started)
-
-    def _execute(self, action: MigrationAction) -> list[str]:
-        if action.kind == "move":
-            return [self.migrate(action.pe, action.src, action.dst)]
-        if action.kind == "add":
-            return [self.add_replica(action.pe, action.dst)]
-        if action.kind == "remove":
-            return [self.remove_replica(action.pe, action.src)]
-        return self.rescale(action.pe, action.parallelism)
 
     def migrate(self, pe: str, src: str, dst: str) -> str:
         """Live-move the replica of ``pe`` on ``src`` to ``dst``."""

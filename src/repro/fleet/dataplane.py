@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
@@ -115,8 +116,14 @@ class DataplaneParams:
             raise ReproError("phases must be >= 1")
         if self.chaos_every < 0:
             raise ReproError("chaos_every must be >= 0")
-        if self.duration <= 0:
-            raise ReproError("duration must be > 0")
+        if not 0 < self.duration < math.inf:
+            raise ReproError(
+                f"duration must be finite and > 0: {self.duration}"
+            )
+        if not 0 < self.chaos_downtime < math.inf:
+            raise ReproError(
+                f"chaos_downtime must be finite and > 0: {self.chaos_downtime}"
+            )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ within one interval of a configuration change.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 from repro.dsps.platform import StreamPlatform
@@ -29,31 +30,35 @@ class RateMonitor:
         listener: Callable[[Mapping[str, float]], None],
         interval: float = 1.0,
     ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"monitor interval must be > 0: {interval}")
+        if not 0 < interval < math.inf:
+            raise SimulationError(
+                f"monitor interval must be finite and > 0: {interval}"
+            )
         self._platform = platform
         self._listener = listener
         self.interval = interval
-        # The baseline counts are snapshotted lazily when the monitor
-        # process starts, not at construction: anything the sources emit
+        self._last_counts: dict[str, int] = {}
+        self.measurements: list[tuple[float, dict[str, float]]] = []
+        platform.env.schedule(0.0, self._start)
+
+    def _start(self) -> None:
+        # The baseline counts are snapshotted when the monitor's start
+        # event fires, not at construction: anything the sources emit
         # between attaching the monitor and the simulation actually
         # running must not be charged to the first window.
-        self._last_counts: dict[str, int] | None = None
-        self.measurements: list[tuple[float, dict[str, float]]] = []
-        platform.env.process(self._run())
+        self._last_counts = {
+            name: source.emitted
+            for name, source in self._platform.sources.items()
+        }
+        self._platform.env.schedule(self.interval, self._tick)
 
-    def _run(self):
-        if self._last_counts is None:
-            self._last_counts = {
-                name: source.emitted
-                for name, source in self._platform.sources.items()
-            }
-        while True:
-            yield self.interval
-            rates = self._measure()
-            self.measurements.append((self._platform.env.now, rates))
-            self._platform.telemetry.emit("rate.measurement", rates=rates)
-            self._listener(rates)
+    def _tick(self) -> None:
+        env = self._platform.env
+        rates = self._measure()
+        self.measurements.append((env.now, rates))
+        self._platform.telemetry.emit("rate.measurement", rates=rates)
+        self._listener(rates)
+        env.schedule(self.interval, self._tick)
 
     def _measure(self) -> dict[str, float]:
         rates: dict[str, float] = {}

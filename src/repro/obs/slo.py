@@ -101,7 +101,8 @@ class SloConfig:
     slow_windows: int = 6
 
     def __post_init__(self) -> None:
-        if self.window < 1.0 or self.window != int(self.window):
+        window = self.window
+        if not 1.0 <= window < math.inf or window != int(window):
             raise ReproError(
                 f"window must be a whole number of seconds >= 1,"
                 f" got {self.window}"
@@ -111,9 +112,10 @@ class SloConfig:
                 f"availability_target must be in (0, 1),"
                 f" got {self.availability_target}"
             )
-        if self.burn_threshold <= 0.0:
+        if not 0.0 < self.burn_threshold < math.inf:
             raise ReproError(
-                f"burn_threshold must be > 0, got {self.burn_threshold}"
+                f"burn_threshold must be finite and > 0,"
+                f" got {self.burn_threshold}"
             )
         if self.fast_windows < 1 or self.slow_windows < self.fast_windows:
             raise ReproError(

@@ -8,10 +8,7 @@ paper's deployment relies on: anti-affinity (replicas of a PE on distinct
 hosts) and one replica per logical core.
 """
 
-from repro.placement.algorithms import (
-    balanced_placement,
-    round_robin_placement,
-)
+from repro.placement.algorithms import balanced_placement
 from repro.placement.communication import (
     communication_aware_placement,
     deployment_traffic,
@@ -21,7 +18,6 @@ from repro.placement.packing import HostPool
 
 __all__ = [
     "balanced_placement",
-    "round_robin_placement",
     "communication_aware_placement",
     "deployment_traffic",
     "expected_traffic",

@@ -1,6 +1,6 @@
-"""Deterministic replicated placement algorithms.
+"""Deterministic replicated placement.
 
-Both algorithms honour the deployment rules of the paper's testbed
+The algorithm honours the deployment rules of the paper's testbed
 (Sec. 5.2): replicas of the same PE never share a host (anti-affinity, so a
 host failure cannot take out a whole PE), and each host accepts at most one
 replica per logical core ("1 PE per logical CPU core").
@@ -14,7 +14,7 @@ from repro.core.deployment import Host, ReplicaId, ReplicatedDeployment
 from repro.core.descriptor import ApplicationDescriptor
 from repro.errors import DeploymentError
 
-__all__ = ["balanced_placement", "round_robin_placement"]
+__all__ = ["balanced_placement"]
 
 
 def _check_capacity(
@@ -123,49 +123,6 @@ def balanced_placement(
                 target = repair(pe, used_hosts)
             place(pe, replica_index, target)
             used_hosts.add(target)
-
-    return ReplicatedDeployment(
-        descriptor, hosts, assignment, replication_factor
-    )
-
-
-def round_robin_placement(
-    descriptor: ApplicationDescriptor,
-    hosts: Sequence[Host],
-    replication_factor: int = 2,
-) -> ReplicatedDeployment:
-    """Simple deterministic round-robin placement with anti-affinity.
-
-    Replicas are dealt to hosts in cyclic order, skipping hosts that
-    already hold a replica of the PE or are out of cores: a predictable
-    placement that, unlike :func:`balanced_placement`, ignores load.
-    """
-    _check_capacity(descriptor, hosts, replication_factor)
-    host_list = list(hosts)
-    free_cores: dict[str, int] = {h.name: h.cores for h in host_list}
-    assignment: dict[ReplicaId, str] = {}
-    cursor = 0
-
-    for pe in descriptor.graph.pes:
-        used_hosts: set[str] = set()
-        for replica_index in range(replication_factor):
-            placed = False
-            for offset in range(len(host_list)):
-                candidate = host_list[(cursor + offset) % len(host_list)]
-                if candidate.name in used_hosts:
-                    continue
-                if free_cores[candidate.name] <= 0:
-                    continue
-                assignment[ReplicaId(pe, replica_index)] = candidate.name
-                free_cores[candidate.name] -= 1
-                used_hosts.add(candidate.name)
-                cursor = (cursor + offset + 1) % len(host_list)
-                placed = True
-                break
-            if not placed:
-                raise DeploymentError(
-                    f"no host available for replica {replica_index} of {pe!r}"
-                )
 
     return ReplicatedDeployment(
         descriptor, hosts, assignment, replication_factor

@@ -1,5 +1,5 @@
 """Discrete-event simulation kernel (the substrate under repro.dsps)."""
 
-from repro.sim.kernel import Environment, EventHandle, Process, Signal
+from repro.sim.kernel import Environment, EventHandle
 
-__all__ = ["Environment", "EventHandle", "Process", "Signal"]
+__all__ = ["Environment", "EventHandle"]

@@ -5,10 +5,14 @@ simulator). It provides:
 
 * an :class:`Environment` with a monotonically advancing virtual clock and
   a binary-heap event queue with deterministic FIFO tie-breaking;
-* cancellable scheduled callbacks (:class:`EventHandle`);
-* generator-coroutine *processes* (:class:`Process`) that ``yield``
-  either a float delay or a :class:`Signal` to wait on;
-* :class:`Signal`, a triggerable one-shot event carrying a value.
+* cancellable scheduled callbacks (:class:`EventHandle`).
+
+Callbacks are the only unit of work. A recurring actor (a source's
+trace playback, the Rate Monitor, a sampler, a heartbeat, a watchdog)
+is a callback that schedules its own next firing, last, once its
+effects for this firing are done; each one schedules a zero-delay start
+event when it is built, so every actor's first draw happens once the
+run starts, in construction order.
 
 The design follows the classic event-list simulation loop; it is
 deliberately minimal (no shared resources, no preemption) because the DSPS
@@ -18,12 +22,11 @@ layer models CPU contention explicitly through per-core service queues.
 from __future__ import annotations
 
 import heapq
-import math
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Optional
 
 from repro.errors import SimulationError
 
-__all__ = ["Environment", "EventHandle", "Signal", "Process"]
+__all__ = ["Environment", "EventHandle"]
 
 
 class EventHandle:
@@ -47,107 +50,6 @@ class EventHandle:
 
     def cancel(self) -> None:
         self.cancelled = True
-
-
-class Signal:
-    """A one-shot triggerable event processes can wait on.
-
-    ``trigger(value)`` wakes every waiting process (and future waiters
-    resume immediately). Triggering twice is an error — signals are
-    one-shot by design; recreate one per occurrence.
-    """
-
-    __slots__ = ("_env", "_triggered", "_value", "_waiters")
-
-    def __init__(self, env: "Environment") -> None:
-        self._env = env
-        self._triggered = False
-        self._value: Any = None
-        self._waiters: list[Process] = []
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def trigger(self, value: Any = None) -> None:
-        if self._triggered:
-            raise SimulationError("signal triggered twice")
-        self._triggered = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self._env.schedule(0.0, lambda p=process: p._resume(value))
-
-    def _add_waiter(self, process: "Process") -> None:
-        if self._triggered:
-            self._env.schedule(
-                0.0, lambda p=process: p._resume(self._value)
-            )
-        else:
-            self._waiters.append(process)
-
-
-class Process:
-    """A generator-coroutine process.
-
-    The generator yields either a non-negative float (sleep for that many
-    simulated seconds) or a :class:`Signal` (sleep until triggered; the
-    ``yield`` evaluates to the signal's value). When the generator
-    returns, the process is *finished* and its :attr:`done` signal fires
-    with the generator's return value.
-    """
-
-    __slots__ = ("_env", "_generator", "done", "_alive")
-
-    def __init__(
-        self,
-        env: "Environment",
-        generator: Generator[Any, Any, Any],
-    ) -> None:
-        self._env = env
-        self._generator = generator
-        self.done = Signal(env)
-        self._alive = True
-        env.schedule(0.0, lambda: self._resume(None))
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def interrupt(self) -> None:
-        """Stop the process; its generator is closed, ``done`` never fires."""
-        if self._alive:
-            self._alive = False
-            self._generator.close()
-
-    def _resume(self, value: Any) -> None:
-        if not self._alive:
-            return
-        try:
-            yielded = self._generator.send(value)
-        except StopIteration as stop:
-            self._alive = False
-            self.done.trigger(stop.value)
-            return
-        if isinstance(yielded, Signal):
-            yielded._add_waiter(self)
-        elif isinstance(yielded, (int, float)):
-            delay = float(yielded)
-            if delay < 0 or math.isnan(delay):
-                self._alive = False
-                raise SimulationError(
-                    f"process yielded an invalid delay: {yielded!r}"
-                )
-            self._env.schedule(delay, lambda: self._resume(None))
-        else:
-            self._alive = False
-            raise SimulationError(
-                f"process yielded an unsupported value: {yielded!r}"
-            )
 
 
 class Environment:
@@ -302,12 +204,6 @@ class Environment:
             )
         return self.schedule(time - self._now, callback)
 
-    def process(self, generator: Generator[Any, Any, Any]) -> Process:
-        return Process(self, generator)
-
-    def signal(self) -> Signal:
-        return Signal(self)
-
     def run(self, until: Optional[float] = None) -> None:
         """Process events in time order.
 
@@ -362,11 +258,6 @@ class Environment:
         self._queue = []
         self.engine = None
         self.telemetry = None
-
-    def peek(self) -> float:
-        """Time of the next pending event (inf when idle)."""
-        self._purge_cancelled()
-        return self._queue[0][0] if self._queue else math.inf
 
     def _purge_cancelled(self) -> None:
         """Drop cancelled events from the head of the queue lazily."""

@@ -12,9 +12,7 @@ from repro.workloads.corpus import (
     bundle_from_dict,
     bundle_to_dict,
     load_bundle,
-    load_corpus,
     save_bundle,
-    save_corpus,
 )
 from repro.workloads.profiling import (
     infer_source_rates,
@@ -34,8 +32,6 @@ __all__ = [
     "bundle_from_dict",
     "save_bundle",
     "load_bundle",
-    "save_corpus",
-    "load_corpus",
     "windowed_rates",
     "infer_source_rates",
     "measured_edge_profile",

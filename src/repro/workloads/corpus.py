@@ -1,10 +1,8 @@
-"""Application bundle persistence: corpora on disk.
+"""Application bundle persistence.
 
 A *bundle* is one JSON document holding everything a generated
 application consists of — descriptor, replicated deployment, and its
-rate levels. The CLI works on single bundles; corpora (directories of
-bundles) let experiment grids be generated once and shared, the way the
-paper's 100-application corpus backed every cluster figure.
+rate levels. The CLI reads and writes single bundles.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ __all__ = [
     "bundle_from_dict",
     "save_bundle",
     "load_bundle",
-    "save_corpus",
-    "load_corpus",
 ]
 
 BUNDLE_FORMAT = "repro-application-bundle/1"
@@ -80,31 +76,3 @@ def load_bundle(path: str | Path) -> GeneratedApplication:
     except json.JSONDecodeError as exc:
         raise WorkloadError(f"invalid bundle JSON in {path}: {exc}") from exc
     return bundle_from_dict(payload)
-
-
-def save_corpus(
-    corpus: list[GeneratedApplication], directory: str | Path
-) -> list[Path]:
-    """Write a corpus as one bundle file per application.
-
-    Returns the written paths (``<name>.json`` inside ``directory``).
-    """
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for app in corpus:
-        path = target / f"{app.name}.json"
-        save_bundle(app, path)
-        paths.append(path)
-    return paths
-
-
-def load_corpus(directory: str | Path) -> list[GeneratedApplication]:
-    """Read every ``*.json`` bundle in a directory, sorted by filename."""
-    source = Path(directory)
-    if not source.is_dir():
-        raise WorkloadError(f"{source} is not a corpus directory")
-    bundles = sorted(source.glob("*.json"))
-    if not bundles:
-        raise WorkloadError(f"no bundles found in {source}")
-    return [load_bundle(path) for path in bundles]

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import Host, ReplicaId
 from repro.dsps import (
     InputTrace,
     PlatformConfig,
+    ReplicaGroup,
     StreamPlatform,
     TraceSegment,
 )
 from repro.errors import SimulationError
 from repro.placement import balanced_placement
+from repro.sim import Environment
 
 GIGA = 1.0e9
 
@@ -48,6 +52,17 @@ class TestValidation:
         with pytest.raises(SimulationError, match="not exceed"):
             PlatformConfig(heartbeat_interval=2.0, failover_delay=1.0)
 
+    @pytest.mark.parametrize(
+        "interval, timeout",
+        [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)],
+    )
+    def test_group_refuses_non_finite_interval_or_timeout(
+        self, interval, timeout
+    ):
+        group = ReplicaGroup(Environment(), "pe1")
+        with pytest.raises(SimulationError, match="finite and > 0"):
+            group.enable_heartbeats(interval, timeout)
+
 
 class TestDetection:
     def test_crash_detected_within_timeout_plus_interval(
@@ -61,16 +76,15 @@ class TestDetection:
         takeover_times = []
 
         def watch():
-            while True:
-                yield 0.05
-                if group.primary is not None and group.primary is not victim:
-                    takeover_times.append(platform.env.now)
-                    return
+            if group.primary is not None and group.primary is not victim:
+                takeover_times.append(platform.env.now)
+                return
+            platform.env.schedule(0.05, watch)
 
         platform.env.schedule_at(
             10.0, lambda: platform.crash_replica(victim.replica_id)
         )
-        platform.env.process(watch())
+        platform.env.schedule(0.05, watch)
         platform.run()
         assert takeover_times, "no failover happened"
         detection_latency = takeover_times[0] - 10.0
@@ -183,6 +197,62 @@ class TestHeartbeatTraffic:
         assert metrics.network.heartbeat_messages == 0
 
 
+class TestDetachedMembers:
+    """Regression: a detached replica's beat loop ran on, writing its
+    ``_last_beat`` entry back and charging heartbeat traffic for the
+    rest of the run."""
+
+    @staticmethod
+    def run(pipeline_descriptor, attach_at=None, detach_at=None):
+        hosts = [
+            Host(f"h{i}", cores=2, cycles_per_core=0.5 * GIGA)
+            for i in range(3)
+        ]
+        deployment = balanced_placement(pipeline_descriptor, hosts, 2)
+        platform = StreamPlatform(
+            deployment,
+            {"src": InputTrace([TraceSegment(1.0, 20.0, "Low")])},
+            config=PlatformConfig(heartbeat_interval=0.5),
+        )
+        group = platform.group("pe1")
+        free = next(
+            host.name
+            for host in hosts
+            if all(m.host.name != host.name for m in group.members)
+        )
+        attached = []
+        if attach_at is not None:
+            platform.env.schedule_at(
+                attach_at,
+                lambda: attached.append(
+                    platform.attach_replica("pe1", free, active=True)
+                ),
+            )
+        if detach_at is not None:
+            platform.env.schedule_at(
+                detach_at, lambda: platform.detach_replica(attached[0])
+            )
+        metrics = platform.run(until=20.0)
+        return platform, group, attached, metrics
+
+    def test_a_detached_replica_stops_beating(self, pipeline_descriptor):
+        _, _, _, quiet = self.run(pipeline_descriptor)
+        _, _, _, kept = self.run(pipeline_descriptor, attach_at=2.0)
+        platform, group, attached, metrics = self.run(
+            pipeline_descriptor, attach_at=2.0, detach_at=4.0
+        )
+        # pe1 beats go to pe2's two replicas: 2 messages per beat. The
+        # attached replica beats at 2.5, 3.0, ..., 20.0 (36 beats); the
+        # detach at 4.0 was scheduled before the 4.0 beat, so it keeps 3.
+        base = quiet.network.heartbeat_messages
+        assert kept.network.heartbeat_messages == base + 2 * 36
+        assert metrics.network.heartbeat_messages == base + 2 * 3
+        detached = platform.replica(attached[0])
+        assert detached.alive and detached.group is None
+        assert detached not in group._last_beat
+        assert len(group._last_beat) == 2
+
+
 class TestRecoveryRegistration:
     """Recovered replicas must be re-registered with the detector.
 
@@ -243,22 +313,20 @@ class TestRecoveryRegistration:
             20.0, lambda: platform.crash_replica(other.replica_id)
         )
         depositions = []
+        elected_at = []
 
         def watch():
             # Only the election triggered by the second crash matters:
             # the recovered replica must take over and keep the role.
-            while platform.env.now < 20.0:
-                yield 0.05
-            elected_at = None
-            while True:
-                yield 0.05
-                if group.primary is first and elected_at is None:
-                    elected_at = platform.env.now
-                if elected_at is not None and group.primary is not first:
+            if platform.env.now > 20.0:
+                if group.primary is first and not elected_at:
+                    elected_at.append(platform.env.now)
+                if elected_at and group.primary is not first:
                     depositions.append(platform.env.now)
                     return
+            platform.env.schedule(0.05, watch)
 
-        platform.env.process(watch())
+        platform.env.schedule(0.05, watch)
         platform.run()
         assert group.primary is first
         assert not depositions

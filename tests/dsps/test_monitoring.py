@@ -1,18 +1,13 @@
-"""Tests for the runtime samplers."""
+"""Tests for the runtime CPU sampler."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core import Host, ReplicaId
-from repro.dsps import (
-    ActivationSampler,
-    CpuSampler,
-    InputTrace,
-    QueueSampler,
-    StreamPlatform,
-    TraceSegment,
-)
+from repro.core import Host
+from repro.dsps import CpuSampler, InputTrace, StreamPlatform, TraceSegment
 from repro.errors import SimulationError
 from repro.placement import balanced_placement
 
@@ -36,6 +31,14 @@ class TestValidation:
         with pytest.raises(SimulationError):
             CpuSampler(platform, interval=0.0)
 
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_interval_rejected(self, pipeline_descriptor, interval):
+        platform = build_platform(
+            pipeline_descriptor, InputTrace([TraceSegment(1.0, 5.0)])
+        )
+        with pytest.raises(SimulationError, match="finite and > 0"):
+            CpuSampler(platform, interval=interval)
+
 
 class TestCpuSampler:
     def test_utilization_tracks_load(self, pipeline_descriptor):
@@ -55,43 +58,3 @@ class TestCpuSampler:
         sampler = CpuSampler(platform, interval=1.0)
         platform.run(until=5.0)
         assert all(u == 0.0 for u in sampler.utilization)
-
-
-class TestQueueSampler:
-    def test_queues_grow_under_overload(self, pipeline_descriptor):
-        platform = build_platform(
-            pipeline_descriptor, InputTrace([TraceSegment(8.0, 20.0, "High")])
-        )
-        sampler = QueueSampler(platform, interval=1.0)
-        platform.run(until=20.0)
-        assert sampler.max_backlog() > 4
-        backlog = sampler.total_backlog_series()
-        # Backlog rises from (near) empty to a saturated plateau.
-        assert backlog[0] < backlog[-1] or max(backlog) > backlog[0]
-
-    def test_queues_stay_short_when_unloaded(self, pipeline_descriptor):
-        platform = build_platform(
-            pipeline_descriptor, InputTrace([TraceSegment(1.0, 10.0)])
-        )
-        sampler = QueueSampler(platform, interval=1.0)
-        platform.run(until=10.0)
-        assert sampler.max_backlog() <= 2
-
-
-class TestActivationSampler:
-    def test_counts_follow_commands_and_crashes(self, pipeline_descriptor):
-        platform = build_platform(
-            pipeline_descriptor, InputTrace([TraceSegment(2.0, 20.0)])
-        )
-        sampler = ActivationSampler(platform, interval=1.0)
-        platform.env.schedule_at(
-            5.5, lambda: platform.set_activation(ReplicaId("pe1", 1), False)
-        )
-        platform.env.schedule_at(
-            10.5, lambda: platform.crash_replica(ReplicaId("pe2", 0))
-        )
-        platform.run(until=20.0)
-        assert sampler.active_counts[2] == 4
-        assert sampler.active_counts[7] == 3  # one deactivated
-        assert sampler.active_counts[12] == 2  # plus one crashed
-        assert sampler.alive_counts[12] == 3

@@ -8,11 +8,7 @@ import pytest
 
 from repro.core import Host
 from repro.dsps import PlatformConfig, StreamPlatform, two_level_trace
-from repro.elastic import (
-    MigrationAction,
-    MigrationEngine,
-    MigrationPlan,
-)
+from repro.elastic import MigrationAction, MigrationEngine
 from repro.errors import SimulationError
 from repro.placement import balanced_placement
 
@@ -125,22 +121,6 @@ class TestMoveProtocol:
             MigrationAction(kind="move", pe="pe1", src=src, dst=dst)
         )
         assert not ok and "cordoned" in reason
-
-    def test_plan_refuses_infeasible_counts(self, pipeline_descriptor):
-        platform, engine = build(pipeline_descriptor)
-        src = hosts_of(platform, "pe1")[0]
-        other = hosts_of(platform, "pe1")[1]
-        started = engine.submit(
-            MigrationPlan(
-                actions=(
-                    MigrationAction(
-                        kind="move", pe="pe1", src=src, dst=other
-                    ),
-                )
-            )
-        )
-        assert started == ()
-        assert engine.refused == 1
 
 
 class TestAbort:

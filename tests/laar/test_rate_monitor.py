@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import Host
@@ -29,6 +31,14 @@ class TestRateMonitor:
         )
         with pytest.raises(SimulationError):
             RateMonitor(platform, lambda rates: None, interval=0.0)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_interval_rejected(self, pipeline_descriptor, interval):
+        platform = build_platform(
+            pipeline_descriptor, InputTrace([TraceSegment(4.0, 5.0)])
+        )
+        with pytest.raises(SimulationError, match="finite and > 0"):
+            RateMonitor(platform, lambda rates: None, interval=interval)
 
     def test_measures_constant_rate(self, pipeline_descriptor):
         platform = build_platform(

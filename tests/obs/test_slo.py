@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -85,6 +86,20 @@ class TestSloConfig:
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ReproError):
+            SloConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"window": math.nan},
+            {"window": math.inf},
+            {"burn_threshold": math.nan},
+            {"burn_threshold": math.inf},
+        ],
+        ids=["window-nan", "window-inf", "burn-nan", "burn-inf"],
+    )
+    def test_rejects_non_finite_parameters(self, kwargs):
         with pytest.raises(ReproError):
             SloConfig(**kwargs)
 

@@ -105,7 +105,8 @@ class _ParentCode(VectorFTSearch):
     """The block step of commit ``cb53fc6``: four methods, verbatim
     but for the root replay (``forced``, ``_last_parent``); and the
     stack of commit ``7961dfc``, whole child blocks cut into chunks
-    (``search`` and ``_push``, verbatim but for ``_Block.slice``)."""
+    (``search`` and ``_push``, verbatim but for ``_Block.slice`` and
+    reading the engine's candidate store, now one path per cost)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -136,7 +137,7 @@ class _ParentCode(VectorFTSearch):
                 continue
             self._push(stack, child)
         return RawSearch(
-            candidates=list(self._candidates),
+            candidates=list(self._candidates.items()),
             best_raw=self._best_raw,
             nodes=self._nodes,
             values_tried=self._values_tried,

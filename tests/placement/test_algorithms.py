@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import Host, RateTable
 from repro.errors import DeploymentError
-from repro.placement import balanced_placement, round_robin_placement
+from repro.placement import balanced_placement
 from tests.support import random_descriptor
 
 GIGA = 1.0e9
@@ -61,23 +61,6 @@ class TestBalancedPlacement:
         a = balanced_placement(diamond_descriptor, hosts(3))
         b = balanced_placement(diamond_descriptor, hosts(3))
         assert a.to_dict() == b.to_dict()
-
-
-class TestRoundRobinPlacement:
-    def test_anti_affinity(self, diamond_descriptor):
-        deployment = round_robin_placement(diamond_descriptor, hosts(3))
-        for pe in diamond_descriptor.graph.pes:
-            homes = {
-                deployment.host_of(r) for r in deployment.replicas_of(pe)
-            }
-            assert len(homes) == 2
-
-    def test_spreads_over_all_hosts(self, diamond_descriptor):
-        deployment = round_robin_placement(diamond_descriptor, hosts(4))
-        used = {
-            deployment.host_of(r) for r in deployment.replicas
-        }
-        assert len(used) == 4
 
 
 class TestPlacementProperties:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.errors import SimulationError
@@ -98,14 +96,6 @@ class TestScheduling:
         env.run()
         assert log == [("first", 1.0), ("second", 2.0)]
 
-    def test_peek(self):
-        env = Environment()
-        assert env.peek() == math.inf
-        handle = env.schedule(3.0, lambda: None)
-        assert env.peek() == 3.0
-        handle.cancel()
-        assert env.peek() == math.inf
-
     def test_cancelled_events_counted_separately(self):
         env = Environment()
         kept = env.schedule(1.0, lambda: None)
@@ -115,13 +105,6 @@ class TestScheduling:
         assert kept.cancelled is False
         assert env.events_processed == 1
         assert env.events_cancelled == 3
-
-    def test_peek_purge_counts_cancelled(self):
-        env = Environment()
-        env.schedule(1.0, lambda: None).cancel()
-        assert env.peek() == math.inf
-        assert env.events_cancelled == 1
-        assert env.events_processed == 0
 
     def test_reserved_number_ties_where_it_was_drawn(self):
         env = Environment()
@@ -141,123 +124,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             env.schedule(1.0, lambda: None, seq=7)
         assert env._sequence == 1 and not env._queue
-
-
-class TestProcesses:
-    def test_timeout_yields_advance_clock(self):
-        env = Environment()
-        trace = []
-
-        def worker():
-            trace.append(env.now)
-            yield 1.5
-            trace.append(env.now)
-            yield 2.5
-            trace.append(env.now)
-
-        env.process(worker())
-        env.run()
-        assert trace == [0.0, 1.5, 4.0]
-
-    def test_signal_wakes_process_with_value(self):
-        env = Environment()
-        received = []
-
-        def waiter(signal):
-            value = yield signal
-            received.append((env.now, value))
-
-        signal = env.signal()
-        env.process(waiter(signal))
-        env.schedule(3.0, lambda: signal.trigger("payload"))
-        env.run()
-        assert received == [(3.0, "payload")]
-
-    def test_pre_triggered_signal_resumes_immediately(self):
-        env = Environment()
-        received = []
-        signal = env.signal()
-        signal.trigger(42)
-
-        def waiter():
-            value = yield signal
-            received.append(value)
-
-        env.process(waiter())
-        env.run()
-        assert received == [42]
-
-    def test_signal_double_trigger_rejected(self):
-        env = Environment()
-        signal = env.signal()
-        signal.trigger()
-        with pytest.raises(SimulationError):
-            signal.trigger()
-
-    def test_done_signal_carries_return_value(self):
-        env = Environment()
-        results = []
-
-        def worker():
-            yield 1.0
-            return "finished"
-
-        def watcher(process):
-            value = yield process.done
-            results.append(value)
-
-        process = env.process(worker())
-        env.process(watcher(process))
-        env.run()
-        assert results == ["finished"]
-
-    def test_interrupt_stops_process(self):
-        env = Environment()
-        trace = []
-
-        def worker():
-            trace.append("start")
-            yield 5.0
-            trace.append("never")
-
-        process = env.process(worker())
-        env.schedule(1.0, process.interrupt)
-        env.run()
-        assert trace == ["start"]
-        assert not process.alive
-
-    def test_invalid_yield_raises(self):
-        env = Environment()
-
-        def worker():
-            yield "nonsense"
-
-        env.process(worker())
-        with pytest.raises(SimulationError, match="unsupported"):
-            env.run()
-
-    def test_many_interleaved_processes_deterministic(self):
-        env = Environment()
-        log = []
-
-        def worker(name, period):
-            for _ in range(3):
-                yield period
-                log.append((env.now, name))
-
-        env.process(worker("fast", 1.0))
-        env.process(worker("slow", 1.5))
-        env.run()
-        # At t=3.0 both workers fire; "slow" enqueued its event earlier
-        # (at t=1.5 vs t=2.0), so FIFO tie-breaking runs it first.
-        assert log == [
-            (1.0, "fast"),
-            (1.5, "slow"),
-            (2.0, "fast"),
-            (3.0, "slow"),
-            (3.0, "fast"),
-            (4.5, "slow"),
-        ]
 
 
 class _StubEngine:

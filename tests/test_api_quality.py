@@ -185,6 +185,58 @@ def test_every_option_has_a_setter():
     )
 
 
+# ----------------------------------------------------------------------
+# Every export has a caller
+# ----------------------------------------------------------------------
+
+CALLER_ROOTS = ("src", "benchmarks", "examples", "tools")
+
+#: Exported names nothing under ``CALLER_ROOTS`` uses, and why each is
+#: still exported. An entry that gains a caller (or is gone) fails too.
+UNCALLED_EXPORTS = {
+    "known_event_types": (
+        "the runtime schema the linter's self-check holds its AST view to"
+    ),
+    "required_fields": (
+        "the runtime schema the linter's self-check holds its AST view to"
+    ),
+}
+
+
+def _used_names() -> set[str]:
+    """Every name read (a load of a bare name or an attribute) in a
+    ``.py`` file under ``CALLER_ROOTS``. A definition, an import and an
+    ``__all__`` entry read nothing, so a name only exported counts as
+    unused."""
+    used: set[str] = set()
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and not isinstance(
+                    node.ctx, ast.Store
+                ):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_caller():
+    """A public name only tests call is API the program does not need."""
+    used = _used_names()
+    uncalled: set[str] = set()
+    for module_name in PUBLIC_MODULES:
+        module = importlib.import_module(module_name)
+        uncalled.update(set(getattr(module, "__all__", [])) - used)
+    assert sorted(uncalled - set(UNCALLED_EXPORTS)) == [], (
+        "exports only tests call: delete them with their tests"
+    )
+    assert sorted(set(UNCALLED_EXPORTS) - uncalled) == [], (
+        "exempted exports that have a caller or no longer exist"
+    )
+
+
 def test_ci_only_calls_the_gate():
     """``tools/gate.sh`` is the one description of what a PR must pass
     and it runs in the dev container; the workflow may call it and

@@ -1,4 +1,4 @@
-"""Tests for application bundle / corpus persistence."""
+"""Tests for application bundle persistence."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from repro.workloads import (
     bundle_to_dict,
     generate_application,
     load_bundle,
-    load_corpus,
     save_bundle,
-    save_corpus,
 )
 
 
@@ -80,26 +78,9 @@ class TestBundleRoundTrip:
 
 
 class TestCorpus:
-    def test_save_and_load_corpus(self, small_apps, tmp_path):
-        directory = tmp_path / "corpus"
-        paths = save_corpus(small_apps, directory)
-        assert len(paths) == 2
-        assert all(p.exists() for p in paths)
-        loaded = load_corpus(directory)
-        assert [a.name for a in loaded] == [a.name for a in small_apps]
-
-    def test_load_missing_directory(self, tmp_path):
-        with pytest.raises(WorkloadError, match="not a corpus directory"):
-            load_corpus(tmp_path / "ghost")
-
-    def test_load_empty_directory(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        with pytest.raises(WorkloadError, match="no bundles"):
-            load_corpus(empty)
-
     def test_bundle_files_are_valid_json(self, small_apps, tmp_path):
-        paths = save_corpus(small_apps, tmp_path / "c")
-        for path in paths:
+        for app in small_apps:
+            path = tmp_path / f"{app.name}.json"
+            save_bundle(app, path)
             payload = json.loads(path.read_text())
             assert payload["format"].startswith("repro-application-bundle")
