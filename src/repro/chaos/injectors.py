@@ -43,11 +43,13 @@ Kinds
     engine must abort the window and roll back. A deterministic no-op
     when no window is open. Requires passing ``engine`` to
     :func:`apply_injection`; not part of the campaign generator's draw
-    (seeded campaign digests stay stable).
+    (seeded campaign digests stay stable). The elastic data plane
+    fires it into its rebalancing tenants' moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -79,6 +81,10 @@ INJECTION_KINDS = (
     "migration_strike",
 )
 
+#: The times and spans an injection schedules by: each must be finite
+#: and >= 0, or the kernel would be asked for a recovery in the past.
+_TIME_PARAMS = ("at", "downtime", "duration", "period", "stagger")
+
 
 @dataclass(frozen=True)
 class Injection:
@@ -100,8 +106,12 @@ class Injection:
                 f"unknown injection kind {self.kind!r};"
                 f" expected one of {INJECTION_KINDS}"
             )
-        if self.at < 0:
-            raise ChaosError(f"injection time must be >= 0, got {self.at}")
+        for name, value in (("at", self.at), *self.params):
+            if name in _TIME_PARAMS and not 0 <= value < math.inf:
+                raise ChaosError(
+                    f"injection {self.kind!r}: {name} must be >= 0 and"
+                    f" finite, got {value!r}"
+                )
 
     def param(self, key: str) -> Any:
         for name, value in self.params:

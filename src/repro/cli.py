@@ -723,9 +723,9 @@ def _add_tenant_run_options(
     )
     parser.add_argument(
         "--chaos-every", type=int, default=chaos_every,
-        help=f"{scope}every Nth tenant gets scripted chaos — a mid-run"
+        help=f"{scope}every Nth tenant gets a chaos injection — a mid-run"
         " host crash or slow-host window, and on elastic runs one slot"
-        " lands a host kill inside an open migration window (0 = off;"
+        " a migration_strike inside an open migration window (0 = off;"
         " default %(default)s)",
     )
     parser.add_argument(

@@ -313,32 +313,6 @@ class ApplicationGraph:
     # Derived structure
     # ------------------------------------------------------------------
 
-    def downstream_of(self, name: str) -> frozenset[str]:
-        """All components reachable from ``name`` (excluding ``name``)."""
-        self._component(name)
-        reached: set[str] = set()
-        frontier = deque(self._succs[name])
-        while frontier:
-            node = frontier.popleft()
-            if node in reached:
-                continue
-            reached.add(node)
-            frontier.extend(self._succs[node])
-        return frozenset(reached)
-
-    def upstream_of(self, name: str) -> frozenset[str]:
-        """All components that can reach ``name`` (excluding ``name``)."""
-        self._component(name)
-        reached: set[str] = set()
-        frontier = deque(self._preds[name])
-        while frontier:
-            node = frontier.popleft()
-            if node in reached:
-                continue
-            reached.add(node)
-            frontier.extend(self._preds[node])
-        return frozenset(reached)
-
     def depth_of(self, name: str) -> int:
         """Length of the longest path from any source to ``name``."""
         depth: dict[str, int] = {}

@@ -221,10 +221,6 @@ class ConfigurationSpace:
                 return config
         raise DescriptorError(f"no configuration labelled {label!r}")
 
-    def expected_rate(self, source: str) -> float:
-        """The long-run mean rate of ``source`` under ``P_C``."""
-        return sum(c.probability * c.rate_of(source) for c in self)
-
     def sorted_by_total_rate(self, descending: bool = True) -> tuple[int, ...]:
         """Configuration indexes ordered by total source rate.
 

@@ -156,15 +156,6 @@ class ActivationStrategy:
             == self._deployment.replication_factor
         )
 
-    def active_replicas(
-        self, config_index: int
-    ) -> tuple[ReplicaId, ...]:
-        return tuple(
-            replica
-            for replica in self._deployment.replicas
-            if self._table[(replica, config_index)]
-        )
-
     def active_map(self, config_index: int) -> dict[ReplicaId, bool]:
         """The per-configuration activation mapping used by load queries."""
         return {

@@ -92,10 +92,6 @@ class SourceOperator:
         self._previous = arrival
         self._env.schedule(gap, self._arrive)
 
-    def current_rate(self) -> float:
-        """The trace's nominal rate at the current simulation time."""
-        return self.trace.rate_at(self._env.now)
-
 
 class SinkOperator:
     """Counts tuples reaching an external destination and their latency."""

@@ -114,9 +114,6 @@ class InputTrace:
                         )
             start = end
 
-    def expected_tuples(self) -> float:
-        return sum(s.rate * s.duration for s in self._segments)
-
 
 def two_level_trace(
     low_rate: float,

@@ -1,7 +1,7 @@
 """The autoscaled diurnal dataplane: the elastic twin of the fleet run.
 
 Reuses the fleet dataplane's tenants verbatim — same apps, same
-staggered High bursts, same scripted chaos — and adds the elasticity
+staggered High bursts, same chaos injections — and adds the elasticity
 layer on top: every tenant gets a :class:`MigrationEngine` and an
 :class:`Autoscaler` driven by its own diurnal calendar. Tenant roles
 rotate deterministically:
@@ -10,8 +10,10 @@ rotate deterministically:
   (standby removal + host drain + reclaim) during its trough;
 * every other odd tenant rebalances — one full live migration
   (transfer / dual-running / cutover) after its peak;
-* every ``chaos_every``-th-ish rebalancer *also* gets a host kill aimed
-  into its open migration window, exercising abort-and-rollback.
+* every ``chaos_every``-th-ish rebalancer *also* gets a
+  ``migration_strike`` injection (:mod:`repro.chaos.injectors`): a host
+  kill aimed into its open migration window, exercising
+  abort-and-rollback.
 
 A :class:`CoreHourMeter` samples active-replica and reserved-host core
 time in both elastic and static runs, so ``summarize_elastic`` can
@@ -31,11 +33,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.chaos.injectors import Injection, apply_injection
 from repro.dsps.platform import StreamPlatform
 from repro.elastic.autoscaler import SCALE_LAG, Autoscaler, AutoscalerPolicy
 from repro.elastic.migration import DUAL_WINDOW, MigrationEngine
 from repro.fleet.dataplane import (
-    HIGH_FRACTION,
     DataplaneParams,
     TenantTask,
     run_platform,
@@ -151,12 +153,9 @@ class CoreHourMeter:
             platform.env.schedule(METER_TICK, self._sample, idle=self._idle)
 
 
-def peak_window(params: DataplaneParams, tenant: int) -> tuple[float, float]:
-    """The tenant's High-rate window, from the same math as its trace."""
-    phase = (tenant % params.phases) / params.phases
-    high_length = params.duration * HIGH_FRACTION
-    start = (params.duration - high_length) * phase
-    return start, start + high_length
+def peak_window(platform: StreamPlatform) -> tuple[float, float]:
+    """The tenant's High-rate window, read from its source's trace."""
+    return platform.sources["src"].trace.segment_windows("High")[0]
 
 
 def tenant_roles(tenant: int) -> tuple[bool, bool]:
@@ -164,39 +163,6 @@ def tenant_roles(tenant: int) -> tuple[bool, bool]:
     consolidates = tenant % CONSOLIDATE_EVERY == 0
     rebalances = not consolidates and tenant % REBALANCE_EVERY == 1
     return consolidates, rebalances
-
-
-def _schedule_migration_chaos(
-    platform: StreamPlatform,
-    engine: MigrationEngine,
-    params: ElasticParams,
-    move_at: float,
-) -> None:
-    """Aim a host kill into the tenant's open migration window.
-
-    Fired half a dual-window after the rebalancing move starts, so the
-    transfer or dual-running phase is open; the engine's crash hook
-    aborts the migration and rolls back to the old deployment. A
-    deterministic no-op if no window is open (late-phase tenants whose
-    move never fires before the horizon).
-    """
-    kill_at = move_at + 0.5 * DUAL_WINDOW
-
-    def _kill() -> None:
-        mids = engine.open_migrations
-        if not mids:
-            return
-        _pe, src, dst, phase = engine.window(mids[0])
-        if phase == "drain":
-            return
-        target = dst or src
-        platform.crash_host(target)
-        platform.env.schedule(
-            params.chaos_downtime, lambda: platform.recover_host(target)
-        )
-
-    if kill_at < params.duration:
-        platform.env.schedule_at(kill_at, _kill)
 
 
 def run_elastic_tenant(task: ElasticTask) -> dict[str, Any]:
@@ -226,7 +192,7 @@ def _run_elastic_platform(
     if params.autoscale:
         engine = MigrationEngine(platform)
         consolidates, rebalances = tenant_roles(task.tenant)
-        peak_start, peak_end = peak_window(params, task.tenant)
+        peak_start, peak_end = peak_window(platform)
         policy = AutoscalerPolicy(
             consolidate=consolidates, rebalance=rebalances
         )
@@ -246,10 +212,21 @@ def _run_elastic_platform(
             and params.chaos_every > 0
             and task.tenant % params.chaos_every == params.chaos_every // 4
         ):
+            # Half a dual-window after the rebalancing move starts, so
+            # its transfer or dual-running phase is open: the engine's
+            # crash hook aborts the move and rolls back.
             ticks = math.ceil((peak_end + SCALE_LAG) / policy.tick)
-            _schedule_migration_chaos(
-                platform, engine, params, move_at=ticks * policy.tick
-            )
+            kill_at = ticks * policy.tick + 0.5 * DUAL_WINDOW
+            if kill_at < params.duration:
+                apply_injection(
+                    platform,
+                    Injection.build(
+                        "migration_strike",
+                        kill_at,
+                        downtime=params.chaos_downtime,
+                    ),
+                    engine=engine,
+                )
 
     meter = CoreHourMeter(platform, horizon=params.duration, engine=engine)
     meter.start()

@@ -4,8 +4,9 @@
 admission, packing, re-planning — on a bare clock with no simulated data
 path. This module is its complement: every tenant here is a small but
 fully simulated :class:`~repro.dsps.platform.StreamPlatform` run (chain
-application, k=2 active replication, diurnal input trace, scripted
-chaos on a deterministic subset), so a 10k-tenant fleet pushes real
+application, k=2 active replication, diurnal input trace, and on a
+deterministic subset a host crash or a slow-host window applied as
+:mod:`repro.chaos` injections), so a 10k-tenant fleet pushes real
 tuples through real queues.
 
 It is the headline workload for the batched execution engine
@@ -35,6 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.chaos.injectors import Injection, apply_injection
 from repro.core.application import ApplicationGraph
 from repro.core.configurations import ConfigurationSpace
 from repro.core.deployment import Host, ReplicaId, ReplicatedDeployment
@@ -76,11 +78,12 @@ QUIESCENCE = 0.45
 class DataplaneParams:
     """Shape of one fleet data-plane run (scalars only: picklable).
 
-    ``chaos_every`` gives every N-th tenant a scripted mid-run host
-    crash (and every (N/2 mod N)-th a slow-host window), exercising
-    failover and the engine's tuple-granular fallback inside the fleet
-    itself. Queues, failover delay and arrival spacing are the
-    platform's defaults (2 s, 1 s, deterministic).
+    ``chaos_every`` gives every N-th tenant a mid-run ``rack_crash``
+    injection on one host (and every (N/2 mod N)-th a ``slow_host``
+    window), exercising failover and the engine's tuple-granular
+    fallback inside the fleet itself. Queues, failover delay and
+    arrival spacing are the platform's defaults (2 s, 1 s,
+    deterministic).
 
     ``slo`` attaches a per-tenant streaming SLO engine
     (:mod:`repro.obs.slo`, coverage availability against
@@ -233,7 +236,7 @@ def _tenant_app(
 def build_tenant_platform(
     params: DataplaneParams, tenant: int, batching: bool
 ) -> StreamPlatform:
-    """Assemble one tenant's runnable platform, chaos pre-scheduled.
+    """Assemble one tenant's runnable platform, chaos injections applied.
 
     The tenant's diurnal phase rotates its High burst around the run
     (``tenant % params.phases``), so a fleet's load is spread in time
@@ -253,27 +256,32 @@ def build_tenant_platform(
 
     if params.chaos_every > 0:
         slot = tenant % params.chaos_every
-        crash_at = round(0.35 * params.duration, 3)
+        at = round(0.35 * params.duration, 3)
         if slot == 0:
             # Crash the primary-heavy host mid-run: failover, then a
             # recovery — both abort in-flight work and invalidate the
             # batched engine's cascade templates.
-            platform.env.schedule_at(
-                crash_at, lambda: platform.crash_host("h00")
-            )
-            platform.env.schedule_at(
-                crash_at + params.chaos_downtime,
-                lambda: platform.recover_host("h00"),
+            apply_injection(
+                platform,
+                Injection.build(
+                    "rack_crash",
+                    at,
+                    hosts=("h00",),
+                    downtime=params.chaos_downtime,
+                ),
             )
         elif slot == params.chaos_every // 2:
             # Slow-host window on a secondary-heavy host: exercises the
             # speed-change epoch invalidation without any failover.
-            platform.env.schedule_at(
-                crash_at, lambda: platform.degrade_host("h01", 0.5)
-            )
-            platform.env.schedule_at(
-                crash_at + params.chaos_downtime,
-                lambda: platform.restore_host("h01"),
+            apply_injection(
+                platform,
+                Injection.build(
+                    "slow_host",
+                    at,
+                    host="h01",
+                    factor=0.5,
+                    duration=params.chaos_downtime,
+                ),
             )
     return platform
 

@@ -148,22 +148,14 @@ def render_fleet_report(report: dict) -> str:
         )
     )
     out.append(_line("tenants placed", pool["tenants"]))
-    draining = pool.get("draining_cores", 0)
-    reclaimed = pool.get("reclaimed_cores", 0)
-    if draining or reclaimed:
-        out.append(
-            _line("cores draining/reclaimed", f"{draining}/{reclaimed}")
-        )
-    out.append(
-        f"  {'host':<12} {'used':>6} {'free':>6} {'state':>10}  tenants"
-    )
+    out.append(f"  {'host':<12} {'used':>6} {'free':>6}  tenants")
     for host in pool["hosts"]:
         shown = ", ".join(sorted(host["tenants"]))
         if len(shown) > 40:
             shown = shown[:37] + "..."
         out.append(
             f"  {host['host']:<12} {host['used']:>6} {host['free']:>6}"
-            f" {host.get('state', 'up'):>10}  {shown}"
+            f"  {shown}"
         )
     out.append("")
     out.append("service classes")

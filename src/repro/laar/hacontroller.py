@@ -15,7 +15,7 @@ messaging)."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.core.deployment import ReplicaId
 from repro.core.strategy import ActivationStrategy
@@ -139,18 +139,3 @@ class HAController:
             self._command_latency,
             lambda: self._platform.set_activation(replica_id, active),
         )
-
-    def force_configuration(self, config_index: Optional[int] = None) -> None:
-        """Immediately apply the activation state for a configuration.
-
-        Used at deployment time to install the initial activation, and by
-        tests to drive the controller without a Rate Monitor.
-        """
-        target = (
-            self.current_config if config_index is None else config_index
-        )
-        self.current_config = target
-        for replica_id in self._platform.deployment.replicas:
-            self._platform.set_activation(
-                replica_id, self._strategy.is_active(replica_id, target)
-            )

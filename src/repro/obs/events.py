@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "Event",
@@ -402,14 +401,3 @@ class EventLog:
             "event_counts": dict(sorted(self.type_counts.items())),
             "jsonl": self.to_jsonl(),
         }
-
-    def write_jsonl(self, path: str | Path) -> int:
-        """Write the buffered events as JSONL; returns the event count."""
-        text = self.to_jsonl()
-        Path(path).write_text(text)
-        return len(self._events)
-
-    def iter_jsonl(self) -> Iterable[str]:
-        """Yield canonical JSON lines without building one big string."""
-        for event in self.events():
-            yield event_to_json(event)

@@ -1,7 +1,7 @@
 """Event-stream schema validator (``python -m repro.obs.validate``).
 
 Reads one or more JSONL event files exported by
-:meth:`repro.obs.events.EventLog.write_jsonl` and checks every line
+:meth:`repro.obs.events.EventLog.to_jsonl` and checks every line
 against :data:`repro.obs.events.EVENT_SCHEMA`:
 
 * the line parses as a JSON object with ``seq``, ``t`` and ``type``

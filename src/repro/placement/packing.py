@@ -15,14 +15,8 @@ accounting (which tenant holds how many cores on which host), so an
 admission controller can reject on capacity without partially-placed
 tenants and an eviction returns exactly the cores the tenant held.
 
-Hosts also carry a lifecycle for the elasticity layer: ``cordon`` stops
-new reservations landing on a host, ``drain`` marks it for evacuation
-(cordoned plus an explicit draining state the fleet report surfaces),
-and ``reclaim`` hands an emptied host's cores back to the provider.
-``occupancy`` distinguishes *reserved* cores (held by tenants) from
-*draining* cores (held, but on a host being evacuated) and *reclaimed*
-cores (no longer available at all) — previously a draining host's cores
-were indistinguishable from ordinary load.
+The pool has no host lifecycle: cordon, drain and reclaim belong to the
+elasticity layer's :class:`~repro.elastic.migration.MigrationEngine`.
 """
 
 from __future__ import annotations
@@ -61,10 +55,6 @@ class HostPool:
         self._held: dict[str, dict[str, int]] = {h.name: {} for h in hosts}
         #: tenant -> {local host name -> shared host name}
         self._placements: dict[str, dict[str, str]] = {}
-        # Host lifecycle (cordon -> drain -> reclaim).
-        self._cordoned: set[str] = set()
-        self._draining: set[str] = set()
-        self._reclaimed: set[str] = set()
 
     # ------------------------------------------------------------------
     # Reservation / release
@@ -103,7 +93,6 @@ class HostPool:
                 for name, available in free.items()
                 if available >= cores
                 and name not in mapping.values()
-                and name not in self._cordoned
             ]
             if not candidates:
                 return None
@@ -130,72 +119,6 @@ class HostPool:
             self._free[host] += cores
 
     # ------------------------------------------------------------------
-    # Host lifecycle
-    # ------------------------------------------------------------------
-
-    def _known(self, host: str) -> None:
-        if host not in self._hosts:
-            raise DeploymentError(f"unknown host {host!r}")
-
-    def cordon(self, host: str) -> None:
-        """Stop new reservations landing on ``host`` (idempotent)."""
-        self._known(host)
-        self._cordoned.add(host)
-
-    def uncordon(self, host: str) -> None:
-        """Return ``host`` to service, undoing any drain or reclaim."""
-        self._known(host)
-        self._cordoned.discard(host)
-        self._draining.discard(host)
-        if host in self._reclaimed:
-            self._reclaimed.discard(host)
-            held = sum(self._held[host].values())
-            self._free[host] = self._hosts[host].cores - held
-
-    def drain(self, host: str) -> tuple[str, ...]:
-        """Cordon ``host`` and mark it draining; returns its tenants.
-
-        The pool only does the accounting — actually migrating the
-        residents away is the elasticity layer's job. The returned
-        tenants (sorted) are the ones still holding cores there.
-        """
-        self._known(host)
-        self._cordoned.add(host)
-        self._draining.add(host)
-        return tuple(sorted(self._held[host]))
-
-    def reclaim(self, host: str) -> int:
-        """Hand an emptied host's cores back; returns the cores freed.
-
-        Refuses while any tenant still holds cores on the host — a
-        reclaim must follow a completed drain, never preempt one.
-        """
-        self._known(host)
-        held = self._held[host]
-        if held:
-            raise DeploymentError(
-                f"cannot reclaim {host!r}: cores still held by"
-                f" {sorted(held)}"
-            )
-        cores = self._hosts[host].cores
-        self._cordoned.add(host)
-        self._draining.discard(host)
-        self._reclaimed.add(host)
-        self._free[host] = 0
-        return cores
-
-    def host_state(self, host: str) -> str:
-        """Lifecycle state: ``up``/``cordoned``/``draining``/``reclaimed``."""
-        self._known(host)
-        if host in self._reclaimed:
-            return "reclaimed"
-        if host in self._draining:
-            return "draining"
-        if host in self._cordoned:
-            return "cordoned"
-        return "up"
-
-    # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
 
@@ -206,15 +129,6 @@ class HostPool:
     @property
     def tenants(self) -> tuple[str, ...]:
         return tuple(sorted(self._placements))
-
-    def placement_of(self, tenant: str) -> dict[str, str]:
-        """The tenant's local->shared host mapping."""
-        try:
-            return dict(self._placements[tenant])
-        except KeyError:
-            raise DeploymentError(
-                f"tenant {tenant!r} holds no reservation"
-            ) from None
 
     def free_cores(self, host: Optional[str] = None) -> int:
         if host is not None:
@@ -229,56 +143,30 @@ class HostPool:
 
     @property
     def used_cores(self) -> int:
-        """Cores actually held by tenants (reclaimed cores excluded)."""
+        """Cores held by tenants."""
         return sum(sum(held.values()) for held in self._held.values())
 
-    @property
-    def draining_cores(self) -> int:
-        """Tenant-held cores sitting on hosts marked draining."""
-        return sum(
-            sum(self._held[host].values()) for host in self._draining
-        )
-
-    @property
-    def reclaimed_cores(self) -> int:
-        return sum(self._hosts[host].cores for host in self._reclaimed)
-
     def occupancy(self) -> dict:
-        """A canonical JSON-friendly view of the pool (sorted keys).
-
-        Per-host ``used`` counts only tenant-held cores — on a reclaimed
-        host both ``used`` and ``free`` read zero and the ``state`` field
-        explains where the capacity went. ``draining`` is the slice of
-        ``used`` that sits on a draining host, so reserved and draining
-        cores are no longer conflated in the fleet report.
-        """
+        """A canonical JSON-friendly view of the pool (sorted keys)."""
         hosts = []
         for name in sorted(self._hosts):
-            host = self._hosts[name]
             held = self._held[name]
-            used = sum(held.values())
             hosts.append(
                 {
                     "host": name,
-                    "cores": host.cores,
-                    "used": used,
+                    "cores": self._hosts[name].cores,
+                    "used": sum(held.values()),
                     "free": self._free[name],
-                    "draining": used if name in self._draining else 0,
-                    "state": self.host_state(name),
                     "tenants": {t: held[t] for t in sorted(held)},
                 }
             )
         total = self.total_cores
         used = self.used_cores
-        reclaimed = self.reclaimed_cores
-        available = total - reclaimed
         return {
             "hosts": hosts,
             "total_cores": total,
             "used_cores": used,
             "free_cores": self.free_cores(),
-            "draining_cores": self.draining_cores,
-            "reclaimed_cores": reclaimed,
-            "utilization": round(used / available, 6) if available else 0.0,
+            "utilization": round(used / total, 6),
             "tenants": len(self._placements),
         }

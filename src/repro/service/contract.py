@@ -17,7 +17,6 @@ and its fare.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -312,11 +311,3 @@ class Provisioner:
                 f" ({record['outcome']})"
             )
         return provisioned
-
-    def quote(self, contract: Contract) -> float:
-        """The fare for a contract (provisioning it on the way)."""
-        provisioned = self.provision(contract)
-        fare = provisioned.fare
-        if not math.isfinite(fare):
-            raise ModelError("fare computation produced a non-finite value")
-        return fare

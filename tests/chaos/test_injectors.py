@@ -4,6 +4,7 @@ the paper's three failure modes as schedules."""
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -56,6 +57,40 @@ class TestInjection:
     def test_negative_time_rejected(self):
         with pytest.raises(ChaosError, match="must be >= 0"):
             Injection.build("flap", at=-0.5)
+
+    @pytest.mark.parametrize(
+        "kind, at, params, bad",
+        [
+            ("flap", math.nan, {}, "at"),
+            ("flap", math.inf, {}, "at"),
+            ("rack_crash", 1.0, {"hosts": ["h00"], "downtime": -1.0},
+             "downtime"),
+            ("rack_crash", 1.0, {"hosts": ["h00"], "downtime": math.nan},
+             "downtime"),
+            ("migration_strike", 1.0, {"downtime": math.inf}, "downtime"),
+            ("slow_host", 1.0,
+             {"host": "h01", "factor": 0.5, "duration": -2.0}, "duration"),
+            ("replica_hang", 1.0,
+             {"replica": "pe0#0", "duration": math.nan}, "duration"),
+            ("flap", 1.0,
+             {"host": "h00", "period": math.inf, "downtime": 0.5,
+              "cycles": 2}, "period"),
+            ("recovery_storm", 1.0,
+             {"hosts": ["h00", "h01"], "stagger": -0.1, "downtime": 3.0},
+             "stagger"),
+        ],
+    )
+    def test_time_that_cannot_run_rejected(self, kind, at, params, bad):
+        # Artifacts are outside input: refuse where they are read, not
+        # inside the kernel (or, for a negative downtime, not at all).
+        record = {"kind": kind, "at": at, "params": params}
+        value = at if bad == "at" else params[bad]
+        with pytest.raises(ChaosError) as raised:
+            Injection.from_dict(record)
+        message = str(raised.value)
+        assert repr(kind) in message
+        assert f"{bad} must be >= 0 and finite" in message
+        assert repr(value) in message
 
     def test_param_lookup(self):
         injection = Injection.build(

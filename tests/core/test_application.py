@@ -114,16 +114,6 @@ class TestTraversal:
         assert pes.index("b") < pes.index("d")
         assert pes.index("c") < pes.index("d")
 
-    def test_downstream_of(self):
-        graph = build_diamond()
-        assert graph.downstream_of("a") == {"b", "c", "d", "sink"}
-        assert graph.downstream_of("d") == {"sink"}
-
-    def test_upstream_of(self):
-        graph = build_diamond()
-        assert graph.upstream_of("d") == {"src", "a", "b", "c"}
-        assert graph.upstream_of("src") == frozenset()
-
     def test_depth_of(self):
         graph = build_diamond()
         assert graph.depth_of("src") == 0

@@ -128,10 +128,6 @@ class TestConfigurationSpace:
                 ]
             )
 
-    def test_expected_rate(self):
-        space = ConfigurationSpace.two_level("s", 4.0, 8.0, 0.8)
-        assert space.expected_rate("s") == pytest.approx(0.8 * 4 + 0.2 * 8)
-
     def test_sorted_by_total_rate_puts_hungry_first(self):
         space = ConfigurationSpace.two_level("s", 4.0, 8.0, 0.8)
         order = space.sorted_by_total_rate()

@@ -79,14 +79,6 @@ class TestQueries:
         assert strategy.fully_replicated("pe1", 0)
         assert not strategy.fully_replicated("pe1", 1)
 
-    def test_active_replicas(self, pipeline_deployment):
-        strategy = strategy_with(
-            pipeline_deployment, {("pe2", 0, 1): False}
-        )
-        active = strategy.active_replicas(1)
-        assert ReplicaId("pe2", 0) not in active
-        assert ReplicaId("pe2", 1) in active
-
     def test_active_map_matches_is_active(self, pipeline_deployment):
         strategy = strategy_with(
             pipeline_deployment, {("pe1", 0, 0): False}

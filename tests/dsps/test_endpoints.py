@@ -33,16 +33,6 @@ class TestSourceOperator:
         assert delivered[0] == (0.5, "src")
         assert sum(series.bucket_map().values()) == 10
 
-    def test_current_rate_follows_trace(self):
-        trace = InputTrace(
-            [TraceSegment(2.0, 5.0, "Low"), TraceSegment(6.0, 5.0, "High")]
-        )
-        env, source, _, _ = self.build(trace)
-        env.run(until=1.0)
-        assert source.current_rate() == 2.0
-        env.run(until=7.0)
-        assert source.current_rate() == 6.0
-
     def test_jittered_emission_count_close_to_nominal(self):
         trace = InputTrace([TraceSegment(5.0, 40.0)])
         env, source, _, _ = self.build(

@@ -73,11 +73,6 @@ class TestInputTrace:
         # Gaps average 1/rate: ~200 arrivals at rate 10 over 20 s.
         assert 180 <= len(arrivals) <= 220
 
-    def test_expected_tuples(self):
-        trace = two_level_trace(4.0, 8.0, duration=90.0, high_fraction=1 / 3)
-        # 60 s at 4 t/s + 30 s at 8 t/s.
-        assert trace.expected_tuples() == pytest.approx(480.0)
-
 
 class TestTwoLevelTrace:
     def test_structure(self):

@@ -12,6 +12,7 @@ from repro.elastic import (
 )
 from repro.elastic.dataplane import peak_window, tenant_roles
 from repro.driver import run_tenants as run_elastic_fleet
+from repro.fleet.dataplane import tenant_platform
 
 PARAMS = ElasticParams(tenants=4, duration=10.0, chaos_every=4)
 
@@ -52,7 +53,7 @@ class TestTenantRun:
         assert static["elastic"]["migrations"] == 0
 
     def test_chaos_mid_migration_aborts_and_rolls_back(self):
-        # Tenant 1 is the rebalancer slot whose scripted kill lands
+        # Tenant 1 is the rebalancer slot whose migration_strike lands
         # inside its post-peak move window.
         digest = digest_for(1)
         assert digest["elastic"]["aborted"] >= 1
@@ -78,7 +79,9 @@ class TestRoles:
 
     def test_peak_window_inside_run(self):
         for tenant in range(4):
-            start, end = peak_window(PARAMS, tenant)
+            platform = tenant_platform(ElasticTask(PARAMS, tenant))
+            start, end = peak_window(platform)
+            platform.close()
             assert 0.0 <= start < end <= PARAMS.duration
 
 

@@ -114,16 +114,6 @@ class TestHAController:
         platform.env.run(until=0.6)
         assert platform.replica(probe).active == strategy.is_active(probe, 1)
 
-    def test_force_configuration(self, setup):
-        platform, strategy = setup
-        controller = HAController(platform, strategy, initial_config=0)
-        controller.force_configuration(1)
-        assert controller.current_config == 1
-        for replica_id in platform.deployment.replicas:
-            assert platform.replica(replica_id).active == strategy.is_active(
-                replica_id, 1
-            )
-
     def test_switches_recorded_in_metrics(self, setup):
         platform, strategy = setup
         controller = HAController(platform, strategy, initial_config=0)

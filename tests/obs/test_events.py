@@ -104,17 +104,9 @@ class TestJsonExport:
         lines = log.to_jsonl().splitlines()
         records = [json.loads(line) for line in lines]
         assert [r["type"] for r in records] == ["host.crash", "host.recover"]
-        assert list(log.iter_jsonl()) == lines
 
     def test_empty_log_exports_empty_string(self):
         assert EventLog().to_jsonl() == ""
-
-    def test_write_jsonl(self, tmp_path):
-        log = EventLog()
-        log.emit("host.crash", host="h0")
-        path = tmp_path / "events.jsonl"
-        assert log.write_jsonl(path) == 1
-        assert json.loads(path.read_text())["host"] == "h0"
 
 
 class TestSchema:

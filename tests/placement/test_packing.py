@@ -99,13 +99,6 @@ class TestAccounting:
         assert occupancy["free_cores"] == 9
         assert occupancy["tenants"] == 2
 
-    def test_placement_of_round_trips(self):
-        p = pool()
-        mapping = p.reserve("t0", {"a": 1, "b": 1})
-        assert p.placement_of("t0") == mapping
-        with pytest.raises(DeploymentError):
-            p.placement_of("t1")
-
     def test_occupancy_is_canonical(self):
         import json
 
@@ -117,97 +110,11 @@ class TestAccounting:
         q.reserve("t1", {"x": 2})
         q.reserve("t0", {"x": 1})
         assert json.dumps(q.occupancy(), sort_keys=True) == a
-
-
-class TestHostLifecycle:
-    def test_cordoned_host_receives_no_new_reservations(self):
-        p = pool(n=2)
-        p.cordon("s0")
-        mapping = p.reserve("t0", {"a": 1})
-        assert mapping == {"a": "s1"}
-        assert p.host_state("s0") == "cordoned"
-        assert p.host_state("s1") == "up"
-
-    def test_cordon_rejects_whole_reservation_when_no_room_left(self):
-        p = pool(n=2)
-        p.cordon("s0")
-        assert p.reserve("t0", {"a": 1, "b": 1}) is None
-
-    def test_uncordon_restores_service(self):
-        p = pool(n=1)
-        p.cordon("s0")
-        assert p.reserve("t0", {"a": 1}) is None
-        p.uncordon("s0")
-        assert p.reserve("t0", {"a": 1}) == {"a": "s0"}
-
-    def test_drain_reports_resident_tenants(self):
-        p = pool(n=2)
-        p.reserve("tb", {"a": 4})
-        p.reserve("ta", {"a": 2})
-        host = p.placement_of("tb")["a"]
-        residents = p.drain(host)
-        assert "tb" in residents
-        assert residents == tuple(sorted(residents))
-        assert p.host_state(host) == "draining"
-
-    def test_reclaim_refuses_while_cores_held(self):
-        p = pool(n=2)
-        p.reserve("t0", {"a": 2})
-        host = p.placement_of("t0")["a"]
-        p.drain(host)
-        with pytest.raises(DeploymentError):
-            p.reclaim(host)
-        p.release("t0")
-        assert p.reclaim(host) == 8
-        assert p.host_state(host) == "reclaimed"
-        assert p.free_cores(host) == 0
-
-    def test_uncordon_undoes_reclaim(self):
-        p = pool(n=1)
-        p.drain("s0")
-        p.reclaim("s0")
-        assert p.free_cores("s0") == 0
-        p.uncordon("s0")
-        assert p.host_state("s0") == "up"
-        assert p.free_cores("s0") == 8
-
-    def test_unknown_host_rejected(self):
-        p = pool()
-        for op in (p.cordon, p.uncordon, p.drain, p.reclaim, p.host_state):
-            with pytest.raises(DeploymentError):
-                op("nope")
-
-    def test_occupancy_distinguishes_reserved_from_draining(self):
-        p = pool(n=3)
-        p.reserve("t0", {"a": 3})
-        p.reserve("t1", {"a": 2})
-        drained = p.placement_of("t0")["a"]
-        p.drain(drained)
         occupancy = p.occupancy()
-        assert occupancy["used_cores"] == 5
-        assert occupancy["draining_cores"] == 3
-        assert occupancy["reclaimed_cores"] == 0
-        by_name = {h["host"]: h for h in occupancy["hosts"]}
-        assert by_name[drained]["draining"] == 3
-        assert by_name[drained]["state"] == "draining"
-
-    def test_occupancy_excludes_reclaimed_capacity(self):
-        p = pool(n=2, cores=4)
-        p.reserve("t0", {"a": 2})
-        other = next(
-            h.name for h in p.hosts
-            if h.name != p.placement_of("t0")["a"]
-        )
-        p.drain(other)
-        p.reclaim(other)
-        occupancy = p.occupancy()
-        assert occupancy["total_cores"] == 8
-        assert occupancy["reclaimed_cores"] == 4
-        assert occupancy["used_cores"] == 2
-        assert occupancy["free_cores"] == 2
-        # Utilization is against *available* capacity, not raw total.
-        assert occupancy["utilization"] == 0.5
-        by_name = {h["host"]: h for h in occupancy["hosts"]}
-        assert by_name[other]["used"] == 0
-        assert by_name[other]["free"] == 0
-        assert by_name[other]["state"] == "reclaimed"
+        assert sorted(occupancy) == [
+            "free_cores", "hosts", "tenants", "total_cores", "used_cores",
+            "utilization",
+        ]
+        assert sorted(occupancy["hosts"][0]) == [
+            "cores", "free", "host", "tenants", "used",
+        ]

@@ -111,7 +111,7 @@ class TestProvisioning:
                 sla=SLA(ic_target=target),
                 pricing=pricing,
             )
-            fares.append(Provisioner(provider_hosts).quote(contract))
+            fares.append(Provisioner(provider_hosts).provision(contract).fare)
         assert fares[0] <= fares[1]
 
     def test_impossible_sla_is_refused(

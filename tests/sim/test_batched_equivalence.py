@@ -48,7 +48,7 @@ from tests.sim.test_generated_equivalence import Control, Scenario, run
 
 CHAOS_SEEDS = range(5)
 
-#: Small fleet slice: chaos_every=4 puts scripted crashes on tenants
+#: Small fleet slice: chaos_every=4 puts host-crash injections on tenants
 #: 0, 4, 8 and slow-host windows on tenants 2, 6, 10, so the matrix
 #: exercises the fallback path and the pure closed-form path together.
 FLEET = DataplaneParams(tenants=12, chaos_every=4, duration=30.0)
@@ -281,7 +281,7 @@ class TestObservedRuns:
 def _elastic_params():
     """Migration-heavy slice: every tenant autoscales around its
     diurnal peak, tenant 0/4 consolidate a host at night, tenant 1/5
-    run a live rebalance move, and tenant 1's scripted host kill lands
+    run a live rebalance move, and tenant 1's migration_strike lands
     inside its open migration window (the chaos-mid-migration path)."""
     from repro.elastic import ElasticParams
 

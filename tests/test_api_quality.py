@@ -237,6 +237,109 @@ def test_every_export_has_a_caller():
     )
 
 
+# ----------------------------------------------------------------------
+# Every method has a caller
+# ----------------------------------------------------------------------
+
+#: Public methods and properties of ``src/repro`` classes that nothing
+#: under ``CALLER_ROOTS`` reads, keyed ``Class.member``, and why each
+#: stays: a test holds other code to it. An entry that gains a caller
+#: (or is gone) fails too; the dict does not grow.
+UNCALLED_MEMBERS = {
+    "ActivationStrategy.activations_of": (
+        "the baseline tests read a replica's activation row with it"
+    ),
+    "ApplicationDescriptor.pe_cycles_per_second": (
+        "the computed-once tests hold the load table to it"
+    ),
+    "ConfigurationSpace.by_label": (
+        "the figure and example tests pick the paper's Low/High with it"
+    ),
+    "Environment.events_cancelled": (
+        "the host-scheduler oracle and the generated equivalence compare it"
+    ),
+    "HostScheduler.busy_jobs": (
+        "the host-scheduler oracle compares it with its parent's"
+    ),
+    "RateTable.pe_input_rate": (
+        "the computed-once tests hold the rate table to it"
+    ),
+    "RateTable.replica_load_matrix": (
+        "the computed-once tests hold the load vectors to it"
+    ),
+    "SearchOutcome.is_proof": (
+        "the equivalence and ablation tests compare proven searches only"
+    ),
+    "SpanTracer.durations": (
+        "the observability integration test reads switch spans with it"
+    ),
+}
+
+
+def _public_members() -> set[str]:
+    """``Class.member`` for every public method or property defined in
+    a class body under ``src/repro``."""
+    members: set[str] = set()
+    for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                members.update(
+                    f"{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    )
+                    and not node.name.startswith("_")
+                )
+    return members
+
+
+def test_every_method_has_a_caller():
+    """A method only tests call is code the program does not run."""
+    used = _used_names()
+    uncalled = {
+        member
+        for member in _public_members()
+        if member.split(".")[1] not in used
+    }
+    assert sorted(uncalled - set(UNCALLED_MEMBERS)) == [], (
+        "members only tests call: delete them with their tests"
+    )
+    assert sorted(set(UNCALLED_MEMBERS) - uncalled) == [], (
+        "exempted members that have a caller or no longer exist"
+    )
+
+
+#: The platform's fault entry points: every fault a run suffers goes
+#: through a typed, recorded :class:`~repro.chaos.injectors.Injection`.
+FAULT_ENTRY_POINTS = (
+    "crash_host",
+    "recover_host",
+    "degrade_host",
+    "restore_host",
+    "crash_replica",
+    "recover_replica",
+)
+
+
+def test_only_the_injectors_call_the_fault_entry_points():
+    """``repro.chaos`` is the one fault vocabulary: a fault scheduled
+    by hand elsewhere in ``src`` would leave no ``chaos.inject`` record
+    in the run's event stream."""
+    callers: set[str] = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in FAULT_ENTRY_POINTS
+            ):
+                callers.add(path.relative_to(REPO_ROOT).as_posix())
+    assert callers == {"src/repro/chaos/injectors.py"}
+
+
 def test_ci_only_calls_the_gate():
     """``tools/gate.sh`` is the one description of what a PR must pass
     and it runs in the dev container; the workflow may call it and
