@@ -39,7 +39,7 @@ def run_variant(variants, name, trace):
 
 def test_ext_latency(benchmark, save_figure):
     app = generate_application(seed=2015)
-    variants = build_variants(app, ic_targets=(0.5,), time_limit=3.0)
+    variants = build_variants(app, ic_targets=(0.5,))
     trace = two_level_trace(
         app.low_rate, app.high_rate, duration=60.0, high_fraction=1 / 3
     )

@@ -14,6 +14,7 @@ from repro.chaos import Injection, apply_injection
 from repro.core import OptimizationProblem, ft_search
 from repro.dsps import PlatformConfig, two_level_trace
 from repro.experiments.report import format_table
+from repro.experiments.variants import NODE_LIMIT
 from repro.laar import ExtendedApplication, MiddlewareConfig
 from repro.workloads import ClusterParams, GeneratorParams, generate_application
 
@@ -51,7 +52,8 @@ def test_ext_recovery(benchmark, save_figure):
     )
     result = ft_search(
         OptimizationProblem(app.deployment, ic_target=0.5),
-        time_limit=3.0,
+        time_limit=None,
+        node_limit=NODE_LIMIT,
         seed_incumbent=True,
     )
     assert result.strategy is not None

@@ -14,7 +14,11 @@ from repro.core.optimizer import (
     SearchOutcome,
 )
 from repro.experiments.figures import outcome_share, render_fig4
-from repro.experiments.ftsearch_study import BASE_SEED, _study_instance
+from repro.experiments.ftsearch_study import (
+    BASE_SEED,
+    NODE_LIMIT,
+    _study_instance,
+)
 
 
 def test_fig4_outcomes(benchmark, study_results, save_figure):
@@ -25,7 +29,7 @@ def test_fig4_outcomes(benchmark, study_results, save_figure):
     benchmark.pedantic(
         lambda: ReferenceFTSearch(
             OptimizationProblem(app.deployment, ic_target=0.7),
-            FTSearchConfig(time_limit=study_results.scale.time_limit),
+            FTSearchConfig(time_limit=None, node_limit=NODE_LIMIT),
         ).run(),
         rounds=1,
         iterations=1,

@@ -19,9 +19,7 @@ def test_fig9_bestcase(benchmark, cluster_results, save_figure):
     # Benchmark one best-case simulated run (app + L.5 variant).
     scale = cluster_results.scale
     app = generate_application(BASE_SEED)
-    variants = build_variants(
-        app, ic_targets=(0.5,), time_limit=scale.ft_time_limit
-    )
+    variants = build_variants(app, ic_targets=(0.5,))
     benchmark.pedantic(
         lambda: run_variant(variants, "L.5", FailureMode.BEST, scale, 0),
         rounds=1,

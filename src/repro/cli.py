@@ -9,7 +9,6 @@ deployment, and the source rates:
     python -m repro evaluate app.json --strategy strategy.json
     python -m repro obs app.json --strategy strategy.json --failures worst
     python -m repro obs app.json --ic 0.5 --out-dir obs-run
-    python -m repro experiment fig3
 
 ``obs`` runs the telemetry workflow (docs/observability.md): one
 observed, judged simulation per failure mode of Sec. 5.3 (``none``,
@@ -17,8 +16,8 @@ observed, judged simulation per failure mode of Sec. 5.3 (``none``,
 report with the switch timeline, failover windows, top
 droppers, FT-Search progress, and fabric utilization.
 
-``experiment`` regenerates one paper figure and prints its table (same
-output the benchmark harness saves under benchmarks/results/).
+The paper's figures are not a subcommand: ``pytest benchmarks``
+renders each one into ``benchmarks/results/``.
 
 The scenario subcommands (``obs``, ``chaos run``, ``fleet``, ``elastic``,
 ``slo``) are thin: parse, build the frozen specs, run them, and hand
@@ -621,38 +620,6 @@ def _cmd_obs_diff(argv: Sequence[str]) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        figures,
-        run_cluster_experiment,
-        run_fig3,
-        run_ftsearch_study,
-    )
-
-    name = args.figure
-    if name == "all":
-        from repro.experiments.report_all import generate_report
-
-        target = args.out or "REPORT.md"
-        generate_report(path=target, jobs=args.jobs)
-        print(f"full report written to {target}")
-        return 0
-    if name == "fig3":
-        print(figures.render_fig3(run_fig3()))
-    elif name in ("fig4", "fig5", "fig6"):
-        study = run_ftsearch_study(jobs=args.jobs)
-        renderer = getattr(figures, f"render_{name}")
-        print(renderer(study))
-    elif name in ("fig9", "fig10", "fig11", "fig12"):
-        results = run_cluster_experiment(jobs=args.jobs)
-        renderer = getattr(figures, f"render_{name}")
-        print(renderer(results))
-    else:  # pragma: no cover - argparse choices prevent this
-        print(f"unknown figure {name}", file=sys.stderr)
-        return 2
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -983,27 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the determinism & event-schema linter (rules R1..R10;"
         " see docs/static-analysis.md)",
     )
-
-    experiment = commands.add_parser(
-        "experiment", help="regenerate one paper figure (or all of them)"
-    )
-    experiment.add_argument(
-        "figure",
-        choices=[
-            "fig3", "fig4", "fig5", "fig6",
-            "fig9", "fig10", "fig11", "fig12", "all",
-        ],
-    )
-    experiment.add_argument(
-        "--out", default=None,
-        help="with 'all': report file to write (default REPORT.md)",
-    )
-    experiment.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the experiment grids"
-        " (default: REPRO_JOBS, then the CPU count; 1 = serial)",
-    )
-    experiment.set_defaults(func=_cmd_experiment)
 
     return parser
 

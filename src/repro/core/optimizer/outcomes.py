@@ -49,9 +49,11 @@ class SearchResult:
     """Everything an FT-Search run reports.
 
     Cost figures are in the units of Eq. 13 (CPU cycle-seconds per billing
-    period); times are wall-clock seconds relative to search start. The
-    first-solution fields feed the Fig. 5 histograms (cost and time ratios
-    between the first solution and the optimum).
+    period); ``elapsed`` is wall-clock seconds. The first- and
+    best-solution fields feed the Fig. 5 histograms (cost and time ratios
+    between the first solution and the optimum), with time counted in
+    nodes expanded when the solution was found, so they are the same on
+    every host.
     """
 
     outcome: SearchOutcome
@@ -59,8 +61,8 @@ class SearchResult:
     best_cost: float
     best_ic: float
     first_solution_cost: Optional[float]
-    first_solution_time: Optional[float]
-    best_solution_time: Optional[float]
+    first_solution_nodes: Optional[int]
+    best_solution_nodes: Optional[int]
     elapsed: float
     stats: "SearchStats" = field(repr=False)
 
@@ -80,13 +82,13 @@ class SearchResult:
         return self.first_solution_cost / self.best_cost
 
     @property
-    def time_ratio_first_to_best(self) -> Optional[float]:
+    def node_ratio_first_to_best(self) -> Optional[float]:
         """Fig. 5b's statistic; only meaningful for OPTIMAL outcomes."""
         if (
             self.outcome is not SearchOutcome.OPTIMAL
-            or self.first_solution_time is None
-            or self.best_solution_time is None
-            or self.best_solution_time == 0
+            or self.first_solution_nodes is None
+            or self.best_solution_nodes is None
+            or self.best_solution_nodes == 0
         ):
             return None
-        return self.first_solution_time / self.best_solution_time
+        return self.first_solution_nodes / self.best_solution_nodes

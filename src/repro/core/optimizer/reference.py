@@ -225,9 +225,9 @@ class ReferenceFTSearch:
         self._best_cost = math.inf
         self._best_assignment: Optional[list[tuple[bool, bool]]] = None
         self._best_ic = 0.0
-        self._best_time: Optional[float] = None
+        self._best_nodes: Optional[int] = None
         self._first_cost: Optional[float] = None
-        self._first_time: Optional[float] = None
+        self._first_nodes: Optional[int] = None
 
         if self._config.seed_incumbent:
             self._install_greedy_incumbent()
@@ -265,8 +265,8 @@ class ReferenceFTSearch:
             best_cost=self._best_cost if strategy is not None else math.inf,
             best_ic=self._best_ic,
             first_solution_cost=self._first_cost,
-            first_solution_time=self._first_time,
-            best_solution_time=self._best_time,
+            first_solution_nodes=self._first_nodes,
+            best_solution_nodes=self._best_nodes,
             elapsed=elapsed,
             stats=self._stats,
         )
@@ -320,7 +320,7 @@ class ReferenceFTSearch:
         self._best_cost = cost
         self._best_ic = ic
         self._best_assignment = list(values)
-        self._best_time = 0.0
+        self._best_nodes = 0
 
     def _install_warm_incumbent(self) -> None:
         """Try the ``warm_start`` strategy as the initial incumbent.
@@ -342,7 +342,7 @@ class ReferenceFTSearch:
         self._best_cost = cost
         self._best_ic = ic
         self._best_assignment = list(values)
-        self._best_time = 0.0
+        self._best_nodes = 0
 
     # ------------------------------------------------------------------
     # Recursion
@@ -620,10 +620,10 @@ class ReferenceFTSearch:
         ic = self._fic_assigned / self._bic
         cost = self._cost_assigned
         self._stats.solutions_found += 1
-        now = time.monotonic() - self._start
+        nodes = self._stats.nodes_expanded
         if self._first_cost is None:
             self._first_cost = cost
-            self._first_time = now
+            self._first_nodes = nodes
         if cost < self._best_cost * (1 - _REL_EPS) or (
             self._best_assignment is None
         ):
@@ -632,7 +632,7 @@ class ReferenceFTSearch:
             self._best_assignment = [
                 value for value in self._assigned if value is not None
             ]
-            self._best_time = now
+            self._best_nodes = nodes
 
     def _check_budget(self) -> None:
         if (

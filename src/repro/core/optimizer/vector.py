@@ -218,10 +218,10 @@ class RawSearch:
     prune_heights: list[int]
     expired: bool
     first_raw_cost: Optional[float]
-    first_raw_time: Optional[float]
-    #: When ``best_raw`` last tightened, seconds into this pass (None:
-    #: no leaf ever beat the seed incumbent).
-    best_raw_time: Optional[float]
+    first_raw_nodes: Optional[int]
+    #: When ``best_raw`` last tightened, in nodes expanded (None: no
+    #: leaf ever beat the seed incumbent).
+    best_raw_nodes: Optional[int]
 
 
 class VectorFTSearch:
@@ -273,8 +273,8 @@ class VectorFTSearch:
         #: The least-rank path of each distinct raw cost in the band.
         self._candidates: dict[float, bytes] = {}
         self._first_raw_cost: Optional[float] = None
-        self._first_raw_time: Optional[float] = None
-        self._best_raw_time: Optional[float] = None
+        self._first_raw_nodes: Optional[int] = None
+        self._best_raw_nodes: Optional[int] = None
         self._start = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -326,8 +326,8 @@ class VectorFTSearch:
             prune_heights=list(self._prune_heights),
             expired=expired,
             first_raw_cost=self._first_raw_cost,
-            first_raw_time=self._first_raw_time,
-            best_raw_time=self._best_raw_time,
+            first_raw_nodes=self._first_raw_nodes,
+            best_raw_nodes=self._best_raw_nodes,
         )
 
     def run(self) -> SearchResult:
@@ -400,17 +400,17 @@ class VectorFTSearch:
                 if raw.expired
                 else SearchOutcome.INFEASIBLE
             )
-        # The seed incumbent is there from second zero (the oracle's
+        # The seed incumbent is there from node zero (the oracle's
         # convention); a leaf that tightened it did so later.
-        best_time = raw.best_raw_time or 0.0
+        best_nodes = raw.best_raw_nodes or 0
         return SearchResult(
             outcome=outcome,
             strategy=strategy,
             best_cost=best_cost if strategy is not None else math.inf,
             best_ic=best_ic,
             first_solution_cost=raw.first_raw_cost,
-            first_solution_time=raw.first_raw_time,
-            best_solution_time=None if strategy is None else best_time,
+            first_solution_nodes=raw.first_raw_nodes,
+            best_solution_nodes=None if strategy is None else best_nodes,
             elapsed=elapsed,
             stats=stats,
         )
@@ -695,18 +695,17 @@ class VectorFTSearch:
         keep = np.nonzero(np.isfinite(cost) & (cost <= band))[0]
         if len(keep) == 0:
             return
-        now = time.monotonic() - self._start
         best_row = int(keep[np.argmin(cost[keep])])
         candidates = self._candidates
         if cost[best_row] < self._best_raw:
             self._best_raw = float(cost[best_row])
-            self._best_raw_time = now
+            self._best_raw_nodes = self._nodes
             band = self._best_raw * (1 + _BAND_EPS)
             candidates = {c: p for c, p in candidates.items() if c <= band}
             self._candidates = candidates
         if self._first_raw_cost is None:
             self._first_raw_cost = float(block.cost[keep[0]])
-            self._first_raw_time = now
+            self._first_raw_nodes = self._nodes
         # Of equal raw costs the rank fold can accept only the first in
         # rank order, so one path per cost suffices: the least one, as
         # leaves arrive in block order, not rank order.

@@ -240,14 +240,12 @@ def run_variant(
 
 
 def _variant_task(
-    task: tuple[GeneratedApplication, tuple[float, ...], float],
+    task: tuple[GeneratedApplication, tuple[float, ...]],
 ) -> Optional[VariantSet]:
     """Pool worker: build one application's variant set (None = skip)."""
-    app, ic_targets, time_limit = task
+    app, ic_targets = task
     try:
-        return build_variants(
-            app, ic_targets=ic_targets, time_limit=time_limit
-        )
+        return build_variants(app, ic_targets=ic_targets)
     except ExperimentError:
         return None
 
@@ -266,8 +264,8 @@ def run_cluster_experiment(
 ) -> ClusterResults:
     """Run the full Sec. 5.3 experiment grid.
 
-    Applications whose variants cannot be built (FT-Search budget too
-    small for a feasible strategy) are skipped, like failed deployments
+    Applications whose variants cannot be built (no feasible strategy
+    within FT-Search's node budget) are skipped, like failed deployments
     in the paper's corpus.
 
     ``jobs`` fans the grid out over a process pool (two phases: variant
@@ -282,7 +280,7 @@ def run_cluster_experiment(
 
     built = run_tasks(
         _variant_task,
-        [(app, scale.ic_targets, scale.ft_time_limit) for app in corpus],
+        [(app, scale.ic_targets) for app in corpus],
         jobs=jobs,
     )
 

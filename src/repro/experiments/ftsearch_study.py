@@ -7,7 +7,8 @@ hosts with 2-12 PEs per host under a 10-minute budget, and reports:
   constraint grows from 0.5 to 0.9;
 * Fig. 5 — the cost ratio between the first solution and the optimum
   (mean ~1.057) and the time ratio (mean ~0.37), over the instances
-  solved to optimality;
+  solved to optimality (time here is nodes expanded, see
+  :data:`NODE_LIMIT`);
 * Fig. 6 — pruning effectiveness: the share of domain values removed by
   each rule and the mean height of the pruned branches.
 
@@ -31,8 +32,8 @@ from repro.core.optimizer import (
     SearchResult,
     SearchStats,
 )
-from repro.errors import DeploymentError, WorkloadError
-from repro.experiments.parallel import resolve_jobs, run_tasks
+from repro.errors import DeploymentError, ExperimentError, WorkloadError
+from repro.experiments.parallel import run_tasks
 from repro.experiments.scale import StudyScale
 from repro.workloads.generator import (
     ClusterParams,
@@ -46,6 +47,14 @@ __all__ = ["StudyRun", "StudyResults", "run_ftsearch_study"]
 #: First seed scanned for instances (JSR166, the paper's Fork-Join
 #: framework).
 BASE_SEED = 166
+#: Seeds scanned per requested instance before the study gives up (at
+#: the default scale every one of the first 36 seeds places).
+SEEDS_PER_INSTANCE = 20
+#: FT-Search's budget per (instance, IC target), in expanded nodes, in
+#: place of the paper's 10-minute limit, so Figs. 4-6 are the same on
+#: every host and worker count; picked by the rule in docs/performance.md,
+#: "Figure budgets in nodes". A run that spends it ends SOL or TMO.
+NODE_LIMIT = 40_000
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,8 @@ class StudyRun:
     ic_target: float
     outcome: SearchOutcome
     best_cost: float
-    elapsed: float
     cost_ratio: Optional[float]
-    time_ratio: Optional[float]
+    node_ratio: Optional[float]
     stats: SearchStats = field(repr=False)
 
 
@@ -89,10 +97,10 @@ class StudyResults:
             run.cost_ratio for run in self.runs if run.cost_ratio is not None
         ]
 
-    def time_ratios(self) -> list[float]:
-        """Fig. 5b: first/optimal time ratios (optimally solved runs)."""
+    def node_ratios(self) -> list[float]:
+        """Fig. 5b: first/optimal node ratios (optimally solved runs)."""
         return [
-            run.time_ratio for run in self.runs if run.time_ratio is not None
+            run.node_ratio for run in self.runs if run.node_ratio is not None
         ]
 
     def merged_stats(self) -> SearchStats:
@@ -133,27 +141,18 @@ def _study_instance(
         return None
 
 
-def _instance_task(
-    task: tuple[int, StudyScale],
-) -> Optional[list[StudyRun]]:
-    """Pool worker: one study instance — generate it (None when the seed
-    defeats the placement) and run FT-Search for every IC target.
+def _search_task(task: tuple[GeneratedApplication, float]) -> StudyRun:
+    """Pool worker: one (instance, IC target) FT-Search.
 
     The study reports first-solution ratios and per-rule prune shares
     and heights — statistics of the paper's depth-first visit order — so
     it runs the reference oracle, not the block engine."""
-    seed, scale = task
-    app = _study_instance(seed, scale)
-    if app is None:
-        return None
-    runs = []
-    for target in scale.ic_targets:
-        result = ReferenceFTSearch(
-            OptimizationProblem(app.deployment, ic_target=target),
-            FTSearchConfig(time_limit=scale.time_limit),
-        ).run()
-        runs.append(_to_run(app, target, result))
-    return runs
+    app, target = task
+    result = ReferenceFTSearch(
+        OptimizationProblem(app.deployment, ic_target=target),
+        FTSearchConfig(time_limit=None, node_limit=NODE_LIMIT),
+    ).run()
+    return _to_run(app, target, result)
 
 
 def run_ftsearch_study(
@@ -162,30 +161,31 @@ def run_ftsearch_study(
 ) -> StudyResults:
     """Run the full Fig. 4-6 study grid.
 
-    ``jobs`` fans instances out over a process pool (one task per
-    instance; see :mod:`repro.experiments.parallel`). Seeds are scanned
-    in ascending waves and results merged in seed order, so the set of
-    instances — the first ``scale.instances`` viable seeds — is the same
-    for every worker count; only wall-clock-derived fields (``elapsed``
-    and the time ratios) can differ between runs.
+    The instances are the first ``scale.instances`` seeds from
+    ``BASE_SEED`` on whose application places, generated in the calling
+    process; ``jobs`` fans their (instance, IC target) searches out over
+    a process pool (see :mod:`repro.experiments.parallel`), merged in
+    task order, so every run is the same for every worker count. Raises
+    :class:`ExperimentError` when ``SEEDS_PER_INSTANCE`` seeds per
+    instance place too few instances.
     """
     scale = scale or StudyScale.from_env()
-    n_jobs = resolve_jobs(jobs)
-    wave = max(2 * n_jobs, 8) if n_jobs > 1 else 1
-    runs: list[StudyRun] = []
-    produced = 0
-    seed = BASE_SEED
-    while produced < scale.instances:
-        tasks = [(s, scale) for s in range(seed, seed + wave)]
-        seed += wave
-        for instance_runs in run_tasks(_instance_task, tasks, jobs=n_jobs):
-            if instance_runs is None:
-                continue
-            produced += 1
-            runs.extend(instance_runs)
-            if produced == scale.instances:
+    last = BASE_SEED + SEEDS_PER_INSTANCE * scale.instances
+    seeds = range(BASE_SEED, last)
+    apps: list[GeneratedApplication] = []
+    for seed in seeds:
+        app = _study_instance(seed, scale)
+        if app is not None:
+            apps.append(app)
+            if len(apps) == scale.instances:
                 break
-    return StudyResults(scale, runs)
+    else:
+        raise ExperimentError(
+            f"{scale} placed {len(apps)} of {scale.instances} instances"
+            f" from seeds {BASE_SEED}..{last - 1}"
+        )
+    tasks = [(app, target) for app in apps for target in scale.ic_targets]
+    return StudyResults(scale, run_tasks(_search_task, tasks, jobs=jobs))
 
 
 def _to_run(
@@ -198,8 +198,7 @@ def _to_run(
         ic_target=target,
         outcome=result.outcome,
         best_cost=result.best_cost,
-        elapsed=result.elapsed,
         cost_ratio=result.cost_ratio_first_to_best,
-        time_ratio=result.time_ratio_first_to_best,
+        node_ratio=result.node_ratio_first_to_best,
         stats=result.stats,
     )

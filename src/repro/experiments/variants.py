@@ -28,6 +28,10 @@ __all__ = ["VariantSet", "laar_variant_name", "build_variants"]
 
 #: Variants that adapt activations to the input configuration at runtime.
 DYNAMIC_VARIANTS = ("GRD",)
+#: FT-Search's budget per (application, IC target), in expanded nodes,
+#: so the strategies are the same on every host and worker count; picked
+#: by the rule in docs/performance.md, "Figure budgets in nodes".
+NODE_LIMIT = 4_000_000
 
 
 def laar_variant_name(ic_target: float) -> str:
@@ -71,24 +75,26 @@ class VariantSet:
 def build_variants(
     app: GeneratedApplication,
     ic_targets: tuple[float, ...] = (0.5, 0.6, 0.7),
-    time_limit: float = 3.0,
     high_config_index: int = 1,
 ) -> VariantSet:
     """Build all six variants for one application.
 
     Raises :class:`ExperimentError` if FT-Search cannot produce a
-    feasible strategy for some IC target within the time budget — the
+    feasible strategy for some IC target within :data:`NODE_LIMIT` — the
     corpus generator calibrates applications so this is rare; callers
     drop such applications like the paper drops uninstantiable runs.
     """
     strategies: dict[str, ActivationStrategy] = {}
     search_results: dict[str, SearchResult] = {}
 
-    for target in ic_targets:
+    # Strictest target first: an application with no strategy for it is
+    # dropped after one search, not after all of them.
+    for target in sorted(ic_targets, reverse=True):
         name = laar_variant_name(target)
         result = ft_search(
             OptimizationProblem(app.deployment, ic_target=target),
-            time_limit=time_limit,
+            time_limit=None,
+            node_limit=NODE_LIMIT,
             seed_incumbent=True,
         )
         if result.strategy is None:

@@ -132,8 +132,8 @@ def result_from_record(
         best_cost=record["best_cost"],
         best_ic=record["best_ic"],
         first_solution_cost=None,
-        first_solution_time=None,
-        best_solution_time=None,
+        first_solution_nodes=None,
+        best_solution_nodes=None,
         elapsed=0.0,
         stats=SearchStats(nodes_expanded=record["nodes"]),
     )

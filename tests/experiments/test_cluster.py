@@ -32,7 +32,6 @@ def tiny_results() -> ClusterResults:
         corpus_size=2,
         crash_corpus_size=1,
         trace_seconds=30.0,
-        ft_time_limit=1.0,
         ic_targets=(0.5,),
     )
     corpus = [
@@ -46,12 +45,19 @@ def tiny_results() -> ClusterResults:
 
 class TestScale:
     def test_validation(self):
-        with pytest.raises(ExperimentError):
-            ExperimentScale(corpus_size=0)
-        with pytest.raises(ExperimentError):
-            ExperimentScale(corpus_size=2, crash_corpus_size=5)
-        with pytest.raises(ExperimentError):
-            ExperimentScale(trace_seconds=0.0)
+        """Each refusal names the field it refuses."""
+        for field, kwargs in (
+            ("corpus_size", dict(corpus_size=0)),
+            ("crash_corpus_size", dict(corpus_size=2, crash_corpus_size=5)),
+            ("crash_corpus_size", dict(crash_corpus_size=-3)),
+            ("trace_seconds", dict(trace_seconds=0.0)),
+            ("trace_seconds", dict(trace_seconds=float("nan"))),
+            ("trace_seconds", dict(trace_seconds=float("inf"))),
+            ("ic_targets", dict(ic_targets=())),
+            ("ic_targets", dict(ic_targets=(1.5,))),
+        ):
+            with pytest.raises(ExperimentError, match=field):
+                ExperimentScale(**kwargs)
 
     def test_trace_too_short_for_the_peak_window(self, monkeypatch):
         """Fig. 10 reads the High burst minus 2 monitor periods and 1 s;

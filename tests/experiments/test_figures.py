@@ -151,13 +151,13 @@ class TestOutcomeHelpers:
         runs = [
             StudyRun(
                 app="a", n_hosts=2, n_pes=4, ic_target=0.5,
-                outcome=SearchOutcome.OPTIMAL, best_cost=1.0, elapsed=0.1,
-                cost_ratio=1.0, time_ratio=0.5, stats=SearchStats(),
+                outcome=SearchOutcome.OPTIMAL, best_cost=1.0,
+                cost_ratio=1.0, node_ratio=0.5, stats=SearchStats(),
             ),
             StudyRun(
                 app="b", n_hosts=2, n_pes=4, ic_target=0.5,
                 outcome=SearchOutcome.INFEASIBLE, best_cost=float("inf"),
-                elapsed=0.1, cost_ratio=None, time_ratio=None,
+                cost_ratio=None, node_ratio=None,
                 stats=SearchStats(),
             ),
         ]

@@ -14,7 +14,6 @@ def tiny_study():
     scale = StudyScale(
         instances=4,
         ic_targets=(0.5, 0.9),
-        time_limit=0.8,
         host_range=(2, 3),
         pes_per_host_range=(2, 4),
     )
@@ -23,10 +22,27 @@ def tiny_study():
 
 class TestScale:
     def test_validation(self):
-        with pytest.raises(ExperimentError):
-            StudyScale(instances=0)
-        with pytest.raises(ExperimentError):
-            StudyScale(host_range=(1, 3))
+        """Each refusal names the field it refuses."""
+        for field, kwargs in (
+            ("instances", dict(instances=0)),
+            ("ic_targets", dict(ic_targets=())),
+            ("ic_targets", dict(ic_targets=(1.5,))),
+            ("host_range", dict(host_range=(1, 3))),
+            ("host_range", dict(host_range=(4, 2))),
+            ("pes_per_host_range", dict(pes_per_host_range=(0, 0))),
+            ("pes_per_host_range", dict(pes_per_host_range=(6, 2))),
+        ):
+            with pytest.raises(ExperimentError, match=field):
+                StudyScale(**kwargs)
+
+    def test_a_scale_no_seed_can_place_raises(self):
+        """Regression: the seed scan used to loop forever when every
+        instance of the scale defeated the anti-affinity placement."""
+        scale = StudyScale(
+            instances=1, host_range=(2, 2), pes_per_host_range=(1, 1)
+        )
+        with pytest.raises(ExperimentError, match="placed 0 of 1"):
+            run_ftsearch_study(scale, jobs=1)
 
 
 class TestStudy:
@@ -48,7 +64,7 @@ class TestStudy:
         assert len(tiny_study.cost_ratios()) <= len(optimal)
         for ratio in tiny_study.cost_ratios():
             assert ratio >= 1.0 - 1e-9
-        for ratio in tiny_study.time_ratios():
+        for ratio in tiny_study.node_ratios():
             assert 0.0 < ratio <= 1.0 + 1e-9
 
     def test_merged_stats_accumulate(self, tiny_study):
@@ -67,4 +83,3 @@ class TestStudy:
         for run in tiny_study.runs:
             assert run.n_hosts >= 2
             assert run.n_pes >= 2
-            assert run.elapsed >= 0.0

@@ -18,9 +18,7 @@ ENV_KNOBS = (
     "REPRO_CORPUS_SIZE",
     "REPRO_CRASH_CORPUS",
     "REPRO_TRACE_SECONDS",
-    "REPRO_FT_TIME_LIMIT",
     "REPRO_STUDY_SIZE",
-    "REPRO_STUDY_TIME_LIMIT",
     "REPRO_JOBS",
 )
 
@@ -48,11 +46,7 @@ def test_every_knob_is_actually_read(knob, monkeypatch):
         "REPRO_TRACE_SECONDS": (
             "trace_seconds", "44.5", 44.5, ExperimentScale,
         ),
-        "REPRO_FT_TIME_LIMIT": (
-            "ft_time_limit", "9.5", 9.5, ExperimentScale,
-        ),
         "REPRO_STUDY_SIZE": ("instances", "5", 5, StudyScale),
-        "REPRO_STUDY_TIME_LIMIT": ("time_limit", "0.7", 0.7, StudyScale),
     }
     field, raw, expected, scale_class = values[knob]
     monkeypatch.setenv(knob, raw)

@@ -21,7 +21,7 @@ def small_app():
 
 @pytest.fixture(scope="module")
 def variants(small_app):
-    return build_variants(small_app, ic_targets=(0.3, 0.5), time_limit=2.0)
+    return build_variants(small_app, ic_targets=(0.3, 0.5))
 
 
 class TestNames:
@@ -73,4 +73,4 @@ class TestStrategies:
 
     def test_infeasible_target_raises(self, small_app):
         with pytest.raises(ExperimentError, match="no strategy"):
-            build_variants(small_app, ic_targets=(1.0,), time_limit=2.0)
+            build_variants(small_app, ic_targets=(1.0,))

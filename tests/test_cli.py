@@ -139,36 +139,10 @@ class TestEvaluateVerbose:
         assert "host load / capacity" in out
 
 
-class TestExperimentCommand:
-    def test_fig4_renders_at_tiny_scale(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_STUDY_SIZE", "2")
-        monkeypatch.setenv("REPRO_STUDY_TIME_LIMIT", "0.3")
-        code = main(["experiment", "fig4"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Fig. 4" in out
-
-    def test_all_writes_report(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setenv("REPRO_STUDY_SIZE", "2")
-        monkeypatch.setenv("REPRO_STUDY_TIME_LIMIT", "0.3")
-        monkeypatch.setenv("REPRO_CORPUS_SIZE", "1")
-        monkeypatch.setenv("REPRO_CRASH_CORPUS", "1")
-        monkeypatch.setenv("REPRO_TRACE_SECONDS", "20")
-        monkeypatch.setenv("REPRO_FT_TIME_LIMIT", "1.0")
-        report = tmp_path / "REPORT.md"
-        code = main(["experiment", "all", "--out", str(report)])
-        assert code == 0
-        assert "Fig. 12" in report.read_text()
-
-
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
-
-    def test_experiment_choices_validated(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "fig99"])
 
 
 class TestLint:

@@ -20,10 +20,11 @@
 #            working tree: the rows that moved are exactly those
 #            tools/digests-moves.txt declares (none when it is empty)
 #   figures  the gated benches under benchmarks/ (FIGURES below:
-#            ext_communication and fig3_pipeline, ~6 s) with
-#            their assertions as pass/fail; each must regenerate its
-#            benchmarks/results/ file byte for byte (the working tree's
-#            file is put back afterwards, so the stage never edits it)
+#            Figs. 3-6, the two ablations and ext_communication,
+#            ~10 s) with their assertions as pass/fail; each must
+#            regenerate its benchmarks/results/ file byte for byte (the
+#            working tree's file is put back afterwards, so the stage
+#            never edits it)
 #   e2e      benchmarks/e2e/run.py --all on both trees, then --check:
 #            no row `regressed`, no gated end-to-end metric `unresolved`
 #
@@ -106,11 +107,18 @@ sys.exit(moved != declared)
 EOF
 }
 
-# Benches whose results file is reproducible on any host: every search
-# in them runs under a node budget and proves its optimum. fig3_pipeline
-# also guards the one runner's deploy/run split (its CPU sampler attaches
-# between the two steps).
-FIGURES=(ext_communication fig3_pipeline)
+# Every search of every bench runs under a node budget, so each results
+# file is reproducible on any host and at any REPRO_JOBS. The stage runs
+# the benches that fit its time: not yet the Figs. 9-12 grid and the two
+# benches that search under its budget (fig9_bestcase, fig10_peak_output,
+# fig11_failures, fig12_summary, ext_latency, ext_recovery), which take
+# the whole stage to 73-76 s at REPRO_JOBS=2 on a 2-core container.
+# fig3_pipeline also guards the one runner's deploy/run split (its CPU
+# sampler attaches between the two steps).
+FIGURES=(
+    fig3_pipeline fig4_outcomes fig5_first_vs_optimal fig6_pruning
+    ablation_pruning ablation_config_order ext_communication
+)
 
 figures() {
     local name paths=() status=0
