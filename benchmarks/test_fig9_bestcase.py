@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from repro.experiments.cluster import BASE_SEED, FailureMode, run_variant
 from repro.experiments.figures import fig9_cpu, fig9_drops, render_fig9
-from repro.experiments.variants import build_variants
-from repro.workloads import generate_application
 
 
 def test_fig9_bestcase(benchmark, cluster_results, save_figure):
-    # Benchmark one best-case simulated run (app + L.5 variant).
+    # Benchmark one best-case simulated run (app + L.5 variant), on the
+    # variant set the grid already searched for its first application.
     scale = cluster_results.scale
-    app = generate_application(BASE_SEED)
-    variants = build_variants(app, ic_targets=(0.5,))
+    variants = cluster_results.variant_sets[f"app-{BASE_SEED}"]
     benchmark.pedantic(
         lambda: run_variant(variants, "L.5", FailureMode.BEST, scale, 0),
         rounds=1,

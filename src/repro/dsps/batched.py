@@ -234,7 +234,8 @@ class _Step:
     fx: Optional[_DeliveryFx] = None
 
 
-_Records = tuple[tuple[dict[int, int], list[tuple[float, float]]], ...]
+#: Per sink: its series buckets, arrival-time and latency columns.
+_Records = tuple[tuple[dict[int, int], list[float], list[float]], ...]
 
 #: One step's constants as the train loop unpacks them: parent index
 #: (the source fire is the sentinel ``n``: ``times[n]`` holds the
@@ -246,11 +247,11 @@ _Plan = tuple[int, int, float, int, float, bool, float, _Records]
 
 
 def _sink_records(fx: Optional[_DeliveryFx]) -> _Records:
-    """Prefetch each sink's series buckets and latency sample list."""
+    """Prefetch each sink's series buckets and latency columns."""
     if fx is None:
         return ()
     return tuple(
-        (series._buckets, latency._samples)
+        (series._buckets, *latency.sample_buffer())
         for _sink, series, latency in fx.sinks
     )
 
@@ -778,9 +779,10 @@ class BatchEngine:
             committed += 1
             bucket = int(t0)
             src_buckets[bucket] = src_buckets.get(bucket, 0) + 1
-            for records, samples in root_recs:
+            for records, arrived, latency in root_recs:
                 records[bucket] = records.get(bucket, 0) + 1
-                samples.append((t0, t0 - t0))
+                arrived.append(t0)
+                latency.append(t0 - t0)
             seq += draws_at_t0
             if delay is None:
                 cursor.live = False
@@ -809,9 +811,10 @@ class BatchEngine:
                     emit[i] = True
                     if recs:
                         t_bucket = int(t)
-                        for records, samples in recs:
+                        for records, arrived, latency in recs:
                             records[t_bucket] = records.get(t_bucket, 0) + 1
-                            samples.append((t, t - t0))
+                            arrived.append(t)
+                            latency.append(t - t0)
                 else:
                     cred[i] = value
                     emit[i] = False
@@ -1034,19 +1037,20 @@ class BatchEngine:
         # Series and latency samples, each sink fed by one deliverer.
         committed = times[n]
         self._count_buckets(template.source_series._buckets, committed)
-        for records, samples in template.root_sink_records:
+        for records, arrived, latency in template.root_sink_records:
             self._count_buckets(records, committed)
-            samples += zip(
-                committed.tolist(), (committed - committed).tolist()
-            )
+            arrived.extend(committed.tolist())
+            latency.extend((committed - committed).tolist())
         for i, _parent, _sel, recs in cols.primaries:
             if recs:
                 mask = emits[i]
                 ts = times[i][mask]
-                latency = (ts - committed[mask]).tolist()
-                for records, samples in recs:
+                stamps = ts.tolist()
+                latencies = (ts - committed[mask]).tolist()
+                for records, arrived, latency in recs:
                     self._count_buckets(records, ts)
-                    samples += zip(ts.tolist(), latency)
+                    arrived.extend(stamps)
+                    latency.extend(latencies)
         # The loop's carried state: each step's last executed time and
         # the final arrival's emit pattern.
         last = (count - 1) - ran[:, ::-1].argmax(axis=1)

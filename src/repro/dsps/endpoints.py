@@ -110,13 +110,21 @@ class SinkOperator:
         self._latency = latency if latency is not None else LatencyRecorder()
         self._tracer = tracer
         self.received = 0
+        # The live series buckets and latency columns, written inline.
+        self._buckets = series.bucket_map()
+        self._times, self._latencies = self._latency.sample_buffer()
 
     def on_tuple(self, from_component: str, birth: float | None = None) -> None:
+        # TimeSeries.record and LatencyRecorder.record, inline: this
+        # runs once per sink arrival.
         self.received += 1
-        now = self._env.now
-        self._series.record(now)
+        now = self._env._now
+        buckets = self._buckets
+        second = int(now)
+        buckets[second] = buckets.get(second, 0) + 1
         if birth is not None:
-            self._latency.record(now, now - birth)
+            self._times.append(now)
+            self._latencies.append(now - birth)
             if self._tracer is not None:
                 self._tracer.stage("sink", birth, sink=self.name)
 

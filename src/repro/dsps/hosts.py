@@ -18,7 +18,7 @@ paper measures "total CPU time used" from the PE processes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim import Environment, EventHandle
@@ -31,13 +31,10 @@ __all__ = ["HostScheduler"]
 _EPSILON_CYCLES = 0.5
 
 
-class _Job:
-    __slots__ = ("total", "remaining", "callback")
-
-    def __init__(self, total: float, callback: Callable[[], None]) -> None:
-        self.total = total
-        self.remaining = total
-        self.callback = callback
+#: A job in progress: ``[total cycles, remaining cycles, callback]``. A
+#: list literal is built without a Python ``__init__`` call; the hot
+#: paths index it as ``job[1]`` (remaining) and ``job[2]`` (callback).
+_Job = list[Any]
 
 
 class HostScheduler:
@@ -127,11 +124,13 @@ class HostScheduler:
         if self._dispatching:
             # _on_completion advanced to this instant; draw what
             # _reschedule would draw (the set is not empty now).
-            jobs[owner] = _Job(cycles, callback)
-            self._reserved = self._env.take_seq()
+            jobs[owner] = [cycles, cycles, callback]
+            env = self._env
+            self._reserved = env._sequence
+            env._sequence += 1
             return
         self._advance()
-        jobs[owner] = _Job(cycles, callback)
+        jobs[owner] = [cycles, cycles, callback]
         if self._completion is not None:
             self._completion.cancel()
         self._push()
@@ -144,7 +143,7 @@ class HostScheduler:
         self._advance()
         job = self._jobs.pop(owner)
         self._reschedule()
-        return job.total - max(job.remaining, 0.0)
+        return job[0] - max(job[1], 0.0)
 
     def cpu_seconds(self, cycles: float) -> float:
         """Convert cycles to CPU core-seconds for metric accounting."""
@@ -180,7 +179,7 @@ class HostScheduler:
         # for finished jobs; keep the two expressions identical.
         if self._dispatching:
             return  # _on_completion advanced to this very instant
-        now = self._env.now
+        now = self._env._now
         elapsed = now - self._last_update
         self._last_update = now
         jobs = self._jobs
@@ -190,7 +189,7 @@ class HostScheduler:
         progress = self.capacity / count * elapsed
         self.cycles_delivered += progress * count
         for job in jobs.values():
-            job.remaining -= progress
+            job[1] -= progress
 
     def _reschedule(self) -> None:
         if self._dispatching:
@@ -210,9 +209,11 @@ class HostScheduler:
         jobs = self._jobs
         shortest = math.inf
         for job in jobs.values():
-            if job.remaining < shortest:
-                shortest = job.remaining
-        delay = max(shortest, 0.0) / (self.capacity / len(jobs))
+            if job[1] < shortest:
+                shortest = job[1]
+        if shortest < 0.0:  # max(shortest, 0.0), without the call
+            shortest = 0.0
+        delay = shortest / (self.capacity / len(jobs))
         self._completion = self._env.schedule(
             delay, self._on_completion, seq=seq
         )
@@ -222,7 +223,7 @@ class HostScheduler:
         # this runs once per completion.
         self._completion = None
         env = self._env
-        now = env.now
+        now = env._now
         elapsed = now - self._last_update
         self._last_update = now
         jobs = self._jobs
@@ -233,16 +234,20 @@ class HostScheduler:
             self.cycles_delivered += progress * count
         finished = []
         for owner, job in jobs.items():
-            job.remaining -= progress  # minus 0.0 leaves any float as is
-            if job.remaining <= _EPSILON_CYCLES:
+            job[1] -= progress  # minus 0.0 leaves any float as is
+            if job[1] <= _EPSILON_CYCLES:
                 finished.append((owner, job))
         for owner, _ in finished:
             del jobs[owner]
-        self._reserved = env.take_seq() if jobs else None
+        if jobs:
+            self._reserved = env._sequence
+            env._sequence += 1
+        else:
+            self._reserved = None
         self._dispatching = True
         try:
             for _, job in finished:
-                job.callback()
+                job[2]()
         finally:
             self._dispatching = False
             reserved, self._reserved = self._reserved, None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.deployment import ReplicaId
-from repro.obs.sketch import nearest_rank_index
+from repro.obs.sketch import left_sum, nearest_rank_index
 
 __all__ = [
     "TimeSeries",
@@ -32,35 +32,41 @@ __all__ = [
 class LatencyRecorder:
     """End-to-end tuple latencies observed at one sink.
 
-    Records every (arrival time, latency) pair; summaries are computed on
-    demand. Latency is the time from the *source emission* of the tuple
-    that (transitively) triggered this sink arrival to the arrival itself
-    — the quantity the paper's maximum-latency SLA clause (Sec. 3) bounds
+    Keeps two columns in arrival order: arrival times and latencies
+    (entry ``i`` of each is one sink arrival); summaries are computed on
+    demand. The sink and the batched engine append to the columns (or
+    extend them by whole arrays) in place, and the SLO engine drains
+    them through a cursor, so no per-sample tuple is ever built.
+    Latency is the time from the *source emission* of the tuple that
+    (transitively) triggered this sink arrival to the arrival itself —
+    the quantity the paper's maximum-latency SLA clause (Sec. 3) bounds
     and that queueing inflates during load peaks.
     """
 
     def __init__(self) -> None:
-        self._samples: list[tuple[float, float]] = []
+        self._times: list[float] = []
+        self._latencies: list[float] = []
 
     def record(self, time: float, latency: float) -> None:
-        self._samples.append((time, latency))
+        self._times.append(time)
+        self._latencies.append(latency)
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._latencies)
 
     @property
     def samples(self) -> list[tuple[float, float]]:
         """(arrival time, latency) pairs in arrival order."""
-        return list(self._samples)
+        return list(zip(self._times, self._latencies))
 
     @property
     def latencies(self) -> list[float]:
-        return [latency for _, latency in self._samples]
+        return list(self._latencies)
 
     def mean(self) -> float:
-        if not self._samples:
+        if not self._latencies:
             return 0.0
-        return sum(lat for _, lat in self._samples) / len(self._samples)
+        return left_sum(self._latencies) / len(self._latencies)
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile, q in [0, 1].
@@ -71,24 +77,24 @@ class LatencyRecorder:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"percentile must be in [0, 1], got {q}")
-        if not self._samples:
+        if not self._latencies:
             return 0.0
-        ordered = sorted(lat for _, lat in self._samples)
+        ordered = sorted(self._latencies)
         return ordered[nearest_rank_index(q, len(ordered))]
 
-    def sample_buffer(self) -> list[tuple[float, float]]:
-        """The *live* (arrival time, latency) list, no copy.
+    def sample_buffer(self) -> tuple[list[float], list[float]]:
+        """The *live* (arrival times, latencies) columns, no copy.
 
-        For streaming consumers (the SLO engine) that keep their own
-        cursor into the buffer; everyone else should use
-        :attr:`samples`, which copies.
+        For the writers (the sink, the batched engine) and streaming
+        consumers (the SLO engine) that keep their own cursor into the
+        columns; everyone else should use :attr:`samples`, which copies.
         """
-        return self._samples
+        return self._times, self._latencies
 
     def max(self) -> float:
-        if not self._samples:
+        if not self._latencies:
             return 0.0
-        return max(lat for _, lat in self._samples)
+        return max(self._latencies)
 
     def summary(self) -> dict[str, float | int | None]:
         """All headline statistics as one dict.
@@ -98,13 +104,13 @@ class LatencyRecorder:
         misleading zeros, so report code can render "no samples" without
         special-casing.
         """
-        if not self._samples:
+        if not self._latencies:
             return {
                 "count": 0, "mean": None, "p50": None,
                 "p95": None, "max": None,
             }
         return {
-            "count": len(self._samples),
+            "count": len(self._latencies),
             "mean": self.mean(),
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
@@ -286,7 +292,7 @@ class RunMetrics:
         total = 0.0
         count = 0
         for recorder in self.sink_latency.values():
-            total += sum(recorder.latencies)
+            total += left_sum(recorder.latencies)
             count += len(recorder)
         return total / count if count else 0.0
 
@@ -308,4 +314,4 @@ class RunMetrics:
                 for time, latency in recorder.samples
                 if start <= time < end
             )
-        return sum(totals) / len(totals) if totals else 0.0
+        return left_sum(totals) / len(totals) if totals else 0.0

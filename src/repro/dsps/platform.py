@@ -108,6 +108,10 @@ class StreamPlatform:
         self._deployment = deployment
         self._descriptor = deployment.descriptor
         self._graph = self._descriptor.graph
+        #: Each component's successors, looked up once per forward.
+        self._succ: dict[str, tuple[str, ...]] = {
+            name: self._graph.succ(name) for name in self._graph.components
+        }
         self._config = config or PlatformConfig()
         self.env = env = Environment()
         self.metrics = RunMetrics()
@@ -295,7 +299,7 @@ class StreamPlatform:
         if tracer is not None:
             tracer.on_emit(source, birth)
         groups = self._groups
-        for succ in self._graph.succ(source):
+        for succ in self._succ[source]:
             group = groups.get(succ)
             if group is None:
                 self._sinks[succ].on_tuple(source, birth)
@@ -308,7 +312,7 @@ class StreamPlatform:
         sender_host = replica.host
         groups = self._groups
         intra = inter = 0
-        for succ in self._graph.succ(pe):
+        for succ in self._succ[pe]:
             if succ not in groups:
                 self._sinks[succ].on_tuple(pe, birth)
                 continue

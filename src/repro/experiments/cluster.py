@@ -85,16 +85,25 @@ class RunResult:
 
 
 class ClusterResults:
-    """All runs of one cluster experiment, with figure-ready views."""
+    """All runs of one cluster experiment, with figure-ready views.
+
+    ``variant_sets`` are the variant sets the runs deployed, kept by
+    application name so a caller can run one more variant without
+    searching again.
+    """
 
     def __init__(
         self,
         scale: ExperimentScale,
         variant_names: tuple[str, ...],
         rows: Iterable[RunResult],
+        variant_sets: Iterable[VariantSet] = (),
     ) -> None:
         self.scale = scale
         self.variant_names = variant_names
+        self.variant_sets = {
+            variants.app.name: variants for variants in variant_sets
+        }
         self._rows: dict[tuple[str, str, FailureMode], RunResult] = {}
         for row in rows:
             self._rows[(row.app, row.variant, row.mode)] = row
@@ -286,16 +295,16 @@ def run_cluster_experiment(
 
     tasks: list[tuple[VariantSet, str, FailureMode, ExperimentScale, int]] = []
     variant_names: tuple[str, ...] = ()
-    usable = 0
+    usable: list[VariantSet] = []
     for variants in built:
         if variants is None:
             continue
-        usable += 1
+        usable.append(variants)
         variant_names = variants.names
         # Like the paper's 40-app crash subset: the first
         # crash_corpus_size usable applications, in corpus order.
         modes = [FailureMode.BEST, FailureMode.WORST]
-        if usable <= scale.crash_corpus_size:
+        if len(usable) <= scale.crash_corpus_size:
             modes.append(FailureMode.CRASH)
         for variant in variants.names:
             for mode in modes:
@@ -306,4 +315,4 @@ def run_cluster_experiment(
             "no application in the corpus produced a full variant set"
         )
     rows = run_tasks(_run_task, tasks, jobs=jobs)
-    return ClusterResults(scale, variant_names, rows)
+    return ClusterResults(scale, variant_names, rows, usable)

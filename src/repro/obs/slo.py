@@ -14,9 +14,14 @@ per-tenant sim-time-windowed rollups:
   FloorWalker` intervals as the chaos invariant checker;
   :class:`CoverageAvailability` holds strategy-less data-plane runs to a
   PE-coverage completeness target);
-* **latency percentiles** — per-window :class:`~repro.obs.sketch.
-  LogHistogram` sketches fed from the sink recorders' live sample
-  buffers via cursors (bounded memory, no raw retention here);
+* **latency percentiles** — each window cuts the sink recorders' live
+  (arrival time, latency) columns at its bound with a per-sink cursor
+  (``bisect_left`` on the times) and summarises the slice of latencies
+  with :func:`~repro.obs.sketch.sorted_summary`: one sort, a left-fold
+  sum, the same buckets a :class:`~repro.obs.sketch.LogHistogram` fed
+  the samples one by one would report, and no copy kept here; the
+  run-level summary sorts the drained prefixes once, in
+  :meth:`SloEngine.summary`;
 * **loss and throughput** — drops/overflows from tapped events, input
   and output tuple counts from the per-second rate series;
 * **failover durations** — a run-level sketch over finished failover
@@ -43,6 +48,7 @@ closes in :meth:`SloEngine.finalize`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
@@ -52,7 +58,7 @@ from repro.errors import ReproError
 from repro.obs.events import Event, EventLog
 from repro.obs.replay import CHECKED, EPS, STATE_EVENTS, FloorWalker
 from repro.obs.replay import DeploymentState
-from repro.obs.sketch import LogHistogram
+from repro.obs.sketch import LogHistogram, left_sum, sorted_summary
 
 if TYPE_CHECKING:
     from repro.dsps.platform import StreamPlatform
@@ -260,7 +266,9 @@ class SloEngine:
         config: Optional[SloConfig] = None,
         *,
         tenant: str = "-",
-        latency: Optional[list[tuple[str, list[tuple[float, float]]]]] = None,
+        latency: Optional[
+            list[tuple[str, tuple[list[float], list[float]]]]
+        ] = None,
         output_buckets: Optional[list[dict[int, int]]] = None,
         input_buckets: Optional[list[dict[int, int]]] = None,
     ) -> None:
@@ -293,7 +301,7 @@ class SloEngine:
         self._drops_total = 0
         self._input_total = 0
         self._output_total = 0
-        self._latency_total = LogHistogram()
+        self._latency_sum = 0.0  # the window sums, folded in order
         self._failover_hist = LogHistogram()
         self._horizon = 0.0
         self._verdict = "met"
@@ -360,22 +368,20 @@ class SloEngine:
         bad = self._availability.take(end)
         availability = 1.0 - bad / span
 
-        # Latency: drain each sink's live sample buffer up to the
-        # window bound through a per-sink cursor (strict < end, so the
-        # boundary sample lands in the next window in every mode).
-        sketch = LogHistogram()
-        add = sketch.add
-        for i, (_, samples) in enumerate(self._latency):
-            j = self._cursors[i]
-            n = len(samples)
-            while j < n:
-                t, lat = samples[j]
-                if t >= end:
-                    break
-                add(lat)
-                j += 1
-            self._cursors[i] = j
-        self._latency_total.merge(sketch)
+        # Latency: cut each sink's live columns at the window bound
+        # through a per-sink cursor (strict < end, so the boundary
+        # sample lands in the next window in every mode; the times are
+        # non-decreasing) and summarise the slice in drain order.
+        cursors = self._cursors
+        drained: list[float] = []
+        for i, (_, (times, latencies)) in enumerate(self._latency):
+            j = cursors[i]
+            k = bisect_left(times, end, j)
+            if k > j:
+                drained += latencies[j:k]
+                cursors[i] = k
+        total = left_sum(drained)
+        self._latency_sum += total
 
         # Throughput: per-second series buckets fully inside [start, end).
         lo = int(start)
@@ -409,7 +415,7 @@ class SloEngine:
         else:
             phase = "steady"
 
-        lat = sketch.summary()
+        lat = sorted_summary(drained, total)
         record: dict[str, Any] = {
             "window": self._window_index,
             "start": start,
@@ -469,8 +475,8 @@ class SloEngine:
             del history[0]
         budget = 1.0 - cfg.availability_target
         fast_slice = history[-cfg.fast_windows :]
-        burn_fast = sum(fast_slice) / len(fast_slice) / budget
-        burn_slow = sum(history) / len(history) / budget
+        burn_fast = left_sum(fast_slice) / len(fast_slice) / budget
+        burn_slow = left_sum(history) / len(history) / budget
         threshold = cfg.burn_threshold - EPS
         firing = burn_fast >= threshold and burn_slow >= threshold
         if firing == self._alert_on:
@@ -564,10 +570,18 @@ class SloEngine:
             "input": self._input_total,
             "output": self._output_total,
             "drops": self._drops_total,
-            "latency": self._latency_total.summary(),
+            "latency": self._latency_summary(),
             "failover": self._failover_hist.summary(),
             "windows": list(self._windows),
         }
+
+    def _latency_summary(self) -> dict[str, Optional[float]]:
+        """The run's latency over every drained sample: one sort of the
+        columns' drained prefixes, with the window sums as the sum."""
+        drained: list[float] = []
+        for cursor, (_, (_, latencies)) in zip(self._cursors, self._latency):
+            drained += latencies[:cursor]
+        return sorted_summary(drained, self._latency_sum)
 
 
 def attach_slo(

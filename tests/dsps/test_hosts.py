@@ -251,7 +251,8 @@ class _ParentScheduler(HostScheduler):
     *before* it runs the callbacks. Never opens the window, so the
     inherited ``submit`` / ``cancel`` / ``set_speed_factor`` / ``_advance``
     behave as they did then (``cancel`` of an absent owner aside, which
-    both now answer without touching the heap)."""
+    both now answer without touching the heap). A job is the list
+    ``[total, remaining, callback]``."""
 
     def _reschedule(self):
         if self._completion is not None:
@@ -259,7 +260,7 @@ class _ParentScheduler(HostScheduler):
             self._completion = None
         if not self._jobs:
             return
-        shortest = min(job.remaining for job in self._jobs.values())
+        shortest = min(job[1] for job in self._jobs.values())
         delay = max(shortest, 0.0) / (self.capacity / len(self._jobs))
         self._completion = self._env.schedule(delay, self._on_completion)
 
@@ -269,13 +270,13 @@ class _ParentScheduler(HostScheduler):
         finished = [
             (owner, job)
             for owner, job in self._jobs.items()
-            if job.remaining <= _EPSILON_CYCLES
+            if job[1] <= _EPSILON_CYCLES
         ]
         for owner, _ in finished:
             del self._jobs[owner]
         self._reschedule()
         for _, job in finished:
-            job.callback()
+            job[2]()
 
 
 class _FreshNumberScheduler(HostScheduler):
@@ -300,7 +301,7 @@ class _ReassociatedScheduler(HostScheduler):
     def _on_completion(self):
         self._completion = None
         env = self._env
-        now = env.now
+        now = env._now
         elapsed = now - self._last_update
         self._last_update = now
         jobs = self._jobs
@@ -311,16 +312,20 @@ class _ReassociatedScheduler(HostScheduler):
             self.cycles_delivered += progress * count
         finished = []
         for owner, job in jobs.items():
-            job.remaining -= progress
-            if job.remaining <= _EPSILON_CYCLES:
+            job[1] -= progress
+            if job[1] <= _EPSILON_CYCLES:
                 finished.append((owner, job))
         for owner, _ in finished:
             del jobs[owner]
-        self._reserved = env.take_seq() if jobs else None
+        if jobs:
+            self._reserved = env._sequence
+            env._sequence += 1
+        else:
+            self._reserved = None
         self._dispatching = True
         try:
             for _, job in finished:
-                job.callback()
+                job[2]()
         finally:
             self._dispatching = False
             reserved, self._reserved = self._reserved, None

@@ -59,9 +59,10 @@ class TestLatencyRecorder:
 
     def test_sample_buffer_is_live(self):
         recorder = LatencyRecorder()
-        buffer = recorder.sample_buffer()
+        times, latencies = recorder.sample_buffer()
         recorder.record(1.0, 0.25)
-        assert buffer == [(1.0, 0.25)]
+        assert (times, latencies) == ([1.0], [0.25])
+        assert recorder.samples == [(1.0, 0.25)]
 
 
 def tight_deployment(pipeline_descriptor):

@@ -83,23 +83,6 @@ class TestLogHistogram:
         sketch.add(0.0 + 1e-12)
         assert sketch.percentile(1.0) <= 1e-6 + 1e-12
 
-    def test_merge_equals_combined_ingest(self):
-        a, b, combined = LogHistogram(), LogHistogram(), LogHistogram()
-        for i in range(200):
-            value = math.exp((i * 37 % 100) / 10.0 - 5.0)
-            (a if i % 2 else b).add(value)
-            combined.add(value)
-        a.merge(b)
-        merged, direct = a.to_dict(), combined.to_dict()
-        # Sums accumulate in different order, so compare them
-        # tolerantly and everything else exactly.
-        assert merged.pop("sum") == pytest.approx(direct.pop("sum"))
-        assert merged == direct
-
-    def test_merge_rejects_mismatched_grid(self):
-        with pytest.raises(ValueError):
-            LogHistogram(growth=1.05).merge(LogHistogram(growth=1.1))
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             LogHistogram(growth=1.0)

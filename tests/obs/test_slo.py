@@ -155,9 +155,10 @@ class TestWindows:
         assert validate_lines(events.to_jsonl().splitlines()) == []
 
     def test_latency_cursor_splits_samples_at_window_bound(self):
-        samples = [(0.5, 0.010), (4.999, 0.020), (5.0, 0.030), (9.0, 0.040)]
+        times = [0.5, 4.999, 5.0, 9.0]
+        latencies = [0.010, 0.020, 0.030, 0.040]
         clock, events, engine = _engine(
-            SloConfig(window=5.0), latency=[("sink", samples)]
+            SloConfig(window=5.0), latency=[("sink", (times, latencies))]
         )
         engine.finalize(10.0)
         windows = list(events.of_type("slo.window"))

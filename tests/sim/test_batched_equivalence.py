@@ -56,8 +56,8 @@ FLEET = DataplaneParams(tenants=12, chaos_every=4, duration=30.0)
 
 def _sink_buffers_time_sorted(platform: StreamPlatform) -> bool:
     return all(
-        all(a[0] <= b[0] for a, b in zip(buffer, buffer[1:]))
-        for buffer in (
+        all(a <= b for a, b in zip(times, times[1:]))
+        for times, _latencies in (
             recorder.sample_buffer()
             for recorder in platform.metrics.sink_latency.values()
         )
@@ -67,11 +67,11 @@ def _sink_buffers_time_sorted(platform: StreamPlatform) -> bool:
 @pytest.fixture(scope="module", autouse=True)
 def sink_buffer_order() -> list[bool]:
     """Whether each platform run of this corpus ended with every sink's
-    latency buffer non-decreasing in arrival time, in run order.
+    arrival-time column non-decreasing, in run order.
 
-    The SLO engine drains a window from each buffer up to the first
-    sample at or past the window bound, so the order is a precondition
-    of its rollups; the last test of the module reads this record.
+    The SLO engine cuts a window from each sink's columns with
+    ``bisect_left`` on that column, so the order is a precondition of
+    its rollups; the last test of the module reads this record.
     """
     record: list[bool] = []
     run = StreamPlatform.run
@@ -359,6 +359,6 @@ class TestSinkBuffers:
         platform = tenant_platform(TenantTask(FLEET, 1))
         platform.run()
         assert _sink_buffers_time_sorted(platform)
-        buffer = platform.metrics.sink_latency["sink"].sample_buffer()
-        buffer[0], buffer[-1] = buffer[-1], buffer[0]
+        times, _ = platform.metrics.sink_latency["sink"].sample_buffer()
+        times[0], times[-1] = times[-1], times[0]
         assert not _sink_buffers_time_sorted(platform)
