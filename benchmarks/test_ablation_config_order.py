@@ -20,9 +20,7 @@ SEEDS = (31, 32, 33, 34)
 
 
 def solve(deployment, hungry_first):
-    config = FTSearchConfig(
-        time_limit=None, hungry_configs_first=hungry_first
-    )
+    config = FTSearchConfig(node_limit=None, hungry_configs_first=hungry_first)
     # The claim is about the paper's depth-first visit order, so it is
     # tested on the reference oracle, not the block engine.
     result = ReferenceFTSearch(

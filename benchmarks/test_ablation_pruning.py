@@ -36,7 +36,7 @@ def test_ablation_pruning(benchmark, save_figure):
     problem = OptimizationProblem(app.deployment, ic_target=0.5)
 
     baseline = benchmark.pedantic(
-        lambda: ft_search(problem, time_limit=None), rounds=1, iterations=1
+        lambda: ft_search(problem, node_limit=None), rounds=1, iterations=1
     )
     assert baseline.outcome is SearchOutcome.OPTIMAL
 
@@ -50,7 +50,7 @@ def test_ablation_pruning(benchmark, save_figure):
     ]
     for rule in PruneRule:
         ablated = ft_search(
-            problem, time_limit=None, disabled_rules=frozenset({rule})
+            problem, node_limit=None, disabled_rules=frozenset({rule})
         )
         assert ablated.outcome is SearchOutcome.OPTIMAL
         assert ablated.best_cost == pytest.approx(
@@ -66,7 +66,7 @@ def test_ablation_pruning(benchmark, save_figure):
             ]
         )
     everything = ft_search(
-        problem, time_limit=None, disabled_rules=frozenset(PruneRule)
+        problem, node_limit=None, disabled_rules=frozenset(PruneRule)
     )
     assert everything.outcome is SearchOutcome.OPTIMAL
     rows.append(

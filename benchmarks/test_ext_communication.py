@@ -64,7 +64,6 @@ def test_ext_communication(benchmark, save_figure):
     for name, deployment in (("balanced LPT", lpt), ("comm-aware", aware)):
         result = ft_search(
             OptimizationProblem(deployment, ic_target=0.5),
-            time_limit=None,
             node_limit=NODE_LIMIT,
         )
         assert result.outcome is SearchOutcome.OPTIMAL

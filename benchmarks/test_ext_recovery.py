@@ -52,7 +52,6 @@ def test_ext_recovery(benchmark, save_figure):
     )
     result = ft_search(
         OptimizationProblem(app.deployment, ic_target=0.5),
-        time_limit=None,
         node_limit=NODE_LIMIT,
         seed_incumbent=True,
     )

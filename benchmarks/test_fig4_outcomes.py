@@ -29,7 +29,7 @@ def test_fig4_outcomes(benchmark, study_results, save_figure):
     benchmark.pedantic(
         lambda: ReferenceFTSearch(
             OptimizationProblem(app.deployment, ic_target=0.7),
-            FTSearchConfig(time_limit=None, node_limit=NODE_LIMIT),
+            FTSearchConfig(node_limit=NODE_LIMIT),
         ).run(),
         rounds=1,
         iterations=1,

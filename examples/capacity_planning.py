@@ -42,7 +42,6 @@ def main() -> None:
     for target in (0.0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8):
         result = ft_search(
             OptimizationProblem(deployment, ic_target=target),
-            time_limit=None,
             node_limit=NODE_LIMIT,
         )
         if result.strategy is None:

@@ -37,12 +37,11 @@ def main() -> None:
           f" {3 ** (n_pes * n_configs):.3e} activation strategies\n")
 
     problem = OptimizationProblem(deployment, ic_target=0.5)
-    result = ft_search(problem, time_limit=30.0)
+    result = ft_search(problem)
 
     stats = result.stats
     print(f"outcome: {result.outcome.value}"
-          f" after {result.elapsed:.2f}s,"
-          f" {stats.nodes_expanded} nodes,"
+          f" after {stats.nodes_expanded} nodes,"
           f" {stats.values_tried} values tried,"
           f" {stats.solutions_found} solutions found")
     print(f"optimal cost {result.best_cost / GIGA:.3f} Gcyc/s,"

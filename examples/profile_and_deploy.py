@@ -116,9 +116,7 @@ def main() -> None:
     # Step 3: optimize on the inferred descriptor and deploy.
     print("\nstep 2: FT-Search on the inferred descriptor (IC >= 0.55)...")
     deployment = balanced_placement(descriptor, hosts, 2)
-    result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.55), time_limit=10.0
-    )
+    result = ft_search(OptimizationProblem(deployment, ic_target=0.55))
     print(f"   {result.outcome.value}: cost {result.best_cost / GIGA:.2f}"
           f" Gcyc/s, guaranteed IC {result.best_ic:.3f}")
 

@@ -29,9 +29,9 @@ TIERS = {
 def main() -> None:
     # The customer's application, with its descriptor (Sec. 3 item ii).
     app = generate_application(seed=77)
-    provider = Provisioner(
-        list(app.deployment.hosts), search_time_limit=3.0
-    )
+    # A node budget: the search never closes this 24-PE instance, so
+    # each offer is the best strategy found in 6 M nodes (~3 s here).
+    provider = Provisioner(list(app.deployment.hosts), node_limit=6_000_000)
     pricing = PricingPlan(
         base_fee=50.0, cpu_rate=0.0004, billing_period=3600.0
     )

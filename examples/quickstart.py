@@ -56,9 +56,7 @@ def main() -> None:
     deployment = balanced_placement(descriptor, hosts, replication_factor=2)
 
     # Off-line phase: FT-Search solves Eq. 9-12 for IC >= 0.5.
-    result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.5), time_limit=10.0
-    )
+    result = ft_search(OptimizationProblem(deployment, ic_target=0.5))
     print(f"FT-Search: {result.outcome.value}, "
           f"cost {result.best_cost / GIGA:.2f} Gcycles/s-period, "
           f"guaranteed IC {result.best_ic:.3f}")

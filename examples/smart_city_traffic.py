@@ -106,9 +106,7 @@ def main() -> None:
     print("rush-hour overload with full replication:",
           deployment.overloaded_hosts(1) or "none")
 
-    result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.6), time_limit=10.0
-    )
+    result = ft_search(OptimizationProblem(deployment, ic_target=0.6))
     if result.strategy is None:
         raise SystemExit(f"no strategy found: {result.outcome.value}")
     print(f"FT-Search: {result.outcome.value}, guaranteed IC"

@@ -47,6 +47,7 @@ from repro.core.altmetrics import (
     average_replication_factor,
     output_completeness,
 )
+from repro.core.optimizer.ftsearch import NODE_LIMIT
 from repro.core.render import host_load_report, strategy_table
 from repro.errors import ReproError
 from repro.workloads import (
@@ -86,12 +87,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     problem = OptimizationProblem(deployment, ic_target=args.ic)
     result = ft_search(
         problem,
-        time_limit=args.time_limit,
+        node_limit=args.node_limit,
         seed_incumbent=True,
     )
     print(
         f"FT-Search: {result.outcome.value}"
-        f" ({result.stats.nodes_expanded} nodes, {result.elapsed:.2f}s)"
+        f" ({result.stats.nodes_expanded} nodes)"
     )
     if result.strategy is None:
         print("no strategy found", file=sys.stderr)
@@ -152,7 +153,7 @@ def _resolve_strategy(
     deployment = load_bundle(bundle_path).deployment
     result = ft_search(
         OptimizationProblem(deployment, ic_target=args.ic),
-        time_limit=args.time_limit,
+        node_limit=args.node_limit,
         seed_incumbent=True,
         progress=progress,
     )
@@ -624,6 +625,9 @@ def _cmd_obs_diff(argv: Sequence[str]) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
+#: ``--node-limit`` of ``optimize``, ``obs`` and ``chaos run``.
+_NODE_LIMIT_HELP = "FT-Search budget in expanded nodes (default %(default)s)"
+
 #: ``--batched`` on a LAAR bundle (``obs``, ``chaos run``).
 _BATCHED_HELP = (
     "run under the batched execution engine: byte-identical event logs"
@@ -653,7 +657,8 @@ def _add_laar_run_options(
         "--ic", type=float, default=ic_default,
         help="IC target when optimizing a strategy (without --strategy)",
     )
-    parser.add_argument("--time-limit", type=float, default=10.0)
+    parser.add_argument("--node-limit", type=int, default=NODE_LIMIT,
+                        help=_NODE_LIMIT_HELP)
     parser.add_argument("--batched", action="store_true", help=_BATCHED_HELP)
     parser.add_argument(
         "--jobs", type=int, default=None,
@@ -734,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("bundle")
     optimize.add_argument("--ic", type=float, required=True)
-    optimize.add_argument("--time-limit", type=float, default=10.0)
+    optimize.add_argument("--node-limit", type=int, default=NODE_LIMIT,
+                          help=_NODE_LIMIT_HELP)
     optimize.add_argument("--out", required=True)
     optimize.set_defaults(func=_cmd_optimize)
 

@@ -49,11 +49,10 @@ class SearchResult:
     """Everything an FT-Search run reports.
 
     Cost figures are in the units of Eq. 13 (CPU cycle-seconds per billing
-    period); ``elapsed`` is wall-clock seconds. The first- and
-    best-solution fields feed the Fig. 5 histograms (cost and time ratios
-    between the first solution and the optimum), with time counted in
-    nodes expanded when the solution was found, so they are the same on
-    every host.
+    period). The first- and best-solution fields feed the Fig. 5
+    histograms (cost and time ratios between the first solution and the
+    optimum), with time counted in nodes expanded when the solution was
+    found, so they are the same on every host.
     """
 
     outcome: SearchOutcome
@@ -63,7 +62,6 @@ class SearchResult:
     first_solution_cost: Optional[float]
     first_solution_nodes: Optional[int]
     best_solution_nodes: Optional[int]
-    elapsed: float
     stats: "SearchStats" = field(repr=False)
 
     @property

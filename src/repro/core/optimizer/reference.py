@@ -19,7 +19,6 @@ module slow-but-obvious; performance work belongs in the block engine.
 from __future__ import annotations
 
 import math
-import time
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # import only for annotations: keeps the core light
@@ -200,13 +199,6 @@ class ReferenceFTSearch:
     def run(self) -> SearchResult:
         """Execute the search and classify the outcome."""
         self._stats = SearchStats(depth=self._n_vars)
-        self._start = time.monotonic()
-        self._deadline = (
-            None
-            if self._config.time_limit is None
-            else self._start + self._config.time_limit
-        )
-        self._budget_expired = False
 
         # Mutable search state.
         self._assigned: list[Optional[tuple[bool, bool]]] = (
@@ -246,7 +238,6 @@ class ReferenceFTSearch:
                 self._prunes_by_name(),
             )
 
-        elapsed = time.monotonic() - self._start
         strategy = None
         if self._best_assignment is not None:
             strategy = self._build_strategy(self._best_assignment)
@@ -267,7 +258,6 @@ class ReferenceFTSearch:
             first_solution_cost=self._first_cost,
             first_solution_nodes=self._first_nodes,
             best_solution_nodes=self._best_nodes,
-            elapsed=elapsed,
             stats=self._stats,
         )
 
@@ -638,11 +628,6 @@ class ReferenceFTSearch:
         if (
             self._config.node_limit is not None
             and self._stats.nodes_expanded > self._config.node_limit
-        ):
-            raise _BudgetExpired
-        if self._deadline is not None and (
-            self._stats.nodes_expanded % 64 == 0
-            and time.monotonic() > self._deadline
         ):
             raise _BudgetExpired
 

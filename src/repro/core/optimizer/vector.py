@@ -71,7 +71,6 @@ instances and campaigns.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -275,7 +274,6 @@ class VectorFTSearch:
         self._first_raw_cost: Optional[float] = None
         self._first_raw_nodes: Optional[int] = None
         self._best_raw_nodes: Optional[int] = None
-        self._start = time.monotonic()
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -284,8 +282,6 @@ class VectorFTSearch:
     def search(self) -> RawSearch:
         """Run the block search; returns raw candidates and counters."""
         self._reset_counters()
-        time_limit = self._config.time_limit
-        deadline = None if time_limit is None else self._start + time_limit
         node_limit = self._config.node_limit
 
         expired = False
@@ -303,9 +299,6 @@ class VectorFTSearch:
             if not stack:
                 break
             if node_limit is not None and self._nodes >= node_limit:
-                expired = True
-                break
-            if deadline is not None and time.monotonic() > deadline:
                 expired = True
                 break
             pending, lo, hi = stack.pop()
@@ -382,7 +375,6 @@ class VectorFTSearch:
             stats.prune_counts[rule] = raw.prune_counts[i]
             stats.prune_height_sums[rule] = raw.prune_heights[i]
 
-        elapsed = time.monotonic() - self._start
         strategy = (
             None
             if codes is None
@@ -411,7 +403,6 @@ class VectorFTSearch:
             first_solution_cost=raw.first_raw_cost,
             first_solution_nodes=raw.first_raw_nodes,
             best_solution_nodes=None if strategy is None else best_nodes,
-            elapsed=elapsed,
             stats=stats,
         )
 

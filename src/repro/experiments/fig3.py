@@ -111,7 +111,6 @@ def run_fig3(duration: float = 90.0) -> Fig3Data:
     _, deployment = build_pipeline_application()
     result = ft_search(
         OptimizationProblem(deployment, ic_target=0.5),
-        time_limit=None,
         node_limit=NODE_LIMIT,
     )
     if result.strategy is None:

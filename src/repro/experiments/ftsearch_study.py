@@ -150,7 +150,7 @@ def _search_task(task: tuple[GeneratedApplication, float]) -> StudyRun:
     app, target = task
     result = ReferenceFTSearch(
         OptimizationProblem(app.deployment, ic_target=target),
-        FTSearchConfig(time_limit=None, node_limit=NODE_LIMIT),
+        FTSearchConfig(node_limit=NODE_LIMIT),
     ).run()
     return _to_run(app, target, result)
 

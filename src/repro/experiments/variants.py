@@ -93,7 +93,6 @@ def build_variants(
         name = laar_variant_name(target)
         result = ft_search(
             OptimizationProblem(app.deployment, ic_target=target),
-            time_limit=None,
             node_limit=NODE_LIMIT,
             seed_incumbent=True,
         )

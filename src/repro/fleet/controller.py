@@ -182,8 +182,8 @@ class FleetController:
         """``telemetry`` is a :class:`repro.obs.Telemetry` (or anything
         with a compatible ``emit``); ``sustain_checks`` is how many
         *consecutive* out-of-contract observations trigger a re-plan.
-        Searches run under ``node_limit`` with no wall-clock limit, so
-        every decision is independent of host speed."""
+        Searches run under ``node_limit``, so every decision is
+        independent of host speed."""
         if sustain_checks < 1:
             raise ModelError(
                 f"sustain_checks must be >= 1, got {sustain_checks}"
@@ -229,7 +229,6 @@ class FleetController:
             provisioner = Provisioner(
                 list(slice_hosts),
                 replication_factor=self._k,
-                search_time_limit=None,
                 node_limit=self._node_limit,
                 store=self._store,
             )

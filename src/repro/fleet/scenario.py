@@ -170,7 +170,6 @@ def _prewarm_task(task: tuple[int, TenantClass]) -> list[tuple[str, dict]]:
     provisioner = Provisioner(
         list(app.deployment.hosts),
         replication_factor=REPLICATION_FACTOR,
-        search_time_limit=None,
         node_limit=NODE_LIMIT,
         store=store,
     )

@@ -116,9 +116,9 @@ def result_from_record(
 ) -> SearchResult:
     """Rehydrate a store record into a :class:`SearchResult`.
 
-    Wall-clock fields (first/best solution times, elapsed) are zeroed:
-    the cached result did not run a search. The node counter is restored
-    so reports can still attribute the original search effort.
+    The first/best solution fields are empty: the cached result did not
+    run a search. The node counter is restored so reports can still
+    attribute the original search effort.
     """
     _check_record(record)
     strategy = (
@@ -134,7 +134,6 @@ def result_from_record(
         first_solution_cost=None,
         first_solution_nodes=None,
         best_solution_nodes=None,
-        elapsed=0.0,
         stats=SearchStats(nodes_expanded=record["nodes"]),
     )
 

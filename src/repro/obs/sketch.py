@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "LogHistogram",
@@ -233,19 +233,4 @@ class LogHistogram:
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "max": self._max,
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (bucket keys stringified, sorted order)."""
-        return {
-            "growth": self.growth,
-            "min_value": self.min_value,
-            "count": self._count,
-            "sum": self._sum,
-            "min": None if self._count == 0 else self._min,
-            "max": None if self._count == 0 else self._max,
-            "buckets": {
-                str(index): self._counts[index]
-                for index in sorted(self._counts)
-            },
         }

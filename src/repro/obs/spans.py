@@ -8,17 +8,10 @@ the shared :class:`~repro.obs.events.EventLog`, so the timeline renders
 inline with drops and crashes, and completed spans stay queryable by
 name for report tables.
 
-Two usage styles:
-
-* **explicit handles** for concurrent simulation processes — call
-  :meth:`SpanTracer.begin` where the window opens, keep the returned
-  :class:`Span`, and call :meth:`Span.end` where it closes. Many spans
-  of the same name may be open at once (e.g. two hosts failing over
-  concurrently).
-* **context manager** for sequential code::
-
-      with tracer.span("config.switch", frm=0, to=2):
-          ...
+Call :meth:`SpanTracer.begin` where the window opens, keep the returned
+:class:`Span`, and call :meth:`Span.end` where it closes. Many spans of
+the same name may be open at once (e.g. two hosts failing over
+concurrently).
 
 Durations are differences of the simulated clock, so they are exactly
 reproducible for a fixed seed.
@@ -66,12 +59,6 @@ class Span:
             self._tracer._finish(self, fields)
         return self
 
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.end()
-
 
 class SpanTracer:
     """Creates spans against a clock and records them into an event log."""
@@ -91,10 +78,6 @@ class SpanTracer:
         span = Span(self, span_id, name, self._clock(), dict(fields))
         self._events.emit("span.start", span=span_id, name=name, **fields)
         return span
-
-    def span(self, name: str, **fields: Any) -> Span:
-        """Alias of :meth:`begin` reading well in ``with`` statements."""
-        return self.begin(name, **fields)
 
     def _finish(self, span: Span, fields: dict[str, Any]) -> None:
         span.end_time = self._clock()

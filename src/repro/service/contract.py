@@ -28,9 +28,10 @@ from repro.core.optimizer import (
     SearchResult,
     ft_search,
 )
+from repro.core.optimizer.ftsearch import NODE_LIMIT
 from repro.core.strategy import ActivationStrategy
 from repro.dsps.metrics import RunMetrics
-from repro.errors import InfeasibleError, ModelError
+from repro.errors import InfeasibleError, ModelError, OptimizationError
 from repro.fleet.store import (
     StrategyStore,
     record_from_result,
@@ -190,37 +191,39 @@ class ProvisionedApplication:
 class Provisioner:
     """The provider side: place, optimize, and price a contract.
 
-    ``search_time_limit`` and ``node_limit`` bound the FT-Search run;
-    fleet scenarios use ``search_time_limit=None`` with a node limit so
-    results are independent of host speed. With a ``store`` attached, provisioning first consults the :class:`~repro.fleet.store
-    .StrategyStore` and every fresh search result (including infeasible
-    proofs) is written back, so repeated provisioning of identical
-    descriptors skips the search entirely.
+    ``node_limit`` bounds the FT-Search run in expanded nodes, so its
+    result is independent of host speed; ``search_time_limit`` accepts
+    only ``None`` (FT-Search reads no clock). With a ``store`` attached,
+    provisioning first consults the
+    :class:`~repro.fleet.store.StrategyStore` and every fresh search
+    result (including infeasible proofs) is written back, so repeated
+    provisioning of identical descriptors skips the search entirely.
     """
 
     def __init__(
         self,
         hosts: list[Host],
         replication_factor: int = 2,
-        search_time_limit: Optional[float] = 10.0,
-        node_limit: Optional[int] = None,
+        search_time_limit: None = None,
+        node_limit: Optional[int] = NODE_LIMIT,
         store: Optional[StrategyStore] = None,
     ) -> None:
         if not hosts:
             raise ModelError("the provider needs at least one host")
+        if search_time_limit is not None:
+            raise OptimizationError(
+                f"FT-Search budgets are in nodes (node_limit), got"
+                f" search_time_limit={search_time_limit!r}"
+            )
         self._hosts = list(hosts)
         self._k = replication_factor
-        self._time_limit = search_time_limit
         self._node_limit = node_limit
         self._store = store
 
     def _search_signature(self) -> str:
         """Identifies the search configuration inside store keys, so a
         record is only reused by an identically-configured search."""
-        return (
-            f"ftsearch:time={self._time_limit}:nodes={self._node_limit}"
-            ":seed=1"
-        )
+        return f"ftsearch:nodes={self._node_limit}:seed=1"
 
     def try_provision(
         self,
@@ -269,7 +272,6 @@ class Provisioner:
             OptimizationProblem(
                 deployment, ic_target=contract.sla.ic_target
             ),
-            time_limit=self._time_limit,
             node_limit=self._node_limit,
             seed_incumbent=True,
             warm_start=warm_start,

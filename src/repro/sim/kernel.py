@@ -29,6 +29,10 @@ from repro.errors import SimulationError
 __all__ = ["Environment", "EventHandle"]
 
 
+def _never() -> None:
+    """The callback of an event pending when its environment closed."""
+
+
 class EventHandle:
     """A scheduled callback; ``cancel()`` prevents it from firing.
 
@@ -253,8 +257,14 @@ class Environment:
 
         Their callbacks and hooks lead back to whatever owns this
         environment, so dropping them lets that owner be freed by
-        reference counting once its run is over.
+        reference counting once its run is over. A pending event's
+        handle can outlive the heap (a migration window keeps the handle
+        of its next step), so each pending handle drops its callback and
+        idle probe too.
         """
+        for _time, _seq, handle in self._queue:
+            handle.callback = _never
+            handle.idle = None
         self._queue = []
         self.engine = None
         self.telemetry = None

@@ -54,7 +54,7 @@ class TestChaosRun:
                 "--pes", "3",
                 "--hosts", "3",
                 "--duration", "15",
-                "--time-limit", "3",
+                "--node-limit", "200000",
                 "--out-dir", str(out_dir),
             ]
         )

@@ -17,7 +17,7 @@ def _search(problem) -> tuple:
     """Fabric worker: one in-process search, reduced to what it found."""
     from repro.core.optimizer import ft_search
 
-    result = ft_search(problem, time_limit=None)
+    result = ft_search(problem, node_limit=None)
     strategy = result.strategy
     return result.best_cost, None if strategy is None else strategy.to_dict()
 

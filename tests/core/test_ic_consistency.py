@@ -71,7 +71,7 @@ def searched(seed):
     deployment = random_deployment(rng, descriptor)
     target = rng.choice([0.0, 0.3, 0.5, 0.7])
     problem = OptimizationProblem(deployment, ic_target=target)
-    return deployment, ft_search(problem, time_limit=None, node_limit=20_000)
+    return deployment, ft_search(problem, node_limit=20_000)
 
 
 def assert_judge_holds_the_proven_bound(seed):
@@ -146,7 +146,6 @@ class TestConsistency:
         target = rng.choice([0.3, 0.5, 0.66])
         result = ft_search(
             OptimizationProblem(pipeline_deployment, ic_target=target),
-            time_limit=30.0,
         )
         assert result.strategy is not None
         assert internal_completeness(result.strategy) == pytest.approx(

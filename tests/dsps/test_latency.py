@@ -114,9 +114,7 @@ class TestPipelineLatency:
             middleware_config=MiddlewareConfig(dynamic=False),
         ).run()
 
-        result = ft_search(
-            OptimizationProblem(deployment, ic_target=0.5), time_limit=10.0
-        )
+        result = ft_search(OptimizationProblem(deployment, ic_target=0.5))
         laar_run = ExtendedApplication(
             deployment, result.strategy, trace
         ).run()

@@ -207,9 +207,7 @@ def observed_inputs(tmp_path_factory):
     )
     bundle = root / "app.json"
     save_bundle(app, bundle)
-    result = ft_search(
-        OptimizationProblem(app.deployment, ic_target=0.5), time_limit=5.0
-    )
+    result = ft_search(OptimizationProblem(app.deployment, ic_target=0.5))
     assert result.strategy is not None
     strategy = root / "strategy.json"
     result.strategy.to_json(strategy)

@@ -17,7 +17,7 @@ import gc
 from typing import Any, Callable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dsps.operators import ReplicaGroup
@@ -102,6 +102,9 @@ class TestClose:
 
 
 @settings(max_examples=12, deadline=None)
+# Tenant 7 ends its run inside a migration window: the window kept the
+# handle of its pending cutover, whose callback led back to the engine.
+@example(tenant=7, chaos_every=0, batching=False, slo=False, elastic=True)
 @given(
     tenant=st.integers(0, 63),
     chaos_every=st.integers(0, 8),

@@ -24,7 +24,7 @@ from repro.fleet.store import (
 def solved(pipeline_deployment):
     result = ft_search(
         OptimizationProblem(pipeline_deployment, ic_target=0.5),
-        time_limit=None,
+        node_limit=None,
         seed_incumbent=True,
     )
     assert result.outcome is SearchOutcome.OPTIMAL
@@ -78,7 +78,7 @@ class TestRecords:
     def test_infeasible_record_round_trips(self, tight_pipeline_deployment):
         result = ft_search(
             OptimizationProblem(tight_pipeline_deployment, ic_target=1.0),
-            time_limit=None,
+            node_limit=None,
         )
         assert result.outcome is SearchOutcome.INFEASIBLE
         record = record_from_result(result)

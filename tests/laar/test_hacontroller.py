@@ -21,9 +21,7 @@ def setup(pipeline_descriptor):
         Host("h1", cores=2, cycles_per_core=0.5 * GIGA),
     ]
     deployment = balanced_placement(pipeline_descriptor, hosts, 2)
-    result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.5), time_limit=10.0
-    )
+    result = ft_search(OptimizationProblem(deployment, ic_target=0.5))
     assert result.strategy is not None
     platform = StreamPlatform(
         deployment,

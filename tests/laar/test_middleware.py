@@ -29,9 +29,7 @@ def fig3_setup(pipeline_descriptor):
         Host("h1", cores=2, cycles_per_core=0.5 * GIGA),
     ]
     deployment = balanced_placement(pipeline_descriptor, hosts, 2)
-    result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.5), time_limit=10.0
-    )
+    result = ft_search(OptimizationProblem(deployment, ic_target=0.5))
     assert result.strategy is not None
     trace = {"src": two_level_trace(4.0, 8.0, duration=90.0)}
     return deployment, result.strategy, trace

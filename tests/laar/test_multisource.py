@@ -58,9 +58,7 @@ def two_source_setup():
         Host("h1", cores=2, cycles_per_core=0.55 * GIGA),
     ]
     deployment = balanced_placement(descriptor, hosts, 2)
-    result = ft_search(
-        OptimizationProblem(deployment, ic_target=0.5), time_limit=15.0
-    )
+    result = ft_search(OptimizationProblem(deployment, ic_target=0.5))
     assert result.strategy is not None
     return descriptor, deployment, result
 

@@ -111,7 +111,7 @@ class TestRealSearch:
         for _ in range(2):
             progress = SearchProgress(every=50)
             result = ft_search(
-                problem, time_limit=None, progress=progress, jobs=1
+                problem, node_limit=None, progress=progress, jobs=1
             )
             series.append(progress.to_list())
         assert series[0] == series[1]

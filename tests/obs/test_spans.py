@@ -50,12 +50,6 @@ class TestSpanLifecycle:
         assert span.duration == 1.0
         assert events.count("span.end") == 1
 
-    def test_context_manager_closes_on_exit(self):
-        tracer, _, clock = make_tracer()
-        with tracer.span("config.switch") as span:
-            clock.now = 0.25
-        assert span.duration == 0.25
-
 
 class TestConcurrentSpans:
     def test_same_name_spans_may_overlap(self):

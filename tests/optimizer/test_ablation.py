@@ -31,7 +31,7 @@ ALL_RULES = frozenset(PruneRule)
 
 
 def optimum_with(problem, disabled):
-    result = ft_search(problem, time_limit=60.0, disabled_rules=disabled)
+    result = ft_search(problem, disabled_rules=disabled)
     assert result.outcome.is_proof, "ablation tests need exhausted searches"
     if result.outcome is SearchOutcome.INFEASIBLE:
         return math.inf
@@ -66,8 +66,8 @@ class TestExhaustiveSubsets:
         """With everything off the search is brute force with leaf checks;
         it visits strictly more nodes but finds the same answer."""
         problem = OptimizationProblem(pipeline_deployment, ic_target=0.5)
-        fast = ft_search(problem, time_limit=60.0)
-        slow = ft_search(problem, time_limit=60.0, disabled_rules=ALL_RULES)
+        fast = ft_search(problem)
+        slow = ft_search(problem, disabled_rules=ALL_RULES)
         assert slow.outcome is SearchOutcome.OPTIMAL
         assert slow.best_cost == pytest.approx(fast.best_cost)
         assert slow.stats.values_tried >= fast.stats.values_tried
@@ -77,16 +77,14 @@ class TestExhaustiveSubsets:
         self, pipeline_deployment
     ):
         problem = OptimizationProblem(pipeline_deployment, ic_target=1.0)
-        baseline = ft_search(problem, time_limit=60.0)
+        baseline = ft_search(problem)
         # IC = 1 is feasible on the roomy deployment; tighten to the point
         # of infeasibility with an impossible combination instead:
         # nothing to assert if feasible - use a target beyond achievable.
         if baseline.outcome is SearchOutcome.OPTIMAL:
             return
         for rule in PruneRule:
-            ablated = ft_search(
-                problem, time_limit=60.0, disabled_rules=frozenset({rule})
-            )
+            ablated = ft_search(problem, disabled_rules=frozenset({rule}))
             assert ablated.outcome is baseline.outcome
 
 
@@ -119,8 +117,8 @@ class TestRandomisedAblation:
         descriptor = random_descriptor(rng, n_pes=3)
         deployment = random_deployment(rng, descriptor)
         problem = OptimizationProblem(deployment, ic_target=0.5)
-        fast = ft_search(problem, time_limit=60.0)
-        slow = ft_search(problem, time_limit=60.0, disabled_rules=ALL_RULES)
+        fast = ft_search(problem)
+        slow = ft_search(problem, disabled_rules=ALL_RULES)
         assert fast.stats.values_tried <= slow.stats.values_tried
 
 
@@ -128,7 +126,5 @@ class TestAblationDiagnostics:
     def test_disabled_rule_records_no_prunes(self, pipeline_deployment):
         problem = OptimizationProblem(pipeline_deployment, ic_target=0.7)
         for rule in PruneRule:
-            result = ft_search(
-                problem, time_limit=60.0, disabled_rules=frozenset({rule})
-            )
+            result = ft_search(problem, disabled_rules=frozenset({rule}))
             assert result.stats.prune_counts[rule] == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -69,13 +70,13 @@ class TestPipelineSearch:
         an IC target of 0.5 keeps pe1 fully replicated everywhere and pe2
         single everywhere: cost 1.44e9, IC exactly 0.5."""
         problem = OptimizationProblem(pipeline_deployment, ic_target=0.5)
-        result = ft_search(problem, time_limit=30.0)
+        result = ft_search(problem)
         assert result.outcome is SearchOutcome.OPTIMAL
         assert result.best_cost == pytest.approx(1.44 * GIGA)
         assert result.best_ic == pytest.approx(0.5)
 
     def test_solution_is_feasible(self, tight_problem):
-        result = ft_search(tight_problem, time_limit=30.0)
+        result = ft_search(tight_problem)
         assert result.outcome is SearchOutcome.OPTIMAL
         evaluation = tight_problem.evaluate(result.strategy)
         assert evaluation.feasible
@@ -85,7 +86,7 @@ class TestPipelineSearch:
     def test_incremental_bookkeeping_matches_model(self, tight_problem):
         """The search's internal IC/cost accounting must agree with the
         reference implementations in repro.core.ic / repro.core.cost."""
-        result = ft_search(tight_problem, time_limit=30.0)
+        result = ft_search(tight_problem)
         assert internal_completeness(result.strategy) == pytest.approx(
             result.best_ic
         )
@@ -96,7 +97,7 @@ class TestPipelineSearch:
 
     def test_ic_one_requires_full_replication(self, pipeline_deployment):
         problem = OptimizationProblem(pipeline_deployment, ic_target=1.0)
-        result = ft_search(problem, time_limit=30.0)
+        result = ft_search(problem)
         assert result.outcome is SearchOutcome.OPTIMAL
         for pe in ("pe1", "pe2"):
             for c in range(2):
@@ -117,7 +118,7 @@ class TestPipelineSearch:
             pipeline_descriptor, hosts, assignment, 2
         )
         problem = OptimizationProblem(deployment, ic_target=0.0)
-        result = ft_search(problem, time_limit=30.0)
+        result = ft_search(problem)
         assert result.outcome is SearchOutcome.INFEASIBLE
         assert result.strategy is None
 
@@ -127,7 +128,7 @@ class TestPipelineSearch:
         problem = OptimizationProblem(
             tight_problem.deployment, ic_target=1.0
         )
-        result = ft_search(problem, time_limit=30.0)
+        result = ft_search(problem)
         assert result.outcome is SearchOutcome.INFEASIBLE
 
     def test_node_budget_truncates(self, tight_problem):
@@ -152,28 +153,37 @@ class TestPipelineSearch:
 
     def test_bad_config_rejected(self):
         with pytest.raises(OptimizationError):
-            FTSearchConfig(time_limit=-1.0)
+            FTSearchConfig(node_limit=-1)
         with pytest.raises(OptimizationError):
             FTSearchConfig(node_limit=0)
 
 
 class TestBudgetsAndValidation:
     @pytest.mark.parametrize(
-        "budget",
-        [{"time_limit": math.inf}, {"time_limit": math.nan}],
-        ids=["time-inf", "time-nan"],
+        "node_limit",
+        [math.inf, math.nan, True, 0.5, 2.5, 0, -5],
+        ids=["nodes-inf", "nodes-nan", "nodes-true", "nodes-half",
+             "nodes-2.5", "nodes-zero", "nodes-negative"],
     )
-    def test_non_finite_budget_rejected(self, budget):
-        """A NaN time limit was no limit."""
-        with pytest.raises(OptimizationError, match="finite"):
-            FTSearchConfig(**budget)
+    def test_non_finite_budget_rejected(self, node_limit):
+        """The budget is a positive int: a NaN or infinite node limit
+        would run unbounded, ``True`` or ``0.5`` would be one node and
+        ``2.5`` would crash the block engine's slicing."""
+        with pytest.raises(
+            OptimizationError, match=re.escape(repr(node_limit))
+        ):
+            FTSearchConfig(node_limit=node_limit)
+
+    def test_a_wall_clock_budget_is_refused(self, tight_problem):
+        """FT-Search reads no clock: ``time_limit`` accepts only None."""
+        with pytest.raises(OptimizationError, match="in nodes"):
+            ft_search(tight_problem, time_limit=10.0)
 
     def test_node_budget_truncates_with_anytime_outcome(self):
         from tests.optimizer.test_ftsearch_equivalence import _rich_problem
 
         result = ft_search(
             _rich_problem(),
-            time_limit=None,
             node_limit=10,
             seed_incumbent=True,
             jobs=1,
@@ -190,8 +200,8 @@ class TestBudgetsAndValidation:
 
         monkeypatch.setenv("REPRO_JOBS", "4")
         problem = _rich_problem()
-        default = ft_search(problem, time_limit=None)
-        one = ft_search(problem, time_limit=None, jobs=1)
+        default = ft_search(problem, node_limit=None)
+        one = ft_search(problem, node_limit=None, jobs=1)
         assert default.best_cost == one.best_cost
         assert default.strategy.to_dict() == one.strategy.to_dict()
         assert default.stats == one.stats
@@ -211,30 +221,30 @@ class TestBudgetsAndValidation:
 
 class TestPruningStatistics:
     def test_cpu_prunes_fire_on_tight_deployment(self, tight_problem):
-        result = ft_search(tight_problem, time_limit=30.0)
+        result = ft_search(tight_problem)
         assert result.stats.prune_counts[PruneRule.CPU] > 0
 
     def test_compl_prunes_fire_for_high_targets(self, pipeline_deployment):
         problem = OptimizationProblem(pipeline_deployment, ic_target=0.9)
-        result = ft_search(problem, time_limit=30.0)
+        result = ft_search(problem)
         assert result.stats.prune_counts[PruneRule.COMPLETENESS] > 0
 
     def test_prune_shares_sum_to_one(self, tight_problem):
-        result = ft_search(tight_problem, time_limit=30.0)
+        result = ft_search(tight_problem)
         stats = result.stats
         if stats.total_prunes:
             total = sum(stats.prune_share(rule) for rule in PruneRule)
             assert total == pytest.approx(1.0)
 
     def test_heights_bounded_by_depth(self, tight_problem):
-        result = ft_search(tight_problem, time_limit=30.0)
+        result = ft_search(tight_problem)
         stats = result.stats
         for rule in PruneRule:
             assert 0 <= stats.mean_prune_height(rule) <= stats.depth
 
     def test_stats_merge(self, tight_problem):
-        a = ft_search(tight_problem, time_limit=30.0).stats
-        b = ft_search(tight_problem, time_limit=30.0).stats
+        a = ft_search(tight_problem).stats
+        b = ft_search(tight_problem).stats
         merged = a.merge(b)
         assert merged.nodes_expanded == a.nodes_expanded + b.nodes_expanded
         for rule in PruneRule:
@@ -257,7 +267,7 @@ class TestAgainstBruteForce:
         deployment = random_deployment(rng, descriptor)
         problem = OptimizationProblem(deployment, ic_target=ic_target)
         reference = brute_force_optimum(problem)
-        result = ft_search(problem, time_limit=60.0)
+        result = ft_search(problem)
         if reference is None:
             assert result.outcome is SearchOutcome.INFEASIBLE
         else:
@@ -279,7 +289,6 @@ class TestAgainstBruteForce:
         for target in (0.2, 0.5, 0.8):
             result = ft_search(
                 OptimizationProblem(deployment, ic_target=target),
-                time_limit=60.0,
             )
             if result.outcome is SearchOutcome.INFEASIBLE:
                 costs.append(math.inf)
@@ -297,7 +306,7 @@ class TestSolutionTimes:
     def test_best_solution_time_is_when_the_incumbent_last_tightened(self):
         from tests.optimizer.test_ftsearch_equivalence import _problem
 
-        result = ft_search(_problem(6, "mid"), time_limit=None)
+        result = ft_search(_problem(6, "mid"), node_limit=None)
         assert result.outcome is SearchOutcome.OPTIMAL
         # The first leaf is not the best one, and ~50 k nodes of proof
         # follow the last improvement.
@@ -315,9 +324,9 @@ class TestSolutionTimes:
     ):
         """The oracle's convention: a seed incumbent no leaf improves on
         was found at node 0."""
-        cold = ft_search(tight_problem, time_limit=None)
+        cold = ft_search(tight_problem, node_limit=None)
         warm = ft_search(
-            tight_problem, time_limit=None, warm_start=cold.strategy
+            tight_problem, node_limit=None, warm_start=cold.strategy
         )
         assert warm.best_cost == cold.best_cost
         assert warm.best_solution_nodes == 0
@@ -335,9 +344,7 @@ class TestCandidateBound:
         )
         engine = VectorFTSearch(
             problem,
-            FTSearchConfig(
-                time_limit=None, node_limit=100_000, seed_incumbent=True
-            ),
+            FTSearchConfig(node_limit=100_000, seed_incumbent=True),
         )
         raw = engine.search()
         costs = [cost for cost, _path in raw.candidates]

@@ -108,7 +108,7 @@ def assert_equivalent(
 def check_corpus_case(seed: int, size: str = "toy", **config) -> None:
     """One corpus case: ``config`` is the :class:`FTSearchConfig` mode."""
     assert_equivalent(
-        _problem(seed, size), FTSearchConfig(time_limit=None, **config)
+        _problem(seed, size), FTSearchConfig(node_limit=None, **config)
     )
 
 
@@ -154,11 +154,9 @@ def test_equivalent_under_node_budget(seed, node_limit):
     returns — if anything — a feasible strategy no cheaper than the
     optimum."""
     problem = _problem(seed)
-    optimum = ReferenceFTSearch(
-        problem, FTSearchConfig(time_limit=None)
-    ).run()
+    optimum = ReferenceFTSearch(problem, FTSearchConfig(node_limit=None)).run()
     capped = VectorFTSearch(
-        problem, FTSearchConfig(time_limit=None, node_limit=node_limit)
+        problem, FTSearchConfig(node_limit=node_limit)
     ).run()
     assert capped.stats.nodes_expanded <= node_limit
     if capped.outcome.is_proof:
@@ -197,7 +195,7 @@ def test_a_flipped_tie_break_fails_the_check():
     """On toy seed 24 the flipped order finds a co-optimal strategy —
     bit-equal cost and IC, other replicas — and the check rejects it."""
     problem = _problem(24)
-    config = FTSearchConfig(time_limit=None)
+    config = FTSearchConfig(node_limit=None)
     result = VectorFTSearch(problem, config).run()
     flipped = _FlippedTieBreak(problem, config).run()
     assert (flipped.best_cost, flipped.best_ic) == (
@@ -257,7 +255,7 @@ class TestVectorEqualsReference:
         """Correctness never depends on the block-row budget (node
         counts may: splitting finds incumbents in a different order)."""
         problem = _problem(seed, "mid")
-        config = FTSearchConfig(time_limit=None)
+        config = FTSearchConfig(node_limit=None)
         baseline = VectorFTSearch(problem, config).run()
         tiny = VectorFTSearch(problem, config, block_rows=3).run()
         assert_same_optimum(tiny, baseline)
@@ -266,11 +264,11 @@ class TestVectorEqualsReference:
 class TestWarmStart:
     def test_warm_start_seeds_the_vector_engine(self):
         problem = _rich_problem()
-        cold = ft_search(problem, time_limit=None)
+        cold = ft_search(problem, node_limit=None)
         assert cold.strategy is not None
         engine = VectorFTSearch(
             problem,
-            FTSearchConfig(time_limit=None, warm_start=cold.strategy),
+            FTSearchConfig(node_limit=None, warm_start=cold.strategy),
         )
         assert engine.seed.codes is not None
         assert engine.seed.cost == cold.best_cost
@@ -285,7 +283,7 @@ from repro.core.optimizer import FTSearchConfig, VectorFTSearch
 from tests.optimizer.test_ftsearch_equivalence import N_INSTANCES, _problem
 for seed in range(N_INSTANCES):
     result = VectorFTSearch(
-        _problem(seed), FTSearchConfig(time_limit=None)
+        _problem(seed), FTSearchConfig(node_limit=None)
     ).run()
     print(seed, repr(result.best_cost), result.stats.nodes_expanded)
 """
@@ -396,7 +394,7 @@ def test_equivalent_on_generated_instances(
     assert_equivalent(
         problem,
         FTSearchConfig(
-            time_limit=None,
+            node_limit=None,
             disabled_rules=frozenset(disabled),
             seed_incumbent=seeded,
         ),

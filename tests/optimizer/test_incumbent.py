@@ -15,6 +15,11 @@ from repro.core import (
 from repro.workloads import generate_application
 
 
+#: A short search on the hard app: far below the ~8 k nodes the 0.9
+#: target needs to prove NUL and the millions IC 0.4 needs to exhaust.
+BUDGET = 2000
+
+
 @pytest.fixture(scope="module")
 def hard_app():
     """Seed 77 is the motivating instance: without seeding, no feasible
@@ -24,13 +29,11 @@ def hard_app():
 
 class TestSeeding:
     def test_unseeded_search_times_out_empty(self, hard_app):
-        """Under a node budget, not a wall-clock one, so the outcome is
-        the same on every host; the block engine and the oracle are both
-        still empty-handed at ten times this budget."""
+        """The block engine and the oracle are both still empty-handed
+        at ten times this budget."""
         result = ft_search(
             OptimizationProblem(hard_app.deployment, ic_target=0.4),
-            time_limit=None,
-            node_limit=2000,
+            node_limit=BUDGET,
         )
         assert result.outcome is SearchOutcome.TIMEOUT
         assert result.strategy is None
@@ -38,7 +41,7 @@ class TestSeeding:
     def test_seeded_search_returns_the_incumbent(self, hard_app):
         result = ft_search(
             OptimizationProblem(hard_app.deployment, ic_target=0.4),
-            time_limit=0.5,
+            node_limit=BUDGET,
             seed_incumbent=True,
         )
         assert result.outcome is SearchOutcome.FEASIBLE
@@ -52,7 +55,7 @@ class TestSeeding:
         the short search stays empty-handed (TMO) or proves NUL."""
         result = ft_search(
             OptimizationProblem(hard_app.deployment, ic_target=0.9),
-            time_limit=0.5,
+            node_limit=BUDGET,
             seed_incumbent=True,
         )
         assert result.outcome in (
@@ -62,14 +65,14 @@ class TestSeeding:
 
     def test_seeding_never_worsens_the_optimum(self, pipeline_deployment):
         problem = OptimizationProblem(pipeline_deployment, ic_target=0.5)
-        plain = ft_search(problem, time_limit=30.0)
-        seeded = ft_search(problem, time_limit=30.0, seed_incumbent=True)
+        plain = ft_search(problem)
+        seeded = ft_search(problem, seed_incumbent=True)
         assert plain.outcome is SearchOutcome.OPTIMAL
         assert seeded.outcome is SearchOutcome.OPTIMAL
         assert seeded.best_cost == pytest.approx(plain.best_cost)
 
     def test_seeded_incumbent_enables_cost_pruning(self, pipeline_deployment):
         problem = OptimizationProblem(pipeline_deployment, ic_target=0.5)
-        plain = ft_search(problem, time_limit=30.0)
-        seeded = ft_search(problem, time_limit=30.0, seed_incumbent=True)
+        plain = ft_search(problem)
+        seeded = ft_search(problem, seed_incumbent=True)
         assert seeded.stats.values_tried <= plain.stats.values_tried

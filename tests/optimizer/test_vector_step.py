@@ -32,7 +32,6 @@ import copy
 import dataclasses
 import itertools
 import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -107,7 +106,8 @@ class _ParentCode(VectorFTSearch):
     stack of commit ``7961dfc``, whole child blocks cut into chunks
     (``search`` and ``_push``, verbatim but for ``_Block.slice``,
     reading the engine's candidate store, now one path per cost, and
-    the solution fields, now node counts)."""
+    the solution fields, now node counts; the wall-clock deadline went
+    with the engine's)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -116,17 +116,12 @@ class _ParentCode(VectorFTSearch):
     def search(self) -> RawSearch:
         """Run the block search; returns raw candidates and counters."""
         self._reset_counters()
-        time_limit = self._config.time_limit
-        deadline = None if time_limit is None else self._start + time_limit
         node_limit = self._config.node_limit
 
         expired = False
         stack = [_Block.root(self._layout)]
         while stack:
             if node_limit is not None and self._nodes >= node_limit:
-                expired = True
-                break
-            if deadline is not None and time.monotonic() > deadline:
                 expired = True
                 break
             block = stack.pop()
@@ -652,7 +647,7 @@ def split_walk(
 
 def _config(disabled, seeded: bool = False):
     return FTSearchConfig(
-        time_limit=None,
+        node_limit=None,
         disabled_rules=frozenset(disabled),
         seed_incumbent=seeded,
     )
@@ -698,7 +693,7 @@ def test_a_whole_search_returns_what_the_parent_step_returns():
     every counter — of the engine and of the parent step."""
     for seed in (1, 5, 12):
         problem = _problem(seed, "mid")
-        config = FTSearchConfig(time_limit=None)
+        config = FTSearchConfig(node_limit=None)
         ours = VectorFTSearch(problem, config).search()
         theirs = _ParentStep(problem, config).search()
         assert ours == theirs

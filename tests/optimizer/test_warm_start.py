@@ -43,7 +43,7 @@ SEEDS = sorted({*range(0, 50, 3), 11, 22, 44})
 
 
 def _cold(problem):
-    return VectorFTSearch(problem, FTSearchConfig(time_limit=None)).run()
+    return VectorFTSearch(problem, FTSearchConfig(node_limit=None)).run()
 
 
 class TestWarmEqualsCold:
@@ -55,7 +55,7 @@ class TestWarmEqualsCold:
             pytest.skip("instance infeasible")
         warm = VectorFTSearch(
             problem,
-            FTSearchConfig(time_limit=None, warm_start=cold.strategy),
+            FTSearchConfig(node_limit=None, warm_start=cold.strategy),
         ).run()
         assert warm.outcome is SearchOutcome.OPTIMAL
         assert_same_optimum(warm, cold)
@@ -65,13 +65,13 @@ class TestWarmEqualsCold:
     def test_warm_from_own_optimum_reference(self, seed):
         problem = _problem(seed)
         cold = ReferenceFTSearch(
-            problem, FTSearchConfig(time_limit=None)
+            problem, FTSearchConfig(node_limit=None)
         ).run()
         if cold.strategy is None:
             pytest.skip("instance infeasible")
         warm = ReferenceFTSearch(
             problem,
-            FTSearchConfig(time_limit=None, warm_start=cold.strategy),
+            FTSearchConfig(node_limit=None, warm_start=cold.strategy),
         ).run()
         assert warm.outcome is SearchOutcome.OPTIMAL
         assert_same_optimum(warm, cold)
@@ -86,7 +86,7 @@ class TestWarmEqualsCold:
         warm_seed = ActivationStrategy.all_active(problem.deployment)
         warm = VectorFTSearch(
             problem,
-            FTSearchConfig(time_limit=None, warm_start=warm_seed),
+            FTSearchConfig(node_limit=None, warm_start=warm_seed),
         ).run()
         assert_same_optimum(warm, cold)
         assert warm.stats.nodes_expanded <= cold.stats.nodes_expanded
@@ -101,7 +101,7 @@ class TestEngineEquivalenceWarm:
         cold = _cold(problem)
         if cold.strategy is None:
             pytest.skip("instance infeasible")
-        config = FTSearchConfig(time_limit=None, warm_start=cold.strategy)
+        config = FTSearchConfig(node_limit=None, warm_start=cold.strategy)
         assert_equivalent(problem, config)
 
     @pytest.mark.parametrize("seed", range(0, 50, 11))
@@ -111,7 +111,7 @@ class TestEngineEquivalenceWarm:
         if cold.strategy is None:
             pytest.skip("instance infeasible")
         config = FTSearchConfig(
-            time_limit=None,
+            node_limit=None,
             warm_start=cold.strategy,
             seed_incumbent=True,
         )
@@ -136,7 +136,7 @@ class TestUnusableWarmStartsIgnored:
         other_dep = random_deployment(rng, other_desc, n_hosts=3)
         foreign = ActivationStrategy.all_active(other_dep)
         warm = VectorFTSearch(
-            problem, FTSearchConfig(time_limit=None, warm_start=foreign)
+            problem, FTSearchConfig(node_limit=None, warm_start=foreign)
         ).run()
         assert warm.best_cost == cold.best_cost
         assert _activation_matrix(warm.strategy) == _activation_matrix(
@@ -159,7 +159,7 @@ class TestUnusableWarmStartsIgnored:
             cold_hard = _cold(harder)
             warm_hard = VectorFTSearch(
                 harder,
-                FTSearchConfig(time_limit=None, warm_start=cold.strategy),
+                FTSearchConfig(node_limit=None, warm_start=cold.strategy),
             ).run()
             assert warm_hard.outcome is cold_hard.outcome
             assert warm_hard.best_cost == cold_hard.best_cost
@@ -171,9 +171,7 @@ class TestUnusableWarmStartsIgnored:
 
     def test_wrapper_threads_warm_start(self):
         problem, cold = self._feasible_problem()
-        result = ft_search(
-            problem, time_limit=None, warm_start=cold.strategy
-        )
+        result = ft_search(problem, node_limit=None, warm_start=cold.strategy)
         assert result.best_cost == cold.best_cost
 
     def test_config_rejects_non_strategy(self):

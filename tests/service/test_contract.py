@@ -9,7 +9,7 @@ import pytest
 from repro.core import Host, static_replication
 from repro.dsps import two_level_trace
 from repro.dsps.metrics import LatencyRecorder, RunMetrics
-from repro.errors import InfeasibleError, ModelError
+from repro.errors import InfeasibleError, ModelError, OptimizationError
 from repro.fleet.store import StrategyStore
 from repro.laar import ExtendedApplication, MiddlewareConfig
 from repro.service import (
@@ -165,9 +165,7 @@ class TestStrategyStoreIntegration:
         self, pipeline_contract, provider_hosts
     ):
         store = StrategyStore()
-        provisioner = Provisioner(
-            provider_hosts, search_time_limit=None, store=store
-        )
+        provisioner = Provisioner(provider_hosts, node_limit=None, store=store)
         first = provisioner.provision(pipeline_contract)
         assert not first.from_cache
         second = provisioner.provision(pipeline_contract)
@@ -184,11 +182,9 @@ class TestStrategyStoreIntegration:
     ):
         store = StrategyStore()
         Provisioner(
-            provider_hosts, search_time_limit=None, store=store
+            provider_hosts, node_limit=None, store=store
         ).provision(pipeline_contract)
-        other = Provisioner(
-            provider_hosts, search_time_limit=None, store=store
-        )
+        other = Provisioner(provider_hosts, node_limit=None, store=store)
         assert other.provision(pipeline_contract).from_cache
 
     def test_different_search_budget_misses(
@@ -197,11 +193,10 @@ class TestStrategyStoreIntegration:
         """A record is only reused by an identically-configured search."""
         store = StrategyStore()
         Provisioner(
-            provider_hosts, search_time_limit=None, store=store
+            provider_hosts, node_limit=None, store=store
         ).provision(pipeline_contract)
         limited = Provisioner(
             provider_hosts,
-            search_time_limit=None,
             node_limit=10_000,
             store=store,
         )
@@ -209,22 +204,24 @@ class TestStrategyStoreIntegration:
         assert len(store) == 2
 
     def test_search_signature_is_pinned(self, provider_hosts):
-        """Persisted stores are keyed by this string: records written
-        before the worker count left the search stay reachable."""
-        provisioner = Provisioner(
-            provider_hosts, search_time_limit=None, node_limit=200_000
-        )
+        """Persisted stores are keyed by this string: a record is reused
+        only while the search's one budget, in nodes, is the same."""
+        provisioner = Provisioner(provider_hosts, node_limit=200_000)
         assert provisioner._search_signature() == (
-            "ftsearch:time=None:nodes=200000:seed=1"
+            "ftsearch:nodes=200000:seed=1"
         )
+
+    def test_a_wall_clock_budget_is_refused(self, provider_hosts):
+        """FT-Search reads no clock: ``search_time_limit`` accepts only
+        None."""
+        with pytest.raises(OptimizationError, match="in nodes"):
+            Provisioner(provider_hosts, search_time_limit=3.0)
 
     def test_infeasible_result_cached_and_refused_again(
         self, pipeline_descriptor, provider_hosts
     ):
         store = StrategyStore()
-        provisioner = Provisioner(
-            provider_hosts, search_time_limit=None, store=store
-        )
+        provisioner = Provisioner(provider_hosts, node_limit=None, store=store)
         contract = Contract(
             descriptor=pipeline_descriptor,
             sla=SLA(ic_target=1.0),
@@ -240,7 +237,7 @@ class TestStrategyStoreIntegration:
     def test_warm_start_reaches_the_search(
         self, pipeline_contract, provider_hosts
     ):
-        provisioner = Provisioner(provider_hosts, search_time_limit=None)
+        provisioner = Provisioner(provider_hosts, node_limit=None)
         cold = provisioner.provision(pipeline_contract)
         warm = provisioner.provision(
             pipeline_contract, warm_start=cold.strategy

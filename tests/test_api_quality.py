@@ -296,7 +296,11 @@ def _public_members() -> set[str]:
 
 
 def test_every_method_has_a_caller():
-    """A method only tests call is code the program does not run."""
+    """A method only tests call is code the program does not run.
+
+    Members match callers by attribute name only, so a member passes
+    uncalled while another class's member of the same name has a
+    caller (``to_dict``, ``span``)."""
     used = _used_names()
     uncalled = {
         member

@@ -81,7 +81,6 @@ class TestGuaranteeEndToEnd:
         )
         result = ft_search(
             OptimizationProblem(app.deployment, ic_target=target),
-            time_limit=3.0,
         )
         assert result.strategy is not None, "corpus app must be feasible"
         measured = run_worst_case(app, result.strategy)
@@ -103,10 +102,7 @@ class TestCostModelAgreement:
             params=GeneratorParams(n_pes=10),
             cluster=ClusterParams(n_hosts=3, cores_per_host=8),
         )
-        result = ft_search(
-            OptimizationProblem(app.deployment, ic_target=0.5),
-            time_limit=3.0,
-        )
+        result = ft_search(OptimizationProblem(app.deployment, ic_target=0.5))
         assert result.strategy is not None
         duration = 90.0
         trace = two_level_trace(
@@ -160,9 +156,7 @@ class TestHeterogeneousHosts:
         self, heterogeneous_setup
     ):
         descriptor, deployment = heterogeneous_setup
-        result = ft_search(
-            OptimizationProblem(deployment, ic_target=0.3), time_limit=10.0
-        )
+        result = ft_search(OptimizationProblem(deployment, ic_target=0.3))
         assert result.strategy is not None
         from repro.core import cpu_constraint_violations
 
@@ -172,9 +166,7 @@ class TestHeterogeneousHosts:
         self, heterogeneous_setup
     ):
         descriptor, deployment = heterogeneous_setup
-        result = ft_search(
-            OptimizationProblem(deployment, ic_target=0.3), time_limit=10.0
-        )
+        result = ft_search(OptimizationProblem(deployment, ic_target=0.3))
         trace = {"src": two_level_trace(4.0, 8.0, duration=45.0)}
         metrics = ExtendedApplication(
             deployment, result.strategy, trace

@@ -55,7 +55,9 @@ class TestBundleRoundTrip:
             load_bundle(path)
 
     def test_loaded_bundle_is_usable(self, small_apps, tmp_path):
-        """A reloaded bundle drives the optimizer like the original."""
+        """A reloaded bundle drives the optimizer like the original: the
+        same anytime answer when a node budget cuts both searches (the
+        space takes 461 nodes to exhaust)."""
         from repro.core import OptimizationProblem, ft_search
 
         app = small_apps[0]
@@ -64,11 +66,11 @@ class TestBundleRoundTrip:
         clone = load_bundle(path)
         original = ft_search(
             OptimizationProblem(app.deployment, ic_target=0.3),
-            time_limit=2.0, seed_incumbent=True,
+            node_limit=200, seed_incumbent=True,
         )
         reloaded = ft_search(
             OptimizationProblem(clone.deployment, ic_target=0.3),
-            time_limit=2.0, seed_incumbent=True,
+            node_limit=200, seed_incumbent=True,
         )
         assert original.strategy is not None
         assert reloaded.strategy is not None
