@@ -16,7 +16,11 @@ Four pruning strategies cut the tree (Sec. 4.5):
   below the IC goal.
 * **COST** — once a feasible solution is known, a lower bound on the cost
   of any completion (assigned cost plus one-active-replica cost for every
-  unassigned variable) is no better than the best solution found.
+  unassigned variable) is no better than the best solution found. The
+  block engine adds the fractional-knapsack cost of the second replicas
+  that can close the IC deficit (:class:`SearchLayout`'s
+  ``d_knapsack``), zero once the target is met; the oracle keeps the
+  paper's bound.
 * **DOM** — forward domain propagation: if in some configuration all the
   predecessors of a PE can contribute nothing under the pessimistic
   failure model (every predecessor PE has at most one active replica, or
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -311,6 +316,29 @@ def _replay_assignment(
     return host_load, ic, cost
 
 
+def _knapsack_tables(
+    gains: list[float], costs: list[float]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per depth, the fractional knapsack over the later variables as
+    ``np.interp`` abscissae (cumulative gains) and ordinates (cumulative
+    costs), from ``(0, 0)``, best gain per cost first (a free item
+    first). Zero-gain items are left out: the abscissae strictly
+    increase. Plain Python: a numpy sort would touch code pages no step
+    needs."""
+    order = sorted(
+        (d for d, gain in enumerate(gains) if gain > 0.0),
+        key=lambda d: -gains[d] / costs[d] if costs[d] else -math.inf,
+    )
+    tables = []
+    for depth in range(len(gains)):
+        items = [d for d in order if d > depth]
+        tables.append((
+            np.array([0.0, *accumulate(gains[d] for d in items)]),
+            np.array([0.0, *accumulate(costs[d] for d in items)]),
+        ))
+    return tables
+
+
 @dataclass(frozen=True)
 class Seed:
     """The pre-search incumbent (greedy seed and/or warm start).
@@ -469,6 +497,35 @@ class SearchLayout:
             self.suffix_min_cost[d] = (
                 self.suffix_min_cost[d + 1] + self.d_prob_load[d]
             )
+
+        # COST bound, IC term: closing an FIC deficit costs second
+        # replicas. Each variable is a knapsack item: it costs what
+        # "both" adds over one replica and gains at most its FIC
+        # integrand with every upstream PE fully replicated (the
+        # recurrence of _replay_assignment with all values "both"), so
+        # no assignment of it contributes more; one np.interp over the
+        # tables is then the fractional knapsack's cost of a deficit.
+        # The deficit is measured against the threshold relaxed by one
+        # more epsilon of BIC, so float residue in a row's FIC sum can
+        # never carry a feasible leaf's deficit past a breakpoint; at
+        # IC 0 it is negative and the term is exactly zero.
+        self.knapsack_thresh = self.fic_thresh - _REL_EPS * bic
+        #: Per depth: the FIC gain bound of the variable's second replica.
+        self.d_gain = [0.0] * self.n_vars
+        for base in range(0, self.n_vars, n_pes):
+            dh_full = [0.0] * n_pes
+            for position, preds in enumerate(pe_preds):
+                d = base + position
+                dh = self.d_src_sel[d]
+                plain = self.d_src_sum[d]
+                for pred, selectivity in preds:
+                    dh += selectivity * dh_full[pred]
+                    plain += dh_full[pred]
+                dh_full[position] = dh
+                self.d_gain[d] = self.d_prob[d] * plain
+        #: Per depth: (cumulative gains, cumulative costs) of the open
+        #: variables' second replicas, best ratio first, from (0, 0).
+        self.d_knapsack = _knapsack_tables(self.d_gain, self.d_prob_load)
 
         # COMPL bound: BIC of the whole configurations ordered after the
         # one a depth belongs to.

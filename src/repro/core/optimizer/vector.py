@@ -63,6 +63,14 @@ which rows share its block — the property that lets ``block_rows``
 change node counts but never a row's values, and lets a pending child
 be built in any split of ranges.
 
+COST is stronger than the paper's rule: besides one replica per open
+variable, it charges the cheapest second replicas whose FIC gain bounds
+(every upstream PE fully replicated) cover the row's deficit against the
+IC target, a fractional knapsack priced by one ``np.interp``
+(``_cost_bound``). Every real contribution is at most its bound, so no
+leaf within the band is ever cut and what is returned is unchanged; at
+IC 0 the term is zero and the bound is the paper's bit for bit.
+
 The engine runs in the calling process. Parallelism lives one level up,
 in the experiment fabric, which fans whole searches out across tenants,
 instances and campaigns.
@@ -489,15 +497,14 @@ class VectorFTSearch:
             valid[1:] &= keeps[1]
             alive = self._pruned(_COMPL_I, height, valid, alive)
 
-        # COST rule: assigned cost + cheapest completion, against the
-        # banded incumbent.
+        # COST rule: assigned cost + cheapest completion + the cheapest
+        # second replicas that can close the FIC deficit, against the
+        # banded incumbent (with none yet, nothing is pruned).
         if self._cost_on:
-            bound = (
-                block.cost
-                + layout.d_cost_step[depth]
-                + layout.suffix_min_cost[depth + 1]
+            keeps = (
+                self._cost_bound(block, contrib_both)
+                < self._best_raw * (1 + _BAND_EPS)
             )
-            keeps = bound < self._best_raw * (1 + _BAND_EPS)
             valid[0] &= keeps[0]
             valid[1:] &= keeps[1]
             alive = self._pruned(_COST_I, height, valid, alive)
@@ -524,6 +531,33 @@ class VectorFTSearch:
             block, parent, n0, n01, dh_both, contrib_both,
             _RANK_BYTES.take(key), pos, h0, h1, load, prob_load,
         )
+
+    def _cost_bound(
+        self, block: _Block, contrib_both: np.ndarray
+    ) -> np.ndarray:
+        """COST's lower bound on every completion, ``(2, rows)``: "both",
+        then one replica.
+
+        Assigned cost, this step's value and one replica per open
+        variable (the paper's bound), plus -- once there is an incumbent
+        to prune against -- the fractional-knapsack cost of the second
+        replicas that can close the row's FIC deficit (the layout's
+        ``d_knapsack``; a deficit <= 0 adds exactly 0).
+        """
+        layout = self._layout
+        depth = block.depth
+        bound = (
+            block.cost
+            + layout.d_cost_step[depth]
+            + layout.suffix_min_cost[depth + 1]
+        )
+        if self._best_raw < math.inf and layout.knapsack_thresh > 0.0:
+            deficit = np.empty_like(bound)
+            np.add(block.fic, contrib_both, out=deficit[0])
+            deficit[1] = block.fic
+            np.subtract(layout.knapsack_thresh, deficit, out=deficit)
+            bound += np.interp(deficit, *layout.d_knapsack[depth])
+        return bound
 
     def _materialise(self, pending: _Pending, lo: int, hi: int) -> _Block:
         """Build rows ``[lo, hi)`` of a pending child.

@@ -322,13 +322,14 @@ def test_corpus_is_the_same_under_every_hash_seed():
 
 
 @st.composite
-def problems(draw) -> OptimizationProblem:
-    """A generated problem: a connected DAG of 2-5 PEs behind one source
-    (every PE fed by an earlier PE or the source, extra forward edges on
-    top), drawn selectivities and CPU costs, a 2-3 level source-rate
-    distribution, and a balanced two-fold deployment on 2-3 hosts whose
-    headroom and IC target span infeasible to comfortable."""
-    n_pes = draw(st.integers(2, 5))
+def problems(draw, min_pes: int = 2) -> OptimizationProblem:
+    """A generated problem: a connected DAG of ``min_pes``-5 PEs behind
+    one source (every PE fed by an earlier PE or the source, extra
+    forward edges on top), drawn selectivities and CPU costs, a 2-3
+    level source-rate distribution, and a balanced two-fold deployment
+    on 2-3 hosts whose headroom and IC target span infeasible to
+    comfortable."""
+    n_pes = draw(st.integers(min_pes, 5))
     pes = [f"pe{i}" for i in range(n_pes)]
     edges = {("src", pes[0])}
     for i in range(1, n_pes):
@@ -378,6 +379,42 @@ def problems(draw) -> OptimizationProblem:
     return OptimizationProblem(
         deployment, ic_target=draw(st.floats(0.05, 0.95))
     )
+
+
+def degenerate_problem(
+    zero_probability: bool = False,
+    zero_rate_pe: bool = False,
+    ic_target: float = 0.5,
+) -> OptimizationProblem:
+    """A 4-PE chain with variables whose second replica can add no FIC:
+    with ``zero_probability`` a configuration of probability 0, with
+    ``zero_rate_pe`` a PE behind a selectivity-0 edge, which receives
+    nothing (``pe0 -> pe3`` keeps the last PE fed)."""
+    pes = ["pe0", "pe1", "pe2", "pe3"]
+    edges = [
+        ("src", "pe0"), ("pe0", "pe1"), ("pe1", "pe2"), ("pe2", "pe3"),
+        ("pe0", "pe3"), ("pe3", "sink"),
+    ]
+    graph = ApplicationGraph.build(["src"], pes, ["sink"], edges)
+    profiles = {
+        (tail, head): EdgeProfile(
+            selectivity=0.0 if zero_rate_pe and head == "pe1" else 0.8,
+            cpu_cost=0.01 * (1 + i) * GIGA,
+        )
+        for i, (tail, head) in enumerate(edges)
+        if head != "sink"
+    }
+    levels = [(3.0, 0.6), (6.0, 0.4)]
+    if zero_probability:
+        levels.append((9.0, 0.0))
+    space = ConfigurationSpace.from_source_rates({"src": levels})
+    descriptor = ApplicationDescriptor(
+        graph, profiles, space, name="degenerate"
+    )
+    deployment = random_deployment(
+        random.Random(0), descriptor, n_hosts=2, headroom=2.5
+    )
+    return OptimizationProblem(deployment, ic_target=ic_target)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,16 @@ judge is the code they replaced, kept *verbatim* below as
 since-deleted multi-process driver is cut out of it), driven block by
 block beside the engine over generated instances and every rule
 subset: each range the engine builds is compared with the parent's
-child rows ``[lo, hi)``.
+child rows it kept.
+
+Since then COST also prices the IC deficit (the fractional-knapsack
+term of ``_cost_bound``), so the engine keeps a subset of the parent's
+rows. At IC 0 the subset is all of them and every counter is equal.
+With a target every kept row is the parent's bit for bit, and every
+row the parent kept but the engine dropped is charged to COST, with a
+bound that reaches the band by a knapsack computed here
+(:func:`knapsack_cost`); the counters agree once those rows are
+accounted for.
 
 A second judge holds the chunking itself: building a pending child in
 one range or in arbitrary splits gives the same rows and the same DOM
@@ -23,7 +32,9 @@ rows an earlier rule removed), :class:`_FactoredMutant` factors the
 configuration probability out of the walk's sum (``p * (a + b)`` for
 ``p * a + p * b`` — the tempting reassociation the fixed operation
 order forbids), :class:`_LateResetMutant` skips the configuration-
-boundary reset for ranges that do not start at row 0. All must fail.
+boundary reset for ranges that do not start at row 0,
+:class:`_ZeroGainMutant` lists second replicas that gain nothing in the
+knapsack tables. All must fail.
 """
 
 from __future__ import annotations
@@ -52,7 +63,11 @@ from repro.core.optimizer.ftsearch import (
     _DOM_I,
 )
 from repro.core.optimizer.vector import _BAND_EPS, RawSearch, _Block
-from tests.optimizer.test_ftsearch_equivalence import _problem, problems
+from tests.optimizer.test_ftsearch_equivalence import (
+    _problem,
+    degenerate_problem,
+    problems,
+)
 
 RULE_SUBSETS = [
     frozenset(subset)
@@ -491,6 +506,25 @@ class _FactoredMutant(_Recording):
         return total
 
 
+class _ZeroGainMutant(_Recording):
+    """Keeps the zero-gain items in the knapsack tables: a variable whose
+    second replica can add no FIC still gets a breakpoint."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        layout = self._layout
+        gains, costs = np.array(layout.d_gain), np.array(layout.d_prob_load)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            order = np.argsort(-(gains / costs), kind="stable")
+        layout.d_knapsack = [
+            (
+                np.concatenate(([0.0], np.cumsum(gains[order[order > d]]))),
+                np.concatenate(([0.0], np.cumsum(costs[order[order > d]]))),
+            )
+            for d in range(layout.n_vars)
+        ]
+
+
 class _NoBoundary:
     """The engine's layout, except that its configurations never end."""
 
@@ -537,13 +571,104 @@ def assert_same_rows(child, expected, lo, hi) -> None:
         assert _same(getattr(child, name), theirs), name
 
 
-def assert_same_counters(engine, oracle) -> None:
+def assert_same_counters(engine, oracle, owed=(0, 0, 0, 0)) -> None:
+    """All counters equal, but for the rows the engine dropped: ``owed``
+    is their COST prunes (count, heights) the engine charged on top and
+    the DOM prunes (count, heights) the parent charged them."""
+    cost_count, cost_heights, dom_count, dom_heights = owed
+    theirs_counts = list(oracle._prune_counts)
+    theirs_heights = list(oracle._prune_heights)
+    theirs_counts[_COST_I] += cost_count
+    theirs_heights[_COST_I] += cost_heights
+    theirs_counts[_DOM_I] -= dom_count
+    theirs_heights[_DOM_I] -= dom_heights
     assert engine._nodes == oracle._nodes
     assert engine._values_tried == oracle._values_tried
-    assert engine._prune_counts == oracle._prune_counts
-    assert engine._prune_heights == oracle._prune_heights
+    assert engine._prune_counts == theirs_counts
+    assert engine._prune_heights == theirs_heights
     for counter in engine._prune_counts + engine._prune_heights:
         assert type(counter) is int  # a numpy integer would not serialise
+
+
+def full_gains(layout) -> list[float]:
+    """Each variable's FIC gain bound, by the Δ-hat recurrence with every
+    value "both" -- computed here, not read from the layout."""
+    gains: list[float] = []
+    for base in range(0, layout.n_vars, layout.n_pes):
+        dh: list[float] = []
+        for position, preds in enumerate(layout.pe_preds):
+            weighted = layout.d_src_sel[base + position]
+            plain = layout.d_src_sum[base + position]
+            for pred, selectivity in preds:
+                weighted += selectivity * dh[pred]
+                plain += dh[pred]
+            dh.append(weighted)
+            gains.append(layout.d_prob[base + position] * plain)
+    return gains
+
+
+def knapsack_cost(layout, gains, depth: int, deficit: float) -> float:
+    """The fractional knapsack over the variables after ``depth``, item by
+    item: the cheapest second replicas whose gain bounds cover
+    ``deficit`` (all of them when they cannot)."""
+    items = sorted(
+        (
+            (gains[d], layout.d_prob_load[d])
+            for d in range(depth + 1, layout.n_vars)
+            if gains[d] > 0.0
+        ),
+        key=lambda item: -item[0] / item[1] if item[1] else -math.inf,
+    )
+    cost = 0.0
+    for gain, price in items:
+        if deficit <= 0.0:
+            break
+        cost += price * min(deficit, gain) / gain
+        deficit -= gain
+    return cost
+
+
+def assert_knapsack_tables(layout) -> None:
+    """Every depth's table holds exactly the later variables of positive
+    gain bound, as strictly increasing abscissae from ``(0, 0)``."""
+    gains = full_gains(layout)
+    for depth, (xs, ys) in enumerate(layout.d_knapsack):
+        assert xs[0] == ys[0] == 0.0
+        assert (np.diff(xs) > 0).all(), f"abscissae of depth {depth}"
+        assert (np.diff(ys) >= 0).all()
+        assert len(xs) == 1 + sum(g > 0.0 for g in gains[depth + 1:])
+
+
+def _child_keys(block: _Block, child: _Block) -> np.ndarray:
+    """Per child row, ``group * rows + parent row``: where its value sits
+    in the step's flat ``(3, rows)`` mask."""
+    depth = block.depth
+    parent_of = {row.tobytes(): r for r, row in enumerate(block.path)}
+    paths = child.path.copy()
+    codes = paths[:, depth] & 3
+    paths[:, depth] = 0
+    parents = [parent_of[row.tobytes()] for row in paths]
+    return codes.astype(np.intp) * block.rows() + np.asarray(parents, np.intp)
+
+
+def _dom_charge(engine, block: _Block, expected: _Block, rows) -> list[int]:
+    """``[count, height sum]`` of the DOM prunes the parent step charged
+    to child ``rows``: the exclusions they gained over their parent row."""
+    n_pes = engine._layout.n_pes
+    pos = block.depth % n_pes
+    if not engine._dom_on or pos + 1 == n_pes or len(rows) == 0:
+        return [0, 0]
+    parent = _child_keys(block, _rows_at(expected, rows)) % block.rows()
+    fresh = expected.excluded[rows] & ~block.excluded[parent]
+    count = int(np.count_nonzero(fresh))
+    heights = engine._n_vars - (block.depth - pos + np.nonzero(fresh)[1])
+    return [count, int(heights.sum())]
+
+
+def _rows_at(block: _Block, rows) -> _Block:
+    return dataclasses.replace(
+        block, **{name: getattr(block, name)[rows] for name in FIELDS}
+    )
 
 
 def lockstep(
@@ -552,27 +677,50 @@ def lockstep(
     engine_class: type = _Recording,
     block_rows: int = 16,
     max_steps: int = 80,
-) -> int:
+) -> tuple[int, int]:
     """Run the engine's depth-first block loop and, at every step, hand
-    the parent step a copy of the same block. Every range the engine
+    the parent step a copy of the same block. The engine keeps a subset
+    of the parent's child rows, in the parent's order: every range it
     builds of its pending child (its own chunk bounds; a leaf child
-    whole) equals the parent's child rows ``[lo, hi)``; once all are
-    built, walk totals and all counters agree. Returns the steps taken."""
+    whole) equals the rows it kept, bit for bit. A row the parent kept
+    and the engine dropped is a COST prune: the paper's bound kept it
+    and the knapsack term (``knapsack_cost``, computed here) lifts it to
+    the band. Walk totals agree; so do all counters, once each dropped
+    row is charged to COST and its DOM prunes are taken off the
+    parent's. Returns ``(steps taken, rows dropped)``."""
     engine = engine_class(problem, config, block_rows=block_rows)
     oracle = _ParentStep(problem, config, block_rows=block_rows)
-    stack = [_Block.root(engine._layout)]
-    steps = 0
+    layout = engine._layout
+    assert_knapsack_tables(layout)
+    gains = full_gains(layout)
+    stack = [_Block.root(layout)]
+    steps = dropped = 0
+    owed = [0, 0, 0, 0]  # COST count / heights over, DOM count / heights under
     while stack and steps < max_steps:
         block = stack.pop()
         twin = copy.deepcopy(block)
+        band = engine._best_raw * (1 + _BAND_EPS)
         oracle._best_raw = engine._best_raw
         engine.last_walk = oracle.last_walk = None
         pending = engine._advance(block)
         expected = oracle._advance(twin)
         steps += 1
-        assert (pending is None) == (expected is None)
+        if expected is None:
+            assert pending is None
+            keys = np.zeros(0, np.intp)
+        else:
+            keys = _child_keys(block, expected)
         ranges: list = []
+        kept = np.zeros(0, np.intp)
         if pending is not None:
+            group = np.repeat(
+                np.arange(3), [
+                    pending.n0, pending.n01 - pending.n0,
+                    pending.rows() - pending.n01,
+                ],
+            )
+            kept = np.searchsorted(keys, group * block.rows() + pending.parent)
+            assert (keys[kept] == group * block.rows() + pending.parent).all()
             if pending.depth() == engine._n_vars:
                 ranges.append((pending, 0, pending.rows()))
             else:
@@ -580,12 +728,30 @@ def lockstep(
         children = []
         for _, lo, hi in ranges:  # stack order: the last range first
             child = engine._materialise(pending, lo, hi)
-            assert_same_rows(child, expected, lo, hi)
+            assert_same_rows(child, _rows_at(expected, kept[lo:hi]), 0, None)
             children.append(child)
-        assert sum(child.rows() for child in children) == (
-            0 if expected is None else expected.rows()
-        )
-        assert_same_counters(engine, oracle)
+        assert sum(child.rows() for child in children) == len(kept)
+
+        lost = np.setdiff1d(np.arange(len(keys)), kept)
+        if len(lost):
+            assert engine._cost_on
+            suffix = layout.suffix_min_cost[block.depth + 1]
+            for row in lost:
+                paper = expected.cost[row] + suffix
+                deficit = layout.knapsack_thresh - expected.fic[row]
+                lifted = paper + knapsack_cost(
+                    layout, gains, block.depth, deficit
+                )
+                assert paper < band
+                assert lifted >= band * (1 - 1e-12), "dropped below the band"
+            height = engine._n_vars - block.depth
+            dom = _dom_charge(engine, block, expected, lost)
+            owed = [
+                owed[0] + len(lost), owed[1] + height * len(lost),
+                owed[2] + dom[0], owed[3] + dom[1],
+            ]
+            dropped += len(lost)
+        assert_same_counters(engine, oracle, owed)
         assert (engine.last_walk is None) == (oracle.last_walk is None)
         if engine.last_walk is not None:
             assert _same(engine.last_walk, oracle.last_walk)
@@ -593,7 +759,7 @@ def lockstep(
             engine._fold_leaves(children[0])
         else:
             stack.extend(children)
-    return steps
+    return steps, dropped
 
 
 def split_walk(
@@ -682,21 +848,54 @@ def test_step_equals_parent_on_generated_instances(
 def test_step_equals_parent_under_every_rule_subset(disabled):
     """All 16 rule subsets, on one toy and one mid corpus instance
     (seeded, so COST prunes from the first block)."""
+    dropped = 0
     for seed, size in ((5, "toy"), (6, "mid")):
         problem = _problem(seed, size)
         config = _config(disabled, seeded=True)
-        assert lockstep(problem, config) > 10
+        steps, lost = lockstep(problem, config)
+        assert steps > 10
+        dropped += lost
+    # The knapsack term is COST's: it drops rows exactly when COST is on.
+    assert (dropped > 0) == (PruneRule.COST not in disabled)
+
+
+def _at_ic(problem: OptimizationProblem, ic_target: float):
+    return OptimizationProblem(problem.deployment, ic_target=ic_target)
+
+
+@pytest.mark.parametrize("seed", (0, 2, 5, 6))
+def test_at_ic_zero_every_row_and_counter_is_the_parents(seed):
+    """With no target there is no deficit: the bound is the paper's, bit
+    for bit, and the engine keeps every row the parent keeps."""
+    problem = _at_ic(_problem(seed, "mid"), 0.0)
+    steps, dropped = lockstep(problem, _config((), seeded=True))
+    assert steps > 10 and dropped == 0
 
 
 def test_a_whole_search_returns_what_the_parent_step_returns():
-    """End to end, no lockstep: the raw search — candidates, bound,
-    every counter — of the engine and of the parent step."""
+    """End to end, no lockstep: at IC 0 the raw search -- candidates,
+    bound, every counter -- of the engine and of the parent step are
+    equal. With a target the engine returns the same candidates, bound
+    and first leaf (the knapsack term waits for an incumbent) from
+    fewer nodes."""
+    saved = 0
     for seed in (1, 5, 12):
         problem = _problem(seed, "mid")
         config = FTSearchConfig(node_limit=None)
+        zero = _at_ic(problem, 0.0)
+        assert VectorFTSearch(zero, config).search() == _ParentStep(
+            zero, config
+        ).search()
         ours = VectorFTSearch(problem, config).search()
         theirs = _ParentStep(problem, config).search()
-        assert ours == theirs
+        assert sorted(ours.candidates) == sorted(theirs.candidates)
+        for name in (
+            "best_raw", "expired", "first_raw_cost", "first_raw_nodes"
+        ):
+            assert getattr(ours, name) == getattr(theirs, name), name
+        assert ours.nodes <= theirs.nodes
+        saved += theirs.nodes - ours.nodes
+    assert saved > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -751,6 +950,33 @@ def test_factoring_the_walk_sum_is_caught():
 
 def test_the_unmutated_engine_passes_the_mutation_corpus():
     assert _trips(_Recording) == 0
+
+
+DEGENERATE = [
+    {"zero_probability": True},
+    {"zero_rate_pe": True},
+    {"zero_probability": True, "zero_rate_pe": True},
+]
+
+
+@pytest.mark.parametrize("engine_class", (_Recording, _ZeroGainMutant))
+def test_zero_gain_items_are_caught(engine_class):
+    """A second replica that can add no FIC also costs nothing here (its
+    PE's input, hence its load, is zero), so listing it moves no bound;
+    it breaks the tables' strictly increasing abscissae, which
+    ``np.interp``'s answer at a breakpoint relies on. The engine passes
+    on every degenerate instance, the mutant fails on each."""
+    tripped = 0
+    for kinds in DEGENERATE:
+        try:
+            lockstep(
+                degenerate_problem(**kinds),
+                _config((), seeded=True),
+                engine_class,
+            )
+        except AssertionError:
+            tripped += 1
+    assert tripped == (0 if engine_class is _Recording else len(DEGENERATE))
 
 
 def _halves(rows: int) -> list[int]:

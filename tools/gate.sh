@@ -13,10 +13,11 @@
 #            replayed state, the batched engine, the IC judge's floors
 #            vs FT-Search's proof, the host scheduler vs its parent
 #            oracle (`_ParentScheduler`), the release of a finished
-#            tenant (no cyclic garbage) and the SLO engine's sorted
-#            latency drain vs a sketch fed one by one, under
-#            Hypothesis's `explore` profile with a seed taken from
-#            BASE's short sha
+#            tenant (no cyclic garbage), the SLO engine's sorted
+#            latency drain vs a sketch fed one by one and FT-Search's
+#            COST bound vs every completion of a partial assignment,
+#            under Hypothesis's `explore` profile with a seed taken
+#            from BASE's short sha
 #            (printed, so a failure replays; budget: <= 30 s)
 #   digests  tools/digests.sh on a `git archive BASE` tree and on the
 #            working tree: the rows that moved are exactly those
@@ -76,6 +77,7 @@ explore() {
         tests/obs/test_replay.py tests/sim/test_generated_equivalence.py \
         tests/core/test_ic_consistency.py tests/dsps/test_hosts.py \
         tests/fleet/test_release.py tests/obs/test_drain.py \
+        tests/optimizer/test_cost_bound.py \
         --hypothesis-profile=explore --hypothesis-seed="$seed"
 }
 
