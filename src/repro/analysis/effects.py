@@ -57,7 +57,7 @@ def wallclock_aliases(facts: FileFacts) -> dict[str, str]:
     hot-loop micro-optimization) must not evade the rule: calls through
     such a name are wall-clock reads too."""
     aliases: dict[str, str] = {}
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target_node = node.targets[0]
             if isinstance(target_node, ast.Name):
@@ -70,7 +70,7 @@ def wallclock_aliases(facts: FileFacts) -> dict[str, str]:
 def iter_wallclock_calls(facts: FileFacts) -> Iterator[tuple[ast.Call, str]]:
     """Every wall-clock read in the file, with its resolved target."""
     aliases = wallclock_aliases(facts)
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(facts, node.func)
@@ -157,7 +157,7 @@ def classify_unseeded(
 
 def iter_unseeded_calls(facts: FileFacts) -> Iterator[tuple[ast.Call, str]]:
     """``(node, message)`` for every R2-positive call in the file."""
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if not isinstance(node, ast.Call):
             continue
         target = resolve_call_target(facts, node.func)
@@ -181,10 +181,10 @@ _ORDER_NEUTRAL_WRAPPERS = frozenset(
 )
 
 
-def _set_typed_names(tree: ast.AST) -> set[str]:
-    """Names assigned from set-valued expressions anywhere in ``tree``."""
+def _set_typed_names(nodes: list[ast.AST]) -> set[str]:
+    """Names assigned from set-valued expressions anywhere in ``nodes``."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         value: Optional[ast.expr] = None
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -240,8 +240,8 @@ def _sorted_ancestor(facts: FileFacts, node: ast.AST) -> bool:
 def iter_iteration_sites(facts: FileFacts) -> Iterator[tuple[ast.expr, str]]:
     """``(node, context)`` for every unsorted ordering-sensitive set
     iteration in the file."""
-    set_names = _set_typed_names(facts.tree)
-    for node in ast.walk(facts.tree):
+    set_names = _set_typed_names(facts.nodes)
+    for node in facts.nodes:
         if isinstance(node, ast.For):
             if _is_set_expr(node.iter, set_names):
                 if not _sorted_ancestor(facts, node.iter):

@@ -84,6 +84,9 @@ class FileFacts:
     module: str
     source: str
     tree: ast.Module
+    #: Every node of ``tree`` in ``ast.walk`` order: the file is walked
+    #: once, and every rule iterates this list.
+    nodes: list[ast.AST] = field(default_factory=list)
     parents: dict[int, ast.AST] = field(default_factory=dict)
     module_aliases: dict[str, str] = field(default_factory=dict)
     name_aliases: dict[str, str] = field(default_factory=dict)
@@ -110,7 +113,7 @@ def _collect_imports(facts: FileFacts) -> None:
     datetime import datetime`` maps ``datetime -> datetime.datetime``.
     Relative imports carry no resolvable absolute module and are skipped.
     """
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".", 1)[0]
@@ -171,7 +174,7 @@ def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
 
 def _collect_emit_sites(facts: FileFacts) -> None:
     """Record every ``<obj>.emit("literal.type", ...)`` call."""
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -228,7 +231,7 @@ def _collect_schema_defs(facts: FileFacts) -> None:
     """Parse ``EVENT_SCHEMA`` literals: ``{"type": {"field": "tag",
     ...}, ...}``. An entry that is not such a dict literal declares
     nothing, so its emitters are flagged as undeclared."""
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         value: Optional[ast.expr] = None
         target_name: Optional[str] = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -272,9 +275,14 @@ def collect_facts(path: Path, display: str) -> FileFacts:
         source=source,
         tree=tree,
     )
-    for parent in ast.walk(tree):
+    # The one walk, breadth-first in ast.walk's order: the list is its
+    # own queue, so every node is visited as it is appended.
+    nodes = facts.nodes
+    nodes.append(tree)
+    for parent in nodes:
         for child in ast.iter_child_nodes(parent):
             facts.parents[id(child)] = parent
+            nodes.append(child)
     _collect_imports(facts)
     _collect_emit_sites(facts)
     _collect_schema_defs(facts)

@@ -573,7 +573,7 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
 
 def _check_unfrozen_spec(facts: FileFacts) -> list[Diagnostic]:
     diagnostics = []
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         if not node.name.endswith("Spec"):
@@ -603,12 +603,12 @@ def _check_object_identity(facts: FileFacts) -> list[Diagnostic]:
         return []
     diagnostics = []
     hash_def_ranges: list[tuple[int, int]] = []
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if isinstance(node, ast.FunctionDef) and node.name == "__hash__":
             hash_def_ranges.append(
                 (node.lineno, node.end_lineno or node.lineno)
             )
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -665,7 +665,7 @@ def _check_import_fence(facts: FileFacts) -> list[Diagnostic]:
     if not _is_fenced_module(facts.module):
         return []
     diagnostics = []
-    for node in ast.walk(facts.tree):
+    for node in facts.nodes:
         imported: list[str] = []
         if isinstance(node, ast.Import):
             imported = [alias.name for alias in node.names]
@@ -768,7 +768,7 @@ def check_fabric_hygiene(
     scanned module."""
     diagnostics = []
     for facts in all_facts:
-        for node in ast.walk(facts.tree):
+        for node in facts.nodes:
             if not isinstance(node, ast.Call):
                 continue
             kind = _fabric_call_kind(graph, facts, node)

@@ -102,7 +102,13 @@ class CampaignRun:
         """Run the trace plus ``drain`` seconds; return the metrics and
         the digest: the event stream, conservation counters, switch
         timeline, top droppers, sink latency, SLO summary and, as
-        ``invariants``, the checker's verdict on the run's own log."""
+        ``invariants``, the checker's verdict on the run's own log.
+
+        :meth:`ExtendedApplication.run` closes the platform as the run
+        ends, so the digest is built from what a closed platform keeps
+        readable, and nothing of the run is left for the cycle collector
+        once it is returned. A second call raises
+        :class:`~repro.errors.SimulationError`."""
         platform, extended = self.platform, self.extended
         metrics = extended.run(drain=drain)
         horizon = platform.trace_duration + drain

@@ -35,6 +35,10 @@ from repro.sim import Environment
 __all__ = ["PlatformConfig", "StreamPlatform"]
 
 
+def _cut(*_args: object) -> None:
+    """A hook of a closed platform: the run it led back to is over."""
+
+
 @dataclass(frozen=True)
 class PlatformConfig:
     """Tunable runtime parameters of the simulated platform.
@@ -454,19 +458,29 @@ class StreamPlatform:
         """Release the run once everything wanted from it has been read.
 
         The data path, the hooks and the pending events link the
-        platform and its parts into cycles; each owner drops the links
-        it holds, so the whole run is freed by reference counting
-        instead of waiting for the cycle collector. Metrics and the
-        event log stay readable; :meth:`run` refuses. Idempotent.
+        platform and its parts into cycles. Each owner drops the links
+        it holds and the hooks that lead back to the platform are cut,
+        so the whole run is freed by reference counting instead of
+        waiting for the cycle collector. What a finished run is read for
+        stays: the metrics, the event log and spans, :attr:`fallback`,
+        :attr:`env`'s counters and every replica through :meth:`replica`
+        (so :meth:`conservation`). The groups, hosts, sources and engine
+        are dropped, and :meth:`run` refuses. Idempotent.
         """
         if self._closed:
             return
         self._closed = True
         self.env.close()
         self.telemetry.events.close()
+        for replica in self._replicas.values():
+            replica._emit = _cut
+            replica.on_state_change = _cut
         for group in self._groups.values():
             group.close()
-        self._replicas = {}
+            group.on_primary_change = _cut
+        for scheduler in self._host_schedulers.values():
+            scheduler._jobs = {}
+            scheduler.on_speed_change = _cut
         self._groups = {}
         self._host_schedulers = {}
         self._sources = {}

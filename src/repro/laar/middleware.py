@@ -109,5 +109,15 @@ class ExtendedApplication:
             )
 
     def run(self, drain: float = 2.0) -> RunMetrics:
-        return self.platform.run(drain=drain)
+        """Run the trace plus ``drain`` seconds, then close the platform.
+
+        The run is freed by reference counting as it ends
+        (:meth:`StreamPlatform.close`): the metrics, the event log, the
+        fallback tracker, the clock's counters and every replica stay
+        readable, and an SLO engine attached to the platform still
+        finalizes. A second call raises :class:`SimulationError`.
+        """
+        metrics = self.platform.run(drain=drain)
+        self.platform.close()
+        return metrics
 
