@@ -19,11 +19,21 @@ droppers, FT-Search progress, and fabric utilization.
 The paper's figures are not a subcommand: ``pytest benchmarks``
 renders each one into ``benchmarks/results/``.
 
-The scenario subcommands (``obs``, ``chaos run``, ``fleet``, ``elastic``,
-``slo``) are thin: parse, build the frozen specs, run them, and hand
-the streams, the JSON document and the rendered text to
-:func:`repro.driver.deliver`, which owns artifact naming, schema
-validation, violation printing and the exit code.
+The tenant fleet is one command. ``fleet --dataplane [--elastic]`` runs
+every tenant as a simulated stream platform with its SLO taps on and
+writes ``dataplane.json`` (``{params, fleet, tenants}``; the tenants
+carry their SLO rollups) plus one ``events-<tenant>.jsonl`` each;
+``obs diff`` reads two such documents:
+
+    python -m repro fleet --dataplane --tenants 10 --seed 7 --out-dir a
+    python -m repro fleet --dataplane --tenants 10 --seed 11 --out-dir b
+    python -m repro obs diff a/dataplane.json b/dataplane.json
+
+The scenario subcommands (``obs``, ``chaos run``, ``fleet``) are thin:
+parse, build the frozen specs, run them, and hand the streams, the JSON
+document and the rendered text to :func:`repro.driver.deliver`, which
+owns artifact naming, schema validation, violation printing and the
+exit code.
 """
 
 from __future__ import annotations
@@ -428,51 +438,33 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
 
 
-def _run_tenants(args: argparse.Namespace, params_type, **extra):
-    """One tenant-fleet run from the shared option family: the params
-    (``params_type`` picks static or elastic) and what came back."""
-    from repro.driver import run_tenants
-
-    params = params_type(
-        tenants=args.tenants,
-        base_seed=args.seed,
-        duration=args.duration,
-        chaos_every=args.chaos_every,
-        batching=not args.tuple_granular,
-        **extra,
-    )
-    return run_tenants(params, jobs=args.jobs)
-
-
-def _tenant_document(
-    args: argparse.Namespace, summary: dict, tenants: list, **extra
-) -> dict:
-    """The ``{params, fleet, tenants}`` document of ``elastic``/``slo``."""
-    return {
-        "params": {
-            "tenants": args.tenants,
-            "seed": args.seed,
-            "duration": args.duration,
-            "chaos_every": args.chaos_every,
-            "batching": not args.tuple_granular,
-            **extra,
-        },
-        "fleet": {k: v for k, v in summary.items() if k != "violations"},
-        "tenants": tenants,
-    }
-
-
 def _cmd_fleet_dataplane(args: argparse.Namespace) -> int:
-    from repro.driver import deliver
+    """Run the fleet data plane: every tenant a simulated platform with
+    its SLO taps, one ``events-<tenant>.jsonl`` each (schema-validated)
+    and ``dataplane.json`` — ``{params, fleet, tenants}``, the input of
+    ``repro obs diff``. Any conservation or no-output violation makes
+    the command exit 1."""
+    from repro.driver import deliver, run_tenants, take_streams
     from repro.elastic import ElasticParams
     from repro.fleet.dataplane import DataplaneParams
     from repro.fleet.report import render_dataplane_slo_report
 
-    summary, _digests = _run_tenants(
-        args, ElasticParams if args.elastic else DataplaneParams
+    params_type = ElasticParams if args.elastic else DataplaneParams
+    batching = not args.tuple_granular
+    summary, digests = run_tenants(
+        params_type(
+            tenants=args.tenants,
+            base_seed=args.seed,
+            duration=args.duration,
+            chaos_every=args.chaos_every,
+            batching=batching,
+            keep_events=True,
+        ),
+        jobs=args.jobs,
     )
+    streams = take_streams(digests, "tenant")
     totals = summary["totals"]
-    mode = "tuple-granular" if args.tuple_granular else "batched"
+    mode = "batched" if batching else "tuple-granular"
     label = "elastic dataplane" if args.elastic else "dataplane"
     lines = [
         f"{label} ({mode}): {summary['tenants']} tenants,"
@@ -491,98 +483,21 @@ def _cmd_fleet_dataplane(args: argparse.Namespace) -> int:
         )
     lines.append(f"fleet sha256: {summary['fleet_sha256']}")
     lines.append(render_dataplane_slo_report(summary).rstrip("\n"))
+    document = {
+        "params": {
+            "tenants": args.tenants,
+            "seed": args.seed,
+            "duration": args.duration,
+            "chaos_every": args.chaos_every,
+            "batching": batching,
+        },
+        "fleet": {k: v for k, v in summary.items() if k != "violations"},
+        "tenants": digests,
+    }
     return deliver(
         Path(args.out_dir),
         "dataplane.json",
-        summary,
-        "\n".join(lines),
-        violations=summary["violations"],
-    )
-
-
-def _cmd_elastic(args: argparse.Namespace) -> int:
-    """Run the autoscaled diurnal dataplane and write elastic.json.
-
-    Every tenant's event stream is schema-validated (the migration and
-    host-lifecycle events are part of ``EVENT_SCHEMA``), and any
-    conservation/floor violation makes the command exit 1.
-    """
-    from repro.driver import deliver, take_streams
-    from repro.elastic import ElasticParams
-
-    summary, digests = _run_tenants(
-        args, ElasticParams, keep_events=True, slo=True
-    )
-    streams = take_streams(digests, "tenant")
-    stats = summary["elastic"]
-    mode = "tuple-granular" if args.tuple_granular else "batched"
-    lines = [
-        f"elastic ({mode}): {summary['tenants']} tenants,"
-        f" {stats['migrations']} migrations"
-        f" ({stats['completed']} completed, {stats['aborted']} aborted,"
-        f" {stats['refused']} refused)",
-        f"autoscaler: {stats['scale_ups']} ups, {stats['scale_downs']}"
-        f" downs, {stats['consolidations']} consolidations,"
-        f" {stats['moves']} moves",
-        f"core-seconds: {stats['active_core_seconds']} active,"
-        f" {stats['reserved_core_seconds']} reserved",
-        f"fleet sha256: {summary['fleet_sha256']}",
-    ]
-    return deliver(
-        Path(args.out_dir),
-        "elastic.json",
-        _tenant_document(args, summary, digests),
-        "\n".join(lines),
-        streams=streams,
-        violations=summary["violations"],
-    )
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    """Per-tenant SLO rollups on a small chaos-seasoned dataplane run.
-
-    Writes ``slo.json`` (the fleet summary plus every tenant's windowed
-    rollups — the input format of ``repro obs diff``) and per-tenant
-    ``events-<tenant>.jsonl`` streams, schema-validated on the way out.
-    """
-    from repro.driver import deliver, take_streams
-    from repro.fleet.dataplane import DataplaneParams
-    from repro.fleet.report import render_dataplane_slo_report
-
-    summary, digests = _run_tenants(
-        args,
-        DataplaneParams,
-        keep_events=True,
-        slo=True,
-        slo_window=args.window,
-        slo_target=args.objective,
-    )
-    streams = take_streams(digests, "tenant")
-    tenants = [
-        {
-            "tenant": digest["tenant"],
-            "app": digest["app"],
-            "log_complete": digest["log_complete"],
-            "slo": digest["slo"],
-        }
-        for digest in digests
-    ]
-    lines = [
-        f"slo: {summary['tenants']} tenants,"
-        f" {summary['totals']['input']} tuples in,"
-        f" fleet sha256 {summary['fleet_sha256']}",
-        render_dataplane_slo_report(summary).rstrip("\n"),
-    ]
-    return deliver(
-        Path(args.out_dir),
-        "slo.json",
-        _tenant_document(
-            args,
-            summary,
-            tenants,
-            window=args.window,
-            objective=args.objective,
-        ),
+        document,
         "\n".join(lines),
         streams=streams,
         violations=summary["violations"],
@@ -599,11 +514,12 @@ def _cmd_obs_diff(argv: Sequence[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro obs diff",
-        description="attribute SLO/metric deltas between two 'repro slo'"
-        " artifacts, aligned by tenant and sim-time window",
+        description="attribute SLO/metric deltas between two"
+        " 'repro fleet --dataplane' documents, aligned by tenant and"
+        " sim-time window",
     )
-    parser.add_argument("run_a", help="baseline slo.json (run A)")
-    parser.add_argument("run_b", help="candidate slo.json (run B)")
+    parser.add_argument("run_a", help="baseline dataplane.json (run A)")
+    parser.add_argument("run_b", help="candidate dataplane.json (run B)")
     parser.add_argument(
         "--out", default=None,
         help="also write the canonical diff document to this JSON file",
@@ -664,52 +580,6 @@ def _add_laar_run_options(
         "--jobs", type=int, default=None,
         help="worker processes for the runs (default: REPRO_JOBS, then"
         " the CPU count; 1 = serial)",
-    )
-    parser.add_argument(
-        "--out-dir", default=out_dir, help=f"directory for {artifacts}"
-    )
-
-
-def _add_tenant_run_options(
-    parser: argparse.ArgumentParser,
-    *,
-    tenants: int,
-    duration: float,
-    chaos_every: int,
-    out_dir: str,
-    artifacts: str,
-    scope: str = "",
-) -> None:
-    """The option family of a tenant-fleet run (``fleet``, ``elastic``,
-    ``slo``). ``scope`` prefixes the help of the options that only the
-    data plane reads (``fleet`` shares the rest with its control plane).
-    """
-    parser.add_argument(
-        "--tenants", type=int, default=tenants,
-        help="how many tenants (default %(default)s)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--duration", type=float, default=duration,
-        help=f"{scope}simulated seconds per tenant (default %(default)s)",
-    )
-    parser.add_argument(
-        "--chaos-every", type=int, default=chaos_every,
-        help=f"{scope}every Nth tenant gets a chaos injection — a mid-run"
-        " host crash or slow-host window, and on elastic runs one slot"
-        " a migration_strike inside an open migration window (0 = off;"
-        " default %(default)s)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS, then the CPU"
-        " count; 1 = serial); every artifact is byte-identical at any"
-        " value",
-    )
-    parser.add_argument(
-        "--tuple-granular", action="store_true",
-        help=f"{scope}run the plain event kernel instead of the batched"
-        " engine (event logs are byte-identical)",
     )
     parser.add_argument(
         "--out-dir", default=out_dir, help=f"directory for {artifacts}"
@@ -863,15 +733,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a multi-tenant fleet scenario and render the"
         " occupancy/SLA report",
     )
-    _add_tenant_run_options(
-        fleet,
-        tenants=100,
-        duration=30.0,
-        chaos_every=25,
-        out_dir="fleet-run",
-        artifacts="events.jsonl and report.json (dataplane.json with"
-        " --dataplane)",
-        scope="dataplane only: ",
+    fleet.add_argument(
+        "--tenants", type=int, default=100,
+        help="how many tenants (default %(default)s)",
+    )
+    fleet.add_argument("--seed", type=int, default=7)
+    fleet.add_argument(
+        "--duration", type=float, default=30.0,
+        help="dataplane only: simulated seconds per tenant (default"
+        " %(default)s)",
+    )
+    fleet.add_argument(
+        "--chaos-every", type=int, default=25,
+        help="dataplane only: every Nth tenant gets a chaos injection — a"
+        " mid-run host crash or slow-host window, and with --elastic one"
+        " slot a migration_strike inside an open migration window (0 ="
+        " off; default %(default)s)",
+    )
+    fleet.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes (default: REPRO_JOBS, then the CPU"
+        " count; 1 = serial); every artifact is byte-identical at any"
+        " value",
+    )
+    fleet.add_argument(
+        "--tuple-granular", action="store_true",
+        help="dataplane only: run the plain event kernel instead of the"
+        " batched engine (event logs are byte-identical)",
+    )
+    fleet.add_argument(
+        "--out-dir", default="fleet-run",
+        help="directory for events.jsonl and report.json (with"
+        " --dataplane: dataplane.json and events-<tenant>.jsonl)",
     )
     fleet.add_argument(
         "--apps", type=int, default=7,
@@ -898,8 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--dataplane", action="store_true",
         help="run the fleet *data plane* instead of the control plane:"
-        " every tenant is a fully simulated stream platform (the"
-        " batched engine's headline workload; see docs/performance.md)",
+        " every tenant is a fully simulated stream platform with"
+        " streaming SLO rollups (the batched engine's headline workload;"
+        " 'repro obs diff' reads its dataplane.json; see"
+        " docs/performance.md and docs/observability.md)",
     )
     fleet.add_argument(
         "--elastic", action="store_true",
@@ -908,46 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         " consolidation (see docs/elasticity.md)",
     )
     fleet.set_defaults(func=_cmd_fleet)
-
-    elastic = commands.add_parser(
-        "elastic",
-        help="run the autoscaled diurnal dataplane (live migrations,"
-        " host drains, chaos inside migration windows) and write the"
-        " elastic.json artifact (see docs/elasticity.md)",
-    )
-    _add_tenant_run_options(
-        elastic,
-        tenants=8,
-        duration=12.0,
-        chaos_every=4,
-        out_dir="elastic-run",
-        artifacts="elastic.json and events-<tenant>.jsonl",
-    )
-    elastic.set_defaults(func=_cmd_elastic)
-
-    slo = commands.add_parser(
-        "slo",
-        help="run a chaos-seasoned dataplane slice with streaming SLO"
-        " rollups and write the slo.json artifact 'repro obs diff'"
-        " consumes (see docs/observability.md)",
-    )
-    _add_tenant_run_options(
-        slo,
-        tenants=10,
-        duration=30.0,
-        chaos_every=4,
-        out_dir="slo-run",
-        artifacts="slo.json and events-<tenant>.jsonl",
-    )
-    slo.add_argument(
-        "--window", type=float, default=5.0,
-        help="SLO rollup window in simulated seconds (default 5)",
-    )
-    slo.add_argument(
-        "--objective", type=float, default=0.999,
-        help="availability objective in (0, 1) (default 0.999)",
-    )
-    slo.set_defaults(func=_cmd_slo)
 
     # Listed here for ``repro --help`` only: main() hands everything
     # after ``lint`` to the linter's own parser (repro.analysis.cli).

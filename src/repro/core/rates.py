@@ -70,10 +70,11 @@ class RateTable:
     """
 
     def __init__(self, descriptor: ApplicationDescriptor) -> None:
-        self._descriptor = descriptor
+        # The graph, not the descriptor: the descriptor memoises this
+        # table, and a link back would make every application a cycle.
+        graph = self._graph = descriptor.graph
         rates = self._rates = expected_rates(descriptor)
         self._n_configs = len(descriptor.configuration_space)
-        graph = descriptor.graph
         configs = range(self._n_configs)
         self._input_rates: dict[str, tuple[float, ...]] = {}
         self._loads: dict[str, tuple[float, ...]] = {}
@@ -93,10 +94,6 @@ class RateTable:
             sum(self._input_rates[pe][c] for pe in graph.pes)
             for c in configs
         )
-
-    @property
-    def descriptor(self) -> ApplicationDescriptor:
-        return self._descriptor
 
     @property
     def n_configs(self) -> int:
@@ -119,7 +116,7 @@ class RateTable:
             return self._input_rates[pe][config_index]
         except KeyError:
             # Not a PE: the graph words the typed error.
-            self._descriptor.graph.pe_input_edges(pe)
+            self._graph.pe_input_edges(pe)
             raise
 
     def replica_load(self, pe: str, config_index: int) -> float:
@@ -132,7 +129,7 @@ class RateTable:
             return self._loads[pe][config_index]
         except KeyError:
             # Not a PE: the graph words the typed error.
-            self._descriptor.graph.pe_input_edges(pe)
+            self._graph.pe_input_edges(pe)
             raise
 
     def replica_load_matrix(self) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -141,7 +138,7 @@ class RateTable:
         Returns the matrix together with the PE order (topological) its
         rows follow. Used by the optimizer for fast bound computations.
         """
-        pes = self._descriptor.graph.pes
+        pes = self._graph.pes
         matrix = np.array([self._loads[pe] for pe in pes], dtype=float)
         return matrix, pes
 

@@ -87,8 +87,10 @@ class DataplaneParams:
 
     ``slo`` attaches a per-tenant streaming SLO engine
     (:mod:`repro.obs.slo`, coverage availability against
-    ``slo_target``) whose windowed rollups land in the digest under
-    ``"slo"`` and in the event stream as ``slo.*`` events.
+    ``slo_target`` over ``slo_window``-second windows) whose rollups
+    land in the digest under ``"slo"`` and in the event stream as
+    ``slo.*`` events. The window and the objective are constants of the
+    class, not fields: no caller varies them.
     """
 
     tenants: int = 10_000
@@ -103,8 +105,8 @@ class DataplaneParams:
     batching: bool = False
     keep_events: bool = False
     slo: bool = True
-    slo_window: float = 5.0
-    slo_target: float = 0.999
+    slo_window = 5.0
+    slo_target = 0.999
 
     def __post_init__(self) -> None:
         if self.tenants < 1:

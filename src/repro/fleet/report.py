@@ -26,16 +26,13 @@ def render_dataplane_slo_report(summary: dict) -> str:
     """One-paragraph SLO verdict block for a dataplane fleet summary.
 
     Consumes the ``"slo"``/``"log_complete"`` keys of
-    :func:`repro.fleet.dataplane.summarize_dataplane`; tolerant of older
-    artifacts without them (renders an explicit "not collected" line).
+    :func:`repro.fleet.dataplane.summarize_dataplane`.
     """
-    slo = summary.get("slo") or {}
-    if not slo.get("tenants"):
-        return "slo: (not collected)\n"
+    slo = summary["slo"]
     verdicts = ", ".join(
         f"{name}={count}" for name, count in slo["verdicts"].items()
     )
-    trust = "" if summary.get("log_complete", True) else (
+    trust = "" if summary["log_complete"] else (
         "  (UNTRUSTED: some tenant logs evicted events)"
     )
     minimum = slo["min_availability"]

@@ -6,8 +6,12 @@ from sources and outputs this measurement result."
 The simulated monitor samples each source's emitted-tuple counter on a
 fixed interval and reports the per-window average rate to its listener
 (the HAController). Window-diff sampling is exact — no tuple is counted
-in two windows — so measured rates converge to the trace's nominal rates
-within one interval of a configuration change.
+in two windows — but a window's count is small: at the corpus's rates
+(Low 1.1-3.0 tuples/s) the paper's 2 s window counts 2-9 tuples, so a
+reading moves in steps of 0.5 tuples/s, about the Low-High gap
+(0.6-1.6 tuples/s). Under arrival jitter the measured rate does not
+settle on the trace's nominal rate, and the controller can read the
+wrong configuration well after a change (EXPERIMENTS.md, residual 4).
 """
 
 from __future__ import annotations

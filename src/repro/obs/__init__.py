@@ -21,7 +21,8 @@ about the current status of all the PEs and log this information"):
   the one proven IC floor, shared by the SLO trackers and the chaos
   invariant checker;
 * :mod:`repro.obs.slo` — the streaming SLO engine: windowed rollups,
-  error budgets, multi-window burn-rate alerts (``repro slo``);
+  error budgets, multi-window burn-rate alerts (every tenant of
+  ``repro fleet --dataplane``);
 * :mod:`repro.obs.diff` — sim-time-aligned run diffs with per-phase
   delta attribution (``repro obs diff``).
 

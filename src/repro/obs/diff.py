@@ -1,7 +1,8 @@
 """Run-to-run SLO diff: aligned windows, per-phase delta attribution.
 
 ``repro obs diff <runA> <runB>`` answers "why did run B regress vs run
-A?" for two ``repro slo`` artifacts (``slo.json`` documents). Runs are
+A?" for two ``repro fleet --dataplane`` documents (``dataplane.json``,
+whose tenants carry their SLO rollups). Runs are
 aligned per tenant and per sim-time window index — windows are fixed
 ``[k*W, (k+1)*W)`` grids anchored at t=0, so index alignment *is*
 sim-time alignment — and every metric delta is attributed to the phase
@@ -30,7 +31,7 @@ _TOP_MOVERS = 10
 
 
 def load_slo_document(path: Union[str, Path]) -> dict[str, Any]:
-    """Read one ``slo.json``; a truncated or non-object file, or a tenant
+    """Read one ``dataplane.json``; a truncated or non-object file, or a tenant
     :func:`diff_runs` cannot read, is a :class:`~repro.errors.ReproError`
     naming it (and the tenant), never a traceback."""
     try:
@@ -58,7 +59,8 @@ def _tenants(doc: Mapping[str, Any], what: str) -> list:
     tenants = doc.get("tenants")
     if not isinstance(tenants, list):
         raise ReproError(
-            f"{what} is not a 'repro slo' artifact (missing 'tenants' list)"
+            f"{what} is not a 'repro fleet --dataplane' document"
+            " (missing 'tenants' list)"
         )
     return tenants
 
@@ -83,7 +85,8 @@ def _pair(a: float, b: float) -> dict[str, float]:
 def diff_runs(
     doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Diff two ``repro slo`` artifacts into one attribution document."""
+    """Diff two ``dataplane.json`` documents into one attribution
+    document."""
     slo_a = _tenant_map(doc_a, "run A")
     slo_b = _tenant_map(doc_b, "run B")
     common = sorted(set(slo_a) & set(slo_b), key=lambda t: (len(t), t))

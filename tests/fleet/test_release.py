@@ -7,9 +7,11 @@ close the platform once the digest is built, and
 :meth:`ExtendedApplication.run` closes it as the LAAR run ends (so every
 :class:`CampaignRun` does too). Each owner drops the links it holds and
 the hooks back to the platform are cut, so nothing of the run is left
-for the cycle collector. Each test runs once with ``gc`` disabled and
-then asks the collector how many unreachable objects it finds: zero.
-The sabotages prove the count can fail.
+for the cycle collector. So is a generated application: its memoised
+rate table keeps the graph, not the descriptor that memoises it. Each
+test runs once with ``gc`` disabled and then asks the collector how
+many unreachable objects it finds: zero. The sabotages prove the count
+can fail.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.chaos.runner import CampaignRun
 from repro.core.baselines import greedy_deactivation
 from repro.core.optimizer import ft_search
 from repro.core.optimizer.problem import OptimizationProblem
+from repro.core.rates import RateTable
 from repro.core.strategy import ActivationStrategy
 from repro.dsps.operators import ReplicaGroup
 from repro.dsps.platform import PlatformConfig, StreamPlatform
@@ -58,10 +61,10 @@ ELASTIC = ElasticParams(tenants=4, chaos_every=4, duration=12.0)
 
 
 def cyclic_garbage(run_one: Callable[[Any], Any], task: Any) -> int:
-    """Objects the cycle collector finds after one tenant run.
+    """Objects the cycle collector finds after one ``run_one(task)``.
 
-    The tenant runs once first, so the per-process application memo
-    is warm and what is counted is the run alone.
+    It runs once first, so the per-process application memo is warm
+    and what is counted is the run alone.
     """
     run_one(task)
     gc.collect()
@@ -389,3 +392,32 @@ def test_drawn_campaign_runs_leave_no_cycles(
         app_seed, pes, jitter, chaos, heartbeats, batching, dynamic, drain
     )
     assert cyclic_garbage(run_campaign_run, task) == 0
+
+
+# ----------------------------------------------------------------------
+# A generated application: its rate table does not point back
+# ----------------------------------------------------------------------
+
+
+def generate_and_read_rates(seed: int) -> None:
+    """Generate a small application, read its memoised rate table and
+    drop both."""
+    app = generate_application(seed, params=GeneratorParams(n_pes=8))
+    app.descriptor.rate_table.replica_load_matrix()
+
+
+class TestApplicationRelease:
+    def test_a_generated_application_leaves_no_cycles(self):
+        assert cyclic_garbage(generate_and_read_rates, 3) == 0
+
+    def test_a_rate_table_that_keeps_its_descriptor_leaves_cycles(
+        self, monkeypatch
+    ):
+        init = RateTable.__init__
+
+        def keep_descriptor(self: RateTable, descriptor: Any) -> None:
+            init(self, descriptor)
+            self.kept = descriptor
+
+        monkeypatch.setattr(RateTable, "__init__", keep_descriptor)
+        assert cyclic_garbage(generate_and_read_rates, 3) > 0

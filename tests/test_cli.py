@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -354,72 +356,108 @@ class TestObsDiffArtifacts:
         assert "bad_seconds" in err
 
 
+#: One autoscaled fleet shared by the TestElastic cases: four tenants,
+#: the chaos slot of tenant 0 and migrations inside eight seconds.
+ELASTIC_RUN = [
+    "fleet", "--dataplane", "--elastic",
+    "--tenants", "4",
+    "--duration", "8",
+    "--jobs", "1",
+]
+
+
+def _run_quietly(argv: list) -> tuple[int, str]:
+    """``main(argv)`` with its stdout captured (module fixtures cannot
+    take ``capsys``)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def elastic_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("elastic") / "batched"
+    code, out = _run_quietly([*ELASTIC_RUN, "--out-dir", str(out_dir)])
+    return code, out, out_dir
+
+
 class TestElastic:
-    def test_elastic_writes_artifact_and_valid_events(
-        self, tmp_path, capsys
-    ):
-        out_dir = tmp_path / "elastic"
-        code = main(
-            [
-                "elastic",
-                "--tenants", "4",
-                "--duration", "10",
-                "--jobs", "1",
-                "--out-dir", str(out_dir),
-            ]
-        )
+    def test_fleet_elastic_flag_runs_autoscaled_dataplane(self, elastic_run):
+        code, out, _ = elastic_run
         assert code == 0
-        out = capsys.readouterr().out
-        assert "elastic (batched):" in out
+        assert "elastic dataplane (batched):" in out
         assert "migrations" in out
         assert "fleet sha256:" in out
+        assert "slo verdicts:" in out
 
+    def test_elastic_writes_artifact_and_valid_events(self, elastic_run):
         from repro.obs.validate import validate_file
 
-        document = json.loads((out_dir / "elastic.json").read_text())
+        _, _, out_dir = elastic_run
+        document = json.loads((out_dir / "dataplane.json").read_text())
+        assert sorted(document) == ["fleet", "params", "tenants"]
         assert document["fleet"]["ok"] is True
         assert document["fleet"]["elastic"]["migrations"] > 0
         assert len(document["tenants"]) == 4
         for entry in document["tenants"]:
+            assert "jsonl" not in entry
+            assert entry["slo"]["n_windows"] > 0
             path = out_dir / f"events-{entry['tenant']}.jsonl"
-            assert path.exists()
             assert validate_file(path) == []
+        assert len(list(out_dir.glob("events-*.jsonl"))) == 4
 
-    def test_fleet_elastic_flag_runs_autoscaled_dataplane(
-        self, tmp_path, capsys
+    def test_elastic_batched_and_tuple_granular_agree(
+        self, elastic_run, tmp_path
     ):
-        out_dir = tmp_path / "fleet-elastic"
-        code = main(
-            [
-                "fleet", "--dataplane", "--elastic",
-                "--tenants", "4",
-                "--duration", "8",
-                "--jobs", "1",
-                "--out-dir", str(out_dir),
-            ]
+        _, _, batched = elastic_run
+        out_dir = tmp_path / "tuple-granular"
+        code, _ = _run_quietly(
+            [*ELASTIC_RUN, "--tuple-granular", "--out-dir", str(out_dir)]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "elastic dataplane (batched):" in out
-        summary = json.loads((out_dir / "dataplane.json").read_text())
-        assert summary["ok"] is True
-        assert summary["elastic"]["migrations"] > 0
+        shas = [
+            json.loads((path / "dataplane.json").read_text())["fleet"][
+                "fleet_sha256"
+            ]
+            for path in (batched, out_dir)
+        ]
+        assert shas[0] == shas[1]
+        for events in sorted(batched.glob("events-*.jsonl")):
+            assert (out_dir / events.name).read_bytes() == (
+                events.read_bytes()
+            )
 
-    def test_elastic_batched_and_tuple_granular_agree(self, tmp_path):
-        shas = []
-        for index, extra in enumerate(([], ["--tuple-granular"])):
-            out_dir = tmp_path / f"mode-{index}"
+
+class TestObsDiffRoundTrip:
+    def test_two_dataplane_runs_diff_by_tenant(self, tmp_path, capsys):
+        documents = []
+        for seed in ("7", "11"):
+            out_dir = tmp_path / f"seed-{seed}"
             code = main(
                 [
-                    "elastic",
+                    "fleet", "--dataplane",
                     "--tenants", "2",
                     "--duration", "8",
+                    "--seed", seed,
                     "--jobs", "1",
                     "--out-dir", str(out_dir),
-                    *extra,
                 ]
             )
             assert code == 0
-            document = json.loads((out_dir / "elastic.json").read_text())
-            shas.append(document["fleet"]["fleet_sha256"])
-        assert shas[0] == shas[1]
+            documents.append(str(out_dir / "dataplane.json"))
+        capsys.readouterr()
+        assert main(["obs", "diff", *documents]) == 0
+        out = capsys.readouterr().out
+        assert "tenants: 2 aligned" in out
+        movers = out.split("-- top movers --\n")[1].splitlines()[1:]
+        assert sorted(row.split()[0] for row in movers) == ["0", "1"]
+
+
+class TestRemovedCommands:
+    @pytest.mark.parametrize("command", ["slo", "elastic"])
+    def test_folded_into_fleet_dataplane(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

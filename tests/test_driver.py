@@ -1,10 +1,10 @@
 """The scenario driver's delivery contract, tested where it lives.
 
-Every scenario subcommand (``obs``, ``chaos run``, ``fleet``,
-``elastic``, ``slo``) ends in :func:`repro.driver.deliver`, so the two
-failure exits are pinned here once instead of per subcommand — and
-fans out through :func:`repro.driver.run_tenants`, whose promise that
-the worker count changes no byte is generated here.
+Every scenario subcommand (``obs``, ``chaos run``, ``fleet``) ends in
+:func:`repro.driver.deliver`, so the two failure exits are pinned here
+once instead of per subcommand — and the tenant fleet fans out
+through :func:`repro.driver.run_tenants`, whose promise that the worker
+count changes no byte is generated here.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def test_tenant_violations_write_artifacts_then_exit_one(tmp_path, capsys):
     document = {"fleet": {"ok": False}, "tenants": digests}
     code = deliver(
         tmp_path / "run",
-        "slo.json",
+        "dataplane.json",
         document,
-        "slo: 2 tenants",
+        "dataplane: 2 tenants",
         streams=take_streams(digests, "tenant"),
         violations=violations,
     )
@@ -66,11 +66,11 @@ def test_tenant_violations_write_artifacts_then_exit_one(tmp_path, capsys):
         "violation (tenant 1): conservation pe00#0: received=3",
         "violation (tenant 1): no-output: sinks received nothing",
     ]
-    assert captured.out == "slo: 2 tenants\n"  # no "artifacts written"
+    assert captured.out == "dataplane: 2 tenants\n"  # no "artifacts written"
     for tenant in (0, 1):
         stream = tmp_path / "run" / f"events-{tenant}.jsonl"
         assert stream.read_text() == CLEAN
-    written = json.loads((tmp_path / "run" / "slo.json").read_text())
+    written = json.loads((tmp_path / "run" / "dataplane.json").read_text())
     assert written == {
         "fleet": {"ok": False},
         "tenants": [{"tenant": 0}, {"tenant": 1}],

@@ -11,11 +11,16 @@
 #   diff <(tools/digests.sh /tmp/parent) <(tools/digests.sh .)
 #
 # Within one checkout the script itself requires the execution-mode
-# twins to agree — batched == `--tuple-granular` == `--jobs 2` on
-# `repro elastic` and `repro slo` (chain tenants: closed-form trains),
-# default == `--batched` == `--jobs 2` on `repro chaos run` and
-# `repro obs` (LAAR bundles: the engine's kernel path; both fan out
-# through `run_campaigns`) — and exits 1 if they do not.
+# twins to agree — batched == `--tuple-granular` == `--jobs 2` on the
+# static and the elastic `repro fleet --dataplane` (chain tenants:
+# closed-form trains), default == `--batched` == `--jobs 2` on `repro
+# chaos run` and `repro obs` (LAAR bundles: the engine's kernel path;
+# both fan out through `run_campaigns`) — and exits 1 if they do not.
+#
+# Every data-plane run also gets a `<scenario> fleet_sha256 <hex>` row,
+# read from the `fleet sha256:` line it prints: the chain of every
+# tenant's event-log hash, so the row holds still while the document
+# around it changes shape, and moves only if an event byte does.
 #
 # JSON documents are hashed without the blocks that legitimately differ
 # between modes or runs: the batched engine's own counters (`engine`),
@@ -82,20 +87,37 @@ twin() {
     echo "$scenario $label identical"
 }
 
-# --- fleet data plane, plain and elastic ------------------------------
-repro fleet --dataplane --tenants 50 --jobs 1 \
-    --out-dir dataplane >/dev/null
-rows fleet-dataplane dataplane
-repro fleet --dataplane --elastic --tenants 50 --jobs 1 \
-    --out-dir dataplane-elastic >/dev/null
-rows fleet-dataplane-elastic dataplane-elastic
-
-# --- repro elastic / repro slo: default, tuple-granular, two workers --
-for scenario in elastic slo; do
-    repro "$scenario" --jobs 1 --out-dir "$scenario" >/dev/null
+# run a data-plane fleet (`dataplane <scenario> <flags...>`): its rows
+# and its fleet_sha256 row
+dataplane() {
+    local scenario=$1 fleet_sha
+    shift
+    repro fleet --dataplane "$@" --jobs 1 --out-dir "$scenario" \
+        >"$scenario.stdout"
     rows "$scenario" "$scenario"
-    twin "$scenario" tuple-granular "$scenario" --jobs 1 --tuple-granular
-    twin "$scenario" jobs-2 "$scenario" --jobs 2
+    fleet_sha=$(sed -n 's/^fleet sha256: //p' "$scenario.stdout")
+    if [[ -z $fleet_sha ]]; then
+        echo "$scenario: no 'fleet sha256:' line" >&2
+        exit 1
+    fi
+    echo "$scenario fleet_sha256 $fleet_sha"
+}
+
+# --- fleet data plane, static and elastic -----------------------------
+dataplane fleet-dataplane --tenants 50
+dataplane fleet-dataplane-elastic --elastic --tenants 50
+
+# --- small static and elastic fleets: default, tuple-granular, two
+# workers (`elastic` and `slo` name their parameter sets)
+for scenario in elastic slo; do
+    case $scenario in
+        elastic) shape=(--elastic --tenants 8 --duration 12 --chaos-every 4) ;;
+        slo) shape=(--tenants 10 --duration 30 --chaos-every 4) ;;
+    esac
+    dataplane "$scenario" "${shape[@]}"
+    twin "$scenario" tuple-granular \
+        fleet --dataplane "${shape[@]}" --jobs 1 --tuple-granular
+    twin "$scenario" jobs-2 fleet --dataplane "${shape[@]}" --jobs 2
 done
 
 # --- chaos campaigns ----------------------------------------------------
