@@ -1,7 +1,9 @@
 """The analysis engine: file collection, two passes, suppression, report.
 
 Pass 1 parses every file once (:func:`repro.analysis.facts.collect_facts`)
-and runs the per-file rules. Pass 2 merges the cross-module facts: the
+and runs the per-file rules; a file whose displayed path and source
+are those of the previous run in this process reuses that run's pass-1
+results. Pass 2 merges the cross-module facts: the
 ``EVENT_SCHEMA`` table and every emit site feed the typed schema
 cross-check (R4), and the project-wide call resolution
 (:mod:`repro.analysis.callgraph`) lets fabric hygiene (R10) find a
@@ -19,7 +21,7 @@ enforces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -49,6 +51,35 @@ __all__ = ["AnalysisReport", "run_analysis"]
 
 #: Default allowlist filename, discovered in the working directory.
 ALLOWLIST_NAME = "analysis-allowlist.txt"
+
+
+@dataclass(frozen=True)
+class _Pass1:
+    """One file's pass-1 results: what the later passes read of it."""
+
+    source: str
+    facts: FileFacts
+    #: R8 problems with its allow comments, then the per-file rules'.
+    diagnostics: list[Diagnostic]
+    #: Never handed out: a run marks its own copies used.
+    suppressions: list[Suppression]
+
+
+#: The previous run's pass-1 results by displayed path.
+_previous: dict[str, _Pass1] = {}
+
+
+def _pass1(path: Path, display: str, cached: Optional[_Pass1]) -> _Pass1:
+    """Pass 1 for one file, or ``cached`` if its source is unchanged."""
+    if cached is not None and cached.source == path.read_text():
+        return cached
+    facts = collect_facts(path, display)
+    suppressions, r8_problems = parse_suppressions(
+        facts.source, display, RULE_IDS
+    )
+    return _Pass1(
+        facts.source, facts, r8_problems + check_file(facts), suppressions
+    )
 
 
 @dataclass
@@ -147,25 +178,25 @@ def run_analysis(
     all_sites: list[EmitSite] = []
     all_defs: list[SchemaDef] = []
     files = _collect_python_files(paths)
+    previous = dict(_previous)
+    _previous.clear()
 
     for path in files:
         display = path.as_posix()
         try:
-            facts = collect_facts(path, display)
+            result = _pass1(path, display, previous.get(display))
         except (OSError, SyntaxError) as exc:
             errors.append(f"{display}: {exc}")
             continue
+        _previous[display] = result
+        facts = result.facts
         modules[display] = facts.module
         all_facts.append(facts)
         facts_by_file[display] = facts
         all_sites.extend(facts.emit_sites)
         all_defs.extend(facts.schema_defs)
-        file_suppressions, r8_problems = parse_suppressions(
-            facts.source, display, RULE_IDS
-        )
-        suppressions.extend(file_suppressions)
-        diagnostics.extend(r8_problems)
-        diagnostics.extend(check_file(facts))
+        suppressions.extend(replace(s) for s in result.suppressions)
+        diagnostics.extend(result.diagnostics)
 
     diagnostics.extend(check_schema(all_sites, all_defs, facts_by_file))
     diagnostics.extend(

@@ -31,9 +31,9 @@ event the kernel lets the engine fire the arrivals that precede it
   credits and the integer counters follow from per-step run counts and
   fold once when the train ends. ``stats["cascades"]`` counts the
   arrivals committed this way, ``stats["runs"]`` the trains. A long
-  quiet stretch of a train (many arrivals before the next heap event)
-  commits as numpy arrays instead of arrival by arrival, with the same
-  floats (:meth:`BatchEngine._commit_segment`;
+  quiet stretch of a train (many arrivals before the next heap event
+  or chain firing) commits as numpy arrays instead of arrival by
+  arrival, with the same floats (:meth:`BatchEngine._commit_segment`;
   ``stats["array_arrivals"]``); short ones keep the per-arrival loop.
 * **kernel** — anything else: :meth:`SourceOperator.fire` runs the real
   operator code, whose completions go on the heap like in a
@@ -58,12 +58,13 @@ window the same action opens is a marker in the event log (both modes
 emit it), not an execution mode: eligibility depends on platform state,
 never on elapsed time.
 
-A heap event scheduled with an ``idle`` probe (see
-:meth:`repro.sim.kernel.Environment.schedule`) does not end a train:
-when a cascade's bound reaches it and it probes idle, the train fires it
-in place with the exact sequence number and carries on
-(:meth:`BatchEngine._cross_idle`; ``stats["idle_crossed"]``). Periodic
-control ticks that decide to change nothing are the case it exists for.
+A chain (see :meth:`repro.sim.kernel.Environment.recur`) does not end
+a train: the train takes the chains' firings off the heap, and while a
+firing's probe says idle it applies the firing as a step at its time,
+draws the one sequence number its reschedule would have drawn there,
+and carries on; each chain goes back on the heap once, when the train
+ends (``stats["ticks_stepped"]``). Periodic control ticks that decide
+to change nothing are the case it exists for.
 
 Byte-identity of the resulting event logs between this engine and the
 plain kernel is enforced by ``tests/sim/test_batched_equivalence.py``
@@ -86,6 +87,7 @@ import numpy as np
 
 from repro.dsps.metrics import LatencyRecorder, NetworkMetrics, TimeSeries
 from repro.errors import SimulationError
+from repro.sim.kernel import Chain
 
 if TYPE_CHECKING:
     from repro.dsps.endpoints import SinkOperator, SourceOperator
@@ -93,7 +95,7 @@ if TYPE_CHECKING:
     from repro.dsps.operators import OperatorReplica
     from repro.dsps.platform import StreamPlatform
     from repro.obs.events import EventLog
-    from repro.sim import Environment, EventHandle
+    from repro.sim import Environment
 
 __all__ = ["BatchEngine", "FallbackTracker"]
 
@@ -110,10 +112,12 @@ _MAX_STEPS = 128
 
 #: A train commits the quiet stretch ahead of an arrival as arrays
 #: (:meth:`BatchEngine._commit_segment`) when more than this many of
-#: its current inter-arrival gaps fit before the next heap head or
-#: ``until``; shorter stretches take the per-arrival loop, since a
-#: segment pays a fixed ~100 numpy calls (docs/performance.md).
-_ARRAY_STRETCH = 32
+#: its current inter-arrival gaps fit before the next heap head, chain
+#: firing or ``until``; shorter stretches take the per-arrival loop. A
+#: segment pays ~210 us fixed and ~0.6 us per arrival against ~3.4 us
+#: per arrival in the loop: the measured break-even (docs/performance.md
+#: § "Long quiet stretches commit as arrays").
+_ARRAY_STRETCH = 75
 
 #: Most arrivals one array segment draws ahead and commits.
 _MAX_SEGMENT = 1024
@@ -233,6 +237,9 @@ class _Step:
     primary: bool  # the group primary: only its output travels on
     fx: Optional[_DeliveryFx] = None
 
+
+#: A chain's next firing inside a train, keyed like a heap entry.
+_Firing = tuple[float, int, Chain]
 
 #: Per sink: its series buckets, arrival-time and latency columns.
 _Records = tuple[tuple[dict[int, int], list[float], list[float]], ...]
@@ -394,7 +401,7 @@ class BatchEngine:
             "bails": 0,
             "template_builds": 0,
             "runs": 0,
-            "idle_crossed": 0,
+            "ticks_stepped": 0,
             "array_arrivals": 0,
         }
 
@@ -560,45 +567,116 @@ class BatchEngine:
         self.stats["bails"] += 1
         self._micro_fire(cursor, delay, drawn=True)
 
-    def _cross_idle(
+    def _take_chains(self) -> list[_Firing]:
+        """Take the chain firings at the head of the heap off it.
+
+        They come off in ``(time, seq)`` order, so the list is a heap;
+        :meth:`_put_back` returns every chain still running when the
+        train ends. Nothing else touches the heap inside a train.
+        """
+        queue = self._env._queue
+        chains: list[_Firing] = []
+        while queue and type(queue[0][2].callback) is Chain:
+            time, seq, handle = heapq.heappop(queue)
+            chains.append((time, seq, handle.callback))
+        return chains
+
+    def _put_back(self, chains: list[_Firing]) -> None:
+        """One heap entry per chain: its next firing."""
+        env = self._env
+        for time, seq, chain in chains:
+            env.push_firing(time, seq, chain)
+
+    def _cross(
         self,
         template: _Template,
         cred: list[float],
         t0: float,
         bound: float,
-        draws_at_t0: int,
-    ) -> tuple[bool, list[tuple[float, int]]]:
-        """Fire the idle heap events in the way of the cascade at ``t0``.
+        chains: list[_Firing],
+        seq: int,
+        paid: int,
+    ) -> tuple[bool, int, int, float, list[float]]:
+        """Step the chain firings due by ``bound``, the cascade at
+        ``t0``'s, while their probes say idle.
 
-        Called with the replayed sequence counter flushed into the
-        kernel, when the heap head is at or before ``bound``. Heads
-        before ``t0`` fire in place. Heads inside ``(t0, bound]`` fire
-        with the sequence number a tuple-granular run would have reached
-        by then — ``draws_at_t0`` plus the draws of every step whose
-        parent completed earlier — and the kernel counter is then put
-        back, so the caller commits the cascade as if they were not
-        there and adds their draws afterwards.
+        Called when the first is due, with ``seq`` the counter before
+        the arrival, which itself draws ``paid`` numbers. A firing
+        before ``t0`` lies between two cascades, where nothing else
+        draws, so it draws the next number. One inside ``(t0, bound]``
+        draws the number a tuple-granular run would have reached by
+        then: the arrival's, plus those of every step whose parent
+        completed earlier, plus the firings before it inside.
 
-        Returns ``(admit, fired)``: whether the cascade may commit in
-        closed form, and the ``(time, draws)`` of each head fired inside
-        it. A head that is live (no probe, cancelled, probe false) or
-        lands exactly on the arrival or on a step completion refuses the
-        cascade — equal-time ties are the exact path's to resolve. When
-        that head is the successor an already-fired head scheduled
-        inside the same cascade, ``fired`` is non-empty: the kernel
-        clock is put back too, and the caller owes those draws to the
-        tuple-granular replay (:meth:`_replay_owing`).
+        Returns ``(admit, seq, count, last, inside)``: whether the
+        cascade may commit in closed form, the counter after the
+        firings before ``t0``, how many firings were stepped, the
+        latest the train keeps and the times of those stepped inside
+        that drew a number (the caller adds them after the cascade's
+        own draws). A busy firing, or one landing exactly on the
+        arrival or on a step completion, refuses the cascade: equal-time
+        ties are the exact path's to resolve. A step reveals its
+        chain's next firing only by running, so that refusal can come
+        after firings inside were stepped; then the caller replays the
+        arrival around them (:meth:`_replay_owing`).
         """
-        queue = self._env._queue
-        while queue and queue[0][0] < t0:
-            if not self._probe(queue[0][2]):
-                return False, []
-            self._fire_idle()
-        if not queue or queue[0][0] > bound:
-            return True, []
-        # Dry pass: the cascade's event times and emit pattern, by the
-        # commit loop's own float operations, on private scratch. Each
-        # step that runs is kept as (parent time, own time, late draw).
+        env = self._env
+        platform = self._platform
+        epoch = platform.control_epoch
+        drawn = env._sequence
+        count = 0
+        before = last = -math.inf  # the latest before t0, and of all
+        inside: list[float] = []
+        ran: Optional[list[tuple[float, float, int]]] = None
+        while chains and chains[0][0] <= bound:
+            time, _, chain = chains[0]
+            if time < t0:
+                number = seq
+            else:
+                if ran is None:
+                    if time == t0:
+                        break
+                    ran = self._dry_pass(template, cred, t0)
+                if any(end == time for _, end, _ in ran):
+                    break
+                number = (
+                    seq
+                    + paid
+                    + sum(late for start, _, late in ran if start < time)
+                    + len(inside)
+                )
+            if not chain.idle(time):
+                break
+            after = chain.step(time)
+            if platform.control_epoch != epoch or env._sequence != drawn:
+                raise SimulationError(
+                    f"{chain.step!r} probed idle at t={time} but changed"
+                    " control-plane state or submitted work when it"
+                    " stepped"
+                )
+            if after is None:
+                heapq.heappop(chains)
+            else:
+                heapq.heapreplace(chains, (time + after, number, chain))
+                if time < t0:
+                    seq += 1
+                else:
+                    inside.append(time)
+            if time < t0:
+                before = time
+            count += 1
+            last = time
+        else:
+            return True, seq, count, last, inside
+        return False, seq, count, before, inside
+
+    @staticmethod
+    def _dry_pass(
+        template: _Template, cred: list[float], t0: float
+    ) -> list[tuple[float, float, int]]:
+        """The cascade at ``t0`` by the commit loop's own float
+        operations, on private scratch: ``(parent time, own time, late
+        draw)`` of each step that runs."""
         n = len(cred)
         times = [0.0] * n + [t0]
         emit = [False] * n + [True]
@@ -610,58 +688,7 @@ class BatchEngine:
                 times[i] = times[parent] + delay
                 emit[i] = primary and cred[i] + sel >= 1.0
                 ran.append((times[parent], times[i], late))
-        env = self._env
-        base = env._sequence
-        now = env._now
-        paid = draws_at_t0
-        fired: list[tuple[float, int]] = []
-        admit = True
-        while queue and queue[0][0] <= bound:
-            time, _seq, handle = queue[0]
-            if (
-                time == t0
-                or not self._probe(handle)
-                or any(end == time for _, end, _ in ran)
-            ):
-                admit = False
-                break
-            env._sequence = before = (
-                base
-                + paid
-                + sum(late for start, _, late in ran if start < time)
-            )
-            self._fire_idle()
-            draws = env._sequence - before
-            paid += draws
-            fired.append((time, draws))
-        # Put the kernel back where the cascade starts: the caller
-        # replays the draws itself, and a replay restarts the clock too.
-        env._sequence = base
-        if not admit:
-            env._now = now
-        return admit, fired
-
-    @staticmethod
-    def _probe(handle: "EventHandle") -> bool:
-        """Did this heap event declare its firing idle?"""
-        return (
-            handle.idle is not None
-            and not handle.cancelled
-            and handle.idle(handle.time)
-        )
-
-    def _fire_idle(self) -> None:
-        """Fire the heap head, which probed idle; a lying probe raises."""
-        env = self._env
-        time, _seq, handle = env._queue[0]
-        epoch = self._platform.control_epoch
-        env.fire_head()
-        if self._platform.control_epoch != epoch or self._in_flight():
-            raise SimulationError(
-                f"{handle.callback!r} probed idle at t={time} but changed"
-                " control-plane state or submitted work when it fired"
-            )
-        self.stats["idle_crossed"] += 1
+        return ran
 
     def _commit_run(
         self,
@@ -676,12 +703,15 @@ class BatchEngine:
         Every arrival, the first included, is admitted by the same
         conditions before it joins the run: its cascade ends (with the
         guard margin) before the next arrival and by ``until``, and no
-        heap event stands at or before that bound — unless every such
-        event declared itself idle, in which case :meth:`_cross_idle`
-        fires them in place and the train carries on. The first
-        refusal stops the train with the look-ahead delay stashed on
-        the cursor; False means the *first* arrival was refused and
-        nothing was mutated.
+        heap event stands at or before that bound — except the firings
+        of chains (:meth:`repro.sim.kernel.Environment.recur`), which
+        the train takes off the heap when it starts and steps itself
+        while their probes say idle (:meth:`_cross`, for the firings
+        due by the bound). The first refusal stops the train with the
+        look-ahead delay stashed on the cursor, and every chain goes
+        back on the heap at its next firing; False means the *first*
+        arrival was refused and nothing was mutated but chain firings
+        that stopped their chains inside its cascade.
 
         Float-sensitive accumulators are replayed in locals with the
         tuple-granular path's exact operations, and the loop keeps only
@@ -698,12 +728,14 @@ class BatchEngine:
         with the twin's credit and emitted count when the two started
         equal and is replayed ``count`` times otherwise.
 
-        An admitted arrival that crosses no idle event and starts a
-        long quiet stretch (more than ``_ARRAY_STRETCH`` of its gaps
-        before the heap head or ``until``) hands the stretch to
-        :meth:`_commit_segment`, which commits the same folds as
-        arrays; the arrival after it comes back through the checks
-        above.
+        An admitted arrival with no chain firing due by its bound that
+        starts a long quiet stretch (more than ``_ARRAY_STRETCH`` of
+        its gaps before the heap head, the next chain firing or
+        ``until``) hands the stretch to :meth:`_commit_segment`, which
+        commits the same folds as arrays; the arrival after it comes
+        back through the checks above. A segment steps no chain: on
+        the elastic data plane, the one workload with chains, a firing
+        every 0.25 s leaves no stretch that long.
         """
         env = self._env
         guard = template.guard
@@ -721,10 +753,12 @@ class BatchEngine:
         stretch = _ARRAY_STRETCH
         # Local replay state: loaded once, written back once. The seq
         # counter and the arrival recurrence are replayed locally too —
-        # nothing else can touch them inside a train (the only heap
-        # callbacks that run are idle ones, fired with ``seq`` flushed).
+        # nothing else can touch them inside a train (a chain's step
+        # draws nothing: its next firing's number is drawn here).
+        chains = self._take_chains()
         queue = env._queue
         head = queue[0][0] if queue else math.inf
+        tick = chains[0][0] if chains else math.inf
         seq = env._sequence
         prev = cursor.prev
         start = [st.replica._credits[st.port] for st in steps]
@@ -732,45 +766,48 @@ class BatchEngine:
         emitted = [0] * n  # primaries only
         hc = [h.cycles_delivered for h in template.hosts]
         committed = 0
-        crossed = 0
-        owed: list[tuple[float, int]] = []
+        ticks = 0  # chain firings stepped
+        last_tick = -math.inf  # the latest of them the train keeps
+        inside: list[float] = []
+        owed: list[float] = []
         while True:
             bound = t0 + guard
-            admit = delay is None or bound < t0 + delay
-            if until is not None and bound > until:
-                admit = False
-            if admit and head <= bound:
-                env._sequence = seq
-                admit, owed = self._cross_idle(
+            admit = (
+                (delay is None or bound < t0 + delay)
+                and (until is None or bound <= until)
+                and head > bound
+            )
+            if admit and tick <= bound:
+                admit, seq, count, last, inside = self._cross(
                     template,
                     cred,
                     t0,
                     bound,
+                    chains,
+                    seq,
                     draws_at_t0 + (delay is not None),
                 )
-                seq = env._sequence
-                head = queue[0][0] if queue else math.inf
-                if admit:
-                    # Drawn inside the cascade: after its draws at t0.
-                    crossed = sum(draws for _time, draws in owed)
-                    owed = []
-            elif (
-                admit
-                and delay is not None
-                and (head if until is None or head < until else until) - t0
-                > stretch * delay
-            ):
-                # A long quiet stretch ahead: commit it as arrays.
-                count, t0, delay, seq, prev = self._commit_segment(
-                    template,
-                    cursor,
-                    (t0, delay, seq, prev),
-                    (head, until),
-                    (cred, emitted, hc),
-                )
-                if count:
-                    committed += count
-                    continue
+                ticks += count
+                last_tick = max(last_tick, last)
+                if not admit:
+                    owed, inside = inside, []
+                tick = chains[0][0] if chains else math.inf
+            elif admit and delay is not None:
+                limit = head if head < tick else tick
+                if until is not None and until < limit:
+                    limit = until
+                if limit - t0 > stretch * delay:
+                    # A long quiet stretch ahead: commit it as arrays.
+                    count, t0, delay, seq, prev = self._commit_segment(
+                        template,
+                        cursor,
+                        (t0, delay, seq, prev),
+                        (limit, until),
+                        (cred, emitted, hc),
+                    )
+                    if count:
+                        committed += count
+                        continue
             if not admit:
                 if committed or owed:
                     cursor.time = t0
@@ -819,9 +856,9 @@ class BatchEngine:
                     cred[i] = value
                     emit[i] = False
             seq += late
-            if crossed:
-                seq += crossed
-                crossed = 0
+            if inside:
+                seq += len(inside)
+                inside = []
             if delay is None:
                 break
             t0 = t0 + delay
@@ -837,6 +874,10 @@ class BatchEngine:
                 prev = arrival
                 if not delay >= 0:  # negative or NaN, as _draw_delay
                     raise cursor.source.step_back(delay)
+        if ticks:
+            env.engine_account(processed=ticks)
+            self.stats["ticks_stepped"] += ticks
+        self._put_back(chains)
         if not committed:
             if not owed:
                 return False
@@ -912,7 +953,7 @@ class BatchEngine:
         # eligibility makes each arrival later than every event of the
         # cascade before it, so the global maximum lives there — unless
         # an idle event fired after it (the kernel clock is on that).
-        last_t = max(times[n], env.now)
+        last_t = max(times[n], env.now, last_tick)
         for i, entry in enumerate(plan):
             if emit[entry[0]] and times[i] > last_t:
                 last_t = times[i]
@@ -1117,30 +1158,29 @@ class BatchEngine:
             produced += out
         return credit, produced
 
-    def _replay_owing(
-        self, cursor: _SourceCursor, owed: list[tuple[float, int]]
-    ) -> None:
-        """Replay ``cursor``'s arrival tuple-granular around the idle
-        events :meth:`_cross_idle` already fired inside its cascade.
+    def _replay_owing(self, cursor: _SourceCursor, owed: list[float]) -> None:
+        """Replay ``cursor``'s arrival tuple-granular around the chain
+        firings :meth:`_cross` already stepped inside its cascade.
 
-        Each fired with the sequence number the replay reaches just
-        before its time, so the replay runs the heap up to that time,
-        skips the numbers the firing drew, and goes on. The next
-        arrival is later than all of it, so cancelled heads on the way
-        are the engine's to purge.
+        Each drew the sequence number the replay reaches just before
+        its time, so the replay runs the heap up to that time, skips
+        the number, and goes on. The chains are back on the heap, at or
+        after the last of those times, and the next arrival is later
+        than all of it, so cancelled heads on the way are the engine's
+        to purge.
         """
         self.stats["bails"] += 1
         self._micro_fire(cursor, None, drawn=False)
         env = self._env
         queue = env._queue
-        for time, draws in owed:
+        for time in owed:
             while queue and queue[0][0] < time:
                 if queue[0][2].cancelled:
                     heapq.heappop(queue)
                     env.engine_account(cancelled=1)
                 else:
                     env.fire_head()
-            env.bump_seq(draws)
+            env.take_seq()
 
     # ------------------------------------------------------------------
     # Template construction

@@ -22,13 +22,14 @@ intermediate deployment ever drops below the IC-SLA floor by
 construction: a scale-down that would remove the last processable
 cover is refused, not retried harder.
 
-Determinism: the loop is pure sim-time (``env.schedule`` ticks), reads
-only platform state, and never draws randomness, so an elastic run is
-bit-identical across execution modes and worker counts.
+Determinism: the loop is pure sim-time (an ``env.recur`` chain of
+ticks), reads only platform state, and never draws randomness, so an
+elastic run is bit-identical across execution modes and worker counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,6 +116,13 @@ class Autoscaler:
         self._removed: list[str] = []
         self._moved = False
         self._quiet_memo: tuple[object, bool] = (None, False)
+        #: The instants where the calendar's answers can change: each
+        #: predicate is constant between two of them.
+        lead = peak_start - SCALE_LEAD
+        self._calendar = sorted(
+            (lead - CONSOLIDATE_MARGIN, lead, peak_end + SCALE_LAG)
+        )
+        self._idle_memo: tuple[object, bool] = (None, False)
         # Counters (reported in the tenant digest).
         self.scale_ups = 0
         self.scale_downs = 0
@@ -128,7 +136,7 @@ class Autoscaler:
 
     def start(self) -> None:
         """Begin ticking at t=0."""
-        self._platform.env.schedule(0.0, self._tick, idle=self._idle)
+        self._platform.env.recur(0.0, self._step, self._idle)
 
     def desired_parallelism(self, now: float) -> int:
         """The calendar's answer: peak parallelism inside the widened
@@ -199,21 +207,32 @@ class Autoscaler:
 
         Reads the calendar and control-plane state only (membership,
         ``alive`` / ``active`` flags), so the answer given before the
-        tick fires is the one the tick itself will reach.
+        tick fires is the one the tick itself will reach. Memoised per
+        control epoch and calendar interval; a tick that acts flips the
+        loop's own flags and forgets it.
         """
-        if self._consolidation_due(time) or self._move_due(time):
-            return False
-        return self._quiet(self.desired_parallelism(time))
+        interval = bisect_right(self._calendar, time)
+        key = (self._platform.control_epoch, interval)
+        if self._idle_memo[0] != key:
+            idle = not (
+                self._consolidation_due(time) or self._move_due(time)
+            ) and self._quiet(self.desired_parallelism(time))
+            self._idle_memo = (key, idle)
+        return self._idle_memo[1]
 
     # ------------------------------------------------------------------
 
-    def _tick(self) -> None:
-        env = self._platform.env
-        self._reconcile(env.now)
-        if env.now + self._policy.tick <= self._horizon:
-            env.schedule(self._policy.tick, self._tick, idle=self._idle)
+    def _step(self, time: float) -> Optional[float]:
+        """The tick at ``time``; the delay to the next one, None once
+        that would pass the horizon."""
+        self._reconcile(time)
+        tick = self._policy.tick
+        return tick if time + tick <= self._horizon else None
 
     def _reconcile(self, now: float) -> None:
+        if self._idle(now):
+            return
+        self._idle_memo = (None, False)
         if self._consolidation_due(now):
             assert self._chost is not None
             if self._consolidated:

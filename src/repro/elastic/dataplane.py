@@ -105,26 +105,32 @@ class CoreHourMeter:
         self._engine = engine
         self._pes = platform.deployment.descriptor.graph.pes
         self._cores = sum(host.cores for host in platform.deployment.hosts)
-        self._memo: tuple[object, tuple[int, int]] = (None, (0, 0))
+        self._memo: tuple[object, frozenset[str], tuple[int, int]] = (
+            None,
+            frozenset(),
+            (0, 0),
+        )
         self.active_core_seconds = 0.0
         self.reserved_core_seconds = 0.0
 
     def start(self) -> None:
-        self._platform.env.schedule(0.0, self._sample, idle=self._idle)
+        self._platform.env.recur(0.0, self._step, self._idle)
 
     @staticmethod
     def _idle(time: float) -> bool:
         """Sampling reads control-plane state and touches only the
-        meter: the batched engine may fire it inside a closed-form run."""
+        meter: the batched engine may step it inside a closed-form run."""
         return True
 
     def counts(self) -> tuple[int, int]:
         """``(active, reserved)`` cores now, walked once per control epoch
         and cordon set (a cordon does not move the epoch)."""
         platform = self._platform
-        cordoned = frozenset(self._engine.cordoned if self._engine else ())
-        key = (platform.control_epoch, cordoned)
-        if self._memo[0] != key:
+        epoch, cordoned, counts = self._memo
+        if epoch != platform.control_epoch or cordoned != (
+            self._engine.cordoned if self._engine else cordoned
+        ):
+            cordoned = frozenset(self._engine.cordoned if self._engine else ())
             # Attached replicas are exactly the group members (attach and
             # detach maintain both), so residency needs no per-id lookups.
             active = sum(
@@ -137,20 +143,20 @@ class CoreHourMeter:
                 for name in cordoned
                 if not platform.residents(name)  # reclaimed: cordoned, empty
             )
-            self._memo = (key, (active, reserved))
-        return self._memo[1]
+            counts = (active, reserved)
+            self._memo = (platform.control_epoch, cordoned, counts)
+        return counts
 
-    def _sample(self) -> None:
-        platform = self._platform
-        now = platform.env.now
-        dt = min(METER_TICK, self._horizon - now)
+    def _step(self, time: float) -> Optional[float]:
+        """The sample at ``time``; the delay to the next one, None at
+        the horizon."""
+        dt = min(METER_TICK, self._horizon - time)
         if dt <= 0:
-            return
+            return None
         active, reserved = self.counts()
         self.active_core_seconds += active * dt
         self.reserved_core_seconds += reserved * dt
-        if now + METER_TICK < self._horizon:
-            platform.env.schedule(METER_TICK, self._sample, idle=self._idle)
+        return METER_TICK if time + METER_TICK < self._horizon else None
 
 
 def peak_window(platform: StreamPlatform) -> tuple[float, float]:

@@ -12,7 +12,10 @@ trace playback, the Rate Monitor, a sampler, a heartbeat, a watchdog)
 is a callback that schedules its own next firing, last, once its
 effects for this firing are done; each one schedules a zero-delay start
 event when it is built, so every actor's first draw happens once the
-run starts, in construction order.
+run starts, in construction order. A recurring actor whose firings
+mostly decide nothing is started with :meth:`Environment.recur`
+instead: its firing is a *step* an attached engine may also apply
+without a heap event.
 
 The design follows the classic event-list simulation loop; it is
 deliberately minimal (no shared resources, no preemption) because the DSPS
@@ -28,32 +31,51 @@ from repro.errors import SimulationError
 
 __all__ = ["Environment", "EventHandle"]
 
+#: One firing of a chain (:meth:`Environment.recur`): applied at the
+#: given time, it returns the delay to the next firing, or None to stop.
+Step = Callable[[float], Optional[float]]
+
 
 def _never() -> None:
     """The callback of an event pending when its environment closed."""
 
 
 class EventHandle:
-    """A scheduled callback; ``cancel()`` prevents it from firing.
+    """A scheduled callback; ``cancel()`` prevents it from firing."""
 
-    ``idle`` is the optional probe given to :meth:`Environment.schedule`.
-    """
+    __slots__ = ("time", "callback", "cancelled")
 
-    __slots__ = ("time", "callback", "cancelled", "idle")
-
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        idle: Optional[Callable[[float], bool]] = None,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self.time = time
         self.callback = callback
         self.cancelled = False
-        self.idle = idle
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+class Chain:
+    """The callback of every firing of one chain (see
+    :meth:`Environment.recur`): the step, then the next firing."""
+
+    __slots__ = ("env", "step", "idle")
+
+    def __init__(
+        self,
+        env: Environment,
+        step: Step,
+        idle: Callable[[float], bool],
+    ) -> None:
+        self.env = env
+        self.step = step
+        self.idle = idle
+
+    def __call__(self) -> None:
+        env = self.env
+        now = env._now
+        after = self.step(now)
+        if after is not None:
+            env.push_firing(now + after, env.take_seq(), self)
 
 
 class Environment:
@@ -75,9 +97,10 @@ class Environment:
     and counts a cancelled head only when no engine event precedes it,
     as a run with those events on the heap would — so when ``advance``
     returns the head is live, or lies behind an engine event that is
-    itself beyond ``until``. Inside ``advance`` the engine may also fire
-    heap events through :meth:`fire_head`, in particular ones that
-    declared themselves idle (see :meth:`schedule`).
+    itself beyond ``until``. Inside ``advance`` the engine may also
+    take chain firings (see :meth:`recur`) off the heap, apply the idle
+    ones as steps and push each chain's next firing back, and fire heap
+    events through :meth:`fire_head`.
     Like ``telemetry``, the attribute is duck-typed and defaults to
     None, costing one comparison per event when unused.
     """
@@ -115,15 +138,6 @@ class Environment:
         self._sequence = seq + 1
         return seq
 
-    def bump_seq(self, count: int) -> None:
-        """Skip ``count`` sequence numbers in one step.
-
-        Used by the batched engine to account for events it executed in
-        closed form, so subsequent allocations match what a tuple-granular
-        run would have drawn.
-        """
-        self._sequence += count
-
     def engine_fire(self, time: float) -> None:
         """Advance the clock to one engine-executed event and count it."""
         if time < self._now:
@@ -148,19 +162,16 @@ class Environment:
         self,
         delay: float,
         callback: Callable[[], None],
-        idle: Optional[Callable[[float], bool]] = None,
         seq: Optional[int] = None,
     ) -> EventHandle:
         """Run ``callback`` after ``delay`` simulated seconds.
 
-        ``idle(time)`` is a pure probe: True promises that the firing at
-        ``time`` neither mutates nor reads anything an attached engine
-        replays in closed form (replica, host and metric counters,
-        queues) and changes no control-plane state — it may read
-        control-plane state, keep private state, emit events and
-        schedule more events. The engine then fires it *inside* a
-        closed-form batch instead of ending the batch at it. The
-        tuple-granular loop never calls the probe.
+        The callback may do anything: read and change any state, emit
+        events, schedule more events. Recurring work whose firings
+        mostly decide nothing is a chain instead (:meth:`recur`), whose
+        firing is a *step* an attached engine may apply without a heap
+        event: a step must read its time from its argument, emit
+        nothing, and touch only its actor's private state.
 
         ``seq`` schedules under a *reserved* sequence number: one the
         caller drew from :meth:`take_seq` earlier, at the point where it
@@ -181,9 +192,44 @@ class Environment:
                 f"sequence number {seq} was never drawn"
                 f" (next is {self._sequence})"
             )
-        handle = EventHandle(self._now + delay, callback, idle)
+        handle = EventHandle(self._now + delay, callback)
         heapq.heappush(self._queue, (handle.time, seq, handle))
         return handle
+
+    def recur(
+        self, delay: float, step: Step, idle: Callable[[float], bool]
+    ) -> None:
+        """Start a chain: ``step`` fires ``delay`` from now, and again
+        each time the delay it returns runs out, until it returns None.
+
+        Each firing is one heap event whose callback is ``step(now)``
+        followed by scheduling the next firing, so the tuple-granular
+        loop runs a chain like any self-rescheduling callback and never
+        calls ``idle``. ``idle(time)`` is a pure probe: True promises
+        that the firing at ``time`` changes no control-plane state and
+        neither reads nor writes anything an attached engine replays in
+        closed form (replica, host and metric counters, queues). An
+        engine may then apply that firing itself, inside a closed-form
+        batch: it calls ``step(time)``, draws the one sequence number
+        the reschedule would have drawn at ``time``, counts the firing
+        as processed, and puts the chain's next firing back on the heap
+        when the batch ends.
+
+        So a step must read its time from its argument, never from
+        :attr:`now`; it must emit nothing and schedule nothing; and on
+        a firing its probe calls idle it may read control-plane state
+        but change only the actor's private state. A chain has no
+        handle to cancel: it stops when its step returns None.
+        """
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"cannot schedule in the past: {delay}")
+        chain = Chain(self, step, idle)
+        self.push_firing(self._now + delay, self.take_seq(), chain)
+
+    def push_firing(self, time: float, seq: int, chain: Chain) -> None:
+        """Put ``chain``'s firing at ``time`` on the heap under ``seq``,
+        a number already drawn."""
+        heapq.heappush(self._queue, (time, seq, EventHandle(time, chain)))
 
     def fire_head(self) -> None:
         """Pop and run the heap head exactly as :meth:`run` would.
@@ -264,7 +310,6 @@ class Environment:
         """
         for _time, _seq, handle in self._queue:
             handle.callback = _never
-            handle.idle = None
         self._queue = []
         self.engine = None
         self.telemetry = None

@@ -6,7 +6,7 @@ once per session. The seeded probes are the mutation trial of
 docs/static-analysis.md kept alive: one realistic violation per rule in
 a real module. The per-file rules see only the mutated file, written
 under its dotted path; the three schema mutations need every emitter,
-so they scan a copy of ``src/repro``.
+so they scan one shared copy of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -45,12 +45,23 @@ def gate_report() -> AnalysisReport:
         return _analyze(Path("src/repro"), Path("benchmarks"))
 
 
-@pytest.fixture()
-def src_copy(tmp_path):
-    """A mutable copy of src/repro (same dotted module names)."""
-    copy = tmp_path / "src" / "repro"
+@pytest.fixture(scope="module")
+def shipped_copy(tmp_path_factory):
+    """A copy of src/repro (same dotted module names), shared by the
+    schema mutations: the analysis re-extracts only the file a mutation
+    changed (pass 1 is reused for an unchanged file at the same path)."""
+    copy = tmp_path_factory.mktemp("tree") / "src" / "repro"
     shutil.copytree(SRC, copy)
     return copy
+
+
+@pytest.fixture()
+def src_copy(shipped_copy):
+    """The shared copy, with ``obs/events.py`` put back afterwards."""
+    events = shipped_copy / "obs" / "events.py"
+    source = events.read_text()
+    yield shipped_copy
+    events.write_text(source)
 
 
 class TestShippedTreeIsClean:

@@ -1,8 +1,8 @@
-"""Pinned edge cases of crossing idle heap events in closed form.
+"""Pinned edge cases of stepping chain firings inside closed-form trains.
 
 ``test_generated_equivalence.py`` draws these situations at random;
 here each is built by hand on dyadic numbers (exact float arithmetic),
-so the suite exercises every branch of the crossing on every run and
+so the suite exercises every branch of the stepping on every run and
 says *which* branch it was. All scenarios run Low-rate arrivals at
 ``k / low`` for ``k >= 1`` and stop before the High burst.
 """
@@ -59,7 +59,7 @@ def scenario(
 
 @pytest.fixture
 def replays(monkeypatch) -> list[int]:
-    """Counts tuple-granular replays around already-fired idle events."""
+    """Counts tuple-granular replays around already-stepped firings."""
     calls: list[int] = []
     replay = BatchEngine._replay_owing
 
@@ -83,7 +83,7 @@ class TestEqualTimes:
         )
         assert stats["cascades"] == 4  # t = 0.25 .. 1.0
         assert stats["bails"] == 6  # t = 1.25 .. 2.5
-        assert stats["idle_crossed"] == 1  # t = 1.125, between two runs
+        assert stats["ticks_stepped"] == 1  # t = 1.125, between two runs
 
     def test_step_completion_exactly_on_a_tick_takes_the_exact_path(self):
         # Ticks at 1/32 + k/2: on the first completion (t + 1/32) of
@@ -94,7 +94,7 @@ class TestEqualTimes:
         )
         assert stats["cascades"] == 5
         assert stats["bails"] == 5
-        assert stats["idle_crossed"] == 0
+        assert stats["ticks_stepped"] == 0
 
 
 class TestInsideOneCascade:
@@ -106,7 +106,7 @@ class TestInsideOneCascade:
         )
         assert stats["runs"] == 1
         assert stats["cascades"] == 4  # t = 0.5 .. 2.0; 2.5 is the horizon
-        assert stats["idle_crossed"] == 7 * 16  # 0.5 .. 2.25
+        assert stats["ticks_stepped"] == 7 * 16  # 0.5 .. 2.25
         assert replays == []
 
     def test_two_ticks_at_one_instant_straddled_by_one_cascade(
@@ -118,7 +118,7 @@ class TestInsideOneCascade:
         pair = (meter, autoscaler)
         stats = assert_modes_agree(scenario((2.0**-4,) * 4, 2.0, pair))
         assert stats["runs"] == 1
-        assert stats["idle_crossed"] == 2 * 14
+        assert stats["ticks_stepped"] == 2 * 14
         assert replays == []
 
     def test_successor_on_a_completion_replays_around_the_fired_tick(
@@ -153,14 +153,16 @@ class TestInsideOneCascade:
         assert stats["cascades"] > 0
 
     def test_idle_and_live_event_at_one_instant(self, replays):
-        # The idle one was scheduled first, so it is probed (and fired)
-        # first; the live one behind it refuses the cascade.
+        # The idle one was scheduled first, but the live one, a plain
+        # heap event, refuses the cascade before any chain is stepped:
+        # nothing to replay around.
         pair = (
             tick("idle", 2.0**-3, 2.0**-7),
             tick("live", 2.0**-3, 2.0**-7),
         )
-        assert_modes_agree(scenario((2.0**-4,) * 4, 2.0, pair))
-        assert replays == [1, 1, 1, 1]
+        stats = assert_modes_agree(scenario((2.0**-4,) * 4, 2.0, pair))
+        assert replays == []
+        assert stats["cascades"] == 0
 
 
 class TestHorizon:
@@ -189,7 +191,7 @@ class TestHorizon:
             )
         )
         assert stats["cascades"] == 1
-        assert stats["idle_crossed"] == 1
+        assert stats["ticks_stepped"] == 1
 
 
 class TestLyingProbe:
@@ -208,4 +210,92 @@ class TestLyingProbe:
         assert honest["error"] is None
         caught, _ = run(liar, batching=True)
         assert "probed idle at t=1.125" in caught["error"]
-        assert "Ticker._fire" in caught["error"]
+        assert "Ticker._step" in caught["error"]
+
+
+class TestSteppedChains:
+    """A chain's firing inside a train is a step: applied at its time,
+    its one sequence number replayed there, and the chain put back on
+    the heap once, when the train ends."""
+
+    def test_chain_stops_at_its_horizon_inside_a_train(self):
+        # The fold chain (gaps 1/8, 1/16, ...) stops at its horizon 1.5,
+        # half way through the one train; its folded state and the
+        # heap it leaves must match the tuple-granular run's.
+        fold = tick("fold", 2.0**-4, 2.0**-7, 1.5)
+        stats = assert_modes_agree(scenario((2.0**-6,) * 3, 4.0, (fold,)))
+        assert stats["runs"] == 1
+        assert stats["cascades"] == 9  # t = 0.25 .. 2.25
+        assert stats["ticks_stepped"] == 14
+
+    def test_chain_turning_busy_mid_train_ends_it(self, replays):
+        # Calendar ticks at odd multiples of 1/128 + k/8: idle until
+        # 1.0, then one deactivation. The busy firing lies between two
+        # cascades, so the train ends before it with nothing to replay,
+        # and the kernel fires it.
+        action = Control(time=0.0, kind="deactivate", a=1, b=0)
+        stats = assert_modes_agree(
+            scenario(
+                (2.0**-6,) * 3,
+                4.0,
+                (tick("calendar", 2.0**-3, 2.0**-7, 1.0, action),),
+            )
+        )
+        assert stats["runs"] == 2
+        assert stats["ticks_stepped"] == 15
+        assert replays == []
+
+    def test_two_chains_at_the_same_instants_keep_their_order(self):
+        # The meter and the autoscaler fire together: between cascades
+        # each draws its next number in sequence order, and the two
+        # come back on the heap in that order.
+        pair = (
+            tick("fold", 2.0**-3, 2.0**-7, 2.0),
+            tick("idle", 2.0**-3, 2.0**-7),
+        )
+        stats = assert_modes_agree(scenario((2.0**-6,) * 3, 4.0, pair))
+        assert stats["runs"] == 1
+        assert stats["ticks_stepped"] == 28
+
+    def test_firing_inside_a_cascade_takes_the_number_it_reached(
+        self, replays
+    ):
+        # Span 3/16 s from each arrival at k/2; ticks at 1/2 + 1/32 +
+        # k: inside the cascades of 0.5 and 1.5, after their first
+        # completion, before the second.
+        ticker = tick("idle", 1.0, 0.5 + 2.0**-5)
+        stats = assert_modes_agree(scenario((2.0**-4,) * 3, 2.0, (ticker,)))
+        assert stats["cascades"] == 4
+        assert stats["ticks_stepped"] == 2
+        assert replays == []
+
+    def test_firing_exactly_on_an_arrival_is_refused(self):
+        # Ticks every 1/8 s from 1/8, arrivals every 1/4 s: each even
+        # firing lands on an arrival whose number was drawn first. The
+        # train refuses that arrival, and the kernel runs both.
+        ticker = tick("idle", 2.0**-3, 2.0**-3)
+        stats = assert_modes_agree(
+            scenario((2.0**-6,) * 3, 4.0, (ticker,), until=1.0)
+        )
+        assert stats["cascades"] == 0
+        assert stats["ticks_stepped"] == 0
+        assert stats["bails"] == 4  # t = 0.25 .. 1.0
+
+    def test_step_that_draws_a_number_fails_loudly(self, monkeypatch):
+        # Sabotage: the fold chain's step also schedules an event, which
+        # a callback may do and a step may not.
+        step = Ticker._step
+
+        def scheduling_step(self, time):
+            self._platform.env.schedule(1.0, lambda: None)
+            return step(self, time)
+
+        monkeypatch.setattr(Ticker, "_step", scheduling_step)
+        liar = scenario(
+            (2.0**-6,) * 3, 4.0, (tick("fold", 2.0**-3, 2.0**-7, 2.0),)
+        )
+        honest, _ = run(liar, batching=False)
+        assert honest["error"] is None
+        caught, _ = run(liar, batching=True)
+        assert "probed idle at t=0.2578125" in caught["error"]
+        assert "scheduling_step" in caught["error"]

@@ -186,11 +186,11 @@ class TestEngineGrant:
         assert env.events_cancelled == 1
 
     def test_engine_may_consume_the_last_head(self):
-        """The engine fires an idle head itself (``fire_head``); the
-        loop must survive finding the heap empty afterwards."""
+        """The engine fires a head itself (``fire_head``); the loop
+        must survive finding the heap empty afterwards."""
         env = Environment()
         seen = []
-        env.schedule(1.0, lambda: seen.append(env.now), idle=lambda t: True)
+        env.schedule(1.0, lambda: seen.append(env.now))
         env.engine = _StubEngine(
             lambda until: env.fire_head() if not seen else None
         )
@@ -206,6 +206,13 @@ class TestEngineGrant:
         def probe(time):
             raise AssertionError("probed without an engine")
 
-        env.schedule(1.0, lambda: log.append("fired"), idle=probe)
+        def step(time):
+            log.append(("stepped", time, env.now))
+            return 0.5 if time < 2.0 else None
+
+        env.recur(1.0, step, probe)
         env.run()
-        assert log == ["fired"]
+        # One heap event per firing, at its time; the chain stops when
+        # its step returns None.
+        assert log == [("stepped", t, t) for t in (1.0, 1.5, 2.0)]
+        assert env.events_processed == 3

@@ -10,7 +10,10 @@
 #            typecheck ratchet
 #   tier-1   the test suite, ten slowest printed (budget: <= 100 s here)
 #   explore  the generated properties of the elastic control loop, the
-#            replayed state, the batched engine, the IC judge's floors
+#            replayed state, the batched engine (trains that step the
+#            drawn chains: idle, calendar and folding tickers, the
+#            last with private state, drawn delays and a horizon, all
+#            compared with the tuple-granular run), the IC judge's floors
 #            vs FT-Search's proof, the host scheduler vs its parent
 #            oracle (`_ParentScheduler`), the release of a finished
 #            tenant (no cyclic garbage), the SLO engine's sorted
